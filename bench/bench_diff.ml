@@ -1,13 +1,8 @@
 (* Snapshot drift detection (bench diff / make bench-diff).
 
    Regenerates every committed BENCH_*.json into a scratch directory and
-   structurally compares each against the snapshot in the repo root.
-   The simulation is deterministic, so most fields must match exactly;
-   timing-flavoured fields (latencies, rates, percentiles, busy/fill
-   fractions) get a 10% relative tolerance so that a legitimately
-   re-timed run — a device-model tweak, a scheduling change — reads as
-   "within tolerance" while a behavioural change (counts, violations,
-   structure) still trips the diff.
+   structurally compares each against the snapshot in the repo root
+   ([Drift.diff]: exact, except the declared tolerant keys).
 
    Exits non-zero on any drift, which is what wires it into make ci:
    either the code change is benign and the snapshots are regenerated
@@ -30,75 +25,6 @@ let snapshots : (string * (string -> unit)) list =
   ]
 
 let scratch_dir = "_build/bench-diff"
-
-(* Field names that measure time, rates or occupancy — the ones whose
-   exact value is a property of the device model rather than of
-   behavioural correctness. Matched against the innermost object key. *)
-let tolerant_field name =
-  let suffix s =
-    let ln = String.length name and ls = String.length s in
-    ln >= ls && String.sub name (ln - ls) ls = s
-  in
-  let contains s =
-    let ln = String.length name and ls = String.length s in
-    let rec go i = i + ls <= ln && (String.sub name i ls = s || go (i + 1)) in
-    go 0
-  in
-  suffix "_us" || suffix "_ms" || suffix "_s"
-  || contains "rate" || contains "mean" || contains "p50" || contains "p90"
-  || contains "p95" || contains "p99" || contains "busy" || contains "fill"
-  || contains "wait" || contains "duration" || contains "ops_per"
-  || contains "achieved" || contains "util" || contains "age"
-
-let rel_tolerance = 0.10
-
-let close a b =
-  a = b
-  || abs_float (a -. b) <= rel_tolerance *. Stdlib.max (abs_float a) (abs_float b)
-
-(* Walk both trees in step, collecting one line per mismatch. [key] is
-   the innermost object field we are under (tolerance is per-field). *)
-let rec diff ~path ~key want got acc =
-  match (want, got) with
-  | J.Obj w, J.Obj g ->
-    let acc =
-      List.fold_left
-        (fun acc (k, wv) ->
-          match List.assoc_opt k g with
-          | Some gv -> diff ~path:(path ^ "." ^ k) ~key:k wv gv acc
-          | None -> Printf.sprintf "%s.%s: missing" path k :: acc)
-        acc w
-    in
-    List.fold_left
-      (fun acc (k, _) ->
-        if List.mem_assoc k w then acc
-        else Printf.sprintf "%s.%s: unexpected" path k :: acc)
-      acc g
-  | J.Arr w, J.Arr g ->
-    if List.length w <> List.length g then
-      Printf.sprintf "%s: %d element(s), want %d" path (List.length g)
-        (List.length w)
-      :: acc
-    else
-      List.fold_left2
-        (fun (i, acc) wv gv ->
-          ( i + 1,
-            diff ~path:(Printf.sprintf "%s[%d]" path i) ~key wv gv acc ))
-        (0, acc) w g
-      |> snd
-  | J.Int w, J.Int g when w = g -> acc
-  | J.Float w, J.Float g when w = g -> acc
-  | (J.Int _ | J.Float _), (J.Int _ | J.Float _) when tolerant_field key ->
-    let f = function J.Int n -> float_of_int n | J.Float x -> x | _ -> 0.0 in
-    if close (f want) (f got) then acc
-    else
-      Printf.sprintf "%s: %s, want %s (beyond %.0f%%)" path (J.to_string got)
-        (J.to_string want)
-        (rel_tolerance *. 100.0)
-      :: acc
-  | _ ->
-    if want = got then acc
-    else Printf.sprintf "%s: %s, want %s" path (J.to_string got) (J.to_string want) :: acc
 
 let read_file path =
   let ic = open_in_bin path in
@@ -123,7 +49,7 @@ let diff_one name regen =
     let fresh = Filename.concat scratch_dir name in
     regen fresh;
     let want = parse name name and got = parse fresh fresh in
-    List.rev (diff ~path:name ~key:"" want got [])
+    List.rev (Drift.diff ~path:name ~key:"" want got [])
   end
 
 let run ?out () =

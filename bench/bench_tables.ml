@@ -389,7 +389,7 @@ let group_commit ?(intervals = [ 0; 100_000; 500_000; 2_000_000 ]) () =
     let fs, _ = Fsd.boot ~params device in
     let layout = Fsd.layout fs in
     let meta, data = classified_ios device layout (fun () -> bulk_update_workload (Fsd.ops fs)) in
-    (meta, data, (Fsd.counters fs).Fsd.forces)
+    (meta, data, Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) "fsd.forces"))
   in
   let results = List.map (fun i -> (i, run i)) intervals in
   let base_meta, base_total =

@@ -50,14 +50,24 @@ type vol = Fsd_vol of Cedar_fsd.Fsd.t | Cfs_vol of Cedar_cfs.Cfs.t
 (* Which system formatted this image? Probe the boot-page magic. *)
 let detect device =
   match Cedar_fsd.Boot_page.read device with
-  | Some _ -> `Fsd
+  | Some bp -> `Fsd bp
   | None -> `Cfs
 
-let boot_vol device =
+(* [queue] is the request queue ([Params.disk_sched], [disk_qdepth]) an
+   FSD boot gives the device; every other runtime knob is the volume's
+   own. *)
+let boot_vol ?(queue = (Device.Fifo, 0)) device =
   match detect device with
-  | `Fsd ->
+  | `Fsd bp ->
+    let params =
+      {
+        (Cedar_fsd.Fsd.boot_page_params (Device.geometry device) bp) with
+        Cedar_fsd.Params.disk_sched = fst queue;
+        disk_qdepth = snd queue;
+      }
+    in
     let fs, report =
-      match Cedar_fsd.Fsd.try_boot device with
+      match Cedar_fsd.Fsd.try_boot ~params device with
       | `Ok v -> v
       | `Needs_scavenge reason ->
         Printf.eprintf "(metadata damage beyond log replay: %s; scavenging)\n"
@@ -66,7 +76,7 @@ let boot_vol device =
         Printf.eprintf "(scavenge: %s, %.1f s)\n"
           (Format.asprintf "%a" Cedar_fsd.Scavenge.pp_report r)
           (Simclock.s_of_us r.Cedar_fsd.Scavenge.duration_us);
-        Cedar_fsd.Fsd.boot device
+        Cedar_fsd.Fsd.boot ~params device
     in
     if report.Cedar_fsd.Fsd.replayed_records > 0 then
       Printf.eprintf "(recovery replayed %d log records in %.2f s)\n"
@@ -97,10 +107,10 @@ let guard f =
   with Cedar_fsbase.Fs_error.Fs_error e ->
     fail "%s" (Cedar_fsbase.Fs_error.to_string e)
 
-let with_volume ?(save = true) path f =
+let with_volume ?(save = true) ?queue path f =
   guard (fun () ->
       let device = load_device path in
-      let vol = boot_vol device in
+      let vol = boot_vol ?queue device in
       let result = f vol in
       if save then begin
         shutdown_vol vol;
@@ -230,7 +240,7 @@ let cmd_recover path =
   guard @@ fun () ->
   let device = load_device path in
   (match detect device with
-  | `Fsd ->
+  | `Fsd _ ->
     let fs, r = Cedar_fsd.Fsd.boot device in
     Printf.printf
       "FSD recovery: %d records, %d pages home, %d corrected sectors, VAM %s; %.2f s total\n"
@@ -257,7 +267,7 @@ let cmd_scavenge path =
   guard @@ fun () ->
   let device = load_device path in
   (match detect device with
-  | `Fsd ->
+  | `Fsd _ ->
     let r = Cedar_fsd.Scavenge.run device in
     Printf.printf "FSD scavenge: %s; %.1f s\n"
       (Format.asprintf "%a" Cedar_fsd.Scavenge.pp_report r)
@@ -516,12 +526,6 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
     | None ->
       fail "--disk-sched must be fifo, elevator or sstf (got %s)" disk_sched
   in
-  (* Boot/recovery always runs synchronously; the request queue is a
-     steady-state knob, applied to each device once its volume is up. *)
-  let apply_queue dev =
-    if disk_qdepth > 0 then
-      Cedar_disk.Device.set_queue dev ~policy:sched ~depth:disk_qdepth
-  in
   let module C = Cedar_workload.Concurrent in
   let scripts =
     match (script_file, open_rate) with
@@ -562,10 +566,16 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
       fail "--watch/--timeline need a single volume's monitor";
     guard (fun () ->
         let clock = Simclock.create () in
-        let vset = Cedar_volumes.Volume_set.create_fresh ~clock volumes in
-        for i = 0 to volumes - 1 do
-          apply_queue (Cedar_volumes.Volume_set.device vset i)
-        done;
+        let params =
+          {
+            Cedar_fsd.Params.default with
+            Cedar_fsd.Params.disk_sched = sched;
+            disk_qdepth;
+          }
+        in
+        let vset =
+          Cedar_volumes.Volume_set.create_fresh ~params ~clock volumes
+        in
         let r = Cedar_server.Server.serve_volumes vset scripts in
         print_serve_report json r)
   end
@@ -573,11 +583,10 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
     let path =
       match path with Some p -> p | None -> fail "serve: missing IMAGE argument"
     in
-    with_volume ~save:false path (fun vol ->
+    with_volume ~save:false ~queue:(sched, disk_qdepth) path (fun vol ->
         match vol with
         | Cfs_vol _ -> fail "serve requires an FSD volume (group commit is FSD-only)"
         | Fsd_vol fs ->
-          apply_queue (Cedar_fsd.Fsd.device fs);
           let mon =
             if watch || timeline <> None || timeline_csv <> None then
               Some (Cedar_fsd.Fsd.enable_monitor fs)

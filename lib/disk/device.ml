@@ -33,13 +33,17 @@ let policy_of_string = function
    serviced before any nearest-first pick (oldest aged request first). *)
 let sstf_age_limit = 8
 
+(* What an op waits on: how many of its requests are still queued, and
+   when the last serviced one completed. *)
+type completion = { mutable outstanding : int; mutable done_at : int }
+
 type request = {
-  req_id : int; (* 1-based, monotonically increasing; also FIFO order *)
   req_sector : int;
   req_count : int;
   req_write : bool;
-  req_enq_at : int; (* virtual clock at enqueue *)
+  req_enq_at : int; (* virtual clock at issue *)
   req_span : int; (* trace span of the issuing op, attributed at service *)
+  req_io : completion option; (* the issuing op's, under [track] *)
   mutable req_passes : int; (* times passed over by the policy *)
 }
 
@@ -57,19 +61,15 @@ type t = {
   mutable head_cyl : int;
   mutable write_crash : (int * tear) option; (* sectors until trigger, tear *)
   mutable observer : (rw:[ `R | `W ] -> sector:int -> count:int -> unit) option;
-  (* Deferred timing: commands queue on this device's own timeline
-     instead of advancing the shared clock, so several devices overlap
-     in simulated time. See [set_deferred]. *)
-  mutable deferred : bool;
-  mutable busy_horizon : int; (* device-local completion time of the last command *)
-  (* Request queue (set_queue): data/label effects still happen at issue,
-     but the mechanical timing of up to [qdepth] outstanding commands is
-     resolved lazily, in the order [qpolicy] picks them. *)
+  (* The timing engine (see [set_queue]): 0 = the shared clock follows
+     this device; 1 = the device runs on its own timeline, servicing each
+     request at issue; >= 2 = up to [depth] requests wait in [queue] and
+     are serviced lazily, in the order [qpolicy] picks them. *)
+  mutable depth : int;
+  mutable busy_horizon : int; (* completion time of the last serviced request *)
   mutable qpolicy : policy;
-  mutable qdepth : int; (* < 2 means the queue is off *)
-  mutable queue : request list; (* pending, enqueue (= id) order *)
-  mutable next_req_id : int;
-  req_done : (int, int) Hashtbl.t; (* request id -> service completion time *)
+  mutable queue : request list; (* pending, issue order *)
+  mutable tracking : completion option; (* see [track] *)
   mutable sweep_up : bool; (* elevator arm direction *)
 }
 
@@ -85,7 +85,8 @@ let register_gauges t =
   Metrics.gauge metrics "device.busy_us" (fun () -> s.Iostats.busy_us);
   Metrics.gauge metrics "device.qdepth" (fun () -> List.length t.queue)
 
-let create ?(id = 0) ?trace ?metrics ~clock geom =
+let create ?(id = 0) ?(depth = 0) ?trace ?metrics ~clock geom =
+  if depth < 0 then invalid_arg "Device.create: depth < 0";
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let stats = Iostats.create () in
@@ -104,13 +105,11 @@ let create ?(id = 0) ?trace ?metrics ~clock geom =
       head_cyl = 0;
       write_crash = None;
       observer = None;
-      deferred = false;
+      depth;
       busy_horizon = 0;
       qpolicy = Fifo;
-      qdepth = 0;
       queue = [];
-      next_req_id = 1;
-      req_done = Hashtbl.create 256;
+      tracking = None;
       sweep_up = true;
     }
   in
@@ -131,17 +130,21 @@ let check_sector t s =
 (* ------------------------------------------------------------------ *)
 (* Timing engine                                                       *)
 
-(* Rotational phase is derived from the command's start time, so the
-   platter "keeps spinning" between commands: an operation issued right
-   after another on the same track pays a full revolution unless the
-   target sector is still ahead of the head — exactly the
-   lost-revolution effect of §6. In the default synchronous mode a
-   command starts now and advances the shared clock by its duration; in
-   deferred mode it starts when this device's previous command finishes
-   ([busy_horizon]), the clock is untouched, and the caller schedules
-   the completion. With a request queue ([set_queue]) the mechanics run
-   even later: at the service point the policy picks for the request,
-   which is where seek distance and arm position are charged. *)
+(* Every data command becomes a request, and [service] is the one place
+   its mechanics are charged. Service starts once the arm is free and
+   the request has arrived: at [max now busy_horizon enq_at]. Rotational
+   phase is derived from that start time, so the platter "keeps
+   spinning" between commands: an operation issued right after another
+   on the same track pays a full revolution unless the target sector is
+   still ahead of the head — exactly the lost-revolution effect of §6.
+
+   The engine depth only decides when a request is serviced and who
+   owns the clock. At depth 0 it is serviced at issue and the shared
+   clock follows the device to its completion; at depth 1 it is
+   serviced at issue on the device's own timeline ([busy_horizon]) and
+   the clock is untouched; at depth >= 2 it waits in the queue until
+   the policy picks it, which is where seek distance and arm position
+   are charged. *)
 
 (* The mechanical cost of one command that begins service at [start],
    from the current arm position. Seek stats, [head_cyl] and the trace
@@ -196,21 +199,21 @@ let mechanics t ~span ~start ~sector ~count ~write =
        else Trace.Dev_read { dev = t.id; sector; count; us = dur });
   dur
 
-(* Non-queued path: service immediately (synchronous) or at this
-   device's busy horizon (deferred). Either way service order is issue
-   order, so the only queue-mode difference is where time is charged. *)
-let run_now t ~sector ~count ~write =
-  let now = Simclock.now t.clock in
-  let start = if t.deferred then max now t.busy_horizon else now in
-  let span = Trace.current_span t.trace in
-  let dur = mechanics t ~span ~start ~sector ~count ~write in
-  if t.deferred then t.busy_horizon <- start + dur
-  else Simclock.advance t.clock dur
+let service t r =
+  let start = max (max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
+  let dur =
+    mechanics t ~span:r.req_span ~start ~sector:r.req_sector
+      ~count:r.req_count ~write:r.req_write
+  in
+  t.busy_horizon <- start + dur;
+  if t.depth = 0 then Simclock.advance_to t.clock t.busy_horizon;
+  match r.req_io with
+  | Some c ->
+    (* Services complete in order, so the last one is the latest. *)
+    c.outstanding <- c.outstanding - 1;
+    c.done_at <- t.busy_horizon
+  | None -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Request queue                                                       *)
-
-let queued t = t.qdepth >= 2
 let cyl_of t sector = (Geometry.to_chs t.geom sector).Geometry.cyl
 
 (* Pick the next request to service. Ties (equal distance) go to the
@@ -249,104 +252,83 @@ let pick t =
         nearest (match ahead t.sweep_up with [] -> rs | l -> l)
       | cands -> nearest cands))
 
-let service_one t =
+let service_next t =
   let r = pick t in
-  t.queue <- List.filter (fun x -> x.req_id <> r.req_id) t.queue;
+  t.queue <- List.filter (fun x -> x != r) t.queue;
   List.iter (fun x -> x.req_passes <- x.req_passes + 1) t.queue;
-  let start = max (max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
-  let dur =
-    mechanics t ~span:r.req_span ~start ~sector:r.req_sector
-      ~count:r.req_count ~write:r.req_write
+  service t r
+
+let submit t ~sector ~count ~write =
+  let r =
+    {
+      req_sector = sector;
+      req_count = count;
+      req_write = write;
+      req_enq_at = Simclock.now t.clock;
+      req_span = Trace.current_span t.trace;
+      req_io = t.tracking;
+      req_passes = 0;
+    }
   in
-  t.busy_horizon <- start + dur;
-  Hashtbl.replace t.req_done r.req_id (start + dur)
+  (match t.tracking with
+  | Some c -> c.outstanding <- c.outstanding + 1
+  | None -> ());
+  if t.depth < 2 then service t r
+  else begin
+    (* A full tag queue blocks the host: service until a slot frees up. *)
+    while List.length t.queue >= t.depth do
+      service_next t
+    done;
+    t.queue <- t.queue @ [ r ]
+  end
 
-let enqueue t ~sector ~count ~write =
-  (* A full tag queue blocks the host: service until a slot frees up. *)
-  while List.length t.queue >= t.qdepth do
-    service_one t
-  done;
-  let id = t.next_req_id in
-  t.next_req_id <- id + 1;
-  t.queue <-
-    t.queue
-    @ [
-        {
-          req_id = id;
-          req_sector = sector;
-          req_count = count;
-          req_write = write;
-          req_enq_at = Simclock.now t.clock;
-          req_span = Trace.current_span t.trace;
-          req_passes = 0;
-        };
-      ]
-
-let drain_all t =
+let drain t =
   while t.queue <> [] do
-    service_one t
+    service_next t
   done
 
-let request_done_at t req =
-  if req < 1 || req >= t.next_req_id then
-    invalid_arg "Device.request_done_at: unknown request";
-  let rec go () =
-    match Hashtbl.find_opt t.req_done req with
-    | Some at -> at
-    | None ->
-      assert (t.queue <> []);
-      service_one t;
-      go ()
-  in
-  go ()
+let track t f =
+  let c = { outstanding = 0; done_at = 0 } in
+  let outer = t.tracking in
+  t.tracking <- Some c;
+  let x = Fun.protect ~finally:(fun () -> t.tracking <- outer) f in
+  (x, c)
 
-let requests_done_at t ~first ~last =
-  let worst = ref 0 in
-  for req = first to last do
-    worst := max !worst (request_done_at t req)
+let pending c = c.outstanding > 0
+
+let completed_at t c =
+  while c.outstanding > 0 do
+    service_next t
   done;
-  !worst
+  c.done_at
 
-let issued t = t.next_req_id - 1
 let queue_length t = List.length t.queue
 
 let set_queue t ~policy ~depth =
-  if depth < 1 then invalid_arg "Device.set_queue: depth < 1";
-  drain_all t;
+  if depth < 0 then invalid_arg "Device.set_queue: depth < 0";
+  drain t;
   t.qpolicy <- policy;
-  t.qdepth <- depth
-
-let queue_config t = (t.qpolicy, t.qdepth)
+  t.depth <- depth
 
 let charge_read t ~sector ~count =
   t.stats.ios <- t.stats.ios + 1;
   t.stats.reads <- t.stats.reads + 1;
   t.stats.sectors_read <- t.stats.sectors_read + count;
-  if queued t then enqueue t ~sector ~count ~write:false
-  else run_now t ~sector ~count ~write:false;
+  submit t ~sector ~count ~write:false;
   match t.observer with Some f -> f ~rw:`R ~sector ~count | None -> ()
 
 let charge_write t ~sector ~count =
   t.stats.ios <- t.stats.ios + 1;
   t.stats.writes <- t.stats.writes + 1;
   t.stats.sectors_written <- t.stats.sectors_written + count;
-  if queued t then enqueue t ~sector ~count ~write:true
-  else run_now t ~sector ~count ~write:true;
+  submit t ~sector ~count ~write:true;
   match t.observer with Some f -> f ~rw:`W ~sector ~count | None -> ()
 
-let set_deferred t on = t.deferred <- on
-let deferred t = t.deferred
-
+(* A force is a synchronization barrier: everything outstanding is
+   serviced (per policy) before the horizon is read. *)
 let busy_until t =
-  let now = Simclock.now t.clock in
-  if queued t then begin
-    (* A force is a synchronization barrier: everything outstanding is
-       serviced (per policy) before the horizon is read. *)
-    drain_all t;
-    max now t.busy_horizon
-  end
-  else if t.deferred then max now t.busy_horizon
-  else now
+  drain t;
+  max (Simclock.now t.clock) t.busy_horizon
 
 (* ------------------------------------------------------------------ *)
 (* Raw store                                                           *)

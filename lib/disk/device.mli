@@ -35,12 +35,14 @@ exception Crash_during_write of { sector : int }
 
 val create :
   ?id:int ->
+  ?depth:int ->
   ?trace:Cedar_obs.Trace.t ->
   ?metrics:Cedar_obs.Metrics.t ->
   clock:Cedar_util.Simclock.t ->
   Geometry.t ->
   t
-(** A fresh trace (disabled) and metrics registry are created unless
+(** [depth] (default 0) selects the timing engine; see {!set_queue}.
+    A fresh trace (disabled) and metrics registry are created unless
     supplied; the device registers its [Iostats] fields as
     ["device.*"] gauges, a ["device.qdepth"] occupancy gauge, and a
     ["device.seek_cyl"] seek-distance dist in the registry. Higher
@@ -65,36 +67,34 @@ val metrics : t -> Cedar_obs.Metrics.t
 (** The volume-wide metrics registry; every layer above registers its
     instruments here. *)
 
-(** {1 Deferred timing (multi-device parallelism)} *)
+(** {1 Timing engine}
 
-val set_deferred : t -> bool -> unit
-(** In the default synchronous mode every command advances the shared
-    clock by its duration, so commands on different devices serialise in
-    simulated time. With [set_deferred t true] a command instead starts
-    at [max now (busy_until t)] — queueing behind this device's previous
-    command only — updates {!busy_until}, and leaves the clock alone;
-    commands on different devices then overlap, which is what lets a
-    multi-volume server scale. The caller owns completion: it must not
-    treat a command's result as available before [busy_until t] (the
-    multi-volume scheduler parks the issuing session until then). The
-    mechanical model (seek, rotation phase at command start, transfer)
-    and all [Iostats] accounting are identical in both modes. *)
+    Every data command is a request, and one service function charges
+    its mechanics (seek from the current arm position, rotation from the
+    phase at service start, transfer) starting at
+    [max now busy_horizon issue_time]. The engine depth only decides
+    when a request is serviced and who owns the clock:
 
-val deferred : t -> bool
+    - depth 0 (the default): serviced at issue, and the shared clock
+      follows the device to the command's completion — commands on
+      different devices serialise in simulated time. Every paper table
+      runs here.
+    - depth 1: serviced at issue on the device's own timeline; the
+      shared clock is untouched, so commands on different devices
+      overlap. A multi-volume set runs its devices here (several
+      spindles).
+    - depth ≥ 2: a request queue of that many slots. Data and label
+      effects (contents, crash budget, the observer, count stats) still
+      happen at issue, but a request is serviced lazily, at the point
+      the {!policy} picks it — so seeks and arm position are charged in
+      service order. A full queue services one request to free a slot
+      before accepting the next.
 
-val busy_until : t -> int
-(** Completion time of this device's latest command: the virtual instant
-    the caller may consume its result. Equals [Simclock.now] in
-    synchronous mode (commands complete before returning). With a
-    request queue enabled this is a synchronization barrier: every
-    pending request is serviced (in policy order) first — which is what
-    a group-commit force wants, and why per-request completions go
-    through {!requests_done_at} instead. *)
-
-(** {1 Request queue (disk-arm scheduling)} *)
+    The mechanical model and all [Iostats] accounting are the same at
+    every depth. *)
 
 type policy =
-  | Fifo  (** service in enqueue order — a queue with no reordering *)
+  | Fifo  (** service in issue order — a queue with no reordering *)
   | Elevator
       (** SCAN: keep sweeping in one direction, service the nearest
           request ahead of the arm, reverse when none remain *)
@@ -109,43 +109,39 @@ val policy_of_string : string -> policy option
 (** ["fifo"], ["elevator"], ["sstf"]. *)
 
 val set_queue : t -> policy:policy -> depth:int -> unit
-(** Give the device a request queue of [depth] slots. Data and label
-    effects (contents, crash budget, the observer, count stats) still
-    happen when a command is issued, but its mechanical timing — seek
-    from the {e current} arm position, rotation, transfer — is resolved
-    at the service point the policy picks, so seeks and [head_cyl] are
-    charged in service order. A full queue services one request to
-    free a slot before accepting the next. Any pending requests under
-    the previous configuration are drained first.
-
-    [depth < 2] degenerates to the plain synchronous/deferred path
-    (service order is issue order and nothing is ever outstanding), and
-    is byte-identical to a device without a queue — the determinism pin
-    for the scheduler seam. Raises [Invalid_argument] if [depth < 1]. *)
-
-val queue_config : t -> policy * int
-(** Current [(policy, depth)]; depth 0 until {!set_queue}. *)
-
-val queued : t -> bool
-(** Whether the request queue is live (configured with depth ≥ 2). *)
+(** Service every pending request, then set the engine depth and the
+    queue's policy (which matters only at depth ≥ 2). [Fsd.boot] calls
+    this for [Params.disk_qdepth] ≥ 2. Raises [Invalid_argument] if
+    [depth < 0]. *)
 
 val queue_length : t -> int
 (** Requests currently pending (also the ["device.qdepth"] gauge). *)
 
-val issued : t -> int
-(** Id of the most recently enqueued request, 0 before any. Ids are
-    dense, so the requests a caller issued during an operation are
-    exactly [issued t + 1 .. issued t'] around it. *)
+val busy_until : t -> int
+(** Completion time of this device's latest request: the virtual
+    instant its result may be consumed. A synchronization barrier —
+    every pending request is serviced (in policy order) first, which is
+    what a group-commit force wants. Equals [Simclock.now] at depth 0. *)
 
-val request_done_at : t -> int -> int
-(** Completion time of request [id], servicing pending requests (in
-    policy order) until it has run. Raises [Invalid_argument] for an id
-    never issued. *)
+(** {1 Op completion} *)
 
-val requests_done_at : t -> first:int -> last:int -> int
-(** Latest completion time over the id range — when an op whose
-    commands got those ids may be acknowledged. [first > last] (the op
-    issued nothing) is 0. *)
+type completion
+(** The device requests one operation issued, for whoever waits on
+    them. A completion is held by its waiter only: the device keeps no
+    record of a request once it is serviced. *)
+
+val track : t -> (unit -> 'a) -> 'a * completion
+(** [track t f] runs [f] and returns its result with the completion of
+    every request [f] issued on [t]. At depth < 2 they are all complete
+    when [f] returns. *)
+
+val pending : completion -> bool
+(** Whether some of its requests still wait in the queue. *)
+
+val completed_at : t -> completion -> int
+(** Service pending requests (in policy order) until none of the
+    completion's requests is outstanding; then the completion time of
+    the latest of them, 0 if it issued none. *)
 
 (** {1 Plain sector I/O (used by FSD and the BSD baseline)} *)
 

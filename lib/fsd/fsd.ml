@@ -21,23 +21,8 @@ type boot_report = {
   total_us : int;
 }
 
-type counters = {
-  mutable ops : int;
-  mutable forces : int;
-  mutable empty_forces : int;
-  mutable leader_piggybacks : int;
-  mutable leader_home_writes : int;
-  mutable vam_base_rewrites : int;
-  mutable scrub_passes : int;
-  mutable scrub_fnt_repairs : int;
-  mutable scrub_leader_repairs : int;
-  mutable home_write_bursts : int;
-  mutable reclaim_stalls : int;
-}
-
 (* Registry-backed counter handles; registered (fresh, zeroed) on every
-   boot under "fsd.*" names, which preserves the historical per-boot
-   reset semantics of the [counters] snapshot. *)
+   boot under "fsd.*" names, so every count restarts at each boot. *)
 type meters = {
   m_ops : Metrics.counter;
   m_forces : Metrics.counter;
@@ -125,40 +110,24 @@ let device t = t.device
 let trace t = Device.trace t.device
 let metrics t = Device.metrics t.device
 
-(* Compatibility view over the registry handles: a fresh snapshot record
-   per call, zeroed at boot like the old bespoke struct was. *)
-let counters t =
-  let v = Metrics.counter_value in
-  {
-    ops = v t.meters.m_ops;
-    forces = v t.meters.m_forces;
-    empty_forces = v t.meters.m_empty_forces;
-    leader_piggybacks = v t.meters.m_leader_piggybacks;
-    leader_home_writes = v t.meters.m_leader_home_writes;
-    vam_base_rewrites = v t.meters.m_vam_base_rewrites;
-    scrub_passes = v t.meters.m_scrub_passes;
-    scrub_fnt_repairs = v t.meters.m_scrub_fnt_repairs;
-    scrub_leader_repairs = v t.meters.m_scrub_leader_repairs;
-    home_write_bursts = v t.meters.m_home_write_bursts;
-    reclaim_stalls = v t.meters.m_reclaim_stalls;
-  }
-
 let counters_json t =
-  let c = counters t in
+  let m = t.meters in
   Cedar_obs.Jsonb.Obj
-    [
-      ("ops", Cedar_obs.Jsonb.Int c.ops);
-      ("forces", Cedar_obs.Jsonb.Int c.forces);
-      ("empty_forces", Cedar_obs.Jsonb.Int c.empty_forces);
-      ("leader_piggybacks", Cedar_obs.Jsonb.Int c.leader_piggybacks);
-      ("leader_home_writes", Cedar_obs.Jsonb.Int c.leader_home_writes);
-      ("vam_base_rewrites", Cedar_obs.Jsonb.Int c.vam_base_rewrites);
-      ("scrub_passes", Cedar_obs.Jsonb.Int c.scrub_passes);
-      ("scrub_fnt_repairs", Cedar_obs.Jsonb.Int c.scrub_fnt_repairs);
-      ("scrub_leader_repairs", Cedar_obs.Jsonb.Int c.scrub_leader_repairs);
-      ("home_write_bursts", Cedar_obs.Jsonb.Int c.home_write_bursts);
-      ("reclaim_stalls", Cedar_obs.Jsonb.Int c.reclaim_stalls);
-    ]
+    (List.map
+       (fun (k, c) -> (k, Cedar_obs.Jsonb.Int (Metrics.counter_value c)))
+       [
+         ("ops", m.m_ops);
+         ("forces", m.m_forces);
+         ("empty_forces", m.m_empty_forces);
+         ("leader_piggybacks", m.m_leader_piggybacks);
+         ("leader_home_writes", m.m_leader_home_writes);
+         ("vam_base_rewrites", m.m_vam_base_rewrites);
+         ("scrub_passes", m.m_scrub_passes);
+         ("scrub_fnt_repairs", m.m_scrub_fnt_repairs);
+         ("scrub_leader_repairs", m.m_scrub_leader_repairs);
+         ("home_write_bursts", m.m_home_write_bursts);
+         ("reclaim_stalls", m.m_reclaim_stalls);
+       ])
 let log_stats t = Log.stats t.log
 let fnt_home_writes t = Fnt_store.home_writes t.store
 let fnt_repairs t = Fnt_store.repairs t.store
@@ -1278,6 +1247,13 @@ let scan_name_table t_tree vam anchors cpu_per_entry clock =
         | Some vm -> Run_table.iter_sectors e.Entry.runs (Vam.mark_allocated_for_rebuild vm)
         | None -> ())
 
+let boot_page_params geom bp =
+  {
+    (Params.for_geometry geom) with
+    Params.log_vam = bp.Boot_page.log_vam;
+    track_tolerant_log = bp.Boot_page.track_tolerant_log;
+  }
+
 let boot ?params device =
   let clock = Device.clock device in
   let geom = Device.geometry device in
@@ -1290,14 +1266,7 @@ let boot ?params device =
   (* Explicit params win; otherwise the volume's own boot page decides,
      including the extension flags it was formatted with. *)
   let runtime =
-    match params with
-    | Some p -> p
-    | None ->
-      {
-        (Params.for_geometry geom) with
-        Params.log_vam = bp.Boot_page.log_vam;
-        track_tolerant_log = bp.Boot_page.track_tolerant_log;
-      }
+    match params with Some p -> p | None -> boot_page_params geom bp
   in
   let p =
     {
@@ -1463,9 +1432,12 @@ let boot ?params device =
     }
   in
   t_ref := Some t;
-  (* Boot and replay above ran synchronously; only steady-state traffic
-     rides the request queue. *)
-  if p.Params.disk_qdepth > 0 then
+  (* Boot and replay above ran on the device's timing engine as it
+     was: synchronously on a fresh single-volume device, but on its own
+     timeline (multi-volume) or through the queue (a reboot in place)
+     otherwise — in which case [total_us] counts no device time. Only
+     from here on does steady-state traffic ride the configured queue. *)
+  if p.Params.disk_qdepth >= 2 then
     Device.set_queue device ~policy:p.Params.disk_sched
       ~depth:p.Params.disk_qdepth;
   let reg = Device.metrics device in

@@ -32,36 +32,19 @@ type boot_report = {
   total_us : int;
 }
 
-type counters = {
-  mutable ops : int;
-  mutable forces : int;
-  mutable empty_forces : int;
-  mutable leader_piggybacks : int;  (** leader reads combined with data *)
-  mutable leader_home_writes : int;  (** written by the logging code *)
-  mutable vam_base_rewrites : int;
-      (** VAM-logging extension: full base images written at third
-          entries to retire stale chunk records *)
-  mutable scrub_passes : int;  (** scrub-demon wakeups so far *)
-  mutable scrub_fnt_repairs : int;
-      (** FNT home copies rewritten from their twin by the scrubber *)
-  mutable scrub_leader_repairs : int;
-      (** leaders rewritten from the name table by the scrubber *)
-  mutable home_write_bursts : int;
-      (** background home-write passes that wrote at least one page or
-          leader ahead of the next third entry *)
-  mutable reclaim_stalls : int;
-      (** third reclamations refused with [Log_reclaim_stall] because a
-          modified page held no committed image *)
-}
-
 (** {1 Lifecycle} *)
 
 val format : Cedar_disk.Device.t -> Params.t -> unit
 (** Initialise an empty volume (boot pages, anchor, log, clean VAM). *)
 
+val boot_page_params : Cedar_disk.Geometry.t -> Boot_page.t -> Params.t
+(** The runtime knobs {!boot} uses when given none: the geometry's
+    defaults plus the extension flags the volume was formatted with. *)
+
 val boot : ?params:Params.t -> Cedar_disk.Device.t -> t * boot_report
-(** Run recovery and attach. [params] supplies runtime knobs; the
-    layout-defining fields are taken from the boot page. Raises
+(** Run recovery and attach. [params] (default {!boot_page_params})
+    supplies runtime knobs; the layout-defining fields are taken from
+    the boot page. Raises
     [Fs_error Corrupt_metadata] on unrecoverable name-table damage —
     prefer {!try_boot} when the caller can scavenge. *)
 
@@ -141,7 +124,8 @@ val run_due_demons : t -> unit
     pages/leaders whose survival horizon is the next third, traced as
     [Home_write_burst]), and the scrub demon — each scrub pass verifies
     a few FNT page pairs (both copies, by checksum) and a few leaders,
-    repairing lone bad copies in place (counted in {!counters}).
+    repairing lone bad copies in place (counted in the
+    [fsd.scrub_*] counters of {!metrics}).
     [tick us] is [advance us] plus this; external schedulers call it
     through {!Demons.run_due} so demons fire identically whether or not
     a server owns the clock. *)
@@ -238,13 +222,9 @@ val shard : t -> int
 val device : t -> Cedar_disk.Device.t
 val free_sectors : t -> int
 
-val counters : t -> counters
-(** Compatibility snapshot of the registry-backed FSD counters
-    (registered under ["fsd.*"] in {!metrics}); a fresh record each
-    call, zeroed at every boot. *)
-
 val counters_json : t -> Cedar_obs.Jsonb.t
-(** Machine-readable counterpart of {!counters}. *)
+(** The FSD's counters (registered under ["fsd.*"] in {!metrics}, zeroed
+    at every boot) as one JSON object. *)
 
 val trace : t -> Cedar_obs.Trace.t
 (** The volume's event trace (shared with {!Cedar_disk.Device.trace});

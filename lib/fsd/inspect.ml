@@ -59,12 +59,14 @@ let name_table_report fs ppf =
     local links cached bytes
 
 let robustness_report fs ppf =
-  let c = Fsd.counters fs in
+  let count name =
+    Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+  in
   Format.fprintf ppf
     "robustness: %d scrub passes (%d FNT copies repaired, %d leaders \
      rewritten); %d twin repairs on read, %d FNT home writes@."
-    c.Fsd.scrub_passes c.Fsd.scrub_fnt_repairs c.Fsd.scrub_leader_repairs
-    (Fsd.fnt_repairs fs) (Fsd.fnt_home_writes fs)
+    (count "scrub_passes") (count "scrub_fnt_repairs")
+    (count "scrub_leader_repairs") (Fsd.fnt_repairs fs) (Fsd.fnt_home_writes fs)
 
 let free_extents fs ~lo ~hi =
   let extents = ref [] in

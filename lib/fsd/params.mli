@@ -68,13 +68,13 @@ type t = {
           ([Fifo] | [Elevator] | [Sstf]); irrelevant while the queue is
           off. *)
   disk_qdepth : int;
-      (** device request-queue depth, applied to the device at the end
-          of boot via [Device.set_queue]. 0 (default) leaves the queue
-          off — every command services at issue, the historical
-          behaviour; 1 is pinned byte-identical to 0; ≥ 2 lets that
-          many commands (data, label, log, and background home writes
-          alike) float outstanding and be serviced in [disk_sched]
-          order. In [0, 128]. *)
+      (** device request-queue depth. ≥ 2 is applied to the device at
+          the end of boot via [Device.set_queue] and lets that many
+          commands (data, label, log, and background home writes alike)
+          float outstanding and be serviced in [disk_sched] order. 0
+          (default) and 1 mean no queue: the device keeps the timing it
+          was created with, servicing every command at issue. In
+          [0, 128]. *)
 }
 
 val blackbox_slot_sectors : int

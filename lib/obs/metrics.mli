@@ -12,8 +12,8 @@
 
     Registering a name that already exists {e replaces} the binding and
     (for counters and distributions) starts from a fresh zeroed cell.
-    The FSD registers its counters at every boot, which is what gives
-    [Fsd.counters] its historical per-boot reset semantics. *)
+    The FSD registers its counters at every boot, which is what makes
+    its ["fsd.*"] counts restart at each boot. *)
 
 type t
 

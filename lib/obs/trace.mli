@@ -19,8 +19,8 @@ type event =
   | Dev_write of { dev : int; sector : int; count : int; us : int }
       (** One device command, stamped at the instant the device begins
           servicing it ([dev] is the device id — volume index in a
-          multi-volume set). In deferred/queued mode service start is
-          the busy horizon, not issue time, so commands on one device
+          multi-volume set). Service start may be the device's busy
+          horizon rather than issue time, so commands on one device
           never overlap. *)
   | Dev_seek of { dev : int; cylinders : int; us : int }
       (** Arm movement charged as part of the following command, in
@@ -88,10 +88,11 @@ type event =
       (** Admission retries exhausted; the op's lifecycle ends here
           without executing. *)
   | Op_acked of { client : int; opseq : int }
-      (** The op's lifecycle end: at execute completion for reads,
-          errors and already-durable mutations, or at the post-force
-          wake for parked mutations (the session's [Op_end] ... this
-          event is the parked-for-force window). *)
+      (** The op's lifecycle end, by the server's one completion rule:
+          the latest of its execute end, the completion of its own
+          device requests and, for a parked mutation, its covering
+          force's completion (the session's [Op_end] ... this event is
+          the post-execute wait). *)
 
 type entry = {
   seq : int;  (** monotonically increasing; also the span id of [Op_begin] *)

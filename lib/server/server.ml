@@ -81,17 +81,26 @@ let default_config =
     on_reject = None;
   }
 
+(* An executed op that is not acknowledged yet (see [complete]). *)
+type waiter = {
+  w_vol : int;
+  w_op : Concurrent.op;
+  w_io : Cedar_disk.Device.completion;  (* its own device requests *)
+  w_mutation : bool;  (* a metadata mutation: its ack is journaled *)
+}
+
 type state =
   | Ready
   | Thinking of { until : int }
-  | Parked of { vol : int; token : Fsd.token; since : int; op : Concurrent.op }
-  | Iowait of { vol : int; first : int; last : int }
-      (* The op finished executing but its device requests [first..last]
-         sit in volume [vol]'s request queue; the session is
-         acknowledged at their (policy-ordered) service completion. The
-         scheduler resolves these lazily — once no session is runnable —
-         so requests from many sessions accumulate in the queue first,
-         which is exactly the window a reordering policy exploits. *)
+  | Parked of { w : waiter; token : Fsd.token }
+      (* A mutation waiting for a log force on its volume to cover
+         [token]. *)
+  | Iowait of waiter
+      (* Some of the op's device requests still sit in its volume's
+         request queue. The scheduler resolves these lazily — once no
+         session is runnable — so requests from many sessions accumulate
+         in the queue first, which is exactly the window a reordering
+         policy exploits. *)
   | Done
 
 type session = {
@@ -113,7 +122,7 @@ type session = {
   mutable opseq : int;  (* lifecycle number of the op at script head *)
   mutable arrival_us : int;  (* when that op became runnable *)
   mutable t_submitted : int;  (* first admission attempt of current op *)
-  mutable t_exec_end : int;  (* Fsd.submit returned; park window starts *)
+  mutable t_exec_end : int;  (* Fsd.submit returned; ack waits start *)
 }
 
 (* Per-volume scheduler state. Every instrument is registered in the
@@ -125,17 +134,6 @@ type vol = {
   v_id : int;
   v_fsd : Fsd.t;
   v_dev : Cedar_disk.Device.t;
-  (* Deferred-timing device (multi-volume): commands queue on the
-     device's own timeline, and the scheduler parks each session until
-     its command's completion instant — that is where inter-volume
-     parallelism comes from. False for the single-volume degenerate
-     case, whose devices stay synchronous (byte-identical history). *)
-  v_par : bool;
-  (* Request queue live on the device ([Params.disk_qdepth] ≥ 2): ops
-     with outstanding requests go to [Iowait] instead of parking on the
-     busy horizon, and forces/acks measure through [busy_until]'s drain
-     barrier. *)
-  v_queue : bool;
   mutable v_dead : bool;  (* quarantined after a planted crash (V > 1) *)
   mutable v_crash_sector : int;  (* valid when v_dead *)
   mutable v_last_durable : int;
@@ -227,7 +225,7 @@ let single t = Array.length t.vols = 1
 
 let parked_on t vid =
   Array.fold_left
-    (fun n s -> match s.state with Parked { vol; _ } when vol = vid -> n + 1 | _ -> n)
+    (fun n s -> match s.state with Parked { w; _ } when w.w_vol = vid -> n + 1 | _ -> n)
     0 t.sessions
 
 (* Which volume an operation belongs to. [Force] fans out to every
@@ -258,7 +256,7 @@ let quarantine t v ~sector =
   Array.iter
     (fun s ->
       match s.state with
-      | (Parked { vol; _ } | Iowait { vol; _ }) when vol = v.v_id ->
+      | (Parked { w; _ } | Iowait w) when w.w_vol = v.v_id ->
         s.aborted <- Some reason;
         s.steps <- [];
         s.state <- Done
@@ -282,21 +280,65 @@ let force_vol t v =
   t.forces <- t.forces + 1;
   v.v_forces <- v.v_forces + 1;
   (match t.cfg.on_force with Some f -> f t.forces | None -> ());
-  let t0 = now t in
-  let par = v.v_par || v.v_queue in
-  let b0 = if par then Cedar_disk.Device.busy_until v.v_dev else t0 in
+  (* The force's duration is the device horizon's advance across it
+     ([busy_until] drains any queued requests first — a force is a
+     synchronization barrier — and is the clock on a synchronous
+     device). *)
+  let b0 = Cedar_disk.Device.busy_until v.v_dev in
   guarded t v (fun () -> Fsd.force v.v_fsd);
-  v.v_last_force_us <-
-    (* Deferred/queued device: the force's writes queued on the device
-       timeline instead of advancing the clock, so its duration is the
-       horizon delta (busy_until drains any queued requests first — a
-       force is a synchronization barrier); synchronous: the clock
-       moved, as it always did. *)
-    (if par then Cedar_disk.Device.busy_until v.v_dev - b0 else now t - t0)
+  v.v_last_force_us <- Cedar_disk.Device.busy_until v.v_dev - b0
 
 (* An explicit client [Force]: flush every live volume, index order. *)
 let force_all t =
   Array.iter (fun v -> if not v.v_dead then force_vol t v) t.vols
+
+(* The one completion rule (§5.4). An op is acknowledged at the latest
+   of its execute end, the service completion of its own device
+   requests and, if it parked, the completion of the force that covered
+   it ([forced]: the device's busy horizon once the force has drained
+   it). This is the only place an op is acknowledged: its [Op_acked]
+   event, its latency sample and, for a mutation, the ack journal and
+   commit-wait accounting all happen here. *)
+let complete t s w ~forced =
+  let v = t.vols.(w.w_vol) in
+  let io_done = Cedar_disk.Device.completed_at v.v_dev w.w_io in
+  let done_at =
+    max s.t_exec_end (max io_done (Option.value forced ~default:0))
+  in
+  let parked = Option.is_some forced in
+  if w.w_mutation then begin
+    (* The commit wait is the park window; a mutation a mid-op force
+       (the bulk-trigger backstop) already covered never parked. *)
+    let wait = if parked then done_at - s.t_exec_end else 0 in
+    Stats.add v.v_commit_wait_us (float_of_int wait);
+    if parked then begin
+      s.wait_total_us <- s.wait_total_us + wait;
+      if wait > s.wait_max_us then s.wait_max_us <- wait;
+      (* Phase split of the park window: the tail that overlaps the
+         covering force's own device writes is "append" (the op's share
+         of log I/O latency); the head is pure parked-for-force wait.
+         Online approximation: that volume's last server-force duration;
+         Critpath computes the exact overlap from force spans in the
+         trace. *)
+      let append = min wait v.v_last_force_us in
+      Metrics.add v.c_phase_append_us append;
+      Metrics.add v.c_phase_parked_us (wait - append);
+      if Trace.enabled t.trace then
+        Trace.emit t.trace ~at:done_at
+          (Trace.Session_wait { client = s.client; us = wait })
+    end;
+    s.mutations <- s.mutations + 1;
+    v.v_acked <- v.v_acked + 1;
+    Metrics.inc v.c_acked;
+    t.acked_rev <- (s.client, w.w_op) :: t.acked_rev;
+    match t.cfg.on_ack with Some f -> f ~client:s.client ~op:w.w_op | None -> ()
+  end;
+  if Trace.enabled t.trace then
+    Trace.emit t.trace ~at:done_at
+      (Trace.Op_acked { client = s.client; opseq = s.opseq });
+  Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
+  s.arrival_us <- done_at;
+  s.state <- (if done_at > now t then Thinking { until = done_at } else Ready)
 
 (* Wake every parked session the last force on each volume covered. One
    durable advance on one volume = one batch; its size is the number of
@@ -313,51 +355,11 @@ let poll_wakes t =
           Array.iter
             (fun s ->
               match s.state with
-              | Parked { vol; token; since; op }
-                when vol = v.v_id && Fsd.token_durable v.v_fsd token ->
-                let at = now t in
-                (* Deferred device: the covering force's writes complete
-                   at the device's busy horizon, not "now" — the ack is
-                   stamped there and the session keeps waiting (as a
-                   Thinking park) until the clock catches up. *)
-                let done_at =
-                  if v.v_par || v.v_queue then
-                    max at (Cedar_disk.Device.busy_until v.v_dev)
-                  else at
-                in
-                let wait = done_at - since in
+              | Parked { w; token }
+                when w.w_vol = v.v_id && Fsd.token_durable v.v_fsd token ->
                 incr woken;
-                Stats.add v.v_commit_wait_us (float_of_int wait);
-                s.wait_total_us <- s.wait_total_us + wait;
-                if wait > s.wait_max_us then s.wait_max_us <- wait;
-                s.mutations <- s.mutations + 1;
-                v.v_acked <- v.v_acked + 1;
-                Metrics.inc v.c_acked;
-                (* Phase split of the park window: the tail that overlaps
-                   the covering force's own device writes is "append" (the
-                   op's share of log I/O latency); the head is pure
-                   parked-for-force wait. Online approximation: that
-                   volume's last server-force duration; Critpath computes
-                   the exact overlap from force spans in the trace. *)
-                let append =
-                  if wait < v.v_last_force_us then wait else v.v_last_force_us
-                in
-                Metrics.add v.c_phase_append_us append;
-                Metrics.add v.c_phase_parked_us (wait - append);
-                if Trace.enabled t.trace then begin
-                  Trace.emit t.trace ~at:done_at
-                    (Trace.Session_wait { client = s.client; us = wait });
-                  Trace.emit t.trace ~at:done_at
-                    (Trace.Op_acked { client = s.client; opseq = s.opseq })
-                end;
-                Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
-                s.arrival_us <- done_at;
-                t.acked_rev <- (s.client, op) :: t.acked_rev;
-                (match t.cfg.on_ack with
-                | Some f -> f ~client:s.client ~op
-                | None -> ());
-                s.state <-
-                  (if done_at > at then Thinking { until = done_at } else Ready)
+                complete t s w
+                  ~forced:(Some (Cedar_disk.Device.busy_until v.v_dev))
               | _ -> ())
             t.sessions;
           if !woken > 0 then Stats.add v.v_batch_size (float_of_int !woken)
@@ -453,91 +455,53 @@ let run_op t v s op =
         ~name:(Concurrent.op_name op)
     else 0
   in
-  (* With a request queue, the op's device commands become requests
-     [r0 + 1 .. issued] — the range the session's ack waits on. *)
-  let r0 = if v.v_queue then Cedar_disk.Device.issued v.v_dev else 0 in
-  let token =
+  let token, io =
     Fun.protect
       ~finally:(fun () -> Trace.end_span t.trace ~at:(now t) span)
       (fun () ->
-        match Fsd.submit v.v_fsd (fun () -> exec_op t v op) with
-        | (), tok -> tok
-        | exception Cedar_fsbase.Fs_error.Fs_error _ ->
-          s.errors <- s.errors + 1;
-          Fsd.always_durable
-        | exception (Cedar_disk.Device.Crash_during_write { sector } as e) ->
-          if single t then raise e
-          else begin
-            quarantine t v ~sector;
-            s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
-            s.steps <- [];
-            s.state <- Done;
-            Fsd.always_durable
-          end
-        | exception e ->
-          s.aborted <-
-            Some
-              (Printf.sprintf "%s: %s" (Concurrent.op_name op)
-                 (Printexc.to_string e));
-          s.steps <- [];
-          s.state <- Done;
-          Fsd.always_durable)
+        Cedar_disk.Device.track v.v_dev (fun () ->
+            match Fsd.submit v.v_fsd (fun () -> exec_op t v op) with
+            | (), tok -> tok
+            | exception Cedar_fsbase.Fs_error.Fs_error _ ->
+              s.errors <- s.errors + 1;
+              Fsd.always_durable
+            | exception (Cedar_disk.Device.Crash_during_write { sector } as e) ->
+              if single t then raise e
+              else begin
+                quarantine t v ~sector;
+                s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
+                s.steps <- [];
+                s.state <- Done;
+                Fsd.always_durable
+              end
+            | exception e ->
+              s.aborted <-
+                Some
+                  (Printf.sprintf "%s: %s" (Concurrent.op_name op)
+                     (Printexc.to_string e));
+              s.steps <- [];
+              s.state <- Done;
+              Fsd.always_durable))
   in
   let t_end = now t in
   s.t_exec_end <- t_end;
   Metrics.add v.c_phase_execute_us (t_end - t_start);
-  (* Deferred device: the op's I/O queued on the device timeline without
-     advancing the clock, so its result is only available at the busy
-     horizon — the session parks (Thinking) until then, which is what
-     lets other volumes' sessions run in the meantime. Synchronous
-     devices complete before returning: done_at = t_end, no park. With
-     a request queue, completion is per request, resolved lazily: the
-     session goes to Iowait instead and [resolve_iowait] stamps its ack
-     when the queue services its requests. *)
-  let done_at =
-    if v.v_par && not v.v_queue then
-      max t_end (Cedar_disk.Device.busy_until v.v_dev)
-    else t_end
-  in
-  let park_to_completion () =
-    if done_at > t_end then s.state <- Thinking { until = done_at }
-  in
-  let ack_now () =
-    if Trace.enabled t.trace then
-      Trace.emit t.trace ~at:done_at
-        (Trace.Op_acked { client = s.client; opseq = s.opseq });
-    Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
-    s.arrival_us <- done_at
-  in
-  (* Ack at execute end, or wait on the op's outstanding requests. *)
-  let ack_or_iowait () =
-    let last = if v.v_queue then Cedar_disk.Device.issued v.v_dev else 0 in
-    if v.v_queue && last > r0 then
-      s.state <- Iowait { vol = v.v_id; first = r0 + 1; last }
-    else begin
-      ack_now ();
-      park_to_completion ()
-    end
-  in
-  if s.state = Done then ()
-  else if token = Fsd.always_durable then
-    (* Reads, lists, explicit forces and client errors: the lifecycle
-       ends at execute completion — or at the service completion of the
-       op's queued requests — with no commit-wait park window. *)
-    ack_or_iowait ()
-  else if Fsd.token_durable v.v_fsd token then
-    (* A mid-op force (the bulk-trigger backstop) already covered the
-       mutation: acknowledge with zero commit wait, no commit park. *)
-    begin
-      s.mutations <- s.mutations + 1;
-      v.v_acked <- v.v_acked + 1;
-      Metrics.inc v.c_acked;
-      Stats.add v.v_commit_wait_us 0.;
-      t.acked_rev <- (s.client, op) :: t.acked_rev;
-      (match t.cfg.on_ack with Some f -> f ~client:s.client ~op | None -> ());
-      ack_or_iowait ()
-    end
-  else s.state <- Parked { vol = v.v_id; token; since = t_end; op }
+  match s.state with
+  | Done -> ()
+  | _ ->
+    let w =
+      {
+        w_vol = v.v_id;
+        w_op = op;
+        w_io = io;
+        w_mutation = token <> Fsd.always_durable;
+      }
+    in
+    (* Reads, lists, explicit forces and client errors are always
+       durable; so is a mutation a mid-op force already covered. *)
+    if not (Fsd.token_durable v.v_fsd token) then s.state <- Parked { w; token }
+    else if Cedar_disk.Device.pending io then s.state <- Iowait w
+    else complete t s w ~forced:None
 
 let reject_label = function
   | Queue_full _ -> "queue_full"
@@ -692,30 +656,19 @@ let only_drain_left t =
          | Iowait _ | Ready | Thinking _ -> false)
        t.sessions
 
-(* Resolve every Iowait session: service (in policy order) until its
-   request range is done, stamp the ack there. Runs only once no session
-   is runnable — the point of lazy resolution is that requests from many
-   sessions pile up in the device queue first, giving a reordering
-   policy something to reorder. Sessions are resolved in index order,
-   which keeps the drain deterministic. Returns whether any resolved. *)
+(* Resolve every Iowait session, in index order (which keeps the drain
+   deterministic). Runs only once no session is runnable — the point of
+   lazy resolution is that requests from many sessions pile up in the
+   device queue first, giving a reordering policy something to reorder.
+   Returns whether any resolved. *)
 let resolve_iowait t =
   let any = ref false in
   Array.iter
     (fun s ->
       match s.state with
-      | Iowait { vol; first; last } ->
+      | Iowait w ->
         any := true;
-        let v = t.vols.(vol) in
-        let done_at =
-          Cedar_disk.Device.requests_done_at v.v_dev ~first ~last
-        in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace ~at:done_at
-            (Trace.Op_acked { client = s.client; opseq = s.opseq });
-        Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
-        s.arrival_us <- done_at;
-        s.state <-
-          (if done_at > now t then Thinking { until = done_at } else Ready)
+        complete t s w ~forced:None
       | _ -> ())
     t.sessions;
   !any
@@ -765,8 +718,6 @@ let create_volumes ?(config = default_config) vset scripts =
           v_id = i;
           v_fsd = fsd;
           v_dev = dev;
-          v_par = Cedar_disk.Device.deferred dev;
-          v_queue = Cedar_disk.Device.queued dev;
           v_dead = false;
           v_crash_sector = -1;
           v_last_durable = Fsd.durable_seq fsd;
@@ -812,9 +763,12 @@ let create_volumes ?(config = default_config) vset scripts =
 let create ?config fsd scripts =
   create_volumes ?config (Volume_set.of_fsd fsd) scripts
 
+(* Log forces on a volume so far, from its metrics registry. *)
+let fsd_forces v = Option.get (Metrics.read (Fsd.metrics v.v_fsd) "fsd.forces")
+
 let run t =
   let t0 = now t in
-  Array.iter (fun v -> v.v_forces0 <- (Fsd.counters v.v_fsd).Fsd.forces) t.vols;
+  Array.iter (fun v -> v.v_forces0 <- fsd_forces v) t.vols;
   let rec loop () =
     if not (all_done t) then begin
       (match next_runnable t with
@@ -830,12 +784,9 @@ let run t =
   loop ();
   (* Background demon writes may still sit in a request queue; service
      them so the device stats the caller reads cover the whole run. *)
-  Array.iter
-    (fun v ->
-      if v.v_queue then ignore (Cedar_disk.Device.busy_until v.v_dev : int))
-    t.vols;
+  Array.iter (fun v -> ignore (Cedar_disk.Device.busy_until v.v_dev : int)) t.vols;
   let duration_us = now t - t0 in
-  let vol_log_forces v = (Fsd.counters v.v_fsd).Fsd.forces - v.v_forces0 in
+  let vol_log_forces v = fsd_forces v - v.v_forces0 in
   let log_forces = Array.fold_left (fun n v -> n + vol_log_forces v) 0 t.vols in
   let total f = Array.fold_left (fun n s -> n + f s) 0 t.sessions in
   let vtotal f = Array.fold_left (fun n v -> n + f v) 0 t.vols in

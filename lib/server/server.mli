@@ -12,6 +12,14 @@
     logs. Acked ⇒ durable is a per-volume contract: each volume's log
     alone covers the mutations it acknowledged.
 
+    One completion rule acknowledges every op, whatever the volume's
+    device timing ({!Cedar_disk.Device.set_queue}): at the latest of
+    its execute end, the completion of its own device requests and, if
+    it parked, the completion of its covering force (the device's busy
+    horizon at the wake). An op whose requests still sit in a request
+    queue waits until the scheduler, once no session is runnable,
+    services them in policy order.
+
     Each volume's batcher forces on three triggers: its half-second
     commit interval, [max_batch] sessions parked on it, or an explicit
     client [Force] (which flushes every live volume). Admission control

@@ -62,28 +62,19 @@ let create_fresh ?(geom = Geometry.trident_t300) ?params ?trace ?metrics ~clock
   in
   let devices =
     Array.init count (fun i ->
-        let d =
-          Device.create ~id:i ~trace
-            ~metrics:(scoped_view ~count metrics i) ~clock geom
-        in
-        (* Several volumes = several spindles: deferred timing lets their
-           commands overlap in simulated time instead of serialising on
-           the shared clock (the single-volume case keeps the historical
-           synchronous mode, byte-identical). *)
-        if count > 1 then Device.set_deferred d true;
-        d)
+        (* Several volumes = several spindles: each device runs on its own
+           timeline (depth 1), so their commands overlap in simulated time
+           instead of serialising on the shared clock. One volume keeps
+           the shared clock (depth 0). *)
+        Device.create ~id:i ~depth:(if count > 1 then 1 else 0) ~trace
+          ~metrics:(scoped_view ~count metrics i) ~clock geom)
   in
   let vols =
     Array.mapi
       (fun i device ->
-        Fsd.format device { base with Params.shard_id = i };
-        let fs, _report = Fsd.boot device in
-        (* Boot ran with default runtime knobs; the request-queue knobs
-           live in [base], so apply them here. *)
-        if base.Params.disk_qdepth > 0 then
-          Device.set_queue device ~policy:base.Params.disk_sched
-            ~depth:base.Params.disk_qdepth;
-        fs)
+        let params = { base with Params.shard_id = i } in
+        Fsd.format device params;
+        fst (Fsd.boot ~params device))
       devices
   in
   { map = Shard_map.create ~shards:count; vols; devices; clock; metrics; trace }

@@ -97,9 +97,9 @@ let test_known_waits () =
   check int "read is acked at execute end: no park" 0 r0.Crit.parked_us;
   check bool "read did real device work" true (r0.Crit.execute_us > 0)
 
-(* Deferred-mode trace stamps (ISSUE 10 bugfix): on a two-volume set the
-   devices run deferred, so commands are stamped at service start (the
-   busy horizon), not issue time. Commands on one device must therefore
+(* Own-timeline trace stamps: on a two-volume set each device runs on
+   its own timeline, so commands are stamped at service start (the busy
+   horizon), not issue time. Commands on one device must therefore
    never overlap each other, and the per-op seek/transfer sub-split must
    still fit inside execute. *)
 let test_deferred_no_overlap () =
@@ -154,7 +154,7 @@ let test_deferred_no_overlap () =
      phase conservation must still hold, and the charges stay coherent
      (transfer is the command total minus seeks, never negative; the
      creates did real device work). Containment inside [execute_us] is a
-     synchronous-mode invariant only — on a backed-up deferred device a
+     synchronous-device invariant only — on a backed-up own timeline a
      command is serviced at the busy horizon, after the issuing op's
      execute window has already closed, so the sub-split may legally
      exceed execute here. *)

@@ -255,27 +255,28 @@ let test_sstf_starvation_bound () =
   let per_cyl = Geometry.sectors_per_cylinder g in
   let _, d = mk () in
   Device.set_queue d ~policy:Device.Sstf ~depth:4;
+  let read s = snd (Device.track d (fun () -> ignore (Device.read d s))) in
   (* Request 1: the far edge. Then 40 requests hugging cylinder 0. *)
-  ignore (Device.read d ((g.Geometry.cylinders - 1) * per_cyl));
-  for i = 1 to 40 do
-    ignore (Device.read d (i mod per_cyl))
-  done;
+  let far = read ((g.Geometry.cylinders - 1) * per_cyl) in
+  let near = Array.init 40 (fun i -> read ((i + 1) mod per_cyl)) in
   ignore (Device.busy_until d : int);
+  let done_at c = Device.completed_at d c in
   (* Service completion times are monotone in service order, so "done
      before request 20" means the far request was picked within ~12
      services (queue depth 4 + aging bound 8) of arriving. *)
   check bool "far request services within the aging bound" true
-    (Device.request_done_at d 1 < Device.request_done_at d 20);
+    (done_at far < done_at near.(18));
   check bool "far request is not serviced last" true
-    (Device.request_done_at d 1 < Device.request_done_at d 41)
+    (done_at far < done_at near.(39))
 
-(* The determinism pin for the scheduler seam: a device with a FIFO
-   queue of depth 1 is byte-identical to one with no queue at all —
-   same clock, same stats, same completion horizon. *)
-let test_fifo_depth1_identical_to_sync () =
-  let run with_queue =
-    let clock, d = mk () in
-    if with_queue then Device.set_queue d ~policy:Device.Fifo ~depth:1;
+(* The engine pin: depth only decides who owns the clock. The same
+   command stream on a synchronous device (depth 0) and on an
+   own-timeline device (depth 1) charges identical mechanics, and the
+   synchronous clock ends exactly at the own-timeline busy horizon. *)
+let test_own_timeline_matches_sync () =
+  let run depth =
+    let clock = Simclock.create () in
+    let d = Device.create ~depth ~clock Geometry.small_test in
     let g = Device.geometry d in
     let rng = Rng.create 99 in
     for _ = 1 to 200 do
@@ -285,15 +286,13 @@ let test_fifo_depth1_identical_to_sync () =
     done;
     (Simclock.now clock, Device.busy_until d, Iostats.copy (Device.stats d))
   in
-  let now_q, busy_q, st_q = run true in
-  let now_s, busy_s, st_s = run false in
-  check int "clock identical" now_s now_q;
-  check int "busy_until identical" busy_s busy_q;
-  let d = Iostats.diff ~after:st_q ~before:st_s in
-  check bool "iostats identical" true
-    (d.Iostats.ios = 0 && d.Iostats.busy_us = 0 && d.Iostats.seek_us = 0
-    && d.Iostats.rotation_us = 0 && d.Iostats.transfer_us = 0
-    && d.Iostats.seeks = 0)
+  let now_s, busy_s, st_s = run 0 in
+  let now_o, busy_o, st_o = run 1 in
+  check bool "the device did real work" true (now_s > 0);
+  check int "own timeline leaves the shared clock alone" 0 now_o;
+  check int "sync clock = own-timeline busy_until" now_s busy_o;
+  check int "sync busy_until is the clock" now_s busy_s;
+  check bool "iostats identical" true (st_s = st_o)
 
 (* A full queue blocks the host: the depth cap forces a service to free
    a slot, so occupancy never exceeds the configured depth. *)
@@ -309,6 +308,33 @@ let test_queue_depth_cap () =
   ignore (Device.busy_until d : int);
   check int "drained" 0 (Device.queue_length d);
   check int "every command charged" 10 (Device.stats d).Iostats.reads
+
+(* Completions are held by their waiters, never by the device: over a
+   long queued run, once the callers drop them, only the completions of
+   requests still in the queue stay reachable. *)
+let test_completions_not_retained () =
+  let g = Geometry.small_test in
+  let _, d = mk () in
+  Device.set_queue d ~policy:Device.Elevator ~depth:4;
+  let n = 20_000 in
+  let held = Weak.create n in
+  for i = 0 to n - 1 do
+    let (), c =
+      Device.track d (fun () ->
+          ignore (Device.read d (i * 7919 mod Geometry.total_sectors g)))
+    in
+    Weak.set held i (Some c)
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check held i then incr live
+  done;
+  check bool
+    (Printf.sprintf "%d of %d completions reachable, queue holds %d" !live n
+       (Device.queue_length d))
+    true
+    (!live <= Device.queue_length d)
 
 let suite =
   [
@@ -330,6 +356,7 @@ let suite =
     ("same cylinder needs no seek", `Quick, test_same_cylinder_no_seek);
     ("elevator hand-computed seeks", `Quick, test_elevator_hand_computed);
     ("sstf starvation bound", `Quick, test_sstf_starvation_bound);
-    ("fifo depth-1 = synchronous", `Quick, test_fifo_depth1_identical_to_sync);
+    ("own timeline = sync mechanics", `Quick, test_own_timeline_matches_sync);
     ("queue depth cap", `Quick, test_queue_depth_cap);
+    ("completions are not retained", `Quick, test_completions_not_retained);
   ]

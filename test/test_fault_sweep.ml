@@ -268,9 +268,12 @@ let test_metadata_silent_corruption_sweep () =
       for _ = 1 to 12 do
         Fsd.tick fs2 ~us:(interval + 1)
       done;
-      let c = Fsd.counters fs2 in
+      let count name =
+        Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs2) ("fsd." ^ name))
+      in
       let repaired =
-        Fsd.fnt_repairs fs2 + c.Fsd.scrub_fnt_repairs + c.Fsd.scrub_leader_repairs
+        Fsd.fnt_repairs fs2 + count "scrub_fnt_repairs"
+        + count "scrub_leader_repairs"
       in
       if repaired < 1 then
         Alcotest.failf "sector %d: corruption never detected/repaired" s;

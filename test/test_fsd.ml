@@ -6,6 +6,10 @@ open Cedar_disk
 open Cedar_fsbase
 open Cedar_fsd
 
+(* An FSD counter, read from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -314,13 +318,13 @@ let test_crash_committed_delete_stays_deleted () =
 let test_group_commit_interval () =
   let _, fs = fresh_fs () in
   ignore (Fsd.create fs ~name:"f1" (content 10 0));
-  let before = (Fsd.counters fs).Fsd.forces in
+  let before = fsd_count fs "forces" in
   (* Half a second of idle time fires the commit demon. *)
   Fsd.tick fs ~us:600_000;
-  check int "force fired" (before + 1) (Fsd.counters fs).Fsd.forces;
+  check int "force fired" (before + 1) (fsd_count fs "forces");
   (* Idle ticks with nothing pending count as empty forces. *)
   Fsd.tick fs ~us:600_000;
-  check bool "empty force" true ((Fsd.counters fs).Fsd.empty_forces >= 1)
+  check bool "empty force" true (fsd_count fs "empty_forces" >= 1)
 
 let test_torn_group_commit () =
   let device, fs = fresh_fs () in
@@ -508,7 +512,7 @@ let test_group_commit_batches_many_creates () =
 let test_empty_create_leader_goes_through_log () =
   let device, fs = fresh_fs () in
   ignore (Fsd.create_empty fs ~name:"lazy" ~pages:0 ());
-  let leaders_before = (Fsd.counters fs).Fsd.leader_home_writes in
+  let leaders_before = fsd_count fs "leader_home_writes" in
   Fsd.force fs;
   (* The leader image is in the log; reading verifies from memory. *)
   ignore (Fsd.open_stat fs ~name:"lazy");
@@ -516,13 +520,13 @@ let test_empty_create_leader_goes_through_log () =
      logging code must then write the leader home. *)
   let fs_filler = fs in
   let i = ref 0 in
-  while (Fsd.counters fs).Fsd.leader_home_writes = leaders_before && !i < 3000 do
+  while fsd_count fs "leader_home_writes" = leaders_before && !i < 3000 do
     incr i;
     ignore (Fsd.create fs_filler ~name:(Printf.sprintf "fill%04d" !i) (content 32 !i));
     Fsd.tick fs ~us:60_000
   done;
   check bool "leader written by logging code" true
-    ((Fsd.counters fs).Fsd.leader_home_writes > leaders_before);
+    (fsd_count fs "leader_home_writes" > leaders_before);
   (* And it must be valid on disk after a crash. *)
   Fsd.force fs;
   let fs2, _ = Fsd.boot device in

@@ -26,4 +26,5 @@ let () =
       ("monitor", Test_monitor.suite);
       ("critpath", Test_critpath.suite);
       ("volumes", Test_volumes.suite);
+      ("drift", Test_drift.suite);
     ]

@@ -12,6 +12,10 @@ module Params = Cedar_fsd.Params
 module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 
+(* An FSD counter, read from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -216,7 +220,7 @@ let test_sampling_is_io_free () =
   check int "identical device I/O with the monitor on" ios_off ios_on;
   check int "identical virtual end time" t_off t_on
 
-(* A deferred/queued device charges busy time on its own horizon, which
+(* An own-timeline or queued device charges busy time on its horizon, which
    can run ahead of the sampling clock: one interval may see more busy
    microseconds than wall microseconds. The gauge must clamp at 1.0
    (saturated) rather than report a fraction above one (ISSUE 10
@@ -226,13 +230,12 @@ let test_device_busy_clamped () =
   let device = Device.create ~clock Geometry.small_test in
   Fsd.format device (Params.for_geometry Geometry.small_test);
   let fs, _ = Fsd.boot device in
-  Device.set_deferred device true;
   Device.set_queue device ~policy:Device.Sstf ~depth:8;
   let mon = Fsd.enable_monitor ~interval_us:1_000 fs in
   let busy0 =
     Option.value ~default:0 (Metrics.read (Device.metrics device) "device.busy_us")
   in
-  (* A burst of large creates back to back: the deferred device does all
+  (* A burst of large creates back to back: the queued device does all
      the work on its horizon while the clock stands still. *)
   for i = 0 to 11 do
     ignore (Fsd.create fs ~name:(Printf.sprintf "b/f%02d" i) (Bytes.make 6_000 'z'))
@@ -264,9 +267,9 @@ let test_monitor_toggle () =
   check bool "demon path polls the monitor" true (Monitor.total m > 0);
   Fsd.disable_monitor fs;
   check bool "disabled detaches" true (Fsd.monitor fs = None);
-  let before = (Fsd.counters fs).Fsd.ops in
+  let before = fsd_count fs "ops" in
   ignore (Fsd.create fs ~name:"m/after" (Bytes.make 100 'y'));
-  check int "ops still run after detach" (before + 1) (Fsd.counters fs).Fsd.ops
+  check int "ops still run after detach" (before + 1) (fsd_count fs "ops")
 
 (* ------------------------------------------------------------------ *)
 (* The open-loop generator                                             *)

@@ -10,6 +10,10 @@ module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 module Obs = Cedar_obs
 
+(* An FSD counter, read from the volume's metrics registry. *)
+let fsd_count fs name =
+  Option.get (Obs.Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -257,7 +261,7 @@ let test_demons_split_equivalence () =
     let _, fs = fresh_fs () in
     ignore (Fsd.create fs ~name:"d/one" (Bytes.create 700));
     advance fs 700_000;
-    ((Fsd.counters fs).forces, Fsd.durable_seq fs, Fsd.mutation_seq fs)
+    (fsd_count fs "forces", Fsd.durable_seq fs, Fsd.mutation_seq fs)
   in
   let via_tick = drive (fun fs us -> Fsd.tick fs ~us) in
   let via_demons =
@@ -345,6 +349,194 @@ let test_script_parser_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-numeric think accepted"
 
+(* ------------------------------------------------------------------ *)
+(* The completion rule                                                  *)
+
+(* Recompute every acknowledgement from the trace by the one completion
+   rule: the latest of the op's execute end (its session span's
+   [Op_end]), the end of its own device commands (service start plus
+   duration of every [Dev_read]/[Dev_write] under that span) and, if it
+   parked, the covering force's completion — the horizon of the op's
+   device at the wake (every command on it the trace holds before the
+   ack has ended by then) or the wake instant, whichever is later.
+   [wakes] maps the trace index of a journaled ack to the clock at the
+   journaling. Returns how many acks were checked. *)
+let check_ack_rule ~dev_of_client ~wakes entries =
+  let parent = Hashtbl.create 256 in
+  let sessions = Hashtbl.create 256 in
+  let current = Hashtbl.create 16 in (* client -> its latest session span *)
+  let exec_end = Hashtbl.create 256 in
+  let io_end = Hashtbl.create 256 in
+  let horizon = Hashtbl.create 4 in
+  let parked = Hashtbl.create 16 in
+  let get tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  let raise_to tbl k v = Hashtbl.replace tbl k (max v (get tbl k)) in
+  let rec session_of span =
+    if span = 0 || Hashtbl.mem sessions span then span
+    else session_of (get parent span)
+  in
+  let acks = ref 0 in
+  List.iteri
+    (fun i (e : Obs.Trace.entry) ->
+      let at = e.Obs.Trace.at_us and span = e.Obs.Trace.span in
+      match e.Obs.Trace.event with
+      | Obs.Trace.Op_begin { op; _ } -> (
+        Hashtbl.replace parent e.Obs.Trace.seq span;
+        match Scanf.sscanf_opt op "session%d%!" Fun.id with
+        | Some client ->
+          Hashtbl.replace sessions e.Obs.Trace.seq ();
+          Hashtbl.replace current client e.Obs.Trace.seq
+        | None -> ())
+      | Obs.Trace.Op_end _ when Hashtbl.mem sessions span ->
+        Hashtbl.replace exec_end span at
+      | Obs.Trace.Dev_read { dev; us; _ } | Obs.Trace.Dev_write { dev; us; _ } ->
+        raise_to horizon dev (at + us);
+        raise_to io_end (session_of span) (at + us)
+      | Obs.Trace.Session_wait { client; _ } -> Hashtbl.replace parked client ()
+      | Obs.Trace.Op_acked { client; opseq } ->
+        incr acks;
+        let op = Hashtbl.find current client in
+        let forced =
+          if Hashtbl.mem parked client then begin
+            Hashtbl.remove parked client;
+            max (Hashtbl.find wakes i) (get horizon (dev_of_client client))
+          end
+          else 0
+        in
+        check int
+          (Printf.sprintf "client %d op %d acked by the rule" client opseq)
+          (max (get exec_end op) (max (get io_end op) forced))
+          at
+      | _ -> ())
+    entries;
+  !acks
+
+(* Serve [scripts] on [vset] with tracing on and check every ack against
+   the rule; client [i] runs on volume [dev_of_client i]. *)
+let check_rule_run ~dev_of_client vset scripts =
+  let clock = Cedar_volumes.Volume_set.clock vset in
+  let tr = Cedar_volumes.Volume_set.trace vset in
+  Obs.Trace.enable ~capacity:(1 lsl 18) tr;
+  (* The journaling hook runs just before the ack's [Op_acked] is
+     emitted, so the trace length then is that entry's index. *)
+  let wakes = Hashtbl.create 256 in
+  let config =
+    {
+      S.default_config with
+      S.on_ack =
+        Some
+          (fun ~client:_ ~op:_ ->
+            Hashtbl.replace wakes (Obs.Trace.length tr) (Simclock.now clock));
+    }
+  in
+  let r = S.serve_volumes ~config vset scripts in
+  Obs.Trace.disable tr;
+  check int "trace kept every entry" 0 (Obs.Trace.dropped tr);
+  let acks = check_ack_rule ~dev_of_client ~wakes (Obs.Trace.to_list tr) in
+  check int "every op acked" r.S.total_ops acks;
+  check bool "some ops parked for a force" true (r.S.wait_n > 0)
+
+let makedo ~clients =
+  C.makedo_scripts
+    { C.default_spec with C.modules = 3; rounds = 1; think_us = 20_000 }
+    ~clients
+
+let small_params = Params.for_geometry Geometry.small_test
+
+let test_rule_sync () =
+  let vset =
+    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test
+      ~clock:(Simclock.create ()) 1
+  in
+  check_rule_run ~dev_of_client:(fun _ -> 0) vset (makedo ~clients:3)
+
+let test_rule_own_timelines () =
+  let vset =
+    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test
+      ~clock:(Simclock.create ()) 2
+  in
+  check_rule_run
+    ~dev_of_client:(fun c -> c mod 2)
+    vset
+    (C.shard_scripts (makedo ~clients:4) ~volumes:2)
+
+let test_rule_queued () =
+  let params =
+    { small_params with Params.disk_qdepth = 4; disk_sched = Device.Elevator }
+  in
+  let vset =
+    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test ~params
+      ~clock:(Simclock.create ()) 1
+  in
+  check_rule_run ~dev_of_client:(fun _ -> 0) vset (makedo ~clients:4)
+
+(* An op that issues no device request is acked at its execute end, even
+   while its device is still busy with another session's create: on a
+   two-volume set the devices run on their own timelines, and the other
+   session's I/O is no part of this op. *)
+let test_no_io_op_acked_at_execute_end () =
+  let vset =
+    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test
+      ~clock:(Simclock.create ()) 2
+  in
+  let dir = Cedar_fsbase.Fname.shard_dir ~shards:2 0 in
+  let scripts =
+    [|
+      [ C.Op (C.Create { name = dir ^ "/big"; bytes = 40_000; fill = 1 }) ];
+      [ C.Op (C.List (dir ^ "/")) ];
+    |]
+  in
+  let tr = Cedar_volumes.Volume_set.trace vset in
+  Obs.Trace.enable ~capacity:(1 lsl 16) tr;
+  ignore (S.serve_volumes vset scripts : S.report);
+  Obs.Trace.disable tr;
+  let entries = Obs.Trace.to_list tr in
+  (* The List's session span, its execute end and its ack. *)
+  let span =
+    List.find_map
+      (fun (e : Obs.Trace.entry) ->
+        match e.Obs.Trace.event with
+        | Obs.Trace.Op_begin { op = "session01"; _ } -> Some e.Obs.Trace.seq
+        | _ -> None)
+      entries
+    |> Option.get
+  in
+  let find f = List.find_map f entries |> Option.get in
+  let exec_end =
+    find (fun (e : Obs.Trace.entry) ->
+        match e.Obs.Trace.event with
+        | Obs.Trace.Op_end _ when e.Obs.Trace.span = span -> Some e.Obs.Trace.at_us
+        | _ -> None)
+  in
+  let acked =
+    find (fun (e : Obs.Trace.entry) ->
+        match e.Obs.Trace.event with
+        | Obs.Trace.Op_acked { client = 1; _ } -> Some e.Obs.Trace.at_us
+        | _ -> None)
+  in
+  let busy_until =
+    List.fold_left
+      (fun h (e : Obs.Trace.entry) ->
+        match e.Obs.Trace.event with
+        | Obs.Trace.Dev_write { dev = 0; us; _ } | Obs.Trace.Dev_read { dev = 0; us; _ }
+          when e.Obs.Trace.seq < span ->
+          max h (e.Obs.Trace.at_us + us)
+        | _ -> h)
+      0 entries
+  in
+  check bool "the list issued no device request" true
+    (List.for_all
+       (fun (e : Obs.Trace.entry) ->
+         match e.Obs.Trace.event with
+         | Obs.Trace.Dev_read _ | Obs.Trace.Dev_write _ -> e.Obs.Trace.span <> span
+         | _ -> true)
+       entries);
+  check bool
+    (Printf.sprintf "the create kept the device busy (until %d) past the list's end (%d)"
+       busy_until exec_end)
+    true (busy_until > exec_end);
+  check int "the list is acked at its execute end" exec_end acked
+
 let suite =
   [
     Alcotest.test_case "same-seed runs are byte-identical" `Quick test_determinism;
@@ -369,4 +561,12 @@ let suite =
     Alcotest.test_case "script files parse and run" `Quick test_script_parser;
     Alcotest.test_case "script parser rejects malformed steps" `Quick
       test_script_parser_rejects_garbage;
+    Alcotest.test_case "ack rule: synchronous volume" `Quick
+      test_rule_sync;
+    Alcotest.test_case "ack rule: own-timeline volumes" `Quick
+      test_rule_own_timelines;
+    Alcotest.test_case "ack rule: queued volume" `Quick
+      test_rule_queued;
+    Alcotest.test_case "no-I/O op acked at execute end" `Quick
+      test_no_io_op_acked_at_execute_end;
   ]

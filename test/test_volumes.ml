@@ -221,6 +221,34 @@ let test_recovery_independence () =
     check int "volume 0 still serving" 3 vr0'.S.vr_acked;
     check int "rebooted volume serving again" 3 vr1'.S.vr_acked)
 
+(* [create_fresh ~params] boots every volume with the caller's runtime
+   knobs, not the defaults: a non-default commit interval and black-box
+   cadence read back from each volume, and the request-queue depth
+   reaches each device (a write stays pending in its queue). *)
+let test_create_fresh_keeps_params () =
+  let params =
+    {
+      (Params.for_geometry Geometry.small_test) with
+      Params.commit_interval_us = 123_456;
+      blackbox_every_n_forces = max_int;
+      disk_qdepth = 4;
+    }
+  in
+  let vset =
+    V.create_fresh ~geom:Geometry.small_test ~params ~clock:(Simclock.create ()) 2
+  in
+  V.iter
+    (fun i fs ->
+      let p = Fsd.params fs in
+      check int "commit interval survives" 123_456 p.Params.commit_interval_us;
+      check int "black-box cadence survives" max_int
+        p.Params.blackbox_every_n_forces;
+      check int "shard id is the volume index" i p.Params.shard_id;
+      ignore (Fsd.create fs ~name:(Fname.shard_dir ~shards:2 i ^ "/q") (Bytes.make 900 'q'));
+      check bool "the device has a request queue" true
+        (Device.queue_length (V.device vset i) > 0))
+    vset
+
 let suite =
   [
     ("shard map: stable, balanced, prefix-keyed", `Quick,
@@ -232,4 +260,5 @@ let suite =
     ("two volumes: byte-identical reports", `Quick, test_two_volume_determinism);
     ("crash on one volume leaves the other serving", `Quick,
      test_recovery_independence);
+    ("create_fresh keeps params", `Quick, test_create_fresh_keeps_params);
   ]
