@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke fmt fmt-check ci clean
+.PHONY: all check build test bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke perf-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -166,6 +166,20 @@ qdepth-smoke:
 	@grep -q '"depth1_ok": true' _build/qdepth-smoke/run1.json
 	@echo "qdepth-smoke: reordering wins at depth >= 4, depth-1 degenerate, deterministic"
 
+# Benchmark correctness smoke: a one-second run of each perfbench
+# workload. Every run checks the oracle fold, Fsd.check, byte identity
+# of traced and untraced reps and critical-path conservation, and its
+# last line is the JSON result, which must read "correct": true.
+perf-smoke:
+	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
+	@for w in makedo-8vol openloop-1vol; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 \
+			> _build/perf-smoke/$$w.out || exit 1; \
+		tail -n 1 _build/perf-smoke/$$w.out | grep -q '"correct": true' || \
+			{ echo "perf-smoke: $$w not correct"; exit 1; }; \
+		echo "perf-smoke: $$w correct"; \
+	done
+
 # Requires ocamlformat (not vendored in the container); no-op without it.
 fmt:
 	-dune fmt
@@ -178,7 +192,8 @@ fmt-check:
 	fi
 
 ci: fmt-check check serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
-	recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke bench-diff
+	recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke perf-smoke \
+	bench-diff
 
 clean:
 	dune clean

@@ -863,7 +863,8 @@ let delete t ~name =
   require_live t;
   let _, version, e = newest_exn t name in
   delete_version_unchecked t name version;
-  (* freeing cost scales with the run table and the shadow-bitmap work *)
+  (* simulated freeing cost scales with the run table, as the paper's
+     shadow-bitmap work did *)
   op_done t ~pages:(Run_table.pages e.Entry.runs / 2) ()
 
 let delete_version t ~name ~version =

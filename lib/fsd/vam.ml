@@ -6,7 +6,8 @@ type mode = Snapshot | Log_based
 type t = {
   layout : Layout.t;
   free : Bitmap.t;
-  shadow : Bitmap.t;
+  mutable shadow : (int * int) list; (* (pos, len) runs freed since the last commit *)
+  mutable shadow_sectors : int; (* their total length *)
   dirty_chunks : (int, unit) Hashtbl.t; (* bitmap chunks touched since drain *)
 }
 
@@ -14,14 +15,11 @@ let total t = Bitmap.length t.free
 
 let chunk_bytes layout = layout.Layout.geom.Geometry.sector_bytes
 
+let of_free layout free =
+  { layout; free; shadow = []; shadow_sectors = 0; dirty_chunks = Hashtbl.create 16 }
+
 let create_none_free layout =
-  let bits = Geometry.total_sectors layout.Layout.geom in
-  {
-    layout;
-    free = Bitmap.create bits;
-    shadow = Bitmap.create bits;
-    dirty_chunks = Hashtbl.create 16;
-  }
+  of_free layout (Bitmap.create (Geometry.total_sectors layout.Layout.geom))
 
 let create_all_free layout =
   let t = create_none_free layout in
@@ -63,14 +61,31 @@ let release_run t ~pos ~len =
 
 let shadow_release_run t ~pos ~len =
   check_run t ~pos ~len;
-  Bitmap.set_run t.shadow ~pos ~len
+  t.shadow <- (pos, len) :: t.shadow;
+  t.shadow_sectors <- t.shadow_sectors + len
 
+(* Every pending run is checked before any bit is set: a sector freed
+   twice, or already free, would hand one page to two files. *)
 let commit_shadow t =
-  Bitmap.iter_set t.shadow (fun s -> mark_chunks t ~pos:s ~len:1);
-  Bitmap.union_into ~dst:t.free ~src:t.shadow;
-  Bitmap.clear_all t.shadow
+  let rec check prev_end = function
+    | [] -> ()
+    | (pos, len) :: rest ->
+      if pos < prev_end then invalid_arg "Vam.commit_shadow: overlapping frees";
+      for s = pos to pos + len - 1 do
+        if Bitmap.get t.free s then invalid_arg "Vam.commit_shadow: double free"
+      done;
+      check (pos + len) rest
+  in
+  check 0 (List.sort compare t.shadow);
+  List.iter
+    (fun (pos, len) ->
+      Bitmap.set_run t.free ~pos ~len;
+      mark_chunks t ~pos ~len)
+    t.shadow;
+  t.shadow <- [];
+  t.shadow_sectors <- 0
 
-let shadow_count t = Bitmap.count t.shadow
+let shadow_count t = t.shadow_sectors
 let find_free_run t = Bitmap.find_run_set t.free
 let find_free_run_down t = Bitmap.find_run_set_down t.free
 
@@ -81,23 +96,24 @@ let mark_allocated_for_rebuild t s =
 
 let chunk_count t = t.layout.Layout.vam_sectors - 1
 
+(* Bytes of the packed map that chunk [c] holds; the rest of its image
+   is zero padding. *)
+let chunk_span t c =
+  let cb = chunk_bytes t.layout in
+  let off = c * cb in
+  (off, max 0 (min cb (((Bitmap.length t.free + 7) / 8) - off)))
+
 let chunk_image t c =
   if c < 0 || c >= chunk_count t then invalid_arg "Vam.chunk_image";
-  let cb = chunk_bytes t.layout in
-  let packed = Bitmap.to_bytes t.free in
-  let out = Bytes.make cb '\000' in
-  let off = c * cb in
-  let len = max 0 (min cb (Bytes.length packed - off)) in
-  if len > 0 then Bytes.blit packed off out 0 len;
+  let out = Bytes.make (chunk_bytes t.layout) '\000' in
+  let off, len = chunk_span t c in
+  if len > 0 then Bitmap.blit_to_bytes t.free ~off out ~len;
   out
 
 let apply_chunk t c image =
   if c < 0 || c >= chunk_count t then invalid_arg "Vam.apply_chunk";
-  let cb = chunk_bytes t.layout in
-  if Bytes.length image <> cb then invalid_arg "Vam.apply_chunk: image size";
-  let packed_len = (Bitmap.length t.free + 7) / 8 in
-  let off = c * cb in
-  let len = max 0 (min cb (packed_len - off)) in
+  if Bytes.length image <> chunk_bytes t.layout then invalid_arg "Vam.apply_chunk: image size";
+  let off, len = chunk_span t c in
   if len > 0 then Bitmap.overwrite_bytes t.free ~off (Bytes.sub image 0 len)
 
 let drain_dirty_chunks t =
@@ -106,8 +122,6 @@ let drain_dirty_chunks t =
   List.sort compare cs
 
 let dirty_chunk_count t = Hashtbl.length t.dirty_chunks
-
-let mark_free_for_rebuild t ~pos ~len = Bitmap.set_run t.free ~pos ~len
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
@@ -162,15 +176,7 @@ let load layout device =
           let body = Bytes.sub body 0 ((bits + 7) / 8) in
           if Crc32.bytes body <> crc then None
           else
-            Some
-              ( {
-                  layout;
-                  free = Bitmap.of_bytes ~bits body;
-                  shadow = Bitmap.create bits;
-                  dirty_chunks = Hashtbl.create 16;
-                },
-                mode,
-                epoch )
+            Some (of_free layout (Bitmap.of_bytes ~bits body), mode, epoch)
       end)
 
 let invalidate_saved layout device =

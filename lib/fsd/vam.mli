@@ -2,9 +2,12 @@
 
     Kept entirely in volatile memory during normal operation — FSD does no
     disk writes to track free pages. A set bit means "free". Pages of
-    deleted-but-uncommitted files sit in the {e shadow} bitmap and only
-    become allocatable when the deletion commits; this keeps a crashed
-    uncommitted delete from having handed the pages to a new file.
+    deleted-but-uncommitted files sit in the {e shadow} and only become
+    allocatable when the deletion commits; this keeps a crashed
+    uncommitted delete from having handed the pages to a new file. The
+    paper's shadow is a second bitmap; here it is the list of runs freed
+    since the last commit, so a commit costs the sectors it frees rather
+    than the size of the volume, and sets the same bits.
 
     The map is saved to its disk area on controlled shutdown, loaded on a
     clean boot, and reconstructed from the name table otherwise. *)
@@ -41,15 +44,18 @@ val shadow_release_run : t -> pos:int -> len:int -> unit
 (** Deferred release: free only at the next {!commit_shadow}. *)
 
 val commit_shadow : t -> unit
+(** Frees every run shadow-released since the last commit and marks its
+    chunks dirty. Checks all runs first and raises [Invalid_argument],
+    changing nothing, if two overlap or any sector is already free. *)
+
 val shadow_count : t -> int
+(** Sectors awaiting {!commit_shadow}. *)
 
 val find_free_run : t -> from:int -> upto:int -> len:int -> int option
 val find_free_run_down : t -> from:int -> downto_:int -> len:int -> int option
 
 val mark_allocated_for_rebuild : t -> int -> unit
 (** During reconstruction: claim one sector found referenced by the FNT. *)
-
-val mark_free_for_rebuild : t -> pos:int -> len:int -> unit
 
 (** {1 Persistence (§5.5: saved on shutdown, read if properly saved)} *)
 

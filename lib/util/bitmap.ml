@@ -41,19 +41,38 @@ let count t =
   (* Bits past [t.bits] in the final byte are never set. *)
   !total
 
-let set_run t ~pos ~len =
-  for i = pos to pos + len - 1 do
-    set t i
-  done
+(* Runs are applied a byte at a time. [run_mask ~pos ~stop b] selects the
+   bits of byte [b] inside [pos, stop); every byte strictly between the
+   run's first and last is 0xff. *)
+let run_mask ~pos ~stop b =
+  let lo = if b = pos lsr 3 then pos land 7 else 0 in
+  let hi = if b = (stop - 1) lsr 3 then (stop - 1) land 7 else 7 in
+  (0xff lsl lo) land (0xff lsr (7 - hi))
 
-let clear_run t ~pos ~len =
-  for i = pos to pos + len - 1 do
-    clear t i
-  done
+(* The whole run is validated before any byte changes, so an
+   out-of-range run leaves the map as it was. *)
+let assign_run name t ~pos ~len v =
+  if pos < 0 || len < 0 || pos + len > t.bits then
+    invalid_arg (Printf.sprintf "Bitmap.%s: run [%d,+%d) out of [0,%d)" name pos len t.bits);
+  let stop = pos + len in
+  if len > 0 then
+    for b = pos lsr 3 to (stop - 1) lsr 3 do
+      let byte = Char.code (Bytes.get t.data b) and m = run_mask ~pos ~stop b in
+      Bytes.set t.data b (Char.chr (if v then byte lor m else byte land lnot m land 0xff))
+    done
+
+let set_run t ~pos ~len = assign_run "set_run" t ~pos ~len true
+let clear_run t ~pos ~len = assign_run "clear_run" t ~pos ~len false
 
 let all_set_in_run t ~pos ~len =
-  let rec go i = i >= pos + len || (get t i && go (i + 1)) in
-  pos >= 0 && pos + len <= t.bits && go pos
+  let stop = pos + len in
+  let rec go b =
+    b > (stop - 1) lsr 3
+    ||
+    let m = run_mask ~pos ~stop b in
+    Char.code (Bytes.get t.data b) land m = m && go (b + 1)
+  in
+  pos >= 0 && stop <= t.bits && (len <= 0 || go (pos lsr 3))
 
 let find_set t ~from =
   let rec go i =
@@ -84,23 +103,14 @@ let find_run_set_down t ~from ~downto_ ~len =
   in
   if from - len + 1 < downto_ then None else go (from - len + 1)
 
-let iter_set t f =
-  for i = 0 to t.bits - 1 do
-    if get t i then f i
-  done
-
-let union_into ~dst ~src =
-  if dst.bits <> src.bits then invalid_arg "Bitmap.union_into";
-  for b = 0 to Bytes.length dst.data - 1 do
-    Bytes.set dst.data b
-      (Char.chr
-         (Char.code (Bytes.get dst.data b) lor Char.code (Bytes.get src.data b)))
-  done
-
-let clear_all t = Bytes.fill t.data 0 (Bytes.length t.data) '\000'
 let copy t = { bits = t.bits; data = Bytes.copy t.data }
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
 let to_bytes t = Bytes.copy t.data
+
+let blit_to_bytes t ~off dst ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length t.data || len > Bytes.length dst then
+    invalid_arg "Bitmap.blit_to_bytes";
+  Bytes.blit t.data off dst 0 len
 
 let overwrite_bytes t ~off src =
   if off < 0 || off + Bytes.length src > Bytes.length t.data then

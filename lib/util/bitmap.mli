@@ -1,8 +1,10 @@
 (** Fixed-size mutable bit vectors.
 
-    Used for the volume allocation map (VAM), the shadow bitmap of
-    not-yet-committed deletions, and the cylinder-group bitmaps of the BSD
-    baseline. Bit [i] set means "page [i] is free" for the VAM. *)
+    Used for the volume allocation maps of FSD and CFS and the
+    cylinder-group bitmaps of the BSD baseline. Bit [i] set means "page
+    [i] is free" for a VAM. Run operations step a whole byte at a time
+    wherever the run covers one, so their cost follows the run's length
+    in bytes, not in bits. *)
 
 type t
 
@@ -20,9 +22,15 @@ val count : t -> int
 (** Number of set bits. *)
 
 val set_run : t -> pos:int -> len:int -> unit
+(** Sets bits [pos .. pos+len-1]. Raises [Invalid_argument], leaving the
+    map unchanged, unless [0 <= pos], [0 <= len] and [pos + len <= length]. *)
+
 val clear_run : t -> pos:int -> len:int -> unit
+(** Clears bits [pos .. pos+len-1]; range rule as {!set_run}. *)
 
 val all_set_in_run : t -> pos:int -> len:int -> bool
+(** Whether bits [pos .. pos+len-1] are all set; [false], not an
+    exception, for a run that leaves the map. *)
 
 val find_set : t -> from:int -> int option
 (** First set bit at index >= [from], or [None]. *)
@@ -36,19 +44,17 @@ val find_run_set_down : t -> from:int -> downto_:int -> len:int -> int option
 (** Like {!find_run_set} but searching from high addresses downward:
     the highest [pos] with [downto_ <= pos] and [pos + len <= from + 1]. *)
 
-val iter_set : t -> (int -> unit) -> unit
-
-val union_into : dst:t -> src:t -> unit
-(** [union_into ~dst ~src] sets in [dst] every bit set in [src]. Both
-    bitmaps must have the same length. *)
-
-val clear_all : t -> unit
-
 val copy : t -> t
 val equal : t -> t -> bool
 
 val to_bytes : t -> bytes
 (** Packed little-endian-bit representation, 8 bits per byte. *)
+
+val blit_to_bytes : t -> off:int -> bytes -> len:int -> unit
+(** [blit_to_bytes t ~off dst ~len] copies bytes [off .. off+len-1] of
+    the packed representation to the start of [dst] without copying the
+    rest of the map. Raises [Invalid_argument] if either range is out of
+    bounds. *)
 
 val overwrite_bytes : t -> off:int -> bytes -> unit
 (** Patch a byte range of the packed representation in place (used to

@@ -114,6 +114,26 @@ let test_vam_shadow_commit () =
   check int "free after commit" (free1 + 8) (Vam.free_count v);
   check int "shadow drained" 0 (Vam.shadow_count v)
 
+let test_vam_shadow_double_free () =
+  let l = layout () in
+  let commit_fails v what =
+    match Vam.commit_shadow v with
+    | () -> Alcotest.failf "%s must fail at commit" what
+    | exception Invalid_argument _ -> ()
+  in
+  let v = Vam.create_all_free l in
+  Vam.allocate_run v ~pos:l.Layout.small_lo ~len:8;
+  let free1 = Vam.free_count v in
+  Vam.shadow_release_run v ~pos:l.Layout.small_lo ~len:8;
+  Vam.shadow_release_run v ~pos:l.Layout.small_lo ~len:8;
+  commit_fails v "the same run shadow-released twice";
+  check int "nothing freed" free1 (Vam.free_count v);
+  let v = Vam.create_all_free l in
+  let free0 = Vam.free_count v in
+  Vam.shadow_release_run v ~pos:l.Layout.small_lo ~len:3;
+  commit_fails v "a shadowed run that is already free";
+  check int "map unchanged" free0 (Vam.free_count v)
+
 let test_vam_save_load_roundtrip () =
   let device = mk_device () in
   let l = layout () in
@@ -377,6 +397,7 @@ let suite =
     ("layout: data-sector predicate", `Quick, test_layout_data_sector_predicate);
     ("vam: alloc/release", `Quick, test_vam_alloc_release);
     ("vam: shadow commit", `Quick, test_vam_shadow_commit);
+    ("vam: shadow double free rejected", `Quick, test_vam_shadow_double_free);
     ("vam: save/load roundtrip", `Quick, test_vam_save_load_roundtrip);
     ("vam: damaged save rejected", `Quick, test_vam_load_rejects_damage);
     ("alloc: small files low", `Quick, test_alloc_small_in_small_area);

@@ -253,6 +253,49 @@ let test_both_extensions_together () =
     end
   done
 
+(* Each chunk image is its slice of the packed map, read without
+   copying the whole map; the last chunk, which the map only partly
+   fills on this geometry, is zero-padded. *)
+let test_chunk_images_are_map_slices () =
+  let geom = Geometry.small_test in
+  let layout = Layout.compute geom (params geom) in
+  let vam = Vam.create_all_free layout in
+  (* Scattered runs over both areas, some freed again at once and some
+     through the shadow, so chunks hold a mix of bits. *)
+  let scatter lo hi =
+    let rec go pos k =
+      if pos + 12 <= hi then begin
+        let len = 1 + (k mod 12) in
+        Vam.allocate_run vam ~pos ~len;
+        (match k mod 3 with
+        | 0 -> Vam.release_run vam ~pos ~len
+        | 1 -> Vam.shadow_release_run vam ~pos ~len
+        | _ -> ());
+        go (pos + 29) (k + 1)
+      end
+    in
+    go lo 0
+  in
+  scatter layout.Layout.small_lo layout.Layout.small_hi;
+  scatter layout.Layout.big_lo layout.Layout.big_hi;
+  Vam.commit_shadow vam;
+  let total = Geometry.total_sectors geom in
+  let reference = Bitmap.create total in
+  for s = 0 to total - 1 do
+    if Vam.is_free vam s then Bitmap.set reference s
+  done;
+  let packed = Bitmap.to_bytes reference in
+  let cb = geom.Geometry.sector_bytes in
+  let chunks = Vam.chunk_count vam in
+  check bool "last chunk is partial" true (Bytes.length packed < chunks * cb);
+  for c = 0 to chunks - 1 do
+    let off = c * cb in
+    let expected = Bytes.make cb '\000' in
+    Bytes.blit packed off expected 0 (min cb (Bytes.length packed - off));
+    check Alcotest.string (Printf.sprintf "chunk %d" c) (Bytes.to_string expected)
+      (Bytes.to_string (Vam.chunk_image vam c))
+  done
+
 let suite =
   [
     ("crash recovery replays the VAM", `Quick, test_crash_recovery_replays_vam);
@@ -266,4 +309,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replayed_equals_reconstructed;
     ("track-tolerant log end to end", `Quick, test_track_tolerant_fs_end_to_end);
     ("both extensions together", `Quick, test_both_extensions_together);
+    ("chunk images are map slices", `Quick, test_chunk_images_are_map_slices);
   ]

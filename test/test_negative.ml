@@ -44,7 +44,14 @@ let test_bitmap_bounds () =
   inv (fun () -> Bitmap.set b (-1));
   inv (fun () -> Bitmap.find_run_set b ~from:0 ~upto:10 ~len:0);
   inv (fun () -> Bitmap.of_bytes ~bits:100 (Bytes.create 2));
-  inv (fun () -> Bitmap.union_into ~dst:b ~src:(Bitmap.create 11));
+  (* a run that leaves the map is refused whole, not applied up to the edge *)
+  let b20 = Bitmap.create 20 in
+  inv (fun () -> Bitmap.set_run b20 ~pos:17 ~len:5);
+  check Alcotest.int "set_run changed nothing" 0 (Bitmap.count b20);
+  Bitmap.set_run b20 ~pos:0 ~len:20;
+  inv (fun () -> Bitmap.clear_run b20 ~pos:(-1) ~len:4);
+  check Alcotest.int "clear_run changed nothing" 20 (Bitmap.count b20);
+  inv (fun () -> Bitmap.blit_to_bytes b20 ~off:2 (Bytes.create 4) ~len:2);
   inv (fun () -> Bitmap.overwrite_bytes b ~off:1 (Bytes.create 2))
 
 let test_lru_misuse () =

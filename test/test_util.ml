@@ -104,28 +104,43 @@ let test_bitmap_bytes_roundtrip () =
   let b' = Bitmap.of_bytes ~bits:37 (Bitmap.to_bytes b) in
   check bool "equal" true (Bitmap.equal b b')
 
-let test_bitmap_union () =
-  let a = Bitmap.create 16 and b = Bitmap.create 16 in
-  Bitmap.set a 1;
-  Bitmap.set b 2;
-  Bitmap.union_into ~dst:a ~src:b;
-  check bool "1" true (Bitmap.get a 1);
-  check bool "2" true (Bitmap.get a 2);
-  check int "count" 2 (Bitmap.count a)
-
+(* Single-bit and run operations against a Hashtbl reference on a map
+   whose length is not a multiple of 8, with runs at unaligned positions
+   and some that leave the map: those must raise and change nothing. *)
 let prop_bitmap_vs_reference =
+  let bits = 203 in
   QCheck.Test.make ~name:"bitmap matches reference set semantics" ~count:200
-    QCheck.(list (pair (int_bound 199) bool))
+    QCheck.(list (quad (int_bound 2) (int_range (-4) (bits + 4)) (int_bound 40) bool))
     (fun ops ->
-      let bm = Bitmap.create 200 in
+      let bm = Bitmap.create bits in
       let reference = Hashtbl.create 16 in
-      List.iter
-        (fun (i, v) ->
-          Bitmap.assign bm i v;
-          if v then Hashtbl.replace reference i () else Hashtbl.remove reference i)
-        ops;
-      Hashtbl.length reference = Bitmap.count bm
-      && List.for_all (fun (i, _) -> Bitmap.get bm i = Hashtbl.mem reference i) ops)
+      let mem i = Hashtbl.mem reference i in
+      let update ~pos ~len v =
+        for i = pos to pos + len - 1 do
+          if v then Hashtbl.replace reference i () else Hashtbl.remove reference i
+        done
+      in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      List.for_all
+        (fun (kind, pos, len, v) ->
+          let in_map = pos >= 0 && pos + len <= bits in
+          match kind with
+          | 0 ->
+            let ok = pos >= 0 && pos < bits in
+            let raised = raises (fun () -> Bitmap.assign bm pos v) in
+            if ok then update ~pos ~len:1 v;
+            raised = not ok
+          | 1 ->
+            let run = if v then Bitmap.set_run else Bitmap.clear_run in
+            let raised = raises (fun () -> run bm ~pos ~len) in
+            if in_map then update ~pos ~len v;
+            raised = not in_map
+          | _ ->
+            let all_set = List.for_all mem (List.init len (fun k -> pos + k)) in
+            Bitmap.all_set_in_run bm ~pos ~len = (in_map && all_set))
+        ops
+      && Hashtbl.length reference = Bitmap.count bm
+      && List.for_all (fun i -> Bitmap.get bm i = mem i) (List.init bits Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -237,7 +252,6 @@ let suite =
     ("bitmap basic", `Quick, test_bitmap_basic);
     ("bitmap runs", `Quick, test_bitmap_runs);
     ("bitmap bytes roundtrip", `Quick, test_bitmap_bytes_roundtrip);
-    ("bitmap union", `Quick, test_bitmap_union);
     QCheck_alcotest.to_alcotest prop_bitmap_vs_reference;
     ("lru eviction order", `Quick, test_lru_eviction_order);
     ("lru pinned never evicted", `Quick, test_lru_pinned_never_evicted);
