@@ -167,18 +167,20 @@ qdepth-smoke:
 	@echo "qdepth-smoke: reordering wins at depth >= 4, depth-1 degenerate, deterministic"
 
 # Benchmark correctness smoke: a one-second run of each perfbench
-# workload. Every run checks the oracle fold, Fsd.check, byte identity
-# of traced and untraced reps and critical-path conservation, and its
-# last line is the JSON result, which must read "correct": true.
+# workload, untraced and traced (--trace 1 also runs the per-layer host
+# ledger, perfbench/ledger.ml). Every run checks the oracle fold,
+# Fsd.check, byte identity of traced and untraced reps and
+# critical-path conservation, and its last line is the JSON result,
+# which must read "correct": true.
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
-	@for w in makedo-8vol openloop-1vol; do \
-		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 \
-			> _build/perf-smoke/$$w.out || exit 1; \
-		tail -n 1 _build/perf-smoke/$$w.out | grep -q '"correct": true' || \
-			{ echo "perf-smoke: $$w not correct"; exit 1; }; \
-		echo "perf-smoke: $$w correct"; \
-	done
+	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace $$tr \
+			> _build/perf-smoke/$$w-trace$$tr.out || exit 1; \
+		tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | grep -q '"correct": true' || \
+			{ echo "perf-smoke: $$w --trace $$tr not correct"; exit 1; }; \
+		echo "perf-smoke: $$w --trace $$tr correct"; \
+	done; done
 
 # Requires ocamlformat (not vendored in the container); no-op without it.
 fmt:

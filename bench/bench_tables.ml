@@ -283,7 +283,7 @@ let table5 () =
         fops.Fs_ops.force ())
   in
   let (), rd = Measure.run fops (fun () -> ignore (fops.Fs_ops.read_all ~name:"seq/big")) in
-  let fsd_cpu_us pages = pages * Fparams.default.Fparams.cpu_page_us in
+  let fsd_cpu_us pages = pages * Fparams.cpu_page_us in
   let pages = (size + 511) / 512 in
   let fsd_row label (s : Measure.sample) =
     let bw = Setup.pct (Measure.bandwidth_fraction geom ~bytes_moved:size ~elapsed_us:s.Measure.elapsed_us) in
@@ -778,7 +778,7 @@ let fragmentation () =
     let alloc_file ~bytes =
       let sectors = 1 + ((bytes + 511) / 512) in
       if use_split then begin
-        let small = bytes <= Fparams.default.Fparams.small_file_bytes in
+        let small = bytes <= Fparams.small_file_bytes in
         match Cedar_fsd.Alloc.allocate alloc ~sectors ~small with
         | Ok runs -> Some runs
         | Error _ ->
@@ -807,7 +807,7 @@ let fragmentation () =
     while Cedar_fsd.Vam.free_count vam > total_data * 30 / 100 do
       let bytes = Sizes.sample rng in
       match alloc_file ~bytes with
-      | Some runs when bytes > Fparams.default.Fparams.small_file_bytes ->
+      | Some runs when bytes > Fparams.small_file_bytes ->
         big_live := runs :: !big_live;
         incr big_n
       | Some _ | None -> ()

@@ -194,7 +194,7 @@ let run ?out () =
         ("arrivals", J.Int arrivals);
         ("queue_cap", J.Int config.S.queue_cap);
         ("commit_interval_us", J.Int commit_interval_us);
-        ("monitor_interval_us", J.Int params.Cedar_fsd.Params.monitor_interval_us);
+        ("monitor_interval_us", J.Int Cedar_fsd.Params.monitor_interval_us);
         ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) cs));
         ("checks_failed", J.Int (List.length failed));
         ("rungs", J.Arr (List.map rung_json rungs));

@@ -483,11 +483,8 @@ let print_serve_report json r =
       "group commit: %d log forces (%d server-initiated), %.1f acked \
        mutations/force\n"
       r.S.log_forces r.S.server_forces r.S.ops_per_force;
-    Printf.printf
-      "admission: %d rejects (%d queue-full, %d backpressure), %d \
-       retries, %d dropped\n"
-      r.S.total_rejected r.S.reject_queue_full r.S.reject_backpressure
-      r.S.total_retries r.S.total_dropped;
+    Printf.printf "admission: %d rejects, %d retries, %d dropped\n"
+      r.S.total_rejected r.S.total_retries r.S.total_dropped;
     Printf.printf "commit wait: mean %.1f ms, p50 %.1f, p99 %.1f, max %.1f (%d waits)\n"
       (r.S.wait_mean_us /. 1000.) (r.S.wait_p50_us /. 1000.)
       (r.S.wait_p99_us /. 1000.) (r.S.wait_max_us /. 1000.) r.S.wait_n;

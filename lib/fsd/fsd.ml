@@ -563,7 +563,7 @@ let read_file_bytes t name version (e : Entry.t) =
 
 let op_done t ?(pages = 0) () =
   Metrics.inc t.meters.m_ops;
-  cpu t (t.params.Params.cpu_op_us + (pages * t.params.Params.cpu_page_us));
+  cpu t (Params.cpu_op_us + (pages * Params.cpu_page_us));
   maybe_commit t;
   (* Single-threaded callers never reach [run_due_demons]; polling here
      too keeps the sampling cadence without a scheduler. *)
@@ -616,7 +616,7 @@ let create_common t ~name ~keep ~data_pages ~byte_size ~kind data_opt =
   require_live t;
   validate_name name;
   spoil_saved_vam t;
-  let small = byte_size <= t.params.Params.small_file_bytes in
+  let small = byte_size <= Params.small_file_bytes in
   let runs =
     match Alloc.allocate t.alloc ~sectors:(1 + data_pages) ~small with
     | Ok rs -> rs
@@ -950,7 +950,7 @@ let list t ~prefix =
         | Some _ | None -> ());
         current := Some (n, ver, decode_entry n v));
   flush ();
-  cpu t (!entries * t.params.Params.cpu_page_us);
+  cpu t (!entries * Params.cpu_page_us);
   op_done t ();
   List.rev !acc
 
@@ -967,7 +967,7 @@ let list t ~prefix =
 
 let scrub_fnt_pages t =
   let np = t.params.Params.fnt_pages in
-  let budget = min t.params.Params.scrub_pages_per_pass np in
+  let budget = min Params.scrub_pages_per_pass np in
   for _ = 1 to budget do
     let page = t.scrub_page_cursor in
     t.scrub_page_cursor <- (page + 1) mod np;
@@ -985,7 +985,7 @@ let scrub_fnt_pages t =
    are skipped: their home copy is legitimately stale until the logging
    code writes it. *)
 let scrub_leaders t =
-  let budget = t.params.Params.scrub_leaders_per_pass in
+  let budget = Params.scrub_leaders_per_pass in
   let scanned = ref 0 in
   let wrapped = ref true in
   (try
@@ -1024,30 +1024,21 @@ let scrub_leaders t =
   if !wrapped then t.scrub_key_cursor <- ""
 
 let maybe_scrub t =
-  let interval = t.params.Params.scrub_interval_us in
-  if interval > 0 && now t - t.last_scrub >= interval then begin
+  if now t - t.last_scrub >= Params.scrub_interval_us then begin
     t.last_scrub <- now t;
     Metrics.inc t.meters.m_scrub_passes;
     scrub_fnt_pages t;
     scrub_leaders t
   end
 
-(* Demon dispatch, separated from time-advance so that an external
-   scheduler (lib/server) can fire the commit and scrub demons at its own
-   pace; re-exported as [Demons.run_due]. [tick] = advance + this, so
-   single-threaded callers see identical behavior. *)
 (* Background home-write scheduling: once the current third is
    [home_write_fill] full, pre-flush pages and leaders whose survival
    horizon is the NEXT third, in bounded batches between group commits —
    so the synchronous reclaim when the writer actually enters that third
    ([handle_enter_third]) finds little left to do inside an op. *)
 let maybe_home_writes t =
-  let budget = t.params.Params.home_writes_per_pass in
-  if
-    budget > 0
-    && t.params.Params.home_write_fill < 1.0
-    && Log.third_fill t.log >= t.params.Params.home_write_fill
-  then begin
+  let budget = Params.home_writes_per_pass in
+  if Log.third_fill t.log >= Params.home_write_fill then begin
     let next = (Log.current_third t.log + 1) mod 3 in
     let pages = Fnt_store.flush_some_third t.store next ~budget in
     let leaders =
@@ -1060,6 +1051,10 @@ let maybe_home_writes t =
     end
   end
 
+(* Demon dispatch, separated from time-advance so that an external
+   scheduler (lib/server) can fire the commit, home-write and scrub
+   demons at its own pace. [tick] = advance + this, so single-threaded
+   callers see identical behavior. *)
 let run_due_demons t =
   require_live t;
   maybe_commit t;
@@ -1104,12 +1099,6 @@ let token_durable t (tok : token) = t.durable_seq >= tok
 let mutation_seq t = t.mutation_seq
 let durable_seq t = t.durable_seq
 
-(* How full the third the log is currently appending into is — the
-   batcher's backpressure signal: close to 1.0 means the next forces will
-   enter a fresh third and overwrite the oldest records, forcing early
-   page flushes ([handle_enter_third]). *)
-let log_third_fill t = Log.third_fill t.log
-
 let commit_due_at t = t.last_force + t.params.Params.commit_interval_us
 
 (* ------------------------------------------------------------------ *)
@@ -1124,18 +1113,10 @@ let monitor t = t.monitor
    deterministic. Server-side names ("server.acked", ...) read as zero
    until a server registers them — the monitor works unchanged under
    single-threaded callers. *)
-let enable_monitor ?ring ?window ?interval_us t =
+let enable_monitor ?(interval_us = Params.monitor_interval_us) t =
   require_live t;
-  let interval =
-    match interval_us with
-    | Some us -> us
-    | None -> t.params.Params.monitor_interval_us
-  in
-  let reg = Device.metrics t.device in
   let m =
-    Monitor.create ?ring ?window ~interval_us:interval
-      ~now:(fun () -> now t)
-      reg
+    Monitor.create ~interval_us ~now:(fun () -> now t) (Device.metrics t.device)
   in
   let per_second n v = float_of_int n *. 1e6 /. float_of_int (max 1 v.Monitor.dt_us) in
   Monitor.derive m "sat.device_busy" (fun v ->
@@ -1155,17 +1136,7 @@ let enable_monitor ?ring ?window ?interval_us t =
       else float_of_int (v.Monitor.delta "server.acked") /. float_of_int forces);
   Monitor.derive m "sat.op_rate_s" (fun v -> per_second (v.Monitor.delta "fsd.ops") v);
   Monitor.derive m "sat.reject_rate_s" (fun v ->
-      per_second
-        (v.Monitor.delta "server.rejects.queue_full"
-        + v.Monitor.delta "server.rejects.backpressure")
-        v);
-  (* Split admission-reject rates: overload shows up as queue_full, a
-     filling log third as backpressure — distinct remedies, so they get
-     distinct live rows. *)
-  Monitor.derive m "sat.reject_queue_full_s" (fun v ->
       per_second (v.Monitor.delta "server.rejects.queue_full") v);
-  Monitor.derive m "sat.reject_backpressure_s" (fun v ->
-      per_second (v.Monitor.delta "server.rejects.backpressure") v);
   Monitor.derive m "sat.retry_rate_s" (fun v ->
       per_second (v.Monitor.delta "server.retries") v);
   Monitor.derive m "sat.dropped_rate_s" (fun v ->
@@ -1317,7 +1288,7 @@ let boot ?params device =
   List.iter
     (fun (id, image) -> Fnt_store.write_home_image device layout ~page:id image)
     fnt_images;
-  Simclock.advance clock (runtime.Params.cpu_page_us * rec_info.Log.p_records * 4);
+  Simclock.advance clock (Params.cpu_page_us * rec_info.Log.p_records * 4);
   let log_replay_us = Simclock.now clock - r0 in
   let trace_boot ev =
     let tr = Device.trace device in
@@ -1352,7 +1323,7 @@ let boot ?params device =
   let anchors = Hashtbl.create 64 in
   let reconstruct () =
     let vm = Vam.create_all_free layout in
-    scan_name_table tree (Some vm) anchors (runtime.Params.cpu_page_us / 2) clock;
+    scan_name_table tree (Some vm) anchors (Params.cpu_page_us / 2) clock;
     (vm, Vam_reconstructed, true)
   in
   let vam, vam_source, scanned =
@@ -1364,7 +1335,7 @@ let boot ?params device =
         (fun (c, image, no) ->
           if Int64.compare no epoch > 0 then Vam.apply_chunk vm c image)
         vam_chunk_images;
-      Simclock.advance clock (List.length vam_chunk_images * runtime.Params.cpu_page_us);
+      Simclock.advance clock (List.length vam_chunk_images * Params.cpu_page_us);
       (vm, Vam_replayed, false)
     | Some (vm, Vam.Snapshot, _), false ->
       Vam.invalidate_saved layout device;
@@ -1392,7 +1363,7 @@ let boot ?params device =
   let skipped_leaders = ref 0 in
   if leader_images <> [] then begin
     if not scanned then
-      scan_name_table tree None anchors (runtime.Params.cpu_page_us / 2) clock;
+      scan_name_table tree None anchors (Params.cpu_page_us / 2) clock;
     List.iter
       (fun (sector, image) ->
         let ok =

@@ -120,15 +120,16 @@ val run_due_demons : t -> unit
 (** Fire every demon whose interval has elapsed at the current virtual
     time: the commit demon (group-commit force), the background
     home-write demon (once the current third passes
-    [Params.home_write_fill], pre-flush up to [home_writes_per_pass]
-    pages/leaders whose survival horizon is the next third, traced as
+    {!Params.home_write_fill}, pre-flush up to
+    {!Params.home_writes_per_pass} pages/leaders whose survival horizon
+    is the next third, traced as
     [Home_write_burst]), and the scrub demon — each scrub pass verifies
     a few FNT page pairs (both copies, by checksum) and a few leaders,
     repairing lone bad copies in place (counted in the
     [fsd.scrub_*] counters of {!metrics}).
-    [tick us] is [advance us] plus this; external schedulers call it
-    through {!Demons.run_due} so demons fire identically whether or not
-    a server owns the clock. *)
+    [tick us] is [advance us] plus this; a scheduler that owns the
+    clock (lib/server) calls it directly, so demons fire identically
+    whether or not a server owns the clock. *)
 
 (** {1 Submission (server scheduler interface)}
 
@@ -160,13 +161,6 @@ val durable_seq : t -> int
 (** Mutation sequence covered by the last completed force;
     [token_durable] is [durable_seq >= token]. *)
 
-val log_third_fill : t -> float
-(** Fraction of the current log third already consumed, in [0,1] — the
-    batcher's backpressure signal: near 1.0 the next force enters a fresh
-    third, evicting that third's logged pages. Reads exactly 1.0 (never
-    wrapping early to 0.0) while the head sits on a third boundary,
-    since the entry happens only on the next append. *)
-
 val commit_due_at : t -> int
 (** Virtual time at which the half-second commit demon next fires
     (last force time + [commit_interval_us]) — what a scheduler that
@@ -178,27 +172,29 @@ val save_vam : t -> unit
 (** {1 Telemetry monitor}
 
     A {!Cedar_obs.Monitor} sampling the metrics registry on the
-    [Params.monitor_interval_us] cadence, polled from
+    {!Params.monitor_interval_us} cadence, polled from
     {!run_due_demons} and at op boundaries. Off by default; while off
     the polls cost one branch on an option and allocate nothing, the
     same discipline as the trace. *)
 
-val enable_monitor :
-  ?ring:int -> ?window:int -> ?interval_us:int -> t -> Cedar_obs.Monitor.t
+val enable_monitor : ?interval_us:int -> t -> Cedar_obs.Monitor.t
 (** Attach (or replace) the telemetry monitor and return it.
-    [interval_us] defaults to [Params.monitor_interval_us]; [ring] and
-    [window] are passed to {!Cedar_obs.Monitor.create}. Beyond the
-    registry's raw counters and gauges, every sample computes the
+    [interval_us] defaults to {!Params.monitor_interval_us}; the ring
+    and dist windows keep {!Cedar_obs.Monitor.create}'s defaults. Beyond
+    the registry's raw counters and gauges, every sample computes the
     derived saturation gauges:
 
     - [sat.device_busy] — device busy-us this interval / interval;
-    - [sat.log_third_fill] — {!log_third_fill} at sample time;
+    - [sat.log_third_fill] — the fraction of the current log third
+      already consumed, in [0,1], at sample time; it reads exactly 1.0
+      (never wrapping early to 0.0) while the head sits on a third
+      boundary, since the entry happens only on the next append;
     - [sat.queue_depth] — the server admission queue depth gauge;
     - [sat.ops_per_force] — acked server ops per non-empty force this
       interval (batcher occupancy), 0 when no force landed;
     - [sat.op_rate_s] — FSD ops per second;
     - [sat.reject_rate_s], [sat.retry_rate_s], [sat.dropped_rate_s] —
-      admission rejects (both kinds), retries and drops per second;
+      admission rejects, retries and drops per second;
     - [sat.reclaim_stall_rate_s], [sat.home_write_burst_rate_s];
 
     and watches the [server.commit_wait_us] and [fsd.op_us]

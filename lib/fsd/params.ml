@@ -8,20 +8,11 @@ type t = {
   log_sectors : int;
   cache_pages : int;
   max_record_data_sectors : int;
-  small_file_bytes : int;
   max_runs_per_file : int;
   default_keep : int;
   log_vam : bool;
   track_tolerant_log : bool;
-  cpu_op_us : int;
-  cpu_page_us : int;
-  scrub_interval_us : int;
-  scrub_pages_per_pass : int;
-  scrub_leaders_per_pass : int;
   blackbox_every_n_forces : int;
-  home_write_fill : float;
-  home_writes_per_pass : int;
-  monitor_interval_us : int;
   disk_sched : Device.policy;
   disk_qdepth : int;
 }
@@ -34,6 +25,16 @@ let blackbox_slot_sectors = 16
 let blackbox_slots = 2
 let blackbox_sectors = blackbox_slot_sectors * blackbox_slots
 
+let small_file_bytes = 4_000
+let cpu_op_us = 8_000
+let cpu_page_us = 150
+let scrub_interval_us = 2_000_000
+let scrub_pages_per_pass = 4
+let scrub_leaders_per_pass = 8
+let home_write_fill = 0.5
+let home_writes_per_pass = 4
+let monitor_interval_us = 100_000
+
 let default =
   {
     shard_id = 0;
@@ -43,20 +44,11 @@ let default =
     log_sectors = 1203; (* 3 pointer sectors + 3 x 400-sector thirds *)
     cache_pages = 128;
     max_record_data_sectors = 96;
-    small_file_bytes = 4_000;
     max_runs_per_file = 40;
     default_keep = 2;
     log_vam = false;
     track_tolerant_log = false;
-    cpu_op_us = 8_000;
-    cpu_page_us = 150;
-    scrub_interval_us = 2_000_000;
-    scrub_pages_per_pass = 4;
-    scrub_leaders_per_pass = 8;
     blackbox_every_n_forces = 1;
-    home_write_fill = 0.5;
-    home_writes_per_pass = 4;
-    monitor_interval_us = 100_000;
     disk_sched = Device.Fifo;
     disk_qdepth = 0; (* no request queue; data I/O services at issue *)
   }
@@ -98,16 +90,8 @@ let validate g t =
   in
   if t.shard_id < 0 || t.shard_id > 255 then Error "shard_id outside u8 range"
   else if t.commit_interval_us < 0 then Error "negative commit interval"
-  else if t.scrub_interval_us < 0 then Error "negative scrub interval"
-  else if t.scrub_pages_per_pass < 0 || t.scrub_leaders_per_pass < 0 then
-    Error "negative scrub batch size"
   else if t.blackbox_every_n_forces < 1 then
     Error "blackbox_every_n_forces must be at least 1"
-  else if t.home_write_fill < 0.0 || t.home_write_fill > 1.0 then
-    Error "home_write_fill outside [0, 1]"
-  else if t.home_writes_per_pass < 0 then Error "negative home-write batch size"
-  else if t.monitor_interval_us < 1 then
-    Error "monitor_interval_us must be at least 1"
   else if t.disk_qdepth < 0 || t.disk_qdepth > 128 then
     Error "disk_qdepth outside [0, 128]"
   else if t.fnt_page_sectors < 1 || t.fnt_page_sectors > 16 then

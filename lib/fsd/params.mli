@@ -2,7 +2,8 @@
 
     Layout-affecting fields ([fnt_page_sectors], [fnt_pages],
     [log_sectors]) are stamped into the boot page at format time and read
-    back on boot; the rest are runtime knobs. *)
+    back on boot; the rest are runtime knobs. Values no caller varies
+    are the constants after the record. *)
 
 type t = {
   shard_id : int;
@@ -20,7 +21,6 @@ type t = {
   cache_pages : int;  (** FNT cache capacity (unpinned pages) *)
   max_record_data_sectors : int;
       (** cap on data sectors per log record; larger commits are split *)
-  small_file_bytes : int;  (** files at most this big use the small area *)
   max_runs_per_file : int;
   default_keep : int;  (** versions kept per name; 0 = unlimited *)
   log_vam : bool;
@@ -35,34 +35,12 @@ type t = {
           [sectors_per_track] consecutive sectors is survivable. Costs
           more log space for small records; caps records at
           [sectors_per_track - 2] data sectors. Off by default. *)
-  cpu_op_us : int;  (** CPU charge per metadata operation *)
-  cpu_page_us : int;  (** CPU charge per page moved or scanned *)
-  scrub_interval_us : int;
-      (** online scrub demon period; each expiry while the volume idles
-          verifies a few FNT page pairs and leaders. 0 disables. *)
-  scrub_pages_per_pass : int;  (** FNT page pairs verified per pass *)
-  scrub_leaders_per_pass : int;  (** leaders verified per pass *)
   blackbox_every_n_forces : int;
       (** checkpoint the black-box flight recorder every this many
           non-empty forces (1 = every force, the historical behavior).
           High-client-count runs force often; a larger cadence keeps the
           recorder's I/O out of the commit path most of the time. Clean
           shutdown always checkpoints regardless. *)
-  home_write_fill : float;
-      (** once the current log third is at least this full, the
-          background demon starts pre-flushing dirty pages whose
-          survival horizon is the next third, in bounded batches between
-          group commits — so reclamation at the third entry finds little
-          synchronous work left. 1.0 disables the demon (entry-time
-          reclamation remains). *)
-  home_writes_per_pass : int;
-      (** page/leader home-write budget per background demon pass; 0
-          disables the demon. *)
-  monitor_interval_us : int;
-      (** telemetry sampling cadence for the monitor demon once it is
-          enabled via [Fsd.enable_monitor]; the demon itself is off by
-          default and costs one branch per demon dispatch while off.
-          Must be at least 1. *)
   disk_sched : Cedar_disk.Device.policy;
       (** request-queue service policy applied when [disk_qdepth] ≥ 2
           ([Fifo] | [Elevator] | [Sstf]); irrelevant while the queue is
@@ -90,6 +68,41 @@ val blackbox_sectors : int
     pages ([blackbox_slot_sectors * blackbox_slots]). Fixed — not a
     tuning field — so [cedar blackbox] can find it before any other
     metadata is trusted. *)
+
+val small_file_bytes : int
+(** 4000: files at most this big use the small area. *)
+
+val cpu_op_us : int
+(** 8000: CPU charge per metadata operation. *)
+
+val cpu_page_us : int
+(** 150: CPU charge per page moved or scanned. *)
+
+val scrub_interval_us : int
+(** 2 s: online scrub demon period; each expiry while the volume idles
+    verifies a few FNT page pairs and leaders. *)
+
+val scrub_pages_per_pass : int
+(** 4: FNT page pairs verified per scrub pass. *)
+
+val scrub_leaders_per_pass : int
+(** 8: leaders verified per scrub pass. *)
+
+val home_write_fill : float
+(** 0.5: once the current log third is at least this full, the
+    background demon starts pre-flushing dirty pages whose survival
+    horizon is the next third, in bounded batches between group
+    commits — so reclamation at the third entry finds little
+    synchronous work left. *)
+
+val home_writes_per_pass : int
+(** 4: page/leader home-write budget per background demon pass. *)
+
+val monitor_interval_us : int
+(** 100 ms: default telemetry sampling cadence of the monitor demon
+    ([Fsd.enable_monitor ?interval_us] overrides it); the demon itself
+    is off by default and costs one branch per demon dispatch while
+    off. *)
 
 val default : t
 (** Sized for {!Cedar_disk.Geometry.trident_t300}. *)

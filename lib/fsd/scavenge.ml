@@ -138,7 +138,7 @@ let run device =
   let leaders = ref [] in
   let sweep lo hi =
     for s = lo to hi - 1 do
-      Simclock.advance clock (params.Params.cpu_page_us / 8);
+      Simclock.advance clock (Params.cpu_page_us / 8);
       match Device.read device s with
       | exception Device.Error _ -> ()
       | b -> (
@@ -241,7 +241,7 @@ let run device =
   in
   List.iter
     (fun (key, e) ->
-      Simclock.advance clock params.Params.cpu_page_us;
+      Simclock.advance clock Params.cpu_page_us;
       B.insert tree ~key ~value:(Entry.encode e))
     sorted;
   Fnt_store.bump_uid_floor store

@@ -11,7 +11,7 @@
     - [queue_us] — runnable (think deadline / open-loop arrival /
       previous ack) until the scheduler's first admission attempt;
     - [admission_us] — first attempt until execute starts (the sum of
-      typed-reject retry windows), or until the drop;
+      reject retry windows), or until the drop;
     - [execute_us] — inside [Fsd.submit], further split into device
       [seek_us], device [transfer_us] and the CPU/FNT/leader remainder
       via the span-attributed device events;

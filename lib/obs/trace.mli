@@ -81,9 +81,10 @@ type event =
           op becoming runnable (think deadline, open-loop arrival, or
           previous ack) and the scheduler reaching it. *)
   | Op_rejected of { client : int; opseq : int; why : string }
-      (** One rejected admission attempt ([why] is ["queue_full"] or
-          ["backpressure"]); the retry window runs from this instant to
-          the op's next event. *)
+      (** One rejected admission attempt that will be retried ([why] is
+          ["queue_full"], the server's one trigger: the op's target
+          volume already had [queue_cap] sessions parked); the retry
+          window runs from this instant to the op's next event. *)
   | Op_dropped of { client : int; opseq : int; retries : int }
       (** Admission retries exhausted; the op's lifecycle ends here
           without executing. *)

@@ -16,15 +16,12 @@
    - size: [max_batch] sessions parked on that volume;
    - explicit: a client [Force] step (which forces every live volume).
 
-   Admission control rejects — never blocks — with two distinct typed
-   triggers, both judged against the op's target volume: [Queue_full]
-   when [queue_cap] sessions are already parked there (unconditional,
-   so each parked queue is bounded at any log fill), and [Backpressure]
-   when that volume's current log third is past [backpressure_fill]. A
-   rejected step is re-parked and retried after the volume's next
-   commit opportunity, up to [admission_retries] times; only then is it
-   dropped, and the drop is counted in the report rather than silently
-   lost.
+   Admission control rejects — never blocks — a mutating op when
+   [queue_cap] sessions are already parked on its target volume, so each
+   parked queue stays bounded. A rejected step is retried after the
+   volume's next commit opportunity, up to [admission_retries] times;
+   only then is it dropped, and the drop is counted in the report rather
+   than silently lost.
 
    The single-volume server is the degenerate case and is byte-identical
    to the historical one-FSD scheduler: with V = 1 every per-volume loop
@@ -49,37 +46,19 @@ open Cedar_fsd
 open Cedar_volumes
 open Cedar_workload
 
-type error =
-  | Queue_full of { depth : int; cap : int }
-  | Backpressure of { depth : int; fill : float; threshold : float }
-
-let pp_error ppf = function
-  | Queue_full { depth; cap } ->
-    Format.fprintf ppf "queue-full depth=%d cap=%d" depth cap
-  | Backpressure { depth; fill; threshold } ->
-    Format.fprintf ppf "backpressure depth=%d fill=%.2f threshold=%.2f" depth
-      fill threshold
-
 type config = {
-  max_batch : int;
   queue_cap : int;
-  backpressure_fill : float;
-  admission_retries : int;
   on_force : (int -> unit) option;
   on_ack : (client:int -> op:Concurrent.op -> unit) option;
-  on_reject : (client:int -> error -> unit) option;
 }
 
-let default_config =
-  {
-    max_batch = 64;
-    queue_cap = 256;
-    backpressure_fill = 1.0;
-    admission_retries = 8;
-    on_force = None;
-    on_ack = None;
-    on_reject = None;
-  }
+let default_config = { queue_cap = 256; on_force = None; on_ack = None }
+
+(* Parked sessions on one volume that trigger an early force. *)
+let max_batch = 64
+
+(* Rejected attempts retried before a step is dropped. *)
+let admission_retries = 8
 
 (* An executed op that is not acknowledged yet (see [complete]). *)
 type waiter = {
@@ -145,8 +124,7 @@ type vol = {
   v_batch_size : Stats.t;
   (* Per-op end-to-end latency (arrival to ack), every op kind. *)
   v_op_latency_us : Stats.t;
-  c_reject_queue_full : Metrics.counter;
-  c_reject_backpressure : Metrics.counter;
+  c_rejects : Metrics.counter;
   c_retries : Metrics.counter;
   c_dropped : Metrics.counter;
   c_acked : Metrics.counter;
@@ -202,8 +180,6 @@ type report = {
   log_forces : int;
   ops_per_force : float;
   total_rejected : int;
-  reject_queue_full : int;
-  reject_backpressure : int;
   total_retries : int;
   total_dropped : int;
   total_errors : int;
@@ -306,23 +282,25 @@ let complete t s w ~forced =
     max s.t_exec_end (max io_done (Option.value forced ~default:0))
   in
   let parked = Option.is_some forced in
+  (* Phase split of the post-execute wait, charged for every op: while
+     parked, the tail that overlaps the covering force's own device
+     writes is "append" (the op's share of log I/O latency); the rest —
+     the head of the park window, or the wait for the op's own device
+     requests — is "parked". Online approximation of the append share:
+     that volume's last server-force duration; Critpath computes the
+     exact overlap from force spans in the trace. *)
+  let post = done_at - s.t_exec_end in
+  let append = if parked then min post v.v_last_force_us else 0 in
+  Metrics.add v.c_phase_append_us append;
+  Metrics.add v.c_phase_parked_us (post - append);
   if w.w_mutation then begin
     (* The commit wait is the park window; a mutation a mid-op force
        (the bulk-trigger backstop) already covered never parked. *)
-    let wait = if parked then done_at - s.t_exec_end else 0 in
+    let wait = if parked then post else 0 in
     Stats.add v.v_commit_wait_us (float_of_int wait);
     if parked then begin
       s.wait_total_us <- s.wait_total_us + wait;
       if wait > s.wait_max_us then s.wait_max_us <- wait;
-      (* Phase split of the park window: the tail that overlaps the
-         covering force's own device writes is "append" (the op's share
-         of log I/O latency); the head is pure parked-for-force wait.
-         Online approximation: that volume's last server-force duration;
-         Critpath computes the exact overlap from force spans in the
-         trace. *)
-      let append = min wait v.v_last_force_us in
-      Metrics.add v.c_phase_append_us append;
-      Metrics.add v.c_phase_parked_us (wait - append);
       if Trace.enabled t.trace then
         Trace.emit t.trace ~at:done_at
           (Trace.Session_wait { client = s.client; us = wait })
@@ -377,12 +355,12 @@ let schedule_point t =
       if (not v.v_dead) && now t >= Fsd.commit_due_at v.v_fsd then force_vol t v)
     t.vols;
   Array.iter
-    (fun v -> if not v.v_dead then guarded t v (fun () -> Demons.run_due v.v_fsd))
+    (fun v -> if not v.v_dead then guarded t v (fun () -> Fsd.run_due_demons v.v_fsd))
     t.vols;
   poll_wakes t;
   Array.iter
     (fun v ->
-      if (not v.v_dead) && parked_on t v.v_id >= t.cfg.max_batch then begin
+      if (not v.v_dead) && parked_on t v.v_id >= max_batch then begin
         force_vol t v;
         poll_wakes t
       end)
@@ -405,35 +383,12 @@ let exec_op t v (op : Concurrent.op) =
   | List prefix -> ignore (Fsd.list fsd ~prefix : Cedar_fsbase.Fs_ops.info list)
   | Force -> force_all t
 
-(* The depth cap must hold unconditionally: each volume's parked queue
-   is a bounded resource, and tying it to log fill (as an earlier
+(* The depth cap holds unconditionally: each volume's parked queue is a
+   bounded resource, and tying the cap to log fill (as an earlier
    revision did) let it grow without limit whenever the log third
-   happened to be fresh. Backpressure from the target volume's log fill
-   is a second, independent trigger with its own typed error. *)
-let admission_reject t v (s : session) (op : Concurrent.op) =
-  if not (Concurrent.mutates op) then None
-  else begin
-    let depth = parked_on t v.v_id in
-    let reject c e =
-      s.rejected <- s.rejected + 1;
-      Metrics.inc c;
-      (match t.cfg.on_reject with Some f -> f ~client:s.client e | None -> ());
-      Some e
-    in
-    if depth >= t.cfg.queue_cap then
-      reject v.c_reject_queue_full (Queue_full { depth; cap = t.cfg.queue_cap })
-    else if t.cfg.backpressure_fill >= 1.0 then
-      (* 1.0 means "trigger off" by contract — and must be tested
-         explicitly, because [log_third_fill] legitimately reads exactly
-         1.0 while the head sits on a third boundary. *)
-      None
-    else
-      let fill = Fsd.log_third_fill v.v_fsd in
-      if fill >= t.cfg.backpressure_fill then
-        reject v.c_reject_backpressure
-          (Backpressure { depth; fill; threshold = t.cfg.backpressure_fill })
-      else None
-  end
+   happened to be fresh. *)
+let admission_rejects t v (op : Concurrent.op) =
+  Concurrent.mutates op && parked_on t v.v_id >= t.cfg.queue_cap
 
 (* Admission has already passed when this runs. [Fs_error] is a client
    error (bad name, missing file): count it and move on. A planted
@@ -503,10 +458,6 @@ let run_op t v s op =
     else if Cedar_disk.Device.pending io then s.state <- Iowait w
     else complete t s w ~forced:None
 
-let reject_label = function
-  | Queue_full _ -> "queue_full"
-  | Backpressure _ -> "backpressure"
-
 let step t s =
   match s.steps with
   | [] -> s.state <- Done
@@ -556,36 +507,42 @@ let step t s =
                    arrived_us = s.arrival_us;
                  })
         end;
-        match admission_reject t v s op with
-        | Some e when s.retries < t.cfg.admission_retries ->
-          (* Leave the step at the head of the script and retry once the
-             volume's next commit opportunity has had a chance to drain
-             its queue — a reject must never silently drop the mutation. *)
-          s.retries <- s.retries + 1;
-          Metrics.inc v.c_retries;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace ~at:(now t)
-              (Trace.Op_rejected
-                 { client = s.client; opseq = s.opseq; why = reject_label e });
-          s.state <-
-            Thinking { until = max (now t + 1) (Fsd.commit_due_at v.v_fsd) }
-        | Some _ ->
-          (* Retries exhausted: give up on this step, but account for it.
-             The whole submitted->dropped window was admission time. *)
-          let retries = s.retries in
-          s.retries <- 0;
-          s.dropped <- s.dropped + 1;
-          Metrics.inc v.c_dropped;
-          Metrics.add v.c_phase_admission_us (now t - s.t_submitted);
-          if Trace.enabled t.trace then
-            Trace.emit t.trace ~at:(now t)
-              (Trace.Op_dropped { client = s.client; opseq = s.opseq; retries });
-          s.arrival_us <- now t;
-          s.steps <- rest
-        | None ->
+        if not (admission_rejects t v op) then begin
           s.retries <- 0;
           s.steps <- rest;
           run_op t v s op
+        end
+        else begin
+          s.rejected <- s.rejected + 1;
+          Metrics.inc v.c_rejects;
+          if s.retries < admission_retries then begin
+            (* Leave the step at the head of the script and retry once the
+               volume's next commit opportunity has had a chance to drain
+               its queue — a reject must never silently drop the mutation. *)
+            s.retries <- s.retries + 1;
+            Metrics.inc v.c_retries;
+            if Trace.enabled t.trace then
+              Trace.emit t.trace ~at:(now t)
+                (Trace.Op_rejected
+                   { client = s.client; opseq = s.opseq; why = "queue_full" });
+            s.state <-
+              Thinking { until = max (now t + 1) (Fsd.commit_due_at v.v_fsd) }
+          end
+          else begin
+            (* Retries exhausted: give up on this step, but account for it.
+               The whole submitted->dropped window was admission time. *)
+            let retries = s.retries in
+            s.retries <- 0;
+            s.dropped <- s.dropped + 1;
+            Metrics.inc v.c_dropped;
+            Metrics.add v.c_phase_admission_us (now t - s.t_submitted);
+            if Trace.enabled t.trace then
+              Trace.emit t.trace ~at:(now t)
+                (Trace.Op_dropped { client = s.client; opseq = s.opseq; retries });
+            s.arrival_us <- now t;
+            s.steps <- rest
+          end
+        end
       end))
 
 (* ------------------------------------------------------------------ *)
@@ -681,7 +638,6 @@ let force_drain t =
 
 let create_volumes ?(config = default_config) vset scripts =
   if Array.length scripts = 0 then invalid_arg "Server.create: no scripts";
-  if config.max_batch < 1 then invalid_arg "Server.create: max_batch < 1";
   if config.queue_cap < 1 then invalid_arg "Server.create: queue_cap < 1";
   let clock = Volume_set.clock vset in
   let t0 = Simclock.now clock in
@@ -728,8 +684,7 @@ let create_volumes ?(config = default_config) vset scripts =
           v_commit_wait_us = Metrics.dist m "server.commit_wait_us";
           v_batch_size = Metrics.dist m "server.batch_size";
           v_op_latency_us = Metrics.dist m "server.op_latency_us";
-          c_reject_queue_full = Metrics.counter m "server.rejects.queue_full";
-          c_reject_backpressure = Metrics.counter m "server.rejects.backpressure";
+          c_rejects = Metrics.counter m "server.rejects.queue_full";
           c_retries = Metrics.counter m "server.retries";
           c_dropped = Metrics.counter m "server.dropped";
           c_acked = Metrics.counter m "server.acked";
@@ -819,9 +774,6 @@ let run t =
       (if log_forces = 0 then 0.
        else float_of_int mutations_acked /. float_of_int log_forces);
     total_rejected = total (fun s -> s.rejected);
-    reject_queue_full = vtotal (fun v -> Metrics.counter_value v.c_reject_queue_full);
-    reject_backpressure =
-      vtotal (fun v -> Metrics.counter_value v.c_reject_backpressure);
     total_retries = vtotal (fun v -> Metrics.counter_value v.c_retries);
     total_dropped = total (fun s -> s.dropped);
     total_errors = total (fun s -> s.errors);
@@ -920,8 +872,6 @@ let report_json r =
        ("log_forces", Jsonb.Int r.log_forces);
        ("ops_per_force", Jsonb.Float r.ops_per_force);
        ("rejected", Jsonb.Int r.total_rejected);
-       ("rejects_queue_full", Jsonb.Int r.reject_queue_full);
-       ("rejects_backpressure", Jsonb.Int r.reject_backpressure);
        ("retries", Jsonb.Int r.total_retries);
        ("dropped", Jsonb.Int r.total_dropped);
        ("errors", Jsonb.Int r.total_errors);

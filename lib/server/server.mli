@@ -4,7 +4,7 @@
     client sessions each replay a {!Cedar_workload.Concurrent.script}
     against a {!Cedar_volumes.Volume_set.t}. Operations run to
     completion on the volume that owns the file name (a stable
-    name-prefix hash, {!Cedar_volumes.Shard_map}); a session that
+    name-prefix hash, {!Cedar_volumes.Volume_set.route}); a session that
     performed a metadata mutation parks on the owning volume's batcher
     and is acknowledged only when a log force on that volume covers its
     transaction — the paper's §5.4 commit protocol ("the process doing
@@ -21,16 +21,14 @@
     services them in policy order.
 
     Each volume's batcher forces on three triggers: its half-second
-    commit interval, [max_batch] sessions parked on it, or an explicit
-    client [Force] (which flushes every live volume). Admission control
-    rejects — never blocks — on two distinct triggers judged against
-    the op's target volume: {!Queue_full} when [queue_cap] sessions are
-    already parked there (unconditional, so each parked queue stays
-    bounded at any log fill), and {!Backpressure} when that volume's
-    current log third is past [backpressure_fill]. A rejected step
-    stays at the head of its script and is retried after the volume's
-    next commit opportunity, up to [admission_retries] times; only then
-    is it dropped, and the drop is counted in the report.
+    commit interval, 64 sessions parked on it, or an explicit client
+    [Force] (which flushes every live volume). Admission control
+    rejects — never blocks — a mutating op when [queue_cap] sessions
+    are already parked on its target volume, so each parked queue
+    stays bounded. A rejected step stays at the head of its script and
+    is retried after the volume's next commit opportunity, up to 8
+    times; only then is it dropped, and the drop is counted in the
+    report.
 
     The single-volume server ({!create}, over
     {!Cedar_volumes.Volume_set.of_fsd}) is the degenerate case and is
@@ -42,39 +40,20 @@
     the only clock is the simulated one; scripts carry their own
     seeds). *)
 
-type error =
-  | Queue_full of { depth : int; cap : int }
-      (** [depth] sessions were parked against a cap of [cap] — the
-          unconditional admission depth cap *)
-  | Backpressure of { depth : int; fill : float; threshold : float }
-      (** the current log third is [fill] consumed, past the configured
-          [threshold] *)
-(** Why admission rejected a mutating operation. *)
-
-val pp_error : Format.formatter -> error -> unit
-
 type config = {
-  max_batch : int;  (** parked sessions that trigger an early force *)
-  queue_cap : int;  (** unconditional admission depth cap *)
-  backpressure_fill : float;
-      (** {!Cedar_fsd.Fsd.log_third_fill} fraction at which mutating
-          admissions are rejected with {!Backpressure}; 0.0 rejects
-          every mutation, 1.0 disables the trigger *)
-  admission_retries : int;
-      (** rejected steps are retried this many times (after the next
-          commit opportunity each time) before being dropped *)
+  queue_cap : int;
+      (** admission depth cap: a mutating op is rejected while this
+          many sessions are parked on its target volume *)
   on_force : (int -> unit) option;
       (** called with the force ordinal (1-based) just before each
           server-initiated force — the crash-injection hook *)
   on_ack : (client:int -> op:Cedar_workload.Concurrent.op -> unit) option;
       (** called when a mutating operation's transaction becomes
           durable and its session is released *)
-  on_reject : (client:int -> error -> unit) option;
 }
 
 val default_config : config
-(** [max_batch = 64], [queue_cap = 256], [backpressure_fill = 1.0]
-    (fill trigger off), [admission_retries = 8], no hooks. *)
+(** [queue_cap = 256], no hooks. *)
 
 type t
 
@@ -83,7 +62,7 @@ type session_report = {
   r_ops : int;  (** operations executed (rejected ones excluded) *)
   r_mutations : int;  (** mutating operations acknowledged durable *)
   r_rejected : int;  (** admission rejects, including retried ones *)
-  r_dropped : int;  (** steps abandoned after [admission_retries] rejects *)
+  r_dropped : int;  (** steps abandoned after 8 retried rejects *)
   r_errors : int;  (** operations that raised [Fs_error] *)
   r_aborted : string option;
       (** set when a non-[Fs_error] exception terminated the session *)
@@ -108,9 +87,7 @@ type report = {
   server_forces : int;  (** forces the scheduler initiated *)
   log_forces : int;  (** all log forces, including mid-op backstops *)
   ops_per_force : float;  (** mutations acked per log force *)
-  total_rejected : int;
-  reject_queue_full : int;  (** [server.rejects.queue_full] counter *)
-  reject_backpressure : int;  (** [server.rejects.backpressure] counter *)
+  total_rejected : int;  (** admission rejects, including retried ones *)
   total_retries : int;  (** [server.retries] counter *)
   total_dropped : int;
   total_errors : int;
@@ -135,11 +112,10 @@ val create :
     Registers the [server.queue_depth] gauge, the
     [server.commit_wait_us] / [server.batch_size] distributions, and
     the admission counters [server.rejects.queue_full],
-    [server.rejects.backpressure], [server.retries] and
-    [server.dropped] in the volume's metrics registry (so
-    [cedar serve --json] and [cedar stats] expose them). Raises
-    [Invalid_argument] on an empty script array or a non-positive
-    [max_batch]/[queue_cap]. *)
+    [server.retries] and [server.dropped] in the volume's metrics
+    registry (so [cedar serve --json] and [cedar stats] expose them).
+    Raises [Invalid_argument] on an empty script array or a
+    non-positive [queue_cap]. *)
 
 val create_volumes :
   ?config:config ->

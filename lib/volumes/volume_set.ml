@@ -3,7 +3,6 @@ open Cedar_disk
 open Cedar_fsd
 
 type t = {
-  map : Shard_map.t;
   vols : Fsd.t array;
   devices : Device.t array;
   clock : Simclock.t;
@@ -11,54 +10,31 @@ type t = {
   trace : Cedar_obs.Trace.t;
 }
 
-let prefix ~count i = if count <= 1 then "" else Printf.sprintf "vol%d." i
-
-let scoped_view ~count metrics i =
-  let p = prefix ~count i in
-  if p = "" then metrics else Cedar_obs.Metrics.scoped metrics p
-
-let of_fsds ?metrics vols =
-  let count = Array.length vols in
-  if count = 0 then invalid_arg "Volume_set.of_fsds: empty";
-  Array.iteri
-    (fun i fs ->
-      if Fsd.shard fs <> i then
-        invalid_arg
-          (Printf.sprintf "Volume_set.of_fsds: volume %d is shard %d" i
-             (Fsd.shard fs)))
-    vols;
-  let devices = Array.map Fsd.device vols in
-  let clock = Device.clock devices.(0) in
-  let metrics =
-    (* For one volume the device registry IS the root (no prefix
-       anywhere — the historical names); for several the caller must
-       hand us the root their scoped per-device views were cut from. *)
-    match metrics with
-    | Some m -> m
-    | None ->
-      if count > 1 then
-        invalid_arg "Volume_set.of_fsds: multi-volume set needs ~metrics (root)";
-      Device.metrics devices.(0)
-  in
+(* For one volume the device registry IS the root: no prefix anywhere,
+   the historical names. *)
+let of_fsd fs =
+  if Fsd.shard fs <> 0 then
+    invalid_arg
+      (Printf.sprintf "Volume_set.of_fsd: volume is shard %d" (Fsd.shard fs));
+  let device = Fsd.device fs in
   {
-    map = Shard_map.create ~shards:count;
-    vols;
-    devices;
-    clock;
-    metrics;
-    trace = Device.trace devices.(0);
+    vols = [| fs |];
+    devices = [| device |];
+    clock = Device.clock device;
+    metrics = Device.metrics device;
+    trace = Device.trace device;
   }
 
-let of_fsd fs = of_fsds [| fs |]
-
-let create_fresh ?(geom = Geometry.trident_t300) ?params ?trace ?metrics ~clock
-    count =
-  if count < 1 || count > Shard_map.max_shards then
-    invalid_arg "Volume_set.create_fresh: volume count out of range";
+let create_fresh ?(geom = Geometry.trident_t300) ?params ~clock count =
+  (* The log record header stores the shard id as one byte. *)
+  if count < 1 || count > 256 then
+    invalid_arg "Volume_set.create_fresh: volume count outside [1, 256]";
   let base = match params with Some p -> p | None -> Params.for_geometry geom in
-  let trace = match trace with Some tr -> tr | None -> Cedar_obs.Trace.create () in
-  let metrics =
-    match metrics with Some m -> m | None -> Cedar_obs.Metrics.create ()
+  let trace = Cedar_obs.Trace.create () in
+  let metrics = Cedar_obs.Metrics.create () in
+  let scoped_view i =
+    if count = 1 then metrics
+    else Cedar_obs.Metrics.scoped metrics (Printf.sprintf "vol%d." i)
   in
   let devices =
     Array.init count (fun i ->
@@ -67,7 +43,7 @@ let create_fresh ?(geom = Geometry.trident_t300) ?params ?trace ?metrics ~clock
            instead of serialising on the shared clock. One volume keeps
            the shared clock (depth 0). *)
         Device.create ~id:i ~depth:(if count > 1 then 1 else 0) ~trace
-          ~metrics:(scoped_view ~count metrics i) ~clock geom)
+          ~metrics:(scoped_view i) ~clock geom)
   in
   let vols =
     Array.mapi
@@ -77,17 +53,15 @@ let create_fresh ?(geom = Geometry.trident_t300) ?params ?trace ?metrics ~clock
         fst (Fsd.boot ~params device))
       devices
   in
-  { map = Shard_map.create ~shards:count; vols; devices; clock; metrics; trace }
+  { vols; devices; clock; metrics; trace }
 
 let count t = Array.length t.vols
-let map t = t.map
 let vol t i = t.vols.(i)
 let device t i = t.devices.(i)
 let clock t = t.clock
 let metrics t = t.metrics
 let trace t = t.trace
-let route t name = Shard_map.route t.map name
-let metrics_prefix t i = prefix ~count:(count t) i
+let route t name = Cedar_fsbase.Fname.shard ~shards:(count t) name
 
 (* Reboot volume [i] in place (the caller just crash-recovered it). The
    replacement must have been booted from the same device so the scoped

@@ -20,34 +20,32 @@ type t
 val create_fresh :
   ?geom:Cedar_disk.Geometry.t ->
   ?params:Cedar_fsd.Params.t ->
-  ?trace:Cedar_obs.Trace.t ->
-  ?metrics:Cedar_obs.Metrics.t ->
   clock:Cedar_util.Simclock.t ->
   int ->
   t
 (** [create_fresh ~clock n] formats and boots [n] fresh in-memory
     volumes on [geom] (default trident_t300), volume [i] formatted with
     [shard_id = i] ([params] supplies the other knobs; default
-    {!Cedar_fsd.Params.for_geometry}). All devices share [clock],
-    [trace] and scoped views of [metrics] (fresh ones when omitted).
-    Raises [Invalid_argument] when [n] is outside
-    [1, {!Shard_map.max_shards}]. *)
+    {!Cedar_fsd.Params.for_geometry}). All devices share [clock], one
+    fresh trace and scoped views of one fresh metrics root. Raises
+    [Invalid_argument] when [n] is outside [1, 256] (the log record
+    header stores the shard id as one byte). *)
 
 val of_fsd : Cedar_fsd.Fsd.t -> t
 (** Wrap one already-booted volume (which must be shard 0) — the
-    degenerate set [Server.create] uses. *)
-
-val of_fsds : ?metrics:Cedar_obs.Metrics.t -> Cedar_fsd.Fsd.t array -> t
-(** Wrap already-booted volumes; volume [i] must be shard [i]. For more
-    than one volume, [metrics] (the root registry the per-device scoped
-    views were cut from) is required. Raises [Invalid_argument] on an
-    empty array, a shard mismatch, or a missing root. *)
+    degenerate set [Server.create] uses. Raises [Invalid_argument]
+    otherwise. *)
 
 val count : t -> int
-val map : t -> Shard_map.t
 
 val route : t -> string -> int
-(** The volume index owning a file name ({!Shard_map.route}). *)
+(** The volume index owning a file name, in [0, count): an FNV-1a hash
+    of the name's first path component ({!Cedar_fsbase.Fname.shard}).
+    The mapping is a stable function of the name and the volume count
+    alone — the same name lands on the same volume in every process,
+    after every reboot, with no routing table to persist or recover —
+    and names sharing a top-level directory land on the same volume,
+    so [list] stays a single-volume operation. *)
 
 val vol : t -> int -> Cedar_fsd.Fsd.t
 val device : t -> int -> Cedar_disk.Device.t
@@ -58,10 +56,6 @@ val metrics : t -> Cedar_obs.Metrics.t
     unprefixed names, multi-volume ones under ["volN."] prefixes. *)
 
 val trace : t -> Cedar_obs.Trace.t
-
-val metrics_prefix : t -> int -> string
-(** ["volN."] for volume [N] of a multi-volume set, [""] for the
-    single-volume degenerate case — the compatibility view contract. *)
 
 val replace : t -> int -> Cedar_fsd.Fsd.t -> unit
 (** Swap in a freshly rebooted [Fsd.t] for volume [i] after crash

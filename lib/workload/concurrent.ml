@@ -176,7 +176,7 @@ let crash_reference ~clients =
   Array.init clients (fun client -> crash_reference_client ~client)
 
 (* ------------------------------------------------------------------ *)
-(* Adversarial shapes for fairness and backpressure tests. *)
+(* Adversarial shapes for fairness and admission tests. *)
 
 let bulk_writer ~client ~files ~bytes ~think_us ~seed =
   let rng = Rng.create seed in

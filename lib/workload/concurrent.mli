@@ -70,7 +70,7 @@ val crash_reference : clients:int -> script array
     too. Unique names and session-ordered deletes keep the post-crash
     acked/unacked oracle unambiguous. *)
 
-(** {1 Adversarial shapes (fairness and backpressure tests)} *)
+(** {1 Adversarial shapes (fairness and admission tests)} *)
 
 val bulk_writer :
   client:int -> files:int -> bytes:int -> think_us:int -> seed:int -> script

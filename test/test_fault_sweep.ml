@@ -255,7 +255,7 @@ let test_metadata_silent_corruption_sweep () =
   let oc = open_out_bin tmp in
   Device.dump device oc;
   close_out oc;
-  let interval = (Params.for_geometry geom).Params.scrub_interval_us in
+  let interval = Params.scrub_interval_us in
   let rng = Rng.create 4242 in
   List.iter
     (fun s ->

@@ -231,7 +231,7 @@ let test_scavenge_empty_volume () =
 (* ------------------------------------------------------------------ *)
 (* The online scrub demon. *)
 
-let scrub_interval = (Params.for_geometry geom).Params.scrub_interval_us
+let scrub_interval = Params.scrub_interval_us
 
 (* Enough passes to cover every FNT page pair and every leader. *)
 let run_scrub_to_completion fs =

@@ -1,7 +1,8 @@
-(* Concurrent multi-client server and group-commit batcher (ISSUE 4):
+(* Concurrent multi-client server and group-commit batcher:
    determinism, batching amortisation, fairness under a bulk writer,
-   backpressure rejects, crash atomicity of acknowledged transactions,
-   the Demons.run_due split, and the script-file parser. *)
+   admission rejects and drops, crash atomicity of acknowledged
+   transactions, the run_due_demons split, the script-file parser, the
+   one completion rule and the online phase counters. *)
 
 open Cedar_util
 open Cedar_disk
@@ -132,75 +133,82 @@ let test_fairness_no_starvation () =
     (r.S.wait_p99_us < float_of_int (3 * interval))
 
 (* ------------------------------------------------------------------ *)
-(* Admission control: typed rejects, never a block, never a lost op     *)
+(* Admission control: rejects, never a block, never a lost op          *)
 
-(* Regression (ISSUE 5): the depth cap used to be gated on log fill, so
-   with a near-empty log the parked queue could grow past [queue_cap].
-   The cap must hold unconditionally, and a rejected step must be
-   retried rather than silently dropped. *)
+(* Admission events in a trace: (retried rejects, drops), for [client]
+   only when given. *)
+let admission_events ?client entries =
+  let mine c = Option.fold ~none:true ~some:(Int.equal c) client in
+  List.fold_left
+    (fun (rejected, dropped) (e : Obs.Trace.entry) ->
+      match e.Obs.Trace.event with
+      | Obs.Trace.Op_rejected { client = c; _ } when mine c -> (rejected + 1, dropped)
+      | Obs.Trace.Op_dropped { client = c; _ } when mine c -> (rejected, dropped + 1)
+      | _ -> (rejected, dropped))
+    (0, 0) entries
+
+(* Serve with the volume's trace on; returns the report and the trace. *)
+let serve_traced ?config fs scripts =
+  let tr = Device.trace (Fsd.device fs) in
+  Obs.Trace.enable ~capacity:(1 lsl 16) tr;
+  let r = S.serve ?config fs scripts in
+  Obs.Trace.disable tr;
+  check int "trace kept every entry" 0 (Obs.Trace.dropped tr);
+  (r, Obs.Trace.to_list tr)
+
+(* Regression: the depth cap used to be gated on log fill, so with a
+   near-empty log the parked queue could grow past [queue_cap]. The cap
+   must hold unconditionally, and a rejected step must be retried rather
+   than silently dropped. *)
 let test_queue_cap_unconditional () =
   let _, fs = fresh_fs () in
-  let rejects = ref [] in
-  let config =
-    {
-      S.default_config with
-      S.queue_cap = 2;
-      max_batch = 1000;
-      on_reject =
-        Some
-          (fun ~client e ->
-            (match e with
-            | S.Queue_full { depth; cap } ->
-              check int "cap reported" 2 cap;
-              check bool "depth at or over cap" true (depth >= cap)
-            | S.Backpressure _ ->
-              Alcotest.fail "fill trigger is disabled at threshold 1.0");
-            rejects := client :: !rejects);
-    }
-  in
+  let config = { S.default_config with S.queue_cap = 2 } in
   let scripts =
     Array.init 4 (fun client ->
         create_script ~client ~creates:4 ~bytes:600 ~think:0)
   in
-  let r = S.serve ~config fs scripts in
+  let r, entries = serve_traced ~config fs scripts in
   check bool "cap rejected some admissions despite empty log" true
     (r.S.total_rejected > 0);
-  check int "hook saw every reject" r.S.total_rejected (List.length !rejects);
+  let rejected, dropped = admission_events entries in
+  check int "every reject traced as a retry or a drop" r.S.total_rejected
+    (rejected + dropped);
   check int "rejects are not errors" 0 r.S.total_errors;
   (* Never lost: every mutation is eventually acked or counted dropped. *)
   check int "acked + dropped covers every mutation" 16
     (r.S.mutations_acked + r.S.total_dropped);
   check int "retries eventually drained the queue" 0 r.S.total_dropped
 
-(* Regression (ISSUE 5): log-fill backpressure is a distinct trigger
-   with its own typed error, and exhausting the bounded retries turns
-   into an accounted drop — not a silent loss. *)
-let test_backpressure_typed_reject () =
+(* Retries are bounded. With [queue_cap = 1] a writer that creates back
+   to back (no think steps) parks again before its neighbour's retry
+   comes round, so the neighbour's create is rejected on arrival and on
+   each of its 8 retries, then dropped — counted and traced, never lost
+   silently — while every one of the writer's creates is acked. *)
+let test_queue_cap_drop () =
   let _, fs = fresh_fs () in
-  let saw = ref 0 in
-  let config =
-    {
-      S.default_config with
-      S.backpressure_fill = 0.0;
-      admission_retries = 2;
-      on_reject =
-        Some
-          (fun ~client:_ e ->
-            match e with
-            | S.Backpressure { depth; threshold; _ } ->
-              check int "queue empty at reject time" 0 depth;
-              check bool "threshold echoed" true (threshold = 0.0);
-              incr saw
-            | S.Queue_full _ ->
-              Alcotest.fail "queue is nowhere near its cap");
-    }
+  let create client i =
+    C.Op (C.Create { name = Printf.sprintf "c%02d/f%d" client i; bytes = 600; fill = i })
   in
-  let scripts = [| create_script ~client:0 ~creates:2 ~bytes:600 ~think:0 |] in
-  let r = S.serve ~config fs scripts in
-  check int "arrival + 2 retries rejected per step" 6 r.S.total_rejected;
-  check int "hook saw every reject" 6 !saw;
-  check int "exhausted retries counted as drops" 2 r.S.total_dropped;
-  check int "nothing acked" 0 r.S.mutations_acked
+  let scripts = [| List.init 12 (create 0); [ create 1 0 ] |] in
+  let r, entries =
+    serve_traced ~config:{ S.default_config with S.queue_cap = 1 } fs scripts
+  in
+  let session c = List.nth r.S.per_session c in
+  check int "client 1 rejected on arrival and 8 retries" 9 (session 1).S.r_rejected;
+  check int "client 1's create dropped" 1 (session 1).S.r_dropped;
+  check int "client 1 acked nothing" 0 (session 1).S.r_mutations;
+  check int "8 retries counted" 8 r.S.total_retries;
+  check int "client 0 acked all 12" 12 (session 0).S.r_mutations;
+  check (Alcotest.pair int int) "client 1 traced as 8 retried rejects and a drop"
+    (8, 1) (admission_events ~client:1 entries);
+  check bool "the drop is traced with its 8 retries" true
+    (List.exists
+       (fun (e : Obs.Trace.entry) ->
+         match e.Obs.Trace.event with
+         | Obs.Trace.Op_dropped { client = 1; retries = 8; _ } -> true
+         | _ -> false)
+       entries);
+  check bool "the dropped create left no file" false (Fsd.exists fs ~name:"c01/f0")
 
 (* ------------------------------------------------------------------ *)
 (* Crash atomicity: acked present, unacked absent                       *)
@@ -254,7 +262,7 @@ let test_crash_atomicity () =
     unacked
 
 (* ------------------------------------------------------------------ *)
-(* Demons.run_due is exactly the demon half of Fsd.tick                 *)
+(* run_due_demons is exactly the demon half of Fsd.tick                 *)
 
 let test_demons_split_equivalence () =
   let drive advance =
@@ -267,9 +275,9 @@ let test_demons_split_equivalence () =
   let via_demons =
     drive (fun fs us ->
         Simclock.advance (Device.clock (Fsd.device fs)) us;
-        Demons.run_due fs)
+        Fsd.run_due_demons fs)
   in
-  check bool "advance + Demons.run_due ≡ tick" true (via_tick = via_demons)
+  check bool "advance + run_due_demons ≡ tick" true (via_tick = via_demons)
 
 (* ------------------------------------------------------------------ *)
 (* Params validation                                                    *)
@@ -441,44 +449,74 @@ let makedo ~clients =
     { C.default_spec with C.modules = 3; rounds = 1; think_us = 20_000 }
     ~clients
 
-let small_params = Params.for_geometry Geometry.small_test
+(* The three device timings the scheduler must treat alike: one
+   synchronous volume, two volumes on their own timelines, and one
+   volume behind an elevator request queue. *)
+let fresh_set ?params volumes =
+  Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test ?params
+    ~clock:(Simclock.create ()) volumes
+
+let queued_params =
+  {
+    (Params.for_geometry Geometry.small_test) with
+    Params.disk_qdepth = 4;
+    disk_sched = Device.Elevator;
+  }
 
 let test_rule_sync () =
-  let vset =
-    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test
-      ~clock:(Simclock.create ()) 1
-  in
-  check_rule_run ~dev_of_client:(fun _ -> 0) vset (makedo ~clients:3)
+  check_rule_run ~dev_of_client:(fun _ -> 0) (fresh_set 1) (makedo ~clients:3)
 
 let test_rule_own_timelines () =
-  let vset =
-    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test
-      ~clock:(Simclock.create ()) 2
-  in
   check_rule_run
     ~dev_of_client:(fun c -> c mod 2)
-    vset
+    (fresh_set 2)
     (C.shard_scripts (makedo ~clients:4) ~volumes:2)
 
 let test_rule_queued () =
-  let params =
-    { small_params with Params.disk_qdepth = 4; disk_sched = Device.Elevator }
-  in
-  let vset =
-    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test ~params
-      ~clock:(Simclock.create ()) 1
-  in
-  check_rule_run ~dev_of_client:(fun _ -> 0) vset (makedo ~clients:4)
+  check_rule_run ~dev_of_client:(fun _ -> 0)
+    (fresh_set ~params:queued_params 1)
+    (makedo ~clients:4)
+
+(* The online phase counters (kept with tracing off, read by the
+   monitor's sat.phase_* gauges) account for every microsecond Critpath
+   finds in the trace: summed over every op and volume, queue +
+   admission + execute + append + parked equals the sum of the ops'
+   end-to-end latencies. Only the append/parked split may differ. *)
+let check_phase_totals what vset scripts =
+  let tr = Cedar_volumes.Volume_set.trace vset in
+  Obs.Trace.enable ~capacity:(1 lsl 18) tr;
+  ignore (S.serve_volumes vset scripts : S.report);
+  Obs.Trace.disable tr;
+  check int (what ^ ": trace kept every entry") 0 (Obs.Trace.dropped tr);
+  let cp = Obs.Critpath.fold (Obs.Trace.to_list tr) in
+  check int (what ^ ": every lifecycle finished") 0 cp.Obs.Critpath.unfinished;
+  let online = ref 0 in
+  Cedar_volumes.Volume_set.iter
+    (fun _ fs ->
+      List.iter
+        (fun ph ->
+          let name = "server.phase." ^ Obs.Critpath.phase_name ph ^ "_us" in
+          online := !online + Option.get (Obs.Metrics.read (Fsd.metrics fs) name))
+        Obs.Critpath.[ Queue; Admission; Execute; Append; Parked ])
+    vset;
+  check int
+    (what ^ ": online phase totals = Critpath total")
+    (List.fold_left (fun n r -> n + Obs.Critpath.total_us r) 0 cp.Obs.Critpath.ops)
+    !online
+
+let test_phase_totals () =
+  check_phase_totals "synchronous volume" (fresh_set 1) (makedo ~clients:3);
+  check_phase_totals "own-timeline volumes" (fresh_set 2)
+    (C.shard_scripts (makedo ~clients:4) ~volumes:2);
+  check_phase_totals "queued volume" (fresh_set ~params:queued_params 1)
+    (makedo ~clients:4)
 
 (* An op that issues no device request is acked at its execute end, even
    while its device is still busy with another session's create: on a
    two-volume set the devices run on their own timelines, and the other
    session's I/O is no part of this op. *)
 let test_no_io_op_acked_at_execute_end () =
-  let vset =
-    Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test
-      ~clock:(Simclock.create ()) 2
-  in
+  let vset = fresh_set 2 in
   let dir = Cedar_fsbase.Fname.shard_dir ~shards:2 0 in
   let scripts =
     [|
@@ -548,11 +586,11 @@ let suite =
       test_fairness_no_starvation;
     Alcotest.test_case "depth cap holds even with an empty log" `Quick
       test_queue_cap_unconditional;
-    Alcotest.test_case "fill backpressure is a distinct typed reject" `Quick
-      test_backpressure_typed_reject;
+    Alcotest.test_case "depth cap drops after 8 retries" `Quick
+      test_queue_cap_drop;
     Alcotest.test_case "crash keeps acked, drops unacked" `Quick
       test_crash_atomicity;
-    Alcotest.test_case "Demons.run_due matches Fsd.tick" `Quick
+    Alcotest.test_case "run_due_demons matches Fsd.tick" `Quick
       test_demons_split_equivalence;
     Alcotest.test_case "blackbox cadence param is validated" `Quick
       test_params_blackbox_cadence_validated;
@@ -569,4 +607,6 @@ let suite =
       test_rule_queued;
     Alcotest.test_case "no-I/O op acked at execute end" `Quick
       test_no_io_op_acked_at_execute_end;
+    Alcotest.test_case "online phase totals match Critpath" `Quick
+      test_phase_totals;
   ]

@@ -14,7 +14,6 @@ open Cedar_fsd
 module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 module V = Cedar_volumes.Volume_set
-module Sm = Cedar_volumes.Shard_map
 module Obs = Cedar_obs
 
 let check = Alcotest.check
@@ -45,15 +44,15 @@ let creates_on ~volumes ~vid ~tag ~creates ~bytes ~think =
 (* Shard map                                                           *)
 
 let test_shard_map_stable_and_balanced () =
-  let map = Sm.create ~shards:4 in
+  let vset = V.create_fresh ~geom:Geometry.small_test ~clock:(Simclock.create ()) 4 in
   let names =
     List.init 200 (fun i -> Printf.sprintf "dir%02d/sub/f%03d" (i mod 37) i)
   in
   let hits = Array.make 4 0 in
   List.iter
     (fun n ->
-      let s = Sm.route map n in
-      check int "route is stable" s (Sm.route map n);
+      let s = V.route vset n in
+      check int "route is stable" s (V.route vset n);
       check int "route matches Fname.shard" s (Fname.shard ~shards:4 n);
       hits.(s) <- hits.(s) + 1)
     names;
@@ -64,8 +63,8 @@ let test_shard_map_stable_and_balanced () =
   (* Only the first path component decides, so a client's whole
      namespace stays on one volume. *)
   check int "routing ignores the tail"
-    (Sm.route map "dir00/a")
-    (Sm.route map "dir00/completely/different/tail");
+    (V.route vset "dir00/a")
+    (V.route vset "dir00/completely/different/tail");
   check int "one shard routes everything" 0 (Fname.shard ~shards:1 "anything")
 
 let test_shard_dir_routes_home () =
