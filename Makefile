@@ -171,7 +171,9 @@ qdepth-smoke:
 # ledger, perfbench/ledger.ml). Every run checks the oracle fold,
 # Fsd.check, byte identity of traced and untraced reps and
 # critical-path conservation, and its last line is the JSON result,
-# which must read "correct": true.
+# which must read "correct": true. A traced run must also see a real
+# append phase (phase.append_p99_ms > 0): parked creates share their
+# covering force's log write on both workloads.
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
 	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \
@@ -179,6 +181,11 @@ perf-smoke:
 			> _build/perf-smoke/$$w-trace$$tr.out || exit 1; \
 		tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | grep -q '"correct": true' || \
 			{ echo "perf-smoke: $$w --trace $$tr not correct"; exit 1; }; \
+		if [ $$tr = 1 ]; then \
+			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
+				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["phase.append_p99_ms"]["value"] <= 0)' || \
+				{ echo "perf-smoke: $$w --trace 1 phase.append_p99_ms is not > 0"; exit 1; }; \
+		fi; \
 		echo "perf-smoke: $$w --trace $$tr correct"; \
 	done; done
 

@@ -2,8 +2,8 @@
 
    Re-drives the saturation-knee ladder of bench timeline — same
    geometry, client count, arrival budget, queue cap and shortened
-   commit interval — but with lifecycle tracing on, and folds each
-   rung's trace through Critpath into conserved per-op phase vectors.
+   commit interval — but with lifecycle tracing on, and collects each
+   rung's per-op phase records through Critpath.
    The artifact this bench exists to pin down is the *blame shift*
    across the knee, Hagmann's §5.4 trade seen per-op:
 
@@ -58,7 +58,9 @@ let run_rung rate =
       { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
       ~clients
   in
-  let report = S.serve ~config fs scripts in
+  let report =
+    S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
+  in
   Trace.disable tr;
   let anatomy = Crit.fold (Trace.to_list tr) in
   { rate; report; anatomy; json = J.to_string (Crit.to_json anatomy) }

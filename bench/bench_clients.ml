@@ -21,7 +21,7 @@ type row = { n : int; r : S.report }
 let run_one n =
   let _device, fs = Setup.fsd_volume () in
   let scripts = C.makedo_scripts spec ~clients:n in
-  let r = S.serve fs scripts in
+  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   { n; r }
 
 let throughput_ops_s row =

@@ -69,7 +69,7 @@ let run_cell ~clients ~policy ~depth =
   Fsd.format device params;
   let fs, _report = Fsd.boot ~params device in
   let scripts = C.churn_scripts spec ~clients in
-  let r = S.serve fs scripts in
+  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   let lat =
     match M.read_dist (Device.metrics device) "server.op_latency_us" with
     | Some st -> st

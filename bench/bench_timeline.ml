@@ -70,7 +70,9 @@ let run_rung rate =
       { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
       ~clients
   in
-  let report = S.serve ~config fs scripts in
+  let report =
+    S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
+  in
   let samples = Mon.samples m in
   {
     rate;

@@ -594,7 +594,10 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
             (* frames to stderr under --json so the report stays parseable *)
             attach_watch (if json then stderr else stdout) m
           | Some _ | None -> ());
-          let r = Cedar_server.Server.serve fs scripts in
+          let r =
+            Cedar_server.Server.serve_volumes
+              (Cedar_volumes.Volume_set.of_fsd fs) scripts
+          in
           (match mon with
           | None -> ()
           | Some m ->
@@ -608,8 +611,8 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
   end
 
 (* Latency anatomy: run a server workload with lifecycle tracing on,
-   fold the trace into conserved per-op phase vectors (Critpath) and
-   report which phase dominates the tail. The image is not saved, so
+   collect the server's per-op phase records from the trace (Critpath)
+   and report which phase dominates the tail. The image is not saved, so
    same-seed runs are byte-comparable — `why --json` is deterministic. *)
 let cmd_why path clients seed think_us rounds open_rate open_ops churn json
     op_filter top chrome =
@@ -639,10 +642,13 @@ let cmd_why path clients seed think_us rounds open_rate open_ops churn json
       | Cfs_vol _ -> fail "why requires an FSD volume (server lifecycles)"
       | Fsd_vol fs ->
         let tr = Cedar_fsd.Fsd.trace fs in
-        (* A generous ring: a dropped lifecycle start would turn into an
-           orphan and weaken the conservation statement. *)
+        (* A generous ring: an op record that falls off it is missing
+           from the anatomy. *)
         Obs.Trace.enable ~capacity:(1 lsl 20) tr;
-        ignore (Cedar_server.Server.serve fs scripts : Cedar_server.Server.report);
+        ignore
+          (Cedar_server.Server.serve_volumes
+             (Cedar_volumes.Volume_set.of_fsd fs) scripts
+            : Cedar_server.Server.report);
         Obs.Trace.disable tr;
         let entries = Obs.Trace.to_list tr in
         let anatomy = Obs.Critpath.fold entries in

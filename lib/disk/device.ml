@@ -33,9 +33,16 @@ let policy_of_string = function
    serviced before any nearest-first pick (oldest aged request first). *)
 let sstf_age_limit = 8
 
-(* What an op waits on: how many of its requests are still queued, and
-   when the last serviced one completed. *)
-type completion = { mutable outstanding : int; mutable done_at : int }
+(* What an op waits on: how many of its requests are still queued, when
+   the first serviced one started and the last one completed, and their
+   arm and command time. *)
+type completion = {
+  mutable outstanding : int;
+  mutable started_at : int;
+  mutable done_at : int;
+  mutable seek_us : int;
+  mutable command_us : int;
+}
 
 type request = {
   req_sector : int;
@@ -43,7 +50,7 @@ type request = {
   req_write : bool;
   req_enq_at : int; (* virtual clock at issue *)
   req_span : int; (* trace span of the issuing op, attributed at service *)
-  req_io : completion option; (* the issuing op's, under [track] *)
+  req_io : completion list; (* every enclosing [track]'s, innermost first *)
   mutable req_passes : int; (* times passed over by the policy *)
 }
 
@@ -69,7 +76,7 @@ type t = {
   mutable busy_horizon : int; (* completion time of the last serviced request *)
   mutable qpolicy : policy;
   mutable queue : request list; (* pending, issue order *)
-  mutable tracking : completion option; (* see [track] *)
+  mutable tracking : completion list; (* open [track]s, innermost first *)
   mutable sweep_up : bool; (* elevator arm direction *)
 }
 
@@ -109,7 +116,7 @@ let create ?(id = 0) ?(depth = 0) ?trace ?metrics ~clock geom =
       busy_horizon = 0;
       qpolicy = Fifo;
       queue = [];
-      tracking = None;
+      tracking = [];
       sweep_up = true;
     }
   in
@@ -197,22 +204,26 @@ let mechanics t ~span ~start ~sector ~count ~write =
     Trace.emit_span t.trace ~span ~at:start
       (if write then Trace.Dev_write { dev = t.id; sector; count; us = dur }
        else Trace.Dev_read { dev = t.id; sector; count; us = dur });
-  dur
+  (seek, dur)
 
 let service t r =
   let start = max (max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
-  let dur =
+  let seek, dur =
     mechanics t ~span:r.req_span ~start ~sector:r.req_sector
       ~count:r.req_count ~write:r.req_write
   in
   t.busy_horizon <- start + dur;
   if t.depth = 0 then Simclock.advance_to t.clock t.busy_horizon;
-  match r.req_io with
-  | Some c ->
-    (* Services complete in order, so the last one is the latest. *)
-    c.outstanding <- c.outstanding - 1;
-    c.done_at <- t.busy_horizon
-  | None -> ()
+  List.iter
+    (fun c ->
+      (* Services happen in time order: the first one is the earliest,
+         the last one the latest. *)
+      if c.started_at < 0 then c.started_at <- start;
+      c.outstanding <- c.outstanding - 1;
+      c.done_at <- t.busy_horizon;
+      c.seek_us <- c.seek_us + seek;
+      c.command_us <- c.command_us + dur)
+    r.req_io
 
 let cyl_of t sector = (Geometry.to_chs t.geom sector).Geometry.cyl
 
@@ -270,9 +281,7 @@ let submit t ~sector ~count ~write =
       req_passes = 0;
     }
   in
-  (match t.tracking with
-  | Some c -> c.outstanding <- c.outstanding + 1
-  | None -> ());
+  List.iter (fun c -> c.outstanding <- c.outstanding + 1) t.tracking;
   if t.depth < 2 then service t r
   else begin
     (* A full tag queue blocks the host: service until a slot frees up. *)
@@ -288,9 +297,11 @@ let drain t =
   done
 
 let track t f =
-  let c = { outstanding = 0; done_at = 0 } in
+  let c =
+    { outstanding = 0; started_at = -1; done_at = 0; seek_us = 0; command_us = 0 }
+  in
   let outer = t.tracking in
-  t.tracking <- Some c;
+  t.tracking <- c :: outer;
   let x = Fun.protect ~finally:(fun () -> t.tracking <- outer) f in
   (x, c)
 

@@ -125,15 +125,28 @@ val busy_until : t -> int
 
 (** {1 Op completion} *)
 
-type completion
+type completion = private {
+  mutable outstanding : int;  (** requests still waiting in the queue *)
+  mutable started_at : int;
+      (** service start of its first serviced request; -1 until then *)
+  mutable done_at : int;
+      (** completion of its latest serviced request; 0 until then *)
+  mutable seek_us : int;  (** arm time of its serviced requests *)
+  mutable command_us : int;
+      (** whole duration of its serviced requests, arm time included *)
+}
 (** The device requests one operation issued, for whoever waits on
     them. A completion is held by its waiter only: the device keeps no
-    record of a request once it is serviced. *)
+    record of a request once it is serviced. Its fields cover the
+    requests serviced so far; read them once none is [outstanding]
+    (after {!completed_at} or {!busy_until}). *)
 
 val track : t -> (unit -> 'a) -> 'a * completion
 (** [track t f] runs [f] and returns its result with the completion of
-    every request [f] issued on [t]. At depth < 2 they are all complete
-    when [f] returns. *)
+    every request [f] issued on [t]. Tracks nest: a request counts
+    toward every enclosing completion (a force inside an op is part of
+    the op's device time too). At depth < 2 the requests are all
+    complete when [f] returns. *)
 
 val pending : completion -> bool
 (** Whether some of its requests still wait in the queue. *)

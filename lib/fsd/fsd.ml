@@ -64,6 +64,8 @@ type t = {
   chunk_thirds : (int, int) Hashtbl.t; (* VAM chunk -> third of its log copy *)
   verified : (int64, unit) Hashtbl.t; (* uids whose leader checked out *)
   mutable last_force : int;
+  mutable last_force_io : Device.completion option;
+      (* the last force's device requests, for [last_force_window] *)
   mutable live : bool;
   mutable vam_saved_clean : bool;
   mutable mutation_seq : int;
@@ -388,7 +390,16 @@ let do_force t =
     t.last_force <- now t
   end
 
-let force t = traced t ~op:"force" ~name:"" (fun () -> do_force t)
+let force t =
+  traced t ~op:"force" ~name:"" (fun () ->
+      let (), io = Device.track t.device (fun () -> do_force t) in
+      t.last_force_io <- Some io)
+
+let last_force_window t =
+  match t.last_force_io with
+  | Some io when io.Device.started_at >= 0 ->
+    (io.Device.started_at, io.Device.done_at)
+  | Some _ | None -> (0, 0)
 
 (* Force early when the pending batch approaches one record, so a single
    force stays a single atomic log write ("the log is forced long before
@@ -1388,6 +1399,7 @@ let boot ?params device =
       chunk_thirds = Hashtbl.create 32;
       verified = Hashtbl.create 256;
       last_force = Simclock.now clock;
+      last_force_io = None;
       live = true;
       vam_saved_clean = false;
       mutation_seq = 0;

@@ -161,6 +161,14 @@ val durable_seq : t -> int
 (** Mutation sequence covered by the last completed force;
     [token_durable] is [durable_seq >= token]. *)
 
+val last_force_window : t -> int * int
+(** The device-busy window of the last force (the server's, or one the
+    bulk trigger started inside an op): from the service start of its
+    first device request to the completion of its last; [(0, 0)] if it
+    issued none or no force has run. Complete once the device has
+    serviced the force's requests ({!Cedar_disk.Device.busy_until}).
+    The server charges a parked op's append phase from it. *)
+
 val commit_due_at : t -> int
 (** Virtual time at which the half-second commit demon next fires
     (last force time + [commit_interval_us]) — what a scheduler that

@@ -1,11 +1,10 @@
-(* Fold a lifecycle trace into per-op conserved phase vectors.
+(* Collect the server's per-op records from a trace and aggregate them.
 
-   Every phase is a difference of two timestamps from the same op's
-   lifecycle, and the five phases tile [arrived, end] without gap or
-   overlap — so conservation is exact by construction and the [conserved]
-   check can demand equality, not tolerance. The only inexact quantity is
-   the *sub*-split of execute into seek/transfer/cpu, which attributes
-   span-nested device events and leaves the remainder as cpu. *)
+   The server splits each op's latency once, when it acknowledges or
+   drops the op, and writes the split into an [Op_done] record; this
+   module only gathers those records. The five phases tile
+   [arrived, end] by construction, so the [conserved] check can demand
+   equality, not tolerance. *)
 
 module Stats = Cedar_util.Stats
 
@@ -20,7 +19,7 @@ let phase_name = function
   | Append -> "append"
   | Parked -> "parked"
 
-type op_record = {
+type op_record = Trace.op_record = {
   client : int;
   opseq : int;
   op : string;
@@ -35,7 +34,6 @@ type op_record = {
   parked_us : int;
   retries : int;
   dropped : bool;
-  stalls : int;
 }
 
 let total_us r = r.end_us - r.arrived_us
@@ -58,7 +56,6 @@ type agg = {
   a_n : int;
   a_dropped : int;
   a_retries : int;
-  a_stalls : int;
   a_e2e : pct;
   a_phase : (phase * pct) list;
   a_blame : phase;
@@ -77,200 +74,25 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* The fold. *)
 
-type pending = {
-  p_client : int;
-  p_opseq : int;
-  p_op : string;
-  p_arrived : int;
-  p_submitted : int;
-  mutable p_retries : int;
-  mutable p_exec_begin : int;  (* -1 until the session span opens *)
-  mutable p_exec_end : int;  (* -1 until it closes *)
-  mutable p_seek : int;
-  mutable p_transfer : int;
-  mutable p_stalls : int;
-}
-
-let session_client op =
-  let prefix = "session" in
-  let pl = String.length prefix in
-  if String.length op > pl && String.sub op 0 pl = prefix then
-    match int_of_string_opt (String.sub op pl (String.length op - pl)) with
-    | Some n when n >= 0 -> Some n
-    | Some _ | None -> None
-  else None
-
 let fold entries =
-  (* Span bookkeeping: parent chain for device-event attribution, the
-     set of open session (execute) spans, and open force spans for the
-     append overlap. *)
-  let parents : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let active_exec : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let force_opens : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let last_force = ref None in  (* last completed force (start, end) *)
-  let pending : (int, pending) Hashtbl.t = Hashtbl.create 16 in
+  (* Lifecycles submitted and not yet done, by client: a client's next
+     [Op_submitted] replaces one lost to a crash or abort. *)
+  let open_ops : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let ops_rev = ref [] in
   let orphans = ref 0 in
-  (* Walk the span ancestry of an event to the pending op executing it,
-     if any (device work under a force span triggered mid-op nests below
-     the session span and is correctly charged to that op). *)
-  let owner span =
-    let rec up s n =
-      if s = 0 || n > 64 then None
-      else
-        match Hashtbl.find_opt active_exec s with
-        | Some client -> Hashtbl.find_opt pending client
-        | None -> (
-          match Hashtbl.find_opt parents s with
-          | Some parent -> up parent (n + 1)
-          | None -> None)
-    in
-    up span 0
-  in
-  let finalize (p : pending) ~at ~dropped =
-    Hashtbl.remove pending p.p_client;
-    let queue_us = p.p_submitted - p.p_arrived in
-    if dropped || p.p_exec_begin < 0 then
-      (* Dropped (or never-executed) lifecycle: everything after the
-         first attempt was admission. *)
-      ops_rev :=
-        {
-          client = p.p_client;
-          opseq = p.p_opseq;
-          op = p.p_op;
-          arrived_us = p.p_arrived;
-          end_us = at;
-          queue_us;
-          admission_us = at - p.p_submitted;
-          execute_us = 0;
-          seek_us = 0;
-          transfer_us = 0;
-          append_us = 0;
-          parked_us = 0;
-          retries = p.p_retries;
-          dropped = true;
-          stalls = p.p_stalls;
-        }
-        :: !ops_rev
-    else begin
-      let exec_end = if p.p_exec_end >= 0 then p.p_exec_end else at in
-      let wait = at - exec_end in
-      (* A Dev_read/Dev_write's [us] covers the whole command including
-         any arm movement (Dev_seek nests inside it), so the pure
-         transfer time is the command total minus the seeks. *)
-      let transfer_us =
-        if p.p_transfer > p.p_seek then p.p_transfer - p.p_seek else 0
-      in
-      (* The op's share of log-append I/O: the overlap of its park
-         window with the covering force's own duration. *)
-      let append_us =
-        match !last_force with
-        | Some (f0, f1) when f1 <= at ->
-          let lo = if f0 > exec_end then f0 else exec_end in
-          let hi = if f1 < at then f1 else at in
-          if hi > lo then hi - lo else 0
-        | _ -> 0
-      in
-      ops_rev :=
-        {
-          client = p.p_client;
-          opseq = p.p_opseq;
-          op = p.p_op;
-          arrived_us = p.p_arrived;
-          end_us = at;
-          queue_us;
-          admission_us = p.p_exec_begin - p.p_submitted;
-          execute_us = exec_end - p.p_exec_begin;
-          seek_us = p.p_seek;
-          transfer_us;
-          append_us;
-          parked_us = wait - append_us;
-          retries = p.p_retries;
-          dropped = false;
-          stalls = p.p_stalls;
-        }
-        :: !ops_rev
-    end
-  in
   List.iter
     (fun (e : Trace.entry) ->
-      let at = e.Trace.at_us in
       match e.Trace.event with
-      | Trace.Op_submitted { client; opseq; op; arrived_us } ->
-        (* A new lifecycle; any unfinished predecessor for this client
-           was lost to a crash/abort and stays unfinished. *)
-        (match Hashtbl.find_opt pending client with
-        | Some _ -> Hashtbl.remove pending client
-        | None -> ());
-        Hashtbl.replace pending client
-          {
-            p_client = client;
-            p_opseq = opseq;
-            p_op = op;
-            p_arrived = arrived_us;
-            p_submitted = at;
-            p_retries = 0;
-            p_exec_begin = -1;
-            p_exec_end = -1;
-            p_seek = 0;
-            p_transfer = 0;
-            p_stalls = 0;
-          }
-      | Trace.Op_rejected { client; _ } -> (
-        match Hashtbl.find_opt pending client with
-        | Some p -> p.p_retries <- p.p_retries + 1
-        | None -> incr orphans)
-      | Trace.Op_dropped { client; retries; _ } -> (
-        match Hashtbl.find_opt pending client with
-        | Some p ->
-          p.p_retries <- retries;
-          finalize p ~at ~dropped:true
-        | None -> incr orphans)
-      | Trace.Op_acked { client; _ } -> (
-        match Hashtbl.find_opt pending client with
-        | Some p -> finalize p ~at ~dropped:false
-        | None -> incr orphans)
-      | Trace.Op_begin { op; _ } -> (
-        Hashtbl.replace parents e.Trace.seq e.Trace.span;
-        if op = "force" then Hashtbl.replace force_opens e.Trace.seq at
-        else
-          match session_client op with
-          | Some client -> (
-            match Hashtbl.find_opt pending client with
-            | Some p when p.p_exec_begin < 0 ->
-              p.p_exec_begin <- at;
-              Hashtbl.replace active_exec e.Trace.seq client
-            | Some _ | None -> ())
-          | None -> ())
-      | Trace.Op_end _ -> (
-        (match Hashtbl.find_opt force_opens e.Trace.span with
-        | Some f0 ->
-          Hashtbl.remove force_opens e.Trace.span;
-          last_force := Some (f0, at)
-        | None -> ());
-        match Hashtbl.find_opt active_exec e.Trace.span with
-        | Some client ->
-          Hashtbl.remove active_exec e.Trace.span;
-          (match Hashtbl.find_opt pending client with
-          | Some p -> p.p_exec_end <- at
-          | None -> ())
-        | None -> ())
-      | Trace.Dev_seek { us; _ } -> (
-        match owner e.Trace.span with
-        | Some p when p.p_exec_end < 0 -> p.p_seek <- p.p_seek + us
-        | Some _ | None -> ())
-      | Trace.Dev_read { us; _ } | Trace.Dev_write { us; _ } -> (
-        match owner e.Trace.span with
-        | Some p when p.p_exec_end < 0 -> p.p_transfer <- p.p_transfer + us
-        | Some _ | None -> ())
-      | Trace.Reclaim_stall _ -> (
-        match owner e.Trace.span with
-        | Some p when p.p_exec_end < 0 -> p.p_stalls <- p.p_stalls + 1
-        | Some _ | None -> ())
+      | Trace.Op_submitted { client; opseq } -> Hashtbl.replace open_ops client opseq
+      | Trace.Op_done r ->
+        if Hashtbl.find_opt open_ops r.client = Some r.opseq then
+          Hashtbl.remove open_ops r.client
+        else incr orphans;
+        ops_rev := r :: !ops_rev
       | _ -> ())
     entries;
   let ops = List.rev !ops_rev in
-  let unfinished = Hashtbl.length pending in
+  let unfinished = Hashtbl.length open_ops in
   let all_conserved = List.for_all conserved ops in
   (* Per-kind aggregation over completed (non-dropped) lifecycles. *)
   let kinds = ref [] in
@@ -335,7 +157,6 @@ let fold entries =
       a_n = List.length completed;
       a_dropped = List.length mine - List.length completed;
       a_retries = List.fold_left (fun acc r -> acc + r.retries) 0 mine;
-      a_stalls = List.fold_left (fun acc r -> acc + r.stalls) 0 mine;
       a_e2e;
       a_phase;
       a_blame;
@@ -396,7 +217,6 @@ let op_json r =
       ("append_us", Jsonb.Int r.append_us);
       ("parked_us", Jsonb.Int r.parked_us);
       ("retries", Jsonb.Int r.retries);
-      ("stalls", Jsonb.Int r.stalls);
     ]
 
 let to_json ?op ?(top = 5) t =
@@ -421,7 +241,6 @@ let to_json ?op ?(top = 5) t =
                    ("n", Jsonb.Int a.a_n);
                    ("dropped", Jsonb.Int a.a_dropped);
                    ("retries", Jsonb.Int a.a_retries);
-                   ("stalls", Jsonb.Int a.a_stalls);
                    ("e2e_us", pct_json a.a_e2e);
                    ( "phases_us",
                      Jsonb.Obj

@@ -1,56 +1,42 @@
-(** Per-op latency anatomy: fold a lifecycle trace into conserved phase
-    vectors and assign tail blame.
+(** Per-op latency anatomy: collect the server's per-op records from a
+    trace and assign tail blame.
 
-    The server emits one lifecycle per scripted op
-    ({!Trace.Op_submitted} → [Op_rejected]* → session span →
-    {!Trace.Op_acked}, or [Op_dropped]), all pure transition
-    timestamps. This module folds those entries into one {!op_record}
-    per op whose five exclusive phases are differences of consecutive
-    timestamps:
-
-    - [queue_us] — runnable (think deadline / open-loop arrival /
-      previous ack) until the scheduler's first admission attempt;
-    - [admission_us] — first attempt until execute starts (the sum of
-      reject retry windows), or until the drop;
-    - [execute_us] — inside [Fsd.submit], further split into device
-      [seek_us], device [transfer_us] and the CPU/FNT/leader remainder
-      via the span-attributed device events;
-    - [append_us] — the part of the post-execute wait overlapping the
-      covering group-commit force's own duration (the op's share of log
-      I/O);
-    - [parked_us] — the rest of the §5.4 parked-for-force wait.
-
-    Conservation is therefore exact by construction —
+    The server splits each op's latency exactly once, at its ack or
+    drop, into one {!Trace.op_record} (whose fields define the five
+    phases); it charges the record to its [server.phase.*] counters
+    and, with tracing on, emits it as {!Trace.Op_done}. Conservation is
+    exact by construction —
     [queue + admission + execute + append + parked = end - arrived]
     microsecond for microsecond — and {!fold} verifies it anyway for
-    every op ({!t}'s [all_conserved]): a [false] means the event stream
-    itself is malformed, not that rounding drifted. *)
+    every op ({!t}'s [all_conserved]). *)
 
 type phase = Queue | Admission | Execute | Append | Parked
 
 val phase_name : phase -> string
 (** ["queue"], ["admission"], ["execute"], ["append"], ["parked"]. *)
 
-type op_record = {
+type op_record = Trace.op_record = {
   client : int;
-  opseq : int;  (** per-client lifecycle number, 1-based *)
-  op : string;  (** kind label from [Concurrent.op_kind] *)
+  opseq : int;
+  op : string;
   arrived_us : int;
-  end_us : int;  (** ack time, or drop time for dropped ops *)
+  end_us : int;
   queue_us : int;
   admission_us : int;
   execute_us : int;
-  seek_us : int;  (** device arm time inside execute *)
-  transfer_us : int;  (** device read/write time inside execute *)
+  seek_us : int;
+  transfer_us : int;
   append_us : int;
   parked_us : int;
-  retries : int;  (** admission rejects survived (or suffered, if dropped) *)
+  retries : int;
   dropped : bool;
-  stalls : int;  (** reclaim stalls observed inside execute *)
 }
 
 val total_us : op_record -> int
 (** End-to-end latency, [end_us - arrived_us]. *)
+
+val phase_us : op_record -> phase -> int
+(** The record's microseconds in one phase. *)
 
 val conserved : op_record -> bool
 (** Whether the five phases sum exactly to {!total_us}. *)
@@ -62,7 +48,6 @@ type agg = {
   a_n : int;  (** completed lifecycles of this kind *)
   a_dropped : int;
   a_retries : int;
-  a_stalls : int;
   a_e2e : pct;
   a_phase : (phase * pct) list;  (** in declaration order, all five *)
   a_blame : phase;
@@ -74,17 +59,18 @@ type agg = {
 }
 
 type t = {
-  ops : op_record list;  (** completed lifecycles, in ack order *)
+  ops : op_record list;  (** every record, dropped ones too, in end order *)
   aggs : agg list;  (** per op kind, sorted by kind *)
-  orphans : int;  (** terminal events whose start fell off the ring *)
+  orphans : int;  (** records whose [Op_submitted] fell off the ring *)
   unfinished : int;  (** lifecycles still open when the capture ended *)
   all_conserved : bool;
 }
 
 val fold : Trace.entry list -> t
-(** Fold a trace (oldest first, as {!Trace.to_list} yields) into the
-    anatomy. Tolerates truncated rings: lifecycles missing their start
-    are counted in [orphans], in-flight ones in [unfinished]. *)
+(** Collect the [Op_done] records of a trace (oldest first, as
+    {!Trace.to_list} yields) and aggregate them. [Op_submitted] is read
+    only to count records whose start fell off a truncated ring
+    ([orphans]) and lifecycles still open at the end ([unfinished]). *)
 
 val blame : t -> op:string -> phase option
 (** The dominant tail phase for op kind [op], if any completed. *)

@@ -18,7 +18,8 @@ let tid_device_stride = 100
 
 (* Server sessions each get their own track so the viewer shows the
    interleaving: spans opened with op "sessionNN" land on track
-   [tid_session_base + NN], as do that session's commit waits. *)
+   [tid_session_base + NN], as do the phase slices of that client's
+   op records. *)
 let tid_session_base = 16
 
 (* Monitor counter tracks ("C" phase) live on their own tid. *)
@@ -72,33 +73,12 @@ let chrome ?(samples = []) entries =
   let note_session tid =
     if not (List.mem tid !session_tids) then session_tids := tid :: !session_tids
   in
-  (* Lifecycle phase slices: Op_submitted closes the queue wait and opens
-     the admission window, which the session span's Op_begin (execute
-     start) or an Op_dropped closes — so each session track nests
-     queue / admission / sessionNN (execute) / commit-wait slices. *)
-  let submits : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let close_admission ~client ~ts =
-    match Hashtbl.find_opt submits client with
-    | Some t0 ->
-      Hashtbl.remove submits client;
-      if ts > t0 then
-        let tid = tid_session_base + client in
-        note_session tid;
-        push
-          (complete ~name:"admission" ~cat:"phase" ~ts:t0 ~dur:(ts - t0) ~tid
-             [ ("client", Jsonb.Int client) ])
-    | None -> ()
-  in
   List.iter
     (fun (e : Trace.entry) ->
       let ts = e.Trace.at_us in
       match e.Trace.event with
-      | Trace.Op_begin { op; _ } ->
-        (* Emitted as "X" at the matching end; a session span's start
-           also closes the op's admission window. *)
-        (match session_tid op with
-        | Some tid -> close_admission ~client:(tid - tid_session_base) ~ts
-        | None -> ())
+      (* A begin is emitted as "X" at its matching end. *)
+      | Trace.Op_begin _ | Trace.Op_submitted _ -> ()
       | Trace.Op_end { op; us } -> begin
         match Hashtbl.find_opt begins e.Trace.span with
         | Some b ->
@@ -193,45 +173,50 @@ let chrome ?(samples = []) entries =
         push
           (instant ~name:"reclaim-stall" ~cat:"fsd" ~ts ~tid:tid_meta
              [ ("third", Jsonb.Int third); ("pinned", Jsonb.Int pinned) ])
-      | Trace.Session_wait { client; us } ->
-        (* Emitted at the wake time: the wait occupied [ts - us, ts]. *)
-        let tid = tid_session_base + client in
-        note_session tid;
-        push
-          (complete ~name:"commit-wait" ~cat:"session" ~ts:(ts - us) ~dur:us ~tid
-             [ ("client", Jsonb.Int client) ])
       | Trace.Mutation { seq } ->
         push
           (instant ~name:"mutation" ~cat:"fsd" ~ts ~tid:tid_meta
              [ ("seq", Jsonb.Int seq) ])
-      | Trace.Op_submitted { client; opseq; op; arrived_us } ->
-        let tid = tid_session_base + client in
-        note_session tid;
-        if ts > arrived_us then
-          push
-            (complete ~name:"queue" ~cat:"phase" ~ts:arrived_us
-               ~dur:(ts - arrived_us) ~tid
-               [ ("opseq", Jsonb.Int opseq); ("op", Jsonb.Str op) ]);
-        Hashtbl.replace submits client ts
-      | Trace.Op_rejected { client; opseq; why } ->
+      | Trace.Op_rejected { client; opseq } ->
         let tid = tid_session_base + client in
         note_session tid;
         push
-          (instant ~name:("reject:" ^ why) ~cat:"phase" ~ts ~tid
+          (instant ~name:"rejected" ~cat:"phase" ~ts ~tid
              [ ("opseq", Jsonb.Int opseq) ])
-      | Trace.Op_dropped { client; opseq; retries } ->
-        close_admission ~client ~ts;
+      | Trace.Op_done
+          {
+            Trace.client;
+            opseq;
+            op;
+            arrived_us;
+            queue_us;
+            admission_us;
+            execute_us;
+            append_us;
+            parked_us;
+            retries;
+            dropped;
+            _;
+          } ->
+        (* The record tiles the session track: queue and admission
+           before the session span (execute), then the post-execute
+           wait — parked, with the append share at its tail, where the
+           covering force completes. *)
         let tid = tid_session_base + client in
         note_session tid;
-        push
-          (instant ~name:"dropped" ~cat:"phase" ~ts ~tid
-             [ ("opseq", Jsonb.Int opseq); ("retries", Jsonb.Int retries) ])
-      | Trace.Op_acked { client; opseq } ->
-        let tid = tid_session_base + client in
-        note_session tid;
-        push
-          (instant ~name:"acked" ~cat:"phase" ~ts ~tid
-             [ ("opseq", Jsonb.Int opseq) ]))
+        let args = [ ("opseq", Jsonb.Int opseq); ("op", Jsonb.Str op) ] in
+        let slice name ts dur =
+          if dur > 0 then push (complete ~name ~cat:"phase" ~ts ~dur ~tid args)
+        in
+        let submitted = arrived_us + queue_us in
+        slice "queue" arrived_us queue_us;
+        slice "admission" submitted admission_us;
+        slice "parked" (submitted + admission_us + execute_us) parked_us;
+        slice "append" (ts - append_us) append_us;
+        if dropped then
+          push
+            (instant ~name:"dropped" ~cat:"phase" ~ts ~tid
+               (("retries", Jsonb.Int retries) :: args)))
     entries;
   (* Spans still open when the capture ended (in-flight at a crash). *)
   Hashtbl.iter

@@ -1,3 +1,20 @@
+type op_record = {
+  client : int;
+  opseq : int;
+  op : string;
+  arrived_us : int;
+  end_us : int;
+  queue_us : int;
+  admission_us : int;
+  execute_us : int;
+  seek_us : int;
+  transfer_us : int;
+  append_us : int;
+  parked_us : int;
+  retries : int;
+  dropped : bool;
+}
+
 type event =
   | Dev_read of { dev : int; sector : int; count : int; us : int }
   | Dev_write of { dev : int; sector : int; count : int; us : int }
@@ -19,14 +36,12 @@ type event =
   | Op_begin of { op : string; name : string }
   | Op_end of { op : string; us : int }
   | Blackbox_checkpoint of { gen : int64; events : int; sectors : int }
-  | Session_wait of { client : int; us : int }
   | Home_write_burst of { third : int; pages : int; leaders : int }
   | Reclaim_stall of { third : int; pinned : int }
   | Mutation of { seq : int }
-  | Op_submitted of { client : int; opseq : int; op : string; arrived_us : int }
-  | Op_rejected of { client : int; opseq : int; why : string }
-  | Op_dropped of { client : int; opseq : int; retries : int }
-  | Op_acked of { client : int; opseq : int }
+  | Op_submitted of { client : int; opseq : int }
+  | Op_rejected of { client : int; opseq : int }
+  | Op_done of op_record
 
 type entry = { seq : int; span : int; at_us : int; event : event }
 
@@ -136,7 +151,8 @@ let last t n =
   !acc
 
 (* Binary codec for black-box checkpoints. One byte of tag per event;
-   times as i64 (scavenges and long runs exceed 32 bits of microseconds). *)
+   times as i64 (scavenges and long runs exceed 32 bits of microseconds).
+   Tags 14, 20 and 21 belonged to retired events and are never reused. *)
 
 module W = Cedar_util.Bytebuf.Writer
 module R = Cedar_util.Bytebuf.Reader
@@ -205,10 +221,6 @@ let encode_event w = function
     W.u64 w gen;
     W.u16 w events;
     W.u16 w sectors
-  | Session_wait { client; us } ->
-    W.u8 w 14;
-    W.u16 w client;
-    W.i64 w us
   | Home_write_burst { third; pages; leaders } ->
     W.u8 w 15;
     W.u8 w third;
@@ -221,26 +233,26 @@ let encode_event w = function
   | Mutation { seq } ->
     W.u8 w 17;
     W.i64 w seq
-  | Op_submitted { client; opseq; op; arrived_us } ->
+  | Op_submitted { client; opseq } ->
     W.u8 w 18;
     W.u16 w client;
-    W.u32 w opseq;
-    W.string w op;
-    W.i64 w arrived_us
-  | Op_rejected { client; opseq; why } ->
+    W.u32 w opseq
+  | Op_rejected { client; opseq } ->
     W.u8 w 19;
     W.u16 w client;
-    W.u32 w opseq;
-    W.string w why
-  | Op_dropped { client; opseq; retries } ->
-    W.u8 w 20;
-    W.u16 w client;
-    W.u32 w opseq;
-    W.u8 w retries
-  | Op_acked { client; opseq } ->
-    W.u8 w 21;
-    W.u16 w client;
     W.u32 w opseq
+  | Op_done r ->
+    W.u8 w 22;
+    W.u16 w r.client;
+    W.u32 w r.opseq;
+    W.string w r.op;
+    List.iter (W.i64 w)
+      [
+        r.arrived_us; r.end_us; r.queue_us; r.admission_us; r.execute_us;
+        r.seek_us; r.transfer_us; r.append_us; r.parked_us;
+      ];
+    W.u8 w r.retries;
+    W.bool w r.dropped
 
 let decode_event r =
   match R.u8 r with
@@ -303,10 +315,6 @@ let decode_event r =
     let events = R.u16 r in
     let sectors = R.u16 r in
     Blackbox_checkpoint { gen; events; sectors }
-  | 14 ->
-    let client = R.u16 r in
-    let us = R.i64 r in
-    Session_wait { client; us }
   | 15 ->
     let third = R.u8 r in
     let pages = R.u16 r in
@@ -320,23 +328,43 @@ let decode_event r =
   | 18 ->
     let client = R.u16 r in
     let opseq = R.u32 r in
-    let op = R.string r in
-    let arrived_us = R.i64 r in
-    Op_submitted { client; opseq; op; arrived_us }
+    Op_submitted { client; opseq }
   | 19 ->
     let client = R.u16 r in
     let opseq = R.u32 r in
-    let why = R.string r in
-    Op_rejected { client; opseq; why }
-  | 20 ->
+    Op_rejected { client; opseq }
+  | 22 ->
     let client = R.u16 r in
     let opseq = R.u32 r in
+    let op = R.string r in
+    let arrived_us = R.i64 r in
+    let end_us = R.i64 r in
+    let queue_us = R.i64 r in
+    let admission_us = R.i64 r in
+    let execute_us = R.i64 r in
+    let seek_us = R.i64 r in
+    let transfer_us = R.i64 r in
+    let append_us = R.i64 r in
+    let parked_us = R.i64 r in
     let retries = R.u8 r in
-    Op_dropped { client; opseq; retries }
-  | 21 ->
-    let client = R.u16 r in
-    let opseq = R.u32 r in
-    Op_acked { client; opseq }
+    let dropped = R.bool r in
+    Op_done
+      {
+        client;
+        opseq;
+        op;
+        arrived_us;
+        end_us;
+        queue_us;
+        admission_us;
+        execute_us;
+        seek_us;
+        transfer_us;
+        append_us;
+        parked_us;
+        retries;
+        dropped;
+      }
   | n ->
     raise (Cedar_util.Bytebuf.Decode_error (Printf.sprintf "trace event tag %d" n))
 
@@ -383,24 +411,23 @@ let pp_event ppf = function
   | Blackbox_checkpoint { gen; events; sectors } ->
     Format.fprintf ppf "blackbox-checkpoint gen=%Ld events=%d sectors=%d" gen
       events sectors
-  | Session_wait { client; us } ->
-    Format.fprintf ppf "session-wait client=%d us=%d" client us
   | Home_write_burst { third; pages; leaders } ->
     Format.fprintf ppf "home-write-burst third=%d pages=%d leaders=%d" third
       pages leaders
   | Reclaim_stall { third; pinned } ->
     Format.fprintf ppf "reclaim-stall third=%d pinned=%d" third pinned
   | Mutation { seq } -> Format.fprintf ppf "mutation seq=%d" seq
-  | Op_submitted { client; opseq; op; arrived_us } ->
-    Format.fprintf ppf "op-submitted client=%d opseq=%d op=%s arrived=%d" client
-      opseq op arrived_us
-  | Op_rejected { client; opseq; why } ->
-    Format.fprintf ppf "op-rejected client=%d opseq=%d why=%s" client opseq why
-  | Op_dropped { client; opseq; retries } ->
-    Format.fprintf ppf "op-dropped client=%d opseq=%d retries=%d" client opseq
-      retries
-  | Op_acked { client; opseq } ->
-    Format.fprintf ppf "op-acked client=%d opseq=%d" client opseq
+  | Op_submitted { client; opseq } ->
+    Format.fprintf ppf "op-submitted client=%d opseq=%d" client opseq
+  | Op_rejected { client; opseq } ->
+    Format.fprintf ppf "op-rejected client=%d opseq=%d" client opseq
+  | Op_done r ->
+    Format.fprintf ppf
+      "op-done client=%d opseq=%d op=%s arrived=%d queue=%d admission=%d \
+       execute=%d (seek=%d transfer=%d) append=%d parked=%d retries=%d%s"
+      r.client r.opseq r.op r.arrived_us r.queue_us r.admission_us r.execute_us
+      r.seek_us r.transfer_us r.append_us r.parked_us r.retries
+      (if r.dropped then " (dropped)" else "")
 
 let pp_entry ppf e =
   Format.fprintf ppf "#%d span=%d t=%.3fms %a" e.seq e.span

@@ -14,6 +14,38 @@
     the ring lazily. When the ring is full the oldest entries are
     overwritten and counted in {!dropped}. *)
 
+type op_record = {
+  client : int;
+  opseq : int;  (** per-client lifecycle number, 1-based *)
+  op : string;  (** kind label from [Concurrent.op_kind] *)
+  arrived_us : int;  (** when the op became runnable *)
+  end_us : int;  (** ack time, or drop time for a dropped op *)
+  queue_us : int;
+      (** runnable (think deadline, open-loop arrival or previous ack)
+          until the scheduler's first admission attempt *)
+  admission_us : int;
+      (** first attempt until execute starts (the reject retry
+          windows), or until the drop *)
+  execute_us : int;  (** inside [Fsd.submit] *)
+  seek_us : int;  (** arm time of the op's own device requests *)
+  transfer_us : int;
+      (** the rest of its requests' command time: rotation and transfer *)
+  append_us : int;
+      (** for a parked op, the part of its post-execute wait that
+          overlaps the covering force's device-busy window; else 0 *)
+  parked_us : int;
+      (** the rest of the post-execute wait: the §5.4 parked-for-force
+          wait, or the wait for the op's own queued requests *)
+  retries : int;  (** admission rejects survived (or suffered, if dropped) *)
+  dropped : bool;
+}
+(** One op's latency split, written once by the server when it acks or
+    drops the op. The five phases [queue + admission + execute + append
+    + parked] tile [end_us - arrived_us] exactly. [seek_us] and
+    [transfer_us] sub-split device time, not a sixth phase: they cover
+    the op's own requests, which on an own-timeline or queued device
+    may be serviced after execute ends. *)
+
 type event =
   | Dev_read of { dev : int; sector : int; count : int; us : int }
   | Dev_write of { dev : int; sector : int; count : int; us : int }
@@ -53,12 +85,6 @@ type event =
           black-box region: generation written, events that fit, sectors
           transferred. Emitted inside its own ["blackbox"] span so the
           checkpoint's device I/O is attributed separately. *)
-  | Session_wait of { client : int; us : int }
-      (** A server session was unparked after waiting [us] for the force
-          covering its transaction (§5.4 "the process doing the commit
-          waits"); emitted at the wake time, so the wait spans
-          [at_us - us, at_us]. The Chrome exporter turns it into a
-          complete event on the session's own track. *)
   | Home_write_burst of { third : int; pages : int; leaders : int }
       (** One batched background home-write pass pre-flushing dirty FNT
           pages and leaders whose survival horizon is [third], issued
@@ -74,26 +100,17 @@ type event =
           under a different span, so this event is what lets a replayer
           amortise force-interval log I/O back over the ops of the
           batch ({!Tables}' [amortised_*] columns). *)
-  | Op_submitted of { client : int; opseq : int; op : string; arrived_us : int }
-      (** Lifecycle (see {!Critpath}): the server's first admission
-          attempt for client [client]'s [opseq]-th scripted op. The gap
-          [at_us - arrived_us] is the scheduler/queue wait between the
-          op becoming runnable (think deadline, open-loop arrival, or
-          previous ack) and the scheduler reaching it. *)
-  | Op_rejected of { client : int; opseq : int; why : string }
-      (** One rejected admission attempt that will be retried ([why] is
-          ["queue_full"], the server's one trigger: the op's target
-          volume already had [queue_cap] sessions parked); the retry
-          window runs from this instant to the op's next event. *)
-  | Op_dropped of { client : int; opseq : int; retries : int }
-      (** Admission retries exhausted; the op's lifecycle ends here
-          without executing. *)
-  | Op_acked of { client : int; opseq : int }
-      (** The op's lifecycle end, by the server's one completion rule:
-          the latest of its execute end, the completion of its own
-          device requests and, for a parked mutation, its covering
-          force's completion (the session's [Op_end] ... this event is
-          the post-execute wait). *)
+  | Op_submitted of { client : int; opseq : int }
+      (** The server's first admission attempt for client [client]'s
+          [opseq]-th scripted op. Its only reader is {!Critpath}, which
+          counts lifecycles that never finish. *)
+  | Op_rejected of { client : int; opseq : int }
+      (** One rejected admission attempt that will be retried: the op's
+          target volume already had [queue_cap] sessions parked. *)
+  | Op_done of op_record
+      (** The op's lifecycle end — acknowledged by the server's one
+          completion rule, or dropped once its admission retries ran
+          out — stamped at [end_us]. *)
 
 type entry = {
   seq : int;  (** monotonically increasing; also the span id of [Op_begin] *)

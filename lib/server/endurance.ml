@@ -63,7 +63,7 @@ let run ?(geom = Geometry.small_test) cfg =
   let device = Device.create ~clock geom in
   Fsd.format device params;
   let fs, _ = Fsd.boot device in
-  let report = Server.serve fs scripts in
+  let report = Server.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   let violations = ref [] in
   let add v = violations := v :: !violations in
   if report.Server.total_errors > 0 then

@@ -225,7 +225,9 @@ let calibrate ~clients ~workload geom =
             Crash_plan.note_force plan);
     }
   in
-  let r = Server.serve ~config fs scripts in
+  let r =
+    Server.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
+  in
   Crash_plan.detach plan;
   if r.Server.total_errors > 0 || r.Server.total_rejected > 0
      || r.Server.total_aborted > 0 || r.Server.total_dropped > 0
@@ -390,7 +392,10 @@ let run_point cfg base ~force ~write ~tear =
   let device, fs = fresh_volume base in
   let plan = Crash_plan.attach device in
   Crash_plan.arm plan ~force ~write ~tear;
-  let server = Server.create ~config:(server_config plan) fs base.scripts in
+  let server =
+    Server.create_volumes ~config:(server_config plan)
+      (Cedar_volumes.Volume_set.of_fsd fs) base.scripts
+  in
   let violations = ref [] in
   let add what =
     violations :=

@@ -23,10 +23,6 @@
    only then is it dropped, and the drop is counted in the report rather
    than silently lost.
 
-   The single-volume server is the degenerate case and is byte-identical
-   to the historical one-FSD scheduler: with V = 1 every per-volume loop
-   below visits exactly one volume in the same order the old code did.
-
    Crash containment: with one volume a planted device crash
    ([Device.Crash_during_write]) propagates to the harness as before —
    the machine halted. With several volumes it quarantines just the
@@ -96,11 +92,12 @@ type session = {
   mutable aborted : string option;  (* non-Fs_error exception text *)
   mutable wait_total_us : int;
   mutable wait_max_us : int;
-  (* Latency-anatomy bookkeeping (plain ints: maintained even with
-     tracing off, so the per-phase monitor gauges always read). *)
+  (* The current op's lifecycle instants, from which [settle] splits
+     its latency (plain ints: kept with tracing off too). *)
   mutable opseq : int;  (* lifecycle number of the op at script head *)
   mutable arrival_us : int;  (* when that op became runnable *)
-  mutable t_submitted : int;  (* first admission attempt of current op *)
+  mutable t_submitted : int;  (* its first admission attempt *)
+  mutable t_exec_start : int;  (* Fsd.submit called; admission over *)
   mutable t_exec_end : int;  (* Fsd.submit returned; ack waits start *)
 }
 
@@ -118,7 +115,6 @@ type vol = {
   mutable v_last_durable : int;
   mutable v_forces : int;  (* server-initiated forces on this volume *)
   mutable v_forces0 : int;  (* log forces at run start *)
-  mutable v_last_force_us : int;  (* duration of its last server force *)
   mutable v_acked : int;
   v_commit_wait_us : Stats.t;
   v_batch_size : Stats.t;
@@ -128,10 +124,9 @@ type vol = {
   c_retries : Metrics.counter;
   c_dropped : Metrics.counter;
   c_acked : Metrics.counter;
-  (* Cumulative per-phase microseconds across all ops: the online (no
-     trace needed) side of the latency anatomy, read by the monitor's
-     sat.phase_* rate gauges. The trace-based Critpath fold is the
-     per-op precise version of the same decomposition. *)
+  (* Cumulative per-phase microseconds across all ops, charged from
+     each op's record in [settle] (tracing on or off), read by the
+     monitor's sat.phase_* rate gauges. *)
   c_phase_queue_us : Metrics.counter;
   c_phase_admission_us : Metrics.counter;
   c_phase_execute_us : Metrics.counter;
@@ -256,54 +251,80 @@ let force_vol t v =
   t.forces <- t.forces + 1;
   v.v_forces <- v.v_forces + 1;
   (match t.cfg.on_force with Some f -> f t.forces | None -> ());
-  (* The force's duration is the device horizon's advance across it
-     ([busy_until] drains any queued requests first — a force is a
-     synchronization barrier — and is the clock on a synchronous
-     device). *)
-  let b0 = Cedar_disk.Device.busy_until v.v_dev in
+  (* A force is a synchronization barrier: the device services every
+     queued request before it and every request of it after it. *)
+  ignore (Cedar_disk.Device.busy_until v.v_dev : int);
   guarded t v (fun () -> Fsd.force v.v_fsd);
-  v.v_last_force_us <- Cedar_disk.Device.busy_until v.v_dev - b0
+  ignore (Cedar_disk.Device.busy_until v.v_dev : int)
 
 (* An explicit client [Force]: flush every live volume, index order. *)
 let force_all t =
   Array.iter (fun v -> if not v.v_dead then force_vol t v) t.vols
 
+(* The one place an op's latency is split: build its record from the
+   session's lifecycle instants, charge the online phase counters from
+   it and, with tracing on, emit it. Queue, admission and execute are
+   differences of those instants; the post-execute wait is [append_us]
+   plus parked. *)
+let settle t v s op ~end_us ~append_us ~seek_us ~transfer_us ~dropped =
+  let r =
+    {
+      Trace.client = s.client;
+      opseq = s.opseq;
+      op = Concurrent.op_kind op;
+      arrived_us = s.arrival_us;
+      end_us;
+      queue_us = s.t_submitted - s.arrival_us;
+      admission_us = s.t_exec_start - s.t_submitted;
+      execute_us = s.t_exec_end - s.t_exec_start;
+      seek_us;
+      transfer_us;
+      append_us;
+      parked_us = end_us - s.t_exec_end - append_us;
+      retries = s.retries;
+      dropped;
+    }
+  in
+  s.retries <- 0;
+  Metrics.add v.c_phase_queue_us r.queue_us;
+  Metrics.add v.c_phase_admission_us r.admission_us;
+  Metrics.add v.c_phase_execute_us r.execute_us;
+  Metrics.add v.c_phase_append_us r.append_us;
+  Metrics.add v.c_phase_parked_us r.parked_us;
+  if Trace.enabled t.trace then Trace.emit t.trace ~at:end_us (Trace.Op_done r)
+
 (* The one completion rule (§5.4). An op is acknowledged at the latest
    of its execute end, the service completion of its own device
    requests and, if it parked, the completion of the force that covered
    it ([forced]: the device's busy horizon once the force has drained
-   it). This is the only place an op is acknowledged: its [Op_acked]
-   event, its latency sample and, for a mutation, the ack journal and
-   commit-wait accounting all happen here. *)
+   it). This is the only place an op is acknowledged: its record, its
+   latency sample and, for a mutation, the ack journal and commit-wait
+   accounting all happen here. *)
 let complete t s w ~forced =
   let v = t.vols.(w.w_vol) in
-  let io_done = Cedar_disk.Device.completed_at v.v_dev w.w_io in
+  let io = w.w_io in
+  let io_done = Cedar_disk.Device.completed_at v.v_dev io in
   let done_at =
     max s.t_exec_end (max io_done (Option.value forced ~default:0))
   in
   let parked = Option.is_some forced in
-  (* Phase split of the post-execute wait, charged for every op: while
-     parked, the tail that overlaps the covering force's own device
-     writes is "append" (the op's share of log I/O latency); the rest —
-     the head of the park window, or the wait for the op's own device
-     requests — is "parked". Online approximation of the append share:
-     that volume's last server-force duration; Critpath computes the
-     exact overlap from force spans in the trace. *)
-  let post = done_at - s.t_exec_end in
-  let append = if parked then min post v.v_last_force_us else 0 in
-  Metrics.add v.c_phase_append_us append;
-  Metrics.add v.c_phase_parked_us (post - append);
+  let wait = done_at - s.t_exec_end in
+  (* A parked op's append: the part of its wait during which the
+     covering force kept the device busy. *)
+  let append_us =
+    if parked then begin
+      let f0, f1 = Fsd.last_force_window v.v_fsd in
+      max 0 (min f1 done_at - max f0 s.t_exec_end)
+    end
+    else 0
+  in
   if w.w_mutation then begin
     (* The commit wait is the park window; a mutation a mid-op force
        (the bulk-trigger backstop) already covered never parked. *)
-    let wait = if parked then post else 0 in
-    Stats.add v.v_commit_wait_us (float_of_int wait);
+    Stats.add v.v_commit_wait_us (float_of_int (if parked then wait else 0));
     if parked then begin
       s.wait_total_us <- s.wait_total_us + wait;
-      if wait > s.wait_max_us then s.wait_max_us <- wait;
-      if Trace.enabled t.trace then
-        Trace.emit t.trace ~at:done_at
-          (Trace.Session_wait { client = s.client; us = wait })
+      if wait > s.wait_max_us then s.wait_max_us <- wait
     end;
     s.mutations <- s.mutations + 1;
     v.v_acked <- v.v_acked + 1;
@@ -311,9 +332,10 @@ let complete t s w ~forced =
     t.acked_rev <- (s.client, w.w_op) :: t.acked_rev;
     match t.cfg.on_ack with Some f -> f ~client:s.client ~op:w.w_op | None -> ()
   end;
-  if Trace.enabled t.trace then
-    Trace.emit t.trace ~at:done_at
-      (Trace.Op_acked { client = s.client; opseq = s.opseq });
+  settle t v s w.w_op ~end_us:done_at ~append_us
+    ~seek_us:io.Cedar_disk.Device.seek_us
+    ~transfer_us:(io.Cedar_disk.Device.command_us - io.Cedar_disk.Device.seek_us)
+    ~dropped:false;
   Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
   s.arrival_us <- done_at;
   s.state <- (if done_at > now t then Thinking { until = done_at } else Ready)
@@ -400,10 +422,9 @@ let admission_rejects t v (op : Concurrent.op) =
 let run_op t v s op =
   s.ops <- s.ops + 1;
   let t_start = now t in
-  (* Admission is over: everything since the first attempt was retry
-     windows. [begin_span] is guarded so a tracing-off run performs no
+  s.t_exec_start <- t_start;
+  (* [begin_span] is guarded so a tracing-off run performs no
      allocation on this path (the label is precomputed per session). *)
-  Metrics.add v.c_phase_admission_us (t_start - s.t_submitted);
   let span =
     if Trace.enabled t.trace then
       Trace.begin_span t.trace ~at:t_start ~op:s.label
@@ -438,9 +459,7 @@ let run_op t v s op =
               s.state <- Done;
               Fsd.always_durable))
   in
-  let t_end = now t in
-  s.t_exec_end <- t_end;
-  Metrics.add v.c_phase_execute_us (t_end - t_start);
+  s.t_exec_end <- now t;
   match s.state with
   | Done -> ()
   | _ ->
@@ -496,19 +515,11 @@ let step t s =
           (* First admission attempt of a new lifecycle. *)
           s.opseq <- s.opseq + 1;
           s.t_submitted <- now t;
-          Metrics.add v.c_phase_queue_us (now t - s.arrival_us);
           if Trace.enabled t.trace then
             Trace.emit t.trace ~at:(now t)
-              (Trace.Op_submitted
-                 {
-                   client = s.client;
-                   opseq = s.opseq;
-                   op = Concurrent.op_kind op;
-                   arrived_us = s.arrival_us;
-                 })
+              (Trace.Op_submitted { client = s.client; opseq = s.opseq })
         end;
         if not (admission_rejects t v op) then begin
-          s.retries <- 0;
           s.steps <- rest;
           run_op t v s op
         end
@@ -523,22 +534,20 @@ let step t s =
             Metrics.inc v.c_retries;
             if Trace.enabled t.trace then
               Trace.emit t.trace ~at:(now t)
-                (Trace.Op_rejected
-                   { client = s.client; opseq = s.opseq; why = "queue_full" });
+                (Trace.Op_rejected { client = s.client; opseq = s.opseq });
             s.state <-
               Thinking { until = max (now t + 1) (Fsd.commit_due_at v.v_fsd) }
           end
           else begin
             (* Retries exhausted: give up on this step, but account for it.
-               The whole submitted->dropped window was admission time. *)
-            let retries = s.retries in
-            s.retries <- 0;
+               The whole submitted->dropped window was admission time: the
+               op never executed. *)
             s.dropped <- s.dropped + 1;
             Metrics.inc v.c_dropped;
-            Metrics.add v.c_phase_admission_us (now t - s.t_submitted);
-            if Trace.enabled t.trace then
-              Trace.emit t.trace ~at:(now t)
-                (Trace.Op_dropped { client = s.client; opseq = s.opseq; retries });
+            s.t_exec_start <- now t;
+            s.t_exec_end <- now t;
+            settle t v s op ~end_us:(now t) ~append_us:0 ~seek_us:0
+              ~transfer_us:0 ~dropped:true;
             s.arrival_us <- now t;
             s.steps <- rest
           end
@@ -637,8 +646,8 @@ let force_drain t =
     t.vols
 
 let create_volumes ?(config = default_config) vset scripts =
-  if Array.length scripts = 0 then invalid_arg "Server.create: no scripts";
-  if config.queue_cap < 1 then invalid_arg "Server.create: queue_cap < 1";
+  if Array.length scripts = 0 then invalid_arg "Server.create_volumes: no scripts";
+  if config.queue_cap < 1 then invalid_arg "Server.create_volumes: queue_cap < 1";
   let clock = Volume_set.clock vset in
   let t0 = Simclock.now clock in
   let sessions =
@@ -661,6 +670,7 @@ let create_volumes ?(config = default_config) vset scripts =
           opseq = 0;
           arrival_us = t0;
           t_submitted = t0;
+          t_exec_start = t0;
           t_exec_end = t0;
         })
       scripts
@@ -679,7 +689,6 @@ let create_volumes ?(config = default_config) vset scripts =
           v_last_durable = Fsd.durable_seq fsd;
           v_forces = 0;
           v_forces0 = 0;
-          v_last_force_us = 0;
           v_acked = 0;
           v_commit_wait_us = Metrics.dist m "server.commit_wait_us";
           v_batch_size = Metrics.dist m "server.batch_size";
@@ -714,9 +723,6 @@ let create_volumes ?(config = default_config) vset scripts =
           parked_on t v.v_id))
     vols;
   t
-
-let create ?config fsd scripts =
-  create_volumes ?config (Volume_set.of_fsd fsd) scripts
 
 (* Log forces on a volume so far, from its metrics registry. *)
 let fsd_forces v = Option.get (Metrics.read (Fsd.metrics v.v_fsd) "fsd.forces")
@@ -816,7 +822,6 @@ let run t =
            t.vols);
   }
 
-let serve ?config fsd scripts = run (create ?config fsd scripts)
 let serve_volumes ?config vset scripts = run (create_volumes ?config vset scripts)
 let acked t = List.rev t.acked_rev
 

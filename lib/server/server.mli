@@ -20,6 +20,13 @@
     queue waits until the scheduler, once no session is runnable,
     services them in policy order.
 
+    The same site splits the op's latency, once, into a
+    {!Cedar_obs.Trace.op_record} (a dropped op gets its record at the
+    drop), charges it to the volume's [server.phase.*_us] counters
+    and, with tracing on, emits it as [Op_done]. A parked op's append
+    is the overlap of its post-execute wait with the covering force's
+    device-busy window ({!Cedar_fsd.Fsd.last_force_window}).
+
     Each volume's batcher forces on three triggers: its half-second
     commit interval, 64 sessions parked on it, or an explicit client
     [Force] (which flushes every live volume). Admission control
@@ -29,10 +36,6 @@
     is retried after the volume's next commit opportunity, up to 8
     times; only then is it dropped, and the drop is counted in the
     report.
-
-    The single-volume server ({!create}, over
-    {!Cedar_volumes.Volume_set.of_fsd}) is the degenerate case and is
-    byte-identical to the historical one-FSD scheduler.
 
     Determinism contract: given the same volume images, scripts and
     configuration, two runs produce byte-identical {!report_json} output
@@ -49,7 +52,8 @@ type config = {
           server-initiated force — the crash-injection hook *)
   on_ack : (client:int -> op:Cedar_workload.Concurrent.op -> unit) option;
       (** called when a mutating operation's transaction becomes
-          durable and its session is released *)
+          durable and its session is released, just before its
+          [Op_done] record is emitted *)
 }
 
 val default_config : config
@@ -104,30 +108,24 @@ type report = {
   per_volume : volume_report list;
 }
 
-val create :
-  ?config:config -> Cedar_fsd.Fsd.t -> Cedar_workload.Concurrent.script array -> t
-(** Single-volume server: [create_volumes] over
-    {!Cedar_volumes.Volume_set.of_fsd} — the degenerate, historically
-    byte-identical case. Session [i] runs [scripts.(i)] as client [i].
-    Registers the [server.queue_depth] gauge, the
-    [server.commit_wait_us] / [server.batch_size] distributions, and
-    the admission counters [server.rejects.queue_full],
-    [server.retries] and [server.dropped] in the volume's metrics
-    registry (so [cedar serve --json] and [cedar stats] expose them).
-    Raises [Invalid_argument] on an empty script array or a
-    non-positive [queue_cap]. *)
-
 val create_volumes :
   ?config:config ->
   Cedar_volumes.Volume_set.t ->
   Cedar_workload.Concurrent.script array ->
   t
-(** Multi-volume server. Every instrument above is registered once per
-    volume in that volume's own registry view ([volN.server.*] names in
-    the root for a multi-volume set, the unprefixed historical names
-    for a single-volume one), so each volume's monitor derives its own
+(** Session [i] runs [scripts.(i)] as client [i]; a single booted
+    volume is served as {!Cedar_volumes.Volume_set.of_fsd}. Registers,
+    once per volume in that volume's own registry view ([volN.server.*]
+    names in the root for a multi-volume set, unprefixed for a
+    single-volume one), the [server.queue_depth] gauge, the
+    [server.commit_wait_us] / [server.batch_size] /
+    [server.op_latency_us] distributions, the admission counters
+    [server.rejects.queue_full], [server.retries] and
+    [server.dropped], [server.acked], and the [server.phase.*_us]
+    counters charged from each op's record — so each volume's monitor derives its own
     sat.* gauges and coexisting volumes never clobber each other's
-    counters. *)
+    counters. Raises [Invalid_argument] on an empty script array or a
+    non-positive [queue_cap]. *)
 
 val run : t -> report
 (** Drive every session to completion and drain the final batches. A
@@ -138,13 +136,6 @@ val run : t -> report
     volume: its parked sessions abort, sessions later routed to it
     abort, every other volume keeps serving to completion, and the
     report marks the volume [vr_crashed]. *)
-
-val serve :
-  ?config:config ->
-  Cedar_fsd.Fsd.t ->
-  Cedar_workload.Concurrent.script array ->
-  report
-(** [create] + [run]. *)
 
 val serve_volumes :
   ?config:config ->

@@ -33,8 +33,8 @@ val create_fresh :
 
 val of_fsd : Cedar_fsd.Fsd.t -> t
 (** Wrap one already-booted volume (which must be shard 0) — the
-    degenerate set [Server.create] uses. Raises [Invalid_argument]
-    otherwise. *)
+    degenerate set a single-volume server runs on. Raises
+    [Invalid_argument] otherwise. *)
 
 val count : t -> int
 

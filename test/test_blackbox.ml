@@ -47,7 +47,54 @@ let sample_events =
     Trace.Op_begin { op = "create"; name = "a/b" };
     Trace.Op_end { op = "create"; us = 17_364 };
     Trace.Blackbox_checkpoint { gen = 3L; events = 64; sectors = 16 };
+    Trace.Home_write_burst { third = 2; pages = 37; leaders = 5 };
+    Trace.Reclaim_stall { third = 1; pinned = 3 };
+    Trace.Mutation { seq = 4_096 };
+    Trace.Op_submitted { client = 7; opseq = 1_234 };
+    Trace.Op_rejected { client = 7; opseq = 1_234 };
+    Trace.Op_done
+      {
+        client = 7;
+        opseq = 1_234;
+        op = "create";
+        arrived_us = 5_000_000_000 (* above 2^32 *);
+        end_us = 5_001_234_567;
+        queue_us = 11;
+        admission_us = 22;
+        execute_us = 33_000;
+        seek_us = 4_000;
+        transfer_us = 5_000;
+        append_us = 66_000;
+        parked_us = 1_135_534;
+        retries = 3;
+        dropped = true;
+      };
   ]
+
+(* Each event constructor's ordinal. The match is exhaustive, so a new
+   event does not compile here until it is named, and the roundtrip
+   test fails until it is sampled. *)
+let ordinal = function
+  | Trace.Dev_read _ -> 0
+  | Trace.Dev_write _ -> 1
+  | Trace.Dev_seek _ -> 2
+  | Trace.Log_append _ -> 3
+  | Trace.Log_force _ -> 4
+  | Trace.Fnt_write_twice _ -> 5
+  | Trace.Leader_piggyback _ -> 6
+  | Trace.Vam_rebuild _ -> 7
+  | Trace.Scrub_repair _ -> 8
+  | Trace.Scavenge_phase _ -> 9
+  | Trace.Recovery_phase _ -> 10
+  | Trace.Op_begin _ -> 11
+  | Trace.Op_end _ -> 12
+  | Trace.Blackbox_checkpoint _ -> 13
+  | Trace.Home_write_burst _ -> 14
+  | Trace.Reclaim_stall _ -> 15
+  | Trace.Mutation _ -> 16
+  | Trace.Op_submitted _ -> 17
+  | Trace.Op_rejected _ -> 18
+  | Trace.Op_done _ -> 19
 
 let entry_eq (a : Trace.entry) (b : Trace.entry) =
   a.Trace.seq = b.Trace.seq
@@ -68,7 +115,10 @@ let test_codec_roundtrip () =
       check bool
         (Format.asprintf "entry %d roundtrips (%a)" i Trace.pp_event ev)
         true (entry_eq e e'))
-    sample_events
+    sample_events;
+  check (Alcotest.list int) "every event constructor is sampled"
+    (List.init 20 Fun.id)
+    (List.sort_uniq compare (List.map ordinal sample_events))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint write/read and shutdown                                    *)

@@ -51,7 +51,7 @@ let traced_run () =
   let fs = fresh_fs () in
   let tr = Fsd.trace fs in
   Obs.Trace.enable ~capacity:(1 lsl 16) tr;
-  let report = S.serve fs scripts in
+  let report = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   Obs.Trace.disable tr;
   (report, Crit.fold (Obs.Trace.to_list tr))
 
@@ -183,8 +183,9 @@ let test_json_deterministic () =
     (String.equal ja jb)
 
 (* The zero-cost contract: with tracing off, the lifecycle
-   instrumentation must add nothing — the trace stays empty, the kind
-   labels are shared constants (no per-op string allocation), and the
+   instrumentation emits nothing — the trace stays empty, the kind
+   labels are shared constants (no per-op string allocation; the op
+   record the phase counters are charged from is the only one), and the
    run's allocation profile is pinned: two identical tracing-off runs
    allocate exactly the same number of bytes, and turning tracing on
    strictly increases it (i.e. the [Trace.enabled] guard really skips
@@ -195,7 +196,7 @@ let serve_words ~trace =
   if trace then Obs.Trace.enable ~capacity:(1 lsl 16) tr;
   Gc.full_major ();
   let before = Gc.allocated_bytes () in
-  let report = S.serve fs scripts in
+  let report = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   let after = Gc.allocated_bytes () in
   check int "run completed" 4 report.S.total_ops;
   check bool "trace emptiness matches the switch" true

@@ -121,7 +121,7 @@ let test_run_op_catch_all () =
       ];
     |]
   in
-  let r = S.serve fs scripts in
+  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   check int "one session aborted" 1 r.S.total_aborted;
   check int "the abort is not an fs error" 0 r.S.total_errors;
   let s0 = List.nth r.S.per_session 0 in

@@ -163,7 +163,7 @@ let open_loop_timelines () =
       { C.default_open with C.ol_ops = 80; ol_rate_per_s = 30.0 }
       ~clients:4
   in
-  let _r = S.serve fs scripts in
+  let _r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   let samples = Monitor.samples mon in
   (Jsonb.to_string (Timeline.to_json samples), Timeline.to_csv samples,
    List.length samples)
@@ -315,7 +315,7 @@ let test_open_loop_replays_cleanly () =
       { C.default_open with C.ol_ops = 60; ol_rate_per_s = 25.0 }
       ~clients:3
   in
-  let r = S.serve fs scripts in
+  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   check int "no client errors" 0 r.S.total_errors;
   check int "no aborted sessions" 0 r.S.total_aborted;
   check int "every arrival executed" 60 r.S.total_ops

@@ -2,7 +2,7 @@
    determinism, batching amortisation, fairness under a bulk writer,
    admission rejects and drops, crash atomicity of acknowledged
    transactions, the run_due_demons split, the script-file parser, the
-   one completion rule and the online phase counters. *)
+   one completion rule and the op ledger. *)
 
 open Cedar_util
 open Cedar_disk
@@ -51,7 +51,10 @@ let script_names script =
 let run_report () =
   let _, fs = fresh_fs () in
   let spec = { C.default_spec with C.modules = 4; rounds = 1; think_us = 30_000 } in
-  let r = S.serve fs (C.makedo_scripts spec ~clients:3) in
+  let r =
+    S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
+      (C.makedo_scripts spec ~clients:3)
+  in
   Obs.Jsonb.to_string (S.report_json r)
 
 let test_determinism () =
@@ -65,7 +68,10 @@ let test_determinism () =
 let ops_per_force clients =
   let _, fs = fresh_fs () in
   let spec = { C.default_spec with C.modules = 4; rounds = 1; think_us = 60_000 } in
-  let r = S.serve fs (C.makedo_scripts spec ~clients) in
+  let r =
+    S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
+      (C.makedo_scripts spec ~clients)
+  in
   check int "no rejects" 0 r.S.total_rejected;
   check int "no errors" 0 r.S.total_errors;
   r.S.ops_per_force
@@ -89,7 +95,7 @@ let test_all_mutations_acked () =
   let config =
     { S.default_config with S.on_ack = Some (fun ~client:_ ~op:_ -> incr acks) }
   in
-  let r = S.serve ~config fs scripts in
+  let r = S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   check int "15 mutations acked" 15 r.S.mutations_acked;
   check int "ack hook fired per mutation" 15 !acks;
   check int "every op ran" 15 r.S.total_ops;
@@ -110,7 +116,7 @@ let test_fairness_no_starvation () =
           C.bulk_writer ~client ~files:30 ~bytes:2_000 ~think_us:2_000 ~seed:9
         else C.churn ~client ~ops:8 ~bytes:400 ~think_us:40_000 ~seed:(10 + client))
   in
-  let r = S.serve fs scripts in
+  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   check int "no rejects" 0 r.S.total_rejected;
   check int "no errors" 0 r.S.total_errors;
   let interval = (Fsd.params fs).Params.commit_interval_us in
@@ -143,7 +149,8 @@ let admission_events ?client entries =
     (fun (rejected, dropped) (e : Obs.Trace.entry) ->
       match e.Obs.Trace.event with
       | Obs.Trace.Op_rejected { client = c; _ } when mine c -> (rejected + 1, dropped)
-      | Obs.Trace.Op_dropped { client = c; _ } when mine c -> (rejected, dropped + 1)
+      | Obs.Trace.Op_done { Obs.Trace.client = c; dropped = true; _ } when mine c ->
+        (rejected, dropped + 1)
       | _ -> (rejected, dropped))
     (0, 0) entries
 
@@ -151,7 +158,7 @@ let admission_events ?client entries =
 let serve_traced ?config fs scripts =
   let tr = Device.trace (Fsd.device fs) in
   Obs.Trace.enable ~capacity:(1 lsl 16) tr;
-  let r = S.serve ?config fs scripts in
+  let r = S.serve_volumes ?config (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   Obs.Trace.disable tr;
   check int "trace kept every entry" 0 (Obs.Trace.dropped tr);
   (r, Obs.Trace.to_list tr)
@@ -205,7 +212,9 @@ let test_queue_cap_drop () =
     (List.exists
        (fun (e : Obs.Trace.entry) ->
          match e.Obs.Trace.event with
-         | Obs.Trace.Op_dropped { client = 1; retries = 8; _ } -> true
+         | Obs.Trace.Op_done
+             { Obs.Trace.client = 1; retries = 8; dropped = true; _ } ->
+           true
          | _ -> false)
        entries);
   check bool "the dropped create left no file" false (Fsd.exists fs ~name:"c01/f0")
@@ -236,7 +245,7 @@ let test_crash_atomicity () =
     Array.init 2 (fun client ->
         create_script ~client ~creates:8 ~bytes:900 ~think:180_000)
   in
-  (match S.serve ~config fs scripts with
+  (match S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts with
   | (_ : S.report) -> Alcotest.fail "expected the armed crash during force 3"
   | exception Device.Crash_during_write _ -> ());
   Device.cancel_write_crash device;
@@ -302,7 +311,7 @@ let test_session_trace_export () =
     Array.init 2 (fun client ->
         create_script ~client ~creates:3 ~bytes:500 ~think:50_000)
   in
-  ignore (S.serve fs scripts : S.report);
+  ignore (S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts : S.report);
   let json =
     Obs.Jsonb.to_string
       (Obs.Export.chrome (Obs.Trace.to_list (Device.trace (Fsd.device fs))))
@@ -315,7 +324,8 @@ let test_session_trace_export () =
   check bool "per-session track names" true
     (contains "session 0" && contains "session 1");
   check bool "session op spans" true (contains "\"session00\"");
-  check bool "commit waits drawn on session tracks" true (contains "commit-wait")
+  check bool "parked and append slices drawn on session tracks" true
+    (contains "\"parked\"" && contains "\"append\"")
 
 (* ------------------------------------------------------------------ *)
 (* Script files                                                         *)
@@ -344,7 +354,10 @@ let test_script_parser () =
     | _ -> Alcotest.fail "instantiation did not substitute {c}");
     (* And the instantiated script actually runs. *)
     let _, fs = fresh_fs () in
-    let r = S.serve fs [| C.instantiate script ~client:0 |] in
+    let r =
+      S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
+        [| C.instantiate script ~client:0 |]
+    in
     check int "parser script runs clean" 0 r.S.total_errors
 
 let test_script_parser_rejects_garbage () =
@@ -360,28 +373,49 @@ let test_script_parser_rejects_garbage () =
 (* ------------------------------------------------------------------ *)
 (* The completion rule                                                  *)
 
-(* Recompute every acknowledgement from the trace by the one completion
-   rule: the latest of the op's execute end (its session span's
-   [Op_end]), the end of its own device commands (service start plus
-   duration of every [Dev_read]/[Dev_write] under that span) and, if it
-   parked, the covering force's completion — the horizon of the op's
-   device at the wake (every command on it the trace holds before the
-   ack has ended by then) or the wake instant, whichever is later.
-   [wakes] maps the trace index of a journaled ack to the clock at the
-   journaling. Returns how many acks were checked. *)
-let check_ack_rule ~dev_of_client ~wakes entries =
+(* Replay every acknowledged op of a server trace from the raw events
+   and pass [f] the trace index of its [Op_done], its record and:
+
+   - its execute end (its session span's [Op_end]);
+   - the end of its own device commands (service start plus duration
+     of every [Dev_read]/[Dev_write] under that span), and their arm
+     time ([Dev_seek]) and whole command time;
+   - whether it parked: a [Mutation] under its span that no later
+     [Log_force] in the span covered;
+   - its device's horizon (the end of every command on it so far);
+   - the busy window of the last force on its device: from the start
+     of the first command under that [force] span to the end of the
+     last.
+
+   Client [c] runs on device [dev_of_client c]. Returns how many acks
+   it replayed. *)
+type replayed = {
+  exec_end : int;
+  io_end : int;
+  seek : int;
+  command : int;
+  parked : bool;
+  horizon : int;
+  force_window : int * int;
+}
+
+let replay_acks ~dev_of_client entries f =
   let parent = Hashtbl.create 256 in
   let sessions = Hashtbl.create 256 in
+  let forces = Hashtbl.create 64 in (* force span -> its commands' window *)
   let current = Hashtbl.create 16 in (* client -> its latest session span *)
   let exec_end = Hashtbl.create 256 in
   let io_end = Hashtbl.create 256 in
+  let seek = Hashtbl.create 256 in
+  let command = Hashtbl.create 256 in
   let horizon = Hashtbl.create 4 in
-  let parked = Hashtbl.create 16 in
+  let last_force = Hashtbl.create 4 in (* device -> newest force span on it *)
+  let unforced = Hashtbl.create 16 in
   let get tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
   let raise_to tbl k v = Hashtbl.replace tbl k (max v (get tbl k)) in
-  let rec session_of span =
-    if span = 0 || Hashtbl.mem sessions span then span
-    else session_of (get parent span)
+  let add_to tbl k v = Hashtbl.replace tbl k (v + get tbl k) in
+  let rec up_to mark span =
+    if span = 0 || Hashtbl.mem mark span then span else up_to mark (get parent span)
   in
   let acks = ref 0 in
   List.iteri
@@ -390,6 +424,7 @@ let check_ack_rule ~dev_of_client ~wakes entries =
       match e.Obs.Trace.event with
       | Obs.Trace.Op_begin { op; _ } -> (
         Hashtbl.replace parent e.Obs.Trace.seq span;
+        if op = "force" then Hashtbl.replace forces e.Obs.Trace.seq (max_int, 0);
         match Scanf.sscanf_opt op "session%d%!" Fun.id with
         | Some client ->
           Hashtbl.replace sessions e.Obs.Trace.seq ();
@@ -399,25 +434,78 @@ let check_ack_rule ~dev_of_client ~wakes entries =
         Hashtbl.replace exec_end span at
       | Obs.Trace.Dev_read { dev; us; _ } | Obs.Trace.Dev_write { dev; us; _ } ->
         raise_to horizon dev (at + us);
-        raise_to io_end (session_of span) (at + us)
-      | Obs.Trace.Session_wait { client; _ } -> Hashtbl.replace parked client ()
-      | Obs.Trace.Op_acked { client; opseq } ->
+        raise_to io_end (up_to sessions span) (at + us);
+        add_to command (up_to sessions span) us;
+        let force = up_to forces span in
+        if force <> 0 then begin
+          let f0, f1 = Hashtbl.find forces force in
+          Hashtbl.replace forces force (min f0 at, max f1 (at + us));
+          raise_to last_force dev force
+        end
+      | Obs.Trace.Dev_seek { us; _ } -> add_to seek (up_to sessions span) us
+      | Obs.Trace.Mutation _ -> Hashtbl.replace unforced (up_to sessions span) ()
+      | Obs.Trace.Log_force _ -> Hashtbl.remove unforced (up_to sessions span)
+      | Obs.Trace.Op_done r when not r.Obs.Trace.dropped ->
         incr acks;
-        let op = Hashtbl.find current client in
-        let forced =
-          if Hashtbl.mem parked client then begin
-            Hashtbl.remove parked client;
-            max (Hashtbl.find wakes i) (get horizon (dev_of_client client))
-          end
-          else 0
-        in
-        check int
-          (Printf.sprintf "client %d op %d acked by the rule" client opseq)
-          (max (get exec_end op) (max (get io_end op) forced))
-          at
+        let op = Hashtbl.find current r.Obs.Trace.client in
+        let dev = dev_of_client r.Obs.Trace.client in
+        f i r ~at
+          {
+            exec_end = get exec_end op;
+            io_end = get io_end op;
+            seek = get seek op;
+            command = get command op;
+            parked = Hashtbl.mem unforced op;
+            horizon = get horizon dev;
+            force_window =
+              (match Hashtbl.find_opt last_force dev with
+              | Some force -> Hashtbl.find forces force
+              | None -> (0, 0));
+          }
       | _ -> ())
     entries;
   !acks
+
+(* Recompute every acknowledgement by the one completion rule: the
+   latest of the op's execute end, the end of its own device commands
+   and, if it parked, the covering force's completion — the horizon of
+   the op's device at the wake (every command on it the trace holds
+   before the ack has ended by then) or the wake instant, whichever is
+   later. [wakes] maps the trace index of a journaled ack to the clock
+   at the journaling. *)
+let check_ack_rule ~dev_of_client ~wakes entries =
+  replay_acks ~dev_of_client entries (fun i r ~at a ->
+      let forced =
+        if a.parked then max (Hashtbl.find wakes i) a.horizon else 0
+      in
+      check int
+        (Printf.sprintf "client %d op %d acked by the rule" r.Obs.Trace.client
+           r.Obs.Trace.opseq)
+        (max a.exec_end (max a.io_end forced))
+        at)
+
+(* Recompute the device-derived parts of every acked op's record from
+   the raw device events: seek and transfer from its own commands, and
+   append — for a parked op, the overlap of its post-execute wait with
+   the busy window of the last force on its device; 0 for any other.
+   Returns each acked op's record with whether it parked. *)
+let check_device_split ~dev_of_client entries =
+  let acked = ref [] in
+  ignore
+    (replay_acks ~dev_of_client entries (fun _ r ~at a ->
+         let f0, f1 = a.force_window in
+         let expect =
+           if a.parked then max 0 (min f1 at - max f0 a.exec_end) else 0
+         in
+         let what = Printf.sprintf "client %d op %d" r.Obs.Trace.client r.Obs.Trace.opseq in
+         check int (what ^ ": append from its force's commands") expect
+           r.Obs.Trace.append_us;
+         check int (what ^ ": seek from its commands") a.seek r.Obs.Trace.seek_us;
+         check int (what ^ ": transfer from its commands") (a.command - a.seek)
+           r.Obs.Trace.transfer_us;
+         acked := (r, a.parked) :: !acked)
+      : int);
+  List.rev !acked
 
 (* Serve [scripts] on [vset] with tracing on and check every ack against
    the rule; client [i] runs on volume [dev_of_client i]. *)
@@ -425,7 +513,7 @@ let check_rule_run ~dev_of_client vset scripts =
   let clock = Cedar_volumes.Volume_set.clock vset in
   let tr = Cedar_volumes.Volume_set.trace vset in
   Obs.Trace.enable ~capacity:(1 lsl 18) tr;
-  (* The journaling hook runs just before the ack's [Op_acked] is
+  (* The journaling hook runs just before the ack's [Op_done] is
      emitted, so the trace length then is that entry's index. *)
   let wakes = Hashtbl.create 256 in
   let config =
@@ -477,39 +565,75 @@ let test_rule_queued () =
     (fresh_set ~params:queued_params 1)
     (makedo ~clients:4)
 
-(* The online phase counters (kept with tracing off, read by the
-   monitor's sat.phase_* gauges) account for every microsecond Critpath
-   finds in the trace: summed over every op and volume, queue +
-   admission + execute + append + parked equals the sum of the ops'
-   end-to-end latencies. Only the append/parked split may differ. *)
-let check_phase_totals what vset scripts =
+(* The op ledger: the server splits each op's latency once, so every
+   online phase counter (kept with tracing off, read by the monitor's
+   sat.phase_* gauges) equals the same phase summed over the traced
+   records, exactly, whatever the device timing; and each record's
+   append, seek and transfer match the raw device commands.
+   Returns each acked op's record with whether it parked. *)
+let check_ledger what ~dev_of_client vset scripts =
   let tr = Cedar_volumes.Volume_set.trace vset in
   Obs.Trace.enable ~capacity:(1 lsl 18) tr;
   ignore (S.serve_volumes vset scripts : S.report);
   Obs.Trace.disable tr;
   check int (what ^ ": trace kept every entry") 0 (Obs.Trace.dropped tr);
-  let cp = Obs.Critpath.fold (Obs.Trace.to_list tr) in
+  let entries = Obs.Trace.to_list tr in
+  let cp = Obs.Critpath.fold entries in
   check int (what ^ ": every lifecycle finished") 0 cp.Obs.Critpath.unfinished;
-  let online = ref 0 in
-  Cedar_volumes.Volume_set.iter
-    (fun _ fs ->
-      List.iter
-        (fun ph ->
-          let name = "server.phase." ^ Obs.Critpath.phase_name ph ^ "_us" in
+  List.iter
+    (fun ph ->
+      let name = "server.phase." ^ Obs.Critpath.phase_name ph ^ "_us" in
+      let online = ref 0 in
+      Cedar_volumes.Volume_set.iter
+        (fun _ fs ->
           online := !online + Option.get (Obs.Metrics.read (Fsd.metrics fs) name))
-        Obs.Critpath.[ Queue; Admission; Execute; Append; Parked ])
-    vset;
-  check int
-    (what ^ ": online phase totals = Critpath total")
-    (List.fold_left (fun n r -> n + Obs.Critpath.total_us r) 0 cp.Obs.Critpath.ops)
-    !online
+        vset;
+      check int
+        (Printf.sprintf "%s: %s = the records' sum" what name)
+        (List.fold_left
+           (fun n r -> n + Obs.Critpath.phase_us r ph)
+           0 cp.Obs.Critpath.ops)
+        !online)
+    Obs.Critpath.[ Queue; Admission; Execute; Append; Parked ];
+  check_device_split ~dev_of_client entries
 
-let test_phase_totals () =
-  check_phase_totals "synchronous volume" (fresh_set 1) (makedo ~clients:3);
-  check_phase_totals "own-timeline volumes" (fresh_set 2)
-    (C.shard_scripts (makedo ~clients:4) ~volumes:2);
-  check_phase_totals "queued volume" (fresh_set ~params:queued_params 1)
-    (makedo ~clients:4)
+let creates acked =
+  List.filter (fun ((r : Obs.Trace.op_record), _) -> r.Obs.Trace.op = "create") acked
+
+let check_parked_append what acked =
+  let parked = List.filter snd (creates acked) in
+  check bool (what ^ ": some creates parked") true (parked <> []);
+  List.iter
+    (fun ((r : Obs.Trace.op_record), _) ->
+      check bool
+        (Printf.sprintf "%s: parked create c%d#%d has append > 0" what
+           r.Obs.Trace.client r.Obs.Trace.opseq)
+        true (r.Obs.Trace.append_us > 0))
+    parked
+
+let test_ledger () =
+  check_parked_append "synchronous volume"
+    (check_ledger "synchronous volume" ~dev_of_client:(fun _ -> 0) (fresh_set 1)
+       (makedo ~clients:3));
+  check_parked_append "own-timeline volumes"
+    (check_ledger "own-timeline volumes"
+       ~dev_of_client:(fun c -> c mod 2)
+       (fresh_set 2)
+       (C.shard_scripts (makedo ~clients:4) ~volumes:2));
+  let queued =
+    check_ledger "queued volume" ~dev_of_client:(fun _ -> 0)
+      (fresh_set ~params:queued_params 1)
+      (makedo ~clients:4)
+  in
+  check_parked_append "queued volume" queued;
+  List.iter
+    (fun ((r : Obs.Trace.op_record), _) ->
+      check bool
+        (Printf.sprintf "queued volume: create c%d#%d has seek + transfer > 0"
+           r.Obs.Trace.client r.Obs.Trace.opseq)
+        true
+        (r.Obs.Trace.seek_us + r.Obs.Trace.transfer_us > 0))
+    (creates queued)
 
 (* An op that issues no device request is acked at its execute end, even
    while its device is still busy with another session's create: on a
@@ -549,7 +673,7 @@ let test_no_io_op_acked_at_execute_end () =
   let acked =
     find (fun (e : Obs.Trace.entry) ->
         match e.Obs.Trace.event with
-        | Obs.Trace.Op_acked { client = 1; _ } -> Some e.Obs.Trace.at_us
+        | Obs.Trace.Op_done { Obs.Trace.client = 1; _ } -> Some e.Obs.Trace.at_us
         | _ -> None)
   in
   let busy_until =
@@ -607,6 +731,5 @@ let suite =
       test_rule_queued;
     Alcotest.test_case "no-I/O op acked at execute end" `Quick
       test_no_io_op_acked_at_execute_end;
-    Alcotest.test_case "online phase totals match Critpath" `Quick
-      test_phase_totals;
+    Alcotest.test_case "ledger exact on every timing" `Quick test_ledger;
   ]

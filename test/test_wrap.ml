@@ -46,7 +46,7 @@ let test_acked_survive_clean_reboot () =
   let spec = { C.default_churn with C.churn_ops = 120 } in
   let clients = 2 in
   let scripts = C.churn_scripts spec ~clients in
-  let r = S.serve fs scripts in
+  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   check int "no errors" 0 r.S.total_errors;
   check int "no drops" 0 r.S.total_dropped;
   let wrapped = (Fsd.log_stats fs).Log.third_entries in
@@ -77,7 +77,10 @@ let test_twin_repair_observable () =
   (* Enough churn through the server to enter thirds repeatedly, so FNT
      pages are being written home (bursts and third-entry flushes). *)
   let spec = { C.default_churn with C.churn_ops = 60 } in
-  let r = S.serve fs (C.churn_scripts spec ~clients:1) in
+  let r =
+    S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
+      (C.churn_scripts spec ~clients:1)
+  in
   check int "no errors" 0 r.S.total_errors;
   check bool "home writes happened" true (Fsd.fnt_home_writes fs > 0);
   let layout = Fsd.layout fs in
