@@ -173,7 +173,10 @@ qdepth-smoke:
 # critical-path conservation, and its last line is the JSON result,
 # which must read "correct": true. A traced run must also see a real
 # append phase (phase.append_p99_ms > 0): parked creates share their
-# covering force's log write on both workloads.
+# covering force's log write on both workloads. And its B-tree find must
+# allocate under 100 words (fnt.btree.find.words, an allocation count
+# that does not vary run to run): finds are served from the tree's
+# decoded-node memo, not by decoding a page per node.
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
 	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \
@@ -185,6 +188,9 @@ perf-smoke:
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["phase.append_p99_ms"]["value"] <= 0)' || \
 				{ echo "perf-smoke: $$w --trace 1 phase.append_p99_ms is not > 0"; exit 1; }; \
+			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
+				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["fnt.btree.find.words"]["value"] >= 100)' || \
+				{ echo "perf-smoke: $$w --trace 1 fnt.btree.find.words is not < 100"; exit 1; }; \
 		fi; \
 		echo "perf-smoke: $$w --trace $$tr correct"; \
 	done; done

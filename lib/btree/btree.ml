@@ -21,9 +21,29 @@ module Make (S : STORE) = struct
     | Leaf of (string * string) array
     | Internal of { keys : string array; children : int array }
 
-  type t = { store : S.t; page_bytes : int }
+  (* [memo_*] is a direct-mapped cache of decoded nodes, one slot per
+     [id mod memo_slots]: the bytes a node was decoded from (or encoded
+     to) and the node itself. A slot serves a read only while the store
+     hands back those very bytes ([==]), which under the STORE ownership
+     contract means the page is unchanged. *)
+  type t = {
+    store : S.t;
+    page_bytes : int;
+    memo_ids : int array;
+    memo_bytes : bytes array;
+    memo_nodes : node array;
+  }
 
-  let attach store = { store; page_bytes = S.page_bytes store }
+  let memo_slots = 128
+
+  let attach store =
+    {
+      store;
+      page_bytes = S.page_bytes store;
+      memo_ids = Array.make memo_slots (-1);
+      memo_bytes = Array.make memo_slots Bytes.empty;
+      memo_nodes = Array.make memo_slots (Leaf [||]);
+    }
 
   (* ---------------------------------------------------------------- *)
   (* Node codec                                                        *)
@@ -79,13 +99,33 @@ module Make (S : STORE) = struct
       Internal { keys; children }
     | k -> raise (Corrupt (Printf.sprintf "unknown node kind %d" k))
 
-  let read_node t id =
-    match decode (S.read t.store id) with
-    | node -> node
-    | exception Bytebuf.Decode_error msg ->
-      raise (Corrupt (Printf.sprintf "page %d: %s" id msg))
+  let remember t id b node =
+    let slot = id land (memo_slots - 1) in
+    t.memo_ids.(slot) <- id;
+    t.memo_bytes.(slot) <- b;
+    t.memo_nodes.(slot) <- node
 
-  let write_node t id node = S.write t.store id (encode t node)
+  (* Every access still goes through [S.read], so the store's caching and
+     I/O are exactly those of a decode per access. Memoised nodes are
+     shared, never edited: the code below copies a node's arrays
+     ([Array.copy], [array_insert], [Array.sub], ...) before changing
+     them, and the memo depends on that. *)
+  let read_node t id =
+    let b = S.read t.store id in
+    let slot = id land (memo_slots - 1) in
+    if t.memo_ids.(slot) = id && t.memo_bytes.(slot) == b then t.memo_nodes.(slot)
+    else
+      match decode b with
+      | node ->
+        remember t id b node;
+        node
+      | exception Bytebuf.Decode_error msg ->
+        raise (Corrupt (Printf.sprintf "page %d: %s" id msg))
+
+  let write_node t id node =
+    let b = encode t node in
+    S.write t.store id b;
+    remember t id b node
 
   (* ---------------------------------------------------------------- *)
   (* Search helpers                                                    *)

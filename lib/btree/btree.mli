@@ -8,17 +8,32 @@
 
     Keys are ordered by [String.compare]. Entries must be small relative
     to the page: an entry whose encoded size exceeds a quarter of the page
-    is rejected with [Invalid_argument] so that splits always succeed. *)
+    is rejected with [Invalid_argument] so that splits always succeed.
+
+    Each tree keeps a direct-mapped memo of 128 decoded nodes, keyed by
+    page id. Every node access still calls [S.read]; the memo only saves
+    the decode, and only when [read] hands back the very bytes value
+    ([==]) the slot's node was decoded from or encoded to. *)
 
 module type STORE = sig
   type t
+  (** Bytes cross this interface by ownership transfer, never by copy
+      obligation: once [write] has been given a bytes value, or [read] has
+      returned one, neither side mutates it. A page that changes gets a
+      new bytes value. A store may copy on either side (the tree then just
+      decodes more often), but it must not hand out the same bytes value
+      for different contents. *)
 
   val page_bytes : t -> int
 
   val read : t -> int -> bytes
-  (** [read t id] returns the page's current contents. *)
+  (** [read t id] returns the page's current contents: the bytes last
+      written to [id] (or an equal copy of them), never a value the store
+      will later mutate. *)
 
   val write : t -> int -> bytes -> unit
+  (** [write t id b] makes [b] the page's contents; the store may keep [b]
+      itself and return it from later [read]s. *)
 
   val alloc : t -> int
   (** A fresh page id, distinct from all live pages. *)

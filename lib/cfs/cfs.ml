@@ -80,7 +80,7 @@ module Direct_store = struct
 
   let read t page =
     match Lru.find t.cache page with
-    | Some payload -> Bytes.copy payload
+    | Some payload -> payload
     | None -> (
       let sector = Cfs_layout.fnt_sector t.layout ~page in
       let image =
@@ -91,7 +91,7 @@ module Direct_store = struct
       in
       match unframe t.layout ~page image with
       | Some payload ->
-        ignore (Lru.add t.cache page (Bytes.copy payload) : (int * bytes) list);
+        ignore (Lru.add t.cache page payload : (int * bytes) list);
         payload
       | None ->
         raise
@@ -105,7 +105,7 @@ module Direct_store = struct
       ~expect:(fnt_labels t.layout ~page)
       (frame t.layout ~page payload);
     t.page_writes <- t.page_writes + 1;
-    ignore (Lru.add t.cache page (Bytes.copy payload) : (int * bytes) list)
+    ignore (Lru.add t.cache page payload : (int * bytes) list)
 
   let encode_anchor t =
     let w = Bytebuf.Writer.create () in

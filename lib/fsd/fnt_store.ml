@@ -28,6 +28,9 @@ type t = {
   cache : (int, cached) Lru.t;
   anchor : anchor;
   mutable note_dirty : int -> unit;
+  mutable to_log_count : int;
+      (* cached pages both dirty and modified, i.e. [pages_to_log]'s
+         length; kept up to date wherever those flags change *)
   mutable home_writes : int;
   mutable repairs : int;
   dirty_age : Stats.t; (* dirty-to-home-write latency per page flush *)
@@ -222,6 +225,7 @@ let mk device layout anchor =
       cache = Lru.create ~capacity:layout.Layout.params.Params.cache_pages;
       anchor;
       note_dirty = (fun _ -> ());
+      to_log_count = 0;
       home_writes = 0;
       repairs = 0;
       dirty_age = Stats.create ();
@@ -255,6 +259,9 @@ let set_note_dirty t f = t.note_dirty <- f
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 
+(* A page the next group commit must log. *)
+let to_log c = c.dirty && c.modified
+
 let insert_cache t page c =
   (* Evictions are always clean (dirty pages are pinned). *)
   ignore (Lru.add t.cache page c : (int * cached) list);
@@ -262,7 +269,7 @@ let insert_cache t page c =
 
 let read t page =
   match Lru.find t.cache page with
-  | Some c -> Bytes.copy c.payload
+  | Some c -> c.payload
   | None ->
     let payload = read_home t page in
     insert_cache t page
@@ -274,7 +281,7 @@ let read t page =
         dirtied_at = 0;
         logged = None;
       };
-    Bytes.copy payload
+    payload
 
 let write t page payload =
   if Bytes.length payload <> page_bytes t then invalid_arg "Fnt_store.write: size";
@@ -285,7 +292,8 @@ let write t page payload =
        replaced is the committed logged image. Retain it — it is what
        must go home if its third reclaims before this change commits. *)
     if c.dirty && (not c.modified) && c.logged = None then c.logged <- Some c.payload;
-    c.payload <- Bytes.copy payload;
+    if not (to_log c) then t.to_log_count <- t.to_log_count + 1;
+    c.payload <- payload;
     c.modified <- true;
     if not c.dirty then begin
       c.dirty <- true;
@@ -294,9 +302,10 @@ let write t page payload =
       Lru.pin t.cache page
     end
   | None ->
+    t.to_log_count <- t.to_log_count + 1;
     insert_cache t page
       {
-        payload = Bytes.copy payload;
+        payload;
         dirty = true;
         modified = true;
         third = None;
@@ -328,6 +337,9 @@ let free t page =
   if page = 0 || not (Bitmap.get t.anchor.alloc_map page) then
     invalid_arg "Fnt_store.free";
   Bitmap.clear t.anchor.alloc_map page;
+  (match Lru.peek t.cache page with
+  | Some c when to_log c -> t.to_log_count <- t.to_log_count - 1
+  | Some _ | None -> ());
   Lru.remove t.cache page;
   write_anchor t
 
@@ -369,6 +381,7 @@ let mark_logged t pages ~third =
     (fun page ->
       match Lru.peek t.cache page with
       | Some c when c.dirty ->
+        if c.modified then t.to_log_count <- t.to_log_count - 1;
         c.third <- Some third;
         c.modified <- false;
         (* The payload is now itself the committed image. *)
@@ -391,6 +404,7 @@ let home_write t page c =
   c.logged <- None;
   if not diverged then begin
     Stats.add t.dirty_age (float_of_int (now - c.dirtied_at));
+    if to_log c then t.to_log_count <- t.to_log_count - 1;
     c.dirty <- false;
     c.modified <- false;
     Lru.unpin t.cache page
@@ -451,8 +465,10 @@ let dirty_pages t =
 
 let pages_to_log t =
   let acc = ref [] in
-  Lru.iter t.cache (fun page c -> if c.dirty && c.modified then acc := page :: !acc);
+  Lru.iter t.cache (fun page c -> if to_log c then acc := page :: !acc);
   List.sort compare !acc
+
+let pages_to_log_count t = t.to_log_count
 
 let cached_pages t = Lru.size t.cache
 

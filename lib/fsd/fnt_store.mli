@@ -29,7 +29,15 @@ val set_note_dirty : t -> (int -> unit) -> unit
 (** Callback invoked with a page id whenever a page becomes dirty; the
     file system uses it to build the group-commit batch. *)
 
-(** {1 Btree.STORE} *)
+(** {1 Btree.STORE}
+
+    Bytes are handed over, not copied (see {!Cedar_btree.Btree.STORE}):
+    [write] keeps the caller's bytes as the cached payload, and [read]
+    returns the cached payload itself. So [read] returns physically the
+    same bytes while a page is unchanged — across forces and home writes
+    too — and new bytes after a [write], or after the page left the cache
+    (eviction, {!drop_clean_cache}) and was read back from home. Neither
+    side may mutate bytes once handed over. *)
 
 val page_bytes : t -> int
 val read : t -> int -> bytes
@@ -89,6 +97,10 @@ val dirty_pages : t -> int list
 val pages_to_log : t -> int list
 (** Dirty pages modified since they were last logged — the group-commit
     batch. *)
+
+val pages_to_log_count : t -> int
+(** [List.length (pages_to_log t)] in O(1): a count kept up to date by
+    [write], [mark_logged], [free] and every home write. *)
 
 val cached_pages : t -> int
 val drop_clean_cache : t -> unit

@@ -76,6 +76,10 @@ type t = {
       (* time-based commit fires inside op_done; a server scheduler
          suppresses it during [submit] and drives commits itself *)
   mutable forces_since_bb : int; (* black-box checkpoint cadence counter *)
+  mutable homed_third : int;
+      (* a third the home-write demon found nothing left to home in, or
+         -1; only a record landing in it can make it claim work again
+         (see [maybe_home_writes]) *)
   mutable last_scrub : int;
   mutable scrub_page_cursor : int; (* next FNT page pair to verify *)
   mutable scrub_key_cursor : string; (* next name-table key whose leader to verify *)
@@ -228,8 +232,11 @@ let max_data_sectors t =
   min t.params.Params.max_record_data_sectors (Log.max_data_sectors_hard t.layout)
 
 (* Note what each logged unit's survival horizon is (the third its
-   record starts in) and update the in-memory bookkeeping. *)
+   record starts in) and update the in-memory bookkeeping. This is the
+   only way a page or a leader comes to claim a third, so it is also
+   where the home-write demon's "nothing left in [third]" is forgotten. *)
 let note_logged t batch ~third =
+  if third = t.homed_third then t.homed_third <- -1;
   let fnt_ids =
     List.filter_map
       (fun u -> match u.Log.kind with Log.Fnt_page p -> Some p | _ -> None)
@@ -414,9 +421,7 @@ let maybe_commit t =
   let due_time =
     t.autocommit && now t - t.last_force >= t.params.Params.commit_interval_us
   in
-  let due_bulk =
-    List.length (Fnt_store.pages_to_log t.store) >= force_threshold t
-  in
+  let due_bulk = Fnt_store.pages_to_log_count t.store >= force_threshold t in
   if due_time || due_bulk then force t
 
 (* Any mutation of allocation state spoils an idle-period VAM snapshot.
@@ -1046,19 +1051,27 @@ let maybe_scrub t =
    [home_write_fill] full, pre-flush pages and leaders whose survival
    horizon is the NEXT third, in bounded batches between group commits —
    so the synchronous reclaim when the writer actually enters that third
-   ([handle_enter_third]) finds little left to do inside an op. *)
+   ([handle_enter_third]) finds little left to do inside an op.
+
+   A pass that homes fewer pages plus leaders than its budget has homed
+   everything the third holds (bar stalled pages, which a later scan
+   would skip too), so the third is remembered in [homed_third] and
+   later passes skip both scans while it is still the next one. *)
 let maybe_home_writes t =
   let budget = Params.home_writes_per_pass in
   if Log.third_fill t.log >= Params.home_write_fill then begin
     let next = (Log.current_third t.log + 1) mod 3 in
-    let pages = Fnt_store.flush_some_third t.store next ~budget in
-    let leaders =
-      if pages >= budget then 0
-      else home_due_leaders t next ~budget:(budget - pages)
-    in
-    if pages + leaders > 0 then begin
-      Metrics.inc t.meters.m_home_write_bursts;
-      emit t (Trace.Home_write_burst { third = next; pages; leaders })
+    if next <> t.homed_third then begin
+      let pages = Fnt_store.flush_some_third t.store next ~budget in
+      let leaders =
+        if pages >= budget then 0
+        else home_due_leaders t next ~budget:(budget - pages)
+      in
+      if pages + leaders > 0 then begin
+        Metrics.inc t.meters.m_home_write_bursts;
+        emit t (Trace.Home_write_burst { third = next; pages; leaders })
+      end;
+      if pages + leaders < budget then t.homed_third <- next
     end
   end
 
@@ -1406,6 +1419,7 @@ let boot ?params device =
       durable_seq = 0;
       autocommit = true;
       forces_since_bb = 0;
+      homed_third = -1;
       last_scrub = Simclock.now clock;
       scrub_page_cursor = 0;
       scrub_key_cursor = "";

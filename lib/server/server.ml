@@ -116,6 +116,9 @@ type vol = {
   mutable v_forces : int;  (* server-initiated forces on this volume *)
   mutable v_forces0 : int;  (* log forces at run start *)
   mutable v_acked : int;
+  mutable v_parked : int;
+      (* sessions in [Parked] on this volume: up where [run_op] parks
+         one, down where [poll_wakes] wakes it or [quarantine] aborts it *)
   v_commit_wait_us : Stats.t;
   v_batch_size : Stats.t;
   (* Per-op end-to-end latency (arrival to ack), every op kind. *)
@@ -194,11 +197,6 @@ type report = {
 let now t = Simclock.now t.clock
 let single t = Array.length t.vols = 1
 
-let parked_on t vid =
-  Array.fold_left
-    (fun n s -> match s.state with Parked { w; _ } when w.w_vol = vid -> n + 1 | _ -> n)
-    0 t.sessions
-
 (* Which volume an operation belongs to. [Force] fans out to every
    volume; its accounting (spans, error counts) is charged to volume 0,
    which is the only volume when the distinction could matter for
@@ -232,7 +230,8 @@ let quarantine t v ~sector =
         s.steps <- [];
         s.state <- Done
       | _ -> ())
-    t.sessions
+    t.sessions;
+  v.v_parked <- 0
 
 (* Run [f] against volume [v]: with a single volume a planted crash is
    the machine halting and propagates (the historical contract the
@@ -358,6 +357,7 @@ let poll_wakes t =
               | Parked { w; token }
                 when w.w_vol = v.v_id && Fsd.token_durable v.v_fsd token ->
                 incr woken;
+                v.v_parked <- v.v_parked - 1;
                 complete t s w
                   ~forced:(Some (Cedar_disk.Device.busy_until v.v_dev))
               | _ -> ())
@@ -382,7 +382,7 @@ let schedule_point t =
   poll_wakes t;
   Array.iter
     (fun v ->
-      if (not v.v_dead) && parked_on t v.v_id >= max_batch then begin
+      if (not v.v_dead) && v.v_parked >= max_batch then begin
         force_vol t v;
         poll_wakes t
       end)
@@ -410,7 +410,7 @@ let exec_op t v (op : Concurrent.op) =
    revision did) let it grow without limit whenever the log third
    happened to be fresh. *)
 let admission_rejects t v (op : Concurrent.op) =
-  Concurrent.mutates op && parked_on t v.v_id >= t.cfg.queue_cap
+  Concurrent.mutates op && v.v_parked >= t.cfg.queue_cap
 
 (* Admission has already passed when this runs. [Fs_error] is a client
    error (bad name, missing file): count it and move on. A planted
@@ -473,7 +473,10 @@ let run_op t v s op =
     in
     (* Reads, lists, explicit forces and client errors are always
        durable; so is a mutation a mid-op force already covered. *)
-    if not (Fsd.token_durable v.v_fsd token) then s.state <- Parked { w; token }
+    if not (Fsd.token_durable v.v_fsd token) then begin
+      s.state <- Parked { w; token };
+      v.v_parked <- v.v_parked + 1
+    end
     else if Cedar_disk.Device.pending io then s.state <- Iowait w
     else complete t s w ~forced:None
 
@@ -642,7 +645,7 @@ let resolve_iowait t =
 (* Flush every live volume still owing acks, index order. *)
 let force_drain t =
   Array.iter
-    (fun v -> if (not v.v_dead) && parked_on t v.v_id > 0 then force_vol t v)
+    (fun v -> if (not v.v_dead) && v.v_parked > 0 then force_vol t v)
     t.vols
 
 let create_volumes ?(config = default_config) vset scripts =
@@ -690,6 +693,7 @@ let create_volumes ?(config = default_config) vset scripts =
           v_forces = 0;
           v_forces0 = 0;
           v_acked = 0;
+          v_parked = 0;
           v_commit_wait_us = Metrics.dist m "server.commit_wait_us";
           v_batch_size = Metrics.dist m "server.batch_size";
           v_op_latency_us = Metrics.dist m "server.op_latency_us";
@@ -718,9 +722,7 @@ let create_volumes ?(config = default_config) vset scripts =
     }
   in
   Array.iter
-    (fun v ->
-      Metrics.gauge (Fsd.metrics v.v_fsd) "server.queue_depth" (fun () ->
-          parked_on t v.v_id))
+    (fun v -> Metrics.gauge (Fsd.metrics v.v_fsd) "server.queue_depth" (fun () -> v.v_parked))
     vols;
   t
 

@@ -1,20 +1,48 @@
+(* Slicing-by-8 (Kounavis & Berry). [table.(k * 256 + n)] is the CRC of
+   byte [n] followed by [k] zero bytes; slice 0 is the classic
+   byte-at-a-time table. Eight lookups, one per slice, fold eight input
+   bytes at once. The remainder lives in the low 32 bits of an int. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let prev = t.(i - 256) in
+    t.(i) <- t.(prev land 0xff) lxor (prev lsr 8)
+  done;
+  t
 
 let bytes ?(pos = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - pos in
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.bytes";
-  let t = Lazy.force table in
   let c = ref 0xffffffff in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    (* Bytes [i..i+3] fold into the remainder; [i+4..i+7] are looked up
+       as they stand. Every index is a slice base plus a byte, so the
+       unchecked reads stay inside [table]. *)
+    let lo = Int32.to_int (Bytes.get_int32_le b !i) land 0xffffffff lxor !c in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xffffffff in
+    c :=
+      Array.unsafe_get table (0x700 lor (lo land 0xff))
+      lxor Array.unsafe_get table (0x600 lor ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get table (0x500 lor ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get table (0x400 lor (lo lsr 24))
+      lxor Array.unsafe_get table (0x300 lor (hi land 0xff))
+      lxor Array.unsafe_get table (0x200 lor ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get table (0x100 lor ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get table (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b j)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
 

@@ -4,24 +4,32 @@ let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
 
-(* In-memory page store used to exercise the B-tree in isolation. *)
+(* In-memory page store used to exercise the B-tree in isolation. By
+   default it copies on read and on write, so the tree decodes every
+   node it reads; with [~copying:false] it hands its bytes out, as the
+   name-table cache does, and unchanged pages hit the tree's node memo.
+   [written] records every page write, newest first. *)
 module Mem_store = struct
   type t = {
     page_bytes : int;
+    copying : bool;
     pages : (int, bytes) Hashtbl.t;
     mutable next : int;
     mutable root : int option;
     mutable writes : int;
+    mutable written : (int * string) list;
     free_list : (int, unit) Hashtbl.t;
   }
 
-  let make ?(page_bytes = 512) () =
+  let make ?(page_bytes = 512) ?(copying = true) () =
     {
       page_bytes;
+      copying;
       pages = Hashtbl.create 64;
       next = 0;
       root = None;
       writes = 0;
+      written = [];
       free_list = Hashtbl.create 8;
     }
 
@@ -29,12 +37,13 @@ module Mem_store = struct
 
   let read t id =
     match Hashtbl.find_opt t.pages id with
-    | Some b -> Bytes.copy b
+    | Some b -> if t.copying then Bytes.copy b else b
     | None -> failwith (Printf.sprintf "read of unallocated page %d" id)
 
   let write t id b =
     t.writes <- t.writes + 1;
-    Hashtbl.replace t.pages id (Bytes.copy b)
+    t.written <- (id, Bytes.to_string b) :: t.written;
+    Hashtbl.replace t.pages id (if t.copying then Bytes.copy b else b)
 
   let alloc t =
     let id = t.next in
@@ -229,6 +238,67 @@ let test_reinsert_after_empty () =
   done;
   expect_ok t
 
+(* The node memo never serves a stale node. One seeded sequence of
+   inserts (new keys and replacements), deletes, finds and range scans
+   runs on a tree over the copying store, which decodes on every read,
+   and on two trees attached to one sharing store, which hit their memos
+   whenever a page is unchanged. Each step goes to either of the two, so
+   each sees pages the other rewrote behind its back. The sequence grows
+   the tree to three levels, then shrinks it through merges, and
+   allocates well over 128 page ids, so memo slots collide. Every
+   result, every check and stats, and the bytes of every page written
+   must agree. *)
+let test_memo_matches_decoding () =
+  let sa = Mem_store.make () and sb = Mem_store.make ~copying:false () in
+  let a = T.attach sa and b1 = T.attach sb and b2 = T.attach sb in
+  let rng = Cedar_util.Rng.create 16 in
+  let same what x y = if x <> y then Alcotest.failf "step %s: trees disagree" what in
+  let max_depth = ref 0 in
+  let run ~steps ~insert_pct ~delete_pct =
+    for i = 1 to steps do
+      let what = string_of_int i in
+      let b = if Cedar_util.Rng.bool rng then b1 else b2 in
+      let key = key_of (Cedar_util.Rng.int rng 3000) in
+      let r = Cedar_util.Rng.int rng 100 in
+      if r < insert_pct then begin
+        let value = value_of (Cedar_util.Rng.int rng 1000) in
+        T.insert a ~key ~value;
+        T.insert b ~key ~value
+      end
+      else if r < insert_pct + delete_pct then same what (T.delete a key) (T.delete b key)
+      else if r < 90 then begin
+        same what (T.find a key) (T.find b key);
+        same what (T.find_last_below a key) (T.find_last_below b key)
+      end
+      else begin
+        let hi = key_of (Cedar_util.Rng.int rng 3000) in
+        let scan t = T.fold_range ~lo:key ~hi t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) in
+        same what (scan a) (scan b)
+      end;
+      if i mod 500 = 0 then begin
+        expect_ok a;
+        List.iter
+          (fun b ->
+            same what (T.check a) (T.check b);
+            same what (T.stats a) (T.stats b);
+            same what (T.min_key a, T.max_key a) (T.min_key b, T.max_key b))
+          [ b1; b2 ];
+        same what sa.Mem_store.written sb.Mem_store.written;
+        sa.Mem_store.written <- [];
+        sb.Mem_store.written <- [];
+        max_depth := max !max_depth (T.stats a).depth
+      end
+    done
+  in
+  run ~steps:8000 ~insert_pct:65 ~delete_pct:5;
+  run ~steps:10000 ~insert_pct:5 ~delete_pct:65;
+  check bool "grew to three levels" true (!max_depth >= 3);
+  check bool "merged pages away" true (Hashtbl.length sb.Mem_store.free_list > 100);
+  check bool "page ids past the memo size" true (sb.Mem_store.next > 2 * 128);
+  check int "same page ids" sa.Mem_store.next sb.Mem_store.next;
+  let pages s = List.sort compare (Hashtbl.fold (fun id b acc -> (id, b) :: acc) s.Mem_store.pages []) in
+  check bool "same final pages" true (pages sa = pages sb)
+
 let prop_range_matches_filter =
   QCheck.Test.make ~name:"range queries match filtering the full iteration" ~count:80
     QCheck.(triple (small_list (int_bound 200)) (int_bound 220) (int_bound 220))
@@ -287,6 +357,7 @@ let suite =
     ("corrupt page detected", `Quick, test_corrupt_page_detected);
     ("mixed value sizes", `Quick, test_mixed_value_sizes);
     ("reinsert after emptying", `Quick, test_reinsert_after_empty);
+    ("node memo agrees with decoding every read", `Quick, test_memo_matches_decoding);
     QCheck_alcotest.to_alcotest prop_range_matches_filter;
     QCheck_alcotest.to_alcotest prop_btree_vs_map;
   ]

@@ -303,9 +303,13 @@ let test_boot_page_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Fnt_store                                                           *)
 
-let mk_store () =
+let mk_store ?cache_pages () =
   let device = mk_device () in
-  let l = layout () in
+  let p = params () in
+  let p =
+    match cache_pages with Some n -> { p with Params.cache_pages = n } | None -> p
+  in
+  let l = Layout.compute geom p in
   let s = Fnt_store.create_fresh device l in
   Fnt_store.flush_anchor s;
   (device, l, s)
@@ -387,6 +391,81 @@ let test_store_free_page_reusable () =
   let p2 = Fnt_store.alloc s in
   check int "slot reused" p1 p2
 
+(* The read contract the B-tree's node memo relies on: the store hands
+   out its cached payload itself, so [read] returns physically the same
+   bytes while a page is unchanged, and new bytes once it is rewritten
+   or has left the cache. *)
+let test_store_read_identity () =
+  let _, _, s = mk_store ~cache_pages:8 () in
+  let page = Fnt_store.alloc s in
+  let written = page_payload s 'm' in
+  Fnt_store.write s page written;
+  let b = Fnt_store.read s page in
+  check bool "read hands out the written bytes" true (b == written);
+  check bool "unchanged page, same bytes" true (Fnt_store.read s page == b);
+  (* A force logs the image; reclaiming its third homes it. *)
+  ignore (Fnt_store.framed_image s page : bytes);
+  Fnt_store.mark_logged s (Fnt_store.pages_to_log s) ~third:1;
+  check bool "same bytes across a force" true (Fnt_store.read s page == b);
+  check int "home write" 2 (Fnt_store.flush_third s 1);
+  check bool "same bytes across a home write" true (Fnt_store.read s page == b);
+  Fnt_store.write s page (page_payload s 'n');
+  let b' = Fnt_store.read s page in
+  check bool "new bytes after write" false (b' == b);
+  ignore (Fnt_store.flush_all_dirty s : int);
+  Fnt_store.drop_clean_cache s;
+  let b'' = Fnt_store.read s page in
+  check bool "new bytes after drop_clean_cache" false (b'' == b');
+  check bool "same contents from home" true (Bytes.equal b'' b');
+  (* Eviction: read more clean pages than the cache holds. *)
+  let others =
+    List.init 10 (fun i ->
+        let p = Fnt_store.alloc s in
+        Fnt_store.write s p (page_payload s (Char.chr (Char.code 'a' + i)));
+        p)
+  in
+  ignore (Fnt_store.flush_all_dirty s : int);
+  Fnt_store.drop_clean_cache s;
+  let b3 = Fnt_store.read s page in
+  List.iter (fun p -> ignore (Fnt_store.read s p : bytes)) others;
+  let b4 = Fnt_store.read s page in
+  check bool "new bytes after eviction" false (b4 == b3);
+  check bool "same contents after eviction" true (Bytes.equal b4 b3)
+
+(* [pages_to_log_count] is the O(1) count the commit demon polls; it
+   must equal [List.length (pages_to_log s)] after any sequence of the
+   operations that change a page's dirty or modified flag, on a cache
+   small enough to evict. *)
+let test_store_to_log_count_exact () =
+  let _, _, s = mk_store ~cache_pages:8 () in
+  let rng = Rng.create 42 in
+  let live = ref [] in
+  let pick () = List.nth !live (Rng.int rng (List.length !live)) in
+  for step = 1 to 3000 do
+    (match Rng.int rng 9 with
+    | 0 when List.length !live < 24 ->
+      let p = Fnt_store.alloc s in
+      live := p :: !live;
+      Fnt_store.write s p (page_payload s 'w')
+    | (0 | 1) when !live <> [] ->
+      Fnt_store.write s (pick ()) (page_payload s (Char.chr (Rng.int rng 256)))
+    | 2 when !live <> [] ->
+      let p = pick () in
+      live := List.filter (fun q -> q <> p) !live;
+      Fnt_store.free s p
+    | 3 when !live <> [] -> ignore (Fnt_store.read s (pick ()) : bytes)
+    | 4 -> Fnt_store.mark_logged s (Fnt_store.pages_to_log s) ~third:(Rng.int rng 3)
+    | 5 ->
+      ignore (Fnt_store.flush_some_third s (Rng.int rng 3) ~budget:(1 + Rng.int rng 4) : int)
+    | 6 -> ignore (Fnt_store.flush_third s (Rng.int rng 3) : int)
+    | 7 -> if Rng.int rng 8 = 0 then ignore (Fnt_store.flush_all_dirty s : int)
+    | _ -> Fnt_store.drop_clean_cache s);
+    check int
+      (Printf.sprintf "count after step %d" step)
+      (List.length (Fnt_store.pages_to_log s))
+      (Fnt_store.pages_to_log_count s)
+  done
+
 let suite =
   [
     ("params: defaults valid", `Quick, test_params_default_valid);
@@ -416,4 +495,6 @@ let suite =
     ("store: modified-since-log tracking", `Quick, test_store_modified_tracking);
     ("store: uid/anchor persist", `Quick, test_store_uid_and_anchor_persist);
     ("store: freed page reusable", `Quick, test_store_free_page_reusable);
+    ("store: read hands out the cached bytes", `Quick, test_store_read_identity);
+    ("store: to-log count is exact", `Quick, test_store_to_log_count_exact);
   ]

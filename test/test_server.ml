@@ -169,12 +169,20 @@ let serve_traced ?config fs scripts =
    than silently dropped. *)
 let test_queue_cap_unconditional () =
   let _, fs = fresh_fs () in
-  let config = { S.default_config with S.queue_cap = 2 } in
+  (* The queue-depth gauge, sampled as each force starts, never reads
+     above the cap. *)
+  let deepest = ref 0 in
+  let on_force _ =
+    let d = Option.get (Obs.Metrics.read (Fsd.metrics fs) "server.queue_depth") in
+    deepest := max !deepest d
+  in
+  let config = { S.default_config with S.queue_cap = 2; on_force = Some on_force } in
   let scripts =
     Array.init 4 (fun client ->
         create_script ~client ~creates:4 ~bytes:600 ~think:0)
   in
   let r, entries = serve_traced ~config fs scripts in
+  check int "queue depth at a force reaches the cap, never more" 2 !deepest;
   check bool "cap rejected some admissions despite empty log" true
     (r.S.total_rejected > 0);
   let rejected, dropped = admission_events entries in

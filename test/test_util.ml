@@ -64,6 +64,46 @@ let test_crc32_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   check int "slice" 0xcbf43926 (Crc32.bytes ~pos:2 ~len:9 b)
 
+(* The classic one-byte-per-step CRC-32, kept as the reference the
+   sliced implementation must match bit for bit. *)
+let crc32_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun b ~pos ~len ->
+    let c = ref 0xffffffff in
+    for i = pos to pos + len - 1 do
+      c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+    done;
+    !c lxor 0xffffffff
+
+let test_crc32_matches_reference () =
+  let rng = Rng.create 1987 in
+  let buf = Bytes.init 2200 (fun _ -> Char.chr (Rng.int rng 256)) in
+  let same ~pos ~len =
+    let want = crc32_reference buf ~pos ~len in
+    let got = Crc32.bytes ~pos ~len buf in
+    if got <> want then
+      Alcotest.failf "pos %d len %d: got %08x, reference %08x" pos len got want
+  in
+  (* Every alignment of the eight-byte step, and the sizes the file
+     system checksums: a sector and a name-table page payload. *)
+  for pos = 0 to 7 do
+    List.iter (fun len -> same ~pos ~len) [ 0; 1; 7; 8; 9; 15; 16; 17; 512; 2032 ]
+  done;
+  for _ = 1 to 10_000 do
+    let len = Rng.int rng 2101 in
+    let pos = Rng.int rng (Bytes.length buf - len + 1) in
+    same ~pos ~len
+  done;
+  let v = Bytes.of_string "123456789" in
+  check int "vector" (crc32_reference v ~pos:0 ~len:9) (Crc32.bytes v)
+
 (* ------------------------------------------------------------------ *)
 (* Bitmap                                                              *)
 
@@ -249,6 +289,7 @@ let suite =
     ("bytebuf bad bool", `Quick, test_bytebuf_bad_bool);
     ("crc32 known vector", `Quick, test_crc32_known);
     ("crc32 slice", `Quick, test_crc32_slice);
+    ("crc32 matches byte-at-a-time reference", `Quick, test_crc32_matches_reference);
     ("bitmap basic", `Quick, test_bitmap_basic);
     ("bitmap runs", `Quick, test_bitmap_runs);
     ("bitmap bytes roundtrip", `Quick, test_bitmap_bytes_roundtrip);

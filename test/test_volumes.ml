@@ -181,6 +181,15 @@ let test_recovery_independence () =
     (s0.S.r_mutations + s2.S.r_mutations);
   check int "volume 0 acked everything" 40 vr0.S.vr_acked;
   check bool "volume 1 lost some work" true (vr1.S.vr_acked < 40);
+  (* Nothing stays parked: volume 0's sessions were all woken, volume
+     1's were aborted with it. *)
+  List.iter
+    (fun i ->
+      check (Alcotest.option int)
+        (Printf.sprintf "volume %d queue depth back to 0" i)
+        (Some 0)
+        (Obs.Metrics.read (Fsd.metrics (V.vol vset i)) "server.queue_depth"))
+    [ 0; 1 ];
   (* §5.4 oracle: every mutation the server acknowledged on the crashed
      volume must survive its reboot. *)
   let acked1 =

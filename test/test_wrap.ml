@@ -39,6 +39,28 @@ let test_churn_deterministic () =
     (String.equal (render a) (render b))
 
 (* ------------------------------------------------------------------ *)
+(* Home-write totals pinned: the demon's skip of a homed third is exact *)
+
+(* The home-write demon skips its scans of the next third once a pass
+   found nothing left there, until a record lands in that third again.
+   Skipping a pass that would have homed anything would move these
+   totals, which are the values a scan on every pass produces. This
+   seed is one where a skip that outlives a record landing in the third
+   loses a burst. *)
+let test_home_writes_pinned () =
+  let cfg =
+    {
+      E.clients = 3;
+      spec = { C.default_churn with C.churn_ops = 160; churn_seed = 2 };
+    }
+  in
+  let r = E.run ~geom:Geometry.tiny_test cfg in
+  check bool ">= 3 full wraps" true (r.E.e_third_entries >= 9);
+  check bool "clean" true (E.clean r);
+  check int "fnt.home_writes" 59 r.E.e_fnt_home_writes;
+  check int "fsd.home_write_bursts" 42 r.E.e_home_write_bursts
+
+(* ------------------------------------------------------------------ *)
 (* Every acked mutation survives a clean shutdown taken mid-wrap        *)
 
 let test_acked_survive_clean_reboot () =
@@ -167,6 +189,8 @@ let suite =
   [
     Alcotest.test_case "churn wraps >=3x, byte-identical" `Slow
       test_churn_deterministic;
+    Alcotest.test_case "home-write totals pinned across a churn" `Quick
+      test_home_writes_pinned;
     Alcotest.test_case "acked mutations survive clean reboot mid-wrap" `Quick
       test_acked_survive_clean_reboot;
     Alcotest.test_case "twin repair emits counter and trace event" `Quick
