@@ -62,6 +62,13 @@ let run_rung rate =
     S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
   in
   Trace.disable tr;
+  if Trace.dropped tr > 0 then begin
+    Printf.eprintf
+      "bench breakdown: trace ring overflowed at %.1f ops/s: %d entries \
+       dropped, so the anatomy would miss ops\n"
+      rate (Trace.dropped tr);
+    exit 1
+  end;
   let anatomy = Crit.fold (Trace.to_list tr) in
   { rate; report; anatomy; json = J.to_string (Crit.to_json anatomy) }
 

@@ -39,7 +39,7 @@ let run ?(out = "BENCH_OBS.json") () =
   done;
   Obs.Trace.clear tr;
   Obs.Trace.enable tr;
-  let fs2, report = Cedar_fsd.Fsd.boot device in
+  let _, report = Cedar_fsd.Fsd.boot device in
   Obs.Trace.disable tr;
   let phases = Obs.Tables.recovery_phases (Obs.Trace.to_list tr) in
   let json =
@@ -69,7 +69,6 @@ let run ?(out = "BENCH_OBS.json") () =
             ] );
         ("metrics", Obs.Metrics.to_json (Device.metrics device));
         ("iostats", Iostats.to_json (Device.stats device));
-        ("fsd_counters", Cedar_fsd.Fsd.counters_json fs2);
       ]
   in
   let oc = open_out out in

@@ -22,7 +22,6 @@
      cedar churn [--ops N] [--tiny]      wrap the log under churn, self-verify
      cedar faultsweep [--tear MODE]      crash the server at every sector write
      cedar faultsweep --wrap             crash inside the log's wrap window
-     cedar blackbox vol.img [--json]     decode the on-disk flight recorder
 
    Mutating commands shut the file system down cleanly before saving the
    image; [crash] deliberately skips that, so the next boot exercises
@@ -216,13 +215,10 @@ let cmd_info path =
 let cmd_crash path =
   guard @@ fun () ->
   let device = load_device path in
-  (* Trace while crashing so the group-commit forces checkpoint the
-     black box: [cedar blackbox] then has a story to tell. *)
-  Cedar_obs.Trace.enable (Device.trace device);
   let vol = boot_vol device in
   let ops = ops_of vol in
-  (* a little committed work for the flight recorder, then an
-     uncommitted create to make the next recovery interesting *)
+  (* a little committed work, then an uncommitted create to make the
+     next recovery interesting *)
   ignore
     (ops.Cedar_fsbase.Fs_ops.create ~name:"pre-crash" ~data:(Bytes.create 640));
   ops.Cedar_fsbase.Fs_ops.force ();
@@ -318,10 +314,6 @@ let write_text path s =
     close_out oc
   end
 
-let counters_of = function
-  | Fsd_vol fs -> Some (Cedar_fsd.Fsd.counters_json fs)
-  | Cfs_vol _ -> None
-
 (* Run the scripted workload with tracing on; the volume is NOT saved,
    so the image on disk is untouched by the measurement files. *)
 let cmd_stats path json watch =
@@ -348,22 +340,18 @@ let cmd_stats path json watch =
       if json then begin
         let obj =
           Obs.Jsonb.Obj
-            ([
-               ( "workload",
-                 Obs.Jsonb.Obj
-                   [
-                     ("files", Obs.Jsonb.Int Script.n);
-                     ("bytes_each", Obs.Jsonb.Int Script.bytes_each);
-                   ] );
-               ("per_op", Obs.Tables.per_op_json per_op);
-               ("log", Obs.Tables.log_json ~sector_bytes log);
-               ("metrics", Obs.Metrics.to_json (Device.metrics device));
-               ("iostats", Iostats.to_json (Device.stats device));
-             ]
-            @
-            match counters_of vol with
-            | Some c -> [ ("fsd_counters", c) ]
-            | None -> [])
+            [
+              ( "workload",
+                Obs.Jsonb.Obj
+                  [
+                    ("files", Obs.Jsonb.Int Script.n);
+                    ("bytes_each", Obs.Jsonb.Int Script.bytes_each);
+                  ] );
+              ("per_op", Obs.Tables.per_op_json per_op);
+              ("log", Obs.Tables.log_json ~sector_bytes log);
+              ("metrics", Obs.Metrics.to_json (Device.metrics device));
+              ("iostats", Iostats.to_json (Device.stats device));
+            ]
         in
         print_endline (Obs.Jsonb.to_string_pretty obj)
       end
@@ -642,14 +630,19 @@ let cmd_why path clients seed think_us rounds open_rate open_ops churn json
       | Cfs_vol _ -> fail "why requires an FSD volume (server lifecycles)"
       | Fsd_vol fs ->
         let tr = Cedar_fsd.Fsd.trace fs in
-        (* A generous ring: an op record that falls off it is missing
-           from the anatomy. *)
+        (* A generous ring, but not a bound on the run: an op record
+           that falls off it would be missing from the anatomy. *)
         Obs.Trace.enable ~capacity:(1 lsl 20) tr;
         ignore
           (Cedar_server.Server.serve_volumes
              (Cedar_volumes.Volume_set.of_fsd fs) scripts
             : Cedar_server.Server.report);
         Obs.Trace.disable tr;
+        if Obs.Trace.dropped tr > 0 then
+          fail
+            "trace ring overflowed: %d entries dropped, so the anatomy would \
+             miss ops; shorten the run"
+            (Obs.Trace.dropped tr);
         let entries = Obs.Trace.to_list tr in
         let anatomy = Obs.Critpath.fold entries in
         (match chrome with
@@ -728,38 +721,6 @@ let cmd_churn clients ops slots seed force_every tiny min_wraps json =
     exit 1
   end;
   if not (E.clean r) then exit 1
-
-(* Decode the on-disk flight recorder WITHOUT booting: no recovery runs,
-   so this is the pre-crash view — what the system believed at its last
-   group-commit force. Only the boot page is trusted (for the layout
-   parameters); the black-box region itself is CRC-guarded. *)
-let cmd_blackbox path json limit =
-  guard @@ fun () ->
-  (match limit with
-  | Some n when n <= 0 -> fail "--limit must be a positive event count (got %d)" n
-  | Some _ | None -> ());
-  let device = load_device path in
-  match Cedar_fsd.Boot_page.read device with
-  | None -> fail "%s is not an FSD volume (no boot page)" path
-  | Some bp ->
-    let geom = Device.geometry device in
-    let p =
-      {
-        (Cedar_fsd.Params.for_geometry geom) with
-        Cedar_fsd.Params.fnt_page_sectors = bp.Cedar_fsd.Boot_page.fnt_page_sectors;
-        fnt_pages = bp.Cedar_fsd.Boot_page.fnt_pages;
-        log_sectors = bp.Cedar_fsd.Boot_page.log_sectors;
-        log_vam = bp.Cedar_fsd.Boot_page.log_vam;
-        track_tolerant_log = bp.Cedar_fsd.Boot_page.track_tolerant_log;
-      }
-    in
-    let layout = Cedar_fsd.Layout.compute geom p in
-    (match Cedar_fsd.Blackbox.read device layout with
-    | Error m -> fail "%s" m
-    | Ok cp ->
-      if json then
-        print_endline (Obs.Jsonb.to_string_pretty (Cedar_fsd.Blackbox.to_json ?limit cp))
-      else Format.printf "%a" (Cedar_fsd.Blackbox.pp ?limit) cp)
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner plumbing                                                   *)
@@ -1088,7 +1049,8 @@ let why_cmd =
           retries, execute with its device seek/transfer split, log append, \
           parked-for-force) that sum exactly to end-to-end latency, per-kind \
           p50/p90/p99 and the phase to blame for the p99 tail (the image is \
-          not modified; exits non-zero if conservation is violated)")
+          not modified; exits non-zero if conservation is violated or the \
+          trace ring overflowed)")
     Term.(
       const cmd_why $ img $ clients $ seed $ think $ rounds $ open_loop
       $ open_ops $ churn $ json $ op_filter $ top $ chrome)
@@ -1204,29 +1166,11 @@ let faultsweep_cmd =
           group-commit force interval (optionally tearing the interrupted \
           sector), reboot each time, and check the recovery contract: acked \
           mutations byte-exact, unacked wholly absent, VAM consistent with \
-          the name table, flight recorder decodable, and a clean reboot \
-          after recovery replaying nothing. Runs on fresh in-memory \
-          volumes; exits non-zero on any violation")
+          the name table, and a clean reboot after recovery replaying \
+          nothing. Runs on fresh in-memory volumes; exits non-zero on any \
+          violation")
     Term.(
       const cmd_faultsweep $ clients $ tear $ max_forces $ scavenge $ wrap $ json)
-
-let blackbox_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"emit one JSON object")
-  in
-  let limit =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "limit" ] ~docv:"N" ~doc:"show only the last $(docv) events")
-  in
-  Cmd.v
-    (Cmd.info "blackbox"
-       ~doc:
-         "decode the on-disk flight recorder without booting: the last trace \
-          events, the in-flight operations, and the log/VAM state the system \
-          believed it had at its final checkpoint before a crash")
-    Term.(const cmd_blackbox $ img $ json $ limit)
 
 let () =
   let doc = "simulated Cedar file-system volumes (Hagmann, SOSP 1987)" in
@@ -1251,5 +1195,4 @@ let () =
             why_cmd;
             churn_cmd;
             faultsweep_cmd;
-            blackbox_cmd;
           ]))

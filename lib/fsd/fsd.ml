@@ -33,8 +33,6 @@ type meters = {
   m_scrub_passes : Metrics.counter;
   m_scrub_fnt_repairs : Metrics.counter;
   m_scrub_leader_repairs : Metrics.counter;
-  m_blackbox_checkpoints : Metrics.counter;
-  m_blackbox_sectors : Metrics.counter;
   m_home_write_bursts : Metrics.counter;
   m_reclaim_stalls : Metrics.counter;
   m_op_us : Stats.t;  (** virtual latency per FSD operation *)
@@ -75,7 +73,6 @@ type t = {
   mutable autocommit : bool;
       (* time-based commit fires inside op_done; a server scheduler
          suppresses it during [submit] and drives commits itself *)
-  mutable forces_since_bb : int; (* black-box checkpoint cadence counter *)
   mutable homed_third : int;
       (* a third the home-write demon found nothing left to home in, or
          -1; only a record landing in it can make it claim work again
@@ -83,7 +80,6 @@ type t = {
   mutable last_scrub : int;
   mutable scrub_page_cursor : int; (* next FNT page pair to verify *)
   mutable scrub_key_cursor : string; (* next name-table key whose leader to verify *)
-  mutable bb_next : (int64 * int) option; (* next black-box (gen, slot) *)
   mutable monitor : Monitor.t option;
       (* telemetry sampler; [None] (the default) keeps the hot path at
          one branch with zero allocation, same discipline as the trace *)
@@ -102,8 +98,6 @@ let mk_meters reg =
     m_scrub_passes = Metrics.counter reg "fsd.scrub_passes";
     m_scrub_fnt_repairs = Metrics.counter reg "fsd.scrub_fnt_repairs";
     m_scrub_leader_repairs = Metrics.counter reg "fsd.scrub_leader_repairs";
-    m_blackbox_checkpoints = Metrics.counter reg "fsd.blackbox_checkpoints";
-    m_blackbox_sectors = Metrics.counter reg "fsd.blackbox_sectors";
     m_home_write_bursts = Metrics.counter reg "fsd.home_write_bursts";
     m_reclaim_stalls = Metrics.counter reg "fsd.reclaim_stalls";
     m_op_us = Metrics.dist reg "fsd.op_us";
@@ -116,24 +110,6 @@ let device t = t.device
 let trace t = Device.trace t.device
 let metrics t = Device.metrics t.device
 
-let counters_json t =
-  let m = t.meters in
-  Cedar_obs.Jsonb.Obj
-    (List.map
-       (fun (k, c) -> (k, Cedar_obs.Jsonb.Int (Metrics.counter_value c)))
-       [
-         ("ops", m.m_ops);
-         ("forces", m.m_forces);
-         ("empty_forces", m.m_empty_forces);
-         ("leader_piggybacks", m.m_leader_piggybacks);
-         ("leader_home_writes", m.m_leader_home_writes);
-         ("vam_base_rewrites", m.m_vam_base_rewrites);
-         ("scrub_passes", m.m_scrub_passes);
-         ("scrub_fnt_repairs", m.m_scrub_fnt_repairs);
-         ("scrub_leader_repairs", m.m_scrub_leader_repairs);
-         ("home_write_bursts", m.m_home_write_bursts);
-         ("reclaim_stalls", m.m_reclaim_stalls);
-       ])
 let log_stats t = Log.stats t.log
 let fnt_home_writes t = Fnt_store.home_writes t.store
 let fnt_repairs t = Fnt_store.repairs t.store
@@ -256,53 +232,6 @@ let note_logged t batch ~third =
       | Log.Fnt_page _ -> ())
     batch
 
-(* Checkpoint the tail of the live trace into the on-disk black box
-   (DESIGN.md §11). Only meaningful while tracing is on — the trace tail
-   *is* the payload. The snapshot is taken before the "blackbox" span
-   opens so the checkpoint never records itself; the slot write (and, on
-   the first checkpoint of a boot, the probe reads deciding which slot
-   and generation come next) then lands inside that span, keeping the
-   recorder's I/O out of the forcing op's column in the table replays. *)
-let checkpoint_blackbox t ~reason =
-  let tr = Device.trace t.device in
-  if Trace.enabled tr then begin
-    let entries = Trace.last tr 512 in
-    let in_flight =
-      List.map (fun (_, op, name, t0) -> (op, name, t0)) (Trace.open_spans tr)
-    in
-    let id = Trace.begin_span tr ~at:(now t) ~op:"blackbox" ~name:reason in
-    let gen, slot =
-      match t.bb_next with
-      | Some v -> v
-      | None ->
-        let v = Blackbox.probe t.device t.layout in
-        t.bb_next <- Some v;
-        v
-    in
-    let state =
-      {
-        Blackbox.gen;
-        at_us = now t;
-        reason;
-        boot_count = t.boot_count;
-        next_record_no = Log.next_record_no t.log;
-        log_write_off = Log.write_off t.log;
-        log_third = Log.current_third t.log;
-        free_sectors = free_sectors t;
-        pending_leaders = Hashtbl.length t.pending_leaders;
-        dirty_fnt_pages = List.length (Fnt_store.dirty_pages t.store);
-      }
-    in
-    let kept = Blackbox.write t.device t.layout ~slot ~state ~in_flight ~entries in
-    Metrics.inc t.meters.m_blackbox_checkpoints;
-    Metrics.add t.meters.m_blackbox_sectors t.layout.Layout.blackbox_slot_sectors;
-    emit t
-      (Trace.Blackbox_checkpoint
-         { gen; events = kept; sectors = t.layout.Layout.blackbox_slot_sectors });
-    Trace.end_span tr ~at:(now t) id;
-    t.bb_next <- Some (Int64.add gen 1L, 1 - slot)
-  end
-
 let do_force t =
   require_live t;
   (* Everything mutated so far is in the dirty pages and pending leaders
@@ -385,15 +314,6 @@ let do_force t =
     t.durable_seq <- covered_seq;
     Metrics.inc t.meters.m_forces;
     emit t (Trace.Log_force { units = List.length units; empty = false });
-    (* An empty force changes no durable state, so only real commits are
-       checkpointed; the recorder's cost scales with commit activity.
-       [blackbox_every_n_forces] further thins the cadence so runs with
-       many clients (frequent forces) don't pay a checkpoint per force. *)
-    t.forces_since_bb <- t.forces_since_bb + 1;
-    if t.forces_since_bb >= t.params.Params.blackbox_every_n_forces then begin
-      checkpoint_blackbox t ~reason:"force";
-      t.forces_since_bb <- 0
-    end;
     t.last_force <- now t
   end
 
@@ -1209,7 +1129,13 @@ let format device params =
   let layout = Layout.compute geom params in
   let store = Fnt_store.create_fresh device layout in
   Fnt_store.flush_anchor store;
-  Blackbox.format device layout;
+  (* Nothing reads the reserved region, but zeroing it is part of
+     format's I/O: dropping the write would move the arm position and
+     clock that every later measurement on the volume starts from. *)
+  Device.write_run device ~sector:layout.Layout.reserved_start
+    (Bytes.make
+       (layout.Layout.reserved_sectors * geom.Geometry.sector_bytes)
+       '\000');
   Log.format device layout;
   Vam.save (Vam.create_all_free layout) device;
   Boot_page.write device ~sector_bytes:geom.Geometry.sector_bytes
@@ -1418,12 +1344,10 @@ let boot ?params device =
       mutation_seq = 0;
       durable_seq = 0;
       autocommit = true;
-      forces_since_bb = 0;
       homed_third = -1;
       last_scrub = Simclock.now clock;
       scrub_page_cursor = 0;
       scrub_key_cursor = "";
-      bb_next = None;
       monitor = None;
       boot_count;
       meters = mk_meters (Device.metrics device);
@@ -1490,7 +1414,6 @@ let shutdown t =
     (Alloc.vam t.alloc) t.device;
   ignore (Vam.drain_dirty_chunks (Alloc.vam t.alloc) : int list);
   Hashtbl.reset t.chunk_thirds;
-  checkpoint_blackbox t ~reason:"shutdown";
   Boot_page.write t.device ~sector_bytes:(sector_bytes t)
     {
       Boot_page.boot_count = t.boot_count;

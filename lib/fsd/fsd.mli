@@ -226,10 +226,6 @@ val shard : t -> int
 val device : t -> Cedar_disk.Device.t
 val free_sectors : t -> int
 
-val counters_json : t -> Cedar_obs.Jsonb.t
-(** The FSD's counters (registered under ["fsd.*"] in {!metrics}, zeroed
-    at every boot) as one JSON object. *)
-
 val trace : t -> Cedar_obs.Trace.t
 (** The volume's event trace (shared with {!Cedar_disk.Device.trace});
     enable it before driving operations to record spans and events. *)

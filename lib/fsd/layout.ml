@@ -5,9 +5,8 @@ type t = {
   params : Params.t;
   boot_a : int;
   boot_b : int;
-  blackbox_start : int;
-  blackbox_slot_sectors : int;
-  blackbox_sectors : int;
+  reserved_start : int;
+  reserved_sectors : int;
   vam_start : int;
   vam_sectors : int;
   fnt_a_start : int;
@@ -26,8 +25,8 @@ let compute geom params =
   | Ok () -> ()
   | Error m -> invalid_arg ("Layout.compute: " ^ m));
   let total = Geometry.total_sectors geom in
-  let blackbox_start = 3 in
-  let vam_start = blackbox_start + Params.blackbox_sectors in
+  let reserved_start = 3 in
+  let vam_start = reserved_start + Params.reserved_sectors in
   let vam_sectors = 1 + ((total + 4095) / 4096) in
   let small_lo = vam_start + vam_sectors in
   let fnt_sectors = params.Params.fnt_pages * params.Params.fnt_page_sectors in
@@ -43,9 +42,8 @@ let compute geom params =
     params;
     boot_a = 0;
     boot_b = 2;
-    blackbox_start;
-    blackbox_slot_sectors = Params.blackbox_slot_sectors;
-    blackbox_sectors = Params.blackbox_sectors;
+    reserved_start;
+    reserved_sectors = Params.reserved_sectors;
     vam_start;
     vam_sectors;
     fnt_a_start;
@@ -74,16 +72,11 @@ let is_data_sector t s =
 
 let data_sectors t = t.small_hi - t.small_lo + (t.big_hi - t.big_lo)
 
-let blackbox_slot_sector t ~slot =
-  if slot < 0 || slot >= Params.blackbox_slots then
-    invalid_arg "Layout.blackbox_slot_sector";
-  t.blackbox_start + (slot * t.blackbox_slot_sectors)
-
 let pp ppf t =
   Format.fprintf ppf
-    "boot %d/%d blackbox [%d,%d) vam [%d,%d) small [%d,%d) fntA [%d,%d) log [%d,%d) fntB [%d,%d) big [%d,%d)"
-    t.boot_a t.boot_b t.blackbox_start
-    (t.blackbox_start + t.blackbox_sectors)
+    "boot %d/%d reserved [%d,%d) vam [%d,%d) small [%d,%d) fntA [%d,%d) log [%d,%d) fntB [%d,%d) big [%d,%d)"
+    t.boot_a t.boot_b t.reserved_start
+    (t.reserved_start + t.reserved_sectors)
     t.vam_start
     (t.vam_start + t.vam_sectors)
     t.small_lo t.small_hi t.fnt_a_start

@@ -7,12 +7,13 @@
     small-file area (low addresses, growing up) and a big-file area (high
     addresses, growing down) to curtail fragmentation (§5.6).
 
-    The black-box flight-recorder region sits right after the boot
-    pages, at a fixed address, so a post-crash [cedar blackbox] can find
-    it without trusting any other metadata (DESIGN.md §11).
+    A reserved region of {!Params.reserved_sectors} sits right after the
+    boot pages. Format zeroes it and nothing else touches it; it stays
+    so that every later region keeps its address and volumes formatted
+    while the region was in use still boot (DESIGN.md §11).
 
 {v
-  | boot A | blank | boot B | black box | VAM save |   small-file area ...
+  | boot A | blank | boot B | reserved | VAM save |   small-file area ...
       ... | FNT copy A | log | FNT copy B |   ... big-file area |
 v} *)
 
@@ -21,9 +22,8 @@ type t = {
   params : Params.t;
   boot_a : int;
   boot_b : int;
-  blackbox_start : int;
-  blackbox_slot_sectors : int;  (** per generation slot *)
-  blackbox_sectors : int;  (** whole region, all slots *)
+  reserved_start : int;
+  reserved_sectors : int;  (** [reserved_start, reserved_start + reserved_sectors) *)
   vam_start : int;
   vam_sectors : int;
   fnt_a_start : int;
@@ -42,9 +42,6 @@ val compute : Cedar_disk.Geometry.t -> Params.t -> t
 
 val fnt_sector_a : t -> page:int -> int
 val fnt_sector_b : t -> page:int -> int
-
-val blackbox_slot_sector : t -> slot:int -> int
-(** First sector of black-box generation slot [slot]. *)
 
 val is_data_sector : t -> int -> bool
 (** Whether a sector belongs to one of the two data areas. *)

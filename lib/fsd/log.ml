@@ -265,7 +265,6 @@ let attach ?(shard = 0) device layout ~boot_count ~next_record_no ~write_off
   }
 
 let current_third t = t.current_third
-let write_off t = t.write_off
 let stats t = t.stats
 let next_record_no t = t.next_record_no
 

@@ -72,10 +72,6 @@ val max_data_sectors_hard : Layout.t -> int
 
 val current_third : t -> int
 
-val write_off : t -> int
-(** Current append offset within the log body, in sectors (the black
-    box records it so a post-crash reader sees where the log stood). *)
-
 val third_fill : t -> float
 (** Fill of the current third in [0, 1], measured from that third's own
     base offset. Reads exactly 1.0 when the head sits on the boundary of

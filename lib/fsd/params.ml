@@ -17,13 +17,7 @@ type t = {
   disk_qdepth : int;
 }
 
-(* Black-box flight-recorder region: two generation slots right after the
-   boot pages, each one header sector plus a payload holding the tail of
-   the event trace (DESIGN.md §11). Fixed size: the region must be
-   findable before any other metadata is trusted. *)
-let blackbox_slot_sectors = 16
-let blackbox_slots = 2
-let blackbox_sectors = blackbox_slot_sectors * blackbox_slots
+let reserved_sectors = 32
 
 let small_file_bytes = 4_000
 let cpu_op_us = 8_000
@@ -86,12 +80,10 @@ let validate g t =
   let fnt_sectors = t.fnt_pages * t.fnt_page_sectors in
   let vam_sectors = 1 + ((total + 4095) / 4096) in
   let metadata =
-    3 + blackbox_sectors + vam_sectors + (2 * fnt_sectors) + t.log_sectors
+    3 + reserved_sectors + vam_sectors + (2 * fnt_sectors) + t.log_sectors
   in
   if t.shard_id < 0 || t.shard_id > 255 then Error "shard_id outside u8 range"
   else if t.commit_interval_us < 0 then Error "negative commit interval"
-  else if t.blackbox_every_n_forces < 1 then
-    Error "blackbox_every_n_forces must be at least 1"
   else if t.disk_qdepth < 0 || t.disk_qdepth > 128 then
     Error "disk_qdepth outside [0, 128]"
   else if t.fnt_page_sectors < 1 || t.fnt_page_sectors > 16 then

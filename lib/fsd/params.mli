@@ -36,11 +36,8 @@ type t = {
           more log space for small records; caps records at
           [sectors_per_track - 2] data sectors. Off by default. *)
   blackbox_every_n_forces : int;
-      (** checkpoint the black-box flight recorder every this many
-          non-empty forces (1 = every force, the historical behavior).
-          High-client-count runs force often; a larger cadence keeps the
-          recorder's I/O out of the commit path most of the time. Clean
-          shutdown always checkpoints regardless. *)
+      (** unused: nothing reads or validates it. It stays only because
+          the perfbench workloads still set it. *)
   disk_sched : Cedar_disk.Device.policy;
       (** request-queue service policy applied when [disk_qdepth] ≥ 2
           ([Fifo] | [Elevator] | [Sstf]); irrelevant while the queue is
@@ -55,19 +52,12 @@ type t = {
           [0, 128]. *)
 }
 
-val blackbox_slot_sectors : int
-(** Sectors per black-box flight-recorder slot: one CRC'd header sector
-    plus payload sectors holding the tail of the event trace. *)
-
-val blackbox_slots : int
-(** Number of alternating black-box generation slots (two, so a torn
-    checkpoint write never destroys the previous generation). *)
-
-val blackbox_sectors : int
-(** Total sectors reserved for the black-box region after the boot
-    pages ([blackbox_slot_sectors * blackbox_slots]). Fixed — not a
-    tuning field — so [cedar blackbox] can find it before any other
-    metadata is trusted. *)
+val reserved_sectors : int
+(** 32: sectors reserved right after the boot pages
+    ({!Layout.reserved_start}). Format zeroes them and nothing else
+    reads or writes them. They stay reserved so that every later region
+    keeps its address and volumes formatted with the region in use
+    still boot. *)
 
 val small_file_bytes : int
 (** 4000: files at most this big use the small area. *)

@@ -129,14 +129,6 @@ let chrome ?(samples = []) entries =
         push
           (instant ~name:"log-force" ~cat:"log" ~ts ~tid:tid_log
              [ ("units", Jsonb.Int units); ("empty", Jsonb.Bool empty) ])
-      | Trace.Blackbox_checkpoint { gen; events; sectors } ->
-        push
-          (instant ~name:"blackbox-checkpoint" ~cat:"log" ~ts ~tid:tid_log
-             [
-               ("gen", Jsonb.Int (Int64.to_int gen));
-               ("events", Jsonb.Int events);
-               ("sectors", Jsonb.Int sectors);
-             ])
       | Trace.Fnt_write_twice { page } ->
         push
           (instant ~name:"fnt-write-twice" ~cat:"fsd" ~ts ~tid:tid_meta

@@ -8,7 +8,6 @@ type t = {
   fnt_dirty_age_us : Stats.t option;
   forces : int;
   empty_forces : int;
-  blackbox_checkpoints : int;
 }
 
 let of_entries ?fnt_dirty_age_us entries =
@@ -27,7 +26,6 @@ let of_entries ?fnt_dirty_age_us entries =
   let last_force_at = ref None in
   let forces = ref 0 in
   let empty_forces = ref 0 in
-  let checkpoints = ref 0 in
   let timeline = ref [] in
   let cur_third = ref (-1) in
   let occupied = ref 0 in
@@ -36,9 +34,9 @@ let of_entries ?fnt_dirty_age_us entries =
       match e.Trace.event with
       | Trace.Op_end { op; us } ->
         Stats.add (lat op) (float_of_int us);
-        (* The force span itself, and the black-box checkpoint nested in
-           it, are bookkeeping — not operations the force amortises. *)
-        if op <> "force" && op <> "blackbox" then incr ops_since
+        (* The force span itself is bookkeeping, not an operation the
+           force amortises. *)
+        if op <> "force" then incr ops_since
       | Trace.Log_force { empty; _ } ->
         if empty then incr empty_forces else incr forces;
         Stats.add ops_per_force (float_of_int !ops_since);
@@ -54,7 +52,6 @@ let of_entries ?fnt_dirty_age_us entries =
         end;
         occupied := !occupied + total_sectors;
         timeline := (e.Trace.at_us, third, !occupied) :: !timeline
-      | Trace.Blackbox_checkpoint _ -> incr checkpoints
       | _ -> ())
     entries;
   let op_latency =
@@ -69,7 +66,6 @@ let of_entries ?fnt_dirty_age_us entries =
     fnt_dirty_age_us;
     forces = !forces;
     empty_forces = !empty_forces;
-    blackbox_checkpoints = !checkpoints;
   }
 
 let dist_json s =
@@ -95,7 +91,6 @@ let to_json t =
       ("force_interval_us", dist_json t.force_interval_us);
       ("forces", Jsonb.Int t.forces);
       ("empty_forces", Jsonb.Int t.empty_forces);
-      ("blackbox_checkpoints", Jsonb.Int t.blackbox_checkpoints);
       ( "fnt_dirty_age_us",
         match t.fnt_dirty_age_us with None -> Jsonb.Null | Some s -> dist_json s );
       ( "third_timeline",
@@ -123,8 +118,8 @@ let pp ppf t =
   List.iter
     (fun (op, s) -> Format.fprintf ppf "  %-12s %a@." op pp_dist s)
     t.op_latency;
-  Format.fprintf ppf "group commit: %d forces, %d empty forces, %d black-box checkpoints@."
-    t.forces t.empty_forces t.blackbox_checkpoints;
+  Format.fprintf ppf "group commit: %d forces, %d empty forces@." t.forces
+    t.empty_forces;
   Format.fprintf ppf "  ops/force:         %a@." pp_dist t.ops_per_force;
   Format.fprintf ppf "  force interval us: %a@." pp_dist t.force_interval_us;
   (match t.fnt_dirty_age_us with

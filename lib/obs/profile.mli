@@ -10,9 +10,9 @@ type t = {
   op_latency : (string * Cedar_util.Stats.t) list;
       (** end-to-end simulated latency per op label, name-sorted *)
   ops_per_force : Cedar_util.Stats.t;
-      (** operations completed between consecutive forces (the force and
-          black-box spans themselves excluded); one sample per force,
-          empty forces included *)
+      (** operations completed between consecutive forces (the force
+          spans themselves excluded); one sample per force, empty forces
+          included *)
   force_interval_us : Cedar_util.Stats.t;
       (** virtual time between consecutive forces *)
   third_timeline : (int * int * int) list;
@@ -24,7 +24,6 @@ type t = {
           [Fnt_store] as ["fnt.dirty_page_age_us"]) *)
   forces : int;
   empty_forces : int;
-  blackbox_checkpoints : int;
 }
 
 val of_entries : ?fnt_dirty_age_us:Cedar_util.Stats.t -> Trace.entry list -> t

@@ -67,12 +67,12 @@ let per_op entries =
     match Hashtbl.find_opt label_of_span span with Some op -> op | None -> no_span
   in
   (* Group-commit amortisation: log appends execute under whichever span
-     ran the force (the force demon, an explicit [force], a [blackbox]
-     checkpoint...), so the ops whose mutations the record carries show
-     zero log I/O. Track [Mutation] events per label since the last
-     non-empty force; when the force lands, move its append writes from
-     the spans that issued them to the mutating labels, pro-rata by
-     mutation count. Totals are conserved by construction. *)
+     ran the force (the force demon, an explicit [force]...), so the ops
+     whose mutations the record carries show zero log I/O. Track
+     [Mutation] events per label since the last non-empty force; when the
+     force lands, move its append writes from the spans that issued them
+     to the mutating labels, pro-rata by mutation count. Totals are
+     conserved by construction. *)
   let batch_muts : (string, int) Hashtbl.t = Hashtbl.create 8 in
   let pending_appends = ref [] (* (label, total_sectors), newest first *) in
   let redistribute () =

@@ -80,11 +80,6 @@ type event =
   | Recovery_phase of { phase : string; us : int }
   | Op_begin of { op : string; name : string }
   | Op_end of { op : string; us : int }
-  | Blackbox_checkpoint of { gen : int64; events : int; sectors : int }
-      (** The flight-recorder ring was checkpointed to the on-disk
-          black-box region: generation written, events that fit, sectors
-          transferred. Emitted inside its own ["blackbox"] span so the
-          checkpoint's device I/O is attributed separately. *)
   | Home_write_burst of { third : int; pages : int; leaders : int }
       (** One batched background home-write pass pre-flushing dirty FNT
           pages and leaders whose survival horizon is [third], issued
@@ -167,23 +162,7 @@ val dropped : t -> int
 val to_list : t -> entry list
 (** Buffered entries, oldest first. *)
 
-val last : t -> int -> entry list
-(** [last t n] is the newest [min n (length t)] entries, oldest first.
-    Cheaper than [to_list] when only the tail is wanted (black-box
-    checkpoints snapshot the tail on every group-commit force). *)
-
-val open_spans : t -> (int * string * string * int) list
-(** Spans currently open, innermost first:
-    [(span id, op, name, start time)]. After a crash this is the
-    in-flight work the black box names. *)
-
 val iter : t -> (entry -> unit) -> unit
-
-val encode_entry : Cedar_util.Bytebuf.Writer.t -> entry -> unit
-(** Binary codec used by the on-disk black box. *)
-
-val decode_entry : Cedar_util.Bytebuf.Reader.t -> entry
-(** Raises {!Cedar_util.Bytebuf.Decode_error} on malformed input. *)
 
 val pp_event : Format.formatter -> event -> unit
 

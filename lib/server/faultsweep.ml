@@ -17,10 +17,7 @@
    - the rebuilt VAM agrees with the name table: the empty volume's free
      count minus the distinct sectors the recovered entries claim equals
      the recovered free count (Fsd.check separately audits the converse
-     direction and leader/entry agreement);
-   - the black-box region decodes to exactly the generation of the last
-     checkpoint that completed before the crash — a torn checkpoint
-     write must fall back to the older slot, never abort the decode.
+     direction and leader/entry agreement).
 
    With [scavenge] set the harness additionally destroys both copies of
    the entire name table after the crash, forcing recovery through
@@ -34,8 +31,6 @@ open Cedar_util
 open Cedar_disk
 open Cedar_fsd
 open Cedar_workload
-module Metrics = Cedar_obs.Metrics
-module Trace = Cedar_obs.Trace
 module Jsonb = Cedar_obs.Jsonb
 
 type workload =
@@ -132,22 +127,14 @@ type base = {
   wrap_intervals : int list;
       (* intervals in which the log entered a third, plus neighbours *)
   baseline_free : int;  (* free sectors of the empty volume *)
-  first_gen : int64;  (* generation of the first blackbox checkpoint *)
 }
 
 let fresh_volume base =
   let clock = Simclock.create () in
   let device = Device.create ~clock base.geom in
-  (* Checkpoints (and so the black-box oracle) exist only while tracing. *)
-  Trace.enable (Device.trace device);
   Fsd.format device base.params;
   let fs, _ = Fsd.boot device in
   (device, fs)
-
-let checkpoints_done device =
-  match Metrics.read (Device.metrics device) "fsd.blackbox_checkpoints" with
-  | Some n -> n
-  | None -> 0
 
 let server_config plan =
   {
@@ -209,7 +196,6 @@ let calibrate ~clients ~workload geom =
       writes = [||];
       wrap_intervals = [];
       baseline_free;
-      first_gen = 1L;
     }
   in
   let device, fs = fresh_volume pre in
@@ -247,18 +233,11 @@ let calibrate ~clients ~workload geom =
            (no wrap window to sweep)";
       w
   in
-  let n = checkpoints_done device in
-  let first_gen =
-    match Blackbox.read device (Fsd.layout fs) with
-    | Ok cp when n > 0 -> Int64.sub cp.Blackbox.state.Blackbox.gen (Int64.of_int (n - 1))
-    | Ok _ | Error _ -> 1L
-  in
   {
     pre with
     layout = Fsd.layout fs;
     writes = Crash_plan.writes_per_interval plan;
     wrap_intervals;
-    first_gen;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -269,29 +248,6 @@ let destroy_fnt device (layout : Layout.t) =
     Device.damage device (layout.Layout.fnt_a_start + k);
     Device.damage device (layout.Layout.fnt_b_start + k)
   done
-
-(* [n] checkpoints completed before the crash, so the slot holding
-   generation [first_gen + n - 1] is intact and a decode must never come
-   back older than it (or fail outright). Decoding one generation newer
-   is legal: the crash may have interrupted checkpoint [n+1]'s slot
-   command after every meaningful byte already landed — the torn tail
-   was only padding, so both CRCs pass. *)
-let check_blackbox base device add =
-  let n = checkpoints_done device in
-  let last = Int64.add base.first_gen (Int64.of_int (n - 1)) in
-  match Blackbox.read device base.layout with
-  | Ok cp ->
-    let gen = cp.Blackbox.state.Blackbox.gen in
-    let in_flight = Int64.add last 1L in
-    if not (Int64.equal gen last || Int64.equal gen in_flight) then
-      add
-        (Printf.sprintf
-           "blackbox gen %Ld after %d completed checkpoints, want %Ld or %Ld"
-           gen n last in_flight)
-  | Error m ->
-    if n > 0 then
-      add
-        (Printf.sprintf "blackbox undecodable after %d completed checkpoints: %s" n m)
 
 let check_vam base fs add =
   let claimed = Hashtbl.create 256 in
@@ -411,7 +367,6 @@ let run_point cfg base ~force ~write ~tear =
       Crash_plan.detach plan;
       Device.cancel_write_crash device;
       let acked = Server.acked server in
-      check_blackbox base device add;
       if cfg.scavenge then destroy_fnt device base.layout;
       let booted =
         match Fsd.try_boot device with

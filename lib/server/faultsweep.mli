@@ -9,9 +9,8 @@
     [Fsd.try_boot] (falling through to [Scavenge.run]), and checks the
     §5.4 contract: acked mutations present and byte-exact, unacked ones
     wholly absent (each client's recovered namespace must equal a
-    mutation prefix no shorter than its acked count), the rebuilt VAM in
-    agreement with the name table, and the black-box region decoding to
-    exactly the last completed checkpoint generation. *)
+    mutation prefix no shorter than its acked count), and the rebuilt VAM
+    in agreement with the name table. *)
 
 type workload =
   | Reference

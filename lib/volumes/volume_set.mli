@@ -10,10 +10,8 @@
     is exactly why acked ⇒ durable stays a per-volume contract
     (DESIGN.md §17).
 
-    The single-volume set is the degenerate case and is wired to be
-    byte-identical to pre-volume-set behaviour: no prefix is applied to
-    its registry, and the scheduler ordering in [lib/server] reduces to
-    the historical single-FSD loop. *)
+    The single-volume set is the degenerate case: no prefix is applied
+    to its registry. *)
 
 type t
 

@@ -46,7 +46,7 @@ let test_layout_regions_disjoint () =
     let tags =
       [
         ("boot", s <= 2);
-        ("blackbox", in_range l.Layout.blackbox_start l.Layout.blackbox_sectors);
+        ("reserved", in_range l.Layout.reserved_start l.Layout.reserved_sectors);
         ("vam", in_range l.Layout.vam_start l.Layout.vam_sectors);
         ("small", s >= l.Layout.small_lo && s < l.Layout.small_hi);
         ("fntA", in_range l.Layout.fnt_a_start l.Layout.fnt_sectors);

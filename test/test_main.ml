@@ -13,7 +13,6 @@ let () =
       ("unixfs", Test_ufs.suite);
       ("fsd-store", Test_fsd_store.suite);
       ("fsd-vamlog", Test_fsd_vamlog.suite);
-      ("blackbox", Test_blackbox.suite);
       ("fault-sweep", Test_fault_sweep.suite);
       ("faultsweep-server", Test_faultsweep.suite);
       ("scavenge", Test_scavenge.suite);

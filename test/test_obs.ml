@@ -1,6 +1,7 @@
-(* Observability: the ring-buffer trace, the metrics registry, and the
+(* Observability: the ring-buffer trace, the metrics registry, the
    table replayers — including the hand-counted Tables 3/4 analogue for
-   the scripted workload behind [cedar stats]. *)
+   the scripted workload behind [cedar stats] — the trace profiler and
+   the Chrome export. *)
 
 open Cedar_util
 open Cedar_disk
@@ -158,7 +159,6 @@ let kinds entries =
       | Trace.Log_force _ -> Some "log-force"
       | Trace.Fnt_write_twice _ -> Some "fnt-write-twice"
       | Trace.Leader_piggyback _ -> Some "leader-piggyback"
-      | Trace.Blackbox_checkpoint _ -> Some "blackbox-checkpoint"
       | Trace.Op_begin { op; _ } -> Some ("begin:" ^ op)
       | Trace.Op_end { op; _ } -> Some ("end:" ^ op)
       | _ -> None)
@@ -184,24 +184,9 @@ let test_op_event_sequences () =
     [ "begin:create"; "dev-write"; "end:create" ]
     (traced_kinds device (fun () ->
          ignore (Fsd.create fs ~name:"s/f1" (content 900 1))));
-  (* force: the pending FNT update goes out as one log record, then the
-     black box checkpoints the trace tail in its own span. This first
-     checkpoint of the boot also probes both slots (two reads) to pick
-     the next generation. *)
-  check seq "force = append + force + black-box checkpoint (§5.4)"
-    [
-      "begin:force";
-      "dev-write";
-      "log-append";
-      "log-force";
-      "begin:blackbox";
-      "dev-read";
-      "dev-read";
-      "dev-write";
-      "blackbox-checkpoint";
-      "end:blackbox";
-      "end:force";
-    ]
+  (* force: the pending FNT update goes out as one log record *)
+  check seq "force = one log append (§5.4)"
+    [ "begin:force"; "dev-write"; "log-append"; "log-force"; "end:force" ]
     (traced_kinds device (fun () -> Fsd.force fs));
   (* a second force with nothing dirty writes nothing *)
   check seq "empty force costs no I/O"
@@ -263,20 +248,7 @@ let test_per_op_hand_counts () =
   let f = row "force" in
   check int "force calls" 2 f.Tables.calls;
   check int "force reads" 0 f.Tables.reads;
-  check int "force writes: one log record each" 2 f.Tables.writes;
-  (* The black-box checkpoint I/O is its own column — one slot write per
-     (non-empty) force plus the one-time two-slot probe — so the force
-     row above stays an honest Tables 3/4 analogue. *)
-  let bb = row "blackbox" in
-  check int "blackbox calls" 2 bb.Tables.calls;
-  check int "blackbox probe reads both slots once" 2 bb.Tables.reads;
-  check int "blackbox probe sectors"
-    (2 * Params.blackbox_slot_sectors)
-    bb.Tables.sectors_read;
-  check int "blackbox writes one slot per force" 2 bb.Tables.writes;
-  check int "blackbox sectors written"
-    (2 * Params.blackbox_slot_sectors)
-    bb.Tables.sectors_written
+  check int "force writes: one log record each" 2 f.Tables.writes
 
 (* Amortised attribution: force-interval log I/O redistributed across
    the batch's mutating ops. Redistribution only moves write I/O
@@ -341,6 +313,124 @@ let test_recovery_phases_traced () =
   let us_of p = (List.find (fun r -> r.Tables.phase = p) phases).Tables.us in
   check int "total matches the boot report" report.Fsd.total_us (us_of "total")
 
+(* ------------------------------------------------------------------ *)
+(* Profiler                                                             *)
+
+(* The scripted workload is 10 creates, force, then 10 opens + 10 reads
+   + 1 list + 10 deletes, force: the two ops-per-force samples must be
+   exactly 10 and 31, and there is one force-to-force interval. *)
+let test_profile_hand_check () =
+  let device, fs = small_fs () in
+  let ops = Fsd.ops fs in
+  Script.warmup ops;
+  let tr = Device.trace device in
+  Trace.enable tr;
+  Script.scripted ops;
+  Trace.disable tr;
+  let p = Profile.of_entries (Trace.to_list tr) in
+  check int "two forces" 2 p.Profile.forces;
+  check int "no empty forces" 0 p.Profile.empty_forces;
+  let opf = p.Profile.ops_per_force in
+  check int "two ops-per-force samples" 2 (Stats.n opf);
+  check int "first burst: 10 creates" 10 (int_of_float (Stats.min opf));
+  check int "second burst: 31 ops" 31 (int_of_float (Stats.max opf));
+  check (Alcotest.float 0.001) "mean ops per force" 20.5 (Stats.mean opf);
+  check int "one force interval" 1 (Stats.n p.Profile.force_interval_us);
+  let latency op = List.assoc op p.Profile.op_latency in
+  check int "10 create latencies" 10 (Stats.n (latency "create"));
+  check int "10 open latencies" 10 (Stats.n (latency "open"));
+  check int "10 delete latencies" 10 (Stats.n (latency "delete"));
+  check int "1 list latency" 1 (Stats.n (latency "list"));
+  (* Force latency is profiled, but forces are not counted in the
+     ops-per-force samples (10 and 31 above already prove that). *)
+  check int "2 force latencies" 2 (Stats.n (latency "force"));
+  (* The log-third timeline has one point per traced append, all in the
+     same third with growing occupancy. *)
+  check int "two appends traced" 2 (List.length p.Profile.third_timeline);
+  match p.Profile.third_timeline with
+  | [ (_, t1, o1); (_, t2, o2) ] ->
+    check int "same third" t1 t2;
+    check bool "occupancy grows" true (o2 > o1)
+  | _ -> Alcotest.fail "unexpected timeline shape"
+
+(* ------------------------------------------------------------------ *)
+(* Chrome export                                                        *)
+
+let test_chrome_export () =
+  let clock = Simclock.create () in
+  let device = Device.create ~clock Geometry.small_test in
+  Fsd.format device (Params.for_geometry Geometry.small_test);
+  Trace.enable (Device.trace device);
+  let fs = fst (Fsd.boot device) in
+  let ops = Fsd.ops fs in
+  Script.warmup ops;
+  Script.scripted ops;
+  let entries = Trace.to_list (Device.trace device) in
+  let json = Export.chrome entries in
+  let events =
+    match json with
+    | Jsonb.Obj fields -> (
+      match List.assoc "traceEvents" fields with
+      | Jsonb.Arr evs -> evs
+      | _ -> Alcotest.fail "traceEvents is not an array")
+    | _ -> Alcotest.fail "chrome export is not an object"
+  in
+  check bool "trace has events" true (events <> []);
+  let completes = ref 0 in
+  List.iter
+    (fun ev ->
+      match ev with
+      | Jsonb.Obj fields -> (
+        match List.assoc "ph" fields with
+        | Jsonb.Str "X" ->
+          incr completes;
+          (* Complete events carry both a timestamp and a duration, so
+             begins and ends are balanced by construction. *)
+          let num k =
+            match List.assoc k fields with
+            | Jsonb.Int n -> n
+            | Jsonb.Float f -> int_of_float f
+            | _ -> Alcotest.failf "%s is not numeric" k
+          in
+          check bool "ts >= 0" true (num "ts" >= 0);
+          check bool "dur >= 0" true (num "dur" >= 0)
+        | Jsonb.Str "i" | Jsonb.Str "M" -> ()
+        | Jsonb.Str ph -> Alcotest.failf "unbalanced phase %S emitted" ph
+        | _ -> Alcotest.fail "ph is not a string")
+      | _ -> Alcotest.fail "trace event is not an object")
+    events;
+  (* Every closed span becomes exactly one complete slice on the op
+     track; device transfers are complete slices too. *)
+  let ends =
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Trace.event with Trace.Op_end _ -> true | _ -> false)
+         entries)
+  in
+  check bool "at least one X slice per closed span" true (!completes >= ends);
+  (* The serialized form is non-trivial valid JSON as far as the builder
+     is concerned: it renders and starts an object. *)
+  let s = Jsonb.to_string json in
+  check bool "serialises to an object" true (String.length s > 2 && s.[0] = '{')
+
+(* ------------------------------------------------------------------ *)
+(* Metrics percentiles                                                  *)
+
+let test_metrics_percentiles () =
+  let m = Metrics.create () in
+  let d = Metrics.dist m "t.latency" in
+  for v = 1 to 100 do
+    Stats.add d (float_of_int v)
+  done;
+  match List.assoc "t.latency" (Metrics.snapshot m) with
+  | Metrics.Dist { n; p50; p90; p99; _ } ->
+    check (Alcotest.float 0.001) "p50" 50.0 p50;
+    check (Alcotest.float 0.001) "p90" 90.0 p90;
+    check (Alcotest.float 0.001) "p99" 99.0 p99;
+    check int "n" 100 n
+  | Metrics.Int _ -> Alcotest.fail "expected a distribution"
+
 let suite =
   [
     ("ring wrap-around", `Quick, test_ring_wraparound);
@@ -354,4 +444,7 @@ let suite =
     ("amortised force attribution", `Quick, test_amortised_attribution);
     ("log activity (Table 2)", `Quick, test_log_activity);
     ("recovery phases traced (Table 5)", `Quick, test_recovery_phases_traced);
+    ("profiler matches hand-computed workload", `Quick, test_profile_hand_check);
+    ("chrome export is balanced", `Quick, test_chrome_export);
+    ("metrics expose p90/p99", `Quick, test_metrics_percentiles);
   ]

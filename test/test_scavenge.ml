@@ -326,11 +326,6 @@ let test_scrub_repair_emits_metric_and_trace () =
   Cedar_obs.Trace.disable tr;
   let repairs = fsd_count fs "scrub_fnt_repairs" in
   check bool "counter incremented" true (repairs >= 1);
-  check bool "JSON view agrees" true
-    (match Fsd.counters_json fs with
-    | Cedar_obs.Jsonb.Obj kvs ->
-      List.assoc_opt "scrub_fnt_repairs" kvs = Some (Cedar_obs.Jsonb.Int repairs)
-    | _ -> false);
   let repair_events =
     List.filter
       (fun e ->

@@ -48,19 +48,47 @@ let script_names script =
 (* ------------------------------------------------------------------ *)
 (* Determinism: the seed contract                                       *)
 
-let run_report () =
-  let _, fs = fresh_fs () in
-  let spec = { C.default_spec with C.modules = 4; rounds = 1; think_us = 30_000 } in
-  let r =
-    S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
-      (C.makedo_scripts spec ~clients:3)
-  in
-  Obs.Jsonb.to_string (S.report_json r)
+(* The three device timings the scheduler must treat alike: one
+   synchronous volume, two volumes on their own timelines, and one
+   volume behind an elevator request queue. *)
+let fresh_set ?params volumes =
+  Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test ?params
+    ~clock:(Simclock.create ()) volumes
 
+let queued_params =
+  {
+    (Params.for_geometry Geometry.small_test) with
+    Params.disk_qdepth = 4;
+    disk_sched = Device.Elevator;
+  }
+
+let run_report ~traced ?params volumes =
+  let vset = fresh_set ?params volumes in
+  if traced then Obs.Trace.enable (Cedar_volumes.Volume_set.trace vset);
+  let spec = { C.default_spec with C.modules = 4; rounds = 1; think_us = 30_000 } in
+  let scripts = C.makedo_scripts spec ~clients:8 in
+  let scripts =
+    if volumes > 1 then C.shard_scripts scripts ~volumes else scripts
+  in
+  Obs.Jsonb.to_string (S.report_json (S.serve_volumes vset scripts))
+
+(* Two same-seed runs, one of them traced, must report byte-identical
+   results on every device timing: the trace records what the volumes
+   do and must never add work of its own. *)
 let test_determinism () =
-  let a = run_report () in
-  let b = run_report () in
-  check bool "same seed, byte-identical reports" true (String.equal a b)
+  List.iter
+    (fun (what, params, volumes) ->
+      let untraced = run_report ~traced:false ?params volumes in
+      let traced = run_report ~traced:true ?params volumes in
+      check bool
+        (what ^ ": same seed, traced and untraced reports byte-identical")
+        true
+        (String.equal untraced traced))
+    [
+      ("synchronous volume", None, 1);
+      ("own-timeline volumes", None, 2);
+      ("queued volume", Some { queued_params with Params.disk_qdepth = 8 }, 1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Group commit amortisation: more clients per force                    *)
@@ -295,19 +323,6 @@ let test_demons_split_equivalence () =
         Fsd.run_due_demons fs)
   in
   check bool "advance + run_due_demons ≡ tick" true (via_tick = via_demons)
-
-(* ------------------------------------------------------------------ *)
-(* Params validation                                                    *)
-
-let test_params_blackbox_cadence_validated () =
-  let geom = Geometry.small_test in
-  let p = Params.for_geometry geom in
-  (match Params.validate geom { p with Params.blackbox_every_n_forces = 0 } with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "cadence 0 must be rejected");
-  match Params.validate geom { p with Params.blackbox_every_n_forces = 8 } with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "cadence 8 wrongly rejected: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* Session interleaving is visible in the Chrome export                 *)
@@ -545,20 +560,6 @@ let makedo ~clients =
     { C.default_spec with C.modules = 3; rounds = 1; think_us = 20_000 }
     ~clients
 
-(* The three device timings the scheduler must treat alike: one
-   synchronous volume, two volumes on their own timelines, and one
-   volume behind an elevator request queue. *)
-let fresh_set ?params volumes =
-  Cedar_volumes.Volume_set.create_fresh ~geom:Geometry.small_test ?params
-    ~clock:(Simclock.create ()) volumes
-
-let queued_params =
-  {
-    (Params.for_geometry Geometry.small_test) with
-    Params.disk_qdepth = 4;
-    disk_sched = Device.Elevator;
-  }
-
 let test_rule_sync () =
   check_rule_run ~dev_of_client:(fun _ -> 0) (fresh_set 1) (makedo ~clients:3)
 
@@ -724,8 +725,6 @@ let suite =
       test_crash_atomicity;
     Alcotest.test_case "run_due_demons matches Fsd.tick" `Quick
       test_demons_split_equivalence;
-    Alcotest.test_case "blackbox cadence param is validated" `Quick
-      test_params_blackbox_cadence_validated;
     Alcotest.test_case "chrome export shows session interleaving" `Quick
       test_session_trace_export;
     Alcotest.test_case "script files parse and run" `Quick test_script_parser;

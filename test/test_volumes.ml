@@ -230,15 +230,15 @@ let test_recovery_independence () =
     check int "rebooted volume serving again" 3 vr1'.S.vr_acked)
 
 (* [create_fresh ~params] boots every volume with the caller's runtime
-   knobs, not the defaults: a non-default commit interval and black-box
-   cadence read back from each volume, and the request-queue depth
+   knobs, not the defaults: a non-default commit interval and keep
+   count read back from each volume, and the request-queue depth
    reaches each device (a write stays pending in its queue). *)
 let test_create_fresh_keeps_params () =
   let params =
     {
       (Params.for_geometry Geometry.small_test) with
       Params.commit_interval_us = 123_456;
-      blackbox_every_n_forces = max_int;
+      default_keep = 5;
       disk_qdepth = 4;
     }
   in
@@ -249,8 +249,7 @@ let test_create_fresh_keeps_params () =
     (fun i fs ->
       let p = Fsd.params fs in
       check int "commit interval survives" 123_456 p.Params.commit_interval_us;
-      check int "black-box cadence survives" max_int
-        p.Params.blackbox_every_n_forces;
+      check int "keep count survives" 5 p.Params.default_keep;
       check int "shard id is the volume index" i p.Params.shard_id;
       ignore (Fsd.create fs ~name:(Fname.shard_dir ~shards:2 i ^ "/q") (Bytes.make 900 'q'));
       check bool "the device has a request queue" true
