@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke perf-smoke fmt fmt-check ci clean
+.PHONY: all check build test bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -166,6 +166,24 @@ qdepth-smoke:
 	@grep -q '"depth1_ok": true' _build/qdepth-smoke/run1.json
 	@echo "qdepth-smoke: reordering wins at depth >= 4, depth-1 degenerate, deterministic"
 
+# Trace-fold smoke: cedar stats runs the scripted workload on a fresh
+# small image (which it does not save) and prints the one fold of its
+# trace. Two runs must print byte-identical JSON, and the report must
+# carry the per-op latency distributions and the ops-per-force series.
+stats-smoke:
+	dune build bin/cedar.exe
+	rm -rf _build/stats-smoke && mkdir -p _build/stats-smoke
+	./_build/default/bin/cedar.exe mkfs _build/stats-smoke/vol.img \
+		--geometry small > /dev/null
+	./_build/default/bin/cedar.exe stats _build/stats-smoke/vol.img \
+		--json > _build/stats-smoke/run1.json
+	./_build/default/bin/cedar.exe stats _build/stats-smoke/vol.img \
+		--json > _build/stats-smoke/run2.json
+	cmp _build/stats-smoke/run1.json _build/stats-smoke/run2.json
+	@grep -q '"latency_us"' _build/stats-smoke/run1.json
+	@grep -q '"ops_per_force"' _build/stats-smoke/run1.json
+	@echo "stats-smoke: per-op latency and ops per force, deterministic"
+
 # Benchmark correctness smoke: a one-second run of each perfbench
 # workload, untraced and traced (--trace 1 also runs the per-layer host
 # ledger, perfbench/ledger.ml). Every run checks the oracle fold,
@@ -207,8 +225,8 @@ fmt-check:
 	fi
 
 ci: fmt-check check serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
-	recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke perf-smoke \
-	bench-diff
+	recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \
+	perf-smoke bench-diff
 
 clean:
 	dune clean

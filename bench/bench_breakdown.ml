@@ -26,6 +26,7 @@ module Fsd = Cedar_fsd.Fsd
 module Crit = Cedar_obs.Critpath
 module Trace = Cedar_obs.Trace
 module J = Cedar_obs.Jsonb
+module Metrics = Cedar_obs.Metrics
 
 let geom = Geometry.small_test
 let clients = 16
@@ -92,15 +93,6 @@ let tail_share r op ph =
 let park_side r = tail_share r "create" Crit.Parked +. tail_share r "create" Crit.Append
 let entry_side r = tail_share r "create" Crit.Queue +. tail_share r "create" Crit.Admission
 
-let pct_json (p : Crit.pct) =
-  J.Obj
-    [
-      ("p50", J.Float p.Crit.p50);
-      ("p90", J.Float p.Crit.p90);
-      ("p99", J.Float p.Crit.p99);
-      ("mean", J.Float p.Crit.mean);
-    ]
-
 let rung_json r =
   let a = r.anatomy in
   J.Obj
@@ -122,12 +114,15 @@ let rung_json r =
                    [
                      ("n", J.Int g.Crit.a_n);
                      ("dropped", J.Int g.Crit.a_dropped);
-                     ("e2e_us", pct_json g.Crit.a_e2e);
+                     ( "e2e_us",
+                       Metrics.summary_json
+                         ~fields:[ "p50"; "p90"; "p99"; "mean" ]
+                         g.Crit.a_e2e );
                      ( "phase_mean_us",
                        J.Obj
                          (List.map
                             (fun (ph, p) ->
-                              (Crit.phase_name ph, J.Float p.Crit.mean))
+                              (Crit.phase_name ph, J.Float p.Metrics.mean))
                             g.Crit.a_phase) );
                      ("blame", J.Str (Crit.phase_name g.Crit.a_blame));
                      ("tail_n", J.Int g.Crit.a_tail_n);

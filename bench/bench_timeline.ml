@@ -115,7 +115,7 @@ let track_json (s : Mon.sample) =
       ("reject_s", J.Float (derived "sat.reject_rate_s" s));
       ( "wait_p99_us",
         match List.assoc_opt "server.commit_wait_us" s.Mon.dists with
-        | Some w -> J.Float w.Mon.w_p99
+        | Some w -> J.Float w.Cedar_obs.Metrics.p99
         | None -> J.Float 0.0 );
     ]
 

@@ -21,12 +21,9 @@ let run ?(out = "BENCH_OBS.json") () =
   let entries = Obs.Trace.to_list tr in
   let per_op = Obs.Tables.per_op entries in
   let log = Obs.Tables.log_activity entries in
-  let profile =
-    Obs.Profile.of_entries
-      ?fnt_dirty_age_us:
-        (Obs.Metrics.read_dist (Device.metrics device) "fnt.dirty_page_age_us")
-      entries
-  in
+  (* The registry as the traced workload left it: the crash reboot below
+     re-registers every fsd.* and log.* instrument from zero. *)
+  let metrics = Obs.Metrics.to_json (Device.metrics device) in
   let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
   (* Table 5: leave uncommitted work pending, crash (no shutdown), and
      boot with tracing on so the recovery phases land in the trace. *)
@@ -56,7 +53,6 @@ let run ?(out = "BENCH_OBS.json") () =
             ] );
         ("per_op", Obs.Tables.per_op_json per_op);
         ("log", Obs.Tables.log_json ~sector_bytes log);
-        ("profile", Obs.Profile.to_json profile);
         ( "recovery",
           Obs.Jsonb.Obj
             [
@@ -67,7 +63,7 @@ let run ?(out = "BENCH_OBS.json") () =
                 Obs.Jsonb.Int report.Cedar_fsd.Fsd.replayed_pages );
               ("total_us", Obs.Jsonb.Int report.Cedar_fsd.Fsd.total_us);
             ] );
-        ("metrics", Obs.Metrics.to_json (Device.metrics device));
+        ("metrics", metrics);
         ("iostats", Iostats.to_json (Device.stats device));
       ]
   in

@@ -11,10 +11,10 @@
      cedar crash vol.img                 mark the volume as not shut down
      cedar recover vol.img               boot (FSD: log replay; CFS: scavenge)
      cedar scavenge vol.img              rebuild metadata from leader pages
-     cedar stats vol.img [--json]        per-op I/O + log tables (Tables 2-4)
+     cedar stats vol.img [--json]        per-op I/O + latency, log and group
+                                         commit (Tables 2-4, §5.4)
      cedar trace vol.img [--limit N]     dump the event trace of a scripted run
      cedar trace vol.img --chrome out.json   export the span tree for Perfetto
-     cedar profile vol.img [--json]      latency + group-commit profiles
      cedar serve vol.img --clients N     concurrent sessions over group commit
      cedar serve vol.img --watch         live telemetry dashboard while serving
      cedar serve vol.img --open-loop R   Poisson open-loop traffic at R ops/s
@@ -412,42 +412,6 @@ let cmd_trace path limit chrome =
     Printf.printf "(%d entries buffered, %d dropped)\n" (Obs.Trace.length tr)
       (Obs.Trace.dropped tr)
 
-(* Fold the scripted run's trace into latency / group-commit profiles
-   (the volume is not saved, like [stats]). *)
-let cmd_profile path json =
-  with_volume ~save:false path (fun vol ->
-      let ops = ops_of vol in
-      let device = ops.Cedar_fsbase.Fs_ops.device in
-      Script.warmup ops;
-      let tr = Device.trace device in
-      Obs.Trace.enable tr;
-      Script.scripted ops;
-      Obs.Trace.disable tr;
-      let reg = Device.metrics device in
-      let prof =
-        Obs.Profile.of_entries
-          ?fnt_dirty_age_us:(Obs.Metrics.read_dist reg "fnt.dirty_page_age_us")
-          (Obs.Trace.to_list tr)
-      in
-      if json then
-        print_endline
-          (Obs.Jsonb.to_string_pretty
-             (Obs.Jsonb.Obj
-                [
-                  ( "workload",
-                    Obs.Jsonb.Obj
-                      [
-                        ("files", Obs.Jsonb.Int Script.n);
-                        ("bytes_each", Obs.Jsonb.Int Script.bytes_each);
-                      ] );
-                  ("profile", Obs.Profile.to_json prof);
-                ]))
-      else begin
-        Printf.printf "scripted workload: %d files of %d bytes under %s/\n\n"
-          Script.n Script.bytes_each Script.dir;
-        Format.printf "%a@." Obs.Profile.pp prof
-      end)
-
 (* Multi-client server run: N sessions replay closed-loop scripts under
    the cooperative scheduler, sharing group-commit forces (§5.4). The
    image is not saved — serve is a measurement harness like [stats], and
@@ -804,7 +768,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "run the fixed scripted workload with tracing on and print per-op I/O \
-          and log-activity tables (the image is not modified)")
+          and latency, log activity, ops per force, the force cadence and \
+          log-third occupancy (the image is not modified)")
     Term.(const cmd_stats $ img $ json $ watch)
 
 let trace_cmd =
@@ -829,18 +794,6 @@ let trace_cmd =
          "boot with tracing enabled (capturing recovery events), run the \
           scripted workload and dump the event trace")
     Term.(const cmd_trace $ img $ limit $ chrome)
-
-let profile_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"emit one JSON object instead of tables")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "run the scripted workload with tracing on and print per-op latency \
-          distributions, ops-per-force and force-interval histograms, and the \
-          log-third occupancy timeline (the image is not modified)")
-    Term.(const cmd_profile $ img $ json)
 
 let serve_cmd =
   let serve_img =
@@ -1190,7 +1143,6 @@ let () =
             scavenge_cmd;
             stats_cmd;
             trace_cmd;
-            profile_cmd;
             serve_cmd;
             why_cmd;
             churn_cmd;

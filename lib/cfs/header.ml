@@ -79,7 +79,3 @@ let labels t =
     { Label.uid = t.uid; page = 0; kind = Label.Header };
     { Label.uid = t.uid; page = 1; kind = Label.Header };
   ]
-
-let data_labels t =
-  List.init (Run_table.pages t.runs) (fun i ->
-      { Label.uid = t.uid; page = i; kind = Label.Data })

@@ -31,6 +31,3 @@ val decode : bytes -> t option
 
 val labels : t -> Cedar_disk.Label.t list
 (** The two header labels, for verified I/O. *)
-
-val data_labels : t -> Cedar_disk.Label.t list
-(** One [Data] label per data page, in logical page order. *)

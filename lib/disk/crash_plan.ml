@@ -50,7 +50,5 @@ let note_force t =
       plan_now t ~write ~tear
   | _ -> ()
 
-let forces_seen t = t.forces
-
 let writes_per_interval t =
   Array.of_list (List.rev (t.current :: t.closed))

@@ -30,9 +30,7 @@ val arm : t -> force:int -> write:int -> tear:Device.tear -> unit
     interrupted sector. If interval [force] is already open, the fault is
     planted immediately. *)
 
-val forces_seen : t -> int
-(** Number of {!note_force} calls so far. *)
-
 val writes_per_interval : t -> int array
 (** Sector-write counts per interval, including the still-open final
-    interval; length is [forces_seen + 1]. *)
+    interval; length is one more than the number of {!note_force}
+    calls. *)

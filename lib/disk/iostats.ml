@@ -44,19 +44,6 @@ let diff ~after ~before =
     busy_us = after.busy_us - before.busy_us;
   }
 
-let add_into ~dst t =
-  dst.ios <- dst.ios + t.ios;
-  dst.reads <- dst.reads + t.reads;
-  dst.writes <- dst.writes + t.writes;
-  dst.sectors_read <- dst.sectors_read + t.sectors_read;
-  dst.sectors_written <- dst.sectors_written + t.sectors_written;
-  dst.label_ops <- dst.label_ops + t.label_ops;
-  dst.seeks <- dst.seeks + t.seeks;
-  dst.seek_us <- dst.seek_us + t.seek_us;
-  dst.rotation_us <- dst.rotation_us + t.rotation_us;
-  dst.transfer_us <- dst.transfer_us + t.transfer_us;
-  dst.busy_us <- dst.busy_us + t.busy_us
-
 let reset t =
   t.ios <- 0;
   t.reads <- 0;

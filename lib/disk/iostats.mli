@@ -25,7 +25,6 @@ val copy : t -> t
 val diff : after:t -> before:t -> t
 (** Counter-wise subtraction, for measuring one operation. *)
 
-val add_into : dst:t -> t -> unit
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -12,6 +12,3 @@ type t = {
   device : Cedar_disk.Device.t;
   clock : Cedar_util.Simclock.t;
 }
-
-let pp_info ppf i =
-  Format.fprintf ppf "%s!%d %dB uid=%Ld" i.name i.version i.byte_size i.uid

@@ -19,5 +19,3 @@ type t = {
   device : Cedar_disk.Device.t;
   clock : Cedar_util.Simclock.t;
 }
-
-val pp_info : Format.formatter -> info -> unit

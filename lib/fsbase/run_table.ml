@@ -70,9 +70,6 @@ let truncate t ~pages =
   let kept, freed = go pages [] t.runs in
   ({ runs = kept; pages }, freed)
 
-let first_sector t =
-  match t.runs with [] -> None | r :: _ -> Some r.start
-
 let iter_sectors t f =
   List.iter
     (fun r ->

@@ -30,7 +30,6 @@ val truncate : t -> pages:int -> t * run list
 (** [truncate t ~pages] keeps the first [pages] pages; returns the
     remainder as freed runs. *)
 
-val first_sector : t -> int option
 val iter_sectors : t -> (int -> unit) -> unit
 val equal : t -> t -> bool
 val crc : t -> int

@@ -27,7 +27,6 @@ type t = {
   layout : Layout.t;
   cache : (int, cached) Lru.t;
   anchor : anchor;
-  mutable note_dirty : int -> unit;
   mutable to_log_count : int;
       (* cached pages both dirty and modified, i.e. [pages_to_log]'s
          length; kept up to date wherever those flags change *)
@@ -224,7 +223,6 @@ let mk device layout anchor =
       layout;
       cache = Lru.create ~capacity:layout.Layout.params.Params.cache_pages;
       anchor;
-      note_dirty = (fun _ -> ());
       to_log_count = 0;
       home_writes = 0;
       repairs = 0;
@@ -253,8 +251,6 @@ let attach device layout =
     t'
   | None ->
     Fs_error.raise_ (Fs_error.Corrupt_metadata "name-table anchor does not decode")
-
-let set_note_dirty t f = t.note_dirty <- f
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -286,7 +282,7 @@ let read t page =
 let write t page payload =
   if Bytes.length payload <> page_bytes t then invalid_arg "Fnt_store.write: size";
   let now = Simclock.now (Device.clock t.device) in
-  (match Lru.peek t.cache page with
+  match Lru.peek t.cache page with
   | Some c ->
     (* First modification after a log commit: the payload about to be
        replaced is the committed logged image. Retain it — it is what
@@ -311,8 +307,7 @@ let write t page payload =
         third = None;
         dirtied_at = now;
         logged = None;
-      });
-  t.note_dirty page
+      }
 
 (* Anchor mutations are ordinary writes of page 0. *)
 let write_anchor t = write t 0 (encode_anchor t)
@@ -469,8 +464,6 @@ let pages_to_log t =
   List.sort compare !acc
 
 let pages_to_log_count t = t.to_log_count
-
-let cached_pages t = Lru.size t.cache
 
 let drop_clean_cache t =
   let clean = ref [] in

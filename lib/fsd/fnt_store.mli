@@ -25,10 +25,6 @@ val attach : Cedar_disk.Device.t -> Layout.t -> t
     committed page images home). Raises [Fs_error Corrupt_metadata] if
     both anchor copies are bad. *)
 
-val set_note_dirty : t -> (int -> unit) -> unit
-(** Callback invoked with a page id whenever a page becomes dirty; the
-    file system uses it to build the group-commit batch. *)
-
 (** {1 Btree.STORE}
 
     Bytes are handed over, not copied (see {!Cedar_btree.Btree.STORE}):
@@ -102,7 +98,6 @@ val pages_to_log_count : t -> int
 (** [List.length (pages_to_log t)] in O(1): a count kept up to date by
     [write], [mark_logged], [free] and every home write. *)
 
-val cached_pages : t -> int
 val drop_clean_cache : t -> unit
 (** Evict every clean page (benchmarks use this to simulate a cold cache). *)
 

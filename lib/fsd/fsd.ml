@@ -35,7 +35,6 @@ type meters = {
   m_scrub_leader_repairs : Metrics.counter;
   m_home_write_bursts : Metrics.counter;
   m_reclaim_stalls : Metrics.counter;
-  m_op_us : Stats.t;  (** virtual latency per FSD operation *)
 }
 
 (* A leader whose current image has not reached its home sector yet. The
@@ -100,7 +99,6 @@ let mk_meters reg =
     m_scrub_leader_repairs = Metrics.counter reg "fsd.scrub_leader_repairs";
     m_home_write_bursts = Metrics.counter reg "fsd.home_write_bursts";
     m_reclaim_stalls = Metrics.counter reg "fsd.reclaim_stalls";
-    m_op_us = Metrics.dist reg "fsd.op_us";
   }
 
 let layout t = t.layout
@@ -114,7 +112,6 @@ let log_stats t = Log.stats t.log
 let fnt_home_writes t = Fnt_store.home_writes t.store
 let fnt_repairs t = Fnt_store.repairs t.store
 let free_sectors t = Vam.free_count (Alloc.vam t.alloc)
-let is_live t = t.live
 let drop_caches t =
   ignore (Fnt_store.flush_all_dirty t.store : int);
   Fnt_store.drop_clean_cache t.store
@@ -129,20 +126,14 @@ let emit t ev =
   if Trace.enabled tr then Trace.emit tr ~at:(now t) ev
 
 (* Wrap a public operation in a trace span so the device I/Os it issues
-   nest under it. The disabled case is the single-branch hot path. With
-   only the monitor on, no span is opened but op latency is still
-   recorded so the sampler's windowed percentiles have a series. *)
+   nest under it. The disabled case is the single-branch hot path. *)
 let traced t ~op ~name f =
   let tr = Device.trace t.device in
-  if (not (Trace.enabled tr)) && t.monitor == None then f ()
+  if not (Trace.enabled tr) then f ()
   else begin
-    let t0 = now t in
-    let id =
-      if Trace.enabled tr then Trace.begin_span tr ~at:t0 ~op ~name else 0
-    in
+    let id = Trace.begin_span tr ~at:(now t) ~op ~name in
     match f () with
     | v ->
-      Stats.add t.meters.m_op_us (float_of_int (now t - t0));
       Trace.end_span tr ~at:(now t) id;
       v
     | exception e ->
@@ -1105,7 +1096,7 @@ let enable_monitor ?(interval_us = Params.monitor_interval_us) t =
   phase_occupancy "sat.phase_append" "server.phase.append_us";
   phase_occupancy "sat.phase_parked" "server.phase.parked_us";
   Monitor.watch_dist m "server.commit_wait_us";
-  Monitor.watch_dist m "fsd.op_us";
+  Monitor.watch_dist m "server.op_latency_us";
   t.monitor <- Some m;
   m
 

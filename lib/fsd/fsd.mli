@@ -59,8 +59,6 @@ val try_boot :
 val shutdown : t -> unit
 (** Controlled shutdown: force, write everything home, save the VAM. *)
 
-val is_live : t -> bool
-
 (** {1 Files}
 
     [name] operations address the newest version unless stated. *)
@@ -205,9 +203,11 @@ val enable_monitor : ?interval_us:int -> t -> Cedar_obs.Monitor.t
       admission rejects, retries and drops per second;
     - [sat.reclaim_stall_rate_s], [sat.home_write_burst_rate_s];
 
-    and watches the [server.commit_wait_us] and [fsd.op_us]
-    distributions for sliding-window p50/p90/p99. Server-side names
-    read as zero until a server registers them. *)
+    and watches the [server.commit_wait_us] and [server.op_latency_us]
+    distributions (a parked op's wait for its force, and each op's
+    end-to-end latency from its op record) for sliding-window
+    summaries. Server-side names read as zero until a server registers
+    them. *)
 
 val disable_monitor : t -> unit
 val monitor : t -> Cedar_obs.Monitor.t option

@@ -49,15 +49,13 @@ let conserved r =
   r.queue_us + r.admission_us + r.execute_us + r.append_us + r.parked_us
   = total_us r
 
-type pct = { p50 : float; p90 : float; p99 : float; mean : float; max : float }
-
 type agg = {
   a_op : string;
   a_n : int;
   a_dropped : int;
   a_retries : int;
-  a_e2e : pct;
-  a_phase : (phase * pct) list;
+  a_e2e : Metrics.summary;
+  a_phase : (phase * Metrics.summary) list;
   a_blame : phase;
   a_tail_n : int;
   a_tail_share : (phase * float) list;
@@ -99,23 +97,12 @@ let fold entries =
   List.iter
     (fun r -> if not (List.mem r.op !kinds) then kinds := r.op :: !kinds)
     ops;
-  let pct_of dist =
-    if Stats.n dist = 0 then { p50 = 0.; p90 = 0.; p99 = 0.; mean = 0.; max = 0. }
-    else
-      {
-        p50 = Stats.percentile dist 0.50;
-        p90 = Stats.percentile dist 0.90;
-        p99 = Stats.percentile dist 0.99;
-        mean = Stats.mean dist;
-        max = Stats.max dist;
-      }
-  in
   let agg_of op =
     let mine = List.filter (fun r -> r.op = op) ops in
     let completed = List.filter (fun r -> not r.dropped) mine in
     let e2e = Stats.create () in
     List.iter (fun r -> Stats.add e2e (float_of_int (total_us r))) completed;
-    let a_e2e = pct_of e2e in
+    let a_e2e = Metrics.summarize e2e in
     let a_phase =
       List.map
         (fun ph ->
@@ -123,7 +110,7 @@ let fold entries =
           List.iter
             (fun r -> Stats.add d (float_of_int (phase_us r ph)))
             completed;
-          (ph, pct_of d))
+          (ph, Metrics.summarize d))
         phases
     in
     (* Tail blame: among the ops at or above the e2e p99, the phase with
@@ -131,7 +118,7 @@ let fold entries =
        order, deterministically. *)
     let tail =
       List.filter
-        (fun r -> float_of_int (total_us r) >= a_e2e.p99)
+        (fun r -> float_of_int (total_us r) >= a_e2e.Metrics.p99)
         completed
     in
     let tail_n = List.length tail in
@@ -191,15 +178,8 @@ let slowest ?op ?(top = 5) t =
   in
   List.filteri (fun i _ -> i < top) sorted
 
-let pct_json p =
-  Jsonb.Obj
-    [
-      ("p50", Jsonb.Float p.p50);
-      ("p90", Jsonb.Float p.p90);
-      ("p99", Jsonb.Float p.p99);
-      ("mean", Jsonb.Float p.mean);
-      ("max", Jsonb.Float p.max);
-    ]
+(* The fields of each latency summary the report shows. *)
+let summary_fields = [ "p50"; "p90"; "p99"; "mean"; "max" ]
 
 let op_json r =
   Jsonb.Obj
@@ -241,11 +221,13 @@ let to_json ?op ?(top = 5) t =
                    ("n", Jsonb.Int a.a_n);
                    ("dropped", Jsonb.Int a.a_dropped);
                    ("retries", Jsonb.Int a.a_retries);
-                   ("e2e_us", pct_json a.a_e2e);
+                   ("e2e_us", Metrics.summary_json ~fields:summary_fields a.a_e2e);
                    ( "phases_us",
                      Jsonb.Obj
                        (List.map
-                          (fun (ph, p) -> (phase_name ph, pct_json p))
+                          (fun (ph, p) ->
+                            ( phase_name ph,
+                              Metrics.summary_json ~fields:summary_fields p ))
                           a.a_phase) );
                    ("blame", Jsonb.Str (phase_name a.a_blame));
                    ("tail_n", Jsonb.Int a.a_tail_n);
@@ -280,8 +262,8 @@ let pp ?op ?(top = 5) ppf t =
         | None -> 0
       in
       Format.fprintf ppf "%-10s %6d %5d %10.2f %10.2f %10.2f  %-9s %d/%d/%d/%d/%d@,"
-        a.a_op a.a_n a.a_dropped (a.a_e2e.p50 /. 1000.) (a.a_e2e.p90 /. 1000.)
-        (a.a_e2e.p99 /. 1000.)
+        a.a_op a.a_n a.a_dropped (a.a_e2e.Metrics.p50 /. 1000.)
+        (a.a_e2e.Metrics.p90 /. 1000.) (a.a_e2e.Metrics.p99 /. 1000.)
         (phase_name a.a_blame)
         (share Queue) (share Admission) (share Execute) (share Append)
         (share Parked))

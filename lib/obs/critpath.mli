@@ -41,15 +41,13 @@ val phase_us : op_record -> phase -> int
 val conserved : op_record -> bool
 (** Whether the five phases sum exactly to {!total_us}. *)
 
-type pct = { p50 : float; p90 : float; p99 : float; mean : float; max : float }
-
 type agg = {
   a_op : string;
   a_n : int;  (** completed lifecycles of this kind *)
   a_dropped : int;
   a_retries : int;
-  a_e2e : pct;
-  a_phase : (phase * pct) list;  (** in declaration order, all five *)
+  a_e2e : Metrics.summary;
+  a_phase : (phase * Metrics.summary) list;  (** in declaration order, all five *)
   a_blame : phase;
       (** the phase with the largest mean over the p99 tail (ops whose
           end-to-end latency is at or above the e2e p99) *)

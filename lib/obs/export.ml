@@ -230,8 +230,8 @@ let chrome ?(samples = []) entries =
         (fun (name, v) -> push (counter ~name ~ts (Jsonb.Float v)))
         s.Monitor.derived;
       List.iter
-        (fun (name, (w : Monitor.window_stat)) ->
-          push (counter ~name:(name ^ ".p99") ~ts (Jsonb.Float w.Monitor.w_p99)))
+        (fun (name, w) ->
+          push (counter ~name:(name ^ ".p99") ~ts (Jsonb.Float w.Metrics.p99)))
         s.Monitor.dists)
     samples;
   let sorted =

@@ -72,35 +72,54 @@ let read_dist t name =
   | Some (Dist s) -> Some s
   | Some _ | None -> None
 
-type snapshot_value =
-  | Int of int
-  | Dist of {
-      n : int;
-      mean : float;
-      min : float;
-      p50 : float;
-      p90 : float;
-      p95 : float;
-      p99 : float;
-      max : float;
+type summary = {
+  n : int;
+  mean : float;
+  min : float;
+  p50 : float;
+  p90 : float;
+  p95 : float;
+  p99 : float;
+  max : float;
+}
+
+let summarize s =
+  if Stats.n s = 0 then
+    { n = 0; mean = 0.; min = 0.; p50 = 0.; p90 = 0.; p95 = 0.; p99 = 0.; max = 0. }
+  else
+    {
+      n = Stats.n s;
+      mean = Stats.mean s;
+      min = Stats.min s;
+      p50 = Stats.percentile s 0.5;
+      p90 = Stats.percentile s 0.9;
+      p95 = Stats.percentile s 0.95;
+      p99 = Stats.percentile s 0.99;
+      max = Stats.max s;
     }
 
-let snapshot_dist s =
-  if Stats.n s = 0 then
-    Dist
-      { n = 0; mean = 0.; min = 0.; p50 = 0.; p90 = 0.; p95 = 0.; p99 = 0.; max = 0. }
+let summary_field d = function
+  | "n" -> Jsonb.Int d.n
+  | "mean" -> Jsonb.Float d.mean
+  | "min" -> Jsonb.Float d.min
+  | "p50" -> Jsonb.Float d.p50
+  | "p90" -> Jsonb.Float d.p90
+  | "p95" -> Jsonb.Float d.p95
+  | "p99" -> Jsonb.Float d.p99
+  | "max" -> Jsonb.Float d.max
+  | f -> invalid_arg ("Metrics.summary_json: unknown field " ^ f)
+
+let summary_json
+    ?(fields = [ "n"; "mean"; "min"; "p50"; "p90"; "p95"; "p99"; "max" ]) d =
+  Jsonb.Obj (List.map (fun f -> (f, summary_field d f)) fields)
+
+let pp_summary ppf d =
+  if d.n = 0 then Format.fprintf ppf "(empty)"
   else
-    Dist
-      {
-        n = Stats.n s;
-        mean = Stats.mean s;
-        min = Stats.min s;
-        p50 = Stats.percentile s 0.5;
-        p90 = Stats.percentile s 0.9;
-        p95 = Stats.percentile s 0.95;
-        p99 = Stats.percentile s 0.99;
-        max = Stats.max s;
-      }
+    Format.fprintf ppf "n=%d mean=%.1f min=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.1f"
+      d.n d.mean d.min d.p50 d.p90 d.p99 d.max
+
+type snapshot_value = Int of int | Dist of summary
 
 let snapshot t =
   Hashtbl.fold
@@ -112,7 +131,7 @@ let snapshot t =
           match ins with
           | Counter c -> Int !c
           | Gauge f -> Int (f ())
-          | Dist s -> snapshot_dist s
+          | Dist s -> Dist (summarize s)
         in
         (name, v) :: acc)
     t.tbl []
@@ -122,21 +141,7 @@ let to_json t =
   Jsonb.Obj
     (List.map
        (fun (name, v) ->
-         ( name,
-           match v with
-           | Int i -> Jsonb.Int i
-           | Dist d ->
-             Jsonb.Obj
-               [
-                 ("n", Jsonb.Int d.n);
-                 ("mean", Jsonb.Float d.mean);
-                 ("min", Jsonb.Float d.min);
-                 ("p50", Jsonb.Float d.p50);
-                 ("p90", Jsonb.Float d.p90);
-                 ("p95", Jsonb.Float d.p95);
-                 ("p99", Jsonb.Float d.p99);
-                 ("max", Jsonb.Float d.max);
-               ] ))
+         (name, match v with Int i -> Jsonb.Int i | Dist d -> summary_json d))
        (snapshot t))
 
 let pp ppf t =
@@ -144,10 +149,5 @@ let pp ppf t =
     (fun (name, v) ->
       match v with
       | Int i -> Format.fprintf ppf "%-32s %d@." name i
-      | Dist d ->
-        if d.n = 0 then Format.fprintf ppf "%-32s (empty)@." name
-        else
-          Format.fprintf ppf
-            "%-32s n=%d mean=%.1f min=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.1f@."
-            name d.n d.mean d.min d.p50 d.p90 d.p99 d.max)
+      | Dist d -> Format.fprintf ppf "%-32s %a@." name pp_summary d)
     (snapshot t)

@@ -63,25 +63,41 @@ val read : t -> string -> int option
 
 val read_dist : t -> string -> Cedar_util.Stats.t option
 
+type summary = {
+  n : int;
+  mean : float;
+  min : float;
+  p50 : float;
+  p90 : float;
+  p95 : float;
+  p99 : float;
+  max : float;
+}
+(** The one summary of a distribution: every report, window and table
+    that shows a series shows (a selection of) these fields. *)
+
+val summarize : Cedar_util.Stats.t -> summary
+(** Moments and nearest-rank percentiles ({!Cedar_util.Stats.percentile})
+    of the series; an empty series has [n = 0] and every other field
+    zeroed. *)
+
+val summary_json : ?fields:string list -> summary -> Jsonb.t
+(** An object with the given [fields], in the given order; by default
+    all eight, in declaration order. Raises [Invalid_argument] on a name
+    that is not a field of {!summary}. *)
+
+val pp_summary : Format.formatter -> summary -> unit
+(** [n=.. mean=.. min=.. p50=.. p90=.. p99=.. max=..], or [(empty)]. *)
+
 type snapshot_value =
   | Int of int  (** counter or sampled gauge *)
-  | Dist of {
-      n : int;
-      mean : float;
-      min : float;
-      p50 : float;
-      p90 : float;
-      p95 : float;
-      p99 : float;
-      max : float;
-    }
+  | Dist of summary
 
 val snapshot : t -> (string * snapshot_value) list
-(** All instruments, sampled now, sorted by name. Empty distributions
-    report [Dist] with [n = 0] and zeroed moments. *)
+(** All instruments, sampled now, sorted by name. *)
 
 val to_json : t -> Jsonb.t
 (** Deterministic (name-sorted) object; distributions become
-    [{n, mean, min, p50, p90, p95, p99, max}] sub-objects. *)
+    {!summary_json} sub-objects. *)
 
 val pp : Format.formatter -> t -> unit

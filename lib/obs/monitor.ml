@@ -15,15 +15,13 @@
 
 module Stats = Cedar_util.Stats
 
-type window_stat = { w_n : int; w_p50 : float; w_p90 : float; w_p99 : float }
-
 type sample = {
   at_us : int;
   dt_us : int;
   counters : (string * int) list;
   gauges : (string * int) list;
   derived : (string * float) list;
-  dists : (string * window_stat) list;
+  dists : (string * Metrics.summary) list;
 }
 
 type view = { dt_us : int; delta : string -> int; value : string -> int }
@@ -134,21 +132,13 @@ let refresh_watch w s =
   end
 
 let watch_stat w =
-  if w.w_len = 0 then { w_n = 0; w_p50 = 0.0; w_p90 = 0.0; w_p99 = 0.0 }
-  else begin
-    let a = Array.make w.w_len 0.0 in
-    let cap = Array.length w.w_buf in
-    let start = (w.w_next - w.w_len + cap) mod cap in
-    for i = 0 to w.w_len - 1 do
-      a.(i) <- w.w_buf.((start + i) mod cap)
-    done;
-    Array.sort compare a;
-    let pct p =
-      let idx = int_of_float (ceil (p *. float_of_int w.w_len)) - 1 in
-      a.(max 0 (min (w.w_len - 1) idx))
-    in
-    { w_n = w.w_len; w_p50 = pct 0.5; w_p90 = pct 0.9; w_p99 = pct 0.99 }
-  end
+  let s = Stats.create () in
+  let cap = Array.length w.w_buf in
+  let start = (w.w_next - w.w_len + cap) mod cap in
+  for i = 0 to w.w_len - 1 do
+    Stats.add s w.w_buf.((start + i) mod cap)
+  done;
+  Metrics.summarize s
 
 let push t s =
   let cap = Array.length t.ring in

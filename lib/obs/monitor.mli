@@ -15,19 +15,16 @@
     byte-identical sample lists — iteration follows the registry's
     name-sorted view, never hashtable order. *)
 
-type window_stat = { w_n : int; w_p50 : float; w_p90 : float; w_p99 : float }
-(** Nearest-rank percentiles over the last [window] values a watched
-    distribution recorded (not cumulative-since-boot like
-    [Metrics.snapshot]); [w_n] is the number of values currently in the
-    window, 0 when the dist has recorded nothing yet. *)
-
 type sample = {
   at_us : int;  (** virtual time the sample was taken *)
   dt_us : int;  (** elapsed virtual time since the previous sample *)
   counters : (string * int) list;  (** per-interval deltas, name-sorted *)
   gauges : (string * int) list;  (** point values, name-sorted *)
   derived : (string * float) list;  (** derived gauges, name-sorted *)
-  dists : (string * window_stat) list;  (** watched dists, name-sorted *)
+  dists : (string * Metrics.summary) list;
+      (** watched dists, name-sorted: each summarises the last [window]
+          values the dist recorded (not cumulative since boot like
+          {!Metrics.snapshot}); [n = 0] until it records one *)
 }
 
 type view = {
@@ -59,7 +56,7 @@ val derive : t -> string -> (view -> float) -> unit
 val watch_dist : t -> string -> unit
 (** Start tracking sliding-window percentiles for the distribution
     registered in the metrics registry under this name. Idempotent; a
-    name not (yet) registered reports [w_n = 0] until it appears. If
+    name not (yet) registered reports [n = 0] until it appears. If
     the owner re-registers the dist with a fresh series (per-boot
     reset), the window restarts from the new series. *)
 

@@ -9,19 +9,19 @@ type op_row = {
   sectors_written : int;
   device_us : int;
   op_us : int;
+  latency_us : Stats.t;
   amortised_ios : float;
   amortised_writes : float;
   amortised_sectors_written : float;
 }
 
 type acc = {
-  mutable calls : int;
+  latency : Stats.t;  (* one sample per closed span *)
   mutable reads : int;
   mutable writes : int;
   mutable sread : int;
   mutable swritten : int;
   mutable dev_us : int;
-  mutable op_us : int;
   (* Amortisation adjustments (can be negative): log-append device
      writes moved from the span that executed the force to the ops of
      the batch, in proportion to mutation counts. *)
@@ -49,13 +49,12 @@ let per_op entries =
     | None ->
       let a =
         {
-          calls = 0;
+          latency = Stats.create ();
           reads = 0;
           writes = 0;
           sread = 0;
           swritten = 0;
           dev_us = 0;
-          op_us = 0;
           adj_writes = 0.0;
           adj_swritten = 0.0;
         }
@@ -116,10 +115,7 @@ let per_op entries =
       | Trace.Dev_seek { us; _ } ->
         let a = row (label e.Trace.span) in
         a.dev_us <- a.dev_us + us
-      | Trace.Op_end { op; us } ->
-        let a = row op in
-        a.calls <- a.calls + 1;
-        a.op_us <- a.op_us + us
+      | Trace.Op_end { op; us } -> Stats.add (row op).latency (float_of_int us)
       | Trace.Mutation _ ->
         let lbl = label e.Trace.span in
         Hashtbl.replace batch_muts lbl
@@ -133,13 +129,14 @@ let per_op entries =
     (fun op (a : acc) rows ->
       {
         op;
-        calls = a.calls;
+        calls = Stats.n a.latency;
         reads = a.reads;
         writes = a.writes;
         sectors_read = a.sread;
         sectors_written = a.swritten;
         device_us = a.dev_us;
-        op_us = a.op_us;
+        op_us = int_of_float (Stats.total a.latency);
+        latency_us = a.latency;
         amortised_ios = float_of_int (a.reads + a.writes) +. a.adj_writes;
         amortised_writes = float_of_int a.writes +. a.adj_writes;
         amortised_sectors_written = float_of_int a.swritten +. a.adj_swritten;
@@ -157,6 +154,9 @@ type log_row = {
   empty_forces : int;
   units_per_force : Stats.t;
   data_sectors_per_record : Stats.t;
+  ops_per_force : Stats.t;
+  force_interval_us : Stats.t;
+  third_timeline : (int * int * int) list;
 }
 
 let log_activity entries =
@@ -168,21 +168,44 @@ let log_activity entries =
   and empty_forces = ref 0 in
   let units_per_force = Stats.create () in
   let data_sectors_per_record = Stats.create () in
+  let ops_per_force = Stats.create () in
+  let force_interval_us = Stats.create () in
+  let ops_since = ref 0 in
+  let last_force_at = ref None in
+  let timeline = ref [] in
+  let cur_third = ref (-1) in
+  let occupied = ref 0 in
   List.iter
     (fun (e : Trace.entry) ->
       match e.Trace.event with
+      | Trace.Op_end { op; _ } ->
+        (* The force span itself is bookkeeping, not an operation the
+           force amortises. *)
+        if op <> "force" then incr ops_since
       | Trace.Log_append a ->
         incr records;
         units := !units + a.units;
         data_sectors := !data_sectors + a.data_sectors;
         total_sectors := !total_sectors + a.total_sectors;
-        Stats.add data_sectors_per_record (float_of_int a.data_sectors)
+        Stats.add data_sectors_per_record (float_of_int a.data_sectors);
+        if a.third <> !cur_third then begin
+          cur_third := a.third;
+          occupied := 0
+        end;
+        occupied := !occupied + a.total_sectors;
+        timeline := (e.Trace.at_us, a.third, !occupied) :: !timeline
       | Trace.Log_force { units; empty } ->
         if empty then incr empty_forces
         else begin
           incr forces;
           Stats.add units_per_force (float_of_int units)
-        end
+        end;
+        Stats.add ops_per_force (float_of_int !ops_since);
+        ops_since := 0;
+        (match !last_force_at with
+        | Some t0 -> Stats.add force_interval_us (float_of_int (e.Trace.at_us - t0))
+        | None -> ());
+        last_force_at := Some e.Trace.at_us
       | _ -> ())
     entries;
   {
@@ -194,6 +217,9 @@ let log_activity entries =
     empty_forces = !empty_forces;
     units_per_force;
     data_sectors_per_record;
+    ops_per_force;
+    force_interval_us;
+    third_timeline = List.rev !timeline;
   }
 
 type phase_row = { phase : string; us : int }
@@ -207,6 +233,8 @@ let recovery_phases entries =
       | Trace.Scavenge_phase { phase; us } -> Some { phase = "scavenge-" ^ phase; us }
       | _ -> None)
     entries
+
+let series_json s = Metrics.summary_json (Metrics.summarize s)
 
 let per_op_json rows =
   Jsonb.Arr
@@ -227,20 +255,9 @@ let per_op_json rows =
                Jsonb.Float r.amortised_sectors_written );
              ("device_us", Jsonb.Int r.device_us);
              ("op_us", Jsonb.Int r.op_us);
+             ("latency_us", series_json r.latency_us);
            ])
        rows)
-
-let dist_json s =
-  if Stats.n s = 0 then Jsonb.Obj [ ("n", Jsonb.Int 0) ]
-  else
-    Jsonb.Obj
-      [
-        ("n", Jsonb.Int (Stats.n s));
-        ("mean", Jsonb.Float (Stats.mean s));
-        ("min", Jsonb.Float (Stats.min s));
-        ("p95", Jsonb.Float (Stats.percentile s 0.95));
-        ("max", Jsonb.Float (Stats.max s));
-      ]
 
 let log_json ?sector_bytes r =
   let bytes_fields =
@@ -263,8 +280,21 @@ let log_json ?sector_bytes r =
      ]
     @ bytes_fields
     @ [
-        ("units_per_force", dist_json r.units_per_force);
-        ("data_sectors_per_record", dist_json r.data_sectors_per_record);
+        ("units_per_force", series_json r.units_per_force);
+        ("data_sectors_per_record", series_json r.data_sectors_per_record);
+        ("ops_per_force", series_json r.ops_per_force);
+        ("force_interval_us", series_json r.force_interval_us);
+        ( "third_timeline",
+          Jsonb.Arr
+            (List.map
+               (fun (at_us, third, occupied) ->
+                 Jsonb.Obj
+                   [
+                     ("at_us", Jsonb.Int at_us);
+                     ("third", Jsonb.Int third);
+                     ("occupied_sectors", Jsonb.Int occupied);
+                   ])
+               r.third_timeline) );
       ])
 
 let recovery_json rows =
@@ -272,6 +302,8 @@ let recovery_json rows =
     (List.map
        (fun r -> Jsonb.Obj [ ("phase", Jsonb.Str r.phase); ("us", Jsonb.Int r.us) ])
        rows)
+
+let pp_series ppf s = Metrics.pp_summary ppf (Metrics.summarize s)
 
 let pp_per_op ppf rows =
   Format.fprintf ppf "%-14s %6s %6s %6s %6s %8s %8s %8s %9s %10s %10s@." "op"
@@ -283,6 +315,10 @@ let pp_per_op ppf rows =
         r.op r.calls r.reads r.writes (r.reads + r.writes) r.sectors_read
         r.sectors_written r.amortised_ios r.amortised_sectors_written
         r.device_us r.op_us)
+    rows;
+  Format.fprintf ppf "@.per-op latency (simulated us):@.";
+  List.iter
+    (fun r -> Format.fprintf ppf "  %-12s %a@." r.op pp_series r.latency_us)
     rows
 
 let pp_log ppf r =
@@ -290,10 +326,14 @@ let pp_log ppf r =
     "log: %d records (%d page images, %d data sectors, %d total sectors), %d \
      forces, %d empty forces@."
     r.records r.units r.data_sectors r.total_sectors r.forces r.empty_forces;
-  if Stats.n r.units_per_force > 0 then
-    Format.fprintf ppf "  units/force: %a@." Stats.pp r.units_per_force;
-  if Stats.n r.data_sectors_per_record > 0 then
-    Format.fprintf ppf "  data sectors/record: %a@." Stats.pp r.data_sectors_per_record
-
-let pp_recovery ppf rows =
-  List.iter (fun r -> Format.fprintf ppf "%-24s %10d us@." r.phase r.us) rows
+  Format.fprintf ppf "  units/force:         %a@." pp_series r.units_per_force;
+  Format.fprintf ppf "  data sectors/record: %a@." pp_series r.data_sectors_per_record;
+  Format.fprintf ppf "  ops/force:           %a@." pp_series r.ops_per_force;
+  Format.fprintf ppf "  force interval us:   %a@." pp_series r.force_interval_us;
+  match List.rev r.third_timeline with
+  | [] -> Format.fprintf ppf "  log thirds: no appends traced@."
+  | (at, third, occ) :: _ ->
+    Format.fprintf ppf
+      "  log thirds: %d appends traced; last: third %d at %d sectors (t=%.3fms)@."
+      (List.length r.third_timeline) third occ
+      (float_of_int at /. 1000.)

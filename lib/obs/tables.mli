@@ -1,15 +1,23 @@
-(** Table replayers: fold a trace into the paper's evaluation tables.
+(** Table replayers: the one fold of an FSD trace into the paper's
+    evaluation tables.
 
-    These are pure functions over {!Trace.entry} lists; the CLI
-    ([cedar stats] / [cedar bench]) and the bench harness drive a
-    scripted workload with tracing enabled and hand the buffer here.
+    These are pure functions over {!Trace.entry} lists; [cedar stats]
+    and the bench harness ([bench obs-json]) drive a scripted workload
+    with tracing enabled and hand the buffer here. Each quantity is
+    counted once, by one of:
 
-    - {!per_op} is the Tables 3/4 analogue: device I/Os attributed to
-      the FSD operation (span) that issued them.
-    - {!log_activity} is the Table 2 analogue: bytes logged per commit
-      batch, forces vs empty forces.
-    - {!recovery_phases} is the Table 5 analogue: per-phase timings of
-      log replay, VAM rebuild and scavenging. *)
+    - {!per_op}, the Tables 3/4 analogue: device I/Os attributed to the
+      FSD operation (span) that issued them, and each call's simulated
+      latency (its span's duration);
+    - {!log_activity}, the Table 2 and §5.4 analogue: bytes logged per
+      commit batch, forces vs empty forces, ops amortised per force,
+      the force cadence and the active log third's occupancy;
+    - {!recovery_phases}, the Table 5 analogue: per-phase timings of
+      log replay, VAM rebuild and scavenging.
+
+    A span's duration is the FSD call's own latency. A server client's
+    latency is its op record ({!Trace.op_record}), which adds the time
+    the op spent queued, in admission and parked for its force. *)
 
 type op_row = {
   op : string;
@@ -19,7 +27,10 @@ type op_row = {
   sectors_read : int;
   sectors_written : int;
   device_us : int;  (** simulated time inside device commands *)
-  op_us : int;  (** total wall-clock (virtual) across calls *)
+  op_us : int;  (** total simulated latency across calls *)
+  latency_us : Cedar_util.Stats.t;
+      (** each call's simulated latency, one sample per closed span;
+          [calls] and [op_us] are its count and total *)
   amortised_ios : float;
       (** [reads + writes] after moving each group-commit log append's
           device write from the span that ran the force to the ops whose
@@ -51,8 +62,16 @@ type log_row = {
   total_sectors : int;  (** including headers/copies of header *)
   forces : int;
   empty_forces : int;
-  units_per_force : Cedar_util.Stats.t;
+  units_per_force : Cedar_util.Stats.t;  (** per non-empty force *)
   data_sectors_per_record : Cedar_util.Stats.t;
+  ops_per_force : Cedar_util.Stats.t;
+      (** operations completed since the previous force (force spans
+          excluded); one sample per force, empty forces included *)
+  force_interval_us : Cedar_util.Stats.t;
+      (** virtual time between consecutive forces *)
+  third_timeline : (int * int * int) list;
+      (** [(at_us, third, occupied_sectors)] per log append, oldest
+          first; occupancy restarts when the active third changes *)
 }
 
 val log_activity : Trace.entry list -> log_row
@@ -64,12 +83,12 @@ val recovery_phases : Trace.entry list -> phase_row list
 
 val per_op_json : op_row list -> Jsonb.t
 val log_json : ?sector_bytes:int -> log_row -> Jsonb.t
-(** With [sector_bytes], also reports [data_bytes] / [total_bytes]. *)
+(** With [sector_bytes], also reports [data_bytes] / [total_bytes].
+    Distributions render as {!Metrics.summary_json}. *)
 
 val recovery_json : phase_row list -> Jsonb.t
 
 val pp_per_op : Format.formatter -> op_row list -> unit
-(** Fixed-width table, Tables 3/4 style. *)
+(** Fixed-width table, Tables 3/4 style, then each op's latency. *)
 
 val pp_log : Format.formatter -> log_row -> unit
-val pp_recovery : Format.formatter -> phase_row list -> unit

@@ -9,14 +9,8 @@
 
 module J = Jsonb
 
-let window_stat_json (w : Monitor.window_stat) =
-  J.Obj
-    [
-      ("n", J.Int w.Monitor.w_n);
-      ("p50", J.Float w.Monitor.w_p50);
-      ("p90", J.Float w.Monitor.w_p90);
-      ("p99", J.Float w.Monitor.w_p99);
-    ]
+(* Each watched window's fields in the JSON, as in the CSV's columns. *)
+let window_fields = [ "n"; "p50"; "p90"; "p99" ]
 
 let sample_json (s : Monitor.sample) =
   J.Obj
@@ -29,8 +23,10 @@ let sample_json (s : Monitor.sample) =
       ( "derived",
         J.Obj (List.map (fun (k, v) -> (k, J.Float v)) s.Monitor.derived) );
       ( "dists",
-        J.Obj (List.map (fun (k, w) -> (k, window_stat_json w)) s.Monitor.dists)
-      );
+        J.Obj
+          (List.map
+             (fun (k, w) -> (k, Metrics.summary_json ~fields:window_fields w))
+             s.Monitor.dists) );
     ]
 
 let to_json samples = J.Arr (List.map sample_json samples)
@@ -90,11 +86,10 @@ let to_csv samples =
       List.iter
         (fun k ->
           match List.assoc_opt k s.Monitor.dists with
-          | Some (w : Monitor.window_stat) ->
+          | Some w ->
             Buffer.add_string b
-              (Printf.sprintf ",%d,%s,%s,%s" w.Monitor.w_n
-                 (num_str w.Monitor.w_p50) (num_str w.Monitor.w_p90)
-                 (num_str w.Monitor.w_p99))
+              (Printf.sprintf ",%d,%s,%s,%s" w.Metrics.n (num_str w.Metrics.p50)
+                 (num_str w.Metrics.p90) (num_str w.Metrics.p99))
           | None -> Buffer.add_string b ",,,,")
         dists;
       Buffer.add_char b '\n')
@@ -167,10 +162,8 @@ let render_frame ?(spark = []) ~history (s : Monitor.sample) =
     Buffer.add_char b '\n'
   end;
   List.iter
-    (fun (k, (w : Monitor.window_stat)) ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-28s n=%-4d p50=%-10.1f p90=%-10.1f p99=%.1f\n" k
-           w.Monitor.w_n w.Monitor.w_p50 w.Monitor.w_p90 w.Monitor.w_p99))
+    (fun (k, w) ->
+      Buffer.add_string b (Format.asprintf "  %-28s %a\n" k Metrics.pp_summary w))
     s.Monitor.dists;
   List.iter
     (fun name ->

@@ -74,12 +74,6 @@ let all_set_in_run t ~pos ~len =
   in
   pos >= 0 && stop <= t.bits && (len <= 0 || go (pos lsr 3))
 
-let find_set t ~from =
-  let rec go i =
-    if i >= t.bits then None else if get t i then Some i else go (i + 1)
-  in
-  go (max 0 from)
-
 let find_run_set t ~from ~upto ~len =
   if len <= 0 then invalid_arg "Bitmap.find_run_set";
   let upto = min upto t.bits in

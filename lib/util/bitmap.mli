@@ -32,9 +32,6 @@ val all_set_in_run : t -> pos:int -> len:int -> bool
 (** Whether bits [pos .. pos+len-1] are all set; [false], not an
     exception, for a run that leaves the map. *)
 
-val find_set : t -> from:int -> int option
-(** First set bit at index >= [from], or [None]. *)
-
 val find_run_set : t -> from:int -> upto:int -> len:int -> int option
 (** [find_run_set t ~from ~upto ~len] finds the lowest [pos] with
     [from <= pos] and [pos + len <= upto] such that bits [pos .. pos+len-1]

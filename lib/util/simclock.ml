@@ -8,6 +8,5 @@ let advance t us =
   t.now <- t.now + us
 
 let advance_to t deadline = if deadline > t.now then t.now <- deadline
-let us_of_ms ms = int_of_float (ms *. 1000.0)
 let ms_of_us us = float_of_int us /. 1000.0
 let s_of_us us = float_of_int us /. 1_000_000.0

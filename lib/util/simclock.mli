@@ -20,6 +20,5 @@ val advance_to : t -> int -> unit
 (** [advance_to t deadline] moves time forward to [deadline] if it is in
     the future, otherwise does nothing. *)
 
-val us_of_ms : float -> int
 val ms_of_us : int -> float
 val s_of_us : int -> float

@@ -50,29 +50,3 @@ let percentile t p =
   (* Nearest-rank; p = 0.0 is defined as the minimum (rank 1). *)
   let idx = int_of_float (ceil (p *. float_of_int t.n)) - 1 in
   a.(Stdlib.max 0 (Stdlib.min (t.n - 1) idx))
-
-let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "(empty)"
-  else
-    Format.fprintf ppf "n=%d mean=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f"
-      t.n (mean t) t.min (percentile t 0.5) (percentile t 0.95) t.max
-
-module Histogram = struct
-  type h = { width : int; counts : (int, int) Hashtbl.t }
-
-  let create ~bucket_width =
-    if bucket_width <= 0 then invalid_arg "Histogram.create";
-    { width = bucket_width; counts = Hashtbl.create 16 }
-
-  let add h v =
-    let b = if v >= 0 then v / h.width else (v - h.width + 1) / h.width in
-    Hashtbl.replace h.counts b (1 + Option.value ~default:0 (Hashtbl.find_opt h.counts b))
-
-  let buckets h =
-    Hashtbl.fold (fun b c acc -> (b * h.width, c) :: acc) h.counts []
-    |> List.sort compare
-
-  let pp ppf h =
-    List.iter (fun (lo, c) -> Format.fprintf ppf "[%d,%d): %d@." lo (lo + h.width) c)
-      (buckets h)
-end

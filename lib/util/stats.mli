@@ -1,4 +1,4 @@
-(** Running statistics and simple histograms for the benchmark harness. *)
+(** Running statistics for the benchmark harness and the metrics registry. *)
 
 type t
 
@@ -20,17 +20,3 @@ val percentile : t -> float -> float
     is the minimum and [percentile t 1.0] the maximum. Values of [p]
     outside [0,1] are clamped to the nearest bound. Raises
     [Invalid_argument] only on an empty series. *)
-
-val pp : Format.formatter -> t -> unit
-
-(** Fixed-bucket histogram over integers. *)
-module Histogram : sig
-  type h
-
-  val create : bucket_width:int -> h
-  val add : h -> int -> unit
-  val buckets : h -> (int * int) list
-  (** [(lower_bound, count)] for each non-empty bucket, ascending. *)
-
-  val pp : Format.formatter -> h -> unit
-end

@@ -21,15 +21,6 @@ type script = step list
 
 let content ~fill n = Bytes.init n (fun i -> Char.chr ((i + fill) mod 251))
 
-let pp_op ppf = function
-  | Create { name; bytes; _ } -> Format.fprintf ppf "create %s %d" name bytes
-  | Open name -> Format.fprintf ppf "open %s" name
-  | Read name -> Format.fprintf ppf "read %s" name
-  | Read_page { name; page } -> Format.fprintf ppf "read-page %s %d" name page
-  | Delete name -> Format.fprintf ppf "delete %s" name
-  | List prefix -> Format.fprintf ppf "list %s" prefix
-  | Force -> Format.fprintf ppf "force"
-
 let op_name = function
   | Create { name; _ } | Open name | Read name
   | Read_page { name; _ } | Delete name ->

@@ -29,7 +29,6 @@ type script = step list
 val content : fill:int -> int -> bytes
 (** The deterministic payload a [Create] carries. *)
 
-val pp_op : Format.formatter -> op -> unit
 val op_name : op -> string
 
 (** The operation's type as a constant label ("create", "open", "read",

@@ -101,11 +101,11 @@ let test_window_percentiles () =
     Monitor.create ~window:10 ~interval_us:100 ~now:(fun () -> !clock) m
   in
   Monitor.watch_dist mon "lat_us";
-  (* not registered values yet: w_n = 0 *)
+  (* no values recorded yet: n = 0 *)
   clock := 100;
   let s0 = Monitor.sample_now mon in
   check int "empty window" 0
-    (List.assoc "lat_us" s0.Monitor.dists).Monitor.w_n;
+    (List.assoc "lat_us" s0.Monitor.dists).Metrics.n;
   (* 1..100 recorded; the window keeps the newest 10 (91..100) *)
   for i = 1 to 100 do
     Stats.add lat (float_of_int i)
@@ -113,18 +113,18 @@ let test_window_percentiles () =
   clock := 200;
   let s1 = Monitor.sample_now mon in
   let w = List.assoc "lat_us" s1.Monitor.dists in
-  check int "window holds its bound" 10 w.Monitor.w_n;
-  check close "p50 by nearest rank over 91..100" 95.0 w.Monitor.w_p50;
-  check close "p90 by nearest rank" 99.0 w.Monitor.w_p90;
-  check close "p99 rounds up to the max" 100.0 w.Monitor.w_p99;
+  check int "window holds its bound" 10 w.Metrics.n;
+  check close "p50 by nearest rank over 91..100" 95.0 w.Metrics.p50;
+  check close "p90 by nearest rank" 99.0 w.Metrics.p90;
+  check close "p99 rounds up to the max" 100.0 w.Metrics.p99;
   (* window slides: three more values push out 91..93 *)
   List.iter (fun v -> Stats.add lat v) [ 7.0; 7.0; 7.0 ];
   clock := 300;
   let s2 = Monitor.sample_now mon in
   let w2 = List.assoc "lat_us" s2.Monitor.dists in
-  check int "still bounded" 10 w2.Monitor.w_n;
+  check int "still bounded" 10 w2.Metrics.n;
   (* window now 94..100,7,7,7; sorted 7,7,7,94..100: p50 = 5th = 95 *)
-  check close "slid p50" 95.0 w2.Monitor.w_p50
+  check close "slid p50" 95.0 w2.Metrics.p50
 
 (* ------------------------------------------------------------------ *)
 (* Ring eviction                                                       *)

@@ -1,7 +1,8 @@
 (* Observability: the ring-buffer trace, the metrics registry, the
-   table replayers — including the hand-counted Tables 3/4 analogue for
-   the scripted workload behind [cedar stats] — the trace profiler and
-   the Chrome export. *)
+   trace fold behind [cedar stats] (Tables) — the hand-counted Tables
+   3/4 analogue, per-op latency and group commit for the scripted
+   workload, and its agreement with the registry's counts — and the
+   Chrome export. *)
 
 open Cedar_util
 open Cedar_disk
@@ -314,44 +315,108 @@ let test_recovery_phases_traced () =
   check int "total matches the boot report" report.Fsd.total_us (us_of "total")
 
 (* ------------------------------------------------------------------ *)
-(* Profiler                                                             *)
+(* Latency and group commit, from the same fold                         *)
 
 (* The scripted workload is 10 creates, force, then 10 opens + 10 reads
    + 1 list + 10 deletes, force: the two ops-per-force samples must be
    exactly 10 and 31, and there is one force-to-force interval. *)
 let test_profile_hand_check () =
-  let device, fs = small_fs () in
-  let ops = Fsd.ops fs in
-  Script.warmup ops;
-  let tr = Device.trace device in
-  Trace.enable tr;
-  Script.scripted ops;
-  Trace.disable tr;
-  let p = Profile.of_entries (Trace.to_list tr) in
-  check int "two forces" 2 p.Profile.forces;
-  check int "no empty forces" 0 p.Profile.empty_forces;
-  let opf = p.Profile.ops_per_force in
+  let entries = scripted_entries () in
+  let log = Tables.log_activity entries in
+  check int "two forces" 2 log.Tables.forces;
+  check int "no empty forces" 0 log.Tables.empty_forces;
+  let opf = log.Tables.ops_per_force in
   check int "two ops-per-force samples" 2 (Stats.n opf);
   check int "first burst: 10 creates" 10 (int_of_float (Stats.min opf));
   check int "second burst: 31 ops" 31 (int_of_float (Stats.max opf));
   check (Alcotest.float 0.001) "mean ops per force" 20.5 (Stats.mean opf);
-  check int "one force interval" 1 (Stats.n p.Profile.force_interval_us);
-  let latency op = List.assoc op p.Profile.op_latency in
+  check int "one force interval" 1 (Stats.n log.Tables.force_interval_us);
+  let rows = Tables.per_op entries in
+  let latency op = (List.find (fun r -> r.Tables.op = op) rows).Tables.latency_us in
   check int "10 create latencies" 10 (Stats.n (latency "create"));
   check int "10 open latencies" 10 (Stats.n (latency "open"));
   check int "10 delete latencies" 10 (Stats.n (latency "delete"));
   check int "1 list latency" 1 (Stats.n (latency "list"));
-  (* Force latency is profiled, but forces are not counted in the
+  (* Force latency is recorded, but forces are not counted in the
      ops-per-force samples (10 and 31 above already prove that). *)
   check int "2 force latencies" 2 (Stats.n (latency "force"));
+  (* A row's calls and op_us are its latency series' count and total:
+     one sample per closed span of that label, each its duration. *)
+  List.iter
+    (fun r ->
+      let op = r.Tables.op in
+      let spans =
+        List.filter_map
+          (fun (e : Trace.entry) ->
+            match e.Trace.event with
+            | Trace.Op_end { op = o; us } when o = op -> Some us
+            | _ -> None)
+          entries
+      in
+      check int (op ^ ": one latency sample per span") (List.length spans)
+        (Stats.n r.Tables.latency_us);
+      check int (op ^ ": calls = latency n") (Stats.n r.Tables.latency_us)
+        r.Tables.calls;
+      check int (op ^ ": op_us = sum of span durations")
+        (List.fold_left ( + ) 0 spans) r.Tables.op_us;
+      check int (op ^ ": op_us = latency total")
+        (int_of_float (Stats.total r.Tables.latency_us))
+        r.Tables.op_us)
+    rows;
   (* The log-third timeline has one point per traced append, all in the
      same third with growing occupancy. *)
-  check int "two appends traced" 2 (List.length p.Profile.third_timeline);
-  match p.Profile.third_timeline with
+  check int "two appends traced" 2 (List.length log.Tables.third_timeline);
+  match log.Tables.third_timeline with
   | [ (_, t1, o1); (_, t2, o2) ] ->
     check int "same third" t1 t2;
     check bool "occupancy grows" true (o2 > o1)
   | _ -> Alcotest.fail "unexpected timeline shape"
+
+(* The trace fold and the metrics registry count the same things down
+   two code paths: over a traced window the fold's counts must equal the
+   registry's deltas. *)
+let test_fold_agrees_with_registry () =
+  let device, fs = small_fs () in
+  let ops = Fsd.ops fs in
+  Script.warmup ops;
+  let read name = Option.value ~default:0 (Metrics.read (Device.metrics device) name) in
+  let names =
+    [
+      "fsd.forces";
+      "fsd.empty_forces";
+      "log.records";
+      "log.total_sectors";
+      "log.data_sectors";
+      "fsd.ops";
+    ]
+  in
+  let before = List.map read names in
+  let tr = Device.trace device in
+  Trace.enable ~capacity:(1 lsl 16) tr;
+  Script.scripted ops;
+  Script.paper_bulk ops;
+  Trace.disable tr;
+  check int "no trace entry lost" 0 (Trace.dropped tr);
+  let delta = List.map2 (fun name b -> (name, read name - b)) names before in
+  let entries = Trace.to_list tr in
+  let log = Tables.log_activity entries in
+  let op_calls =
+    List.fold_left
+      (fun acc r -> if r.Tables.op = "force" then acc else acc + r.Tables.calls)
+      0 (Tables.per_op entries)
+  in
+  List.iter
+    (fun (name, fold, want) ->
+      check int (name ^ ": fold = registry delta") (List.assoc name delta) fold;
+      check int (name ^ ": count") want fold)
+    [
+      ("fsd.forces", log.Tables.forces, 17);
+      ("fsd.empty_forces", log.Tables.empty_forces, 3);
+      ("log.records", log.Tables.records, 17);
+      ("log.total_sectors", log.Tables.total_sectors, 305);
+      ("log.data_sectors", log.Tables.data_sectors, 110);
+      ("fsd.ops", op_calls, 342);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export                                                        *)
@@ -445,6 +510,7 @@ let suite =
     ("log activity (Table 2)", `Quick, test_log_activity);
     ("recovery phases traced (Table 5)", `Quick, test_recovery_phases_traced);
     ("profiler matches hand-computed workload", `Quick, test_profile_hand_check);
+    ("trace fold agrees with the registry", `Quick, test_fold_agrees_with_registry);
     ("chrome export is balanced", `Quick, test_chrome_export);
     ("metrics expose p90/p99", `Quick, test_metrics_percentiles);
   ]

@@ -272,15 +272,6 @@ let test_percentile_edges () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~bucket_width:10 in
-  List.iter (Stats.Histogram.add h) [ 1; 5; 11; 25; 27 ];
-  check
-    (Alcotest.list (Alcotest.pair int int))
-    "buckets"
-    [ (0, 2); (10, 1); (20, 2) ]
-    (Stats.Histogram.buckets h)
-
 let suite =
   [
     ("bytebuf roundtrip", `Quick, test_bytebuf_roundtrip);
@@ -303,5 +294,4 @@ let suite =
     ("simclock", `Quick, test_simclock);
     ("stats", `Quick, test_stats);
     ("percentile edges", `Quick, test_percentile_edges);
-    ("histogram", `Quick, test_histogram);
   ]
