@@ -194,7 +194,13 @@ stats-smoke:
 # covering force's log write on both workloads. And its B-tree find must
 # allocate under 100 words (fnt.btree.find.words, an allocation count
 # that does not vary run to run): finds are served from the tree's
-# decoded-node memo, not by decoding a page per node.
+# decoded-node memo, not by decoding a page per node. And the whole
+# untraced rep must allocate under a per-workload bound of minor words
+# per op (obs.minor_words_per_op, also exact run to run): 1550 on
+# makedo-8vol and 3250 on openloop-1vol, under 10 % above what the
+# one-copy sector path measures (1420.8 and 2999.1). A second copy of
+# each written sector on its way into the device store breaks it
+# (1775.4 and 3955.6).
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
 	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \
@@ -209,6 +215,10 @@ perf-smoke:
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["fnt.btree.find.words"]["value"] >= 100)' || \
 				{ echo "perf-smoke: $$w --trace 1 fnt.btree.find.words is not < 100"; exit 1; }; \
+			case $$w in makedo-8vol) bound=1550;; *) bound=3250;; esac; \
+			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
+				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["obs.minor_words_per_op"]["value"] >= float(sys.argv[1]))' $$bound || \
+				{ echo "perf-smoke: $$w --trace 1 obs.minor_words_per_op is not < $$bound"; exit 1; }; \
 		fi; \
 		echo "perf-smoke: $$w --trace $$tr correct"; \
 	done; done

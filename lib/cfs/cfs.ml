@@ -291,9 +291,7 @@ let write_boot device layout ~clean =
   Bytebuf.Writer.bool w clean;
   Bytebuf.Writer.u16 w layout.Cfs_layout.params.Cfs_layout.fnt_page_sectors;
   Bytebuf.Writer.u32 w layout.Cfs_layout.params.Cfs_layout.fnt_pages;
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  let page = Bytebuf.Writer.to_sector w ~size:sb in
+  let page = Bytebuf.Writer.seal w ~size:sb in
   let buf = Bytes.make (3 * sb) '\000' in
   Bytes.blit page 0 buf 0 sb;
   Bytes.blit page 0 buf (2 * sb) sb;

@@ -160,8 +160,10 @@ let check_sector t s =
    the command (not whatever op happens to be open at service time). *)
 let mechanics t ~span ~start ~sector ~count ~write =
   let g = t.geom in
-  let chs = Geometry.to_chs g sector in
-  let dist = abs (chs.cyl - t.head_cyl) in
+  let spt = g.Geometry.sectors_per_track in
+  let spc = Geometry.sectors_per_cylinder g in
+  let cyl = sector / spc in
+  let dist = abs (cyl - t.head_cyl) in
   let seek = Geometry.seek_us g dist in
   Stats.add t.seek_dist (float_of_int dist);
   if dist > 0 then begin
@@ -171,30 +173,26 @@ let mechanics t ~span ~start ~sector ~count ~write =
       Trace.emit_span t.trace ~span ~at:start
         (Trace.Dev_seek { dev = t.id; cylinders = dist; us = seek })
   end;
-  t.head_cyl <- chs.cyl;
+  t.head_cyl <- cyl;
   (* Wait for the first target sector to rotate under the head. *)
   let rot = Geometry.rotation_us g in
   let sector_t = Geometry.sector_time_us g in
-  let target_start = chs.sector * sector_t in
+  let target_start = (sector mod spt) * sector_t in
   let phase = (start + seek) mod rot in
   let latency = (target_start - phase + rot) mod rot in
   t.stats.rotation_us <- t.stats.rotation_us + latency;
-  let transfer = ref 0 in
-  (* Transfer [count] consecutive sectors, charging head switches and
-     track-to-track seeks at boundaries. *)
-  for i = 0 to count - 1 do
-    let s = sector + i in
-    if i > 0 then begin
-      let here = Geometry.to_chs g s and prev = Geometry.to_chs g (s - 1) in
-      if here.cyl <> prev.cyl then begin
-        (* Crossing a cylinder mid-run: short seek plus realignment. *)
-        transfer := !transfer + Geometry.seek_us g 1 + (rot / 2);
-        t.head_cyl <- here.cyl
-      end
-      else if here.head <> prev.head then
-        (* Head switch absorbed by format skew of one sector. *)
-        transfer := !transfer + g.Geometry.head_switch_us + sector_t
-    end;
+  let transfer = ref sector_t in
+  (* Transfer the remaining sectors, charging track-to-track seeks and
+     head switches where a sector starts a new cylinder or track. *)
+  for s = sector + 1 to sector + count - 1 do
+    if s mod spc = 0 then begin
+      (* Crossing a cylinder mid-run: short seek plus realignment. *)
+      transfer := !transfer + Geometry.seek_us g 1 + (rot / 2);
+      t.head_cyl <- s / spc
+    end
+    else if s mod spt = 0 then
+      (* Head switch absorbed by format skew of one sector. *)
+      transfer := !transfer + g.Geometry.head_switch_us + sector_t;
     transfer := !transfer + sector_t
   done;
   t.stats.transfer_us <- t.stats.transfer_us + !transfer;
@@ -207,7 +205,7 @@ let mechanics t ~span ~start ~sector ~count ~write =
   (seek, dur)
 
 let service t r =
-  let start = max (max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
+  let start = Int.max (Int.max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
   let seek, dur =
     mechanics t ~span:r.req_span ~start ~sector:r.req_sector
       ~count:r.req_count ~write:r.req_write
@@ -225,7 +223,7 @@ let service t r =
       c.command_us <- c.command_us + dur)
     r.req_io
 
-let cyl_of t sector = (Geometry.to_chs t.geom sector).Geometry.cyl
+let cyl_of t sector = sector / Geometry.sectors_per_cylinder t.geom
 
 (* Pick the next request to service. Ties (equal distance) go to the
    earliest-listed request, i.e. FIFO order, keeping every policy
@@ -339,17 +337,31 @@ let charge_write t ~sector ~count =
    serviced (per policy) before the horizon is read. *)
 let busy_until t =
   drain t;
-  max (Simclock.now t.clock) t.busy_horizon
+  Int.max (Simclock.now t.clock) t.busy_horizon
 
 (* ------------------------------------------------------------------ *)
 (* Raw store                                                           *)
 
-let fetch t s =
-  match Hashtbl.find_opt t.data s with
-  | Some b -> Bytes.copy b
-  | None -> Bytes.make t.geom.Geometry.sector_bytes '\000'
+(* Store sector [s] from the sector-sized slice of [b] at [pos]. Only a
+   sector's first write allocates its buffer (and fixes its place in the
+   table, hence in [dump]); later writes blit into that buffer. *)
+let store t s b ~pos =
+  match Hashtbl.find t.data s with
+  | dst -> Bytes.blit b pos dst 0 (Bytes.length dst)
+  | exception Not_found ->
+    Hashtbl.add t.data s (Bytes.sub b pos t.geom.Geometry.sector_bytes)
 
-let store t s b = Hashtbl.replace t.data s (Bytes.copy b)
+(* [count] stored sectors from [sector], each copied once into a fresh
+   buffer; never-written sectors read as zeroes. *)
+let copy_out t ~sector ~count =
+  let sb = t.geom.Geometry.sector_bytes in
+  let out = Bytes.create (count * sb) in
+  for i = 0 to count - 1 do
+    match Hashtbl.find t.data (sector + i) with
+    | b -> Bytes.blit b 0 out (i * sb) sb
+    | exception Not_found -> Bytes.fill out (i * sb) sb '\000'
+  done;
+  out
 
 let ensure_ok t s =
   if Hashtbl.mem t.damaged s then raise (Error { sector = s; kind = Damaged })
@@ -359,7 +371,7 @@ let ensure_ok t s =
 let crash_budget t count =
   match t.write_crash with
   | None -> count
-  | Some (remaining, _) -> min remaining count
+  | Some (remaining, _) -> Int.min remaining count
 
 let consume_write_budget t n =
   match t.write_crash with
@@ -378,12 +390,12 @@ let fire_crash t ~sector ~tear =
   | Tear_none -> () (* power fails before the head reaches the sector *)
   | Tear_zero ->
       if sector < Geometry.total_sectors t.geom then begin
-        store t sector (Bytes.make t.geom.Geometry.sector_bytes '\000');
+        store t sector (Bytes.make t.geom.Geometry.sector_bytes '\000') ~pos:0;
         Hashtbl.remove t.damaged sector
       end
   | Tear_garbage ->
       if sector < Geometry.total_sectors t.geom then begin
-        store t sector (garbage_sector t sector);
+        store t sector (garbage_sector t sector) ~pos:0;
         Hashtbl.remove t.damaged sector
       end
   | Tear_damage tail ->
@@ -404,23 +416,21 @@ let read_run t ~sector ~count =
   for i = 0 to count - 1 do
     ensure_ok t (sector + i)
   done;
-  let sb = t.geom.Geometry.sector_bytes in
-  let out = Bytes.create (count * sb) in
-  for i = 0 to count - 1 do
-    Bytes.blit (fetch t (sector + i)) 0 out (i * sb) sb
-  done;
-  out
+  copy_out t ~sector ~count
 
 let read t s = read_run t ~sector:s ~count:1
 
-let write_sectors t ~sector ~count ~get =
+(* One command writing [count] sectors from [b], sector [i] from byte
+   [i * sector_bytes]. *)
+let write_sectors t ~sector ~count b =
   check_sector t sector;
   check_sector t (sector + count - 1);
   charge_write t ~sector ~count;
+  let sb = t.geom.Geometry.sector_bytes in
   let budget = crash_budget t count in
   for i = 0 to budget - 1 do
     let s = sector + i in
-    store t s (get i);
+    store t s b ~pos:(i * sb);
     Hashtbl.remove t.damaged s
   done;
   consume_write_budget t budget;
@@ -433,13 +443,12 @@ let write_run t ~sector b =
   let sb = t.geom.Geometry.sector_bytes in
   if Bytes.length b = 0 || Bytes.length b mod sb <> 0 then
     invalid_arg "Device.write_run: not a whole number of sectors";
-  let count = Bytes.length b / sb in
-  write_sectors t ~sector ~count ~get:(fun i -> Bytes.sub b (i * sb) sb)
+  write_sectors t ~sector ~count:(Bytes.length b / sb) b
 
 let write t s b =
   if Bytes.length b <> t.geom.Geometry.sector_bytes then
     invalid_arg "Device.write: not one sector";
-  write_sectors t ~sector:s ~count:1 ~get:(fun _ -> b)
+  write_sectors t ~sector:s ~count:1 b
 
 (* ------------------------------------------------------------------ *)
 (* Labeled I/O                                                         *)
@@ -480,7 +489,7 @@ let verified_read t s ~expect =
   t.stats.label_ops <- t.stats.label_ops + 1;
   ensure_ok t s;
   check_label t s ~expect;
-  fetch t s
+  copy_out t ~sector:s ~count:1
 
 let verified_write t s ~expect b =
   if Bytes.length b <> t.geom.Geometry.sector_bytes then
@@ -489,7 +498,7 @@ let verified_write t s ~expect b =
   ensure_ok t s;
   check_label t s ~expect;
   t.stats.label_ops <- t.stats.label_ops + 1;
-  write_sectors t ~sector:s ~count:1 ~get:(fun _ -> b)
+  write_sectors t ~sector:s ~count:1 b
 
 let verified_read_run t ~sector ~expect =
   let count = List.length expect in
@@ -502,10 +511,7 @@ let verified_read_run t ~sector ~expect =
     ensure_ok t (sector + i)
   done;
   List.iteri (fun i l -> check_label t (sector + i) ~expect:l) expect;
-  let sb = t.geom.Geometry.sector_bytes in
-  let out = Bytes.create (count * sb) in
-  List.iteri (fun i _ -> Bytes.blit (fetch t (sector + i)) 0 out (i * sb) sb) expect;
-  out
+  copy_out t ~sector ~count
 
 let verified_write_run t ~sector ~expect b =
   let sb = t.geom.Geometry.sector_bytes in
@@ -516,7 +522,7 @@ let verified_write_run t ~sector ~expect b =
   check_sector t (sector + count - 1);
   List.iteri (fun i l -> check_label t (sector + i) ~expect:l) expect;
   t.stats.label_ops <- t.stats.label_ops + count;
-  write_sectors t ~sector ~count ~get:(fun i -> Bytes.sub b (i * sb) sb)
+  write_sectors t ~sector ~count b
 
 let scan_labels t ~from ~count f =
   check_sector t from;
@@ -549,7 +555,7 @@ let damage t s =
 let corrupt t s ~rng =
   check_sector t s;
   let b = Bytes.init t.geom.Geometry.sector_bytes (fun _ -> Char.chr (Rng.int rng 256)) in
-  store t s b
+  store t s b ~pos:0
 
 let is_damaged t s = Hashtbl.mem t.damaged s
 

@@ -163,15 +163,17 @@ val read : t -> int -> bytes
     written). Raises [Error] if the sector is damaged. *)
 
 val write : t -> int -> bytes -> unit
-(** [write t s b]. [b] must be exactly one sector. Writing a damaged
-    sector repairs it (re-written media reads back fine). *)
+(** [write t s b]. [b] must be exactly one sector; the device keeps its
+    own copy, so the caller may reuse [b]. Writing a damaged sector
+    repairs it (re-written media reads back fine). *)
 
 val read_run : t -> sector:int -> count:int -> bytes
-(** One command transferring [count] consecutive sectors; result is their
-    concatenation. *)
+(** One command transferring [count] consecutive sectors; result is a
+    fresh buffer holding their concatenation. *)
 
 val write_run : t -> sector:int -> bytes -> unit
-(** One command writing [Bytes.length / sector_bytes] consecutive sectors. *)
+(** One command writing [Bytes.length / sector_bytes] consecutive sectors,
+    each copied once from its offset in the buffer. *)
 
 (** {1 Labeled I/O (used by CFS; models Trident microcode)} *)
 

@@ -25,9 +25,7 @@ let encode t ~sector_bytes =
   Bytebuf.Writer.bool w t.log_vam;
   Bytebuf.Writer.bool w t.track_tolerant_log;
   Bytebuf.Writer.u8 w t.shard_id;
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  Bytebuf.Writer.to_sector w ~size:sector_bytes
+  Bytebuf.Writer.seal w ~size:sector_bytes
 
 let decode b =
   match

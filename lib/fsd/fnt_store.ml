@@ -47,18 +47,18 @@ let page_bytes t = full_page_bytes t.layout - trailer_bytes
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 
+(* The page image: the payload, then a 16-byte trailer of u32s — magic,
+   page number, the payload's CRC-32 and a zero word. *)
 let frame layout ~page payload =
   let full = full_page_bytes layout in
-  if Bytes.length payload <> full - trailer_bytes then
-    invalid_arg "Fnt_store.frame: payload size";
-  let out = Bytes.make full '\000' in
-  Bytes.blit payload 0 out 0 (Bytes.length payload);
-  let w = Bytebuf.Writer.create ~initial:trailer_bytes () in
-  Bytebuf.Writer.u32 w page_magic;
-  Bytebuf.Writer.u32 w page;
-  Bytebuf.Writer.u32 w (Crc32.bytes payload);
-  Bytebuf.Writer.u32 w 0;
-  Bytes.blit (Bytebuf.Writer.contents w) 0 out (full - trailer_bytes) trailer_bytes;
+  let n = full - trailer_bytes in
+  if Bytes.length payload <> n then invalid_arg "Fnt_store.frame: payload size";
+  let out = Bytes.create full in
+  Bytes.blit payload 0 out 0 n;
+  Bytes.set_int32_le out n (Int32.of_int page_magic);
+  Bytes.set_int32_le out (n + 4) (Int32.of_int page);
+  Bytes.set_int32_le out (n + 8) (Int32.of_int (Crc32.bytes payload));
+  Bytes.set_int32_le out (n + 12) 0l;
   out
 
 let unframe layout ~page image =

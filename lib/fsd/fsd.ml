@@ -196,7 +196,7 @@ let handle_enter_third t j =
   end
 
 let max_data_sectors t =
-  min t.params.Params.max_record_data_sectors (Log.max_data_sectors_hard t.layout)
+  Int.min t.params.Params.max_record_data_sectors (Log.max_data_sectors_hard t.layout)
 
 (* Note what each logged unit's survival horizon is (the third its
    record starts in) and update the in-memory bookkeeping. This is the
@@ -323,7 +323,7 @@ let last_force_window t =
    force stays a single atomic log write ("the log is forced long before
    this should occur"). *)
 let force_threshold t =
-  max 2 ((max_data_sectors t / t.params.Params.fnt_page_sectors) - 4)
+  Int.max 2 ((max_data_sectors t / t.params.Params.fnt_page_sectors) - 4)
 
 let maybe_commit t =
   (* Under a server scheduler ([autocommit] off, see {!submit}) the
@@ -571,34 +571,34 @@ let create_common t ~name ~keep ~data_pages ~byte_size ~kind data_opt =
   let limage = leader_image_of_entry t ~name ~version entry in
   (match data_opt with
   | Some data ->
-    (* One synchronous I/O: the leader and the first data run together. *)
+    (* One image: the leader, then the data zero-padded to whole pages.
+       Every write takes its sectors from it, a single-run file the whole
+       image at once. *)
     let sb = sector_bytes t in
-    let padded = Bytes.make (data_pages * sb) '\000' in
-    Bytes.blit data 0 padded 0 (Bytes.length data);
-    (match Run_table.runs entry.Entry.runs with
-    | first :: rest when first.Run_table.start = anchor + 1 ->
-      let combined = Bytes.create ((1 + first.Run_table.len) * sb) in
-      Bytes.blit limage 0 combined 0 sb;
-      Bytes.blit padded 0 combined sb (first.Run_table.len * sb);
-      Device.write_run t.device ~sector:anchor combined;
-      let off = ref (first.Run_table.len * sb) in
-      List.iter
-        (fun r ->
-          Device.write_run t.device ~sector:r.Run_table.start
-            (Bytes.sub padded !off (r.Run_table.len * sb));
-          off := !off + (r.Run_table.len * sb))
-        rest
-    | runs ->
-      (* Leader not adjacent to the data (fragmented volume): write it
-         separately. *)
-      Device.write t.device anchor limage;
-      let off = ref 0 in
-      List.iter
-        (fun r ->
-          Device.write_run t.device ~sector:r.Run_table.start
-            (Bytes.sub padded !off (r.Run_table.len * sb));
-          off := !off + (r.Run_table.len * sb))
-        runs);
+    let len = Bytes.length data in
+    let image = Bytes.create ((1 + data_pages) * sb) in
+    Bytes.blit limage 0 image 0 sb;
+    Bytes.blit data 0 image sb len;
+    Bytes.fill image (sb + len) ((data_pages * sb) - len) '\000';
+    let write_at ~sector ~pos ~sectors =
+      Device.write_run t.device ~sector
+        (if sectors = 1 + data_pages then image else Bytes.sub image pos (sectors * sb))
+    in
+    (* One synchronous I/O for the leader and the first data run when
+       they are adjacent; on a fragmented volume the leader goes alone. *)
+    let lead, rest =
+      match Run_table.runs entry.Entry.runs with
+      | first :: rest when first.Run_table.start = anchor + 1 ->
+        (1 + first.Run_table.len, rest)
+      | runs -> (1, runs)
+    in
+    write_at ~sector:anchor ~pos:0 ~sectors:lead;
+    let pos = ref (lead * sb) in
+    List.iter
+      (fun r ->
+        write_at ~sector:r.Run_table.start ~pos:!pos ~sectors:r.Run_table.len;
+        pos := !pos + (r.Run_table.len * sb))
+      rest;
     Hashtbl.replace t.verified uid ()
   | None ->
     (* No data write to piggyback on: the leader goes through the log. *)

@@ -62,9 +62,7 @@ let encode t ~sector_bytes =
     Bytebuf.Writer.i64 w last_used);
   Run_table.encode w t.runs;
   (* Self-checksum so a torn or wild write is detectable. *)
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  Bytebuf.Writer.to_sector w ~size:sector_bytes
+  Bytebuf.Writer.seal w ~size:sector_bytes
 
 let decode b =
   match

@@ -60,8 +60,8 @@ let max_data_sectors_hard layout =
   (* End page holds a u32 CRC per data sector after 26 bytes of framing;
      the header holds 7 bytes per unit after 32. Leaders are the worst
      case (one unit per sector). *)
-  let structural = min ((sb - 26 - 4) / 4) ((sb - 32 - 4) / 7) in
-  if track_tolerant layout then min structural (spt layout - 2) else structural
+  let structural = Int.min ((sb - 26 - 4) / 4) ((sb - 32 - 4) / 7) in
+  if track_tolerant layout then Int.min structural (spt layout - 2) else structural
 
 (* ------------------------------------------------------------------ *)
 (* Sector codecs                                                       *)
@@ -85,9 +85,7 @@ let encode_header t units =
       Bytebuf.Writer.u16 w (unit_sectors t.layout u.kind))
     units;
   Bytebuf.Writer.u16 w (data_sectors_of t.layout units);
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  Bytebuf.Writer.to_sector w ~size:(sector_bytes t.layout)
+  Bytebuf.Writer.seal w ~size:(sector_bytes t.layout)
 
 type header = {
   h_record_no : int64;
@@ -147,9 +145,7 @@ let encode_end t ~record_no crcs =
   Bytebuf.Writer.u64 w record_no;
   Bytebuf.Writer.u16 w (List.length crcs);
   List.iter (Bytebuf.Writer.u32 w) crcs;
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  Bytebuf.Writer.to_sector w ~size:(sector_bytes t)
+  Bytebuf.Writer.seal w ~size:(sector_bytes t)
 
 let decode_end b =
   match
@@ -176,9 +172,7 @@ let encode_pointer layout ~offset ~record_no ~boot_count =
   Bytebuf.Writer.u32 w offset;
   Bytebuf.Writer.u64 w record_no;
   Bytebuf.Writer.u32 w boot_count;
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  Bytebuf.Writer.to_sector w ~size:(sector_bytes layout)
+  Bytebuf.Writer.seal w ~size:(sector_bytes layout)
 
 let decode_pointer b =
   match
@@ -275,7 +269,7 @@ let next_record_no t = t.next_record_no
 let third_fill t =
   let third = third_sectors t.layout in
   let off = t.write_off - (t.current_third * third) in
-  min 1.0 (float_of_int off /. float_of_int third)
+  Float.min 1.0 (float_of_int off /. float_of_int third)
 
 (* After a clean shutdown every page is home; point the next recovery at
    the (empty) end of the chain so it replays nothing. *)
@@ -336,33 +330,33 @@ let append t units =
   done;
   if t.third_first.(first_t) = None then
     t.third_first.(first_t) <- Some (t.write_off, t.next_record_no);
-  (* Assemble the record in the active layout. *)
+  (* Assemble the record in one buffer, in the active layout: each unit
+     image is copied once, into the primary data slot; each data
+     sector's CRC is taken where it lies; the copies are blitted from
+     the primary. *)
   let sb = sector_bytes t.layout in
-  let header = encode_header t units in
-  let data = Bytes.concat Bytes.empty (List.map (fun u -> u.image) units) in
-  assert (Bytes.length data = n * sb);
-  let crcs = List.init n (fun i -> Crc32.bytes ~pos:(i * sb) ~len:sb data) in
-  let endp = encode_end t.layout ~record_no:t.next_record_no crcs in
-  let buf = Bytes.make (size * sb) '\000' in
+  let buf = Bytes.create (size * sb) in
+  let data_at = if track_tolerant t.layout then 1 else 3 in
+  let pos = ref (data_at * sb) in
+  List.iter
+    (fun u ->
+      Bytes.blit u.image 0 buf !pos (Bytes.length u.image);
+      pos := !pos + Bytes.length u.image)
+    units;
+  let crcs = List.init n (fun i -> Crc32.bytes ~pos:((data_at + i) * sb) ~len:sb buf) in
+  Bytes.blit (encode_header t units) 0 buf 0 sb;
+  Bytes.blit (encode_end t.layout ~record_no:t.next_record_no crcs) 0 buf !pos sb;
   if track_tolerant t.layout then begin
     (* primary block at 0, identical copy block one track later *)
     let d = spt t.layout in
-    let place base =
-      Bytes.blit header 0 buf (base * sb) sb;
-      Bytes.blit data 0 buf ((base + 1) * sb) (n * sb);
-      Bytes.blit endp 0 buf ((base + 1 + n) * sb) sb
-    in
-    place 0;
-    place d
+    Bytes.fill buf ((n + 2) * sb) ((d - n - 2) * sb) '\000';
+    Bytes.blit buf 0 buf (d * sb) ((n + 2) * sb)
   end
   else begin
-    Bytes.blit header 0 buf 0 sb;
-    (* sector 1 stays blank *)
-    Bytes.blit header 0 buf (2 * sb) sb;
-    Bytes.blit data 0 buf (3 * sb) (n * sb);
-    Bytes.blit endp 0 buf ((3 + n) * sb) sb;
-    Bytes.blit data 0 buf ((4 + n) * sb) (n * sb);
-    Bytes.blit endp 0 buf ((4 + (2 * n)) * sb) sb
+    (* sector 1 stays blank; header' at 2; data' and end' after end *)
+    Bytes.fill buf sb sb '\000';
+    Bytes.blit buf 0 buf (2 * sb) sb;
+    Bytes.blit buf (3 * sb) buf ((4 + n) * sb) ((n + 1) * sb)
   end;
   Device.write_run t.device ~sector:(body_start t.layout + t.write_off) buf;
   let tr = Device.trace t.device in

@@ -304,7 +304,7 @@ let complete t s w ~forced =
   let io = w.w_io in
   let io_done = Cedar_disk.Device.completed_at v.v_dev io in
   let done_at =
-    max s.t_exec_end (max io_done (Option.value forced ~default:0))
+    Int.max s.t_exec_end (Int.max io_done (Option.value forced ~default:0))
   in
   let parked = Option.is_some forced in
   let wait = done_at - s.t_exec_end in
@@ -313,7 +313,7 @@ let complete t s w ~forced =
   let append_us =
     if parked then begin
       let f0, f1 = Fsd.last_force_window v.v_fsd in
-      max 0 (min f1 done_at - max f0 s.t_exec_end)
+      Int.max 0 (Int.min f1 done_at - Int.max f0 s.t_exec_end)
     end
     else 0
   in
@@ -583,7 +583,13 @@ let next_runnable t =
   in
   scan 0
 
-let all_done t = Array.for_all (fun s -> s.state = Done) t.sessions
+let all_done t =
+  Array.for_all
+    (fun s ->
+      match s.state with
+      | Done -> true
+      | Ready | Thinking _ | Parked _ | Iowait _ -> false)
+    t.sessions
 
 (* Every live session is either thinking toward a known time or parked
    waiting for some volume's commit demon; the next interesting instant
@@ -599,16 +605,16 @@ let next_event_time t =
              commit/think edge. *)
           let due =
             match Fsd.monitor v.v_fsd with
-            | Some m -> min (Fsd.commit_due_at v.v_fsd) (Cedar_obs.Monitor.due_at m)
+            | Some m -> Int.min (Fsd.commit_due_at v.v_fsd) (Cedar_obs.Monitor.due_at m)
             | None -> Fsd.commit_due_at v.v_fsd
           in
-          min acc due)
+          Int.min acc due)
       max_int t.vols
   in
   Array.fold_left
     (fun acc s ->
       match s.state with
-      | Thinking { until } -> min acc until
+      | Thinking { until } -> Int.min acc until
       | Parked _ | Iowait _ | Ready | Done -> acc)
     demons t.sessions
 

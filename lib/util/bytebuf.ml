@@ -56,6 +56,15 @@ module Writer = struct
     let out = Bytes.make size '\000' in
     Buffer.blit w 0 out 0 n;
     out
+
+  let seal w ~size =
+    let n = Buffer.length w in
+    if n + 4 > size then
+      invalid_arg
+        (Printf.sprintf "Bytebuf.Writer.seal: %d bytes + CRC > sector %d" n size);
+    let out = to_sector w ~size in
+    Bytes.set_int32_le out n (Int32.of_int (Crc32.bytes ~len:n out));
+    out
 end
 
 module Reader = struct

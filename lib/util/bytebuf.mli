@@ -50,6 +50,12 @@ module Writer : sig
   val to_sector : t -> size:int -> bytes
   (** [to_sector w ~size] pads the contents with zero bytes up to exactly
       [size] bytes. Raises [Invalid_argument] if the contents overflow. *)
+
+  val seal : t -> size:int -> bytes
+  (** [seal w ~size] is a self-checksummed sector: the contents, their
+      CRC-32 as a u32, then zero bytes up to exactly [size] bytes. Equal
+      to appending [Crc32.bytes (contents w)] and calling {!to_sector}.
+      Raises [Invalid_argument] if the contents and CRC overflow. *)
 end
 
 (** Bounds-checked decoder over a byte buffer. *)

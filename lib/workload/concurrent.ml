@@ -19,7 +19,21 @@ type op =
 type step = Think of int | At of int | Op of op
 type script = step list
 
-let content ~fill n = Bytes.init n (fun i -> Char.chr ((i + fill) mod 251))
+(* Byte [i] of [content ~fill n] is [(i + fill) mod 251]: a 251-byte
+   period, copied a chunk at a time from this table of two periods. *)
+let periods = Bytes.init 502 (fun i -> Char.chr (i mod 251))
+
+let content ~fill n =
+  if fill < 0 then invalid_arg "Concurrent.content: fill < 0";
+  let b = Bytes.create n in
+  let src = fill mod 251 in
+  let i = ref 0 in
+  while !i < n do
+    let len = Int.min 251 (n - !i) in
+    Bytes.blit periods src b !i len;
+    i := !i + len
+  done;
+  b
 
 let op_name = function
   | Create { name; _ } | Open name | Read name

@@ -27,7 +27,9 @@ type step =
 type script = step list
 
 val content : fill:int -> int -> bytes
-(** The deterministic payload a [Create] carries. *)
+(** The deterministic payload a [Create] carries: byte [i] of
+    [content ~fill n] is [(i + fill) mod 251]. Raises [Invalid_argument]
+    if [fill < 0]. *)
 
 val op_name : op -> string
 

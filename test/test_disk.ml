@@ -123,6 +123,160 @@ let test_device_write_crash () =
   check bool "sector 23 untouched" false (Device.written_ever d 23);
   check bool "sector 24 untouched" false (Device.written_ever d 24)
 
+(* The store is written in place, but callers still see copies: a
+   buffer given to a write, or returned by a read, is never the stored
+   sector itself. *)
+let test_store_copy_semantics () =
+  let _, d = mk () in
+  let g = Device.geometry d in
+  let sb = g.Geometry.sector_bytes in
+  let data = Bytes.make (3 * sb) 'a' in
+  Device.write_run d ~sector:10 data;
+  Bytes.fill data 0 (3 * sb) 'z';
+  check bool "write buffer mutated after the write" true
+    (Bytes.equal (Bytes.make (3 * sb) 'a') (Device.read_run d ~sector:10 ~count:3));
+  (* A rewrite lands in the existing buffers, and is copied too. *)
+  let data = Bytes.make (3 * sb) 'b' in
+  Device.write_run d ~sector:10 data;
+  Bytes.fill data 0 (3 * sb) 'y';
+  let back = Device.read_run d ~sector:10 ~count:3 in
+  check bool "rewrite stored" true (Bytes.equal (Bytes.make (3 * sb) 'b') back);
+  Bytes.fill back 0 (3 * sb) 'x';
+  check bool "read buffer mutated after the read" true
+    (Bytes.equal (Bytes.make (3 * sb) 'b') (Device.read_run d ~sector:10 ~count:3));
+  let one = Device.read d 11 in
+  Bytes.fill one 0 sb 'w';
+  check bool "single-sector read is a copy" true
+    (Bytes.equal (Bytes.make sb 'b') (Device.read d 11));
+  List.iter
+    (fun s ->
+      let one = Bytes.make sb 'c' in
+      Device.write d s one;
+      Bytes.fill one 0 sb 'v';
+      check bool
+        (Printf.sprintf "single-sector write to sector %d is a copy" s)
+        true
+        (Bytes.equal (Bytes.make sb 'c') (Device.read d s)))
+    [ 11; 40 ]
+
+(* An in-place rewrite interrupted by a crash: the sectors before the
+   crash point hold the new data, the crash point is damaged, and the
+   sectors after it keep their old data. *)
+let test_device_rewrite_crash () =
+  let _, d = mk () in
+  let g = Device.geometry d in
+  let sb = g.Geometry.sector_bytes in
+  Device.write_run d ~sector:20 (Bytes.make (5 * sb) 'a');
+  Device.plan_write_crash d ~after_sectors:2 ~damage_tail:1;
+  (match Device.write_run d ~sector:20 (Bytes.make (5 * sb) 'b') with
+  | () -> Alcotest.fail "expected crash"
+  | exception Device.Crash_during_write { sector } -> check int "crash point" 22 sector);
+  let holds s c = Bytes.equal (Bytes.make sb c) (Device.read d s) in
+  check bool "sector 20 rewritten" true (holds 20 'b');
+  check bool "sector 21 rewritten" true (holds 21 'b');
+  check bool "sector 22 damaged" true (Device.is_damaged d 22);
+  check bool "sector 23 keeps its old data" true (holds 23 'a');
+  check bool "sector 24 keeps its old data" true (holds 24 'a')
+
+(* Zero and garbage tears over a sector that already holds data leave
+   exactly what they leave on a never-written one. *)
+let test_tear_over_existing_sector () =
+  let sb = Geometry.small_test.Geometry.sector_bytes in
+  let torn ~tear ~prior =
+    let _, d = mk () in
+    if prior then Device.write_run d ~sector:30 (Bytes.make (2 * sb) 'a');
+    Device.plan_write_crash_tear d ~after_sectors:0 ~tear;
+    (match Device.write_run d ~sector:30 (Bytes.make (2 * sb) 'b') with
+    | () -> Alcotest.fail "expected crash"
+    | exception Device.Crash_during_write { sector } -> check int "crash point" 30 sector);
+    check bool "torn sector readable" false (Device.is_damaged d 30);
+    check bool "next sector untouched" true
+      (Bytes.equal (Bytes.make sb (if prior then 'a' else '\000')) (Device.read d 31));
+    Device.read d 30
+  in
+  check bool "zero tear leaves zeroes" true
+    (Bytes.equal (Bytes.make sb '\000') (torn ~tear:Device.Tear_zero ~prior:true));
+  let pattern = torn ~tear:Device.Tear_garbage ~prior:false in
+  check bool "garbage is neither old, new nor zero" true
+    (List.for_all
+       (fun c -> not (Bytes.equal (Bytes.make sb c) pattern))
+       [ 'a'; 'b'; '\000' ]);
+  check bool "garbage tear leaves the garbage pattern" true
+    (Bytes.equal pattern (torn ~tear:Device.Tear_garbage ~prior:true))
+
+(* ------------------------------------------------------------------ *)
+(* Transfer arithmetic                                                 *)
+
+(* A per-sector reference for the transfer charge: walk the run through
+   [Geometry.to_chs], charging a track-to-track seek and half a
+   revolution where the cylinder changes, and a head switch plus one
+   sector of skew where only the head does. Returns the transfer time
+   and the cylinder and head crossings. *)
+let reference_transfer g ~sector ~count =
+  let sector_t = Geometry.sector_time_us g and rot = Geometry.rotation_us g in
+  let us = ref 0 and cyls = ref 0 and heads = ref 0 in
+  for i = 0 to count - 1 do
+    let s = sector + i in
+    if i > 0 then begin
+      let here = Geometry.to_chs g s and prev = Geometry.to_chs g (s - 1) in
+      if here.Geometry.cyl <> prev.Geometry.cyl then begin
+        incr cyls;
+        us := !us + Geometry.seek_us g 1 + (rot / 2)
+      end
+      else if here.Geometry.head <> prev.Geometry.head then begin
+        incr heads;
+        us := !us + g.Geometry.head_switch_us + sector_t
+      end
+    end;
+    us := !us + sector_t
+  done;
+  (!us, !cyls, !heads)
+
+let test_transfer_matches_reference () =
+  List.iter
+    (fun (label, g) ->
+      let _, d = mk ~geom:g () in
+      let rng = Rng.create 2024 in
+      let spt = g.Geometry.sectors_per_track in
+      let spc = Geometry.sectors_per_cylinder g in
+      let total = Geometry.total_sectors g in
+      let cyls = ref 0 and heads = ref 0 in
+      for k = 1 to 1_000 do
+        (* Half the runs start within two tracks of a cylinder's end, so
+           cylinder crossings are common; the rest start anywhere. *)
+        let sector, count =
+          if k mod 2 = 0 then
+            let c = 1 + Rng.int rng (g.Geometry.cylinders - 1) in
+            ((c * spc) - 1 - Rng.int rng (2 * spt), 1 + Rng.int rng (3 * spt))
+          else (Rng.int rng (total - (2 * spt)), 1 + Rng.int rng (2 * spt))
+        in
+        let before = (Device.stats d).Iostats.transfer_us in
+        ignore (Device.read_run d ~sector ~count : bytes);
+        let us, c, h = reference_transfer g ~sector ~count in
+        cyls := !cyls + c;
+        heads := !heads + h;
+        check int
+          (Printf.sprintf "%s: transfer of %d sectors at %d" label count sector)
+          us
+          ((Device.stats d).Iostats.transfer_us - before)
+      done;
+      check bool (label ^ ": some runs cross a cylinder") true (!cyls > 0);
+      check bool (label ^ ": some runs switch heads") true (!heads > 0))
+    [ ("small_test", Geometry.small_test); ("trident_t300", Geometry.trident_t300) ]
+
+(* A run that crosses into the next cylinder leaves the arm there: the
+   next command seeks from the new cylinder, not the one it started on. *)
+let test_seek_after_cylinder_crossing () =
+  let g = Geometry.small_test in
+  let spc = Geometry.sectors_per_cylinder g in
+  let _, d = mk () in
+  ignore (Device.read_run d ~sector:(spc - 1) ~count:2 : bytes);
+  check int "no seek to start on cylinder 0" 0 (Device.stats d).Iostats.seeks;
+  let before = (Device.stats d).Iostats.seek_us in
+  ignore (Device.read d (5 * spc) : bytes);
+  check int "seek from cylinder 1 to 5" (Geometry.seek_us g 4)
+    ((Device.stats d).Iostats.seek_us - before)
+
 (* ------------------------------------------------------------------ *)
 (* Labels                                                              *)
 
@@ -347,6 +501,11 @@ let suite =
     ("device sequential vs random", `Quick, test_device_sequential_cheaper_than_random);
     ("device damage", `Quick, test_device_damage);
     ("device write crash", `Quick, test_device_write_crash);
+    ("store keeps copy semantics", `Quick, test_store_copy_semantics);
+    ("in-place rewrite crash", `Quick, test_device_rewrite_crash);
+    ("tears over an existing sector", `Quick, test_tear_over_existing_sector);
+    ("transfer matches the chs reference", `Quick, test_transfer_matches_reference);
+    ("seek after a cylinder crossing", `Quick, test_seek_after_cylinder_crossing);
     ("labels verify", `Quick, test_labels);
     ("label codec", `Quick, test_label_codec_roundtrip);
     ("scan labels", `Quick, test_scan_labels);

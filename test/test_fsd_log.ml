@@ -236,6 +236,50 @@ let test_oversized_record_rejected () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Units whose every sector differs, so a misplaced sector shows. *)
+let patterned_units layout =
+  let sb = layout.Layout.geom.Geometry.sector_bytes in
+  let image sectors seed =
+    Bytes.init (sectors * sb) (fun i -> Char.chr (((i * 7) + (i / sb) + seed) land 0xff))
+  in
+  [
+    { Log.kind = Log.Fnt_page 2; image = image layout.Layout.params.Params.fnt_page_sectors 1 };
+    { Log.kind = Log.Leader_page 5100; image = image 1 2 };
+    { Log.kind = Log.Vam_chunk 0; image = image 1 3 };
+  ]
+
+(* Sectors [first, first + count) of the record at body offset 0. *)
+let record_sectors device layout ~first ~count =
+  Device.read_run device ~sector:(layout.Layout.log_start + 3 + first) ~count
+
+let test_classic_record_layout () =
+  let device, layout = mk () in
+  let log = attach device layout in
+  let units = patterned_units layout in
+  ignore (Log.append log units : int);
+  let sb = layout.Layout.geom.Geometry.sector_bytes in
+  let n = List.fold_left (fun a u -> a + Bytes.length u.Log.image) 0 units / sb in
+  check int "record size" ((2 * n) + 5) (Log.record_total_sectors layout units);
+  let sec i = record_sectors device layout ~first:i ~count:1 in
+  check bool "header copy = header" true (Bytes.equal (sec 0) (sec 2));
+  check bool "sector 1 is zero" true (Bytes.equal (Bytes.make sb '\000') (sec 1));
+  let primary = record_sectors device layout ~first:3 ~count:n in
+  check bool "primary data = the unit images in order" true
+    (Bytes.equal (Bytes.concat Bytes.empty (List.map (fun u -> u.Log.image) units)) primary);
+  check bool "data copy = primary" true
+    (Bytes.equal primary (record_sectors device layout ~first:(4 + n) ~count:n));
+  let endp = sec (3 + n) in
+  check bool "end copy = end" true (Bytes.equal endp (sec (4 + (2 * n))));
+  (* End page: magic, special, record number, then a u16 count and one
+     u32 CRC per data sector. *)
+  check int "listed CRCs" n (Bytes.get_uint16_le endp 20);
+  for i = 0 to n - 1 do
+    check int
+      (Printf.sprintf "CRC of data sector %d" i)
+      (Crc32.bytes ~pos:(i * sb) ~len:sb primary)
+      (Int32.to_int (Bytes.get_int32_le endp (22 + (4 * i))) land 0xffffffff)
+  done
+
 (* --- the track-tolerant record format (the §3 extension) ----------- *)
 
 let tt_layout () =
@@ -270,6 +314,26 @@ let test_tt_roundtrip () =
     (match find_image r.Log.images (Log.Fnt_page 3) with
     | Some img -> Bytes.get img 0 = 'a'
     | None -> false)
+
+let test_tt_record_layout () =
+  let device, layout = mk_tt () in
+  let log = attach device layout in
+  let units = patterned_units layout in
+  ignore (Log.append log units : int);
+  let sb = layout.Layout.geom.Geometry.sector_bytes in
+  let spt = layout.Layout.geom.Geometry.sectors_per_track in
+  let n = List.fold_left (fun a u -> a + Bytes.length u.Log.image) 0 units / sb in
+  let block = record_sectors device layout ~first:0 ~count:(n + 2) in
+  check bool "primary data = the unit images in order" true
+    (Bytes.equal
+       (Bytes.concat Bytes.empty (List.map (fun u -> u.Log.image) units))
+       (Bytes.sub block sb (n * sb)));
+  check bool "block at +spt = block at 0" true
+    (Bytes.equal block (record_sectors device layout ~first:spt ~count:(n + 2)));
+  check bool "the gap between the blocks is zero" true
+    (Bytes.equal
+       (Bytes.make ((spt - n - 2) * sb) '\000')
+       (record_sectors device layout ~first:(n + 2) ~count:(spt - n - 2)))
 
 let test_tt_survives_whole_track_loss () =
   (* Damage every possible aligned AND unaligned window of a full track's
@@ -360,7 +424,9 @@ let suite =
     ("log utilization ~5/6", `Quick, test_utilization_five_sixths);
     ("thirds_entered_by predicts entries", `Quick, test_thirds_entered_by);
     ("oversized record rejected", `Quick, test_oversized_record_rejected);
+    ("classic record layout", `Quick, test_classic_record_layout);
     ("track-tolerant: roundtrip", `Quick, test_tt_roundtrip);
+    ("track-tolerant: record layout", `Quick, test_tt_record_layout);
     ("track-tolerant: survives whole-track loss", `Slow, test_tt_survives_whole_track_loss);
     ("classic fails under track loss", `Quick, test_classic_fails_under_track_loss);
     ("mixed-format logs recover", `Quick, test_tt_mixed_with_classic_records);

@@ -26,7 +26,12 @@ let test_writer_bounds () =
   inv (fun () -> Bytebuf.Writer.fixed_string w ~width:3 "toolong");
   inv (fun () -> Bytebuf.Writer.fixed_string w ~width:8 "nul\000here");
   Bytebuf.Writer.raw w (Bytes.make 600 'x');
-  inv (fun () -> Bytebuf.Writer.to_sector w ~size:512)
+  inv (fun () -> Bytebuf.Writer.to_sector w ~size:512);
+  (* [seal] needs room for the CRC after the contents. *)
+  let w = Bytebuf.Writer.create () in
+  Bytebuf.Writer.raw w (Bytes.make 509 'x');
+  inv (fun () -> Bytebuf.Writer.seal w ~size:512);
+  ignore (Bytebuf.Writer.seal w ~size:513 : bytes)
 
 let test_reader_bounds () =
   inv (fun () -> Bytebuf.Reader.of_bytes ~pos:5 (Bytes.create 3));

@@ -45,7 +45,14 @@ let test_bytebuf_sector_pad () =
   Bytebuf.Writer.u32 w 7;
   let s = Bytebuf.Writer.to_sector w ~size:512 in
   check int "padded" 512 (Bytes.length s);
-  check int "tail zero" 0 (Char.code (Bytes.get s 511))
+  check int "tail zero" 0 (Char.code (Bytes.get s 511));
+  (* [seal] is the contents, their CRC-32 as a u32, then the pad. *)
+  let sealed = Bytebuf.Writer.seal w ~size:512 in
+  check int "sealed padded" 512 (Bytes.length sealed);
+  check bool "sealed contents" true (Bytes.sub sealed 0 4 = Bytes.sub s 0 4);
+  check int "sealed crc" (Crc32.bytes ~len:4 s)
+    (Int32.to_int (Bytes.get_int32_le sealed 4) land 0xffffffff);
+  check bool "sealed tail zero" true (Bytes.sub sealed 8 504 = Bytes.make 504 '\000')
 
 let test_bytebuf_bad_bool () =
   let r = Bytebuf.Reader.of_bytes (Bytes.of_string "\x07") in

@@ -214,6 +214,25 @@ let test_shard_scripts_pin_clients () =
       | _ -> Alcotest.fail "unexpected script shape")
     sharded
 
+(* The payload is built a period at a time; each byte must be the
+   per-byte formula's. *)
+let test_content_matches_formula () =
+  List.iter
+    (fun fill ->
+      List.iter
+        (fun n ->
+          check bool
+            (Printf.sprintf "content ~fill:%d %d" fill n)
+            true
+            (Bytes.equal
+               (Bytes.init n (fun i -> Char.chr ((i + fill) mod 251)))
+               (Concurrent.content ~fill n)))
+        [ 0; 1; 250; 251; 252; 5000 ])
+    [ 0; 1; 250; 251; 1000 ];
+  match Concurrent.content ~fill:(-1) 10 with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ("size distribution: 50%/8% shape", `Quick, test_size_distribution_shape);
@@ -228,4 +247,5 @@ let suite =
     ("script substitution: {c} and {v}", `Quick, test_script_substitution);
     ("script substitution: error paths", `Quick, test_script_substitution_errors);
     ("shard_scripts pins clients to volumes", `Quick, test_shard_scripts_pin_clients);
+    ("content matches the per-byte formula", `Quick, test_content_matches_formula);
   ]
