@@ -40,7 +40,9 @@ bench-diff:
 	dune exec bench/main.exe -- diff
 
 # Determinism smoke: two same-seed 2-client server runs must produce
-# byte-identical JSON reports (the server's core contract).
+# byte-identical JSON reports (the server's core contract). Then a
+# malformed image: cedar ls on a truncated copy of the volume must exit 1
+# with "not a valid disk image", not die on an uncaught exception.
 serve-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/serve-smoke && mkdir -p _build/serve-smoke
@@ -51,6 +53,15 @@ serve-smoke:
 		--clients 2 --json > _build/serve-smoke/run2.json
 	cmp _build/serve-smoke/run1.json _build/serve-smoke/run2.json
 	@echo "serve-smoke: deterministic"
+	head -c 1000 _build/serve-smoke/vol.img > _build/serve-smoke/truncated.img
+	@./_build/default/bin/cedar.exe ls _build/serve-smoke/truncated.img \
+		2> _build/serve-smoke/truncated.err; status=$$?; \
+	if [ $$status -ne 1 ]; then \
+		echo "serve-smoke: cedar ls on a truncated image exited $$status, not 1"; exit 1; fi
+	@grep -q "^cedar: _build/serve-smoke/truncated.img: not a valid disk image: " \
+		_build/serve-smoke/truncated.err || \
+		{ echo "serve-smoke: no 'not a valid disk image' message"; exit 1; }
+	@echo "serve-smoke: truncated image refused"
 
 # Multi-volume determinism smoke: two same-seed 2-volume sharded server
 # runs (fresh in-memory volumes, no image) must produce byte-identical
@@ -196,11 +207,15 @@ stats-smoke:
 # that does not vary run to run): finds are served from the tree's
 # decoded-node memo, not by decoding a page per node. And the whole
 # untraced rep must allocate under a per-workload bound of minor words
-# per op (obs.minor_words_per_op, also exact run to run): 1550 on
-# makedo-8vol and 3250 on openloop-1vol, under 10 % above what the
-# one-copy sector path measures (1420.8 and 2999.1). A second copy of
-# each written sector on its way into the device store breaks it
-# (1775.4 and 3955.6).
+# per op (obs.minor_words_per_op, also exact run to run): 1340 on
+# makedo-8vol and 2950 on openloop-1vol, under 10 % above what the
+# allocation-light commit path measures (1224.7 and 2723.4) and under
+# the one-copy sector path before it (1420.8 and 2999.1). An untraced
+# run's peak heap (peak_heap_mb, exact run to run and the same at any
+# --seconds) must stay under 44 MB on makedo-8vol and 61 MB on
+# openloop-1vol, under 10 % above what the chunked device image and the
+# streaming image dump and load measure (40.56 and 55.55) and under the
+# per-sector store before them (45.94 and 112.98).
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
 	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \
@@ -208,6 +223,12 @@ perf-smoke:
 			> _build/perf-smoke/$$w-trace$$tr.out || exit 1; \
 		tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | grep -q '"correct": true' || \
 			{ echo "perf-smoke: $$w --trace $$tr not correct"; exit 1; }; \
+		if [ $$tr = 0 ]; then \
+			case $$w in makedo-8vol) heap=44;; *) heap=61;; esac; \
+			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
+				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["peak_heap_mb"]["value"] >= float(sys.argv[1]))' $$heap || \
+				{ echo "perf-smoke: $$w --trace 0 peak_heap_mb is not < $$heap"; exit 1; }; \
+		fi; \
 		if [ $$tr = 1 ]; then \
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["phase.append_p99_ms"]["value"] <= 0)' || \
@@ -215,7 +236,7 @@ perf-smoke:
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["fnt.btree.find.words"]["value"] >= 100)' || \
 				{ echo "perf-smoke: $$w --trace 1 fnt.btree.find.words is not < 100"; exit 1; }; \
-			case $$w in makedo-8vol) bound=1550;; *) bound=3250;; esac; \
+			case $$w in makedo-8vol) bound=1340;; *) bound=2950;; esac; \
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["obs.minor_words_per_op"]["value"] >= float(sys.argv[1]))' $$bound || \
 				{ echo "perf-smoke: $$w --trace 1 obs.minor_words_per_op is not < $$bound"; exit 1; }; \

@@ -35,9 +35,13 @@ let fail fmt = Format.kasprintf (fun s -> prerr_endline ("cedar: " ^ s); exit 1)
 let load_device path =
   if not (Sys.file_exists path) then fail "no such image: %s" path;
   let ic = open_in_bin path in
-  let d = Device.load ~clock:(Simclock.create ()) ic in
-  close_in ic;
-  d
+  match Device.load ~clock:(Simclock.create ()) ic with
+  | d ->
+    close_in ic;
+    d
+  | exception Bytebuf.Decode_error reason ->
+    close_in ic;
+    fail "%s: not a valid disk image: %s" path reason
 
 let save_device device path =
   let oc = open_out_bin path in

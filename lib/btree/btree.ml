@@ -424,12 +424,10 @@ module Make (S : STORE) = struct
   let find_last_below t key =
     let rec go id =
       match read_node t id with
-      | Leaf entries ->
-        let best = ref None in
-        Array.iter
-          (fun (k, v) -> if String.compare k key < 0 then best := Some (k, v))
-          entries;
-        !best
+      | Leaf entries -> (
+        (* The last entry before the one [key] would occupy. *)
+        let i = match leaf_position entries key with `Found i | `Insert_at i -> i in
+        if i = 0 then None else Some entries.(i - 1))
       | Internal { keys; children } ->
         let i = child_index keys key in
         let rec try_from j =

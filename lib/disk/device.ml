@@ -58,7 +58,10 @@ type t = {
   id : int; (* device id stamped into trace events; volume index in a set *)
   geom : Geometry.t;
   clock : Simclock.t;
-  data : (int, bytes) Hashtbl.t; (* sparse; absent = all-zero, never written *)
+  chunks : bytes array;
+      (* chunk [i] holds sectors [i * chunk_sectors, (i + 1) * chunk_sectors);
+         [Bytes.empty] until its first write, which allocates it zeroed *)
+  written : Bitmap.t; (* sectors ever written *)
   labels : (int, Label.t) Hashtbl.t; (* absent = Label.free *)
   damaged : (int, unit) Hashtbl.t;
   stats : Iostats.t;
@@ -92,8 +95,14 @@ let register_gauges t =
   Metrics.gauge metrics "device.busy_us" (fun () -> s.Iostats.busy_us);
   Metrics.gauge metrics "device.qdepth" (fun () -> List.length t.queue)
 
+(* Sectors per chunk of the in-memory image: 32 KB at 512-byte sectors.
+   Allocation is next-fit, so written sectors cluster and a chunk is
+   rarely allocated for one sector. *)
+let chunk_sectors = 64
+
 let create ?(id = 0) ?(depth = 0) ?trace ?metrics ~clock geom =
   if depth < 0 then invalid_arg "Device.create: depth < 0";
+  let total = Geometry.total_sectors geom in
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let stats = Iostats.create () in
@@ -102,7 +111,8 @@ let create ?(id = 0) ?(depth = 0) ?trace ?metrics ~clock geom =
       id;
       geom;
       clock;
-      data = Hashtbl.create 4096;
+      chunks = Array.make ((total + chunk_sectors - 1) / chunk_sectors) Bytes.empty;
+      written = Bitmap.create total;
       labels = Hashtbl.create 4096;
       damaged = Hashtbl.create 16;
       stats;
@@ -342,29 +352,64 @@ let busy_until t =
 (* ------------------------------------------------------------------ *)
 (* Raw store                                                           *)
 
-(* Store sector [s] from the sector-sized slice of [b] at [pos]. Only a
-   sector's first write allocates its buffer (and fixes its place in the
-   table, hence in [dump]); later writes blit into that buffer. *)
-let store t s b ~pos =
-  match Hashtbl.find t.data s with
-  | dst -> Bytes.blit b pos dst 0 (Bytes.length dst)
-  | exception Not_found ->
-    Hashtbl.add t.data s (Bytes.sub b pos t.geom.Geometry.sector_bytes)
+(* The chunk holding sector [s], allocated zeroed on first use. *)
+let chunk_for_write t s =
+  let i = s / chunk_sectors in
+  let c = t.chunks.(i) in
+  if Bytes.length c > 0 then c
+  else begin
+    let c = Bytes.make (chunk_sectors * t.geom.Geometry.sector_bytes) '\000' in
+    t.chunks.(i) <- c;
+    c
+  end
 
-(* [count] stored sectors from [sector], each copied once into a fresh
-   buffer; never-written sectors read as zeroes. *)
+(* Store [count] sectors from [sector], sector [i] from byte
+   [pos + i * sector_bytes] of [b]: one blit per chunk the run touches. *)
+let store t ~sector ~count b ~pos =
+  let sb = t.geom.Geometry.sector_bytes in
+  let s = ref sector and pos = ref pos and left = ref count in
+  while !left > 0 do
+    let off = !s mod chunk_sectors in
+    let n = Int.min !left (chunk_sectors - off) in
+    Bytes.blit b !pos (chunk_for_write t !s) (off * sb) (n * sb);
+    s := !s + n;
+    pos := !pos + (n * sb);
+    left := !left - n
+  done;
+  Bitmap.set_run t.written ~pos:sector ~len:count
+
+(* [count] stored sectors from [sector], copied once into a fresh buffer,
+   one blit per chunk; never-written sectors read as zeroes. *)
 let copy_out t ~sector ~count =
   let sb = t.geom.Geometry.sector_bytes in
   let out = Bytes.create (count * sb) in
-  for i = 0 to count - 1 do
-    match Hashtbl.find t.data (sector + i) with
-    | b -> Bytes.blit b 0 out (i * sb) sb
-    | exception Not_found -> Bytes.fill out (i * sb) sb '\000'
+  let s = ref sector and pos = ref 0 and left = ref count in
+  while !left > 0 do
+    let off = !s mod chunk_sectors in
+    let n = Int.min !left (chunk_sectors - off) in
+    let c = t.chunks.(!s / chunk_sectors) in
+    if Bytes.length c > 0 then Bytes.blit c (off * sb) out !pos (n * sb)
+    else Bytes.fill out !pos (n * sb) '\000';
+    s := !s + n;
+    pos := !pos + (n * sb);
+    left := !left - n
   done;
   out
 
-let ensure_ok t s =
-  if Hashtbl.mem t.damaged s then raise (Error { sector = s; kind = Damaged })
+(* The damaged set is empty unless a fault was injected, so the common
+   path pays one length test per command, not a lookup per sector. *)
+let ensure_ok t ~sector ~count =
+  if Hashtbl.length t.damaged > 0 then
+    for s = sector to sector + count - 1 do
+      if Hashtbl.mem t.damaged s then raise (Error { sector = s; kind = Damaged })
+    done
+
+(* Rewritten media reads back fine. *)
+let repair_run t ~sector ~count =
+  if Hashtbl.length t.damaged > 0 then
+    for s = sector to sector + count - 1 do
+      Hashtbl.remove t.damaged s
+    done
 
 (* Write-crash bookkeeping: returns how many of [count] sectors may still
    be written before the fault fires, or [count] if no fault is armed. *)
@@ -390,13 +435,13 @@ let fire_crash t ~sector ~tear =
   | Tear_none -> () (* power fails before the head reaches the sector *)
   | Tear_zero ->
       if sector < Geometry.total_sectors t.geom then begin
-        store t sector (Bytes.make t.geom.Geometry.sector_bytes '\000') ~pos:0;
-        Hashtbl.remove t.damaged sector
+        store t ~sector ~count:1 (Bytes.make t.geom.Geometry.sector_bytes '\000') ~pos:0;
+        repair_run t ~sector ~count:1
       end
   | Tear_garbage ->
       if sector < Geometry.total_sectors t.geom then begin
-        store t sector (garbage_sector t sector) ~pos:0;
-        Hashtbl.remove t.damaged sector
+        store t ~sector ~count:1 (garbage_sector t sector) ~pos:0;
+        repair_run t ~sector ~count:1
       end
   | Tear_damage tail ->
       for i = 0 to tail - 1 do
@@ -413,26 +458,23 @@ let read_run t ~sector ~count =
   check_sector t sector;
   check_sector t (sector + count - 1);
   charge_read t ~sector ~count;
-  for i = 0 to count - 1 do
-    ensure_ok t (sector + i)
-  done;
+  ensure_ok t ~sector ~count;
   copy_out t ~sector ~count
 
 let read t s = read_run t ~sector:s ~count:1
 
 (* One command writing [count] sectors from [b], sector [i] from byte
-   [i * sector_bytes]. *)
+   [i * sector_bytes]. Only the first [budget] sectors reach the store;
+   the rest of the run, even within the same chunk, stays as it was. *)
 let write_sectors t ~sector ~count b =
+  if count <= 0 || count * t.geom.Geometry.sector_bytes > Bytes.length b then
+    invalid_arg "Device.write_sectors: count";
   check_sector t sector;
   check_sector t (sector + count - 1);
   charge_write t ~sector ~count;
-  let sb = t.geom.Geometry.sector_bytes in
   let budget = crash_budget t count in
-  for i = 0 to budget - 1 do
-    let s = sector + i in
-    store t s b ~pos:(i * sb);
-    Hashtbl.remove t.damaged s
-  done;
+  store t ~sector ~count:budget b ~pos:0;
+  repair_run t ~sector ~count:budget;
   consume_write_budget t budget;
   if budget < count then
     match t.write_crash with
@@ -462,7 +504,7 @@ let read_label t s =
      sector time as the microcode must see the whole sector pass by. *)
   charge_read t ~sector:s ~count:1;
   t.stats.label_ops <- t.stats.label_ops + 1;
-  ensure_ok t s;
+  ensure_ok t ~sector:s ~count:1;
   label_of t s
 
 let write_labels t ~sector labels =
@@ -472,11 +514,8 @@ let write_labels t ~sector labels =
   check_sector t (sector + count - 1);
   charge_write t ~sector ~count;
   t.stats.label_ops <- t.stats.label_ops + count;
-  List.iteri
-    (fun i l ->
-      Hashtbl.replace t.labels (sector + i) l;
-      Hashtbl.remove t.damaged (sector + i))
-    labels
+  List.iteri (fun i l -> Hashtbl.replace t.labels (sector + i) l) labels;
+  repair_run t ~sector ~count
 
 let check_label t s ~expect =
   let found = label_of t s in
@@ -487,7 +526,7 @@ let verified_read t s ~expect =
   check_sector t s;
   charge_read t ~sector:s ~count:1;
   t.stats.label_ops <- t.stats.label_ops + 1;
-  ensure_ok t s;
+  ensure_ok t ~sector:s ~count:1;
   check_label t s ~expect;
   copy_out t ~sector:s ~count:1
 
@@ -495,7 +534,7 @@ let verified_write t s ~expect b =
   if Bytes.length b <> t.geom.Geometry.sector_bytes then
     invalid_arg "Device.verified_write: not one sector";
   check_sector t s;
-  ensure_ok t s;
+  ensure_ok t ~sector:s ~count:1;
   check_label t s ~expect;
   t.stats.label_ops <- t.stats.label_ops + 1;
   write_sectors t ~sector:s ~count:1 b
@@ -507,9 +546,7 @@ let verified_read_run t ~sector ~expect =
   check_sector t (sector + count - 1);
   charge_read t ~sector ~count;
   t.stats.label_ops <- t.stats.label_ops + count;
-  for i = 0 to count - 1 do
-    ensure_ok t (sector + i)
-  done;
+  ensure_ok t ~sector ~count;
   List.iteri (fun i l -> check_label t (sector + i) ~expect:l) expect;
   copy_out t ~sector ~count
 
@@ -555,7 +592,7 @@ let damage t s =
 let corrupt t s ~rng =
   check_sector t s;
   let b = Bytes.init t.geom.Geometry.sector_bytes (fun _ -> Char.chr (Rng.int rng 256)) in
-  store t s b ~pos:0
+  store t ~sector:s ~count:1 b ~pos:0
 
 let is_damaged t s = Hashtbl.mem t.damaged s
 
@@ -572,58 +609,95 @@ let plan_write_crash t ~after_sectors ~damage_tail =
 
 let cancel_write_crash t = t.write_crash <- None
 let set_observer t f = t.observer <- f
-let written_ever t s = Hashtbl.mem t.data s
+let written_ever t s =
+  s >= 0 && s < Bitmap.length t.written && Bitmap.get t.written s
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
 
 let magic = 0x43445631 (* "CDV1" *)
 
+(* An image streams as little-endian u32s and raw bytes: magic, the nine
+   geometry fields, the written sectors as (sector, bytes) records in
+   ascending order, the labels as (sector, 13 bytes), the damaged
+   sectors. *)
 let dump t oc =
-  let w = Bytebuf.Writer.create ~initial:65536 () in
-  Bytebuf.Writer.u32 w magic;
+  let u32 = Bytes.create 4 in
+  let put v =
+    Bytes.set_int32_le u32 0 (Int32.of_int v);
+    output oc u32 0 4
+  in
   let g = t.geom in
-  Bytebuf.Writer.u32 w g.Geometry.cylinders;
-  Bytebuf.Writer.u32 w g.Geometry.heads;
-  Bytebuf.Writer.u32 w g.Geometry.sectors_per_track;
-  Bytebuf.Writer.u32 w g.Geometry.sector_bytes;
-  Bytebuf.Writer.u32 w g.Geometry.rpm;
-  Bytebuf.Writer.u32 w g.Geometry.min_seek_us;
-  Bytebuf.Writer.u32 w g.Geometry.avg_seek_us;
-  Bytebuf.Writer.u32 w g.Geometry.max_seek_us;
-  Bytebuf.Writer.u32 w g.Geometry.head_switch_us;
-  Bytebuf.Writer.u32 w (Hashtbl.length t.data);
-  Hashtbl.iter
-    (fun s b ->
-      Bytebuf.Writer.u32 w s;
-      Bytebuf.Writer.raw w b)
-    t.data;
-  Bytebuf.Writer.u32 w (Hashtbl.length t.labels);
+  List.iter put
+    [
+      magic;
+      g.Geometry.cylinders;
+      g.Geometry.heads;
+      g.Geometry.sectors_per_track;
+      g.Geometry.sector_bytes;
+      g.Geometry.rpm;
+      g.Geometry.min_seek_us;
+      g.Geometry.avg_seek_us;
+      g.Geometry.max_seek_us;
+      g.Geometry.head_switch_us;
+    ];
+  let sb = g.Geometry.sector_bytes in
+  put (Bitmap.count t.written);
+  Array.iteri
+    (fun i c ->
+      (* A never-allocated chunk holds no written sector. *)
+      if Bytes.length c > 0 then
+        for off = 0 to chunk_sectors - 1 do
+          let s = (i * chunk_sectors) + off in
+          if s < Bitmap.length t.written && Bitmap.get t.written s then begin
+            put s;
+            output oc c (off * sb) sb
+          end
+        done)
+    t.chunks;
+  put (Hashtbl.length t.labels);
   Hashtbl.iter
     (fun s l ->
-      Bytebuf.Writer.u32 w s;
-      Bytebuf.Writer.raw w (Label.encode l))
+      put s;
+      output_bytes oc (Label.encode l))
     t.labels;
-  Bytebuf.Writer.u32 w (Hashtbl.length t.damaged);
-  Hashtbl.iter (fun s () -> Bytebuf.Writer.u32 w s) t.damaged;
-  let b = Bytebuf.Writer.contents w in
-  output_bytes oc b
+  put (Hashtbl.length t.damaged);
+  Hashtbl.iter (fun s () -> put s) t.damaged
+
+(* No simulated disk comes near this; a header claiming more is not an
+   image, and would only make [create] allocate without bound. *)
+let max_image_sectors = 1 lsl 26
 
 let load ?id ?trace ?metrics ~clock ic =
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  really_input ic b 0 len;
-  let r = Bytebuf.Reader.of_bytes b in
-  Bytebuf.Reader.expect_u32 r magic "disk image magic";
-  let cylinders = Bytebuf.Reader.u32 r in
-  let heads = Bytebuf.Reader.u32 r in
-  let sectors_per_track = Bytebuf.Reader.u32 r in
-  let sector_bytes = Bytebuf.Reader.u32 r in
-  let rpm = Bytebuf.Reader.u32 r in
-  let min_seek_us = Bytebuf.Reader.u32 r in
-  let avg_seek_us = Bytebuf.Reader.u32 r in
-  let max_seek_us = Bytebuf.Reader.u32 r in
-  let head_switch_us = Bytebuf.Reader.u32 r in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Bytebuf.Decode_error s)) fmt in
+  let u32 = Bytes.create 4 in
+  let really_read b pos len what =
+    try really_input ic b pos len with End_of_file -> fail "truncated %s" what
+  in
+  let get what =
+    really_read u32 0 4 what;
+    Int32.to_int (Bytes.get_int32_le u32 0) land 0xffffffff
+  in
+  let m = get "header" in
+  if m <> magic then fail "bad disk image magic: expected %#x, got %#x" magic m;
+  let field what lo hi =
+    let v = get "header" in
+    if v < lo || v > hi then fail "implausible %s %d" what v;
+    v
+  in
+  let dim what = field what 1 max_image_sectors in
+  let cylinders = dim "cylinder count" in
+  let heads = dim "head count" in
+  let sectors_per_track = dim "sectors per track" in
+  let sector_bytes = field "sector size" 16 65536 in
+  let rpm = dim "rpm" in
+  let min_seek_us = get "header" in
+  let avg_seek_us = get "header" in
+  let max_seek_us = get "header" in
+  let head_switch_us = get "header" in
+  if cylinders * heads > max_image_sectors
+     || cylinders * heads * sectors_per_track > max_image_sectors
+  then fail "implausible geometry: more than %d sectors" max_image_sectors;
   let geom =
     {
       Geometry.cylinders;
@@ -638,18 +712,26 @@ let load ?id ?trace ?metrics ~clock ic =
     }
   in
   let t = create ?id ?trace ?metrics ~clock geom in
-  let ndata = Bytebuf.Reader.u32 r in
-  for _ = 1 to ndata do
-    let s = Bytebuf.Reader.u32 r in
-    Hashtbl.replace t.data s (Bytebuf.Reader.raw r sector_bytes)
+  let total = Geometry.total_sectors geom in
+  let sector what =
+    let s = get what in
+    if s >= total then fail "%s names sector %d of %d" what s total;
+    s
+  in
+  (* Records may come in any order; a repeated sector keeps its last. *)
+  for _ = 1 to get "sector count" do
+    let s = sector "sector record" in
+    really_read (chunk_for_write t s) ((s mod chunk_sectors) * sector_bytes) sector_bytes
+      "sector record";
+    Bitmap.set t.written s
   done;
-  let nlabels = Bytebuf.Reader.u32 r in
-  for _ = 1 to nlabels do
-    let s = Bytebuf.Reader.u32 r in
-    Hashtbl.replace t.labels s (Label.decode (Bytebuf.Reader.raw r 13))
+  let label = Bytes.create 13 in
+  for _ = 1 to get "label count" do
+    let s = sector "label record" in
+    really_read label 0 13 "label record";
+    Hashtbl.replace t.labels s (Label.decode label)
   done;
-  let ndamaged = Bytebuf.Reader.u32 r in
-  for _ = 1 to ndamaged do
-    Hashtbl.replace t.damaged (Bytebuf.Reader.u32 r) ()
+  for _ = 1 to get "damaged count" do
+    Hashtbl.replace t.damaged (sector "damaged record") ()
   done;
   t

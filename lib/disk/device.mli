@@ -156,7 +156,15 @@ val completed_at : t -> completion -> int
     completion's requests is outstanding; then the completion time of
     the latest of them, 0 if it issued none. *)
 
-(** {1 Plain sector I/O (used by FSD and the BSD baseline)} *)
+(** {1 Plain sector I/O (used by FSD and the BSD baseline)}
+
+    The image is held as fixed 64-sector chunks, each allocated zeroed
+    on the first write into it, plus a bitmap of the sectors ever
+    written. A command moves its run one chunk piece at a time. Every
+    write copies the caller's bytes at issue, so the caller may reuse
+    its buffer at once; every read returns a fresh buffer. A write
+    interrupted by a planted crash stores only the sectors before the
+    crash point; the rest of the run keeps its old contents. *)
 
 val read : t -> int -> bytes
 (** [read t s] is a fresh copy of sector [s]'s contents (zeroes if never
@@ -174,6 +182,12 @@ val read_run : t -> sector:int -> count:int -> bytes
 val write_run : t -> sector:int -> bytes -> unit
 (** One command writing [Bytes.length / sector_bytes] consecutive sectors,
     each copied once from its offset in the buffer. *)
+
+val write_sectors : t -> sector:int -> count:int -> bytes -> unit
+(** [write_sectors t ~sector ~count b] is one command writing the first
+    [count] sectors of [b]: a buffer the caller reuses for runs of
+    different lengths. Raises [Invalid_argument] unless [count > 0] and
+    [count * sector_bytes <= Bytes.length b]. *)
 
 (** {1 Labeled I/O (used by CFS; models Trident microcode)} *)
 
@@ -243,6 +257,10 @@ val written_ever : t -> int -> bool
 (** {1 Persistence (CLI disk images)} *)
 
 val dump : t -> out_channel -> unit
+(** Stream the image to the channel: the geometry, then every written
+    sector as a (sector, bytes) record in ascending sector order, then
+    the labels and the damaged set. Never-written sectors are not
+    listed. *)
 
 val load :
   ?id:int ->
@@ -251,3 +269,8 @@ val load :
   clock:Cedar_util.Simclock.t ->
   in_channel ->
   t
+(** Read an image written by {!dump}, one record at a time. Records may
+    come in any order (a repeated sector keeps its last). Raises
+    [Cedar_util.Bytebuf.Decode_error] on a bad magic, an implausible
+    geometry, a truncated record or a sector number outside the
+    geometry. *)

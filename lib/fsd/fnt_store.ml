@@ -14,6 +14,12 @@ type cached = {
          is reclaimed, this — never the uncommitted payload — is what
          goes home; [None] while the payload itself is the logged image
          (or nothing is logged). *)
+  mutable framed : bytes;
+      (* The payload [frame] was last built from, compared with [==] as
+         payloads are never mutated once handed over; [Bytes.empty] until
+         the page is first framed. *)
+  mutable frame : bytes; (* the framed image of [framed], rebuilt in place *)
+  mutable frame_crcs : int array; (* the CRC-32 of each sector of [frame] *)
 }
 
 type anchor = {
@@ -48,17 +54,36 @@ let page_bytes t = full_page_bytes t.layout - trailer_bytes
 (* Framing                                                             *)
 
 (* The page image: the payload, then a 16-byte trailer of u32s — magic,
-   page number, the payload's CRC-32 and a zero word. *)
-let frame layout ~page payload =
-  let full = full_page_bytes layout in
-  let n = full - trailer_bytes in
+   page number, the payload's CRC-32 and a zero word. [frame_into]
+   builds it in [out] and puts each sector's CRC in [crcs], hashing every
+   byte once: the payload's CRC is the whole sectors' CRCs combined with
+   that of the last sector's head (the bytes before the trailer), and
+   the last sector's CRC continues that head CRC over the trailer. *)
+let frame_into layout ~page payload out crcs =
+  let sb = layout.Layout.geom.Geometry.sector_bytes in
+  let k = layout.Layout.params.Params.fnt_page_sectors in
+  let n = full_page_bytes layout - trailer_bytes in
   if Bytes.length payload <> n then invalid_arg "Fnt_store.frame: payload size";
-  let out = Bytes.create full in
   Bytes.blit payload 0 out 0 n;
+  let payload_crc = ref 0 in
+  for i = 0 to k - 2 do
+    let c = Crc32.bytes ~pos:(i * sb) ~len:sb out in
+    crcs.(i) <- c;
+    payload_crc := Crc32.combine !payload_crc c ~len:sb
+  done;
+  let head_len = sb - trailer_bytes in
+  let head = Crc32.bytes ~pos:((k - 1) * sb) ~len:head_len out in
+  let payload_crc = Crc32.combine !payload_crc head ~len:head_len in
   Bytes.set_int32_le out n (Int32.of_int page_magic);
   Bytes.set_int32_le out (n + 4) (Int32.of_int page);
-  Bytes.set_int32_le out (n + 8) (Int32.of_int (Crc32.bytes payload));
+  Bytes.set_int32_le out (n + 8) (Int32.of_int payload_crc);
   Bytes.set_int32_le out (n + 12) 0l;
+  crcs.(k - 1) <- Crc32.bytes ~crc:head ~pos:n ~len:trailer_bytes out
+
+let frame layout ~page payload =
+  let out = Bytes.create (full_page_bytes layout) in
+  frame_into layout ~page payload out
+    (Array.make layout.Layout.params.Params.fnt_page_sectors 0);
   out
 
 let unframe layout ~page image =
@@ -276,6 +301,9 @@ let read t page =
         third = None;
         dirtied_at = 0;
         logged = None;
+        framed = Bytes.empty;
+        frame = Bytes.empty;
+        frame_crcs = [||];
       };
     payload
 
@@ -307,6 +335,9 @@ let write t page payload =
         third = None;
         dirtied_at = now;
         logged = None;
+        framed = Bytes.empty;
+        frame = Bytes.empty;
+        frame_crcs = [||];
       }
 
 (* Anchor mutations are ordinary writes of page 0. *)
@@ -366,10 +397,27 @@ let page_in_use t page =
 (* ------------------------------------------------------------------ *)
 (* Log integration                                                     *)
 
-let framed_image t page =
+(* Framed once per logged version: the page's own buffer is reframed
+   only when the payload has changed since it was last framed. *)
+let framed t page =
   match Lru.peek t.cache page with
-  | Some c -> frame t.layout ~page c.payload
+  | Some c ->
+    if c.framed != c.payload then begin
+      if Bytes.length c.frame = 0 then begin
+        c.frame <- Bytes.create (full_page_bytes t.layout);
+        c.frame_crcs <- Array.make t.layout.Layout.params.Params.fnt_page_sectors 0
+      end;
+      frame_into t.layout ~page c.payload c.frame c.frame_crcs;
+      c.framed <- c.payload
+    end;
+    c
   | None -> invalid_arg (Printf.sprintf "Fnt_store.framed_image: page %d not cached" page)
+
+let framed_image t page = (framed t page).frame
+
+let logged_unit t page =
+  let c = framed t page in
+  { Log.kind = Log.Fnt_page page; image = c.frame; crcs = c.frame_crcs }
 
 let mark_logged t pages ~third =
   List.iter
@@ -386,10 +434,14 @@ let mark_logged t pages ~third =
 
 let home_write t page c =
   (* A diverged page homes its retained committed image; the newer,
-     uncommitted payload stays dirty and pinned until its own commit. *)
+     uncommitted payload stays dirty and pinned until its own commit.
+     That image's frame is usually the page's own, built when it was
+     logged; but the force logging the newer payload may already have
+     reframed the page's buffer, so any other image is framed afresh. *)
   let diverged = c.modified && c.logged <> None in
   let image = match c.logged with Some l when c.modified -> l | _ -> c.payload in
-  write_home_image t.device t.layout ~page (frame t.layout ~page image);
+  write_home_image t.device t.layout ~page
+    (if image == c.framed then c.frame else frame t.layout ~page image);
   let now = Simclock.now (Device.clock t.device) in
   let tr = Device.trace t.device in
   if Cedar_obs.Trace.enabled tr then

@@ -61,7 +61,16 @@ val page_in_use : t -> int -> bool
 (** {1 Log integration} *)
 
 val framed_image : t -> int -> bytes
-(** The full on-disk image (payload + trailer) of a cached page, as logged. *)
+(** The full on-disk image (payload + trailer) of a cached page, as
+    logged. The buffer is the store's own: it is framed in place, only
+    when the payload differs from the one it was last framed from, and
+    stays valid until the page is next framed. Callers copy it (as
+    {!Log.append} and the device do) and never mutate it. *)
+
+val logged_unit : t -> int -> Log.logged_unit
+(** The cached page as a log unit: {!framed_image} together with the
+    CRC-32 of each of its sectors, taken while framing, so no logged
+    byte is hashed twice. *)
 
 val mark_logged : t -> int list -> third:int -> unit
 (** Note the third in which these pages' images now live in the log. *)

@@ -249,17 +249,13 @@ let do_force t =
        before the record is durable loses this whole session anyway). *)
     Alloc.commit t.alloc;
     let base_units =
-      List.map
-        (fun p ->
-          { Log.kind = Log.Fnt_page p; image = Fnt_store.framed_image t.store p })
-        pages
+      List.map (Fnt_store.logged_unit t.store) pages
       @ List.map
-          (fun (sector, pl) ->
-            { Log.kind = Log.Leader_page sector; image = pl.image })
+          (fun (sector, pl) -> Log.hashed_unit t.layout (Log.Leader_page sector) pl.image)
           leaders
     in
     let vam = Alloc.vam t.alloc in
-    let chunk_unit c = { Log.kind = Log.Vam_chunk c; image = Vam.chunk_image vam c } in
+    let chunk_unit c = Log.hashed_unit t.layout (Log.Vam_chunk c) (Vam.chunk_image vam c) in
     let units =
       if not t.params.Params.log_vam then base_units
       else

@@ -2,7 +2,7 @@ open Cedar_util
 open Cedar_disk
 
 type unit_kind = Fnt_page of int | Leader_page of int | Vam_chunk of int
-type logged_unit = { kind : unit_kind; image : bytes }
+type logged_unit = { kind : unit_kind; image : bytes; crcs : int array }
 
 type stats = {
   mutable records : int;
@@ -23,6 +23,9 @@ type t = {
   mutable current_third : int;
   third_first : (int * int64) option array; (* first record per third *)
   stats : stats;
+  mutable buf : bytes;
+      (* the record being assembled; grown on demand and reused by every
+         append, since the device copies a write at issue *)
 }
 
 let magic_hdr = 0x434c4831 (* "CLH1" *)
@@ -41,6 +44,11 @@ let unit_sectors layout = function
 
 let data_sectors_of layout units =
   List.fold_left (fun acc u -> acc + unit_sectors layout u.kind) 0 units
+
+let hashed_unit layout kind image =
+  let sb = sector_bytes layout in
+  let crcs = Array.init (Bytes.length image / sb) (fun i -> Crc32.bytes ~pos:(i * sb) ~len:sb image) in
+  { kind; image; crcs }
 
 let track_tolerant layout = layout.Layout.params.Params.track_tolerant_log
 let spt layout = layout.Layout.geom.Geometry.sectors_per_track
@@ -138,14 +146,16 @@ let decode_header layout b =
   | v -> v
   | exception Bytebuf.Decode_error _ -> None
 
-let encode_end t ~record_no crcs =
+(* The end page lists every data sector's CRC, unit by unit: the CRCs
+   each unit carries, never recomputed here. *)
+let encode_end layout ~record_no units =
   let w = Bytebuf.Writer.create () in
   Bytebuf.Writer.u32 w magic_end;
   Bytebuf.Writer.u64 w special;
   Bytebuf.Writer.u64 w record_no;
-  Bytebuf.Writer.u16 w (List.length crcs);
-  List.iter (Bytebuf.Writer.u32 w) crcs;
-  Bytebuf.Writer.seal w ~size:(sector_bytes t)
+  Bytebuf.Writer.u16 w (data_sectors_of layout units);
+  List.iter (fun u -> Array.iter (Bytebuf.Writer.u32 w) u.crcs) units;
+  Bytebuf.Writer.seal w ~size:(sector_bytes layout)
 
 let decode_end b =
   match
@@ -256,6 +266,7 @@ let attach ?(shard = 0) device layout ~boot_count ~next_record_no ~write_off
     current_third = min (write_off / third) 2;
     third_first = [| None; None; None |];
     stats;
+    buf = Bytes.empty;
   }
 
 let current_third t = t.current_third
@@ -313,8 +324,10 @@ let append t units =
   if units = [] then invalid_arg "Log.append: empty record";
   List.iter
     (fun u ->
-      if Bytes.length u.image <> unit_sectors t.layout u.kind * sector_bytes t.layout
-      then invalid_arg "Log.append: image size mismatch")
+      let n = unit_sectors t.layout u.kind in
+      if Bytes.length u.image <> n * sector_bytes t.layout then
+        invalid_arg "Log.append: image size mismatch";
+      if Array.length u.crcs <> n then invalid_arg "Log.append: CRC count mismatch")
     units;
   let n = data_sectors_of t.layout units in
   if n > max_data_sectors_hard t.layout then
@@ -330,12 +343,12 @@ let append t units =
   done;
   if t.third_first.(first_t) = None then
     t.third_first.(first_t) <- Some (t.write_off, t.next_record_no);
-  (* Assemble the record in one buffer, in the active layout: each unit
-     image is copied once, into the primary data slot; each data
-     sector's CRC is taken where it lies; the copies are blitted from
-     the primary. *)
+  (* Assemble the record in the log's buffer, in the active layout: each
+     unit image is copied once, into the primary data slot, and the
+     copies are blitted from the primary. *)
   let sb = sector_bytes t.layout in
-  let buf = Bytes.create (size * sb) in
+  if Bytes.length t.buf < size * sb then t.buf <- Bytes.create (size * sb);
+  let buf = t.buf in
   let data_at = if track_tolerant t.layout then 1 else 3 in
   let pos = ref (data_at * sb) in
   List.iter
@@ -343,9 +356,8 @@ let append t units =
       Bytes.blit u.image 0 buf !pos (Bytes.length u.image);
       pos := !pos + Bytes.length u.image)
     units;
-  let crcs = List.init n (fun i -> Crc32.bytes ~pos:((data_at + i) * sb) ~len:sb buf) in
   Bytes.blit (encode_header t units) 0 buf 0 sb;
-  Bytes.blit (encode_end t.layout ~record_no:t.next_record_no crcs) 0 buf !pos sb;
+  Bytes.blit (encode_end t.layout ~record_no:t.next_record_no units) 0 buf !pos sb;
   if track_tolerant t.layout then begin
     (* primary block at 0, identical copy block one track later *)
     let d = spt t.layout in
@@ -358,7 +370,7 @@ let append t units =
     Bytes.blit buf 0 buf (2 * sb) sb;
     Bytes.blit buf (3 * sb) buf ((4 + n) * sb) ((n + 1) * sb)
   end;
-  Device.write_run t.device ~sector:(body_start t.layout + t.write_off) buf;
+  Device.write_sectors t.device ~sector:(body_start t.layout + t.write_off) ~count:size buf;
   let tr = Device.trace t.device in
   if Cedar_obs.Trace.enabled tr then
     Cedar_obs.Trace.emit tr
@@ -488,7 +500,7 @@ let read_record device layout ~shard ~off ~expected ~corrected =
                         Bytes.concat Bytes.empty
                           (List.init nsec (fun k -> sectors.(i + k)))
                       in
-                      ({ kind; image } :: acc, i + nsec))
+                      ({ kind; image; crcs = Array.sub crcs i nsec } :: acc, i + nsec))
                     ([], 0) h.h_units
                 in
                 Some (List.rev units, size)

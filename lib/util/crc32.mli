@@ -8,8 +8,17 @@
     loop — 0xCBF43926 for ["123456789"] — so every checksum on disk is
     unchanged. *)
 
-val bytes : ?pos:int -> ?len:int -> bytes -> int
+val bytes : ?crc:int -> ?pos:int -> ?len:int -> bytes -> int
 (** [bytes b] is the CRC-32 of [b] (or the given slice) as a non-negative
-    int that fits in 32 bits. *)
+    int that fits in 32 bits. [bytes ~crc b] continues a finished CRC:
+    if [crc] is the CRC of [a], the result is the CRC of [a] followed by
+    the slice (default [crc] 0, the CRC of no bytes). *)
 
 val string : string -> int
+
+val combine : int -> int -> len:int -> int
+(** [combine (bytes a) (bytes b) ~len:(Bytes.length b)] is the CRC-32 of
+    [a] followed by [b], without reading either (zlib's
+    [crc32_combine]). The operator for [len] is tabulated on first use
+    (4 × 256 entries) and kept for the last few lengths used, so
+    combining at a fixed length costs four lookups. *)

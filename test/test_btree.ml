@@ -312,6 +312,43 @@ let prop_range_matches_filter =
       let filtered = List.filter (fun k -> String.compare lo k <= 0 && String.compare k hi < 0) all in
       ranged = filtered)
 
+(* Property: [find_last_below] is the greatest key strictly below the
+   probe, as a sorted list of the tree's keys says. The trees hold
+   name-table keys, several versions per name, deep enough to have
+   internal nodes; the probes are keys present and absent, keys below
+   the minimum and above the maximum, and both ends of [Fname.bounds]
+   for present and absent names. *)
+let prop_find_last_below_vs_sorted =
+  let module Fname = Cedar_fsbase.Fname in
+  let open QCheck in
+  let name i = Printf.sprintf "d%d/f%d" (i mod 5) i in
+  Test.make ~name:"find_last_below matches a sorted-list reference" ~count:100
+    (pair
+       (list_of_size Gen.(0 -- 300) (pair (int_bound 80) (int_range 1 4)))
+       (small_list (pair (int_bound 90) (int_range 1 6))))
+    (fun (entries, probes) ->
+      let s = Mem_store.make () in
+      let t = T.attach s in
+      List.iter
+        (fun (n, v) -> T.insert t ~key:(Fname.key ~name:(name n) ~version:v) ~value:(value_of n))
+        entries;
+      let sorted = T.fold_range t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) |> List.rev in
+      let reference probe =
+        List.fold_left (fun best (k, v) -> if String.compare k probe < 0 then Some (k, v) else best)
+          None sorted
+      in
+      let probes =
+        ""
+        :: "\255\255"
+        :: List.map fst sorted
+        @ List.concat_map
+            (fun (n, v) ->
+              let lo, hi = Fname.bounds ~name:(name n) in
+              [ Fname.key ~name:(name n) ~version:v; lo; hi ])
+            probes
+      in
+      List.for_all (fun p -> T.find_last_below t p = reference p) probes)
+
 (* Property: a random op sequence leaves the tree equivalent to a Map and
    structurally valid. *)
 let prop_btree_vs_map =
@@ -360,4 +397,5 @@ let suite =
     ("node memo agrees with decoding every read", `Quick, test_memo_matches_decoding);
     QCheck_alcotest.to_alcotest prop_range_matches_filter;
     QCheck_alcotest.to_alcotest prop_btree_vs_map;
+    QCheck_alcotest.to_alcotest prop_find_last_below_vs_sorted;
   ]

@@ -338,6 +338,168 @@ let test_dump_load_roundtrip () =
     (Label.equal (Device.read_label d' 4) { Label.uid = 5L; page = 1; kind = Label.Data });
   check bool "damage survived" true (Device.is_damaged d' 9)
 
+(* ------------------------------------------------------------------ *)
+(* The chunked image                                                   *)
+
+(* One distinct byte per sector, so a sector stored at the wrong offset
+   shows. *)
+let patterned sb ~first ~count =
+  Bytes.init (count * sb) (fun i -> Char.chr (((first + (i / sb)) * 7 + 1) land 0xff))
+
+let test_run_across_chunk_boundary () =
+  let _, d = mk () in
+  let sb = (Device.geometry d).Geometry.sector_bytes in
+  Device.write_run d ~sector:60 (patterned sb ~first:60 ~count:10);
+  let back = Device.read_run d ~sector:0 ~count:128 in
+  for s = 0 to 127 do
+    let want =
+      if s >= 60 && s < 70 then patterned sb ~first:s ~count:1 else Bytes.make sb '\000'
+    in
+    check bool (Printf.sprintf "sector %d" s) true (Bytes.equal want (Bytes.sub back (s * sb) sb))
+  done;
+  check bool "a run straddling the boundary reads back" true
+    (Bytes.equal (patterned sb ~first:62 ~count:4) (Device.read_run d ~sector:62 ~count:4))
+
+let test_unwritten_sector_in_allocated_chunk () =
+  let _, d = mk () in
+  let sb = (Device.geometry d).Geometry.sector_bytes in
+  Device.write d 5 (patterned sb ~first:5 ~count:1);
+  check bool "sector 5 written" true (Device.written_ever d 5);
+  check bool "sector 6 never written" false (Device.written_ever d 6);
+  check bool "sector 6 reads zeroes" true (Bytes.equal (Bytes.make sb '\000') (Device.read d 6));
+  let chunk = Device.read_run d ~sector:0 ~count:64 in
+  for s = 0 to 63 do
+    check bool
+      (Printf.sprintf "sector %d of the chunk" s)
+      true
+      (Bytes.equal
+         (if s = 5 then patterned sb ~first:5 ~count:1 else Bytes.make sb '\000')
+         (Bytes.sub chunk (s * sb) sb));
+    check bool (Printf.sprintf "sector %d written" s) (s = 5) (Device.written_ever d s)
+  done;
+  check bool "out of range is not written" false (Device.written_ever d (-1))
+
+(* A write crash whose budget ends inside a chunk stores only the
+   sectors before the crash point; the rest of that chunk, and of the
+   run in the next chunk, keep what they held. *)
+let test_crash_budget_mid_chunk () =
+  let sb = Geometry.small_test.Geometry.sector_bytes in
+  let crashed ~budget =
+    let _, d = mk () in
+    Device.write_run d ~sector:56 (Bytes.make (12 * sb) 'a');
+    Device.plan_write_crash_tear d ~after_sectors:budget ~tear:Device.Tear_none;
+    (match Device.write_run d ~sector:60 (Bytes.make (8 * sb) 'b') with
+    | () -> Alcotest.fail "expected crash"
+    | exception Device.Crash_during_write { sector } ->
+      check int "crash point" (60 + budget) sector);
+    d
+  in
+  List.iter
+    (fun budget ->
+      let d = crashed ~budget in
+      for s = 56 to 71 do
+        let want = if s >= 60 && s < 60 + budget then 'b' else if s < 68 then 'a' else '\000' in
+        check bool
+          (Printf.sprintf "budget %d: sector %d" budget s)
+          true
+          (Bytes.equal (Bytes.make sb want) (Device.read d s));
+        check bool
+          (Printf.sprintf "budget %d: sector %d written" budget s)
+          (s < 68) (Device.written_ever d s)
+      done)
+    [ 2; 5 ]
+
+let dump_to_string d =
+  let file = Filename.temp_file "cedar" ".img" in
+  let oc = open_out_bin file in
+  Device.dump d oc;
+  close_out oc;
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  s
+
+let load_string s =
+  let file = Filename.temp_file "cedar" ".img" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s);
+  let d = In_channel.with_open_bin file (Device.load ~clock:(Simclock.create ())) in
+  Sys.remove file;
+  d
+
+(* The sector numbers of an image's data records, in file order. *)
+let image_sectors image =
+  let r = Bytebuf.Reader.of_bytes (Bytes.of_string image) in
+  for _ = 1 to 10 do
+    ignore (Bytebuf.Reader.u32 r : int)
+  done;
+  List.init (Bytebuf.Reader.u32 r) (fun _ ->
+      let s = Bytebuf.Reader.u32 r in
+      ignore (Bytebuf.Reader.raw r Geometry.small_test.Geometry.sector_bytes : bytes);
+      s)
+
+let test_dump_ascending_and_stable () =
+  let _, d = mk () in
+  let sb = (Device.geometry d).Geometry.sector_bytes in
+  List.iter
+    (fun s -> Device.write d s (patterned sb ~first:s ~count:1))
+    [ 900; 3; 130; 64; 63; 2000; 65 ];
+  Device.write_labels d ~sector:63 [ { Label.uid = 9L; page = 2; kind = Label.Data } ];
+  Device.damage d 700;
+  let first = dump_to_string d in
+  check (Alcotest.list int) "records ascending" [ 3; 63; 64; 65; 130; 900; 2000 ]
+    (image_sectors first);
+  let loaded = load_string first in
+  List.iter
+    (fun s ->
+      check bool (Printf.sprintf "sector %d reloaded" s) true
+        (Bytes.equal (patterned sb ~first:s ~count:1) (Device.read loaded s)))
+    [ 3; 63; 64; 65; 130; 900; 2000 ];
+  check bool "unwritten sector reloaded as zeroes" true
+    (Bytes.equal (Bytes.make sb '\000') (Device.read loaded 62));
+  let again = dump_to_string loaded in
+  check bool "dump, load, dump is byte-identical" true (String.equal first again)
+
+(* An image whose records come in descending order: the store must not
+   depend on the order a dump happened to list them in. *)
+let descending_image () =
+  let g = Geometry.small_test in
+  let w = Bytebuf.Writer.create () in
+  List.iter (Bytebuf.Writer.u32 w)
+    [
+      0x43445631;
+      g.Geometry.cylinders;
+      g.Geometry.heads;
+      g.Geometry.sectors_per_track;
+      g.Geometry.sector_bytes;
+      g.Geometry.rpm;
+      g.Geometry.min_seek_us;
+      g.Geometry.avg_seek_us;
+      g.Geometry.max_seek_us;
+      g.Geometry.head_switch_us;
+    ];
+  let sectors = [ 1000; 64; 63; 7 ] in
+  Bytebuf.Writer.u32 w (List.length sectors);
+  List.iter
+    (fun s ->
+      Bytebuf.Writer.u32 w s;
+      Bytebuf.Writer.raw w (patterned g.Geometry.sector_bytes ~first:s ~count:1))
+    sectors;
+  Bytebuf.Writer.u32 w 0;
+  Bytebuf.Writer.u32 w 0;
+  Bytes.to_string (Bytebuf.Writer.contents w)
+
+let test_load_descending_records () =
+  let d = load_string (descending_image ()) in
+  let sb = (Device.geometry d).Geometry.sector_bytes in
+  List.iter
+    (fun s ->
+      check bool (Printf.sprintf "sector %d" s) true
+        (Bytes.equal (patterned sb ~first:s ~count:1) (Device.read d s));
+      check bool (Printf.sprintf "sector %d written" s) true (Device.written_ever d s))
+    [ 1000; 64; 63; 7 ];
+  check bool "sector 62 zero" true (Bytes.equal (Bytes.make sb '\000') (Device.read d 62));
+  check (Alcotest.list int) "dumped ascending" [ 7; 63; 64; 1000 ]
+    (image_sectors (dump_to_string d))
+
 let test_observer () =
   let _, d = mk () in
   let g = Device.geometry d in
@@ -510,6 +672,13 @@ let suite =
     ("label codec", `Quick, test_label_codec_roundtrip);
     ("scan labels", `Quick, test_scan_labels);
     ("dump/load", `Quick, test_dump_load_roundtrip);
+    ("chunked: run across a chunk boundary", `Quick, test_run_across_chunk_boundary);
+    ("chunked: unwritten sector in an allocated chunk", `Quick,
+      test_unwritten_sector_in_allocated_chunk);
+    ("chunked: crash budget ends mid-chunk", `Quick, test_crash_budget_mid_chunk);
+    ("chunked: dump ascending, dump/load/dump identical", `Quick,
+      test_dump_ascending_and_stable);
+    ("chunked: load accepts descending records", `Quick, test_load_descending_records);
     ("observer", `Quick, test_observer);
     ("timing invariants", `Quick, test_timing_invariants);
     ("same cylinder needs no seek", `Quick, test_same_cylinder_no_seek);

@@ -432,6 +432,99 @@ let test_store_read_identity () =
   check bool "new bytes after eviction" false (b4 == b3);
   check bool "same contents after eviction" true (Bytes.equal b4 b3)
 
+(* A frame's checksums are computed while framing, each byte once: the
+   trailer's CRC must still be the payload's, and each unit CRC its
+   sector's, whatever the page size. The frame buffer is the page's own,
+   reframed in place only when the payload changes. *)
+let test_frame_crcs_and_reuse () =
+  let rng = Rng.create 7 in
+  List.iter
+    (fun k ->
+      let p = { (params ()) with Params.fnt_page_sectors = k; fnt_pages = 32 } in
+      let l = Layout.compute geom p in
+      let s = Fnt_store.create_fresh (mk_device ()) l in
+      let sb = geom.Geometry.sector_bytes in
+      let page = Fnt_store.alloc s in
+      let payload () = Bytes.init (Fnt_store.page_bytes s) (fun _ -> Char.chr (Rng.int rng 256)) in
+      let p1 = payload () in
+      Fnt_store.write s page p1;
+      let u = Fnt_store.logged_unit s page in
+      let what fmt = Printf.ksprintf (fun m -> Printf.sprintf "%d sectors: %s" k m) fmt in
+      check int (what "image size") (k * sb) (Bytes.length u.Log.image);
+      check int (what "trailer CRC is the payload's")
+        (Crc32.bytes p1)
+        (Int32.to_int (Bytes.get_int32_le u.Log.image (Bytes.length p1 + 8)) land 0xffffffff);
+      check int (what "CRC count") k (Array.length u.Log.crcs);
+      Array.iteri
+        (fun i c ->
+          check int (what "sector %d CRC" i) (Crc32.bytes ~pos:(i * sb) ~len:sb u.Log.image) c)
+        u.Log.crcs;
+      check bool (what "payload unframes") true
+        (Bytes.equal p1 (Bytes.sub u.Log.image 0 (Bytes.length p1)));
+      let again = Fnt_store.logged_unit s page in
+      check bool (what "unchanged payload, same frame") true (again.Log.image == u.Log.image);
+      let p2 = payload () in
+      Fnt_store.write s page p2;
+      let u2 = Fnt_store.logged_unit s page in
+      check bool (what "frame buffer reused") true (u2.Log.image == u.Log.image);
+      check int (what "reframed trailer CRC")
+        (Crc32.bytes p2)
+        (Int32.to_int (Bytes.get_int32_le u2.Log.image (Bytes.length p2 + 8)) land 0xffffffff);
+      Array.iteri
+        (fun i c ->
+          check int (what "reframed sector %d CRC" i)
+            (Crc32.bytes ~pos:(i * sb) ~len:sb u2.Log.image)
+            c)
+        u2.Log.crcs)
+    [ 1; 2; 4; 16 ]
+
+(* A diverged page whose third is re-entered by the very append that logs
+   its new payload: that append has just reframed the page's buffer with
+   the new payload, but what goes home is the committed image. Log p1,
+   write p2, append filler records until logging p2 re-enters p1's third,
+   then log p2: both home copies must hold p1's frame. *)
+let test_diverged_page_homes_committed_frame () =
+  let device = mk_device () in
+  let l = layout () in
+  let s = Fnt_store.create_fresh device l in
+  Fnt_store.flush_anchor s;
+  Log.format device l;
+  let log =
+    Log.attach device l ~boot_count:1 ~next_record_no:1L ~write_off:0
+      ~on_enter_third:(fun j -> ignore (Fnt_store.flush_third s j : int))
+  in
+  let force () =
+    let pages = Fnt_store.pages_to_log s in
+    let third = Log.append log (List.map (Fnt_store.logged_unit s) pages) in
+    Fnt_store.mark_logged s pages ~third;
+    third
+  in
+  let page = Fnt_store.alloc s in
+  let p1 = page_payload s '1' and p2 = page_payload s '2' in
+  Fnt_store.write s page p1;
+  let t1 = force () in
+  Fnt_store.write s page p2;
+  let record_sectors = Log.record_total_sectors l [ Fnt_store.logged_unit s page ] in
+  let fillers = ref 0 in
+  while not (List.mem t1 (Log.thirds_entered_by log ~record_sectors)) do
+    ignore
+      (Log.append log
+         [ Log.hashed_unit l (Log.Leader_page 5000) (Bytes.make geom.Geometry.sector_bytes 'f') ]
+        : int);
+    incr fillers
+  done;
+  check bool "fillers needed" true (!fillers > 0);
+  check (Alcotest.option Alcotest.bytes) "not homed before" None
+    (Fnt_store.try_read_home device l ~page);
+  ignore (force () : int);
+  let k = l.Layout.params.Params.fnt_page_sectors in
+  let copy sector = Device.read_run device ~sector ~count:k in
+  let a = copy (Layout.fnt_sector_a l ~page) and b = copy (Layout.fnt_sector_b l ~page) in
+  check bool "copies agree" true (Bytes.equal a b);
+  check (Alcotest.option Alcotest.bytes) "home holds the committed image" (Some p1)
+    (Fnt_store.try_read_home device l ~page);
+  check bool "new payload still to be homed" true (List.mem page (Fnt_store.dirty_pages s))
+
 (* [pages_to_log_count] is the O(1) count the commit demon polls; it
    must equal [List.length (pages_to_log s)] after any sequence of the
    operations that change a page's dirty or modified flag, on a cache
@@ -497,4 +590,7 @@ let suite =
     ("store: freed page reusable", `Quick, test_store_free_page_reusable);
     ("store: read hands out the cached bytes", `Quick, test_store_read_identity);
     ("store: to-log count is exact", `Quick, test_store_to_log_count_exact);
+    ("store: frame CRCs computed once, frame reused", `Quick, test_frame_crcs_and_reuse);
+    ("store: diverged page homes its committed frame", `Quick,
+      test_diverged_page_homes_committed_frame);
   ]

@@ -107,7 +107,64 @@ let test_device_misuse () =
   inv (fun () -> Device.write_run d ~sector:0 (Bytes.create 700));
   inv (fun () -> Device.write_labels d ~sector:0 []);
   inv (fun () -> Device.plan_write_crash d ~after_sectors:(-1) ~damage_tail:1);
-  inv (fun () -> Device.plan_write_crash d ~after_sectors:0 ~damage_tail:5)
+  inv (fun () -> Device.plan_write_crash d ~after_sectors:0 ~damage_tail:5);
+  inv (fun () -> Device.write_sectors d ~sector:0 ~count:0 (Bytes.create 512));
+  inv (fun () -> Device.write_sectors d ~sector:0 ~count:2 (Bytes.create 1000))
+
+(* Device images: a file that is not one, or is cut short, or names a
+   sector the geometry lacks, is refused with [Decode_error] — never
+   loaded in part, and never stored out of bounds. *)
+let image_of d =
+  let file = Filename.temp_file "cedar" ".img" in
+  Out_channel.with_open_bin file (fun oc -> Device.dump d oc);
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  s
+
+let load_image s =
+  let file = Filename.temp_file "cedar" ".img" in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () -> In_channel.with_open_bin file (Device.load ~clock:(Simclock.create ())))
+
+let expect_bad_image what s =
+  match load_image s with
+  | _ -> Alcotest.failf "%s: expected Decode_error" what
+  | exception Bytebuf.Decode_error _ -> ()
+
+(* An image of tiny_test with sector 3 written; its first data record
+   starts at byte 44 (magic, nine geometry fields, the record count). *)
+let one_sector_image () =
+  let d = Device.create ~clock:(Simclock.create ()) Geometry.tiny_test in
+  Device.write d 3 (Bytes.make 512 's');
+  image_of d
+
+let test_image_bad_magic () =
+  let s = Bytes.of_string (one_sector_image ()) in
+  Bytes.set s 0 'X';
+  expect_bad_image "bad magic" (Bytes.to_string s);
+  expect_bad_image "not an image" "this is a text file, not a disk image\n";
+  expect_bad_image "empty file" ""
+
+let test_image_truncated () =
+  let s = one_sector_image () in
+  ignore (load_image s : Device.t);
+  List.iter
+    (fun len -> expect_bad_image (Printf.sprintf "cut at %d" len) (String.sub s 0 len))
+    [ 20; 44; 46; 48 + 100; String.length s - 1 ]
+
+let test_image_sector_out_of_range () =
+  let total = Geometry.total_sectors Geometry.tiny_test in
+  let s = Bytes.of_string (one_sector_image ()) in
+  (* The first record's sector number follows the record count. *)
+  Bytes.set_int32_le s 44 (Int32.of_int total);
+  expect_bad_image "sector = total" (Bytes.to_string s);
+  Bytes.set_int32_le s 44 (-1l);
+  expect_bad_image "sector 2^32 - 1" (Bytes.to_string s);
+  Bytes.set_int32_le s 44 (Int32.of_int (total - 1));
+  let d = load_image (Bytes.to_string s) in
+  check bool "last sector loads" true (Device.written_ever d (total - 1))
 
 (* ------------------------------------------------------------------ *)
 (* FSD public API                                                       *)
@@ -170,7 +227,7 @@ let test_log_misuse () =
   in
   inv (fun () -> Log.append log []);
   inv (fun () ->
-      Log.append log [ { Log.kind = Log.Leader_page 9; image = Bytes.create 100 } ])
+      Log.append log [ Log.hashed_unit layout (Log.Leader_page 9) (Bytes.create 100) ])
 
 let suite =
   [
@@ -183,6 +240,9 @@ let suite =
     ("run table misuse", `Quick, test_run_table_misuse);
     ("fname misuse", `Quick, test_fname_misuse);
     ("device misuse", `Quick, test_device_misuse);
+    ("device image: bad magic", `Quick, test_image_bad_magic);
+    ("device image: truncated", `Quick, test_image_truncated);
+    ("device image: sector out of range", `Quick, test_image_sector_out_of_range);
     ("fsd api misuse", `Quick, test_fsd_api_misuse);
     ("fsd volume full", `Quick, test_fsd_volume_full);
     ("log misuse", `Quick, test_log_misuse);

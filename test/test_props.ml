@@ -262,7 +262,7 @@ let prop_log_random_batches_with_damage =
                 else (Log.Leader_page (5000 + Rng.int rng 50), 1)
               in
               Hashtbl.replace expected kind fill;
-              { Log.kind; image = Bytes.make (sectors * 512) fill })
+              Log.hashed_unit layout kind (Bytes.make (sectors * 512) fill))
         in
         let size = Log.record_total_sectors layout units in
         (match !first_off with None -> first_off := Some 0 | Some _ -> ());

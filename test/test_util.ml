@@ -111,6 +111,37 @@ let test_crc32_matches_reference () =
   let v = Bytes.of_string "123456789" in
   check int "vector" (crc32_reference v ~pos:0 ~len:9) (Crc32.bytes v)
 
+(* Sharing checksums: the CRC of [a] then [b] is [combine (crc a)
+   (crc b) ~len:(length b)], and also [crc a] continued over [b]. Random
+   splits of random slices, with empty halves and the piece sizes framing
+   uses (a sector, and a sector less or more one byte). *)
+let test_crc32_combine_and_continue () =
+  let rng = Rng.create 2026 in
+  let buf = Bytes.init 3000 (fun _ -> Char.chr (Rng.int rng 256)) in
+  let split ~pos ~la ~lb =
+    let whole = crc32_reference buf ~pos ~len:(la + lb) in
+    let a = Crc32.bytes ~pos ~len:la buf and b = Crc32.bytes ~pos:(pos + la) ~len:lb buf in
+    let combined = Crc32.combine a b ~len:lb in
+    if combined <> whole then
+      Alcotest.failf "combine pos %d %d+%d: got %08x, want %08x" pos la lb combined whole;
+    let continued = Crc32.bytes ~crc:a ~pos:(pos + la) ~len:lb buf in
+    if continued <> whole then
+      Alcotest.failf "continue pos %d %d+%d: got %08x, want %08x" pos la lb continued whole
+  in
+  let sizes = [ 0; 1; 16; 496; 511; 512; 513 ] in
+  List.iter (fun la -> List.iter (fun lb -> split ~pos:3 ~la ~lb) sizes) sizes;
+  for i = 1 to 10_000 do
+    let la = match i mod 4 with 0 -> 0 | 1 -> List.nth sizes (Rng.int rng 7) | _ -> Rng.int rng 1400 in
+    let lb = match i mod 5 with 0 -> 0 | 1 -> List.nth sizes (Rng.int rng 7) | _ -> Rng.int rng 1400 in
+    split ~pos:(Rng.int rng (Bytes.length buf - la - lb + 1)) ~la ~lb
+  done;
+  (* Folding sector CRCs left to right gives the CRC of the run. *)
+  let run = ref 0 in
+  for i = 0 to 4 do
+    run := Crc32.combine !run (Crc32.bytes ~pos:(i * 512) ~len:512 buf) ~len:512
+  done;
+  check int "five sectors" (crc32_reference buf ~pos:0 ~len:2560) !run
+
 (* ------------------------------------------------------------------ *)
 (* Bitmap                                                              *)
 
@@ -288,6 +319,7 @@ let suite =
     ("crc32 known vector", `Quick, test_crc32_known);
     ("crc32 slice", `Quick, test_crc32_slice);
     ("crc32 matches byte-at-a-time reference", `Quick, test_crc32_matches_reference);
+    ("crc32 combine and continue", `Quick, test_crc32_combine_and_continue);
     ("bitmap basic", `Quick, test_bitmap_basic);
     ("bitmap runs", `Quick, test_bitmap_runs);
     ("bitmap bytes roundtrip", `Quick, test_bitmap_bytes_roundtrip);
