@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
+.PHONY: all check build test api-check examples-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -12,6 +12,39 @@ test:
 	dune runtest
 
 check: build test
+
+# API gate: every value a lib/**/*.mli exports must be referenced by some
+# other source file: another library module, bin/, bench/, perfbench/,
+# test/ or examples/. `dune build @check` leaves a .cmt for every module,
+# executable and test; scripts/api_check.py reads each one's identifier
+# references with `ocamlcmt -annot` and fails listing every `val` that
+# nothing outside its own module refers to (members of `module type`
+# blocks are signatures and are skipped). A value only its own module
+# uses belongs in the .ml alone; a value nothing uses is deleted.
+api-check:
+	dune build @check
+	python3 scripts/api_check.py
+
+# Example smoke: the five programs under examples/ call the library too
+# (they alone keep Remote, Fsd.last_used and Cfs.import_cached exported),
+# so CI runs them rather than only compiling them. Each must exit 0, and
+# the verdict lines of crash_recovery and remote_cache must hold.
+examples-smoke:
+	dune build
+	rm -rf _build/examples-smoke && mkdir -p _build/examples-smoke
+	@for e in quickstart crash_recovery bulk_build remote_cache design_model; do \
+		./_build/default/examples/$$e.exe > _build/examples-smoke/$$e.out || \
+			{ echo "examples-smoke: $$e exited $$?"; exit 1; }; \
+	done
+	@grep -q "^structural check: ok$$" _build/examples-smoke/crash_recovery.out || \
+		{ echo "examples-smoke: crash_recovery structural check failed"; exit 1; }
+	@grep -q "^all committed contents intact: true$$" _build/examples-smoke/crash_recovery.out || \
+		{ echo "examples-smoke: crash_recovery lost committed contents"; exit 1; }
+	@grep -q "^last-used time survives a crash: true" _build/examples-smoke/remote_cache.out || \
+		{ echo "examples-smoke: remote_cache lost the last-used time"; exit 1; }
+	@grep -q "rolled back to the committed value .*: true$$" _build/examples-smoke/remote_cache.out || \
+		{ echo "examples-smoke: remote_cache kept an uncommitted touch"; exit 1; }
+	@echo "examples-smoke: five examples ran, verdicts true"
 
 # Reproduce every paper table and regenerate the committed snapshots
 # (BENCH_OBS.json, BENCH_GROUPCOMMIT.json, BENCH_FAULTSWEEP.json,
@@ -255,7 +288,7 @@ fmt-check:
 		echo "fmt-check: ocamlformat not installed, skipping"; \
 	fi
 
-ci: fmt-check check serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
+ci: fmt-check check api-check examples-smoke serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
 	recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \
 	perf-smoke bench-diff
 

@@ -245,7 +245,6 @@ type t = {
 }
 
 let layout t = t.layout
-let device t = t.device
 let free_sector_hints t = Bitmap.count t.vam
 let drop_open_cache t = Hashtbl.reset t.opened
 
@@ -759,17 +758,6 @@ let read_page t ~name ~page =
     Fs_error.raise_ (Fs_error.Damaged_data { name; sector })
   | exception Device.Error { sector; kind = Device.Label_mismatch _ } ->
     corrupt (Printf.sprintf "stale run table for %s at sector %d" name sector)
-
-let write_page t ~name ~page data =
-  traced t ~op:"write_page" ~name @@ fun () ->
-  require_live t;
-  let _, _, h, _ = open_header t name in
-  if page < 0 || page >= Run_table.pages h.Header.runs then
-    Fs_error.raise_ (Fs_error.Bad_page { name; page });
-  let sector = Run_table.sector_of_page h.Header.runs page in
-  let expect = { Label.uid = h.Header.uid; page; kind = Label.Data } in
-  op_cpu t;
-  Device.verified_write t.device sector ~expect data
 
 let delete t ~name =
   traced t ~op:"delete" ~name @@ fun () ->

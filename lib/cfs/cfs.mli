@@ -39,7 +39,6 @@ val open_stat : t -> name:string -> Cedar_fsbase.Fs_ops.info
 val exists : t -> name:string -> bool
 val read_all : t -> name:string -> bytes
 val read_page : t -> name:string -> page:int -> bytes
-val write_page : t -> name:string -> page:int -> bytes -> unit
 val delete : t -> name:string -> unit
 val list : t -> prefix:string -> Cedar_fsbase.Fs_ops.info list
 (** Properties come from the headers: one disk read per (uncached) file. *)
@@ -70,7 +69,6 @@ val drop_open_cache : t -> unit
 
 val ops : t -> Cedar_fsbase.Fs_ops.t
 val layout : t -> Cfs_layout.t
-val device : t -> Cedar_disk.Device.t
 val free_sector_hints : t -> int
 
 val check : t -> (unit, string) result

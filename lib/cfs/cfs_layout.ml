@@ -68,5 +68,3 @@ let fnt_sector t ~page =
 let is_data_sector t s =
   s >= t.data_lo && s < t.data_hi
   && not (s >= t.fnt_start && s < t.fnt_start + t.fnt_sectors)
-
-let data_sectors t = t.data_hi - t.data_lo - t.fnt_sectors

@@ -32,4 +32,3 @@ type t = {
 val compute : Cedar_disk.Geometry.t -> params -> t
 val fnt_sector : t -> page:int -> int
 val is_data_sector : t -> int -> bool
-val data_sectors : t -> int

@@ -138,7 +138,6 @@ let clock t = t.clock
 let stats t = t.stats
 let trace t = t.trace
 let metrics t = t.metrics
-let id t = t.id
 
 let check_sector t s =
   if s < 0 || s >= Geometry.total_sectors t.geom then
@@ -529,15 +528,6 @@ let verified_read t s ~expect =
   ensure_ok t ~sector:s ~count:1;
   check_label t s ~expect;
   copy_out t ~sector:s ~count:1
-
-let verified_write t s ~expect b =
-  if Bytes.length b <> t.geom.Geometry.sector_bytes then
-    invalid_arg "Device.verified_write: not one sector";
-  check_sector t s;
-  ensure_ok t ~sector:s ~count:1;
-  check_label t s ~expect;
-  t.stats.label_ops <- t.stats.label_ops + 1;
-  write_sectors t ~sector:s ~count:1 b
 
 let verified_read_run t ~sector ~expect =
   let count = List.length expect in

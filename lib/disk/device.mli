@@ -54,9 +54,6 @@ val geometry : t -> Geometry.t
 val clock : t -> Cedar_util.Simclock.t
 val stats : t -> Iostats.t
 
-val id : t -> int
-(** The device id stamped into [Dev_*] trace events. *)
-
 val trace : t -> Cedar_obs.Trace.t
 (** The volume-wide event trace. Disabled (and allocation-free on the
     I/O path) until [Trace.enable]; every device command then emits a
@@ -202,8 +199,6 @@ val write_labels : t -> sector:int -> Label.t list -> unit
 val verified_read : t -> int -> expect:Label.t -> bytes
 (** Microcode check-then-transfer: raises [Error] with [Label_mismatch] if
     the on-disk label differs from [expect]. *)
-
-val verified_write : t -> int -> expect:Label.t -> bytes -> unit
 
 val verified_read_run : t -> sector:int -> expect:Label.t list -> bytes
 (** One command verifying and reading several consecutive sectors. *)

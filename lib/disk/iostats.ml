@@ -44,19 +44,6 @@ let diff ~after ~before =
     busy_us = after.busy_us - before.busy_us;
   }
 
-let reset t =
-  t.ios <- 0;
-  t.reads <- 0;
-  t.writes <- 0;
-  t.sectors_read <- 0;
-  t.sectors_written <- 0;
-  t.label_ops <- 0;
-  t.seeks <- 0;
-  t.seek_us <- 0;
-  t.rotation_us <- 0;
-  t.transfer_us <- 0;
-  t.busy_us <- 0
-
 let to_json t =
   Cedar_obs.Jsonb.Obj
     [
@@ -72,12 +59,3 @@ let to_json t =
       ("transfer_us", Cedar_obs.Jsonb.Int t.transfer_us);
       ("busy_us", Cedar_obs.Jsonb.Int t.busy_us);
     ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "ios=%d (r=%d w=%d) sectors r=%d w=%d labels=%d seeks=%d busy=%.1fms (seek %.1f rot %.1f xfer %.1f)"
-    t.ios t.reads t.writes t.sectors_read t.sectors_written t.label_ops t.seeks
-    (float_of_int t.busy_us /. 1000.)
-    (float_of_int t.seek_us /. 1000.)
-    (float_of_int t.rotation_us /. 1000.)
-    (float_of_int t.transfer_us /. 1000.)

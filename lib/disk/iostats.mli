@@ -25,9 +25,6 @@ val copy : t -> t
 val diff : after:t -> before:t -> t
 (** Counter-wise subtraction, for measuring one operation. *)
 
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit
-
 val to_json : t -> Cedar_obs.Jsonb.t
-(** Machine-readable counterpart of {!pp}, used by [cedar stats] and
-    the bench table emitter. *)
+(** Every counter as a JSON object, used by [cedar stats] and the bench
+    table emitter. *)

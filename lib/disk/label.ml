@@ -24,18 +24,6 @@ let kind_of_int = function
   | 5 -> Boot
   | n -> raise (Bytebuf.Decode_error (Printf.sprintf "bad label kind %d" n))
 
-let kind_to_string = function
-  | Free -> "free"
-  | Header -> "header"
-  | Data -> "data"
-  | Fnt -> "fnt"
-  | Vam -> "vam"
-  | Boot -> "boot"
-
-let pp ppf t =
-  Format.fprintf ppf "{uid=%Ld page=%d kind=%s}" t.uid t.page
-    (kind_to_string t.kind)
-
 let encode t =
   let w = Bytebuf.Writer.create ~initial:16 () in
   Bytebuf.Writer.u64 w t.uid;

@@ -20,8 +20,6 @@ val free : t
 (** The label of an unallocated sector: zero uid, page 0, [Free]. *)
 
 val equal : t -> t -> bool
-val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit
 
 val encode : t -> bytes
 val decode : bytes -> t

@@ -68,13 +68,3 @@ let equal a b =
   | Cached { server = s1; last_used = l1 }, Cached { server = s2; last_used = l2 } ->
     s1 = s2 && l1 = l2
   | (Local | Symlink _ | Cached _), _ -> false
-
-let pp ppf t =
-  let kind =
-    match t.kind with
-    | Local -> "local"
-    | Symlink { target } -> "symlink->" ^ target
-    | Cached { server; _ } -> "cached@" ^ server
-  in
-  Format.fprintf ppf "{uid=%Ld %s %dB keep=%d runs=%a}" t.uid kind t.byte_size
-    t.keep Run_table.pp t.runs

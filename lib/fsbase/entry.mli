@@ -43,4 +43,3 @@ val decode : string -> t
 (** Raises [Bytebuf.Decode_error] on malformed input. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -31,8 +31,6 @@ let parse k =
     | Some version when version >= 1 && version <= max_version -> Some (name, version)
     | Some _ | None -> None)
 
-let pp ppf (name, version) = Format.fprintf ppf "%s!%d" name version
-
 (* FNV-1a, 32-bit. Stable across runs and OCaml versions by
    construction (no Hashtbl.hash, whose output is unspecified), which
    is what lets a rebooted volume re-derive the same shard for every

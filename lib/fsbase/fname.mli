@@ -5,10 +5,8 @@
     newest version of a name is the greatest key below the name's upper
     bound. *)
 
-val max_name_bytes : int
-
 val validate : string -> (unit, string) result
-(** A valid name is non-empty, at most {!max_name_bytes} bytes, and
+(** A valid name is non-empty, at most 100 bytes, and
     contains neither ['!'] nor control characters. *)
 
 val key : name:string -> version:int -> string
@@ -19,9 +17,6 @@ val bounds : name:string -> string * string
 
 val parse : string -> (string * int) option
 (** Inverse of {!key}. *)
-
-val pp : Format.formatter -> string * int -> unit
-(** Prints "name!version". *)
 
 val shard : shards:int -> string -> int
 (** Stable shard for [name] in [0, shards): FNV-1a over the name's

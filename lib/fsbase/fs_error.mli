@@ -19,5 +19,4 @@ type t =
 exception Fs_error of t
 
 val raise_ : t -> 'a
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -56,20 +56,6 @@ let contiguous_prefix t ~page =
   in
   go page t.runs
 
-let truncate t ~pages =
-  if pages < 0 || pages > t.pages then invalid_arg "Run_table.truncate";
-  let rec go keep acc = function
-    | [] -> (List.rev acc, [])
-    | r :: rest ->
-      if keep = 0 then (List.rev acc, r :: rest)
-      else if r.len <= keep then go (keep - r.len) (r :: acc) rest
-      else
-        ( List.rev ({ r with len = keep } :: acc),
-          { start = r.start + keep; len = r.len - keep } :: rest )
-  in
-  let kept, freed = go pages [] t.runs in
-  ({ runs = kept; pages }, freed)
-
 let iter_sectors t f =
   List.iter
     (fun r ->
@@ -79,15 +65,6 @@ let iter_sectors t f =
     t.runs
 
 let equal a b = a.runs = b.runs
-
-let crc t =
-  let w = Bytebuf.Writer.create () in
-  List.iter
-    (fun r ->
-      Bytebuf.Writer.u32 w r.start;
-      Bytebuf.Writer.u32 w r.len)
-    t.runs;
-  Crc32.bytes (Bytebuf.Writer.contents w)
 
 let encode w t =
   Bytebuf.Writer.list w
@@ -104,10 +81,3 @@ let decode r =
         { start; len })
   in
   of_runs runs
-
-let pp ppf t =
-  Format.fprintf ppf "[%a] (%d pages)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-       (fun ppf r -> Format.fprintf ppf "%d+%d" r.start r.len))
-    t.runs t.pages

@@ -26,15 +26,8 @@ val contiguous_prefix : t -> page:int -> int
 (** Number of pages starting at [page] that are physically consecutive on
     disk — the largest single transfer beginning there. *)
 
-val truncate : t -> pages:int -> t * run list
-(** [truncate t ~pages] keeps the first [pages] pages; returns the
-    remainder as freed runs. *)
-
 val iter_sectors : t -> (int -> unit) -> unit
 val equal : t -> t -> bool
-val crc : t -> int
-(** Checksum over the run list, stored in the FSD leader page. *)
 
 val encode : Cedar_util.Bytebuf.Writer.t -> t -> unit
 val decode : Cedar_util.Bytebuf.Reader.t -> t
-val pp : Format.formatter -> t -> unit

@@ -64,7 +64,6 @@ type t = {
   mutable last_force_io : Device.completion option;
       (* the last force's device requests, for [last_force_window] *)
   mutable live : bool;
-  mutable vam_saved_clean : bool;
   mutable mutation_seq : int;
       (* bumped whenever an operation leaves log-pending metadata *)
   mutable durable_seq : int;
@@ -331,14 +330,6 @@ let maybe_commit t =
   let due_bulk = Fnt_store.pages_to_log_count t.store >= force_threshold t in
   if due_time || due_bulk then force t
 
-(* Any mutation of allocation state spoils an idle-period VAM snapshot.
-   With VAM logging the base stays valid: the mutations reach the log. *)
-let spoil_saved_vam t =
-  if t.vam_saved_clean && not t.params.Params.log_vam then begin
-    Vam.invalidate_saved t.layout t.device;
-    t.vam_saved_clean <- false
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Name-table access                                                   *)
 
@@ -520,7 +511,6 @@ let delete_version_unchecked t name version =
     t.mutation_seq <- t.mutation_seq + 1;
     emit t (Trace.Mutation { seq = t.mutation_seq });
     ignore (B.delete t.tree key : bool);
-    spoil_saved_vam t;
     if e.Entry.anchor >= 0 then begin
       (* The leader and the data pages return to the VAM at commit. *)
       Alloc.free_on_commit t.alloc
@@ -535,10 +525,12 @@ let enforce_keep t name newest_version keep =
       (fun v -> if v <= newest_version - keep then delete_version_unchecked t name v)
       (versions t ~name)
 
-let create_common t ~name ~keep ~data_pages ~byte_size ~kind data_opt =
+let create_common t ~name ~keep ~kind data =
   require_live t;
   validate_name name;
-  spoil_saved_vam t;
+  let sb = sector_bytes t in
+  let byte_size = Bytes.length data in
+  let data_pages = max 1 ((byte_size + sb - 1) / sb) in
   let small = byte_size <= Params.small_file_bytes in
   let runs =
     match Alloc.allocate t.alloc ~sectors:(1 + data_pages) ~small with
@@ -564,42 +556,33 @@ let create_common t ~name ~keep ~data_pages ~byte_size ~kind data_opt =
    with e ->
      Alloc.free_now t.alloc runs;
      raise e);
-  let limage = leader_image_of_entry t ~name ~version entry in
-  (match data_opt with
-  | Some data ->
-    (* One image: the leader, then the data zero-padded to whole pages.
-       Every write takes its sectors from it, a single-run file the whole
-       image at once. *)
-    let sb = sector_bytes t in
-    let len = Bytes.length data in
-    let image = Bytes.create ((1 + data_pages) * sb) in
-    Bytes.blit limage 0 image 0 sb;
-    Bytes.blit data 0 image sb len;
-    Bytes.fill image (sb + len) ((data_pages * sb) - len) '\000';
-    let write_at ~sector ~pos ~sectors =
-      Device.write_run t.device ~sector
-        (if sectors = 1 + data_pages then image else Bytes.sub image pos (sectors * sb))
-    in
-    (* One synchronous I/O for the leader and the first data run when
-       they are adjacent; on a fragmented volume the leader goes alone. *)
-    let lead, rest =
-      match Run_table.runs entry.Entry.runs with
-      | first :: rest when first.Run_table.start = anchor + 1 ->
-        (1 + first.Run_table.len, rest)
-      | runs -> (1, runs)
-    in
-    write_at ~sector:anchor ~pos:0 ~sectors:lead;
-    let pos = ref (lead * sb) in
-    List.iter
-      (fun r ->
-        write_at ~sector:r.Run_table.start ~pos:!pos ~sectors:r.Run_table.len;
-        pos := !pos + (r.Run_table.len * sb))
-      rest;
-    Hashtbl.replace t.verified uid ()
-  | None ->
-    (* No data write to piggyback on: the leader goes through the log. *)
-    Hashtbl.replace t.pending_leaders anchor
-      { image = limage; modified = true; logged = None });
+  (* One image: the leader, then the data zero-padded to whole pages.
+     Every write takes its sectors from it, a single-run file the whole
+     image at once. *)
+  let image = Bytes.create ((1 + data_pages) * sb) in
+  Bytes.blit (leader_image_of_entry t ~name ~version entry) 0 image 0 sb;
+  Bytes.blit data 0 image sb byte_size;
+  Bytes.fill image (sb + byte_size) ((data_pages * sb) - byte_size) '\000';
+  let write_at ~sector ~pos ~sectors =
+    Device.write_run t.device ~sector
+      (if sectors = 1 + data_pages then image else Bytes.sub image pos (sectors * sb))
+  in
+  (* One synchronous I/O for the leader and the first data run when
+     they are adjacent; on a fragmented volume the leader goes alone. *)
+  let lead, rest =
+    match Run_table.runs entry.Entry.runs with
+    | first :: rest when first.Run_table.start = anchor + 1 ->
+      (1 + first.Run_table.len, rest)
+    | runs -> (1, runs)
+  in
+  write_at ~sector:anchor ~pos:0 ~sectors:lead;
+  let pos = ref (lead * sb) in
+  List.iter
+    (fun r ->
+      write_at ~sector:r.Run_table.start ~pos:!pos ~sectors:r.Run_table.len;
+      pos := !pos + (r.Run_table.len * sb))
+    rest;
+  Hashtbl.replace t.verified uid ();
   enforce_keep t name version keep;
   op_done t ~pages:data_pages ();
   info_of name version entry
@@ -607,29 +590,13 @@ let create_common t ~name ~keep ~data_pages ~byte_size ~kind data_opt =
 let create t ~name ?keep data =
   traced t ~op:"create" ~name (fun () ->
       let keep = Option.value keep ~default:t.params.Params.default_keep in
-      let sb = sector_bytes t in
-      let byte_size = Bytes.length data in
-      let data_pages = max 1 ((byte_size + sb - 1) / sb) in
-      create_common t ~name ~keep ~data_pages ~byte_size ~kind:Entry.Local
-        (Some data))
-
-let create_empty t ~name ?keep ~pages () =
-  if pages < 0 then invalid_arg "Fsd.create_empty";
-  traced t ~op:"create_empty" ~name (fun () ->
-      let keep = Option.value keep ~default:t.params.Params.default_keep in
-      let sb = sector_bytes t in
-      create_common t ~name ~keep ~data_pages:pages ~byte_size:(pages * sb)
-        ~kind:Entry.Local None)
+      create_common t ~name ~keep ~kind:Entry.Local data)
 
 let import_cached t ~name ~server data =
   traced t ~op:"import" ~name (fun () ->
-      let sb = sector_bytes t in
-      let byte_size = Bytes.length data in
-      let data_pages = max 1 ((byte_size + sb - 1) / sb) in
-      create_common t ~name ~keep:t.params.Params.default_keep ~data_pages
-        ~byte_size
+      create_common t ~name ~keep:t.params.Params.default_keep
         ~kind:(Entry.Cached { server; last_used = now t })
-        (Some data))
+        data)
 
 let create_symlink t ~name ~target =
   traced t ~op:"symlink" ~name @@ fun () ->
@@ -722,64 +689,11 @@ let read_page t ~name ~page =
   op_done t ~pages:1 ();
   result
 
-let write_page t ~name ~page data =
-  traced t ~op:"write_page" ~name @@ fun () ->
-  require_live t;
-  let _, _, e = newest_exn t name in
-  let npages = Run_table.pages e.Entry.runs in
-  if page < 0 || page >= npages then Fs_error.raise_ (Fs_error.Bad_page { name; page });
-  Device.write t.device (Run_table.sector_of_page e.Entry.runs page) data;
-  op_done t ~pages:1 ()
-
 let update_entry t ~key (e : Entry.t) =
   insert_entry t ~key e;
   match Fname.parse key with
   | Some (name, version) -> refresh_leader t ~name ~version e
   | None -> ()
-
-let extend t ~name ~pages =
-  if pages <= 0 then invalid_arg "Fsd.extend";
-  traced t ~op:"extend" ~name @@ fun () ->
-  require_live t;
-  let key, _, e = newest_exn t name in
-  spoil_saved_vam t;
-  let small = Run_table.pages e.Entry.runs + pages <= 8 in
-  let new_runs =
-    match Alloc.allocate t.alloc ~sectors:pages ~small with
-    | Ok rs -> rs
-    | Error `Volume_full -> Fs_error.raise_ Fs_error.Volume_full
-    | Error `Too_fragmented -> Fs_error.raise_ (Fs_error.Too_fragmented name)
-  in
-  let runs =
-    try Run_table.of_runs (Run_table.runs e.Entry.runs @ new_runs)
-    with Invalid_argument _ -> corrupt ("run table overlap extending " ^ name)
-  in
-  let sb = sector_bytes t in
-  let e' = { e with Entry.runs; byte_size = e.Entry.byte_size + (pages * sb) } in
-  (try update_entry t ~key e'
-   with exn ->
-     Alloc.free_now t.alloc new_runs;
-     raise exn);
-  Hashtbl.remove t.verified e.Entry.uid;
-  Hashtbl.replace t.verified e'.Entry.uid (); (* leader refreshed in pending *)
-  op_done t ()
-
-let contract t ~name ~pages =
-  if pages < 0 then invalid_arg "Fsd.contract";
-  traced t ~op:"contract" ~name @@ fun () ->
-  require_live t;
-  let key, _, e = newest_exn t name in
-  let current = Run_table.pages e.Entry.runs in
-  if pages > current then Fs_error.raise_ (Fs_error.Bad_page { name; page = pages });
-  spoil_saved_vam t;
-  let runs, freed = Run_table.truncate e.Entry.runs ~pages in
-  let sb = sector_bytes t in
-  let e' =
-    { e with Entry.runs; byte_size = min e.Entry.byte_size (pages * sb) }
-  in
-  update_entry t ~key e';
-  Alloc.free_on_commit t.alloc freed;
-  op_done t ()
 
 let delete t ~name =
   traced t ~op:"delete" ~name @@ fun () ->
@@ -789,46 +703,6 @@ let delete t ~name =
   (* simulated freeing cost scales with the run table, as the paper's
      shadow-bitmap work did *)
   op_done t ~pages:(Run_table.pages e.Entry.runs / 2) ()
-
-let delete_version t ~name ~version =
-  traced t ~op:"delete_version" ~name @@ fun () ->
-  require_live t;
-  validate_name name;
-  delete_version_unchecked t name version;
-  op_done t ()
-
-let set_keep t ~name ~keep =
-  if keep < 0 then invalid_arg "Fsd.set_keep";
-  traced t ~op:"set_keep" ~name @@ fun () ->
-  require_live t;
-  let key, version, e = newest_exn t name in
-  update_entry t ~key { e with Entry.keep };
-  enforce_keep t name version keep;
-  op_done t ()
-
-(* Rename is pure metadata: both the removal and the insertion ride the
-   same group commit, so the pair is atomic (one log record). *)
-let rename t ~from_ ~to_ =
-  traced t ~op:"rename" ~name:from_ @@ fun () ->
-  require_live t;
-  validate_name to_;
-  let from_key, _, e = newest_exn t from_ in
-  (match newest t to_ with
-  | Some _ -> Fs_error.raise_ (Fs_error.Bad_name { name = to_; reason = "target exists" })
-  | None -> ());
-  ignore (B.delete t.tree from_key : bool);
-  (* The leader mirrors the name: refresh it under the new key so a later
-     scavenge does not resurrect the old name. *)
-  update_entry t ~key:(Fname.key ~name:to_ ~version:1) e;
-  op_done t ()
-
-(* Copy duplicates the data pages under a fresh uid and leader. *)
-let copy t ~from_ ~to_ =
-  traced t ~op:"copy" ~name:from_ @@ fun () ->
-  require_live t;
-  let data = read_all t ~name:from_ in
-  let _, _, e = newest_exn t from_ in
-  create t ~name:to_ ~keep:e.Entry.keep data
 
 let touch_cached t ~name =
   traced t ~op:"touch" ~name @@ fun () ->
@@ -1096,18 +970,6 @@ let enable_monitor ?(interval_us = Params.monitor_interval_us) t =
   t.monitor <- Some m;
   m
 
-let disable_monitor t = t.monitor <- None
-
-let save_vam t =
-  require_live t;
-  force t;
-  if not t.params.Params.log_vam then begin
-    (* An idle snapshot, trusted until the next mutation. With VAM
-       logging the boot-time base plus the log already cover the map. *)
-    Vam.save (Alloc.vam t.alloc) t.device;
-    t.vam_saved_clean <- true
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
@@ -1327,7 +1189,6 @@ let boot ?params device =
       last_force = Simclock.now clock;
       last_force_io = None;
       live = true;
-      vam_saved_clean = false;
       mutation_seq = 0;
       durable_seq = 0;
       autocommit = true;

@@ -64,33 +64,14 @@ val shutdown : t -> unit
     [name] operations address the newest version unless stated. *)
 
 val create : t -> name:string -> ?keep:int -> bytes -> Cedar_fsbase.Fs_ops.info
-val create_empty : t -> name:string -> ?keep:int -> pages:int -> unit -> Cedar_fsbase.Fs_ops.info
-(** Allocates space without writing data (the leader is logged and later
-    written by the logging code — §5.3's non-piggybacked path). *)
-
 val open_stat : t -> name:string -> Cedar_fsbase.Fs_ops.info
 val exists : t -> name:string -> bool
 val read_all : t -> name:string -> bytes
-(** Dereferences a symlink one level. *)
+(** Follows a chain of symlinks to the file at its end; a chain of more
+    than 8 symlinks raises [Corrupt_metadata]. *)
 
 val read_page : t -> name:string -> page:int -> bytes
-val write_page : t -> name:string -> page:int -> bytes -> unit
-val extend : t -> name:string -> pages:int -> unit
-val contract : t -> name:string -> pages:int -> unit
-(** Truncate to [pages] data pages. *)
-
-val rename : t -> from_:string -> to_:string -> unit
-(** Move the newest version of [from_] to (a fresh) [to_]. Pure metadata:
-    the removal and insertion commit together in one log record. Fails if
-    [to_] exists. *)
-
-val copy : t -> from_:string -> to_:string -> Cedar_fsbase.Fs_ops.info
-(** Duplicate the newest version's contents as a new file (fresh uid,
-    leader, and pages). *)
-
 val delete : t -> name:string -> unit
-val delete_version : t -> name:string -> version:int -> unit
-val set_keep : t -> name:string -> keep:int -> unit
 val list : t -> prefix:string -> Cedar_fsbase.Fs_ops.info list
 val versions : t -> name:string -> int list
 
@@ -172,9 +153,6 @@ val commit_due_at : t -> int
     (last force time + [commit_interval_us]) — what a scheduler that
     owns the clock sleeps toward when every session is parked. *)
 
-val save_vam : t -> unit
-(** Idle-period VAM save (valid until the next metadata mutation). *)
-
 (** {1 Telemetry monitor}
 
     A {!Cedar_obs.Monitor} sampling the metrics registry on the
@@ -209,7 +187,6 @@ val enable_monitor : ?interval_us:int -> t -> Cedar_obs.Monitor.t
     summaries. Server-side names read as zero until a server registers
     them. *)
 
-val disable_monitor : t -> unit
 val monitor : t -> Cedar_obs.Monitor.t option
 
 (** {1 Introspection} *)

@@ -4,20 +4,8 @@
     for the in-memory views) and writes human-readable reports; nothing
     is modified. Used by [cedar inspect] and handy when a test fails. *)
 
-val log_report : Cedar_disk.Device.t -> Layout.t -> Format.formatter -> unit
-(** The oldest-record pointer and every surviving record: number, body
-    offset, total sectors, and the logged units. *)
-
-val name_table_report : Fsd.t -> Format.formatter -> unit
-(** B-tree shape (depth, pages, fill) and per-kind entry counts. *)
-
-val robustness_report : Fsd.t -> Format.formatter -> unit
-(** Scrub-demon and twin-repair counters. *)
-
-val vam_report : Fsd.t -> Format.formatter -> unit
-(** Free-space totals and the ten largest free extents per area. *)
-
-val layout_report : Layout.t -> Format.formatter -> unit
-
 val volume_report : Fsd.t -> string
-(** All of the above for a booted volume. *)
+(** A booted volume's layout, name table (B-tree shape, per-kind entry
+    counts), scrub and twin-repair counters, free space (totals and the
+    ten largest free extents per area) and log (the oldest-record
+    pointer and every surviving record). *)

@@ -96,9 +96,9 @@ val next_record_no : t -> int64
 
 val thirds_entered_by : t -> record_sectors:int -> int list
 (** Which thirds appending a record of that many total sectors would
-    enter (and therefore overwrite). Pure; used by the VAM-logging
-    extension to fold soon-to-be-lost chunk images into the same
-    record. *)
+    enter (and therefore overwrite). A pure prediction, nothing in the
+    file system calls it: the diverged-page test drives it to learn
+    which record reclaims a third. *)
 
 val reset_pointer : t -> unit
 (** Point the oldest-record pointer at the end of the chain. Called by a

@@ -17,7 +17,7 @@ type t
 type mode =
   | Snapshot
       (** a full map, valid only while nothing has changed since the save
-          (the paper's scheme: saved at shutdown and idle) *)
+          (the paper's scheme; saved here at controlled shutdown) *)
   | Log_based
       (** a base image whose subsequent changes live in the redo log as
           {!Cedar_fsd.Log.Vam_chunk} records — the extension §5.3
@@ -25,9 +25,6 @@ type mode =
 
 val create_all_free : Layout.t -> t
 (** Every data sector free; metadata regions permanently non-free. *)
-
-val create_none_free : Layout.t -> t
-(** Every sector non-free: the starting point for reconstruction. *)
 
 val layout : t -> Layout.t
 val is_free : t -> int -> bool

@@ -43,18 +43,3 @@ let weighted g cases =
   if abs_float (psum -. 1.0) > 1e-6 then
     invalid_arg "Script.weighted: probabilities must sum to 1";
   List.fold_left (fun acc (p, s) -> acc +. (p *. time_us g s)) 0.0 cases
-
-let pp_step ppf = function
-  | Seek -> Format.fprintf ppf "seek"
-  | Short_seek c -> Format.fprintf ppf "short-seek(%d)" c
-  | Latency -> Format.fprintf ppf "latency"
-  | Revolution -> Format.fprintf ppf "revolution"
-  | Rev_minus_transfer n -> Format.fprintf ppf "rev-%dxfer" n
-  | Transfer n -> Format.fprintf ppf "transfer(%d)" n
-  | Long_transfer n -> Format.fprintf ppf "long-transfer(%d)" n
-  | Cpu us -> Format.fprintf ppf "cpu(%dus)" us
-
-let pp ppf s =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_step)
-    s

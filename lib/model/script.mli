@@ -34,6 +34,3 @@ val weighted : Cedar_disk.Geometry.t -> (float * t) list -> float
 (** [weighted g [(p1, s1); ...]] is the probability-weighted expected time
     in microseconds — used to average the cache-hit and cache-miss cases.
     The probabilities must sum to 1 (within 1e-6). *)
-
-val pp_step : Format.formatter -> step -> unit
-val pp : Format.formatter -> t -> unit

@@ -154,11 +154,6 @@ let fold entries =
   let aggs = List.map agg_of (List.sort compare !kinds) in
   { ops; aggs; orphans = !orphans; unfinished; all_conserved }
 
-let blame t ~op =
-  match List.find_opt (fun a -> a.a_op = op) t.aggs with
-  | Some a when a.a_n > 0 -> Some a.a_blame
-  | Some _ | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Rendering. *)
 

@@ -70,9 +70,6 @@ val fold : Trace.entry list -> t
     only to count records whose start fell off a truncated ring
     ([orphans]) and lifecycles still open at the end ([unfinished]). *)
 
-val blame : t -> op:string -> phase option
-(** The dominant tail phase for op kind [op], if any completed. *)
-
 val to_json : ?op:string -> ?top:int -> t -> Jsonb.t
 (** Deterministic rendering: a summary object, per-kind aggregates
     (optionally restricted to kind [op]) and the [top] slowest ops

@@ -16,7 +16,6 @@ type t = { tbl : (string, instrument) Hashtbl.t; prefix : string }
 
 let create () = { tbl = Hashtbl.create 64; prefix = "" }
 let scoped t prefix = { tbl = t.tbl; prefix = t.prefix ^ prefix }
-let prefix t = t.prefix
 let full t name = if t.prefix = "" then name else t.prefix ^ name
 
 (* Restrict an enumerated name to this view: [Some local] when it lives

@@ -33,9 +33,6 @@ val scoped : t -> string -> t
     per instance; the root view still enumerates everything under its
     full ["vol0.fsd.forces"] names. Scopes nest. *)
 
-val prefix : t -> string
-(** The view's accumulated prefix; [""] for a root registry. *)
-
 val counter : t -> string -> counter
 (** Register (or re-register, zeroed) a counter under [name]. *)
 

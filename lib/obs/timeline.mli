@@ -4,10 +4,6 @@
     inherit the monitor's determinism contract: two identical runs
     produce byte-identical JSON, CSV and frames. *)
 
-val sample_json : Monitor.sample -> Jsonb.t
-(** One sample as [{at_us, dt_us, counters, gauges, derived, dists}]
-    with each group an object in the sample's (name-sorted) order. *)
-
 val to_json : Monitor.sample list -> Jsonb.t
 (** The whole timeline as a JSON array, oldest sample first. *)
 
@@ -16,11 +12,6 @@ val to_csv : Monitor.sample list -> string
     across all samples of counter ([c.NAME]), gauge ([g.NAME]), derived
     ([d.NAME]) and dist ([NAME.n/.p50/.p90/.p99]) columns, each group
     name-sorted; cells a sample lacks are empty. *)
-
-val sparkline : ?width:int -> float list -> string
-(** The series (oldest first; newest [width] points kept, default 48)
-    as eight-level UTF-8 block glyphs scaled to its own min/max. Plain
-    text — no ANSI escape sequences. *)
 
 val render_frame :
   ?spark:string list -> history:Monitor.sample list -> Monitor.sample -> string

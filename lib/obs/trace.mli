@@ -164,7 +164,5 @@ val to_list : t -> entry list
 
 val iter : t -> (entry -> unit) -> unit
 
-val pp_event : Format.formatter -> event -> unit
-
 val pp_entry : Format.formatter -> entry -> unit
 (** Timestamps are printed in simulated milliseconds. *)

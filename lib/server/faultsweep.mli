@@ -45,9 +45,6 @@ val default_wrap_spec : Cedar_workload.Concurrent.churn_spec
 (** A churn spec sized for [Geometry.tiny_test]: two clients' worth
     wraps the log more than once while keeping the sweep affordable. *)
 
-val workload_name : workload -> string
-(** ["reference"] or ["wrap"]. *)
-
 val all_tears : Cedar_disk.Device.tear list
 (** [Tear_none], [Tear_zero], [Tear_garbage], [Tear_damage 1]. *)
 

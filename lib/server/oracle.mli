@@ -15,11 +15,7 @@ type mut =
   | Mcreate of { name : string; bytes : int; fill : int }
   | Mdelete of string
 
-val mut_of_op : Cedar_workload.Concurrent.op -> mut option
-(** [Some] for creates and deletes, [None] for read-only ops. *)
-
 val muts_of_script : Cedar_workload.Concurrent.script -> mut list
-val mut_name : mut -> string
 
 val mut_names : mut list -> string list
 (** Every distinct name the mutations touch, sorted. *)
@@ -31,8 +27,6 @@ type state = (string, (int * int) list) Hashtbl.t
 val state_after : keep:int -> mut list -> int -> state
 (** The model state after the first [i] mutations, keeping at most
     [keep] versions per name ([keep <= 0] keeps all). *)
-
-val expected_stack : state -> string -> (int * int) list
 
 val actual_file :
   Cedar_fsd.Fsd.t -> name:string -> (bytes option, string) result

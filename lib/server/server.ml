@@ -833,10 +833,6 @@ let run t =
 let serve_volumes ?config vset scripts = run (create_volumes ?config vset scripts)
 let acked t = List.rev t.acked_rev
 
-let crashed_volumes t =
-  Array.to_list t.vols
-  |> List.filter_map (fun v -> if v.v_dead then Some v.v_id else None)
-
 type outcome = Completed of report | Crashed of { sector : int }
 
 let run_to_crash t =

@@ -127,22 +127,13 @@ val create_volumes :
     counters. Raises [Invalid_argument] on an empty script array or a
     non-positive [queue_cap]. *)
 
-val run : t -> report
-(** Drive every session to completion and drain the final batches. A
-    device crash planted by [on_force] on a single-volume server
-    propagates as [Cedar_disk.Device.Crash_during_write] — by then
-    every acknowledged transaction is on disk and no unacknowledged one
-    is. On a multi-volume server the same crash quarantines only that
-    volume: its parked sessions abort, sessions later routed to it
-    abort, every other volume keeps serving to completion, and the
-    report marks the volume [vr_crashed]. *)
-
 val serve_volumes :
   ?config:config ->
   Cedar_volumes.Volume_set.t ->
   Cedar_workload.Concurrent.script array ->
   report
-(** [create_volumes] + [run]. *)
+(** [create_volumes], then drive every session to completion and drain
+    the final batches. *)
 
 val acked : t -> (int * Cedar_workload.Concurrent.op) list
 (** The ack journal: every [(client, op)] acknowledged durable so far,
@@ -151,20 +142,20 @@ val acked : t -> (int * Cedar_workload.Concurrent.op) list
     and correct (on a multi-volume server: everything in this list
     routed to the crashed volume). *)
 
-val crashed_volumes : t -> int list
-(** Volumes quarantined by a planted crash so far, ascending — empty
-    for a healthy run, and always empty on a single-volume server
-    (where the crash propagates instead). *)
-
 type outcome =
   | Completed of report
   | Crashed of { sector : int }  (** the planted device fault fired *)
 
 val run_to_crash : t -> outcome
-(** {!run}, but a [Cedar_disk.Device.Crash_during_write] is caught and
-    returned as [Crashed] — the restartable entry point for the crash
-    sweep. The server object must be discarded after a crash; inspect
-    {!acked} and reboot the volume. *)
+(** Drive every session to completion and drain the final batches. A
+    device crash planted by [on_force] on a single-volume server stops
+    the run with [Crashed] — by then every acknowledged transaction is
+    on disk and no unacknowledged one is. The server object must be
+    discarded after a crash; inspect {!acked} and reboot the volume. On
+    a multi-volume server the same crash quarantines only that volume:
+    its parked sessions abort, sessions later routed to it abort, every
+    other volume keeps serving to completion, and the [Completed]
+    report marks the volume [vr_crashed]. *)
 
 val report_json : report -> Cedar_obs.Jsonb.t
 (** Deterministic rendering (fixed field order, sessions in client

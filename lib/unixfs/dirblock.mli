@@ -6,6 +6,3 @@ val entries : bytes -> (int * string) list
 
 val encode : block_bytes:int -> (int * string) list -> bytes option
 (** [None] if the entries do not fit the block. *)
-
-val entry_bytes : string -> int
-val fits : block_bytes:int -> (int * string) list -> bool

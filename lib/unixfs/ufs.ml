@@ -176,7 +176,6 @@ type t = {
   ops_c : Cedar_obs.Metrics.counter;
 }
 
-let device t = t.device
 let cpu_overlapped_us t = t.cpu_overlapped
 let require_live t = if not t.live then Fs_error.raise_ Fs_error.Not_booted
 

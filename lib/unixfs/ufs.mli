@@ -46,7 +46,6 @@ val ops : t -> Cedar_fsbase.Fs_ops.t
 (** [list ~prefix] maps to [readdir] of the directory named by the
     prefix (with any trailing [/] removed). *)
 
-val device : t -> Cedar_disk.Device.t
 val cpu_overlapped_us : t -> int
 (** Data-path CPU charged as overlapping rotational gaps (Table 5). *)
 

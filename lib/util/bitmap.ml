@@ -97,7 +97,6 @@ let find_run_set_down t ~from ~downto_ ~len =
   in
   if from - len + 1 < downto_ then None else go (from - len + 1)
 
-let copy t = { bits = t.bits; data = Bytes.copy t.data }
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
 let to_bytes t = Bytes.copy t.data
 

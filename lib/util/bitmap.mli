@@ -41,7 +41,6 @@ val find_run_set_down : t -> from:int -> downto_:int -> len:int -> int option
 (** Like {!find_run_set} but searching from high addresses downward:
     the highest [pos] with [downto_ <= pos] and [pos + len <= from + 1]. *)
 
-val copy : t -> t
 val equal : t -> t -> bool
 
 val to_bytes : t -> bytes

@@ -45,7 +45,6 @@ module Writer = struct
     u16 w (List.length xs);
     List.iter (f w) xs
 
-  let length = Buffer.length
   let contents w = Buffer.to_bytes w
 
   let to_sector w ~size =
@@ -135,8 +134,4 @@ module Reader = struct
 
   let pos r = r.pos
   let remaining r = r.limit - r.pos
-
-  let expect_u32 r v what =
-    let got = u32 r in
-    if got <> v then fail "bad %s: expected %#x, got %#x" what v got
 end

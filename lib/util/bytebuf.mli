@@ -43,8 +43,6 @@ module Writer : sig
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** u16 count followed by each element. *)
 
-  val length : t -> int
-
   val contents : t -> bytes
 
   val to_sector : t -> size:int -> bytes
@@ -78,8 +76,4 @@ module Reader : sig
 
   val pos : t -> int
   val remaining : t -> int
-
-  val expect_u32 : t -> int -> string -> unit
-  (** [expect_u32 r v what] reads a u32 and raises {!Decode_error} mentioning
-      [what] unless it equals [v]. Used for magic numbers. *)
 end

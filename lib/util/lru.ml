@@ -106,14 +106,5 @@ let unpin t k =
       ignore (evict t : _ list)
     end
 
-let pinned t k =
-  match Hashtbl.find_opt t.table k with None -> false | Some n -> n.pinned
-
 let iter t f = Hashtbl.iter (fun k n -> f k n.value) t.table
 let size t = Hashtbl.length t.table
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.unpinned <- 0

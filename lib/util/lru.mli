@@ -26,8 +26,6 @@ val mem : ('k, 'v) t -> 'k -> bool
 
 val pin : ('k, 'v) t -> 'k -> unit
 val unpin : ('k, 'v) t -> 'k -> unit
-val pinned : ('k, 'v) t -> 'k -> bool
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 val size : ('k, 'v) t -> int
-val clear : ('k, 'v) t -> unit

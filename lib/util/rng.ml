@@ -31,11 +31,3 @@ let chance t p = float t 1.0 < p
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose";
   a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

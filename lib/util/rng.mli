@@ -12,7 +12,6 @@ val create : int -> t
 val split : t -> t
 (** An independent generator derived from the current state. *)
 
-val int64 : t -> int64
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n). [n] must be positive. *)
 
@@ -27,4 +26,3 @@ val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 
 val choose : t -> 'a array -> 'a
-val shuffle : t -> 'a array -> unit

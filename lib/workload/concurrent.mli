@@ -54,12 +54,10 @@ type spec = {
 
 val default_spec : spec
 
-val makedo_client : spec -> client:int -> script
-(** One client's closed-loop make/do session under its own directory
-    [c<NN>/]: create sources, then per round read sources, stat
-    dependencies, create-use-delete compiler temps and emit objects. *)
-
 val makedo_scripts : spec -> clients:int -> script array
+(** One closed-loop make/do session per client, each under its own
+    directory [c<NN>/]: create sources, then per round read sources, stat
+    dependencies, create-use-delete compiler temps and emit objects. *)
 
 (** {1 The crash-sweep reference script} *)
 
@@ -102,15 +100,13 @@ val default_churn : churn_spec
     mutations — on a small test volume one client wraps the log several
     times. *)
 
-val churn_client : churn_spec -> client:int -> script
-(** One client's closed-loop churn session over its own
+val churn_scripts : churn_spec -> clients:int -> script array
+(** One closed-loop churn session per client, each over its own
     ["c<NN>/churn/s<SSS>"] slots: ~60% creates (new versions of live
     slots — overwrites under keep truncation), ~25% deletes of the
     newest live version, ~15% reads, with per-slot live-depth tracking
     so no step targets a missing name. Deterministic; raises
     [Invalid_argument] on a non-positive [slots] or [churn_keep]. *)
-
-val churn_scripts : churn_spec -> clients:int -> script array
 
 (** {1 The open-loop production workload} *)
 

@@ -27,5 +27,4 @@ val build : Cedar_fsbase.Fs_ops.t -> spec -> Measure.sample
 
 val source_name : int -> string
 val object_name : int -> string
-val temp_name : int -> string
 val df_name : string

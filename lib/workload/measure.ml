@@ -36,7 +36,3 @@ let bandwidth_fraction geom ~bytes_moved ~elapsed_us =
   in
   if elapsed_us = 0 then 0.0
   else float_of_int bytes_moved /. (bytes_per_us *. float_of_int elapsed_us)
-
-let pp ppf s =
-  Format.fprintf ppf "%.1f ms, %d ios (%dr/%dw, %d+%d sectors)" (time_ms s)
-    s.ios s.reads s.writes s.sectors_read s.sectors_written

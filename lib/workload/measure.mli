@@ -17,5 +17,3 @@ val time_ms : sample -> float
 val bandwidth_fraction :
   Cedar_disk.Geometry.t -> bytes_moved:int -> elapsed_us:int -> float
 (** Fraction of the raw media rate achieved. *)
-
-val pp : Format.formatter -> sample -> unit

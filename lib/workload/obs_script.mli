@@ -13,9 +13,6 @@ val bytes_each : int
 
 val dir : string
 
-val name : int -> string
-(** Name of the [i]th scripted file. *)
-
 val warmup : Cedar_fsbase.Fs_ops.t -> unit
 val scripted : Cedar_fsbase.Fs_ops.t -> unit
 

@@ -288,7 +288,7 @@ let test_labels () =
   check bool "label read" true (Label.equal l (Device.read_label d 7));
   check bool "default free" true (Label.equal Label.free (Device.read_label d 8));
   (* Verified ops succeed with the right label... *)
-  Device.verified_write d 7 ~expect:l (sector_of_string g "data!");
+  Device.verified_write_run d ~sector:7 ~expect:[ l ] (sector_of_string g "data!");
   let b = Device.verified_read d 7 ~expect:l in
   check Alcotest.string "verified read" "data!" (String.sub (Bytes.to_string b) 0 5);
   (* ...and fail on a mismatch (the wild-write detector). *)

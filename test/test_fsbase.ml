@@ -40,20 +40,6 @@ let test_run_table_overlap_rejected () =
   | _ -> Alcotest.fail "expected overlap rejection (reverse order)"
   | exception Invalid_argument _ -> ()
 
-let test_run_table_truncate () =
-  let t = rt [ (10, 3); (20, 4) ] in
-  let kept, freed = Run_table.truncate t ~pages:4 in
-  check int "kept pages" 4 (Run_table.pages kept);
-  check int "freed runs" 1 (List.length freed);
-  (match freed with
-  | [ r ] ->
-    check int "freed start" 21 r.Run_table.start;
-    check int "freed len" 3 r.Run_table.len
-  | _ -> Alcotest.fail "unexpected freed shape");
-  let kept, freed = Run_table.truncate t ~pages:0 in
-  check int "kept none" 0 (Run_table.pages kept);
-  check int "freed all" 2 (List.length freed)
-
 let test_run_table_codec () =
   let t = rt [ (10, 3); (20, 4); (99, 1) ] in
   let w = Cedar_util.Bytebuf.Writer.create () in
@@ -156,7 +142,6 @@ let suite =
     ("run table coalesce", `Quick, test_run_table_coalesce);
     ("run table append", `Quick, test_run_table_append);
     ("run table overlap rejected", `Quick, test_run_table_overlap_rejected);
-    ("run table truncate", `Quick, test_run_table_truncate);
     ("run table codec", `Quick, test_run_table_codec);
     QCheck_alcotest.to_alcotest prop_run_table_page_mapping;
     ("fname key order", `Quick, test_fname_key_order);

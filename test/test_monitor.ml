@@ -12,10 +12,6 @@ module Params = Cedar_fsd.Params
 module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 
-(* An FSD counter, read from the volume's metrics registry. *)
-let fsd_count fs name =
-  Option.get (Metrics.read (Fsd.metrics fs) ("fsd." ^ name))
-
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -258,18 +254,13 @@ let test_device_busy_clamped () =
   check close "sat.device_busy clamps to 1.0" 1.0
     (List.assoc "sat.device_busy" s.Monitor.derived)
 
-let test_monitor_toggle () =
+let test_monitor_enable () =
   let _device, fs = small_fs () in
   check bool "off by default" true (Fsd.monitor fs = None);
   let m = Fsd.enable_monitor ~interval_us:50_000 fs in
   check int "interval override taken" 50_000 (Monitor.interval_us m);
   Fsd.tick fs ~us:200_000;
-  check bool "demon path polls the monitor" true (Monitor.total m > 0);
-  Fsd.disable_monitor fs;
-  check bool "disabled detaches" true (Fsd.monitor fs = None);
-  let before = fsd_count fs "ops" in
-  ignore (Fsd.create fs ~name:"m/after" (Bytes.make 100 'y'));
-  check int "ops still run after detach" (before + 1) (fsd_count fs "ops")
+  check bool "demon path polls the monitor" true (Monitor.total m > 0)
 
 (* ------------------------------------------------------------------ *)
 (* The open-loop generator                                             *)
@@ -329,7 +320,7 @@ let suite =
     ("timeline determinism end-to-end", `Quick, test_timeline_determinism);
     ("sampling performs zero device I/O", `Quick, test_sampling_is_io_free);
     ("sat.device_busy clamps at 1.0", `Quick, test_device_busy_clamped);
-    ("enable/disable round trip", `Quick, test_monitor_toggle);
+    ("enable attaches a polled monitor", `Quick, test_monitor_enable);
     ("open-loop generator", `Quick, test_open_loop_generator);
     ("open-loop replays cleanly", `Quick, test_open_loop_replays_cleanly);
   ]

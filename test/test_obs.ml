@@ -193,11 +193,6 @@ let test_op_event_sequences () =
   check seq "empty force costs no I/O"
     [ "begin:force"; "log-force-empty"; "end:force" ]
     (traced_kinds device (fun () -> Fsd.force fs));
-  (* write_page: data page rewritten in place *)
-  check seq "write_page = one data write"
-    [ "begin:write_page"; "dev-write"; "end:write_page" ]
-    (traced_kinds device (fun () ->
-         Fsd.write_page fs ~name:"s/f1" ~page:0 (content 512 2)));
   (* delete: pure metadata, absorbed by group commit (§5.4) *)
   check seq "delete costs no I/O"
     [ "begin:delete"; "end:delete" ]
