@@ -181,7 +181,9 @@ watch-smoke:
 # Latency-anatomy smoke: cedar why exits non-zero if any op's phase
 # vector fails the conservation invariant, so the runs themselves are
 # the correctness check; the two JSON anatomies must also be
-# byte-identical (same seed, same blame, same microseconds).
+# byte-identical (same seed, same blame, same microseconds). Then a
+# misspelt kind: --op creat must exit 1 with a message listing the
+# seven op kinds, not print an empty anatomy.
 why-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/why-smoke && mkdir -p _build/why-smoke
@@ -194,6 +196,14 @@ why-smoke:
 	cmp _build/why-smoke/run1.json _build/why-smoke/run2.json
 	@grep -q '"all_conserved": true' _build/why-smoke/run1.json
 	@echo "why-smoke: conserved, deterministic"
+	@./_build/default/bin/cedar.exe why _build/why-smoke/vol.img --op creat \
+		> /dev/null 2> _build/why-smoke/badop.err; status=$$?; \
+	if [ $$status -ne 1 ]; then \
+		echo "why-smoke: cedar why --op creat exited $$status, not 1"; exit 1; fi
+	@grep -q "create, open, read, read_page, delete, list, force" \
+		_build/why-smoke/badop.err || \
+		{ echo "why-smoke: --op creat refused without listing the kinds"; exit 1; }
+	@echo "why-smoke: unknown --op kind refused"
 
 # Disk-scheduler smoke: the qdepth sweep must rerun byte-identically and
 # both built-in regression checks must hold — a reordering policy beats

@@ -1,9 +1,9 @@
 (* The knee-sweep latency breakdown (bench breakdown).
 
    Re-drives the saturation-knee ladder of bench timeline — same
-   geometry, client count, arrival budget, queue cap and shortened
-   commit interval — but with lifecycle tracing on, and collects each
-   rung's per-op phase records through Critpath.
+   geometry, client count and arrival budget — but with lifecycle
+   tracing on, and collects each rung's per-op phase records through
+   Critpath.
    The artifact this bench exists to pin down is the *blame shift*
    across the knee, Hagmann's §5.4 trade seen per-op:
 
@@ -11,12 +11,12 @@
      the parked-for-force wait (plus its share of the force's log
      append) — the price of amortising the force over a batch;
    - above the knee, arrivals outrun service, and the same op's latency
-     is dominated by queue/admission time before it even executes —
-     the price of saturation.
+     is dominated by queue time before it even executes — the price of
+     saturation.
 
    Every op of every rung must satisfy the conservation invariant
-   (queue + admission + execute + append + parked = end - arrived,
-   exactly); BENCH_BREAKDOWN.json records that alongside the per-rung
+   (queue + execute + append + parked = end - arrived, exactly);
+   BENCH_BREAKDOWN.json records that alongside the per-rung
    blame and tail shares as named shape checks. *)
 
 open Cedar_disk
@@ -32,7 +32,6 @@ let geom = Geometry.small_test
 let clients = 16
 let arrivals = 240
 let rates = [ 4.0; 8.0; 16.0; 32.0; 64.0 ]
-let config = { S.default_config with S.queue_cap = 4 }
 
 (* Unlike bench timeline (which shortens the commit interval to make the
    time demon visible per-sample), this bench keeps the stock 500 ms
@@ -59,9 +58,7 @@ let run_rung rate =
       { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
       ~clients
   in
-  let report =
-    S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
-  in
+  let report = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   Trace.disable tr;
   if Trace.dropped tr > 0 then begin
     Printf.eprintf
@@ -87,11 +84,11 @@ let tail_share r op ph =
   | None -> 0.0
 
 (* The park-side share of a create's tail (parked + its append overlap)
-   vs the pre-execute share (queue + admission): the two sides of the
-   blame shift, recorded as fractions so the snapshot shows the slide,
-   not just the argmax flip. *)
+   vs the pre-execute share (queue): the two sides of the blame shift,
+   recorded as fractions so the snapshot shows the slide, not just the
+   argmax flip. *)
 let park_side r = tail_share r "create" Crit.Parked +. tail_share r "create" Crit.Append
-let entry_side r = tail_share r "create" Crit.Queue +. tail_share r "create" Crit.Admission
+let entry_side r = tail_share r "create" Crit.Queue
 
 let rung_json r =
   let a = r.anatomy in
@@ -103,8 +100,6 @@ let rung_json r =
       ("orphans", J.Int a.Crit.orphans);
       ("unfinished", J.Int a.Crit.unfinished);
       ("all_conserved", J.Bool a.Crit.all_conserved);
-      ("rejected", J.Int r.report.S.total_rejected);
-      ("dropped", J.Int r.report.S.total_dropped);
       ( "kinds",
         J.Obj
           (List.map
@@ -113,7 +108,6 @@ let rung_json r =
                  J.Obj
                    [
                      ("n", J.Int g.Crit.a_n);
-                     ("dropped", J.Int g.Crit.a_dropped);
                      ( "e2e_us",
                        Metrics.summary_json
                          ~fields:[ "p50"; "p90"; "p99"; "mean" ]
@@ -151,9 +145,7 @@ let checks rungs twice =
     ( "park_blame_below_knee",
       match blame_of first "create" with "parked" | "append" -> true | _ -> false
     );
-    ( "entry_blame_past_knee",
-      match blame_of last "create" with "queue" | "admission" -> true | _ -> false
-    );
+    ("entry_blame_past_knee", blame_of last "create" = "queue");
     ( "blame_share_shifts",
       park_side first > entry_side first && entry_side last > park_side last );
     ("deterministic", first.json = twice.json);
@@ -189,7 +181,6 @@ let run ?out () =
         ("geometry", J.Str "small_test");
         ("clients", J.Int clients);
         ("arrivals", J.Int arrivals);
-        ("queue_cap", J.Int config.S.queue_cap);
         ("commit_interval_us", J.Int params.Cedar_fsd.Params.commit_interval_us);
         ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) cs));
         ("checks_failed", J.Int (List.length failed));

@@ -48,7 +48,6 @@ let row_json row =
       ("commit_wait_max_us", J.Float r.S.wait_max_us);
       ("batch_mean", J.Float r.S.batch_mean);
       ("batch_max", J.Float r.S.batch_max);
-      ("rejected", J.Int r.S.total_rejected);
       ("errors", J.Int r.S.total_errors);
     ]
 

@@ -2,7 +2,9 @@
 
    Regenerates every committed BENCH_*.json into a scratch directory and
    structurally compares each against the snapshot in the repo root
-   ([Drift.diff]: exact, except the declared tolerant keys).
+   ([Drift.diff]: exact, except the declared tolerant keys). Every named
+   shape check the committed snapshot records must hold as well
+   ([Drift.failed_checks]).
 
    Exits non-zero on any drift, which is what wires it into make ci:
    either the code change is benign and the snapshots are regenerated
@@ -49,7 +51,7 @@ let diff_one name regen =
     let fresh = Filename.concat scratch_dir name in
     regen fresh;
     let want = parse name name and got = parse fresh fresh in
-    List.rev (Drift.diff ~path:name ~key:"" want got [])
+    Drift.failed_checks name want @ List.rev (Drift.diff ~path:name ~key:"" want got [])
   end
 
 let run ?out () =
@@ -62,7 +64,8 @@ let run ?out () =
         (match drift with
         | [] -> Printf.printf "  %-24s ok\n" name
         | ds ->
-          Printf.printf "  %-24s %d field(s) drifted\n" name (List.length ds);
+          Printf.printf "  %-24s %d field(s) drifted or checks failed\n" name
+            (List.length ds);
           List.iteri (fun i d -> if i < 12 then Printf.printf "    %s\n" d) ds;
           if List.length ds > 12 then
             Printf.printf "    ... and %d more\n" (List.length ds - 12));
@@ -91,8 +94,8 @@ let run ?out () =
     close_out oc);
   if total > 0 then begin
     Printf.printf
-      "  DRIFT: %d field(s); regenerate with 'make bench' and commit, or fix \
-       the regression\n"
+      "  DRIFT: %d field(s) or failed check(s); fix the regression, or \
+       regenerate with 'make bench' and commit a deliberate change\n"
       total;
     exit 1
   end

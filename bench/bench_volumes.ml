@@ -78,8 +78,6 @@ let row_json row =
       ("commit_wait_p50_us", J.Float r.S.wait_p50_us);
       ("commit_wait_p99_us", J.Float r.S.wait_p99_us);
       ("batch_mean", J.Float r.S.batch_mean);
-      ("rejected", J.Int r.S.total_rejected);
-      ("dropped", J.Int r.S.total_dropped);
       ("errors", J.Int r.S.total_errors);
     ]
 

@@ -1,5 +1,6 @@
-(* The drift gate's comparison (bench diff): a structural diff of a
-   regenerated snapshot against its committed copy.
+(* The drift gate's comparisons (bench diff): a structural diff of a
+   regenerated snapshot against its committed copy, and the named shape
+   checks every committed snapshot must record as holding.
 
    The simulation is deterministic, so every field must match exactly
    except the ones whose key is declared in [tolerant_keys]: measured
@@ -45,7 +46,7 @@ let tolerant_keys =
     "p90";
     "p95";
     "p99";
-    "reject_s";
+    "phase_queue";
     "restart_total_us";
     "rotation_us";
     "seek_us";
@@ -106,3 +107,64 @@ let rec diff ~path ~key want got acc =
   | _ ->
     if want = got then acc
     else Printf.sprintf "%s: %s, want %s" path (J.to_string got) (J.to_string want) :: acc
+
+(* The named shape checks of the committed snapshots. A regenerated
+   snapshot whose check fails differs from a committed one that holds,
+   so [diff] catches it; this list catches a snapshot committed with the
+   check already failing. A path step is an object key, or "*" for
+   every field of an object or element of an array. [True] wants every
+   boolean the path reaches to be true (other values are skipped, but
+   at least one boolean must be reached); [Zero] wants the integer 0. *)
+type want = True | Zero
+
+let shape_checks =
+  [
+    ("BENCH_TIMELINE.json", [ "checks"; "*" ], True);
+    ("BENCH_BREAKDOWN.json", [ "checks"; "*" ], True);
+    ("BENCH_QDEPTH.json", [ "shape_ok" ], True);
+    ("BENCH_QDEPTH.json", [ "depth1_ok" ], True);
+    ("BENCH_VOLUMES.json", [ "shape"; "*" ], True);
+    ("BENCH_GROUPCOMMIT.json", [ "ops_per_force_monotone" ], True);
+    ("BENCH_WRAP.json", [ "endurance"; "*"; "digest_match" ], True);
+    ("BENCH_FAULTSWEEP.json", [ "violations_total" ], Zero);
+  ]
+
+(* The values [steps] reaches in [v], each with its path. *)
+let rec reach ~path steps v =
+  match (steps, v) with
+  | [], _ -> [ (path, v) ]
+  | "*" :: rest, J.Obj kvs ->
+    List.concat_map (fun (k, x) -> reach ~path:(path ^ "." ^ k) rest x) kvs
+  | "*" :: rest, J.Arr xs ->
+    List.concat
+      (List.mapi (fun i x -> reach ~path:(Printf.sprintf "%s[%d]" path i) rest x) xs)
+  | k :: rest, J.Obj kvs -> (
+    match List.assoc_opt k kvs with
+    | Some x -> reach ~path:(path ^ "." ^ k) rest x
+    | None -> [])
+  | _ :: _, _ -> []
+
+(* One line per check of [file]'s snapshot [v] that does not hold. *)
+let failed_checks file v =
+  List.concat_map
+    (fun (f, steps, want) ->
+      if f <> file then []
+      else begin
+        let where = file ^ "." ^ String.concat "." steps in
+        match (want, reach ~path:file steps v) with
+        | True, found ->
+          let bools =
+            List.filter_map
+              (function p, J.Bool b -> Some (p, b) | _ -> None)
+              found
+          in
+          if bools = [] then [ where ^ ": no check recorded" ]
+          else
+            List.filter_map
+              (fun (p, b) -> if b then None else Some (p ^ ": false, want true"))
+              bools
+        | Zero, [ (_, J.Int 0) ] -> []
+        | Zero, [ (p, x) ] -> [ Printf.sprintf "%s: %s, want 0" p (J.to_string x) ]
+        | Zero, _ -> [ where ^ ": no check recorded" ]
+      end)
+    shape_checks

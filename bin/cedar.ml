@@ -304,7 +304,7 @@ let attach_watch out mon =
       if tty then output_string out "\x1b[2J\x1b[H";
       output_string out
         (Obs.Timeline.render_frame
-           ~spark:[ "sat.device_busy"; "sat.op_rate_s"; "sat.reject_rate_s" ]
+           ~spark:[ "sat.device_busy"; "sat.op_rate_s"; "sat.phase_queue" ]
            ~history:(Obs.Monitor.samples mon) s);
       if not tty then output_char out '\n';
       flush out)
@@ -430,17 +430,14 @@ let print_serve_report json r =
   if json then print_endline (Obs.Jsonb.to_string_pretty (S.report_json r))
   else begin
     Printf.printf
-      "%d clients, %.2f s simulated: %d ops (%d mutating acked, %d \
-       rejected, %d errors)\n"
+      "%d clients, %.2f s simulated: %d ops (%d mutating acked, %d errors)\n"
       r.S.clients
       (Simclock.s_of_us r.S.duration_us)
-      r.S.total_ops r.S.mutations_acked r.S.total_rejected r.S.total_errors;
+      r.S.total_ops r.S.mutations_acked r.S.total_errors;
     Printf.printf
       "group commit: %d log forces (%d server-initiated), %.1f acked \
        mutations/force\n"
       r.S.log_forces r.S.server_forces r.S.ops_per_force;
-    Printf.printf "admission: %d rejects, %d retries, %d dropped\n"
-      r.S.total_rejected r.S.total_retries r.S.total_dropped;
     Printf.printf "commit wait: mean %.1f ms, p50 %.1f, p99 %.1f, max %.1f (%d waits)\n"
       (r.S.wait_mean_us /. 1000.) (r.S.wait_p50_us /. 1000.)
       (r.S.wait_p99_us /. 1000.) (r.S.wait_max_us /. 1000.) r.S.wait_n;
@@ -457,10 +454,8 @@ let print_serve_report json r =
     List.iter
       (fun s ->
         Printf.printf
-          "  session %02d: %d ops, %d acked, %d rejected, %d errors, \
-           wait max %.1f ms\n"
-          s.S.r_client s.S.r_ops s.S.r_mutations s.S.r_rejected
-          s.S.r_errors
+          "  session %02d: %d ops, %d acked, %d errors, wait max %.1f ms\n"
+          s.S.r_client s.S.r_ops s.S.r_mutations s.S.r_errors
           (float_of_int s.S.r_wait_max_us /. 1000.))
       r.S.per_session
   end
@@ -576,6 +571,12 @@ let cmd_why path clients seed think_us rounds open_rate open_ops churn json
   if clients > 99 then fail "--clients is capped at 99 (got %d)" clients;
   if top < 1 then fail "--top must be at least 1 (got %d)" top;
   let module C = Cedar_workload.Concurrent in
+  Option.iter
+    (fun op ->
+      if not (List.mem op C.op_kinds) then
+        fail "--op %S is not an op kind (one of: %s)" op
+          (String.concat ", " C.op_kinds))
+    op_filter;
   let scripts =
     match (open_rate, churn) with
     | Some _, true -> fail "--open-loop and --churn are mutually exclusive"
@@ -980,8 +981,8 @@ let why_cmd =
       & opt (some string) None
       & info [ "op" ] ~docv:"TYPE"
           ~doc:
-            "restrict the report to one op kind (create, open, read, \
-             read_page, delete, list, force)")
+            ("restrict the report to one op kind: "
+            ^ String.concat ", " Cedar_workload.Concurrent.op_kinds))
   in
   let top =
     Arg.(
@@ -995,16 +996,16 @@ let why_cmd =
       & info [ "chrome" ] ~docv:"PATH"
           ~doc:
             "also write the traced run as Chrome trace-event JSON — per-session \
-             tracks with queue/admission phase slices nested around each \
+             tracks with queue, parked and append phase slices around each \
              executing span — for about://tracing or Perfetto")
   in
   Cmd.v
     (Cmd.info "why"
        ~doc:
          "run a server workload with lifecycle tracing on and explain where \
-          each op's latency went: per-op phase vectors (queue, admission \
-          retries, execute with its device seek/transfer split, log append, \
-          parked-for-force) that sum exactly to end-to-end latency, per-kind \
+          each op's latency went: per-op phase vectors (queue, execute with \
+          its device seek/transfer split, log append, parked-for-force) that \
+          sum exactly to end-to-end latency, per-kind \
           p50/p90/p99 and the phase to blame for the p99 tail (the image is \
           not modified; exits non-zero if conservation is violated or the \
           trace ring overflowed)")

@@ -940,12 +940,6 @@ let enable_monitor ?(interval_us = Params.monitor_interval_us) t =
       if forces = 0 then 0.0
       else float_of_int (v.Monitor.delta "server.acked") /. float_of_int forces);
   Monitor.derive m "sat.op_rate_s" (fun v -> per_second (v.Monitor.delta "fsd.ops") v);
-  Monitor.derive m "sat.reject_rate_s" (fun v ->
-      per_second (v.Monitor.delta "server.rejects.queue_full") v);
-  Monitor.derive m "sat.retry_rate_s" (fun v ->
-      per_second (v.Monitor.delta "server.retries") v);
-  Monitor.derive m "sat.dropped_rate_s" (fun v ->
-      per_second (v.Monitor.delta "server.dropped") v);
   Monitor.derive m "sat.reclaim_stall_rate_s" (fun v ->
       per_second (v.Monitor.delta "fsd.reclaim_stalls") v);
   Monitor.derive m "sat.home_write_burst_rate_s" (fun v ->
@@ -961,7 +955,6 @@ let enable_monitor ?(interval_us = Params.monitor_interval_us) t =
         /. float_of_int (max 1 v.Monitor.dt_us))
   in
   phase_occupancy "sat.phase_queue" "server.phase.queue_us";
-  phase_occupancy "sat.phase_admission" "server.phase.admission_us";
   phase_occupancy "sat.phase_execute" "server.phase.execute_us";
   phase_occupancy "sat.phase_append" "server.phase.append_us";
   phase_occupancy "sat.phase_parked" "server.phase.parked_us";

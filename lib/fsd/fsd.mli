@@ -173,13 +173,16 @@ val enable_monitor : ?interval_us:int -> t -> Cedar_obs.Monitor.t
       already consumed, in [0,1], at sample time; it reads exactly 1.0
       (never wrapping early to 0.0) while the head sits on a third
       boundary, since the entry happens only on the next append;
-    - [sat.queue_depth] — the server admission queue depth gauge;
+    - [sat.queue_depth] — sessions parked on this volume for a force
+      (the server's [server.queue_depth] gauge);
     - [sat.ops_per_force] — acked server ops per non-empty force this
       interval (batcher occupancy), 0 when no force landed;
     - [sat.op_rate_s] — FSD ops per second;
-    - [sat.reject_rate_s], [sat.retry_rate_s], [sat.dropped_rate_s] —
-      admission rejects, retries and drops per second;
     - [sat.reclaim_stall_rate_s], [sat.home_write_burst_rate_s];
+    - [sat.phase_queue], [sat.phase_execute], [sat.phase_append],
+      [sat.phase_parked] — the mean number of server ops inside each
+      latency phase over the interval, from the server's
+      [server.phase.*_us] counters;
 
     and watches the [server.commit_wait_us] and [server.op_latency_us]
     distributions (a parked op's wait for its force, and each op's

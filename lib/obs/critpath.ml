@@ -1,20 +1,19 @@
 (* Collect the server's per-op records from a trace and aggregate them.
 
-   The server splits each op's latency once, when it acknowledges or
-   drops the op, and writes the split into an [Op_done] record; this
-   module only gathers those records. The five phases tile
-   [arrived, end] by construction, so the [conserved] check can demand
-   equality, not tolerance. *)
+   The server splits each op's latency once, when it acknowledges the
+   op, and writes the split into an [Op_done] record; this module only
+   gathers those records. The four phases tile [arrived, end] by
+   construction, so the [conserved] check can demand equality, not
+   tolerance. *)
 
 module Stats = Cedar_util.Stats
 
-type phase = Queue | Admission | Execute | Append | Parked
+type phase = Queue | Execute | Append | Parked
 
-let phases = [ Queue; Admission; Execute; Append; Parked ]
+let phases = [ Queue; Execute; Append; Parked ]
 
 let phase_name = function
   | Queue -> "queue"
-  | Admission -> "admission"
   | Execute -> "execute"
   | Append -> "append"
   | Parked -> "parked"
@@ -32,7 +31,6 @@ type op_record = Trace.op_record = {
   transfer_us : int;
   append_us : int;
   parked_us : int;
-  retries : int;
   dropped : bool;
 }
 
@@ -40,20 +38,16 @@ let total_us r = r.end_us - r.arrived_us
 
 let phase_us r = function
   | Queue -> r.queue_us
-  | Admission -> r.admission_us
   | Execute -> r.execute_us
   | Append -> r.append_us
   | Parked -> r.parked_us
 
 let conserved r =
-  r.queue_us + r.admission_us + r.execute_us + r.append_us + r.parked_us
-  = total_us r
+  r.queue_us + r.execute_us + r.append_us + r.parked_us = total_us r
 
 type agg = {
   a_op : string;
   a_n : int;
-  a_dropped : int;
-  a_retries : int;
   a_e2e : Metrics.summary;
   a_phase : (phase * Metrics.summary) list;
   a_blame : phase;
@@ -92,14 +86,13 @@ let fold entries =
   let ops = List.rev !ops_rev in
   let unfinished = Hashtbl.length open_ops in
   let all_conserved = List.for_all conserved ops in
-  (* Per-kind aggregation over completed (non-dropped) lifecycles. *)
+  (* Per-kind aggregation. *)
   let kinds = ref [] in
   List.iter
     (fun r -> if not (List.mem r.op !kinds) then kinds := r.op :: !kinds)
     ops;
   let agg_of op =
-    let mine = List.filter (fun r -> r.op = op) ops in
-    let completed = List.filter (fun r -> not r.dropped) mine in
+    let completed = List.filter (fun r -> r.op = op) ops in
     let e2e = Stats.create () in
     List.iter (fun r -> Stats.add e2e (float_of_int (total_us r))) completed;
     let a_e2e = Metrics.summarize e2e in
@@ -142,8 +135,6 @@ let fold entries =
     {
       a_op = op;
       a_n = List.length completed;
-      a_dropped = List.length mine - List.length completed;
-      a_retries = List.fold_left (fun acc r -> acc + r.retries) 0 mine;
       a_e2e;
       a_phase;
       a_blame;
@@ -160,7 +151,7 @@ let fold entries =
 let slowest ?op ?(top = 5) t =
   let eligible =
     List.filter
-      (fun r -> (not r.dropped) && match op with Some o -> r.op = o | None -> true)
+      (fun r -> match op with Some o -> r.op = o | None -> true)
       t.ops
   in
   let sorted =
@@ -185,13 +176,11 @@ let op_json r =
       ("arrived_us", Jsonb.Int r.arrived_us);
       ("total_us", Jsonb.Int (total_us r));
       ("queue_us", Jsonb.Int r.queue_us);
-      ("admission_us", Jsonb.Int r.admission_us);
       ("execute_us", Jsonb.Int r.execute_us);
       ("seek_us", Jsonb.Int r.seek_us);
       ("transfer_us", Jsonb.Int r.transfer_us);
       ("append_us", Jsonb.Int r.append_us);
       ("parked_us", Jsonb.Int r.parked_us);
-      ("retries", Jsonb.Int r.retries);
     ]
 
 let to_json ?op ?(top = 5) t =
@@ -214,8 +203,6 @@ let to_json ?op ?(top = 5) t =
                  [
                    ("op", Jsonb.Str a.a_op);
                    ("n", Jsonb.Int a.a_n);
-                   ("dropped", Jsonb.Int a.a_dropped);
-                   ("retries", Jsonb.Int a.a_retries);
                    ("e2e_us", Metrics.summary_json ~fields:summary_fields a.a_e2e);
                    ( "phases_us",
                      Jsonb.Obj
@@ -247,8 +234,8 @@ let pp ?op ?(top = 5) ppf t =
     | Some o -> List.filter (fun a -> a.a_op = o) t.aggs
     | None -> t.aggs
   in
-  Format.fprintf ppf "@,%-10s %6s %5s %10s %10s %10s  %-9s %s@," "op" "n" "drop"
-    "p50ms" "p90ms" "p99ms" "blame" "tail share (q/a/x/l/p %)";
+  Format.fprintf ppf "@,%-10s %6s %10s %10s %10s  %-9s %s@," "op" "n" "p50ms"
+    "p90ms" "p99ms" "blame" "tail share (q/x/l/p %)";
   List.iter
     (fun a ->
       let share ph =
@@ -256,12 +243,11 @@ let pp ?op ?(top = 5) ppf t =
         | Some f -> int_of_float ((f *. 100.) +. 0.5)
         | None -> 0
       in
-      Format.fprintf ppf "%-10s %6d %5d %10.2f %10.2f %10.2f  %-9s %d/%d/%d/%d/%d@,"
-        a.a_op a.a_n a.a_dropped (a.a_e2e.Metrics.p50 /. 1000.)
+      Format.fprintf ppf "%-10s %6d %10.2f %10.2f %10.2f  %-9s %d/%d/%d/%d@,"
+        a.a_op a.a_n (a.a_e2e.Metrics.p50 /. 1000.)
         (a.a_e2e.Metrics.p90 /. 1000.) (a.a_e2e.Metrics.p99 /. 1000.)
         (phase_name a.a_blame)
-        (share Queue) (share Admission) (share Execute) (share Append)
-        (share Parked))
+        (share Queue) (share Execute) (share Append) (share Parked))
     aggs;
   let tops = slowest ?op ~top t in
   if tops <> [] then begin
@@ -269,11 +255,11 @@ let pp ?op ?(top = 5) ppf t =
     List.iter
       (fun r ->
         Format.fprintf ppf
-          "  c%02d#%-4d %-9s %9.2fms = queue %.2f | admission %.2f (x%d) | \
-           execute %.2f (seek %.2f xfer %.2f) | append %.2f | parked %.2f@,"
+          "  c%02d#%-4d %-9s %9.2fms = queue %.2f | execute %.2f (seek %.2f \
+           xfer %.2f) | append %.2f | parked %.2f@,"
           r.client r.opseq r.op
           (ms (total_us r))
-          (ms r.queue_us) (ms r.admission_us) r.retries (ms r.execute_us)
+          (ms r.queue_us) (ms r.execute_us)
           (ms r.seek_us) (ms r.transfer_us) (ms r.append_us) (ms r.parked_us))
       tops
   end

@@ -1,19 +1,18 @@
 (** Per-op latency anatomy: collect the server's per-op records from a
     trace and assign tail blame.
 
-    The server splits each op's latency exactly once, at its ack or
-    drop, into one {!Trace.op_record} (whose fields define the five
-    phases); it charges the record to its [server.phase.*] counters
-    and, with tracing on, emits it as {!Trace.Op_done}. Conservation is
-    exact by construction —
-    [queue + admission + execute + append + parked = end - arrived]
+    The server splits each op's latency exactly once, at its ack, into
+    one {!Trace.op_record} (whose fields define the four phases); it
+    charges the record to its [server.phase.*] counters and, with
+    tracing on, emits it as {!Trace.Op_done}. Conservation is exact by
+    construction — [queue + execute + append + parked = end - arrived]
     microsecond for microsecond — and {!fold} verifies it anyway for
     every op ({!t}'s [all_conserved]). *)
 
-type phase = Queue | Admission | Execute | Append | Parked
+type phase = Queue | Execute | Append | Parked
 
 val phase_name : phase -> string
-(** ["queue"], ["admission"], ["execute"], ["append"], ["parked"]. *)
+(** ["queue"], ["execute"], ["append"], ["parked"]. *)
 
 type op_record = Trace.op_record = {
   client : int;
@@ -28,7 +27,6 @@ type op_record = Trace.op_record = {
   transfer_us : int;
   append_us : int;
   parked_us : int;
-  retries : int;
   dropped : bool;
 }
 
@@ -39,15 +37,13 @@ val phase_us : op_record -> phase -> int
 (** The record's microseconds in one phase. *)
 
 val conserved : op_record -> bool
-(** Whether the five phases sum exactly to {!total_us}. *)
+(** Whether the four phases sum exactly to {!total_us}. *)
 
 type agg = {
   a_op : string;
   a_n : int;  (** completed lifecycles of this kind *)
-  a_dropped : int;
-  a_retries : int;
   a_e2e : Metrics.summary;
-  a_phase : (phase * Metrics.summary) list;  (** in declaration order, all five *)
+  a_phase : (phase * Metrics.summary) list;  (** in declaration order, all four *)
   a_blame : phase;
       (** the phase with the largest mean over the p99 tail (ops whose
           end-to-end latency is at or above the e2e p99) *)
@@ -57,7 +53,7 @@ type agg = {
 }
 
 type t = {
-  ops : op_record list;  (** every record, dropped ones too, in end order *)
+  ops : op_record list;  (** every record, in end order *)
   aggs : agg list;  (** per op kind, sorted by kind *)
   orphans : int;  (** records whose [Op_submitted] fell off the ring *)
   unfinished : int;  (** lifecycles still open when the capture ended *)

@@ -169,12 +169,6 @@ let chrome ?(samples = []) entries =
         push
           (instant ~name:"mutation" ~cat:"fsd" ~ts ~tid:tid_meta
              [ ("seq", Jsonb.Int seq) ])
-      | Trace.Op_rejected { client; opseq } ->
-        let tid = tid_session_base + client in
-        note_session tid;
-        push
-          (instant ~name:"rejected" ~cat:"phase" ~ts ~tid
-             [ ("opseq", Jsonb.Int opseq) ])
       | Trace.Op_done
           {
             Trace.client;
@@ -182,33 +176,24 @@ let chrome ?(samples = []) entries =
             op;
             arrived_us;
             queue_us;
-            admission_us;
             execute_us;
             append_us;
             parked_us;
-            retries;
-            dropped;
             _;
           } ->
-        (* The record tiles the session track: queue and admission
-           before the session span (execute), then the post-execute
-           wait — parked, with the append share at its tail, where the
-           covering force completes. *)
+        (* The record tiles the session track: queue before the session
+           span (execute), then the post-execute wait — parked, with the
+           append share at its tail, where the covering force
+           completes. *)
         let tid = tid_session_base + client in
         note_session tid;
         let args = [ ("opseq", Jsonb.Int opseq); ("op", Jsonb.Str op) ] in
         let slice name ts dur =
           if dur > 0 then push (complete ~name ~cat:"phase" ~ts ~dur ~tid args)
         in
-        let submitted = arrived_us + queue_us in
         slice "queue" arrived_us queue_us;
-        slice "admission" submitted admission_us;
-        slice "parked" (submitted + admission_us + execute_us) parked_us;
-        slice "append" (ts - append_us) append_us;
-        if dropped then
-          push
-            (instant ~name:"dropped" ~cat:"phase" ~ts ~tid
-               (("retries", Jsonb.Int retries) :: args)))
+        slice "parked" (arrived_us + queue_us + execute_us) parked_us;
+        slice "append" (ts - append_us) append_us)
     entries;
   (* Spans still open when the capture ended (in-flight at a crash). *)
   Hashtbl.iter

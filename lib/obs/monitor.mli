@@ -5,7 +5,7 @@
     cadence: each {!sample} carries per-interval {e counter deltas},
     gauge {e point values}, sliding-window percentiles for watched
     distributions, and {e derived} float gauges (saturation figures such
-    as device busy fraction or reject rate) computed from the same
+    as device busy fraction or op rate) computed from the same
     interval through a {!view}.
 
     The monitor is pull-driven: the owner polls {!maybe_sample} from its

@@ -17,7 +17,7 @@
 
     A span's duration is the FSD call's own latency. A server client's
     latency is its op record ({!Trace.op_record}), which adds the time
-    the op spent queued, in admission and parked for its force. *)
+    the op spent queued and parked for its force. *)
 
 type op_row = {
   op : string;

@@ -11,7 +11,6 @@ type op_record = {
   transfer_us : int;
   append_us : int;
   parked_us : int;
-  retries : int;
   dropped : bool;
 }
 
@@ -39,7 +38,6 @@ type event =
   | Reclaim_stall of { third : int; pinned : int }
   | Mutation of { seq : int }
   | Op_submitted of { client : int; opseq : int }
-  | Op_rejected of { client : int; opseq : int }
   | Op_done of op_record
 
 type entry = { seq : int; span : int; at_us : int; event : event }
@@ -175,15 +173,12 @@ let pp_event ppf = function
   | Mutation { seq } -> Format.fprintf ppf "mutation seq=%d" seq
   | Op_submitted { client; opseq } ->
     Format.fprintf ppf "op-submitted client=%d opseq=%d" client opseq
-  | Op_rejected { client; opseq } ->
-    Format.fprintf ppf "op-rejected client=%d opseq=%d" client opseq
   | Op_done r ->
     Format.fprintf ppf
-      "op-done client=%d opseq=%d op=%s arrived=%d queue=%d admission=%d \
-       execute=%d (seek=%d transfer=%d) append=%d parked=%d retries=%d%s"
-      r.client r.opseq r.op r.arrived_us r.queue_us r.admission_us r.execute_us
-      r.seek_us r.transfer_us r.append_us r.parked_us r.retries
-      (if r.dropped then " (dropped)" else "")
+      "op-done client=%d opseq=%d op=%s arrived=%d queue=%d execute=%d \
+       (seek=%d transfer=%d) append=%d parked=%d"
+      r.client r.opseq r.op r.arrived_us r.queue_us r.execute_us r.seek_us
+      r.transfer_us r.append_us r.parked_us
 
 let pp_entry ppf e =
   Format.fprintf ppf "#%d span=%d t=%.3fms %a" e.seq e.span

@@ -19,13 +19,13 @@ type op_record = {
   opseq : int;  (** per-client lifecycle number, 1-based *)
   op : string;  (** kind label from [Concurrent.op_kind] *)
   arrived_us : int;  (** when the op became runnable *)
-  end_us : int;  (** ack time, or drop time for a dropped op *)
+  end_us : int;  (** ack time *)
   queue_us : int;
       (** runnable (think deadline, open-loop arrival or previous ack)
-          until the scheduler's first admission attempt *)
+          until the scheduler starts executing it *)
   admission_us : int;
-      (** first attempt until execute starts (the reject retry
-          windows), or until the drop *)
+      (** always 0: the server refuses no op (kept for the benchmark
+          harness) *)
   execute_us : int;  (** inside [Fsd.submit] *)
   seek_us : int;  (** arm time of the op's own device requests *)
   transfer_us : int;
@@ -36,15 +36,14 @@ type op_record = {
   parked_us : int;
       (** the rest of the post-execute wait: the §5.4 parked-for-force
           wait, or the wait for the op's own queued requests *)
-  retries : int;  (** admission rejects survived (or suffered, if dropped) *)
-  dropped : bool;
+  dropped : bool;  (** always false (kept for the benchmark harness) *)
 }
-(** One op's latency split, written once by the server when it acks or
-    drops the op. The five phases [queue + admission + execute + append
-    + parked] tile [end_us - arrived_us] exactly. [seek_us] and
-    [transfer_us] sub-split device time, not a sixth phase: they cover
-    the op's own requests, which on an own-timeline or queued device
-    may be serviced after execute ends. *)
+(** One op's latency split, written once by the server when it acks
+    the op. The four phases [queue + execute + append + parked] tile
+    [end_us - arrived_us] exactly. [seek_us] and [transfer_us]
+    sub-split device time, not a fifth phase: they cover the op's own
+    requests, which on an own-timeline or queued device may be
+    serviced after execute ends. *)
 
 type event =
   | Dev_read of { dev : int; sector : int; count : int; us : int }
@@ -96,16 +95,12 @@ type event =
           amortise force-interval log I/O back over the ops of the
           batch ({!Tables}' [amortised_*] columns). *)
   | Op_submitted of { client : int; opseq : int }
-      (** The server's first admission attempt for client [client]'s
-          [opseq]-th scripted op. Its only reader is {!Critpath}, which
-          counts lifecycles that never finish. *)
-  | Op_rejected of { client : int; opseq : int }
-      (** One rejected admission attempt that will be retried: the op's
-          target volume already had [queue_cap] sessions parked. *)
+      (** The server starts executing client [client]'s [opseq]-th
+          scripted op. Its only reader is {!Critpath}, which counts
+          lifecycles that never finish. *)
   | Op_done of op_record
-      (** The op's lifecycle end — acknowledged by the server's one
-          completion rule, or dropped once its admission retries ran
-          out — stamped at [end_us]. *)
+      (** The op's lifecycle end, acknowledged by the server's one
+          completion rule and stamped at [end_us]. *)
 
 type entry = {
   seq : int;  (** monotonically increasing; also the span id of [Op_begin] *)

@@ -4,8 +4,8 @@
 
    The run is self-verifying in three stages:
 
-   1. the serve itself must be clean — no client errors, no admission
-      drops, no aborted sessions — or the oracle is ambiguous;
+   1. the serve itself must be clean — no client errors, no aborted
+      sessions — or the oracle is ambiguous;
    2. the live volume must match the version-aware oracle fold of every
       client's full mutation list (content, existence and version depth
       for every touched name);
@@ -68,8 +68,6 @@ let run ?(geom = Geometry.small_test) cfg =
   let add v = violations := v :: !violations in
   if report.Server.total_errors > 0 then
     add (Printf.sprintf "%d client error(s)" report.Server.total_errors);
-  if report.Server.total_dropped > 0 then
-    add (Printf.sprintf "%d dropped step(s)" report.Server.total_dropped);
   if report.Server.total_aborted > 0 then
     add (Printf.sprintf "%d aborted session(s)" report.Server.total_aborted);
   let check_oracle fs =

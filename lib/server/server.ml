@@ -9,19 +9,18 @@
    volume's batcher and is only acknowledged once a log force on that
    volume covers its transaction — §5.4's "the process doing the commit
    waits", generalised to N clients over V independent logs. Each
-   volume's batcher forces on three triggers:
+   volume's batcher forces on the paper's two triggers:
 
    - time: that volume's half-second commit demon
      ([Params.commit_interval_us]);
-   - size: [max_batch] sessions parked on that volume;
-   - explicit: a client [Force] step (which forces every live volume).
+   - explicit: a client [Force] step (which forces every live volume);
 
-   Admission control rejects — never blocks — a mutating op when
-   [queue_cap] sessions are already parked on its target volume, so each
-   parked queue stays bounded. A rejected step is retried after the
-   volume's next commit opportunity, up to [admission_retries] times;
-   only then is it dropped, and the drop is counted in the report rather
-   than silently lost.
+   plus the shutdown drain ([force_drain]) once only parked sessions
+   with exhausted scripts remain. FSD's own bulk trigger still forces
+   mid-op when the pending batch nears one record, so every force stays
+   one atomic log write. No op is ever refused: a session has at most
+   one op in flight, so the parked sessions on a volume never outnumber
+   the sessions.
 
    Crash containment: with one volume a planted device crash
    ([Device.Crash_during_write]) propagates to the harness as before —
@@ -43,18 +42,11 @@ open Cedar_volumes
 open Cedar_workload
 
 type config = {
-  queue_cap : int;
   on_force : (int -> unit) option;
   on_ack : (client:int -> op:Concurrent.op -> unit) option;
 }
 
-let default_config = { queue_cap = 256; on_force = None; on_ack = None }
-
-(* Parked sessions on one volume that trigger an early force. *)
-let max_batch = 64
-
-(* Rejected attempts retried before a step is dropped. *)
-let admission_retries = 8
+let default_config = { on_force = None; on_ack = None }
 
 (* An executed op that is not acknowledged yet (see [complete]). *)
 type waiter = {
@@ -85,9 +77,6 @@ type session = {
   mutable state : state;
   mutable ops : int;
   mutable mutations : int;
-  mutable rejected : int;
-  mutable retries : int;  (* consecutive rejects of the step at head *)
-  mutable dropped : int;
   mutable errors : int;
   mutable aborted : string option;  (* non-Fs_error exception text *)
   mutable wait_total_us : int;
@@ -96,8 +85,7 @@ type session = {
      its latency (plain ints: kept with tracing off too). *)
   mutable opseq : int;  (* lifecycle number of the op at script head *)
   mutable arrival_us : int;  (* when that op became runnable *)
-  mutable t_submitted : int;  (* its first admission attempt *)
-  mutable t_exec_start : int;  (* Fsd.submit called; admission over *)
+  mutable t_exec_start : int;  (* Fsd.submit called; queue wait over *)
   mutable t_exec_end : int;  (* Fsd.submit returned; ack waits start *)
 }
 
@@ -111,7 +99,6 @@ type vol = {
   v_fsd : Fsd.t;
   v_dev : Cedar_disk.Device.t;
   mutable v_dead : bool;  (* quarantined after a planted crash (V > 1) *)
-  mutable v_crash_sector : int;  (* valid when v_dead *)
   mutable v_last_durable : int;
   mutable v_forces : int;  (* server-initiated forces on this volume *)
   mutable v_forces0 : int;  (* log forces at run start *)
@@ -123,15 +110,11 @@ type vol = {
   v_batch_size : Stats.t;
   (* Per-op end-to-end latency (arrival to ack), every op kind. *)
   v_op_latency_us : Stats.t;
-  c_rejects : Metrics.counter;
-  c_retries : Metrics.counter;
-  c_dropped : Metrics.counter;
   c_acked : Metrics.counter;
   (* Cumulative per-phase microseconds across all ops, charged from
      each op's record in [settle] (tracing on or off), read by the
      monitor's sat.phase_* rate gauges. *)
   c_phase_queue_us : Metrics.counter;
-  c_phase_admission_us : Metrics.counter;
   c_phase_execute_us : Metrics.counter;
   c_phase_append_us : Metrics.counter;
   c_phase_parked_us : Metrics.counter;
@@ -145,7 +128,7 @@ type t = {
   cfg : config;
   sessions : session array;
   mutable cursor : int;  (* round-robin scan start *)
-  mutable forces : int;  (* server-initiated (time/size/explicit), all vols *)
+  mutable forces : int;  (* server-initiated (time/explicit/drain), all vols *)
   mutable acked_rev : (int * Concurrent.op) list;  (* ack journal, newest first *)
 }
 
@@ -153,8 +136,6 @@ type session_report = {
   r_client : int;
   r_ops : int;
   r_mutations : int;
-  r_rejected : int;
-  r_dropped : int;
   r_errors : int;
   r_aborted : string option;
   r_wait_total_us : int;
@@ -177,8 +158,6 @@ type report = {
   server_forces : int;
   log_forces : int;
   ops_per_force : float;
-  total_rejected : int;
-  total_retries : int;
   total_dropped : int;
   total_errors : int;
   total_aborted : int;
@@ -216,11 +195,10 @@ let target_vid t (op : Concurrent.op) =
 (* A planted crash on volume [v] of a multi-volume set halts that volume
    only. Sessions parked on it will never be acked — their mutations are
    exactly the unacknowledged set §5.4 allows to be lost — so they abort
-   now; sessions later routed to it abort at admission. The [Fsd.t] must
-   not be touched again until the harness reboots the device. *)
-let quarantine t v ~sector =
+   now; sessions later routed to it abort when they step. The [Fsd.t]
+   must not be touched again until the harness reboots the device. *)
+let quarantine t v =
   v.v_dead <- true;
-  v.v_crash_sector <- sector;
   let reason = Printf.sprintf "volume %d crashed" v.v_id in
   Array.iter
     (fun s ->
@@ -240,8 +218,7 @@ let guarded t v f =
   if single t then f ()
   else
     try f ()
-    with Cedar_disk.Device.Crash_during_write { sector } ->
-      quarantine t v ~sector
+    with Cedar_disk.Device.Crash_during_write _ -> quarantine t v
 
 (* ------------------------------------------------------------------ *)
 (* The batcher. *)
@@ -262,10 +239,10 @@ let force_all t =
 
 (* The one place an op's latency is split: build its record from the
    session's lifecycle instants, charge the online phase counters from
-   it and, with tracing on, emit it. Queue, admission and execute are
-   differences of those instants; the post-execute wait is [append_us]
-   plus parked. *)
-let settle t v s op ~end_us ~append_us ~seek_us ~transfer_us ~dropped =
+   it and, with tracing on, emit it. Queue and execute are differences
+   of those instants; the post-execute wait is [append_us] plus
+   parked. *)
+let settle t v s op ~end_us ~append_us ~seek_us ~transfer_us =
   let r =
     {
       Trace.client = s.client;
@@ -273,20 +250,17 @@ let settle t v s op ~end_us ~append_us ~seek_us ~transfer_us ~dropped =
       op = Concurrent.op_kind op;
       arrived_us = s.arrival_us;
       end_us;
-      queue_us = s.t_submitted - s.arrival_us;
-      admission_us = s.t_exec_start - s.t_submitted;
+      queue_us = s.t_exec_start - s.arrival_us;
+      admission_us = 0;
       execute_us = s.t_exec_end - s.t_exec_start;
       seek_us;
       transfer_us;
       append_us;
       parked_us = end_us - s.t_exec_end - append_us;
-      retries = s.retries;
-      dropped;
+      dropped = false;
     }
   in
-  s.retries <- 0;
   Metrics.add v.c_phase_queue_us r.queue_us;
-  Metrics.add v.c_phase_admission_us r.admission_us;
   Metrics.add v.c_phase_execute_us r.execute_us;
   Metrics.add v.c_phase_append_us r.append_us;
   Metrics.add v.c_phase_parked_us r.parked_us;
@@ -333,8 +307,7 @@ let complete t s w ~forced =
   end;
   settle t v s w.w_op ~end_us:done_at ~append_us
     ~seek_us:io.Cedar_disk.Device.seek_us
-    ~transfer_us:(io.Cedar_disk.Device.command_us - io.Cedar_disk.Device.seek_us)
-    ~dropped:false;
+    ~transfer_us:(io.Cedar_disk.Device.command_us - io.Cedar_disk.Device.seek_us);
   Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
   s.arrival_us <- done_at;
   s.state <- (if done_at > now t then Thinking { until = done_at } else Ready)
@@ -379,14 +352,7 @@ let schedule_point t =
   Array.iter
     (fun v -> if not v.v_dead then guarded t v (fun () -> Fsd.run_due_demons v.v_fsd))
     t.vols;
-  poll_wakes t;
-  Array.iter
-    (fun v ->
-      if (not v.v_dead) && v.v_parked >= max_batch then begin
-        force_vol t v;
-        poll_wakes t
-      end)
-    t.vols
+  poll_wakes t
 
 (* ------------------------------------------------------------------ *)
 (* Session stepping. *)
@@ -405,15 +371,8 @@ let exec_op t v (op : Concurrent.op) =
   | List prefix -> ignore (Fsd.list fsd ~prefix : Cedar_fsbase.Fs_ops.info list)
   | Force -> force_all t
 
-(* The depth cap holds unconditionally: each volume's parked queue is a
-   bounded resource, and tying the cap to log fill (as an earlier
-   revision did) let it grow without limit whenever the log third
-   happened to be fresh. *)
-let admission_rejects t v (op : Concurrent.op) =
-  Concurrent.mutates op && v.v_parked >= t.cfg.queue_cap
-
-(* Admission has already passed when this runs. [Fs_error] is a client
-   error (bad name, missing file): count it and move on. A planted
+(* [Fs_error] is a client error (bad name, missing file): count it and
+   move on. A planted
    device crash is the simulated machine halt when the server owns one
    volume (propagate to the harness) and a per-volume quarantine when it
    owns several. Anything else is a server-side bug; it must not wedge
@@ -441,10 +400,10 @@ let run_op t v s op =
             | exception Cedar_fsbase.Fs_error.Fs_error _ ->
               s.errors <- s.errors + 1;
               Fsd.always_durable
-            | exception (Cedar_disk.Device.Crash_during_write { sector } as e) ->
+            | exception (Cedar_disk.Device.Crash_during_write _ as e) ->
               if single t then raise e
               else begin
-                quarantine t v ~sector;
+                quarantine t v;
                 s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
                 s.steps <- [];
                 s.state <- Done;
@@ -514,47 +473,12 @@ let step t s =
         s.state <- Done
       end
       else begin
-        if s.retries = 0 then begin
-          (* First admission attempt of a new lifecycle. *)
-          s.opseq <- s.opseq + 1;
-          s.t_submitted <- now t;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace ~at:(now t)
-              (Trace.Op_submitted { client = s.client; opseq = s.opseq })
-        end;
-        if not (admission_rejects t v op) then begin
-          s.steps <- rest;
-          run_op t v s op
-        end
-        else begin
-          s.rejected <- s.rejected + 1;
-          Metrics.inc v.c_rejects;
-          if s.retries < admission_retries then begin
-            (* Leave the step at the head of the script and retry once the
-               volume's next commit opportunity has had a chance to drain
-               its queue — a reject must never silently drop the mutation. *)
-            s.retries <- s.retries + 1;
-            Metrics.inc v.c_retries;
-            if Trace.enabled t.trace then
-              Trace.emit t.trace ~at:(now t)
-                (Trace.Op_rejected { client = s.client; opseq = s.opseq });
-            s.state <-
-              Thinking { until = max (now t + 1) (Fsd.commit_due_at v.v_fsd) }
-          end
-          else begin
-            (* Retries exhausted: give up on this step, but account for it.
-               The whole submitted->dropped window was admission time: the
-               op never executed. *)
-            s.dropped <- s.dropped + 1;
-            Metrics.inc v.c_dropped;
-            s.t_exec_start <- now t;
-            s.t_exec_end <- now t;
-            settle t v s op ~end_us:(now t) ~append_us:0 ~seek_us:0
-              ~transfer_us:0 ~dropped:true;
-            s.arrival_us <- now t;
-            s.steps <- rest
-          end
-        end
+        s.opseq <- s.opseq + 1;
+        if Trace.enabled t.trace then
+          Trace.emit t.trace ~at:(now t)
+            (Trace.Op_submitted { client = s.client; opseq = s.opseq });
+        s.steps <- rest;
+        run_op t v s op
       end))
 
 (* ------------------------------------------------------------------ *)
@@ -656,7 +580,6 @@ let force_drain t =
 
 let create_volumes ?(config = default_config) vset scripts =
   if Array.length scripts = 0 then invalid_arg "Server.create_volumes: no scripts";
-  if config.queue_cap < 1 then invalid_arg "Server.create_volumes: queue_cap < 1";
   let clock = Volume_set.clock vset in
   let t0 = Simclock.now clock in
   let sessions =
@@ -669,16 +592,12 @@ let create_volumes ?(config = default_config) vset scripts =
           state = Ready;
           ops = 0;
           mutations = 0;
-          rejected = 0;
-          retries = 0;
-          dropped = 0;
           errors = 0;
           aborted = None;
           wait_total_us = 0;
           wait_max_us = 0;
           opseq = 0;
           arrival_us = t0;
-          t_submitted = t0;
           t_exec_start = t0;
           t_exec_end = t0;
         })
@@ -694,7 +613,6 @@ let create_volumes ?(config = default_config) vset scripts =
           v_fsd = fsd;
           v_dev = dev;
           v_dead = false;
-          v_crash_sector = -1;
           v_last_durable = Fsd.durable_seq fsd;
           v_forces = 0;
           v_forces0 = 0;
@@ -703,12 +621,8 @@ let create_volumes ?(config = default_config) vset scripts =
           v_commit_wait_us = Metrics.dist m "server.commit_wait_us";
           v_batch_size = Metrics.dist m "server.batch_size";
           v_op_latency_us = Metrics.dist m "server.op_latency_us";
-          c_rejects = Metrics.counter m "server.rejects.queue_full";
-          c_retries = Metrics.counter m "server.retries";
-          c_dropped = Metrics.counter m "server.dropped";
           c_acked = Metrics.counter m "server.acked";
           c_phase_queue_us = Metrics.counter m "server.phase.queue_us";
-          c_phase_admission_us = Metrics.counter m "server.phase.admission_us";
           c_phase_execute_us = Metrics.counter m "server.phase.execute_us";
           c_phase_append_us = Metrics.counter m "server.phase.append_us";
           c_phase_parked_us = Metrics.counter m "server.phase.parked_us";
@@ -758,7 +672,6 @@ let run t =
   let vol_log_forces v = fsd_forces v - v.v_forces0 in
   let log_forces = Array.fold_left (fun n v -> n + vol_log_forces v) 0 t.vols in
   let total f = Array.fold_left (fun n s -> n + f s) 0 t.sessions in
-  let vtotal f = Array.fold_left (fun n v -> n + f v) 0 t.vols in
   let mutations_acked = total (fun s -> s.mutations) in
   (* Merged wait/batch statistics across volumes (for one volume this is
      that volume's own series, so the report is unchanged). *)
@@ -787,9 +700,7 @@ let run t =
     ops_per_force =
       (if log_forces = 0 then 0.
        else float_of_int mutations_acked /. float_of_int log_forces);
-    total_rejected = total (fun s -> s.rejected);
-    total_retries = vtotal (fun v -> Metrics.counter_value v.c_retries);
-    total_dropped = total (fun s -> s.dropped);
+    total_dropped = 0;
     total_errors = total (fun s -> s.errors);
     total_aborted = total (fun s -> if s.aborted = None then 0 else 1);
     wait_n = Stats.n wait;
@@ -808,8 +719,6 @@ let run t =
                r_client = s.client;
                r_ops = s.ops;
                r_mutations = s.mutations;
-               r_rejected = s.rejected;
-               r_dropped = s.dropped;
                r_errors = s.errors;
                r_aborted = s.aborted;
                r_wait_total_us = s.wait_total_us;
@@ -852,8 +761,6 @@ let report_json r =
         ("client", Jsonb.Int s.r_client);
         ("ops", Jsonb.Int s.r_ops);
         ("mutations", Jsonb.Int s.r_mutations);
-        ("rejected", Jsonb.Int s.r_rejected);
-        ("dropped", Jsonb.Int s.r_dropped);
         ("errors", Jsonb.Int s.r_errors);
         ( "aborted",
           match s.r_aborted with None -> Jsonb.Null | Some e -> Jsonb.Str e );
@@ -880,9 +787,6 @@ let report_json r =
        ("server_forces", Jsonb.Int r.server_forces);
        ("log_forces", Jsonb.Int r.log_forces);
        ("ops_per_force", Jsonb.Float r.ops_per_force);
-       ("rejected", Jsonb.Int r.total_rejected);
-       ("retries", Jsonb.Int r.total_retries);
-       ("dropped", Jsonb.Int r.total_dropped);
        ("errors", Jsonb.Int r.total_errors);
        ("aborted", Jsonb.Int r.total_aborted);
        ( "commit_wait_us",

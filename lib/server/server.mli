@@ -21,21 +21,20 @@
     services them in policy order.
 
     The same site splits the op's latency, once, into a
-    {!Cedar_obs.Trace.op_record} (a dropped op gets its record at the
-    drop), charges it to the volume's [server.phase.*_us] counters
-    and, with tracing on, emits it as [Op_done]. A parked op's append
-    is the overlap of its post-execute wait with the covering force's
-    device-busy window ({!Cedar_fsd.Fsd.last_force_window}).
+    {!Cedar_obs.Trace.op_record}, charges it to the volume's
+    [server.phase.*_us] counters and, with tracing on, emits it as
+    [Op_done]. A parked op's append is the overlap of its post-execute
+    wait with the covering force's device-busy window
+    ({!Cedar_fsd.Fsd.last_force_window}).
 
-    Each volume's batcher forces on three triggers: its half-second
-    commit interval, 64 sessions parked on it, or an explicit client
-    [Force] (which flushes every live volume). Admission control
-    rejects — never blocks — a mutating op when [queue_cap] sessions
-    are already parked on its target volume, so each parked queue
-    stays bounded. A rejected step stays at the head of its script and
-    is retried after the volume's next commit opportunity, up to 8
-    times; only then is it dropped, and the drop is counted in the
-    report.
+    Each volume's batcher forces on the paper's two triggers, its
+    half-second commit interval and an explicit client [Force] (which
+    flushes every live volume), and once more at shutdown, when only
+    parked sessions with exhausted scripts remain. FSD's bulk trigger
+    still forces mid-op when the pending batch nears one log record.
+    No op is refused or retried: a session has at most one op in
+    flight, so the sessions parked on a volume never outnumber the
+    sessions.
 
     Determinism contract: given the same volume images, scripts and
     configuration, two runs produce byte-identical {!report_json} output
@@ -44,9 +43,6 @@
     seeds). *)
 
 type config = {
-  queue_cap : int;
-      (** admission depth cap: a mutating op is rejected while this
-          many sessions are parked on its target volume *)
   on_force : (int -> unit) option;
       (** called with the force ordinal (1-based) just before each
           server-initiated force — the crash-injection hook *)
@@ -57,16 +53,14 @@ type config = {
 }
 
 val default_config : config
-(** [queue_cap = 256], no hooks. *)
+(** No hooks. *)
 
 type t
 
 type session_report = {
   r_client : int;
-  r_ops : int;  (** operations executed (rejected ones excluded) *)
+  r_ops : int;  (** operations executed *)
   r_mutations : int;  (** mutating operations acknowledged durable *)
-  r_rejected : int;  (** admission rejects, including retried ones *)
-  r_dropped : int;  (** steps abandoned after 8 retried rejects *)
   r_errors : int;  (** operations that raised [Fs_error] *)
   r_aborted : string option;
       (** set when a non-[Fs_error] exception terminated the session *)
@@ -91,9 +85,8 @@ type report = {
   server_forces : int;  (** forces the scheduler initiated *)
   log_forces : int;  (** all log forces, including mid-op backstops *)
   ops_per_force : float;  (** mutations acked per log force *)
-  total_rejected : int;  (** admission rejects, including retried ones *)
-  total_retries : int;  (** [server.retries] counter *)
   total_dropped : int;
+      (** always 0: no op is dropped (kept for the benchmark harness) *)
   total_errors : int;
   total_aborted : int;  (** sessions terminated by a non-[Fs_error] *)
   wait_n : int;
@@ -119,13 +112,11 @@ val create_volumes :
     names in the root for a multi-volume set, unprefixed for a
     single-volume one), the [server.queue_depth] gauge, the
     [server.commit_wait_us] / [server.batch_size] /
-    [server.op_latency_us] distributions, the admission counters
-    [server.rejects.queue_full], [server.retries] and
-    [server.dropped], [server.acked], and the [server.phase.*_us]
-    counters charged from each op's record — so each volume's monitor derives its own
-    sat.* gauges and coexisting volumes never clobber each other's
-    counters. Raises [Invalid_argument] on an empty script array or a
-    non-positive [queue_cap]. *)
+    [server.op_latency_us] distributions, the [server.acked] counter
+    and the four [server.phase.*_us] counters charged from each op's
+    record — so each volume's monitor derives its own sat.* gauges and
+    coexisting volumes never clobber each other's counters. Raises
+    [Invalid_argument] on an empty script array. *)
 
 val serve_volumes :
   ?config:config ->

@@ -57,6 +57,8 @@ let op_kind = function
   | List _ -> "list"
   | Force -> "force"
 
+let op_kinds = [ "create"; "open"; "read"; "read_page"; "delete"; "list"; "force" ]
+
 (* ------------------------------------------------------------------ *)
 (* The §7 make/do workload, one client's worth.
 
@@ -181,7 +183,7 @@ let crash_reference ~clients =
   Array.init clients (fun client -> crash_reference_client ~client)
 
 (* ------------------------------------------------------------------ *)
-(* Adversarial shapes for fairness and admission tests. *)
+(* Adversarial shapes for fairness tests. *)
 
 let bulk_writer ~client ~files ~bytes ~think_us ~seed =
   let rng = Rng.create seed in
@@ -304,7 +306,7 @@ let churn_scripts spec ~clients =
    Poisson process at a configured aggregate rate — [At t] pins each
    op's earliest issue time to the virtual clock regardless of how far
    behind the server is, so when service is slower than arrival the
-   backlog (queue depth, commit wait, rejects) grows and the telemetry
+   backlog (queue wait, queue depth, commit wait) grows and the telemetry
    shows the saturation knee.
 
    Shape knobs follow production traffic folklore: heavy-tailed

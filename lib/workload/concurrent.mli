@@ -37,6 +37,10 @@ val op_name : op -> string
     "read_page", "delete", "list", "force") — the key latency anatomy
     aggregates by. Never allocates. *)
 val op_kind : op -> string
+
+val op_kinds : string list
+(** Every label {!op_kind} returns, in declaration order. *)
+
 val mutates : op -> bool
 (** Whether the operation leaves log-pending metadata (create/delete) —
     the ops whose sessions park on the group-commit batcher. *)
@@ -69,7 +73,7 @@ val crash_reference : clients:int -> script array
     too. Unique names and session-ordered deletes keep the post-crash
     acked/unacked oracle unambiguous. *)
 
-(** {1 Adversarial shapes (fairness and admission tests)} *)
+(** {1 Adversarial shapes (fairness tests)} *)
 
 val bulk_writer :
   client:int -> files:int -> bytes:int -> think_us:int -> seed:int -> script

@@ -70,8 +70,7 @@ let test_conservation () =
   List.iter
     (fun (o : Crit.op_record) ->
       let sum =
-        o.Crit.queue_us + o.Crit.admission_us + o.Crit.execute_us
-        + o.Crit.append_us + o.Crit.parked_us
+        o.Crit.queue_us + o.Crit.execute_us + o.Crit.append_us + o.Crit.parked_us
       in
       check int
         (Printf.sprintf "client %d op %d: phases sum to end-to-end" o.Crit.client

@@ -84,7 +84,7 @@ let test_tolerant_fields_pinned () =
       "BENCH_TIMELINE.json: fill";
       "BENCH_TIMELINE.json: fill_max";
       "BENCH_TIMELINE.json: ops_per_force";
-      "BENCH_TIMELINE.json: reject_s";
+      "BENCH_TIMELINE.json: phase_queue";
       "BENCH_TIMELINE.json: wait_p50_us";
       "BENCH_TIMELINE.json: wait_p99_us";
       "BENCH_VOLUMES.json: agg_ops_per_force";
@@ -114,8 +114,41 @@ let test_counts_and_inputs_exact () =
   check int "a time beyond 10% drifts" 1
     (drifted "duration_us" (J.Int 1000) (J.Int 1200))
 
+(* bench diff also fails on a committed snapshot whose named shape
+   check does not hold: every committed one holds, and one check of
+   BENCH_TIMELINE.json set false is reported, once. *)
+let test_committed_checks_hold () =
+  List.iter
+    (fun f ->
+      check
+        Alcotest.(list string)
+        (f ^ ": every named check holds")
+        [] (Drift.failed_checks f (parse f)))
+    (snapshots ());
+  let set_false = function
+    | J.Obj kvs ->
+      J.Obj
+        (List.map
+           (function
+             | "checks", J.Obj cs ->
+               ( "checks",
+                 J.Obj
+                   (List.map
+                      (fun (n, v) -> if n = "deterministic" then (n, J.Bool false) else (n, v))
+                      cs) )
+             | kv -> kv)
+           kvs)
+    | v -> v
+  in
+  check
+    Alcotest.(list string)
+    "the false check is reported"
+    [ "BENCH_TIMELINE.json.checks.deterministic: false, want true" ]
+    (Drift.failed_checks "BENCH_TIMELINE.json" (set_false (parse "BENCH_TIMELINE.json")))
+
 let suite =
   [
     ("tolerant fields are pinned", `Quick, test_tolerant_fields_pinned);
     ("counts and inputs are exact", `Quick, test_counts_and_inputs_exact);
+    ("committed shape checks hold", `Quick, test_committed_checks_hold);
   ]

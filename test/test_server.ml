@@ -1,6 +1,6 @@
 (* Concurrent multi-client server and group-commit batcher:
    determinism, batching amortisation, fairness under a bulk writer,
-   admission rejects and drops, crash atomicity of acknowledged
+   the shutdown drain's single batch, crash atomicity of acknowledged
    transactions, the run_due_demons split, the script-file parser, the
    one completion rule and the op ledger. *)
 
@@ -100,7 +100,6 @@ let ops_per_force clients =
     S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
       (C.makedo_scripts spec ~clients)
   in
-  check int "no rejects" 0 r.S.total_rejected;
   check int "no errors" 0 r.S.total_errors;
   r.S.ops_per_force
 
@@ -145,7 +144,6 @@ let test_fairness_no_starvation () =
         else C.churn ~client ~ops:8 ~bytes:400 ~think_us:40_000 ~seed:(10 + client))
   in
   let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
-  check int "no rejects" 0 r.S.total_rejected;
   check int "no errors" 0 r.S.total_errors;
   let interval = (Fsd.params fs).Params.commit_interval_us in
   List.iter
@@ -167,93 +165,34 @@ let test_fairness_no_starvation () =
     (r.S.wait_p99_us < float_of_int (3 * interval))
 
 (* ------------------------------------------------------------------ *)
-(* Admission control: rejects, never a block, never a lost op          *)
+(* Force triggers: the commit interval, Force and the shutdown drain    *)
 
-(* Admission events in a trace: (retried rejects, drops), for [client]
-   only when given. *)
-let admission_events ?client entries =
-  let mine c = Option.fold ~none:true ~some:(Int.equal c) client in
-  List.fold_left
-    (fun (rejected, dropped) (e : Obs.Trace.entry) ->
-      match e.Obs.Trace.event with
-      | Obs.Trace.Op_rejected { client = c; _ } when mine c -> (rejected + 1, dropped)
-      | Obs.Trace.Op_done { Obs.Trace.client = c; dropped = true; _ } when mine c ->
-        (rejected, dropped + 1)
-      | _ -> (rejected, dropped))
-    (0, 0) entries
-
-(* Serve with the volume's trace on; returns the report and the trace. *)
-let serve_traced ?config fs scripts =
-  let tr = Device.trace (Fsd.device fs) in
-  Obs.Trace.enable ~capacity:(1 lsl 16) tr;
-  let r = S.serve_volumes ?config (Cedar_volumes.Volume_set.of_fsd fs) scripts in
-  Obs.Trace.disable tr;
-  check int "trace kept every entry" 0 (Obs.Trace.dropped tr);
-  (r, Obs.Trace.to_list tr)
-
-(* Regression: the depth cap used to be gated on log fill, so with a
-   near-empty log the parked queue could grow past [queue_cap]. The cap
-   must hold unconditionally, and a rejected step must be retried rather
-   than silently dropped. *)
-let test_queue_cap_unconditional () =
-  let _, fs = fresh_fs () in
-  (* The queue-depth gauge, sampled as each force starts, never reads
-     above the cap. *)
-  let deepest = ref 0 in
-  let on_force _ =
-    let d = Option.get (Obs.Metrics.read (Fsd.metrics fs) "server.queue_depth") in
-    deepest := max !deepest d
+(* No depth triggers a force and no op is refused: 80 sessions, each
+   doing one create on one volume whose 60 s commit interval never comes
+   due, all park, and the shutdown drain releases them with one force as
+   a single batch of 80. Records of 64 data sectors keep FSD's bulk
+   trigger (the pending batch nearing one record) from firing first. *)
+let test_drain_releases_one_batch () =
+  let params =
+    {
+      (Params.for_geometry Geometry.small_test) with
+      Params.commit_interval_us = 60_000_000;
+      max_record_data_sectors = 64;
+    }
   in
-  let config = { S.default_config with S.queue_cap = 2; on_force = Some on_force } in
   let scripts =
-    Array.init 4 (fun client ->
-        create_script ~client ~creates:4 ~bytes:600 ~think:0)
+    Array.init 80 (fun client ->
+        [
+          C.Op
+            (C.Create
+               { name = Printf.sprintf "c%02d/f" client; bytes = 100; fill = client });
+        ])
   in
-  let r, entries = serve_traced ~config fs scripts in
-  check int "queue depth at a force reaches the cap, never more" 2 !deepest;
-  check bool "cap rejected some admissions despite empty log" true
-    (r.S.total_rejected > 0);
-  let rejected, dropped = admission_events entries in
-  check int "every reject traced as a retry or a drop" r.S.total_rejected
-    (rejected + dropped);
-  check int "rejects are not errors" 0 r.S.total_errors;
-  (* Never lost: every mutation is eventually acked or counted dropped. *)
-  check int "acked + dropped covers every mutation" 16
-    (r.S.mutations_acked + r.S.total_dropped);
-  check int "retries eventually drained the queue" 0 r.S.total_dropped
-
-(* Retries are bounded. With [queue_cap = 1] a writer that creates back
-   to back (no think steps) parks again before its neighbour's retry
-   comes round, so the neighbour's create is rejected on arrival and on
-   each of its 8 retries, then dropped — counted and traced, never lost
-   silently — while every one of the writer's creates is acked. *)
-let test_queue_cap_drop () =
-  let _, fs = fresh_fs () in
-  let create client i =
-    C.Op (C.Create { name = Printf.sprintf "c%02d/f%d" client i; bytes = 600; fill = i })
-  in
-  let scripts = [| List.init 12 (create 0); [ create 1 0 ] |] in
-  let r, entries =
-    serve_traced ~config:{ S.default_config with S.queue_cap = 1 } fs scripts
-  in
-  let session c = List.nth r.S.per_session c in
-  check int "client 1 rejected on arrival and 8 retries" 9 (session 1).S.r_rejected;
-  check int "client 1's create dropped" 1 (session 1).S.r_dropped;
-  check int "client 1 acked nothing" 0 (session 1).S.r_mutations;
-  check int "8 retries counted" 8 r.S.total_retries;
-  check int "client 0 acked all 12" 12 (session 0).S.r_mutations;
-  check (Alcotest.pair int int) "client 1 traced as 8 retried rejects and a drop"
-    (8, 1) (admission_events ~client:1 entries);
-  check bool "the drop is traced with its 8 retries" true
-    (List.exists
-       (fun (e : Obs.Trace.entry) ->
-         match e.Obs.Trace.event with
-         | Obs.Trace.Op_done
-             { Obs.Trace.client = 1; retries = 8; dropped = true; _ } ->
-           true
-         | _ -> false)
-       entries);
-  check bool "the dropped create left no file" false (Fsd.exists fs ~name:"c01/f0")
+  let r = S.serve_volumes (fresh_set ~params 1) scripts in
+  check int "80 creates acked" 80 r.S.mutations_acked;
+  check int "all 80 released together" 80 (int_of_float r.S.batch_max);
+  check int "one batch" 1 r.S.batch_n;
+  check int "one force, the drain's" 1 r.S.server_forces
 
 (* ------------------------------------------------------------------ *)
 (* Crash atomicity: acked present, unacked absent                       *)
@@ -267,7 +206,6 @@ let test_crash_atomicity () =
   let crash_force = 3 in
   let config =
     {
-      S.default_config with
       S.on_force =
         Some
           (fun n ->
@@ -468,7 +406,7 @@ let replay_acks ~dev_of_client entries f =
       | Obs.Trace.Dev_seek { us; _ } -> add_to seek (up_to sessions span) us
       | Obs.Trace.Mutation _ -> Hashtbl.replace unforced (up_to sessions span) ()
       | Obs.Trace.Log_force _ -> Hashtbl.remove unforced (up_to sessions span)
-      | Obs.Trace.Op_done r when not r.Obs.Trace.dropped ->
+      | Obs.Trace.Op_done r ->
         incr acks;
         let op = Hashtbl.find current r.Obs.Trace.client in
         let dev = dev_of_client r.Obs.Trace.client in
@@ -603,7 +541,7 @@ let check_ledger what ~dev_of_client vset scripts =
            (fun n r -> n + Obs.Critpath.phase_us r ph)
            0 cp.Obs.Critpath.ops)
         !online)
-    Obs.Critpath.[ Queue; Admission; Execute; Append; Parked ];
+    Obs.Critpath.[ Queue; Execute; Append; Parked ];
   check_device_split ~dev_of_client entries
 
 let creates acked =
@@ -717,10 +655,8 @@ let suite =
       test_all_mutations_acked;
     Alcotest.test_case "bulk writer does not starve small sessions" `Quick
       test_fairness_no_starvation;
-    Alcotest.test_case "depth cap holds even with an empty log" `Quick
-      test_queue_cap_unconditional;
-    Alcotest.test_case "depth cap drops after 8 retries" `Quick
-      test_queue_cap_drop;
+    Alcotest.test_case "shutdown drain releases 80 as one batch" `Quick
+      test_drain_releases_one_batch;
     Alcotest.test_case "crash keeps acked, drops unacked" `Quick
       test_crash_atomicity;
     Alcotest.test_case "run_due_demons matches Fsd.tick" `Quick
