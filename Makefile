@@ -75,7 +75,11 @@ bench-diff:
 # Determinism smoke: two same-seed 2-client server runs must produce
 # byte-identical JSON reports (the server's core contract). Then a
 # malformed image: cedar ls on a truncated copy of the volume must exit 1
-# with "not a valid disk image", not die on an uncaught exception.
+# with "not a valid disk image", not die on an uncaught exception. Then
+# scale: 256 make/do clients on 8 volumes must all run, with no client
+# error and no aborted session (--clients has no upper cap). Last, an
+# open-loop rate that is not a finite positive number (nan) must be
+# refused with exit 1, not run with every arrival due at time 0.
 serve-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/serve-smoke && mkdir -p _build/serve-smoke
@@ -95,6 +99,17 @@ serve-smoke:
 		_build/serve-smoke/truncated.err || \
 		{ echo "serve-smoke: no 'not a valid disk image' message"; exit 1; }
 	@echo "serve-smoke: truncated image refused"
+	./_build/default/bin/cedar.exe serve --volumes 8 --clients 256 --rounds 1 \
+		--json > _build/serve-smoke/c256.json
+	@python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(not (r["errors"] == 0 and r["aborted"] == 0 and len(r["sessions"]) == 256))' \
+		_build/serve-smoke/c256.json || \
+		{ echo "serve-smoke: 256 clients did not all run clean"; exit 1; }
+	@echo "serve-smoke: 256 clients on 8 volumes, 0 errors, 0 aborted"
+	@./_build/default/bin/cedar.exe serve _build/serve-smoke/vol.img --open-loop nan \
+		> /dev/null 2>&1; status=$$?; \
+	if [ $$status -ne 1 ]; then \
+		echo "serve-smoke: --open-loop nan exited $$status, not 1"; exit 1; fi
+	@echo "serve-smoke: --open-loop nan refused"
 
 # Multi-volume determinism smoke: two same-seed 2-volume sharded server
 # runs (fresh in-memory volumes, no image) must produce byte-identical
@@ -183,7 +198,11 @@ watch-smoke:
 # the correctness check; the two JSON anatomies must also be
 # byte-identical (same seed, same blame, same microseconds). Then a
 # misspelt kind: --op creat must exit 1 with a message listing the
-# seven op kinds, not print an empty anatomy.
+# seven op kinds, not print an empty anatomy. serve and why build their
+# workload from the same flags in one place, so on the same image
+# `--clients 4 --open-loop 20 --ops 60` must give serve's total_ops equal
+# to why's op count. Last, --churn --ops 0 must exit 1, not print an
+# empty anatomy.
 why-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/why-smoke && mkdir -p _build/why-smoke
@@ -204,6 +223,19 @@ why-smoke:
 		_build/why-smoke/badop.err || \
 		{ echo "why-smoke: --op creat refused without listing the kinds"; exit 1; }
 	@echo "why-smoke: unknown --op kind refused"
+	./_build/default/bin/cedar.exe serve _build/why-smoke/vol.img \
+		--clients 4 --open-loop 20 --ops 60 --json > _build/why-smoke/serve-ol.json
+	./_build/default/bin/cedar.exe why _build/why-smoke/vol.img \
+		--clients 4 --open-loop 20 --ops 60 --json > _build/why-smoke/why-ol.json
+	@python3 -c 'import json, sys; s = json.load(open(sys.argv[1])); w = json.load(open(sys.argv[2])); sys.exit(not (s["total_ops"] == w["ops"] == 60))' \
+		_build/why-smoke/serve-ol.json _build/why-smoke/why-ol.json || \
+		{ echo "why-smoke: serve and why ran different open-loop workloads"; exit 1; }
+	@echo "why-smoke: serve and why ran the same 60 open-loop ops"
+	@./_build/default/bin/cedar.exe why _build/why-smoke/vol.img --churn --ops 0 \
+		> /dev/null 2>&1; status=$$?; \
+	if [ $$status -ne 1 ]; then \
+		echo "why-smoke: cedar why --churn --ops 0 exited $$status, not 1"; exit 1; fi
+	@echo "why-smoke: --churn --ops 0 refused"
 
 # Disk-scheduler smoke: the qdepth sweep must rerun byte-identically and
 # both built-in regression checks must hold — a reordering policy beats

@@ -309,12 +309,15 @@ let attach_watch out mon =
       if not tty then output_char out '\n';
       flush out)
 
-let write_text path s =
-  if path = "-" then (print_string s; if s = "" || s.[String.length s - 1] <> '\n' then print_newline ())
+(* The timeline as pretty JSON to [path] ("-" for stdout), ending in a
+   newline. *)
+let write_timeline path samples =
+  let s = Obs.Jsonb.to_string_pretty (Obs.Timeline.to_json samples) in
+  if path = "-" then print_endline s
   else begin
     let oc = open_out path in
     output_string oc s;
-    if s = "" || s.[String.length s - 1] <> '\n' then output_char oc '\n';
+    output_char oc '\n';
     close_out oc
   end
 
@@ -460,10 +463,38 @@ let print_serve_report json r =
       r.S.per_session
   end
 
-let cmd_serve path volumes clients script_file seed think_us rounds json watch
-    open_rate open_ops timeline timeline_csv disk_sched disk_qdepth =
+(* The workload serve and why share, from their common flags: the §7
+   make/do sessions by default, open-loop Poisson traffic under
+   --open-loop, or (why only) the log-wrap churn workload; on several
+   volumes each client's names are pinned to one of them. *)
+let server_scripts clients seed think_us rounds open_rate ops ~churn ~volumes =
+  let module C = Cedar_workload.Concurrent in
   if clients < 1 then fail "--clients must be at least 1 (got %d)" clients;
-  if clients > 99 then fail "--clients is capped at 99 (got %d)" clients;
+  let check_ops () =
+    if ops < 1 then fail "--ops must be at least 1 (got %d)" ops
+  in
+  let scripts =
+    match (open_rate, churn) with
+    | Some _, true -> fail "--open-loop and --churn are mutually exclusive"
+    | Some rate, false ->
+      if not (Float.is_finite rate && rate > 0.0) then
+        fail "--open-loop rate must be finite and positive (got %g)" rate;
+      check_ops ();
+      C.open_loop
+        { C.default_open with C.ol_rate_per_s = rate; ol_ops = ops;
+          ol_seed = seed }
+        ~clients
+    | None, true ->
+      check_ops ();
+      C.churn_scripts
+        { C.default_churn with C.churn_ops = ops; churn_seed = seed }
+        ~clients
+    | None, false ->
+      C.makedo_scripts { C.default_spec with C.seed; think_us; rounds } ~clients
+  in
+  if volumes > 1 then C.shard_scripts scripts ~volumes else scripts
+
+let cmd_serve path volumes workload json watch timeline disk_sched disk_qdepth =
   if volumes < 1 || volumes > 256 then
     fail "--volumes must be in [1, 256] (got %d)" volumes;
   if disk_qdepth < 0 || disk_qdepth > 128 then
@@ -474,34 +505,7 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
     | None ->
       fail "--disk-sched must be fifo, elevator or sstf (got %s)" disk_sched
   in
-  let module C = Cedar_workload.Concurrent in
-  let scripts =
-    match (script_file, open_rate) with
-    | Some _, Some _ -> fail "--script and --open-loop are mutually exclusive"
-    | Some file, None ->
-      if not (Sys.file_exists file) then fail "no such script file: %s" file;
-      let ic = open_in_bin file in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (match C.parse_script text with
-      | Error m -> fail "%s: %s" file m
-      | Ok s -> Array.init clients (fun client -> C.instantiate ~volumes s ~client))
-    | None, Some rate ->
-      if rate <= 0.0 then fail "--open-loop rate must be positive (got %g)" rate;
-      if open_ops < 1 then fail "--ops must be at least 1 (got %d)" open_ops;
-      let s =
-        C.open_loop
-          { C.default_open with C.ol_rate_per_s = rate; ol_ops = open_ops;
-            ol_seed = seed }
-          ~clients
-      in
-      if volumes > 1 then C.shard_scripts s ~volumes else s
-    | None, None ->
-      let s =
-        C.makedo_scripts { C.default_spec with C.seed; think_us; rounds } ~clients
-      in
-      if volumes > 1 then C.shard_scripts s ~volumes else s
-  in
+  let scripts = workload ~churn:false ~volumes in
   if volumes > 1 then begin
     (match path with
     | None -> ()
@@ -510,7 +514,7 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
         "--volumes %d runs on fresh in-memory volumes (an IMAGE holds one \
          volume); omit %s"
         volumes p);
-    if watch || timeline <> None || timeline_csv <> None then
+    if watch || timeline <> None then
       fail "--watch/--timeline need a single volume's monitor";
     guard (fun () ->
         let clock = Simclock.create () in
@@ -536,7 +540,7 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
         | Cfs_vol _ -> fail "serve requires an FSD volume (group commit is FSD-only)"
         | Fsd_vol fs ->
           let mon =
-            if watch || timeline <> None || timeline_csv <> None then
+            if watch || timeline <> None then
               Some (Cedar_fsd.Fsd.enable_monitor fs)
             else None
           in
@@ -549,15 +553,9 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
             Cedar_server.Server.serve_volumes
               (Cedar_volumes.Volume_set.of_fsd fs) scripts
           in
-          (match mon with
-          | None -> ()
-          | Some m ->
-            let samples = Obs.Monitor.samples m in
-            Option.iter
-              (fun p -> write_text p (Obs.Jsonb.to_string_pretty (Obs.Timeline.to_json samples)))
-              timeline;
-            Option.iter (fun p -> write_text p (Obs.Timeline.to_csv samples))
-              timeline_csv);
+          (match (mon, timeline) with
+          | Some m, Some p -> write_timeline p (Obs.Monitor.samples m)
+          | _ -> ());
           print_serve_report json r)
   end
 
@@ -565,10 +563,7 @@ let cmd_serve path volumes clients script_file seed think_us rounds json watch
    collect the server's per-op phase records from the trace (Critpath)
    and report which phase dominates the tail. The image is not saved, so
    same-seed runs are byte-comparable — `why --json` is deterministic. *)
-let cmd_why path clients seed think_us rounds open_rate open_ops churn json
-    op_filter top chrome =
-  if clients < 1 then fail "--clients must be at least 1 (got %d)" clients;
-  if clients > 99 then fail "--clients is capped at 99 (got %d)" clients;
+let cmd_why path workload churn json op_filter top chrome =
   if top < 1 then fail "--top must be at least 1 (got %d)" top;
   let module C = Cedar_workload.Concurrent in
   Option.iter
@@ -577,23 +572,7 @@ let cmd_why path clients seed think_us rounds open_rate open_ops churn json
         fail "--op %S is not an op kind (one of: %s)" op
           (String.concat ", " C.op_kinds))
     op_filter;
-  let scripts =
-    match (open_rate, churn) with
-    | Some _, true -> fail "--open-loop and --churn are mutually exclusive"
-    | Some rate, false ->
-      if rate <= 0.0 then fail "--open-loop rate must be positive (got %g)" rate;
-      if open_ops < 1 then fail "--ops must be at least 1 (got %d)" open_ops;
-      C.open_loop
-        { C.default_open with C.ol_rate_per_s = rate; ol_ops = open_ops;
-          ol_seed = seed }
-        ~clients
-    | None, true ->
-      C.churn_scripts
-        { C.default_churn with C.churn_ops = open_ops; churn_seed = seed }
-        ~clients
-    | None, false ->
-      C.makedo_scripts { C.default_spec with C.seed; think_us; rounds } ~clients
-  in
+  let scripts = workload ~churn ~volumes:1 in
   with_volume ~save:false path (fun vol ->
       match vol with
       | Cfs_vol _ -> fail "why requires an FSD volume (server lifecycles)"
@@ -641,7 +620,6 @@ let cmd_why path clients seed think_us rounds open_rate open_ops churn json
 let cmd_faultsweep clients tear max_forces scavenge wrap json =
   let module F = Cedar_server.Faultsweep in
   if clients < 1 then fail "--clients must be at least 1 (got %d)" clients;
-  if clients > 99 then fail "--clients is capped at 99 (got %d)" clients;
   (match max_forces with
   | Some k when k <= 0 -> fail "--max-forces must be positive (got %d)" k
   | Some _ | None -> ());
@@ -666,7 +644,6 @@ let cmd_churn clients ops slots seed force_every tiny min_wraps json =
   let module E = Cedar_server.Endurance in
   let module C = Cedar_workload.Concurrent in
   if clients < 1 then fail "--clients must be at least 1 (got %d)" clients;
-  if clients > 99 then fail "--clients is capped at 99 (got %d)" clients;
   if ops < 1 then fail "--ops must be at least 1 (got %d)" ops;
   if slots < 1 then fail "--slots must be at least 1 (got %d)" slots;
   if min_wraps < 0 then fail "--min-wraps must be non-negative (got %d)" min_wraps;
@@ -800,6 +777,52 @@ let trace_cmd =
           scripted workload and dump the event trace")
     Term.(const cmd_trace $ img $ limit $ chrome)
 
+(* The flags serve and why share, evaluated to [server_scripts] awaiting
+   the command's own [~churn] and [~volumes]. *)
+let workload =
+  let clients =
+    Arg.(
+      value & opt int 2
+      & info [ "clients" ] ~docv:"N" ~doc:"number of concurrent client sessions")
+  in
+  let seed =
+    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"workload seed")
+  in
+  let think =
+    Arg.(
+      value & opt int 50_000
+      & info [ "think" ] ~docv:"US"
+          ~doc:"mean per-step client think time in simulated microseconds")
+  in
+  let rounds =
+    Arg.(
+      value & opt int 2
+      & info [ "rounds" ] ~docv:"R" ~doc:"make/do build passes per client")
+  in
+  let open_loop =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "open-loop" ] ~docv:"RATE"
+          ~doc:
+            "replace the closed-loop make/do workload with deterministic \
+             open-loop traffic: Poisson arrivals at $(docv) ops/s aggregate, \
+             pinned to the virtual clock (a session behind schedule issues \
+             immediately), heavy-tailed create sizes and zipfian hot-directory \
+             names")
+  in
+  let ops =
+    Arg.(
+      value
+      & opt int
+          Cedar_workload.Concurrent.default_open.Cedar_workload.Concurrent.ol_ops
+      & info [ "ops" ] ~docv:"N"
+          ~doc:
+            "total open-loop arrivals across all clients (with --open-loop), \
+             or churn steps per client (with why --churn)")
+  in
+  Term.(const server_scripts $ clients $ seed $ think $ rounds $ open_loop $ ops)
+
 let serve_cmd =
   let serve_img =
     (* Optional here only: --volumes N>1 serves fresh in-memory volumes
@@ -817,37 +840,6 @@ let serve_cmd =
              component). Mutually exclusive with IMAGE; the default 1 \
              serves the given IMAGE exactly as before")
   in
-  let clients =
-    Arg.(
-      value & opt int 2
-      & info [ "clients" ] ~docv:"N" ~doc:"number of concurrent client sessions")
-  in
-  let script =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "script" ] ~docv:"FILE"
-          ~doc:
-            "replay $(docv) in every session (one step per line: think US, \
-             create NAME BYTES, open NAME, read NAME, read-page NAME PAGE, \
-             delete NAME, list PREFIX, force; {c} in names becomes the \
-             session's directory, {v} a directory routing to volume \
-             client mod V). Default: the per-client make/do workload")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"workload seed")
-  in
-  let think =
-    Arg.(
-      value & opt int 50_000
-      & info [ "think" ] ~docv:"US"
-          ~doc:"mean per-step client think time in simulated microseconds")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 2
-      & info [ "rounds" ] ~docv:"R" ~doc:"make/do build passes per client")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"emit the deterministic JSON report")
   in
@@ -861,38 +853,12 @@ let serve_cmd =
              percentiles, sparklines). Plain text on a pipe — no escape \
              codes; with --json, frames go to stderr")
   in
-  let open_loop =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "open-loop" ] ~docv:"RATE"
-          ~doc:
-            "replace the closed-loop make/do workload with deterministic \
-             open-loop traffic: Poisson arrivals at $(docv) ops/s aggregate, \
-             pinned to the virtual clock (a session behind schedule issues \
-             immediately), heavy-tailed create sizes and zipfian hot-directory \
-             names")
-  in
-  let open_ops =
-    Arg.(
-      value
-      & opt int
-          Cedar_workload.Concurrent.default_open.Cedar_workload.Concurrent.ol_ops
-      & info [ "ops" ] ~docv:"N" ~doc:"total open-loop arrivals across all clients")
-  in
   let timeline =
     Arg.(
       value
       & opt (some string) None
       & info [ "timeline" ] ~docv:"PATH"
           ~doc:"write the telemetry timeline as JSON to $(docv) (- for stdout)")
-  in
-  let timeline_csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "timeline-csv" ] ~docv:"PATH"
-          ~doc:"write the telemetry timeline as CSV to $(docv) (- for stdout)")
   in
   let disk_sched =
     Arg.(
@@ -923,49 +889,10 @@ let serve_cmd =
           into per-volume group-commit forces (the image is not modified; \
           same-seed runs produce byte-identical reports)")
     Term.(
-      const cmd_serve $ serve_img $ volumes $ clients $ script $ seed $ think
-      $ rounds $ json $ watch $ open_loop $ open_ops $ timeline $ timeline_csv
+      const cmd_serve $ serve_img $ volumes $ workload $ json $ watch $ timeline
       $ disk_sched $ disk_qdepth)
 
 let why_cmd =
-  let clients =
-    Arg.(
-      value & opt int 2
-      & info [ "clients" ] ~docv:"N" ~doc:"number of concurrent client sessions")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"workload seed")
-  in
-  let think =
-    Arg.(
-      value & opt int 50_000
-      & info [ "think" ] ~docv:"US"
-          ~doc:"mean per-step client think time in simulated microseconds")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 2
-      & info [ "rounds" ] ~docv:"R" ~doc:"make/do build passes per client")
-  in
-  let open_loop =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "open-loop" ] ~docv:"RATE"
-          ~doc:
-            "drive deterministic open-loop Poisson traffic at $(docv) ops/s \
-             aggregate instead of the closed-loop make/do workload")
-  in
-  let open_ops =
-    Arg.(
-      value
-      & opt int
-          Cedar_workload.Concurrent.default_open.Cedar_workload.Concurrent.ol_ops
-      & info [ "ops" ] ~docv:"N"
-          ~doc:
-            "total open-loop arrivals (with --open-loop) or churn steps per \
-             client (with --churn)")
-  in
   let churn =
     Arg.(
       value & flag
@@ -1010,8 +937,7 @@ let why_cmd =
           not modified; exits non-zero if conservation is violated or the \
           trace ring overflowed)")
     Term.(
-      const cmd_why $ img $ clients $ seed $ think $ rounds $ open_loop
-      $ open_ops $ churn $ json $ op_filter $ top $ chrome)
+      const cmd_why $ img $ workload $ churn $ json $ op_filter $ top $ chrome)
 
 let churn_cmd =
   let clients =

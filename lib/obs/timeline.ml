@@ -1,7 +1,7 @@
 (* Serialization and terminal rendering for monitor samples.
 
-   The JSON and CSV emitters are pure functions of the sample list, so
-   they inherit the monitor's determinism contract: identical runs give
+   The JSON emitter is a pure function of the sample list, so it
+   inherits the monitor's determinism contract: identical runs give
    byte-identical output. The frame renderer writes plain text only —
    no ANSI escape sequences — so `--watch` piped to a file (or run
    without a tty) stays grep-clean; any cursor addressing is the
@@ -9,7 +9,7 @@
 
 module J = Jsonb
 
-(* Each watched window's fields in the JSON, as in the CSV's columns. *)
+(* Each watched window's fields in the JSON. *)
 let window_fields = [ "n"; "p50"; "p90"; "p99" ]
 
 let sample_json (s : Monitor.sample) =
@@ -30,71 +30,6 @@ let sample_json (s : Monitor.sample) =
     ]
 
 let to_json samples = J.Arr (List.map sample_json samples)
-
-(* CSV: fixed at_us/dt_us columns, then the union (across all samples)
-   of counter, gauge, derived and dist columns, each group name-sorted.
-   Cells absent from a given sample render empty. *)
-
-let num_str f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-let union_keys proj samples =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun s -> List.iter (fun (k, _) -> Hashtbl.replace tbl k ()) (proj s))
-    samples;
-  List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-
-let to_csv samples =
-  let counters = union_keys (fun s -> s.Monitor.counters) samples in
-  let gauges = union_keys (fun s -> s.Monitor.gauges) samples in
-  let derived = union_keys (fun s -> s.Monitor.derived) samples in
-  let dists = union_keys (fun s -> s.Monitor.dists) samples in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "at_us,dt_us";
-  List.iter (fun k -> Buffer.add_string b (",c." ^ k)) counters;
-  List.iter (fun k -> Buffer.add_string b (",g." ^ k)) gauges;
-  List.iter (fun k -> Buffer.add_string b (",d." ^ k)) derived;
-  List.iter
-    (fun k ->
-      Buffer.add_string b
-        (Printf.sprintf ",%s.n,%s.p50,%s.p90,%s.p99" k k k k))
-    dists;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (s : Monitor.sample) ->
-      Buffer.add_string b (string_of_int s.Monitor.at_us);
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int s.Monitor.dt_us);
-      let cell_int assoc k =
-        Buffer.add_char b ',';
-        match List.assoc_opt k assoc with
-        | Some v -> Buffer.add_string b (string_of_int v)
-        | None -> ()
-      in
-      List.iter (cell_int s.Monitor.counters) counters;
-      List.iter (cell_int s.Monitor.gauges) gauges;
-      List.iter
-        (fun k ->
-          Buffer.add_char b ',';
-          match List.assoc_opt k s.Monitor.derived with
-          | Some v -> Buffer.add_string b (num_str v)
-          | None -> ())
-        derived;
-      List.iter
-        (fun k ->
-          match List.assoc_opt k s.Monitor.dists with
-          | Some w ->
-            Buffer.add_string b
-              (Printf.sprintf ",%d,%s,%s,%s" w.Metrics.n (num_str w.Metrics.p50)
-                 (num_str w.Metrics.p90) (num_str w.Metrics.p99))
-          | None -> Buffer.add_string b ",,,,")
-        dists;
-      Buffer.add_char b '\n')
-    samples;
-  Buffer.contents b
 
 (* Sparklines: eight UTF-8 block glyphs, scaled to the series' own
    range so a flat line renders as a flat line. Plain text, no escape

@@ -1,17 +1,11 @@
 (** Serialization and terminal rendering for {!Monitor} samples.
 
-    All three emitters are pure functions of their inputs, so they
-    inherit the monitor's determinism contract: two identical runs
-    produce byte-identical JSON, CSV and frames. *)
+    Both emitters are pure functions of their inputs, so they inherit
+    the monitor's determinism contract: two identical runs produce
+    byte-identical JSON and frames. *)
 
 val to_json : Monitor.sample list -> Jsonb.t
 (** The whole timeline as a JSON array, oldest sample first. *)
-
-val to_csv : Monitor.sample list -> string
-(** One row per sample. Fixed [at_us,dt_us] columns, then the union
-    across all samples of counter ([c.NAME]), gauge ([g.NAME]), derived
-    ([d.NAME]) and dist ([NAME.n/.p50/.p90/.p99]) columns, each group
-    name-sorted; cells a sample lacks are empty. *)
 
 val render_frame :
   ?spark:string list -> history:Monitor.sample list -> Monitor.sample -> string

@@ -1,9 +1,9 @@
 (* Concurrent closed-loop client scripts.
 
    A script is a pure description — no file-system handle in sight — so
-   the same script can be replayed by the server scheduler, compared
-   across runs, or parsed from a file. Generation is deterministic: equal
-   specs give byte-equal scripts. *)
+   the same script can be replayed by the server scheduler or compared
+   across runs. Generation is deterministic: equal specs give byte-equal
+   scripts. *)
 
 open Cedar_util
 
@@ -368,8 +368,8 @@ let zipf_draw rng cum =
 
 let open_loop spec ~clients =
   if clients < 1 then invalid_arg "Concurrent.open_loop: clients < 1";
-  if spec.ol_rate_per_s <= 0.0 then
-    invalid_arg "Concurrent.open_loop: rate <= 0";
+  if not (Float.is_finite spec.ol_rate_per_s && spec.ol_rate_per_s > 0.0) then
+    invalid_arg "Concurrent.open_loop: rate not finite and positive";
   if spec.ol_hot_dirs < 1 || spec.ol_slots < 1 then
     invalid_arg "Concurrent.open_loop: hot_dirs/slots < 1";
   if spec.ol_keep < 1 then invalid_arg "Concurrent.open_loop: keep < 1";
@@ -419,91 +419,7 @@ let open_loop spec ~clients =
   Array.map List.rev scripts
 
 (* ------------------------------------------------------------------ *)
-(* Script files: one step per line for [cedar serve --script].
-
-     # comment
-     think 5000
-     create {c}/a.txt 2048
-     open {c}/a.txt
-     read {c}/a.txt
-     read-page {c}/a.txt 0
-     delete {c}/a.txt
-     list {c}/
-     force
-
-   "{c}" in a name is replaced per client ("c00", "c01", ...), giving
-   each session its own namespace; a literal name shared by every client
-   exercises contention instead. "{v}" is replaced with a top-level
-   directory that shard-routes to volume [client mod volumes]
-   (Fname.shard_dir), so a multi-volume serve spreads clients across
-   volumes deterministically; with one volume it degenerates to the
-   constant "v0". *)
-
-let parse_line lineno line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let words =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun w -> w <> "")
-  in
-  let err fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
-  in
-  let int_of w k =
-    match int_of_string_opt w with
-    | Some n when n >= 0 -> k n
-    | Some _ | None -> err "%S is not a non-negative integer" w
-  in
-  match words with
-  | [] -> Ok None
-  | [ "think"; us ] -> int_of us (fun n -> Ok (Some (Think n)))
-  | [ "at"; us ] -> int_of us (fun n -> Ok (Some (At n)))
-  | [ "create"; name; bytes ] ->
-    int_of bytes (fun n -> Ok (Some (Op (Create { name; bytes = n; fill = lineno }))))
-  | [ "open"; name ] -> Ok (Some (Op (Open name)))
-  | [ "read"; name ] -> Ok (Some (Op (Read name)))
-  | [ "read-page"; name; page ] ->
-    int_of page (fun n -> Ok (Some (Op (Read_page { name; page = n }))))
-  | [ "delete"; name ] -> Ok (Some (Op (Delete name)))
-  | [ "list"; prefix ] -> Ok (Some (Op (List prefix)))
-  | [ "force" ] -> Ok (Some (Op Force))
-  | verb :: _ -> err "unknown or malformed step %S" verb
-
-let parse_script text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-      match parse_line lineno line with
-      | Error _ as e -> e
-      | Ok None -> go (lineno + 1) acc rest
-      | Ok (Some step) -> go (lineno + 1) (step :: acc) rest)
-  in
-  go 1 [] lines
-
-let substitute ~client ~vdir name =
-  let b = Buffer.create (String.length name) in
-  let n = String.length name in
-  let rec go i =
-    if i >= n then ()
-    else if i + 3 <= n && String.sub name i 3 = "{c}" then begin
-      Buffer.add_string b (client_dir client);
-      go (i + 3)
-    end
-    else if i + 3 <= n && String.sub name i 3 = "{v}" then begin
-      Buffer.add_string b vdir;
-      go (i + 3)
-    end
-    else begin
-      Buffer.add_char b name.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents b
+(* Sharding across volumes. *)
 
 let map_names f script =
   List.map
@@ -520,11 +436,6 @@ let map_names f script =
           | List prefix -> List (f prefix)
           | Force -> Force))
     script
-
-let instantiate ?(volumes = 1) script ~client =
-  if volumes < 1 then invalid_arg "Concurrent.instantiate: volumes < 1";
-  let vdir = Cedar_fsbase.Fname.shard_dir ~shards:volumes (client mod volumes) in
-  map_names (substitute ~client ~vdir) script
 
 (* Pin each client's whole namespace to one volume by nesting it under a
    shard-routing top-level directory ("v<K>.../c<NN>/..."): clients are

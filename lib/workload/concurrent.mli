@@ -143,24 +143,10 @@ val open_loop : open_spec -> clients:int -> script array
     (heavy-tailed sizes), ~15% deletes, ~15% reads over zipfian
     hot-directory/slot names, with per-(client, dir, slot) live-depth
     tracking so a clean run replays with zero client errors. Raises
-    [Invalid_argument] on non-positive rate/dirs/slots/keep or an empty
-    byte range. *)
+    [Invalid_argument] on a rate that is not finite and positive,
+    non-positive dirs/slots/keep or an empty byte range. *)
 
-(** {1 Script files ([cedar serve --script])} *)
-
-val parse_script : string -> (script, string) result
-(** Parse the one-step-per-line format ([think US], [at US],
-    [create NAME BYTES], [open NAME], [read NAME],
-    [read-page NAME PAGE], [delete NAME], [list PREFIX], [force];
-    [#] comments). *)
-
-val instantiate : ?volumes:int -> script -> client:int -> script
-(** Replace every ["{c}"] in names with the client's directory ("c00",
-    "c01", ...) so each session gets its own namespace, and every
-    ["{v}"] with a top-level directory that shard-routes
-    ({!Cedar_fsbase.Fname.shard_dir}) to volume [client mod volumes]
-    (default [volumes = 1], where it is the constant ["v0"]). Raises
-    [Invalid_argument] when [volumes < 1]. *)
+(** {1 Sharding across volumes} *)
 
 val shard_scripts : script array -> volumes:int -> script array
 (** Pin client [i]'s namespace to volume [i mod volumes] by prefixing

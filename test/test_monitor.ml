@@ -161,32 +161,34 @@ let open_loop_timelines () =
   in
   let _r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
   let samples = Monitor.samples mon in
-  (Jsonb.to_string (Timeline.to_json samples), Timeline.to_csv samples,
-   List.length samples)
+  (Jsonb.to_string (Timeline.to_json samples), List.length samples)
 
 let test_timeline_determinism () =
-  let j1, c1, n1 = open_loop_timelines () in
-  let j2, c2, n2 = open_loop_timelines () in
+  let j1, n1 = open_loop_timelines () in
+  let j2, n2 = open_loop_timelines () in
   check bool "enough samples to mean anything" true (n1 >= 10);
   check int "same sample count" n1 n2;
   check string "byte-identical JSON timelines" j1 j2;
-  check string "byte-identical CSV timelines" c1 c2;
-  (match Jsonb.of_string j1 with
-  | Ok (Jsonb.Arr l) -> check int "JSON parses back to one object per sample" n1 (List.length l)
-  | Ok _ -> Alcotest.fail "timeline JSON is not an array"
-  | Error m -> Alcotest.failf "timeline JSON does not parse: %s" m);
-  (* every sample carries the saturation gauges the sweep keys on *)
-  check bool "derived gauges present" true
-    (String.length c1 > 0
-    &&
-    let header = String.sub c1 0 (String.index c1 '\n') in
-    let has s =
-      let lh = String.length header and ls = String.length s in
-      let rec go i = i + ls <= lh && (String.sub header i ls = s || go (i + 1)) in
-      go 0
+  match Jsonb.of_string j1 with
+  | Ok (Jsonb.Arr l) ->
+    check int "JSON parses back to one object per sample" n1 (List.length l);
+    (* every sample carries the saturation gauges the sweep keys on *)
+    let has group key = function
+      | Jsonb.Obj fields -> (
+        match List.assoc_opt group fields with
+        | Some (Jsonb.Obj g) -> List.mem_assoc key g
+        | _ -> false)
+      | _ -> false
     in
-    has "d.sat.device_busy" && has "d.sat.op_rate_s"
-    && has "server.commit_wait_us.p99")
+    check bool "derived gauges present" true
+      (List.for_all
+         (fun s ->
+           has "derived" "sat.device_busy" s
+           && has "derived" "sat.op_rate_s" s
+           && has "dists" "server.commit_wait_us" s)
+         l)
+  | Ok _ -> Alcotest.fail "timeline JSON is not an array"
+  | Error m -> Alcotest.failf "timeline JSON does not parse: %s" m
 
 (* Sampling must cost no device I/O: the same run with the monitor on
    and off performs identical I/O and ends at the identical virtual
@@ -297,7 +299,18 @@ let test_open_loop_generator () =
     a;
   (* a different seed reshuffles the traffic *)
   check bool "seed changes the stream" true
-    (C.open_loop { spec with C.ol_seed = 2 } ~clients:5 <> a)
+    (C.open_loop { spec with C.ol_seed = 2 } ~clients:5 <> a);
+  (* a rate that is not finite and positive would put every arrival at
+     time 0 (1/inf = 0, and nan passes a [<= 0] test) *)
+  List.iter
+    (fun rate ->
+      check bool
+        (Printf.sprintf "rate %g refused" rate)
+        true
+        (match C.open_loop { spec with C.ol_rate_per_s = rate } ~clients:5 with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ 0.; -1.; Float.nan; Float.infinity ]
 
 let test_open_loop_replays_cleanly () =
   let _device, fs = small_fs () in

@@ -289,49 +289,6 @@ let test_session_trace_export () =
     (contains "\"parked\"" && contains "\"append\"")
 
 (* ------------------------------------------------------------------ *)
-(* Script files                                                         *)
-
-let test_script_parser () =
-  let text =
-    "# build one file, read it back\n\
-     think 5000\n\
-     create {c}/a.txt 2048\n\
-     read-page {c}/a.txt 0\n\
-     list {c}/\n\
-     force\n\
-     delete {c}/a.txt\n"
-  in
-  match C.parse_script text with
-  | Error m -> Alcotest.failf "parse failed: %s" m
-  | Ok script ->
-    check int "six steps" 6 (List.length script);
-    let inst = C.instantiate script ~client:3 in
-    (match inst with
-    | C.Think 5000
-      :: C.Op (C.Create { name = "c03/a.txt"; bytes = 2048; _ })
-      :: C.Op (C.Read_page { name = "c03/a.txt"; page = 0 })
-      :: _ ->
-      ()
-    | _ -> Alcotest.fail "instantiation did not substitute {c}");
-    (* And the instantiated script actually runs. *)
-    let _, fs = fresh_fs () in
-    let r =
-      S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs)
-        [| C.instantiate script ~client:0 |]
-    in
-    check int "parser script runs clean" 0 r.S.total_errors
-
-let test_script_parser_rejects_garbage () =
-  (match C.parse_script "create onlyname\n" with
-  | Error m ->
-    check bool "error names the line" true
-      (String.length m >= 6 && String.sub m 0 6 = "line 1")
-  | Ok _ -> Alcotest.fail "malformed create accepted");
-  match C.parse_script "think soon\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-numeric think accepted"
-
-(* ------------------------------------------------------------------ *)
 (* The completion rule                                                  *)
 
 (* Replay every acknowledged op of a server trace from the raw events
@@ -663,9 +620,6 @@ let suite =
       test_demons_split_equivalence;
     Alcotest.test_case "chrome export shows session interleaving" `Quick
       test_session_trace_export;
-    Alcotest.test_case "script files parse and run" `Quick test_script_parser;
-    Alcotest.test_case "script parser rejects malformed steps" `Quick
-      test_script_parser_rejects_garbage;
     Alcotest.test_case "ack rule: synchronous volume" `Quick
       test_rule_sync;
     Alcotest.test_case "ack rule: own-timeline volumes" `Quick

@@ -152,51 +152,6 @@ let test_makedo_fsd_beats_cfs_on_ios () =
     true
     (cfs_s.Measure.ios > fsd_s.Measure.ios)
 
-(* ------------------------------------------------------------------ *)
-(* Script substitution: {c} and {v}                                    *)
-
-let string = Alcotest.string
-
-let test_script_substitution () =
-  let text = "create {c}/{v}/a.mesa 100\nread {v}/lib.mesa\nlist {c}/" in
-  let script =
-    match Concurrent.parse_script text with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  (* client 5 of 4 volumes lands on shard 1; {v} must expand to a
-     top-level directory that routes there. *)
-  let vdir = Cedar_fsbase.Fname.shard_dir ~shards:4 (5 mod 4) in
-  (match Concurrent.instantiate ~volumes:4 script ~client:5 with
-  | [
-   Concurrent.Op (Concurrent.Create { name = c; _ });
-   Concurrent.Op (Concurrent.Read r);
-   Concurrent.Op (Concurrent.List l);
-  ] ->
-    check string "{c} and {v} both expand" ("c05/" ^ vdir ^ "/a.mesa") c;
-    check string "{v} expands alone" (vdir ^ "/lib.mesa") r;
-    check string "{c} in list prefix" "c05/" l;
-    check int "expanded name routes to client's shard" 1
-      (Cedar_fsbase.Fname.shard ~shards:4 r)
-  | _ -> Alcotest.fail "unexpected script shape");
-  (* Default volumes = 1: {v} is the constant v0 directory. *)
-  (match Concurrent.instantiate script ~client:2 with
-  | Concurrent.Op (Concurrent.Create { name; _ }) :: _ ->
-    check string "single-volume {v}" "c02/v0/a.mesa" name
-  | _ -> Alcotest.fail "unexpected script shape")
-
-let test_script_substitution_errors () =
-  (match Concurrent.parse_script "create {v}/a.mesa" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "create without a byte count must not parse");
-  (match Concurrent.parse_script "rename a b" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown verb must not parse");
-  check bool "volumes < 1 rejected" true
-    (match Concurrent.instantiate ~volumes:0 [] ~client:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_shard_scripts_pin_clients () =
   let scripts =
     Array.init 5 (fun client ->
@@ -244,8 +199,6 @@ let suite =
     ("makedo: same files on all systems", `Quick, test_makedo_same_result_everywhere);
     ("makedo: temps deleted", `Quick, test_makedo_temps_deleted);
     ("makedo: fsd beats cfs on ios", `Quick, test_makedo_fsd_beats_cfs_on_ios);
-    ("script substitution: {c} and {v}", `Quick, test_script_substitution);
-    ("script substitution: error paths", `Quick, test_script_substitution_errors);
     ("shard_scripts pins clients to volumes", `Quick, test_shard_scripts_pin_clients);
     ("content matches the per-byte formula", `Quick, test_content_matches_formula);
   ]
