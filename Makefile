@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test api-check examples-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
+.PHONY: all check build test api-check examples-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -157,6 +157,41 @@ recovery-smoke:
 		> /dev/null
 	@echo "recovery-smoke: single-pass replay holds"
 
+# CLI recovery smoke: crash, recover and scavenge on a small image made
+# with both extension flags (VAM logging, track-tolerant log). A file put
+# before the crashes must read back cmp-equal after recover and after
+# scavenge, and info must end with a passing structural check. recover
+# must replay the VAM from the log both before and after the scavenger
+# rewrites the boot page, which shows the page kept the VAM-logging flag.
+scavenge-smoke:
+	dune build bin/cedar.exe
+	rm -rf _build/scavenge-smoke && mkdir -p _build/scavenge-smoke
+	./_build/default/bin/cedar.exe mkfs _build/scavenge-smoke/vol.img --geometry small \
+		--log-vam --track-tolerant > /dev/null
+	seq 1 700 > _build/scavenge-smoke/file
+	./_build/default/bin/cedar.exe put _build/scavenge-smoke/vol.img doc/file \
+		< _build/scavenge-smoke/file > /dev/null
+	./_build/default/bin/cedar.exe crash _build/scavenge-smoke/vol.img > /dev/null
+	./_build/default/bin/cedar.exe recover _build/scavenge-smoke/vol.img \
+		> _build/scavenge-smoke/recover1.txt
+	@grep -q "VAM replayed from the log" _build/scavenge-smoke/recover1.txt || \
+		{ echo "scavenge-smoke: recover did not replay the VAM from the log"; exit 1; }
+	./_build/default/bin/cedar.exe get _build/scavenge-smoke/vol.img doc/file > _build/scavenge-smoke/get1
+	cmp _build/scavenge-smoke/file _build/scavenge-smoke/get1
+	./_build/default/bin/cedar.exe crash _build/scavenge-smoke/vol.img > /dev/null
+	./_build/default/bin/cedar.exe scavenge _build/scavenge-smoke/vol.img > /dev/null
+	./_build/default/bin/cedar.exe get _build/scavenge-smoke/vol.img doc/file > _build/scavenge-smoke/get2
+	cmp _build/scavenge-smoke/file _build/scavenge-smoke/get2
+	./_build/default/bin/cedar.exe info _build/scavenge-smoke/vol.img > _build/scavenge-smoke/info.txt
+	@tail -n 1 _build/scavenge-smoke/info.txt | grep -qx "structural check: ok" || \
+		{ echo "scavenge-smoke: info after scavenge did not end 'structural check: ok'"; exit 1; }
+	./_build/default/bin/cedar.exe crash _build/scavenge-smoke/vol.img > /dev/null
+	./_build/default/bin/cedar.exe recover _build/scavenge-smoke/vol.img \
+		> _build/scavenge-smoke/recover2.txt
+	@grep -q "VAM replayed from the log" _build/scavenge-smoke/recover2.txt || \
+		{ echo "scavenge-smoke: the scavenged boot page lost the VAM-logging flag"; exit 1; }
+	@echo "scavenge-smoke: recover and scavenge keep the file and the stamped flags"
+
 # Telemetry smoke: two identical open-loop server runs must write valid,
 # non-trivial (>= 20 samples), byte-identical timeline JSON.
 timeline-smoke:
@@ -287,10 +322,11 @@ stats-smoke:
 # allocation-light commit path measures (1224.7 and 2723.4) and under
 # the one-copy sector path before it (1420.8 and 2999.1). An untraced
 # run's peak heap (peak_heap_mb, exact run to run and the same at any
-# --seconds) must stay under 44 MB on makedo-8vol and 61 MB on
-# openloop-1vol, under 10 % above what the chunked device image and the
-# streaming image dump and load measure (40.56 and 55.55) and under the
-# per-sector store before them (45.94 and 112.98).
+# --seconds) must stay under 42 MB on makedo-8vol and 56 MB on
+# openloop-1vol, about 10 % above what reading a file into the device's
+# own buffer measures (38.28 and 50.58; 40.95 and 57.30 with the extra
+# file-sized read buffer before it, 45.94 and 112.98 with the
+# per-sector store before the chunked device image).
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
 	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \
@@ -299,7 +335,7 @@ perf-smoke:
 		tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | grep -q '"correct": true' || \
 			{ echo "perf-smoke: $$w --trace $$tr not correct"; exit 1; }; \
 		if [ $$tr = 0 ]; then \
-			case $$w in makedo-8vol) heap=44;; *) heap=61;; esac; \
+			case $$w in makedo-8vol) heap=42;; *) heap=56;; esac; \
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["peak_heap_mb"]["value"] >= float(sys.argv[1]))' $$heap || \
 				{ echo "perf-smoke: $$w --trace 0 peak_heap_mb is not < $$heap"; exit 1; }; \
@@ -331,7 +367,7 @@ fmt-check:
 	fi
 
 ci: fmt-check check api-check examples-smoke serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
-	recovery-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \
+	recovery-smoke scavenge-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \
 	perf-smoke bench-diff
 
 clean:

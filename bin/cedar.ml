@@ -64,7 +64,7 @@ let boot_vol ?(queue = (Device.Fifo, 0)) device =
   | `Fsd bp ->
     let params =
       {
-        (Cedar_fsd.Fsd.boot_page_params (Device.geometry device) bp) with
+        bp.Cedar_fsd.Boot_page.params with
         Cedar_fsd.Params.disk_sched = fst queue;
         disk_qdepth = snd queue;
       }
@@ -224,9 +224,10 @@ let cmd_crash path =
   (* a little committed work, then an uncommitted create to make the
      next recovery interesting *)
   ignore
-    (ops.Cedar_fsbase.Fs_ops.create ~name:"pre-crash" ~data:(Bytes.create 640));
+    (ops.Cedar_fsbase.Fs_ops.create ~name:"pre-crash" ~data:(Bytes.make 640 '\000'));
   ops.Cedar_fsbase.Fs_ops.force ();
-  ignore (ops.Cedar_fsbase.Fs_ops.create ~name:"crash-marker" ~data:(Bytes.create 42));
+  ignore
+    (ops.Cedar_fsbase.Fs_ops.create ~name:"crash-marker" ~data:(Bytes.make 42 '\000'));
   save_device device path;
   Printf.printf "%s now looks like a crashed volume (uncommitted create pending)\n" path
 

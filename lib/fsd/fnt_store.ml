@@ -150,93 +150,67 @@ let write_home_image device layout ~page image =
   Device.write_run device ~sector:(Layout.fnt_sector_a layout ~page) image;
   Device.write_run device ~sector:(Layout.fnt_sector_b layout ~page) image
 
-(* Both copies are read and checked (§5.1); a lone bad copy is repaired.
-   When both copies carry a valid checksum but disagree (a torn
-   home-write pair, or a wild write that happens to re-frame), copy A is
-   authoritative — home writes go A then B, so A is never the stale one —
-   and B is rewritten from it. *)
-let note_twin_repair t page =
-  t.repairs <- t.repairs + 1;
-  let tr = Device.trace t.device in
-  if Cedar_obs.Trace.enabled tr then
-    Cedar_obs.Trace.emit tr
-      ~at:(Simclock.now (Device.clock t.device))
-      (Cedar_obs.Trace.Scrub_repair { target = "fnt-twin"; loc = page })
-
-let read_home t page =
-  let n = t.layout.Layout.params.Params.fnt_page_sectors in
-  let read_copy sector =
-    match Device.read_run t.device ~sector ~count:n with
-    | image -> unframe t.layout ~page image
-    | exception Device.Error _ -> None
-  in
-  let sa = Layout.fnt_sector_a t.layout ~page in
-  let sb = Layout.fnt_sector_b t.layout ~page in
-  let a = read_copy sa and b = read_copy sb in
-  match (a, b) with
-  | Some pa, Some pb ->
-    if not (Bytes.equal pa pb) then begin
-      note_twin_repair t page;
-      Device.write_run t.device ~sector:sb (frame t.layout ~page pa)
-    end;
-    pa
-  | Some pa, None ->
-    note_twin_repair t page;
-    Device.write_run t.device ~sector:sb (frame t.layout ~page pa);
-    pa
-  | None, Some pb ->
-    note_twin_repair t page;
-    Device.write_run t.device ~sector:sa (frame t.layout ~page pb);
-    pb
-  | None, None ->
-    Fs_error.raise_
-      (Fs_error.Corrupt_metadata
-         (Printf.sprintf "both copies of name-table page %d are bad" page))
-
-(* Twin-copy read without a store (the scavenger probes pages of a
-   volume it cannot attach). No repair side effects. *)
-let try_read_home device layout ~page =
+(* The twin-copy read (§5.1): copy A, then copy B, each checked against
+   its trailer. Returns the payload and the copy to rewrite from it, if
+   any: a lone bad copy, or B when both check but disagree (a torn
+   home-write pair, or a wild write that happens to re-frame) — home
+   writes go A then B, so A is never the stale one. [None] means both
+   copies are bad. With [~verify:false] a good A is taken without
+   reading B, and no repair is asked for. *)
+let read_twin ?(verify = true) device layout ~page =
   let n = layout.Layout.params.Params.fnt_page_sectors in
   let read_copy sector =
     match Device.read_run device ~sector ~count:n with
     | image -> unframe layout ~page image
     | exception Device.Error _ -> None
   in
-  match read_copy (Layout.fnt_sector_a layout ~page) with
-  | Some p -> Some p
-  | None -> read_copy (Layout.fnt_sector_b layout ~page)
+  let sa = Layout.fnt_sector_a layout ~page in
+  let sb = Layout.fnt_sector_b layout ~page in
+  match read_copy sa with
+  | Some pa when not verify -> Some (pa, None)
+  | a -> (
+    match (a, read_copy sb) with
+    | Some pa, Some pb when Bytes.equal pa pb -> Some (pa, None)
+    | Some pa, _ -> Some (pa, Some sb)
+    | None, Some pb -> Some (pb, Some sa)
+    | None, None -> None)
 
-(* One scrub-demon step: verify both home copies against their checksums
-   and each other; rewrite a lone bad or stale copy from its twin. The
-   cache is deliberately not consulted — a dirty page's home copies are
+let try_read_home device layout ~page =
+  Option.map fst (read_twin ~verify:false device layout ~page)
+
+let rewrite_copy t ~page sector payload =
+  t.repairs <- t.repairs + 1;
+  Device.write_run t.device ~sector (frame t.layout ~page payload)
+
+(* A read that misses the cache repairs a bad twin on the spot. *)
+let read_home t page =
+  match read_twin t.device t.layout ~page with
+  | Some (payload, repair) ->
+    Option.iter
+      (fun sector ->
+        let tr = Device.trace t.device in
+        if Cedar_obs.Trace.enabled tr then
+          Cedar_obs.Trace.emit tr
+            ~at:(Simclock.now (Device.clock t.device))
+            (Cedar_obs.Trace.Scrub_repair { target = "fnt-twin"; loc = page });
+        rewrite_copy t ~page sector payload)
+      repair;
+    payload
+  | None ->
+    Fs_error.raise_
+      (Fs_error.Corrupt_metadata
+         (Printf.sprintf "both copies of name-table page %d are bad" page))
+
+(* One scrub-demon step: the same read and repair, but the cache is
+   deliberately not consulted — a dirty page's home copies are
    legitimately old but must still agree with each other. *)
 let scrub_page t page =
-  let n = t.layout.Layout.params.Params.fnt_page_sectors in
-  let read_copy sector =
-    match Device.read_run t.device ~sector ~count:n with
-    | image -> unframe t.layout ~page image
-    | exception Device.Error _ -> None
-  in
-  let sa = Layout.fnt_sector_a t.layout ~page in
-  let sb = Layout.fnt_sector_b t.layout ~page in
-  let repair sector payload =
-    t.repairs <- t.repairs + 1;
-    Device.write_run t.device ~sector (frame t.layout ~page payload)
-  in
-  match (read_copy sa, read_copy sb) with
-  | Some pa, Some pb ->
-    if Bytes.equal pa pb then `Ok
-    else begin
-      repair sb pa;
-      `Repaired
-    end
-  | Some pa, None ->
-    repair sb pa;
+  match read_twin t.device t.layout ~page with
+  | Some (_, None) -> `Ok
+  | Some (payload, Some sector) ->
+    rewrite_copy t ~page sector payload;
     `Repaired
-  | None, Some pb ->
-    repair sa pb;
-    `Repaired
-  | None, None -> `Unreadable
+  | None -> `Unreadable
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

@@ -128,4 +128,5 @@ val scrub_page : t -> int -> [ `Ok | `Repaired | `Unreadable ]
 val try_read_home :
   Cedar_disk.Device.t -> Layout.t -> page:int -> bytes option
 (** Twin-copy read of a page's payload without attaching a store and
-    without repair — the scavenger's probe. *)
+    without repair — the scavenger's probe. Copy B is read only when
+    copy A is unreadable or fails its checksum. *)

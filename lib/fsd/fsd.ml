@@ -419,58 +419,51 @@ let leader_verified t (e : Entry.t) =
 (* ------------------------------------------------------------------ *)
 (* Data I/O                                                            *)
 
-let read_sectors_of_runs t runs buf =
+(* Read [count] pages from page [first], one command per run they
+   cross. On the file's first access the leader is verified too:
+   combined with the first transfer when page 0 is read and the leader
+   is the sector just before it (§5.7), else by a read of its own. *)
+let read_pages t name version (e : Entry.t) ~first ~count =
   let sb = sector_bytes t in
-  let off = ref 0 in
-  List.iter
-    (fun r ->
-      let data = Device.read_run t.device ~sector:r.Run_table.start ~count:r.Run_table.len in
-      Bytes.blit data 0 buf !off (r.Run_table.len * sb);
-      off := !off + (r.Run_table.len * sb))
-    (Run_table.runs runs)
-
-(* Read the whole file; on the first access, verify the leader — combined
-   with the first data transfer when it is physically adjacent (§5.7). *)
-let read_file_bytes t name version (e : Entry.t) =
-  let sb = sector_bytes t in
-  let npages = Run_table.pages e.Entry.runs in
-  let buf = Bytes.create (npages * sb) in
-  let piggyback_possible =
+  let stop = first + count in
+  let piggyback =
     (not (leader_verified t e))
     && (not (Hashtbl.mem t.pending_leaders e.Entry.anchor))
-    && npages > 0
+    && first = 0 && count > 0
     && Run_table.sector_of_page e.Entry.runs 0 = e.Entry.anchor + 1
   in
-  (try
-     if piggyback_possible then begin
-       let runs = Run_table.runs e.Entry.runs in
-       match runs with
-       | first :: rest ->
-         let combined =
-           Device.read_run t.device ~sector:e.Entry.anchor ~count:(1 + first.Run_table.len)
-         in
-         Metrics.inc t.meters.m_leader_piggybacks;
-         emit t (Trace.Leader_piggyback { sector = e.Entry.anchor });
-         let leader = Leader.decode (Bytes.sub combined 0 sb) in
-         check_leader t name version e leader;
-         Bytes.blit combined sb buf 0 (first.Run_table.len * sb);
-         let off = ref (first.Run_table.len * sb) in
-         List.iter
-           (fun r ->
-             let d = Device.read_run t.device ~sector:r.Run_table.start ~count:r.Run_table.len in
-             Bytes.blit d 0 buf !off (r.Run_table.len * sb);
-             off := !off + (r.Run_table.len * sb))
-           rest
-       | [] -> assert false
-     end
-     else begin
-       if (not (leader_verified t e)) && e.Entry.anchor >= 0 then
-         check_leader t name version e (read_leader t e);
-       read_sectors_of_runs t e.Entry.runs buf
-     end
-   with Device.Error { sector; _ } ->
-     Fs_error.raise_ (Fs_error.Damaged_data { name; sector }));
-  Bytes.sub buf 0 e.Entry.byte_size
+  (* [page] is the file page the next run starts at; [parts] holds the
+     pages read so far, newest first. *)
+  let rec read page parts = function
+    | r :: runs when page < stop ->
+      let lo = max first page and hi = min stop (page + r.Run_table.len) in
+      let parts =
+        if lo >= hi then parts
+        else
+          let sector = r.Run_table.start + lo - page and len = hi - lo in
+          if piggyback && lo = 0 then begin
+            let combined =
+              Device.read_run t.device ~sector:(sector - 1) ~count:(1 + len)
+            in
+            Metrics.inc t.meters.m_leader_piggybacks;
+            emit t (Trace.Leader_piggyback { sector = e.Entry.anchor });
+            check_leader t name version e (Leader.decode (Bytes.sub combined 0 sb));
+            [ Bytes.sub combined sb (len * sb) ]
+          end
+          else Device.read_run t.device ~sector ~count:len :: parts
+      in
+      read (page + r.Run_table.len) parts runs
+    | _ -> parts
+  in
+  let parts =
+    try
+      if (not piggyback) && not (leader_verified t e) then
+        check_leader t name version e (read_leader t e);
+      read 0 [] (Run_table.runs e.Entry.runs)
+    with Device.Error { sector; _ } ->
+      Fs_error.raise_ (Fs_error.Damaged_data { name; sector })
+  in
+  match parts with [ one ] -> one | parts -> Bytes.concat Bytes.empty (List.rev parts)
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -648,9 +641,10 @@ let rec read_all_depth t ~name ~depth =
     if depth >= 8 then corrupt ("symlink chain too deep at " ^ name)
     else read_all_depth t ~name:target ~depth:(depth + 1)
   | Entry.Local | Entry.Cached _ ->
-    let bytes = read_file_bytes t name version e in
-    op_done t ~pages:(Run_table.pages e.Entry.runs) ();
-    bytes
+    let npages = Run_table.pages e.Entry.runs in
+    let bytes = read_pages t name version e ~first:0 ~count:npages in
+    op_done t ~pages:npages ();
+    Bytes.sub bytes 0 e.Entry.byte_size
 
 let read_all t ~name =
   traced t ~op:"read_all" ~name (fun () -> read_all_depth t ~name ~depth:0)
@@ -661,31 +655,7 @@ let read_page t ~name ~page =
   let _, version, e = newest_exn t name in
   let npages = Run_table.pages e.Entry.runs in
   if page < 0 || page >= npages then Fs_error.raise_ (Fs_error.Bad_page { name; page });
-  let sector = Run_table.sector_of_page e.Entry.runs page in
-  let sb = sector_bytes t in
-  let result =
-    try
-      if leader_verified t e then Device.read t.device sector
-      else if
-        page = 0
-        && sector = e.Entry.anchor + 1
-        && not (Hashtbl.mem t.pending_leaders e.Entry.anchor)
-      then begin
-        (* §5.7: the leader is the previous physical page; verifying it
-           costs only one extra sector of transfer. *)
-        let combined = Device.read_run t.device ~sector:e.Entry.anchor ~count:2 in
-        Metrics.inc t.meters.m_leader_piggybacks;
-        emit t (Trace.Leader_piggyback { sector = e.Entry.anchor });
-        check_leader t name version e (Leader.decode (Bytes.sub combined 0 sb));
-        Bytes.sub combined sb sb
-      end
-      else begin
-        check_leader t name version e (read_leader t e);
-        Device.read t.device sector
-      end
-    with Device.Error { sector; _ } ->
-      Fs_error.raise_ (Fs_error.Damaged_data { name; sector })
-  in
+  let result = read_pages t name version e ~first:page ~count:1 in
   op_done t ~pages:1 ();
   result
 
@@ -980,17 +950,7 @@ let format device params =
        '\000');
   Log.format device layout;
   Vam.save (Vam.create_all_free layout) device;
-  Boot_page.write device ~sector_bytes:geom.Geometry.sector_bytes
-    {
-      Boot_page.boot_count = 0;
-      clean_shutdown = true;
-      fnt_page_sectors = params.Params.fnt_page_sectors;
-      fnt_pages = params.Params.fnt_pages;
-      log_sectors = params.Params.log_sectors;
-      log_vam = params.Params.log_vam;
-      track_tolerant_log = params.Params.track_tolerant_log;
-      shard_id = params.Params.shard_id;
-    }
+  Boot_page.write device ~boot_count:0 ~clean_shutdown:true params
 
 (* Scan the whole name table once: mark allocated sectors in the VAM and
    collect anchor-sector -> uid for validating logged leader images. *)
@@ -1011,13 +971,6 @@ let scan_name_table t_tree vam anchors cpu_per_entry clock =
         | Some vm -> Run_table.iter_sectors e.Entry.runs (Vam.mark_allocated_for_rebuild vm)
         | None -> ())
 
-let boot_page_params geom bp =
-  {
-    (Params.for_geometry geom) with
-    Params.log_vam = bp.Boot_page.log_vam;
-    track_tolerant_log = bp.Boot_page.track_tolerant_log;
-  }
-
 let boot ?params device =
   let clock = Device.clock device in
   let geom = Device.geometry device in
@@ -1027,60 +980,36 @@ let boot ?params device =
     | Some bp -> bp
     | None -> corrupt "both boot pages are unreadable"
   in
-  (* Explicit params win; otherwise the volume's own boot page decides,
-     including the extension flags it was formatted with. *)
-  let runtime =
-    match params with Some p -> p | None -> boot_page_params geom bp
-  in
+  (* Explicit params win, but for the layout and the shard; otherwise the
+     volume's own boot page decides, extension flags included. *)
   let p =
-    {
-      runtime with
-      Params.fnt_page_sectors = bp.Boot_page.fnt_page_sectors;
-      fnt_pages = bp.Boot_page.fnt_pages;
-      log_sectors = bp.Boot_page.log_sectors;
-      (* identity, not tuning: the shard the volume was formatted as *)
-      shard_id = bp.Boot_page.shard_id;
-    }
+    match params with Some p -> Boot_page.adopt bp p | None -> bp.Boot_page.params
   in
   let layout = Layout.compute geom p in
   let boot_count = bp.Boot_page.boot_count + 1 in
-  Boot_page.write device ~sector_bytes:geom.Geometry.sector_bytes
-    { bp with Boot_page.boot_count; clean_shutdown = false };
-  (* Log replay: one sequential pass over the live log region
-     (Log.replay). Records are applied in log order as they decode —
-     later images overwrite earlier ones in the staging tables, so each
-     unit is then written home exactly once — and no log sector is read
-     twice. Replay is unconditional: it is also what rolls back
+  Boot_page.write device ~boot_count ~clean_shutdown:false bp.Boot_page.params;
+  (* Log replay (Log.recover): one sequential pass over the live log
+     region that reads no log sector twice and leaves the final image of
+     each logged unit, so each unit is written home exactly once, in id
+     order. Replay is unconditional: it is also what rolls back
      uncommitted state a diverged page's home copy could never hold. *)
   let r0 = Simclock.now clock in
-  let fnt_tbl : (int, bytes) Hashtbl.t = Hashtbl.create 64 in
-  let leader_tbl : (int, bytes) Hashtbl.t = Hashtbl.create 64 in
-  let chunk_tbl : (int, bytes * int64) Hashtbl.t = Hashtbl.create 16 in
-  let rec_info =
-    Log.replay ~shard:p.Params.shard_id device layout
-      ~f:(fun ~record_no ~off:_ units ->
-        List.iter
-          (fun u ->
-            match u.Log.kind with
-            | Log.Fnt_page id -> Hashtbl.replace fnt_tbl id u.Log.image
-            | Log.Leader_page s -> Hashtbl.replace leader_tbl s u.Log.image
-            | Log.Vam_chunk c -> Hashtbl.replace chunk_tbl c (u.Log.image, record_no))
-          units)
-  in
-  let sorted_bindings tbl =
+  let rec_info = Log.recover ~shard:p.Params.shard_id device layout in
+  let images_of kind_id =
     List.sort
-      (fun (a, _) (b, _) -> compare a b)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+      (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      (List.filter_map
+         (fun (kind, image, no) ->
+           Option.map (fun id -> (id, image, no)) (kind_id kind))
+         rec_info.Log.images)
   in
-  let fnt_images = sorted_bindings fnt_tbl in
-  let leader_images = sorted_bindings leader_tbl in
-  let vam_chunk_images =
-    List.map (fun (c, (image, no)) -> (c, image, no)) (sorted_bindings chunk_tbl)
-  in
+  let fnt_images = images_of (function Log.Fnt_page id -> Some id | _ -> None) in
+  let leader_images = images_of (function Log.Leader_page s -> Some s | _ -> None) in
+  let vam_chunk_images = images_of (function Log.Vam_chunk c -> Some c | _ -> None) in
   List.iter
-    (fun (id, image) -> Fnt_store.write_home_image device layout ~page:id image)
+    (fun (id, image, _) -> Fnt_store.write_home_image device layout ~page:id image)
     fnt_images;
-  Simclock.advance clock (Params.cpu_page_us * rec_info.Log.p_records * 4);
+  Simclock.advance clock (Params.cpu_page_us * rec_info.Log.replayed_records * 4);
   let log_replay_us = Simclock.now clock - r0 in
   let trace_boot ev =
     let tr = Device.trace device in
@@ -1093,9 +1022,9 @@ let boot ?params device =
     match !t_ref with Some t -> handle_enter_third t j | None -> ()
   in
   let base_no =
-    match rec_info.Log.p_last_record_no with
-    | Some n -> max n rec_info.Log.p_pointer_record_no
-    | None -> rec_info.Log.p_pointer_record_no
+    match rec_info.Log.last_record_no with
+    | Some n -> max n rec_info.Log.pointer_record_no
+    | None -> rec_info.Log.pointer_record_no
   in
   (* Attach the name table before the log: Log.attach moves the recovery
      pointer, and if the name table turns out to be beyond repair the
@@ -1105,7 +1034,7 @@ let boot ?params device =
   let log =
     Log.attach ~shard:p.Params.shard_id device layout ~boot_count
       ~next_record_no:(Int64.add base_no 1_000_000L)
-      ~write_off:rec_info.Log.p_next_write_off ~on_enter_third:on_enter
+      ~write_off:rec_info.Log.next_write_off ~on_enter_third:on_enter
   in
   (* VAM: with VAM logging, rebuild from the saved base plus the logged
      chunk images; otherwise trust a clean snapshot; else reconstruct
@@ -1157,7 +1086,7 @@ let boot ?params device =
     if not scanned then
       scan_name_table tree None anchors (Params.cpu_page_us / 2) clock;
     List.iter
-      (fun (sector, image) ->
+      (fun (sector, image, _) ->
         let ok =
           match (Leader.decode image, Hashtbl.find_opt anchors sector) with
           | Some l, Some uid -> Int64.equal l.Leader.uid uid
@@ -1215,11 +1144,11 @@ let boot ?params device =
   let report =
     {
       boot_count;
-      replayed_records = rec_info.Log.p_records;
+      replayed_records = rec_info.Log.replayed_records;
       replayed_pages =
         List.length fnt_images + List.length leader_images
         + List.length vam_chunk_images;
-      corrected_sectors = rec_info.Log.p_corrected_sectors;
+      corrected_sectors = rec_info.Log.corrected_sectors;
       skipped_leaders = !skipped_leaders;
       vam_source;
       log_replay_us;
@@ -1255,17 +1184,7 @@ let shutdown t =
     (Alloc.vam t.alloc) t.device;
   ignore (Vam.drain_dirty_chunks (Alloc.vam t.alloc) : int list);
   Hashtbl.reset t.chunk_thirds;
-  Boot_page.write t.device ~sector_bytes:(sector_bytes t)
-    {
-      Boot_page.boot_count = t.boot_count;
-      clean_shutdown = true;
-      fnt_page_sectors = t.params.Params.fnt_page_sectors;
-      fnt_pages = t.params.Params.fnt_pages;
-      log_sectors = t.params.Params.log_sectors;
-      log_vam = t.params.Params.log_vam;
-      track_tolerant_log = t.params.Params.track_tolerant_log;
-      shard_id = t.params.Params.shard_id;
-    };
+  Boot_page.write t.device ~boot_count:t.boot_count ~clean_shutdown:true t.params;
   t.live <- false
 
 (* ------------------------------------------------------------------ *)

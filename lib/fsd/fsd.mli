@@ -37,14 +37,10 @@ type boot_report = {
 val format : Cedar_disk.Device.t -> Params.t -> unit
 (** Initialise an empty volume (boot pages, anchor, log, clean VAM). *)
 
-val boot_page_params : Cedar_disk.Geometry.t -> Boot_page.t -> Params.t
-(** The runtime knobs {!boot} uses when given none: the geometry's
-    defaults plus the extension flags the volume was formatted with. *)
-
 val boot : ?params:Params.t -> Cedar_disk.Device.t -> t * boot_report
-(** Run recovery and attach. [params] (default {!boot_page_params})
-    supplies runtime knobs; the layout-defining fields are taken from
-    the boot page. Raises
+(** Run recovery and attach. [params] (default: the params the boot
+    page stamps) supplies runtime knobs; the layout and the
+    shard are taken from the boot page ({!Boot_page.adopt}). Raises
     [Fs_error Corrupt_metadata] on unrecoverable name-table damage —
     prefer {!try_boot} when the caller can scavenge. *)
 

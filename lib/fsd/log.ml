@@ -60,8 +60,8 @@ let spt layout = layout.Layout.geom.Geometry.sectors_per_track
    copies are [sectors_per_track] apart, so losing a whole track leaves
    one of each. *)
 let record_total_sectors layout units =
-  let n = data_sectors_of layout units in
-  if track_tolerant layout then spt layout + n + 2 else (2 * n) + 5
+  Params.log_record_sectors layout.Layout.geom
+    ~track_tolerant:(track_tolerant layout) (data_sectors_of layout units)
 
 let max_data_sectors_hard layout =
   let sb = sector_bytes layout in
@@ -408,13 +408,17 @@ type recovery = {
 }
 
 (* Read the record at body offset [off] expecting [expected] as its record
-   number. Returns the decoded units or [None] (chain break / torn). The
+   number. Returns each unit's kind and image, and the record's size in
+   sectors, or [None] (chain break / torn). The
    layout is self-describing: the header carries a flag, and when the
    primary header is gone the copy is probed at both candidate offsets
    (+2 classic, +track for the track-tolerant format). *)
 let read_record device layout ~shard ~off ~expected ~corrected =
   let body = body_start layout in
-  if off + 5 > body_sectors layout then None
+  (* not even an empty classic record fits past here *)
+  if off + Params.log_record_sectors layout.Layout.geom ~track_tolerant:false 0
+     > body_sectors layout
+  then None
   else begin
     let sector i = body + off + i in
     let header_at i = Option.bind (read_sector_opt device (sector i)) (decode_header layout) in
@@ -443,7 +447,10 @@ let read_record device layout ~shard ~off ~expected ~corrected =
       if h.h_record_no <> expected || h.h_shard <> shard then None
       else begin
         let n = h.h_data_sectors in
-        let size = if h.h_track_tolerant then spt layout + n + 2 else (2 * n) + 5 in
+        let size =
+          Params.log_record_sectors layout.Layout.geom
+            ~track_tolerant:h.h_track_tolerant n
+        in
         (* primary/copy offsets of the end page and data sector i *)
         let end_primary, end_copy, data_primary, data_copy =
           if h.h_track_tolerant then
@@ -500,7 +507,7 @@ let read_record device layout ~shard ~off ~expected ~corrected =
                         Bytes.concat Bytes.empty
                           (List.init nsec (fun k -> sectors.(i + k)))
                       in
-                      ({ kind; image; crcs = Array.sub crcs i nsec } :: acc, i + nsec))
+                      ((kind, image) :: acc, i + nsec))
                     ([], 0) h.h_units
                 in
                 Some (List.rev units, size)
@@ -509,82 +516,55 @@ let read_record device layout ~shard ~off ~expected ~corrected =
       end
   end
 
-type pass = {
-  p_records : int;
-  p_last_record_no : int64 option;
-  p_pointer_record_no : int64;
-  p_next_write_off : int;
-  p_surviving : (int * int64) list;
-  p_corrected_sectors : int;
-}
-
 (* The single sequential REDO pass: follow the chain from the pointer,
-   hand each committed record to [f] in log order, stop at the first
-   break. Every live log sector is read exactly once — the wrap probe
-   applies the record it decodes instead of rescanning it, and a chain
-   that started at offset 0 is never probed there again. *)
-let replay ?(shard = 0) device layout ~f =
-  let corrected = ref 0 in
-  match read_pointer device layout with
-  | None ->
-    (* Both pointer copies gone: nothing can be replayed. *)
-    {
-      p_records = 0;
-      p_last_record_no = None;
-      p_pointer_record_no = 1L;
-      p_next_write_off = 0;
-      p_surviving = [];
-      p_corrected_sectors = 0;
-    }
-  | Some (ptr_off, ptr_no, _boot) ->
-    let surviving = ref [] in
-    let replayed = ref 0 in
-    let last_no = ref None in
-    let apply ~off expected units =
-      f ~record_no:expected ~off units;
-      surviving := (off, expected) :: !surviving;
-      incr replayed;
-      last_no := Some expected
-    in
-    let rec scan off expected wrapped visited =
-      if visited > body_sectors layout then off
-      else
-        match read_record device layout ~shard ~off ~expected ~corrected with
-        | Some (units, size) ->
-          apply ~off expected units;
-          scan (off + size) (Int64.add expected 1L) wrapped (visited + size)
-        | None ->
-          (* The writer may have wrapped to offset 0 mid-chain. *)
-          if (not wrapped) && off <> 0 && ptr_off <> 0 then
-            match read_record device layout ~shard ~off:0 ~expected ~corrected with
-            | Some (units, size) ->
-              apply ~off:0 expected units;
-              scan size (Int64.add expected 1L) true (visited + size)
-            | None -> off
-          else off
-    in
-    let next_off = scan ptr_off ptr_no false 0 in
-    {
-      p_records = !replayed;
-      p_last_record_no = !last_no;
-      p_pointer_record_no = ptr_no;
-      p_next_write_off = next_off;
-      p_surviving = List.rev !surviving;
-      p_corrected_sectors = !corrected;
-    }
-
+   apply each committed record in log order (later images shadow
+   earlier ones), stop at the first break. Every live log sector is read
+   exactly once — the wrap probe applies the record it decodes instead
+   of rescanning it, and a chain that started at offset 0 is never
+   probed there again. *)
 let recover ?(shard = 0) device layout =
+  let corrected = ref 0 in
   let images : (unit_kind, bytes * int64) Hashtbl.t = Hashtbl.create 64 in
-  let p =
-    replay device layout ~shard ~f:(fun ~record_no ~off:_ units ->
-        List.iter (fun u -> Hashtbl.replace images u.kind (u.image, record_no)) units)
+  let surviving = ref [] in
+  let replayed = ref 0 in
+  let last_no = ref None in
+  let pointer_record_no, next_write_off =
+    match read_pointer device layout with
+    | None -> (1L, 0) (* both pointer copies gone: nothing can be replayed *)
+    | Some (ptr_off, ptr_no, _boot) ->
+      let apply ~off expected units =
+        List.iter
+          (fun (kind, image) -> Hashtbl.replace images kind (image, expected))
+          units;
+        surviving := (off, expected) :: !surviving;
+        incr replayed;
+        last_no := Some expected
+      in
+      let rec scan off expected wrapped visited =
+        if visited > body_sectors layout then off
+        else
+          match read_record device layout ~shard ~off ~expected ~corrected with
+          | Some (units, size) ->
+            apply ~off expected units;
+            scan (off + size) (Int64.add expected 1L) wrapped (visited + size)
+          | None ->
+            (* The writer may have wrapped to offset 0 mid-chain. *)
+            if (not wrapped) && off <> 0 && ptr_off <> 0 then
+              match read_record device layout ~shard ~off:0 ~expected ~corrected with
+              | Some (units, size) ->
+                apply ~off:0 expected units;
+                scan size (Int64.add expected 1L) true (visited + size)
+              | None -> off
+            else off
+      in
+      (ptr_no, scan ptr_off ptr_no false 0)
   in
   {
-    replayed_records = p.p_records;
-    last_record_no = p.p_last_record_no;
-    pointer_record_no = p.p_pointer_record_no;
-    next_write_off = p.p_next_write_off;
-    surviving = p.p_surviving;
-    corrected_sectors = p.p_corrected_sectors;
+    replayed_records = !replayed;
+    last_record_no = !last_no;
+    pointer_record_no;
+    next_write_off;
+    surviving = List.rev !surviving;
+    corrected_sectors = !corrected;
     images = Hashtbl.fold (fun k (img, no) acc -> (k, img, no) :: acc) images [];
   }

@@ -113,39 +113,22 @@ type recovery = {
   pointer_record_no : int64;
       (** the record number named by the on-disk pointer; a lower bound
           for choosing the next session's record numbers *)
-  next_write_off : int;
+  next_write_off : int;  (** body offset just past the chain *)
   surviving : (int * int64) list;
+      (** body offset and record number of each replayed record, oldest
+          first *)
   corrected_sectors : int;  (** sectors read from the replica copy *)
   images : (unit_kind * bytes * int64) list;
       (** final image per logged unit with the number of the record it
           came from (later records shadow earlier) *)
 }
 
-type pass = {
-  p_records : int;
-  p_last_record_no : int64 option;
-  p_pointer_record_no : int64;
-  p_next_write_off : int;
-  p_surviving : (int * int64) list;
-  p_corrected_sectors : int;
-}
-(** Summary of one {!replay} pass; field meanings as in {!recovery}. *)
-
-val replay :
-  ?shard:int ->
-  Cedar_disk.Device.t ->
-  Layout.t ->
-  f:(record_no:int64 -> off:int -> logged_unit list -> unit) ->
-  pass
-(** The single sequential REDO pass: follow the chain from the
-    oldest-record pointer and hand each committed record to [f] in log
-    order, stopping at the first break; tolerant of 1–2 consecutive
-    damaged sectors anywhere (uses the replicas). Every live log sector
-    is read at most once — restart cost is linear in the live log
-    length. A record whose header carries a shard tag other than
-    [shard] (default 0) terminates the chain exactly like a torn
-    record. *)
-
 val recover : ?shard:int -> Cedar_disk.Device.t -> Layout.t -> recovery
-(** {!replay} specialised to collect the final image per logged unit
-    (later records shadow earlier ones). *)
+(** The single sequential REDO pass, the one every restart runs (boot,
+    the scavenger, [inspect]): follow the chain from the oldest-record
+    pointer and apply each committed record in log order, stopping at
+    the first break; tolerant of 1–2 consecutive damaged sectors
+    anywhere (uses the replicas). Every live log sector is read at most
+    once — restart cost is linear in the live log length. A record
+    whose header carries a shard tag other than [shard] (default 0)
+    terminates the chain exactly like a torn record. *)

@@ -29,6 +29,9 @@ let home_write_fill = 0.5
 let home_writes_per_pass = 4
 let monitor_interval_us = 100_000
 
+let log_record_sectors g ~track_tolerant n =
+  if track_tolerant then g.Geometry.sectors_per_track + n + 2 else (2 * n) + 5
+
 let default =
   {
     shard_id = 0;
@@ -57,7 +60,11 @@ let for_geometry g =
     let fnt_page_sectors = 2 in
     let fnt_pages = max 32 (total / 64 / fnt_page_sectors) in
     let max_record_data_sectors = 16 in
-    let third = max ((2 * max_record_data_sectors) + 5) (total / 48) in
+    let third =
+      max
+        (log_record_sectors g ~track_tolerant:false max_record_data_sectors)
+        (total / 48)
+    in
     {
       default with
       fnt_page_sectors;
@@ -73,9 +80,8 @@ let validate g t =
   let total = Geometry.total_sectors g in
   let third = (t.log_sectors - 3) / 3 in
   let max_record =
-    if t.track_tolerant_log then
-      g.Geometry.sectors_per_track + t.max_record_data_sectors + 2
-    else (2 * t.max_record_data_sectors) + 5
+    log_record_sectors g ~track_tolerant:t.track_tolerant_log
+      t.max_record_data_sectors
   in
   let fnt_sectors = t.fnt_pages * t.fnt_page_sectors in
   let vam_sectors = 1 + ((total + 4095) / 4096) in

@@ -94,6 +94,15 @@ val monitor_interval_us : int
     is off by default and costs one branch per demon dispatch while
     off. *)
 
+val log_record_sectors :
+  Cedar_disk.Geometry.t -> track_tolerant:bool -> int -> int
+(** Total sectors of a log record holding [n] data sectors: [2n + 5] in
+    the classic layout (header, blank, header copy, data, end, data
+    copies, end copy), [sectors_per_track + n + 2] in the
+    track-tolerant one (a primary block and its copy one track later).
+    The one statement of the rule: {!validate} sizes the log with it
+    and {!Log} writes and reads records by it. *)
+
 val default : t
 (** Sized for {!Cedar_disk.Geometry.trident_t300}. *)
 

@@ -23,24 +23,6 @@ let pp_report ppf r =
     r.entries_kept r.entries_rebuilt r.stale_leaders r.conflicts
     r.quarantined_sectors r.fnt_pages_lost r.replayed_records
 
-(* The layout-defining fields normally come from the boot page; when both
-   boot pages are gone too, fall back to the parameters [format] would
-   pick for this geometry — the only guess available. *)
-let params_of_volume device geom =
-  match Boot_page.read device with
-  | Some bp ->
-    ( {
-        (Params.for_geometry geom) with
-        Params.fnt_page_sectors = bp.Boot_page.fnt_page_sectors;
-        fnt_pages = bp.Boot_page.fnt_pages;
-        log_sectors = bp.Boot_page.log_sectors;
-        log_vam = bp.Boot_page.log_vam;
-        track_tolerant_log = bp.Boot_page.track_tolerant_log;
-        shard_id = bp.Boot_page.shard_id;
-      },
-      Some bp )
-  | None -> (Params.for_geometry geom, None)
-
 (* A logged leader image may be applied to its home sector only when
    doing so cannot clobber live data: either the sector currently holds a
    leader for the same uid (this is a newer image of it), or the sector
@@ -68,7 +50,15 @@ let run device =
   let clock = Device.clock device in
   let t0 = Simclock.now clock in
   let geom = Device.geometry device in
-  let params, bp = params_of_volume device geom in
+  (* The volume's params normally come from the boot page; when both boot
+     pages are gone too, fall back to the parameters [format] would pick
+     for this geometry — the only guess available. *)
+  let bp = Boot_page.read device in
+  let params =
+    match bp with
+    | Some bp -> bp.Boot_page.params
+    | None -> Params.for_geometry geom
+  in
   let layout = Layout.compute geom params in
   let phase_start = ref t0 in
   (* Fresh series per run: the registry reports the latest scavenge. *)
@@ -276,18 +266,9 @@ let run device =
     s := !s + n
   done;
   Log.format device layout;
-  Boot_page.write device ~sector_bytes:geom.Geometry.sector_bytes
-    {
-      Boot_page.boot_count =
-        (match bp with Some bp -> bp.Boot_page.boot_count | None -> 0);
-      clean_shutdown = true;
-      fnt_page_sectors = params.Params.fnt_page_sectors;
-      fnt_pages = params.Params.fnt_pages;
-      log_sectors = params.Params.log_sectors;
-      log_vam = params.Params.log_vam;
-      track_tolerant_log = params.Params.track_tolerant_log;
-      shard_id = params.Params.shard_id;
-    };
+  Boot_page.write device
+    ~boot_count:(match bp with Some bp -> bp.Boot_page.boot_count | None -> 0)
+    ~clean_shutdown:true params;
   end_phase "write-back";
   {
     entries_kept = !entries_kept;

@@ -22,13 +22,14 @@
    one op in flight, so the parked sessions on a volume never outnumber
    the sessions.
 
-   Crash containment: with one volume a planted device crash
-   ([Device.Crash_during_write]) propagates to the harness as before —
-   the machine halted. With several volumes it quarantines just the
-   crashed volume: its parked sessions abort (their unacked mutations
-   are the §5.4 "may be lost" set), later ops routed to it abort their
-   sessions, and every other volume keeps serving — recovery is per
-   volume, which is the point of giving each volume its own log.
+   Crash containment: a planted device crash
+   ([Device.Crash_during_write]) quarantines the crashed volume, however
+   many the set holds: its parked sessions abort (their unacked
+   mutations are the §5.4 "may be lost" set), later ops routed to it
+   abort their sessions, and every other volume keeps serving —
+   recovery is per volume, which is the point of giving each volume its
+   own log. Once no live volume remains the machine has halted
+   ([run_to_crash] returns [Crashed]).
 
    Determinism: sessions are stepped round-robin by index, volumes are
    visited in index order, the only clock is [Simclock], and the only
@@ -98,7 +99,8 @@ type vol = {
   v_id : int;
   v_fsd : Fsd.t;
   v_dev : Cedar_disk.Device.t;
-  mutable v_dead : bool;  (* quarantined after a planted crash (V > 1) *)
+  mutable v_crash : int option;
+      (* the sector a planted crash fired at; the volume is quarantined *)
   mutable v_last_durable : int;
   mutable v_forces : int;  (* server-initiated forces on this volume *)
   mutable v_forces0 : int;  (* log forces at run start *)
@@ -192,13 +194,15 @@ let target_vid t (op : Concurrent.op) =
 (* ------------------------------------------------------------------ *)
 (* Crash quarantine. *)
 
-(* A planted crash on volume [v] of a multi-volume set halts that volume
-   only. Sessions parked on it will never be acked — their mutations are
-   exactly the unacknowledged set §5.4 allows to be lost — so they abort
-   now; sessions later routed to it abort when they step. The [Fsd.t]
-   must not be touched again until the harness reboots the device. *)
-let quarantine t v =
-  v.v_dead <- true;
+let dead v = v.v_crash <> None
+
+(* A planted crash on volume [v] halts that volume only. Sessions parked
+   on it will never be acked — their mutations are exactly the
+   unacknowledged set §5.4 allows to be lost — so they abort now;
+   sessions later routed to it abort when they step. The [Fsd.t] must
+   not be touched again until the harness reboots the device. *)
+let quarantine t v ~sector =
+  v.v_crash <- Some sector;
   let reason = Printf.sprintf "volume %d crashed" v.v_id in
   Array.iter
     (fun s ->
@@ -211,14 +215,11 @@ let quarantine t v =
     t.sessions;
   v.v_parked <- 0
 
-(* Run [f] against volume [v]: with a single volume a planted crash is
-   the machine halting and propagates (the historical contract the
-   fault sweep drives); with several it quarantines just [v]. *)
+(* Run [f] against volume [v], quarantining [v] if a planted crash
+   fires. *)
 let guarded t v f =
-  if single t then f ()
-  else
-    try f ()
-    with Cedar_disk.Device.Crash_during_write _ -> quarantine t v
+  try f ()
+  with Cedar_disk.Device.Crash_during_write { sector } -> quarantine t v ~sector
 
 (* ------------------------------------------------------------------ *)
 (* The batcher. *)
@@ -235,7 +236,7 @@ let force_vol t v =
 
 (* An explicit client [Force]: flush every live volume, index order. *)
 let force_all t =
-  Array.iter (fun v -> if not v.v_dead then force_vol t v) t.vols
+  Array.iter (fun v -> if not (dead v) then force_vol t v) t.vols
 
 (* The one place an op's latency is split: build its record from the
    session's lifecycle instants, charge the online phase counters from
@@ -319,7 +320,7 @@ let complete t s w ~forced =
 let poll_wakes t =
   Array.iter
     (fun v ->
-      if not v.v_dead then begin
+      if not (dead v) then begin
         let d = Fsd.durable_seq v.v_fsd in
         if d > v.v_last_durable then begin
           v.v_last_durable <- d;
@@ -347,10 +348,10 @@ let poll_wakes t =
 let schedule_point t =
   Array.iter
     (fun v ->
-      if (not v.v_dead) && now t >= Fsd.commit_due_at v.v_fsd then force_vol t v)
+      if (not (dead v)) && now t >= Fsd.commit_due_at v.v_fsd then force_vol t v)
     t.vols;
   Array.iter
-    (fun v -> if not v.v_dead then guarded t v (fun () -> Fsd.run_due_demons v.v_fsd))
+    (fun v -> if not (dead v) then guarded t v (fun () -> Fsd.run_due_demons v.v_fsd))
     t.vols;
   poll_wakes t
 
@@ -372,12 +373,10 @@ let exec_op t v (op : Concurrent.op) =
   | Force -> force_all t
 
 (* [Fs_error] is a client error (bad name, missing file): count it and
-   move on. A planted
-   device crash is the simulated machine halt when the server owns one
-   volume (propagate to the harness) and a per-volume quarantine when it
-   owns several. Anything else is a server-side bug; it must not wedge
-   the round-robin scheduler mid-span, so the session is terminated with
-   the exception recorded as a typed abort. *)
+   move on. A planted device crash quarantines the volume. Anything else
+   is a server-side bug; it must not wedge the round-robin scheduler
+   mid-span, so the session is terminated with the exception recorded
+   as a typed abort. *)
 let run_op t v s op =
   s.ops <- s.ops + 1;
   let t_start = now t in
@@ -400,15 +399,12 @@ let run_op t v s op =
             | exception Cedar_fsbase.Fs_error.Fs_error _ ->
               s.errors <- s.errors + 1;
               Fsd.always_durable
-            | exception (Cedar_disk.Device.Crash_during_write _ as e) ->
-              if single t then raise e
-              else begin
-                quarantine t v;
-                s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
-                s.steps <- [];
-                s.state <- Done;
-                Fsd.always_durable
-              end
+            | exception Cedar_disk.Device.Crash_during_write { sector } ->
+              quarantine t v ~sector;
+              s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
+              s.steps <- [];
+              s.state <- Done;
+              Fsd.always_durable
             | exception e ->
               s.aborted <-
                 Some
@@ -464,7 +460,7 @@ let step t s =
          completion; the backlog time counts as queue wait. *)
     | Concurrent.Op op -> (
       let v = t.vols.(target_vid t op) in
-      if v.v_dead then begin
+      if dead v then begin
         (* The owning volume crashed out from under this session: there
            is no one to serve the op, or any later op routed the same
            way. Typed abort, like any other server-side termination. *)
@@ -522,7 +518,7 @@ let next_event_time t =
   let demons =
     Array.fold_left
       (fun acc v ->
-        if v.v_dead then acc
+        if dead v then acc
         else
           (* An attached telemetry monitor wakes the scheduler too, so
              samples land on their cadence instead of at the next
@@ -575,7 +571,7 @@ let resolve_iowait t =
 (* Flush every live volume still owing acks, index order. *)
 let force_drain t =
   Array.iter
-    (fun v -> if (not v.v_dead) && v.v_parked > 0 then force_vol t v)
+    (fun v -> if (not (dead v)) && v.v_parked > 0 then force_vol t v)
     t.vols
 
 let create_volumes ?(config = default_config) vset scripts =
@@ -612,7 +608,7 @@ let create_volumes ?(config = default_config) vset scripts =
           v_id = i;
           v_fsd = fsd;
           v_dev = dev;
-          v_dead = false;
+          v_crash = None;
           v_last_durable = Fsd.durable_seq fsd;
           v_forces = 0;
           v_forces0 = 0;
@@ -734,7 +730,7 @@ let run t =
                vr_server_forces = v.v_forces;
                vr_log_forces = vol_log_forces v;
                vr_acked = v.v_acked;
-               vr_crashed = v.v_dead;
+               vr_crashed = dead v;
              })
            t.vols);
   }
@@ -745,10 +741,9 @@ let acked t = List.rev t.acked_rev
 type outcome = Completed of report | Crashed of { sector : int }
 
 let run_to_crash t =
-  match run t with
-  | r -> Completed r
-  | exception Cedar_disk.Device.Crash_during_write { sector } ->
-    Crashed { sector }
+  let r = run t in
+  if Array.exists (fun v -> not (dead v)) t.vols then Completed r
+  else Crashed { sector = Option.get t.vols.(0).v_crash }
 
 (* Deterministic rendering: field order is fixed here, sessions are in
    client order, so byte-identical reports mean identical runs. The

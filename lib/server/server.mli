@@ -73,7 +73,7 @@ type volume_report = {
   vr_server_forces : int;  (** forces the scheduler initiated on it *)
   vr_log_forces : int;  (** all its log forces, including backstops *)
   vr_acked : int;  (** mutations acknowledged durable by this volume *)
-  vr_crashed : bool;  (** quarantined by a planted crash (multi-volume) *)
+  vr_crashed : bool;  (** quarantined by a planted crash *)
 }
 (** Per-volume slice of a run — one entry per volume, index order. *)
 
@@ -135,18 +135,20 @@ val acked : t -> (int * Cedar_workload.Concurrent.op) list
 
 type outcome =
   | Completed of report
-  | Crashed of { sector : int }  (** the planted device fault fired *)
+  | Crashed of { sector : int }
+      (** a planted device fault fired on every volume (on a
+          multi-volume set, the sector is volume 0's) *)
 
 val run_to_crash : t -> outcome
 (** Drive every session to completion and drain the final batches. A
-    device crash planted by [on_force] on a single-volume server stops
-    the run with [Crashed] — by then every acknowledged transaction is
-    on disk and no unacknowledged one is. The server object must be
-    discarded after a crash; inspect {!acked} and reboot the volume. On
-    a multi-volume server the same crash quarantines only that volume:
-    its parked sessions abort, sessions later routed to it abort, every
-    other volume keeps serving to completion, and the [Completed]
-    report marks the volume [vr_crashed]. *)
+    device crash planted by [on_force] quarantines the volume it fires
+    on: its parked sessions abort, sessions later routed to it abort,
+    and every other volume keeps serving to completion. Once no live
+    volume remains the result is [Crashed] — by then every acknowledged
+    transaction is on disk and no unacknowledged one is; inspect
+    {!acked} and reboot. While a volume lives the result is [Completed],
+    and the report marks each crashed volume [vr_crashed]. The server
+    object must be discarded after any crash. *)
 
 val report_json : report -> Cedar_obs.Jsonb.t
 (** Deterministic rendering (fixed field order, sessions in client

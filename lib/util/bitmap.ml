@@ -74,6 +74,13 @@ let all_set_in_run t ~pos ~len =
   in
   pos >= 0 && stop <= t.bits && (len <= 0 || go (pos lsr 3))
 
+(* The run searches scan bit by bit, but at a byte boundary they take a
+   whole byte in one step: a 0x00 byte breaks the run, and a 0xff byte
+   extends it by eight when that cannot complete it (the bit steps then
+   find exactly where it completes). A byte that straddles the search
+   bound is stepped over too: it can neither complete a run nor, once
+   the bound is passed, start one. Every index read is inside the map,
+   so bytes are read unchecked. *)
 let find_run_set t ~from ~upto ~len =
   if len <= 0 then invalid_arg "Bitmap.find_run_set";
   let upto = min upto t.bits in
@@ -81,21 +88,32 @@ let find_run_set t ~from ~upto ~len =
   let rec go i run =
     if run >= len then Some (i - len)
     else if i >= upto then None
-    else if get t i then go (i + 1) (run + 1)
-    else go (i + 1) 0
+    else
+      match Bytes.unsafe_get t.data (i lsr 3) with
+      | '\000' when i land 7 = 0 -> go (i + 8) 0
+      | '\255' when i land 7 = 0 && run + 8 < len -> go (i + 8) (run + 8)
+      | b ->
+        if Char.code b land (1 lsl (i land 7)) <> 0 then go (i + 1) (run + 1)
+        else go (i + 1) 0
   in
   if from < 0 || from >= upto then None else go from 0
 
 let find_run_set_down t ~from ~downto_ ~len =
   if len <= 0 then invalid_arg "Bitmap.find_run_set_down";
-  let from = min from (t.bits - 1) in
-  (* Scan downward for the highest window [pos, pos+len) entirely set. *)
-  let rec go pos =
-    if pos < downto_ then None
-    else if all_set_in_run t ~pos ~len then Some pos
-    else go (pos - 1)
+  let from = min from (t.bits - 1) and downto_ = max downto_ 0 in
+  (* [run] counts consecutive set bits starting just above [i]. *)
+  let rec go i run =
+    if run >= len then Some (i + 1)
+    else if i < downto_ then None
+    else
+      match Bytes.unsafe_get t.data (i lsr 3) with
+      | '\000' when i land 7 = 7 -> go (i - 8) 0
+      | '\255' when i land 7 = 7 && run + 8 < len -> go (i - 8) (run + 8)
+      | b ->
+        if Char.code b land (1 lsl (i land 7)) <> 0 then go (i - 1) (run + 1)
+        else go (i - 1) 0
   in
-  if from - len + 1 < downto_ then None else go (from - len + 1)
+  go from 0
 
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
 let to_bytes t = Bytes.copy t.data

@@ -278,11 +278,10 @@ let test_leader_garbage_rejected () =
 
 let test_boot_page_roundtrip () =
   let device = mk_device () in
-  let bp =
+  let stamped =
     {
-      Boot_page.boot_count = 7;
-      clean_shutdown = true;
-      fnt_page_sectors = 2;
+      (params ()) with
+      Params.fnt_page_sectors = 2;
       fnt_pages = 80;
       log_sectors = 642;
       log_vam = true;
@@ -290,10 +289,17 @@ let test_boot_page_roundtrip () =
       shard_id = 3;
     }
   in
-  Boot_page.write device ~sector_bytes:512 bp;
-  (match Boot_page.read device with
-  | Some bp' -> check bool "roundtrip" true (bp = bp')
-  | None -> Alcotest.fail "read failed");
+  (* Runtime knobs are not stamped: the page reads back the geometry's. *)
+  Boot_page.write device ~boot_count:7 ~clean_shutdown:true
+    { stamped with Params.commit_interval_us = 1; disk_qdepth = 4 };
+  let bp =
+    match Boot_page.read device with
+    | Some bp -> bp
+    | None -> Alcotest.fail "read failed"
+  in
+  check int "boot count" 7 bp.Boot_page.boot_count;
+  check bool "clean" true bp.Boot_page.clean_shutdown;
+  check bool "roundtrip" true (bp.Boot_page.params = stamped);
   (* the replica carries it through primary damage *)
   Device.damage device 0;
   match Boot_page.read device with

@@ -294,39 +294,62 @@ let prop_log_random_batches_with_damage =
 (* ------------------------------------------------------------------ *)
 (* Bitmap run-search laws. *)
 
+(* Dense maps built a byte at a time from whole 0x00 bytes, whole 0xff
+   bytes and random ones, so runs start, stop and complete at byte
+   edges, where the searches step a byte at once. The length is rarely
+   a multiple of 8, and the bounds are random (some past the end). *)
+type run_case = { bits : int; bytes : string; len : int; lo : int; hi : int }
+
+let run_case_gen =
+  let open QCheck.Gen in
+  let* bits = int_range 1 200 in
+  let* bytes =
+    list_repeat ((bits + 7) / 8)
+      (frequency [ (2, return 0); (3, return 0xff); (2, int_bound 255) ])
+  in
+  let* len = int_range 1 40 in
+  let* lo = int_range (-4) (bits + 4) in
+  let+ hi = int_range (-4) (bits + 12) in
+  { bits; bytes = String.of_seq (List.to_seq (List.map Char.chr bytes)); len; lo; hi }
+
+let run_case =
+  QCheck.make run_case_gen ~print:(fun c ->
+      Printf.sprintf "bits=%d len=%d lo=%d hi=%d map=%s" c.bits c.len c.lo c.hi
+        (String.concat " "
+           (List.map (fun ch -> Printf.sprintf "%02x" (Char.code ch))
+              (List.of_seq (String.to_seq c.bytes)))))
+
+let bitmap_of c = Bitmap.of_bytes ~bits:c.bits (Bytes.of_string c.bytes)
+
 let prop_bitmap_find_run_correct =
   QCheck.Test.make ~name:"bitmap: find_run_set returns the lowest valid window"
-    ~count:200
-    QCheck.(pair (list (int_bound 99)) (int_range 1 6))
-    (fun (set_bits, len) ->
-      let b = Bitmap.create 100 in
-      List.iter (Bitmap.set b) set_bits;
+    ~count:500 run_case (fun c ->
+      let b = bitmap_of c in
+      let upto = min c.hi c.bits in
       let reference =
         let rec go pos =
-          if pos + len > 100 then None
-          else if Bitmap.all_set_in_run b ~pos ~len then Some pos
+          if pos + c.len > upto then None
+          else if Bitmap.all_set_in_run b ~pos ~len:c.len then Some pos
           else go (pos + 1)
         in
-        go 0
+        if c.lo < 0 then None else go c.lo
       in
-      Bitmap.find_run_set b ~from:0 ~upto:100 ~len = reference)
+      Bitmap.find_run_set b ~from:c.lo ~upto:c.hi ~len:c.len = reference)
 
 let prop_bitmap_find_run_down_correct =
   QCheck.Test.make ~name:"bitmap: find_run_set_down returns the highest valid window"
-    ~count:200
-    QCheck.(pair (list (int_bound 99)) (int_range 1 6))
-    (fun (set_bits, len) ->
-      let b = Bitmap.create 100 in
-      List.iter (Bitmap.set b) set_bits;
+    ~count:500 run_case (fun c ->
+      let b = bitmap_of c in
+      let top = min c.hi (c.bits - 1) in
       let reference =
         let rec go pos =
-          if pos < 0 then None
-          else if Bitmap.all_set_in_run b ~pos ~len then Some pos
+          if pos < max c.lo 0 then None
+          else if Bitmap.all_set_in_run b ~pos ~len:c.len then Some pos
           else go (pos - 1)
         in
-        go (100 - len)
+        go (top - c.len + 1)
       in
-      Bitmap.find_run_set_down b ~from:99 ~downto_:0 ~len = reference)
+      Bitmap.find_run_set_down b ~from:c.hi ~downto_:c.lo ~len:c.len = reference)
 
 (* ------------------------------------------------------------------ *)
 (* Geometry: chs mapping is a bijection for random geometries. *)

@@ -351,6 +351,71 @@ let test_scrub_counts_passes () =
     && fsd_count fs "scrub_leader_repairs" = 0);
   Fsd.shutdown fs
 
+(* The boot page's six stamped fields — layout, shard and the two
+   extension flags — survive every rewrite of the page: a crash and the
+   scavenger's fresh page, a boot given other params, and a shutdown. *)
+let test_stamped_identity () =
+  let clock = Simclock.create () in
+  let device = Device.create ~clock Geometry.small_test in
+  let formatted =
+    {
+      (Params.for_geometry Geometry.small_test) with
+      Params.log_vam = true;
+      track_tolerant_log = true;
+      shard_id = 5;
+    }
+  in
+  let stamped (p : Params.t) =
+    Printf.sprintf "fnt %dx%d log %d vam %b tt %b shard %d" p.fnt_pages
+      p.fnt_page_sectors p.log_sectors p.log_vam p.track_tolerant_log p.shard_id
+  in
+  let on_page () =
+    match Boot_page.read device with
+    | Some bp -> stamped bp.Boot_page.params
+    | None -> Alcotest.fail "both boot pages unreadable"
+  in
+  let str = Alcotest.string in
+  Fsd.format device formatted;
+  check str "formatted page" (stamped formatted) (on_page ());
+  let fs, _ = Fsd.boot device in
+  ignore (Fsd.create fs ~name:"kept" (content 700 1));
+  Fsd.force fs;
+  ignore (Fsd.create fs ~name:"pending" (content 300 2));
+  (* Crash: the volume is never shut down. *)
+  let r = Scavenge.run device in
+  check bool "the committed record was replayed" true
+    (r.Scavenge.replayed_records >= 1);
+  check str "scavenged page" (stamped formatted) (on_page ());
+  let fs, _ = Fsd.boot device in
+  check str "booted params" (stamped formatted) (stamped (Fsd.params fs));
+  check bool "committed file survives" true (Fsd.exists fs ~name:"kept");
+  Fsd.shutdown fs;
+  check str "page after shutdown" (stamped formatted) (on_page ());
+  (* Explicit params: the four layout and identity fields still come
+     from the page, the rest from the caller. *)
+  let other =
+    {
+      formatted with
+      Params.fnt_page_sectors = formatted.Params.fnt_page_sectors * 2;
+      fnt_pages = formatted.Params.fnt_pages + 8;
+      log_sectors = formatted.Params.log_sectors + 30;
+      shard_id = 9;
+      log_vam = false;
+      commit_interval_us = 250_000;
+    }
+  in
+  let fs, _ = Fsd.boot ~params:other device in
+  let booted = Fsd.params fs in
+  check str "layout and shard from the page"
+    (stamped { formatted with Params.log_vam = false })
+    (stamped booted);
+  check int "runtime knob from the caller" 250_000 booted.Params.commit_interval_us;
+  check bool "committed file still readable" true
+    (Bytes.equal (content 700 1) (Fsd.read_all fs ~name:"kept"));
+  (* A shutdown stamps the params the volume booted with. *)
+  Fsd.shutdown fs;
+  check str "shutdown stamps the booted params" (stamped booted) (on_page ())
+
 let suite =
   [
     ("total FNT loss: rebuild from leaders", `Quick, test_total_fnt_loss);
@@ -364,4 +429,7 @@ let suite =
     ("scrub rewrites a corrupt leader", `Quick, test_scrub_rewrites_corrupt_leader);
     ("scrub repair: counter + trace event", `Quick, test_scrub_repair_emits_metric_and_trace);
     ("scrub pass counter", `Quick, test_scrub_counts_passes);
+    ( "stamped identity survives scavenge, boot and shutdown",
+      `Quick,
+      test_stamped_identity );
   ]

@@ -219,9 +219,10 @@ let test_crash_atomicity () =
     Array.init 2 (fun client ->
         create_script ~client ~creates:8 ~bytes:900 ~think:180_000)
   in
-  (match S.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts with
-  | (_ : S.report) -> Alcotest.fail "expected the armed crash during force 3"
-  | exception Device.Crash_during_write _ -> ());
+  let server = S.create_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts in
+  (match S.run_to_crash server with
+  | S.Completed _ -> Alcotest.fail "expected the armed crash during force 3"
+  | S.Crashed _ -> ());
   Device.cancel_write_crash device;
   check bool "some transactions were acked before the crash" true
     (List.length !acked > 0);
