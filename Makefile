@@ -127,18 +127,25 @@ volumes-smoke:
 
 # Crash-injection smoke: kill the 2-client server at every sector write
 # of the first three force intervals, once per tear mode, and reboot each
-# time. cedar faultsweep exits non-zero on any recovery-contract
-# violation, so this line IS the assertion.
+# time. Then the wrap sweep: the churn workload's clean run, and a crash
+# at every sector write of its wrap window (204 runs, ~0.2 s). Every
+# sweep first gives its crash-free run the same verdict as each crash
+# point, and cedar faultsweep exits non-zero on any recovery-contract
+# violation, so these lines ARE the assertion.
 faultsweep-smoke:
 	dune build bin/cedar.exe
 	./_build/default/bin/cedar.exe faultsweep --clients 2 --max-forces 3 \
 		--tear all > /dev/null
+	./_build/default/bin/cedar.exe faultsweep --wrap --tear none > /dev/null
 	@echo "faultsweep-smoke: zero violations"
 
 # Log-wrap smoke: a bounded churn run that wraps the log at least once,
-# twice with the same seed. cedar churn exits non-zero on any oracle
-# violation, a non-zero replay after the clean shutdown, or too few
-# wraps, and the two JSON summaries must be byte-identical.
+# twice with the same seed. cedar churn exits non-zero on any violation
+# of the crash-contract verdict (structural check, alien names, the
+# oracle, VAM agreement, a non-zero replay or a changed namespace after
+# the clean shutdown) or too few wraps, and the two JSON summaries must
+# be byte-identical. Last, a negative --force-every must be refused with
+# exit 1, not run as if it were 0.
 wrap-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/wrap-smoke && mkdir -p _build/wrap-smoke
@@ -148,6 +155,10 @@ wrap-smoke:
 		--json > _build/wrap-smoke/run2.json
 	cmp _build/wrap-smoke/run1.json _build/wrap-smoke/run2.json
 	@echo "wrap-smoke: wrapped, clean, deterministic"
+	@./_build/default/bin/cedar.exe churn --force-every=-1 > /dev/null 2>&1; \
+	status=$$?; if [ $$status -ne 1 ]; then \
+		echo "wrap-smoke: cedar churn --force-every=-1 exited $$status, not 1"; exit 1; fi
+	@echo "wrap-smoke: --force-every=-1 refused"
 
 # Restart smoke: the recovery bench hard-fails (exit 1) if a crash
 # reboot replays the wrong record count or reads any log body sector

@@ -2,9 +2,9 @@
 
    Two halves, both deterministic and emitted to BENCH_WRAP.json:
 
-   - endurance rows: the churn workload through the concurrent server
-     on the small and tiny geometries, self-verified against the
-     version-aware oracle, with wrap counts, background home-write
+   - endurance rows: the faultsweep harness's clean run of the churn
+     workload on the small and tiny geometries, given the one
+     crash-contract verdict, with wrap counts, background home-write
      bursts, reclaim stalls, and the zero-replay clean reboot;
    - sweep rows: the wrap-mode crash sweep (crashes planted only inside
      the wrap window — third entries and their neighbours) once per
@@ -15,15 +15,19 @@
    non-zero value is a recovery bug, and the harness warns loudly. *)
 
 open Cedar_disk
-module E = Cedar_server.Endurance
 module F = Cedar_server.Faultsweep
 module J = Cedar_obs.Jsonb
 
 let endurance_rows () =
   List.map
     (fun (label, geom) ->
-      (label, E.run ~geom E.default_cfg))
+      ( label,
+        F.clean_run ~geom ~clients:2
+          (F.Wrap Cedar_workload.Concurrent.default_churn) ))
     [ ("small_test", Geometry.small_test); ("tiny_test", Geometry.tiny_test) ]
+
+let clean_violations r =
+  List.length r.F.c_violations + List.length r.F.c_violations_after_reboot
 
 let sweep_rows () =
   List.map
@@ -42,18 +46,15 @@ let endurance_json (label, r) =
   J.Obj
     [
       ("geometry", J.Str label);
-      ("mutations_acked", J.Int r.E.e_report.Cedar_server.Server.mutations_acked);
-      ("log_records", J.Int r.E.e_log_records);
-      ("third_entries", J.Int r.E.e_third_entries);
-      ("home_write_bursts", J.Int r.E.e_home_write_bursts);
-      ("reclaim_stalls", J.Int r.E.e_reclaim_stalls);
-      ("fnt_home_writes", J.Int r.E.e_fnt_home_writes);
-      ("replayed_after_shutdown", J.Int r.E.e_replayed_after_shutdown);
-      ("digest_match", J.Bool r.E.e_digest_match);
-      ( "violations",
-        J.Int
-          (List.length r.E.e_violations
-          + List.length r.E.e_violations_after_reboot) );
+      ("mutations_acked", J.Int r.F.c_report.Cedar_server.Server.mutations_acked);
+      ("log_records", J.Int r.F.c_log_records);
+      ("third_entries", J.Int r.F.c_third_entries);
+      ("home_write_bursts", J.Int r.F.c_home_write_bursts);
+      ("reclaim_stalls", J.Int r.F.c_reclaim_stalls);
+      ("fnt_home_writes", J.Int r.F.c_fnt_home_writes);
+      ("replayed_after_shutdown", J.Int r.F.c_replayed_after_shutdown);
+      ("digest_match", J.Bool r.F.c_digest_match);
+      ("violations", J.Int (clean_violations r));
     ]
 
 let sweep_json (label, s) =
@@ -80,10 +81,10 @@ let run ?out () =
   List.iter
     (fun (label, r) ->
       Printf.printf "  %-10s %6d %7d %7d %7d %7d %7d %6s\n" label
-        r.E.e_report.Cedar_server.Server.mutations_acked r.E.e_log_records
-        r.E.e_third_entries r.E.e_home_write_bursts r.E.e_reclaim_stalls
-        r.E.e_replayed_after_shutdown
-        (if E.clean r then "yes" else "NO"))
+        r.F.c_report.Cedar_server.Server.mutations_acked r.F.c_log_records
+        r.F.c_third_entries r.F.c_home_write_bursts r.F.c_reclaim_stalls
+        r.F.c_replayed_after_shutdown
+        (if F.passed r then "yes" else "NO"))
     es;
   let ss = sweep_rows () in
   Printf.printf "  %-9s %9s %7s %6s %7s %12s %10s\n" "tear" "intervals"
@@ -97,14 +98,7 @@ let run ?out () =
     ss;
   let violations =
     List.fold_left (fun n (_, s) -> n + List.length s.F.sw_violations) 0 ss
-    + List.fold_left
-        (fun n (_, r) ->
-          n
-          + List.length r.E.e_violations
-          + List.length r.E.e_violations_after_reboot
-          + (if r.E.e_digest_match then 0 else 1)
-          + if r.E.e_replayed_after_shutdown = 0 then 0 else 1)
-        0 es
+    + List.fold_left (fun n (_, r) -> n + clean_violations r) 0 es
   in
   if violations > 0 then
     Printf.printf "  WARNING: %d wrap-window contract violations\n" violations;

@@ -638,15 +638,17 @@ let cmd_faultsweep clients tear max_forces scavenge wrap json =
   else Format.printf "%a@." F.pp s;
   if s.F.sw_violations <> [] then exit 1
 
-(* Log-wrap endurance on a fresh in-memory volume: churn until the log
-   has wrapped, verify against the version-aware oracle, then prove a
-   clean shutdown + reboot replays nothing and changes nothing. *)
+(* Log-wrap endurance on a fresh in-memory volume: the faultsweep
+   harness's clean run of the churn workload, which must wrap the log and
+   pass the one crash-contract verdict. *)
 let cmd_churn clients ops slots seed force_every tiny min_wraps json =
-  let module E = Cedar_server.Endurance in
+  let module F = Cedar_server.Faultsweep in
   let module C = Cedar_workload.Concurrent in
   if clients < 1 then fail "--clients must be at least 1 (got %d)" clients;
   if ops < 1 then fail "--ops must be at least 1 (got %d)" ops;
   if slots < 1 then fail "--slots must be at least 1 (got %d)" slots;
+  if force_every < 0 then
+    fail "--force-every must be non-negative (got %d)" force_every;
   if min_wraps < 0 then fail "--min-wraps must be non-negative (got %d)" min_wraps;
   let spec =
     {
@@ -658,16 +660,16 @@ let cmd_churn clients ops slots seed force_every tiny min_wraps json =
     }
   in
   let geom = if tiny then Geometry.tiny_test else Geometry.small_test in
-  let r = E.run ~geom { E.clients; spec } in
-  if json then print_endline (Obs.Jsonb.to_string_pretty (E.report_json r))
-  else Format.printf "%a@." E.pp r;
-  if r.E.e_third_entries < 3 * min_wraps then begin
+  let r = F.clean_run ~geom ~clients (F.Wrap spec) in
+  if json then print_endline (Obs.Jsonb.to_string_pretty (F.clean_run_json r))
+  else Format.printf "%a@." F.pp_clean_run r;
+  if r.F.c_third_entries < 3 * min_wraps then begin
     Format.eprintf "cedar: log wrapped %.1f time(s), wanted %d@."
-      (float_of_int r.E.e_third_entries /. 3.0)
+      (float_of_int r.F.c_third_entries /. 3.0)
       min_wraps;
     exit 1
   end;
-  if not (E.clean r) then exit 1
+  if not (F.passed r) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner plumbing                                                   *)
@@ -992,11 +994,12 @@ let churn_cmd =
        ~doc:
          "run the log-wrap churn workload (create/overwrite/delete over a \
           small working set) through the concurrent server on a fresh \
-          in-memory volume until the log has wrapped, check the recovered \
-          namespace against the version-aware oracle, then prove a clean \
-          shutdown + reboot replays zero records and changes nothing; exits \
-          non-zero on any violation or if the log wrapped fewer than \
-          --min-wraps times")
+          in-memory volume until the log has wrapped, then give the volume \
+          faultsweep's verdict: structural check, no alien names, the \
+          version-aware oracle, VAM agreement with the name table, and a \
+          clean shutdown + reboot that replays zero records and changes \
+          nothing; exits non-zero on any violation or if the log wrapped \
+          fewer than --min-wraps times")
     Term.(
       const cmd_churn $ clients $ ops $ slots $ seed $ force_every $ tiny
       $ min_wraps $ json)
@@ -1052,8 +1055,9 @@ let faultsweep_cmd =
           sector), reboot each time, and check the recovery contract: acked \
           mutations byte-exact, unacked wholly absent, VAM consistent with \
           the name table, and a clean reboot after recovery replaying \
-          nothing. Runs on fresh in-memory volumes; exits non-zero on any \
-          violation")
+          nothing. The crash-free run the sweep is measured from must pass \
+          the same checks. Runs on fresh in-memory volumes; exits non-zero \
+          on any violation")
     Term.(
       const cmd_faultsweep $ clients $ tear $ max_forces $ scavenge $ wrap $ json)
 

@@ -1,15 +1,17 @@
 open Cedar_util
 open Cedar_disk
 
-type t = { boot_count : int; clean_shutdown : bool; params : Params.t }
+type t = { boot_count : int; params : Params.t }
 
 let magic = 0x42544631 (* "BTF1" *)
 
-let encode ~sector_bytes ~boot_count ~clean_shutdown (p : Params.t) =
+(* The byte after the boot count is reserved and written as zero; pages
+   that still carry a shutdown flag there decode unchanged. *)
+let encode ~sector_bytes ~boot_count (p : Params.t) =
   let w = Bytebuf.Writer.create () in
   Bytebuf.Writer.u32 w magic;
   Bytebuf.Writer.u32 w boot_count;
-  Bytebuf.Writer.bool w clean_shutdown;
+  Bytebuf.Writer.u8 w 0;
   Bytebuf.Writer.u16 w p.fnt_page_sectors;
   Bytebuf.Writer.u32 w p.fnt_pages;
   Bytebuf.Writer.u32 w p.log_sectors;
@@ -25,7 +27,7 @@ let decode geom b =
     if m <> magic then None
     else begin
       let boot_count = Bytebuf.Reader.u32 r in
-      let clean_shutdown = Bytebuf.Reader.bool r in
+      ignore (Bytebuf.Reader.u8 r : int);
       let fnt_page_sectors = Bytebuf.Reader.u16 r in
       let fnt_pages = Bytebuf.Reader.u32 r in
       let log_sectors = Bytebuf.Reader.u32 r in
@@ -39,7 +41,6 @@ let decode geom b =
         Some
           {
             boot_count;
-            clean_shutdown;
             params =
               {
                 (Params.for_geometry geom) with
@@ -56,9 +57,9 @@ let decode geom b =
   | v -> v
   | exception Bytebuf.Decode_error _ -> None
 
-let write device ~boot_count ~clean_shutdown params =
+let write device ~boot_count params =
   let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
-  let page = encode ~sector_bytes ~boot_count ~clean_shutdown params in
+  let page = encode ~sector_bytes ~boot_count params in
   let buf = Bytes.make (3 * sector_bytes) '\000' in
   Bytes.blit page 0 buf 0 sector_bytes;
   Bytes.blit page 0 buf (2 * sector_bytes) sector_bytes;

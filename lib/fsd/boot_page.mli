@@ -1,26 +1,23 @@
 (** The replicated boot page (sectors 0 and 2; §5.8: "two kinds of pages
     needed in booting could become bad: they are now replicated").
 
-    Records the boot count, whether the last shutdown was controlled
-    (boot does not read it: the VAM save area's own clean flag decides
-    whether the saved VAM may be trusted), and six fields of the
-    volume's {!Params.t}: the layout ([fnt_page_sectors], [fnt_pages],
-    [log_sectors]) and the shard ([shard_id]), fixed at format time, and
-    the two extension flags ([log_vam], [track_tolerant_log]) as of the
-    last format, clean shutdown or scavenge. This module is the one
+    Records the boot count and six fields of the volume's {!Params.t}:
+    the layout ([fnt_page_sectors], [fnt_pages], [log_sectors]) and the
+    shard ([shard_id]), fixed at format time, and the two extension
+    flags ([log_vam], [track_tolerant_log]) as of the last format, clean
+    shutdown or scavenge. Whether the last shutdown was controlled is
+    the VAM save area's own flag, not the page's. This module is the one
     place those fields move between a page and a {!Params.t}: format,
     boot, shutdown, the scavenger and the CLI all go through it. *)
 
 type t = private {
   boot_count : int;
-  clean_shutdown : bool;
   params : Params.t;
       (** {!Params.for_geometry} of the device's geometry with the six
           stamped fields taken from the page *)
 }
 
-val write :
-  Cedar_disk.Device.t -> boot_count:int -> clean_shutdown:bool -> Params.t -> unit
+val write : Cedar_disk.Device.t -> boot_count:int -> Params.t -> unit
 (** Stamp the six fields of the given params. One three-sector command:
     page, blank, replica. *)
 

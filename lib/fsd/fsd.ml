@@ -950,7 +950,7 @@ let format device params =
        '\000');
   Log.format device layout;
   Vam.save (Vam.create_all_free layout) device;
-  Boot_page.write device ~boot_count:0 ~clean_shutdown:true params
+  Boot_page.write device ~boot_count:0 params
 
 (* Scan the whole name table once: mark allocated sectors in the VAM and
    collect anchor-sector -> uid for validating logged leader images. *)
@@ -987,7 +987,7 @@ let boot ?params device =
   in
   let layout = Layout.compute geom p in
   let boot_count = bp.Boot_page.boot_count + 1 in
-  Boot_page.write device ~boot_count ~clean_shutdown:false bp.Boot_page.params;
+  Boot_page.write device ~boot_count bp.Boot_page.params;
   (* Log replay (Log.recover): one sequential pass over the live log
      region that reads no log sector twice and leaves the final image of
      each logged unit, so each unit is written home exactly once, in id
@@ -1184,7 +1184,7 @@ let shutdown t =
     (Alloc.vam t.alloc) t.device;
   ignore (Vam.drain_dirty_chunks (Alloc.vam t.alloc) : int list);
   Hashtbl.reset t.chunk_thirds;
-  Boot_page.write t.device ~boot_count:t.boot_count ~clean_shutdown:true t.params;
+  Boot_page.write t.device ~boot_count:t.boot_count t.params;
   t.live <- false
 
 (* ------------------------------------------------------------------ *)

@@ -268,7 +268,7 @@ let run device =
   Log.format device layout;
   Boot_page.write device
     ~boot_count:(match bp with Some bp -> bp.Boot_page.boot_count | None -> 0)
-    ~clean_shutdown:true params;
+    params;
   end_phase "write-back";
   {
     entries_kept = !entries_kept;

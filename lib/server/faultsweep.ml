@@ -1,43 +1,32 @@
-(* Systematic crash-injection sweep for the concurrent server path.
+(* The crash-contract harness: one clean run and one verdict, shared by
+   the log-wrap endurance run (cedar churn) and the crash-injection sweep
+   (cedar faultsweep).
 
-   One recording pass replays the deterministic reference workload
-   (Concurrent.crash_reference) on a fresh volume with a Crash_plan
-   attached, purely to learn how many sector writes each force interval
-   contains. The sweep then re-runs the identical workload once per
-   (force interval, sector-write offset, tear mode) coordinate, killing
-   the device at exactly that write, and checks the §5.4 contract on the
-   rebooted volume:
-
-   - every acknowledged mutation is present with byte-exact content, and
-     every unacknowledged one is wholly absent — precisely: each
-     client's recovered namespace equals the fold of some prefix of its
-     mutating ops no shorter than its acked count (the crash can fall
-     between a force and the acks it releases, so committed-but-unacked
-     is legal; a lost ack'd op or a partially applied op is not);
-   - the rebuilt VAM agrees with the name table: the empty volume's free
-     count minus the distinct sectors the recovered entries claim equals
-     the recovered free count (Fsd.check separately audits the converse
-     direction and leader/entry agreement).
-
-   With [scavenge] set the harness additionally destroys both copies of
-   the entire name table after the crash, forcing recovery through
-   Scavenge.run. The scavenger rebuilds from leader pages, which are
-   written synchronously at create and survive deletes it cannot prove,
-   so the oracle weakens to: boot succeeds, the structural check passes,
-   everything present is byte-exact, and every acked create whose name
-   the script never deletes is present. *)
+   The clean run serves the deterministic workload once on a fresh
+   volume, with a Crash_plan attached that only counts the sector writes
+   of each force interval. The sweep re-runs the identical workload once
+   per (force interval, sector-write offset, tear mode) coordinate,
+   killing the device at exactly that write and rebooting it. The clean
+   run's volume and every rebooted one get the same verdict, §5.4's
+   contract (acked => durable, unacked => absent, recovery converges);
+   each check below says what it catches. With [scavenge] set the sweep
+   also destroys both copies of the name table after every crash,
+   forcing recovery through Scavenge.run, and the oracle and the VAM
+   check give way to the scavenger's weaker promise. *)
 
 open Cedar_util
 open Cedar_disk
 open Cedar_fsd
 open Cedar_workload
 module Jsonb = Cedar_obs.Jsonb
+module Metrics = Cedar_obs.Metrics
 
 type workload =
   | Reference  (** the unique-name crash_reference script, all intervals *)
   | Wrap of Concurrent.churn_spec
-      (** churn sized to wrap the log; the sweep targets only the force
-          intervals in the wrap window (a third entry, or adjacent) *)
+      (** the churn workload, which wraps the log; the sweep targets only
+          the force intervals in the wrap window (a third entry, or
+          adjacent) *)
 
 type cfg = {
   clients : int;
@@ -114,33 +103,28 @@ type summary = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Volume construction and calibration.                                *)
+(* The workload and its volume.                                        *)
 
 type base = {
   geom : Geometry.t;
   params : Params.t;
   layout : Layout.t;
+  workload : workload;
   scripts : Concurrent.script array;
   muts : Oracle.mut list array;  (* per client *)
   names : string list array;  (* per client *)
-  writes : int array;  (* per force interval, from the recording pass *)
+  baseline_free : int;  (* free sectors of the empty volume *)
+  writes : int array;  (* per force interval, from the clean run *)
   wrap_intervals : int list;
       (* intervals in which the log entered a third, plus neighbours *)
-  baseline_free : int;  (* free sectors of the empty volume *)
 }
 
-let fresh_volume base =
+let fresh_volume geom params =
   let clock = Simclock.create () in
-  let device = Device.create ~clock base.geom in
-  Fsd.format device base.params;
+  let device = Device.create ~clock geom in
+  Fsd.format device params;
   let fs, _ = Fsd.boot device in
   (device, fs)
-
-let server_config plan =
-  {
-    Server.default_config with
-    Server.on_force = Some (fun _ -> Crash_plan.note_force plan);
-  }
 
 (* The wrap window: every force interval in which the log entered a
    third, widened by one interval each side — the entry's home-write
@@ -164,82 +148,8 @@ let wrap_window ~samples ~total =
   done;
   List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) window [])
 
-let calibrate ~clients ~workload geom =
-  let params = Params.for_geometry geom in
-  let scripts =
-    match workload with
-    | Reference -> Concurrent.crash_reference ~clients
-    | Wrap spec ->
-      if spec.Concurrent.churn_keep <> params.Params.default_keep then
-        invalid_arg
-          "Faultsweep.calibrate: churn_keep must match the volume's \
-           default_keep";
-      Concurrent.churn_scripts spec ~clients
-  in
-  let muts = Array.map Oracle.muts_of_script scripts in
-  let names = Array.map Oracle.mut_names muts in
-  let baseline_free =
-    let clock = Simclock.create () in
-    let device = Device.create ~clock geom in
-    Fsd.format device params;
-    let fs, _ = Fsd.boot device in
-    Fsd.free_sectors fs
-  in
-  let pre =
-    {
-      geom;
-      params;
-      layout = Layout.compute geom params;
-      scripts;
-      muts;
-      names;
-      writes = [||];
-      wrap_intervals = [];
-      baseline_free;
-    }
-  in
-  let device, fs = fresh_volume pre in
-  let plan = Crash_plan.attach device in
-  let samples = ref [] in
-  let config =
-    {
-      (server_config plan) with
-      Server.on_force =
-        Some
-          (fun _ ->
-            samples := (Fsd.log_stats fs).Log.third_entries :: !samples;
-            Crash_plan.note_force plan);
-    }
-  in
-  let r =
-    Server.serve_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
-  in
-  Crash_plan.detach plan;
-  if r.Server.total_errors > 0 || r.Server.total_aborted > 0 then
-    invalid_arg
-      "Faultsweep.calibrate: the reference workload must replay clean";
-  let total_entries = (Fsd.log_stats fs).Log.third_entries in
-  let wrap_intervals =
-    match workload with
-    | Reference -> []
-    | Wrap _ ->
-      let samples = Array.of_list (List.rev !samples) in
-      let w = wrap_window ~samples ~total:total_entries in
-      if w = [] then
-        invalid_arg
-          "Faultsweep.calibrate: the churn workload never entered a third \
-           (no wrap window to sweep)";
-      w
-  in
-  {
-    pre with
-    layout = Fsd.layout fs;
-    writes = Crash_plan.writes_per_interval plan;
-    wrap_intervals;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Post-crash checks.                                                  *)
+(* The verdict.                                                        *)
 
 let destroy_fnt device (layout : Layout.t) =
   for k = 0 to layout.Layout.fnt_sectors - 1 do
@@ -247,6 +157,10 @@ let destroy_fnt device (layout : Layout.t) =
     Device.damage device (layout.Layout.fnt_b_start + k)
   done
 
+(* VAM/name-table agreement: the empty volume's free count minus the
+   distinct sectors the entries claim must equal the free count. This
+   catches a leaked sector — allocated, but claimed by no entry — which
+   Fsd.check cannot see. *)
 let check_vam base fs add =
   let claimed = Hashtbl.create 256 in
   Fsd.fold_entries fs ~init:() ~f:(fun () ~name:_ ~version:_ e ->
@@ -262,10 +176,11 @@ let check_vam base fs add =
       (Printf.sprintf "VAM free count %d disagrees with name table (want %d)"
          free want)
 
-(* Strict oracle: each client's recovered namespace is the fold of a
-   prefix of its mutating ops at least as long as its acked count —
-   version-aware, so churn workloads that re-create live names are
-   checked exactly (stack depth, newest content). *)
+(* Strict oracle: each client's namespace is the fold of a prefix of its
+   mutating ops at least as long as its acked count — version-aware, so
+   churn workloads that re-create live names are checked exactly (stack
+   depth, newest content). With every mutation acked the one prefix
+   allowed is the whole list, and each mismatch is reported by name. *)
 let check_clients base fs acked add =
   let keep = base.params.Params.default_keep in
   Array.iteri
@@ -275,20 +190,19 @@ let check_clients base fs acked add =
         List.length (List.filter (fun (c, _) -> c = client) acked)
       in
       let len = List.length muts in
+      let rec search i =
+        i <= len && (Oracle.matches_prefix fs ~keep muts names i || search (i + 1))
+      in
       if acked_count > len then
         add (Printf.sprintf "client %d acked %d of %d muts" client acked_count len)
-      else begin
-        let rec search i =
-          if i > len then false
-          else Oracle.matches_prefix fs ~keep muts names i || search (i + 1)
-        in
-        if not (search acked_count) then
-          add
-            (Printf.sprintf
-               "client %d: no mutation prefix >= %d acked ops explains the \
-                recovered state"
-               client acked_count)
-      end)
+      else if acked_count = len then
+        List.iter add (Oracle.diff fs (Oracle.state_after ~keep muts len) names)
+      else if not (search acked_count) then
+        add
+          (Printf.sprintf
+             "client %d: no mutation prefix >= %d acked ops explains the \
+              recovered state"
+             client acked_count))
     base.muts
 
 (* Weakened oracle for scavenged volumes. The scavenger legitimately
@@ -329,7 +243,7 @@ let check_clients_scavenged base fs acked add =
         muts)
     base.muts
 
-(* Every recovered name must come from the reference scripts. *)
+(* Every name on the volume must come from the scripts. *)
 let check_no_aliens base fs add =
   let known = Hashtbl.create 64 in
   Array.iter
@@ -339,16 +253,190 @@ let check_no_aliens base fs add =
       if not (Hashtbl.mem known name) then
         add (Printf.sprintf "recovered a name no script created: %s" name))
 
+(* Convergence clause: a record whose images were already written home
+   must never be replayed into stale state. A clean shutdown resets the
+   log pointer past everything recovery applied, so the next boot must
+   replay nothing and reproduce the namespace byte-for-byte — if replay
+   and the home-write path disagree about who owns a page, this is where
+   it shows. Returns that boot's replay count (-1 if the shutdown or the
+   boot raised) and whether the digest held. *)
+let converge device fs add =
+  let digest = Oracle.volume_digest fs in
+  match
+    Fsd.shutdown fs;
+    Fsd.boot device
+  with
+  | fs', br ->
+    let replayed = br.Fsd.replayed_records in
+    if replayed <> 0 then
+      add
+        (Printf.sprintf "second boot after clean shutdown replayed %d record(s)"
+           replayed);
+    let same = Oracle.volume_digest fs' = digest in
+    if not same then add "clean shutdown + reboot changed the recovered namespace";
+    (match Fsd.check fs' with
+    | Ok () -> ()
+    | Error m -> add ("structural check failed after clean reboot: " ^ m));
+    (replayed, same)
+  | exception e ->
+    add ("clean shutdown + reboot raised " ^ Printexc.to_string e);
+    (-1, false)
+
+(* The one verdict on volume [fs], booted from [device], after a run in
+   which the server acked [acked]. Violations on [fs] go to [add], those
+   of the convergence clause to [add_after]; its replay count and digest
+   match are returned. [scavenged] trades the oracle and the VAM check
+   for the scavenger's weaker promise. *)
+let verdict base device fs ~acked ~scavenged ~add ~add_after =
+  (match Fsd.check fs with
+  | Ok () -> ()
+  | Error m -> add ("structural check failed: " ^ m));
+  check_no_aliens base fs add;
+  (if not scavenged then begin
+     check_clients base fs acked add;
+     check_vam base fs add
+   end
+   else
+     match base.workload with
+     | Reference -> check_clients_scavenged base fs acked add
+     | Wrap _ ->
+       (* Churn deletes and re-creates most of its names, so the "acked
+          create never deleted" witness the scavenged oracle rests on
+          does not exist; structural soundness and no alien names are
+          all that can be demanded. *)
+       ());
+  converge device fs add_after
+
+(* ------------------------------------------------------------------ *)
+(* The clean run.                                                      *)
+
+type clean_run = {
+  c_report : Server.report;
+  c_third_entries : int;
+  c_log_records : int;
+  c_home_write_bursts : int;
+  c_reclaim_stalls : int;
+  c_fnt_home_writes : int;
+  c_violations : string list;
+  c_replayed_after_shutdown : int;
+  c_digest_match : bool;
+  c_violations_after_reboot : string list;
+}
+
+let passed c = c.c_violations = [] && c.c_violations_after_reboot = []
+
+let metric fs name =
+  Option.value (Metrics.read (Fsd.metrics fs) name) ~default:0
+
+(* Serve the workload once with no crash planted, on a volume formatted
+   and booted exactly as every crash point's. The attached plan only
+   counts each force interval's sector writes, and the third-entry count
+   sampled at each force locates the wrap window. The plan is detached
+   and the totals read before the verdict, so its clean shutdown counts
+   in neither. *)
+let clean_pass ?geom ~clients workload =
+  if clients < 1 then invalid_arg "Faultsweep: clients < 1";
+  let geom =
+    match (geom, workload) with
+    | Some g, _ -> g
+    | None, Reference -> Geometry.small_test
+    | None, Wrap _ -> Geometry.tiny_test
+  in
+  let params = Params.for_geometry geom in
+  let scripts =
+    match workload with
+    | Reference -> Concurrent.crash_reference ~clients
+    | Wrap spec ->
+      if spec.Concurrent.churn_keep <> params.Params.default_keep then
+        invalid_arg "Faultsweep: churn_keep must match the volume's default_keep";
+      Concurrent.churn_scripts spec ~clients
+  in
+  let device, fs = fresh_volume geom params in
+  let baseline_free = Fsd.free_sectors fs in
+  let plan = Crash_plan.attach device in
+  let samples = ref [] in
+  let config =
+    {
+      Server.default_config with
+      Server.on_force =
+        Some
+          (fun _ ->
+            samples := (Fsd.log_stats fs).Log.third_entries :: !samples;
+            Crash_plan.note_force plan);
+    }
+  in
+  let server =
+    Server.create_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
+  in
+  let report =
+    match Server.run_to_crash server with
+    | Server.Completed r -> r
+    | Server.Crashed _ -> invalid_arg "Faultsweep: the clean run crashed"
+  in
+  Crash_plan.detach plan;
+  let stats = Fsd.log_stats fs in
+  let third_entries = stats.Log.third_entries and log_records = stats.Log.records in
+  let bursts = metric fs "fsd.home_write_bursts" in
+  let stalls = metric fs "fsd.reclaim_stalls" in
+  let fnt_homes = Fsd.fnt_home_writes fs in
+  let muts = Array.map Oracle.muts_of_script scripts in
+  let base =
+    {
+      geom;
+      params;
+      layout = Fsd.layout fs;
+      workload;
+      scripts;
+      muts;
+      names = Array.map Oracle.mut_names muts;
+      baseline_free;
+      writes = Crash_plan.writes_per_interval plan;
+      wrap_intervals =
+        wrap_window ~samples:(Array.of_list (List.rev !samples)) ~total:third_entries;
+    }
+  in
+  let found = ref [] and after = ref [] in
+  let add r v = r := v :: !r in
+  (* The serve itself must be clean, or the oracle is ambiguous. *)
+  if report.Server.total_errors > 0 then
+    add found (Printf.sprintf "%d client error(s)" report.Server.total_errors);
+  if report.Server.total_aborted > 0 then
+    add found (Printf.sprintf "%d aborted session(s)" report.Server.total_aborted);
+  let replayed, digest_match =
+    verdict base device fs ~acked:(Server.acked server) ~scavenged:false
+      ~add:(add found) ~add_after:(add after)
+  in
+  ( base,
+    {
+      c_report = report;
+      c_third_entries = third_entries;
+      c_log_records = log_records;
+      c_home_write_bursts = bursts;
+      c_reclaim_stalls = stalls;
+      c_fnt_home_writes = fnt_homes;
+      c_violations = List.rev !found;
+      c_replayed_after_shutdown = replayed;
+      c_digest_match = digest_match;
+      c_violations_after_reboot = List.rev !after;
+    } )
+
+let clean_run ?geom ~clients workload = snd (clean_pass ?geom ~clients workload)
+
 (* ------------------------------------------------------------------ *)
 (* The sweep.                                                          *)
 
 let run_point cfg base ~force ~write ~tear =
-  let device, fs = fresh_volume base in
+  let device, fs = fresh_volume base.geom base.params in
   let plan = Crash_plan.attach device in
   Crash_plan.arm plan ~force ~write ~tear;
+  let config =
+    {
+      Server.default_config with
+      Server.on_force = Some (fun _ -> Crash_plan.note_force plan);
+    }
+  in
   let server =
-    Server.create_volumes ~config:(server_config plan)
-      (Cedar_volumes.Volume_set.of_fsd fs) base.scripts
+    Server.create_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) base.scripts
   in
   let violations = ref [] in
   let add what =
@@ -361,7 +449,7 @@ let run_point cfg base ~force ~write ~tear =
     | Server.Completed _ ->
       add "armed crash never fired";
       None
-    | Server.Crashed _ ->
+    | Server.Crashed _ -> (
       Crash_plan.detach plan;
       Device.cancel_write_crash device;
       let acked = Server.acked server in
@@ -385,68 +473,22 @@ let run_point cfg base ~force ~write ~tear =
           add ("reboot raised " ^ Printexc.to_string e);
           None
       in
-      (match booted with
+      match booted with
       | None -> None
       | Some (fs2, path) ->
-        (match Fsd.check fs2 with
-        | Ok () -> ()
-        | Error m -> add ("structural check failed: " ^ m));
-        check_no_aliens base fs2 add;
-        (if cfg.scavenge || path = Scavenged then
-           match cfg.workload with
-           | Reference -> check_clients_scavenged base fs2 acked add
-           | Wrap _ ->
-             (* Churn deletes and re-creates most of its names, so the
-                "acked create never deleted" witness the scavenged
-                oracle rests on does not exist; structural soundness
-                and no-alien-names are all that can be demanded. *)
-             ()
-         else begin
-           check_clients base fs2 acked add;
-           check_vam base fs2 add
-         end);
-        (* Convergence clause: a record whose images were already
-           written home must never be replayed into stale state. A
-           clean shutdown resets the log pointer past everything
-           recovery just applied, so a second boot must replay nothing
-           and reproduce the namespace byte-for-byte — if replay and
-           the home-write path disagree about who owns a page, this is
-           where it shows. *)
-        let digest = Oracle.volume_digest fs2 in
-        (match Fsd.shutdown fs2 with
-        | () -> (
-          match Fsd.boot device with
-          | fs3, br ->
-            if br.Fsd.replayed_records <> 0 then
-              add
-                (Printf.sprintf
-                   "second boot after clean shutdown replayed %d record(s)"
-                   br.Fsd.replayed_records);
-            if Oracle.volume_digest fs3 <> digest then
-              add "clean shutdown + reboot changed the recovered namespace";
-            (match Fsd.check fs3 with
-            | Ok () -> ()
-            | Error m -> add ("structural check failed after clean reboot: " ^ m))
-          | exception e ->
-            add ("reboot after clean shutdown raised " ^ Printexc.to_string e))
-        | exception e ->
-          add ("clean shutdown after recovery raised " ^ Printexc.to_string e));
+        let scavenged = cfg.scavenge || path = Scavenged in
+        ignore (verdict base device fs2 ~acked ~scavenged ~add ~add_after:add : int * bool);
         Some path)
   in
   (path, List.rev !violations)
 
 let sweep ?geom cfg =
-  if cfg.clients < 1 then invalid_arg "Faultsweep.sweep: clients < 1";
   if cfg.tears = [] then invalid_arg "Faultsweep.sweep: no tear modes";
-  let geom =
-    match geom with
-    | Some g -> g
-    | None -> (
-      match cfg.workload with
-      | Reference -> Geometry.small_test
-      | Wrap _ -> Geometry.tiny_test)
-  in
-  let base = calibrate ~clients:cfg.clients ~workload:cfg.workload geom in
+  let base, clean = clean_pass ?geom ~clients:cfg.clients cfg.workload in
+  if not (passed clean) then
+    invalid_arg
+      ("Faultsweep.sweep: the clean run fails the verdict: "
+      ^ List.hd (clean.c_violations @ clean.c_violations_after_reboot));
   let bound =
     match cfg.max_forces with
     | Some k -> min k (Array.length base.writes)
@@ -455,7 +497,12 @@ let sweep ?geom cfg =
   let intervals =
     match cfg.workload with
     | Reference -> List.init bound Fun.id
-    | Wrap _ -> List.filter (fun i -> i < bound) base.wrap_intervals
+    | Wrap _ ->
+      if base.wrap_intervals = [] then
+        invalid_arg
+          "Faultsweep.sweep: the churn workload never entered a third (no \
+           wrap window to sweep)";
+      List.filter (fun i -> i < bound) base.wrap_intervals
   in
   let points = ref 0 and runs = ref 0 in
   let replay = ref 0 and twin = ref 0 and scav = ref 0 in
@@ -549,3 +596,40 @@ let pp ppf s =
         Format.fprintf ppf "    force %d write %d tear %s: %s@." v.v_force
           v.v_write v.v_tear v.v_what)
       vs
+
+let strings vs = Jsonb.Arr (List.map (fun v -> Jsonb.Str v) vs)
+
+let clean_run_json c =
+  Jsonb.Obj
+    [
+      ("server", Server.report_json c.c_report);
+      ("third_entries", Jsonb.Int c.c_third_entries);
+      ("log_records", Jsonb.Int c.c_log_records);
+      ("home_write_bursts", Jsonb.Int c.c_home_write_bursts);
+      ("reclaim_stalls", Jsonb.Int c.c_reclaim_stalls);
+      ("fnt_home_writes", Jsonb.Int c.c_fnt_home_writes);
+      ("violations", strings c.c_violations);
+      ("replayed_after_shutdown", Jsonb.Int c.c_replayed_after_shutdown);
+      ("digest_match", Jsonb.Bool c.c_digest_match);
+      ("violations_after_reboot", strings c.c_violations_after_reboot);
+      ("clean", Jsonb.Bool (passed c));
+    ]
+
+let pp_clean_run ppf c =
+  Format.fprintf ppf "churn endurance: %d client(s), %d ops acked@."
+    c.c_report.Server.clients c.c_report.Server.mutations_acked;
+  Format.fprintf ppf
+    "  log: %d records, %d third entries (%.1f full wraps)@." c.c_log_records
+    c.c_third_entries
+    (float_of_int c.c_third_entries /. 3.0);
+  Format.fprintf ppf
+    "  home writes: %d pages (%d background bursts, %d reclaim stalls)@."
+    c.c_fnt_home_writes c.c_home_write_bursts c.c_reclaim_stalls;
+  Format.fprintf ppf "  reboot: replayed %d record(s), namespace %s@."
+    c.c_replayed_after_shutdown
+    (if c.c_digest_match then "identical" else "CHANGED");
+  match c.c_violations @ c.c_violations_after_reboot with
+  | [] -> Format.fprintf ppf "  violations: none@."
+  | vs ->
+    Format.fprintf ppf "  violations: %d@." (List.length vs);
+    List.iter (fun v -> Format.fprintf ppf "    %s@." v) vs

@@ -1,27 +1,33 @@
-(** Systematic crash-injection sweep for the concurrent server path.
+(** The crash-contract harness for the concurrent server path: one
+    clean run and one verdict, shared by the log-wrap endurance run
+    ([cedar churn]) and the crash-injection sweep ([cedar faultsweep]).
 
-    A recording pass replays the deterministic
-    {!Cedar_workload.Concurrent.crash_reference} workload once with a
-    {!Cedar_disk.Crash_plan} attached to learn how many sector writes
-    each force interval contains; {!sweep} then re-runs the identical
-    workload once per (force interval × sector-write offset × tear mode)
-    coordinate, kills the device at exactly that write, reboots via
-    [Fsd.try_boot] (falling through to [Scavenge.run]), and checks the
-    §5.4 contract: acked mutations present and byte-exact, unacked ones
-    wholly absent (each client's recovered namespace must equal a
-    mutation prefix no shorter than its acked count), and the rebuilt VAM
-    in agreement with the name table. *)
+    {!clean_run} serves a deterministic workload once on a fresh volume,
+    with a {!Cedar_disk.Crash_plan} attached that only counts how many
+    sector writes each force interval contains. {!sweep} makes that
+    clean run, then re-runs the identical workload once per (force
+    interval × sector-write offset × tear mode) coordinate, kills the
+    device at exactly that write, and reboots via [Fsd.try_boot]
+    (falling through to [Scavenge.run]).
+
+    The clean run's volume and every recovered one get the same verdict,
+    §5.4's contract: [Fsd.check] passes; every name comes from the
+    scripts; each client's namespace equals a mutation prefix no shorter
+    than its acked count (the full fold when every mutation is acked);
+    the VAM agrees with the name table; and a clean shutdown and reboot
+    replays zero records, reproduces the namespace digest and passes
+    [Fsd.check] again. *)
 
 type workload =
   | Reference
       (** the unique-name [crash_reference] script; every force interval
           is swept *)
   | Wrap of Cedar_workload.Concurrent.churn_spec
-      (** a churn workload sized to wrap the log; calibration records
-          the third-entry count at each force, and only the intervals in
-          the {e wrap window} — those in which the log entered a third,
-          widened by one interval each side — are swept, so every crash
-          lands during a home-write burst, the reclamation pointer
+      (** the churn workload, which wraps the log; the clean run records
+          the third-entry count at each force, and a sweep covers only
+          the intervals in the {e wrap window} — those in which the log
+          entered a third, widened by one interval each side — so every
+          crash lands during a home-write burst, the reclamation pointer
           rewrite, or an append on either side of the wrap *)
 
 type cfg = {
@@ -77,17 +83,46 @@ type summary = {
   sw_violations : violation list;
 }
 
-val sweep : ?geom:Cedar_disk.Geometry.t -> cfg -> summary
-(** Run the full sweep on fresh in-memory volumes
+type clean_run = {
+  c_report : Server.report;
+  c_third_entries : int;  (** thirds entered — /3 for full log wraps *)
+  c_log_records : int;
+  c_home_write_bursts : int;  (** background home-write demon passes *)
+  c_reclaim_stalls : int;  (** typed [Log_reclaim_stall] refusals *)
+  c_fnt_home_writes : int;
+  c_violations : string list;
+      (** client errors and aborted sessions in the serve, then what the
+          verdict found on the volume the run left *)
+  c_replayed_after_shutdown : int;
+      (** by the reboot after a clean shutdown; must be 0 (-1 if the
+          shutdown or the reboot raised) *)
+  c_digest_match : bool;  (** that reboot reproduced the namespace *)
+  c_violations_after_reboot : string list;
+      (** what the verdict's convergence clause found *)
+}
+
+val clean_run :
+  ?geom:Cedar_disk.Geometry.t -> clients:int -> workload -> clean_run
+(** Serve the workload once on a fresh in-memory volume
     ([Geometry.small_test] by default for [Reference],
-    [Geometry.tiny_test] for [Wrap]). Every crash point additionally
-    checks double-reboot convergence: after the post-crash oracle
-    passes, the volume is cleanly shut down and rebooted, and that boot
-    must replay zero records and reproduce the namespace byte-for-byte
-    — a record whose images were already written home must never be
-    replayed into stale state. Raises [Invalid_argument] if the
-    workload does not replay clean (or, for [Wrap], never enters a
-    third), or on an empty tear list / non-positive client count. *)
+    [Geometry.tiny_test] for [Wrap], which wraps far faster for the same
+    spec) and give it the verdict. Deterministic: same arguments,
+    byte-identical {!clean_run_json}. Raises [Invalid_argument] if
+    [clients < 1] or a [Wrap] spec's [churn_keep] disagrees with the
+    geometry's [default_keep]. *)
+
+val passed : clean_run -> bool
+(** No violation in the serve, the verdict or its convergence clause. *)
+
+val clean_run_json : clean_run -> Cedar_obs.Jsonb.t
+val pp_clean_run : Format.formatter -> clean_run -> unit
+
+val sweep : ?geom:Cedar_disk.Geometry.t -> cfg -> summary
+(** Make the clean run ({!clean_run}'s geometry defaults), then crash
+    and recover once per coordinate, giving every recovered volume the
+    same verdict. Raises [Invalid_argument] if the clean run does not
+    pass (or, for [Wrap], never enters a third), or on an empty tear
+    list / non-positive client count. *)
 
 val summary_json : summary -> Cedar_obs.Jsonb.t
 (** Deterministic rendering, byte-identical across runs. *)

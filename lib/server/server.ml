@@ -178,10 +178,12 @@ type report = {
 let now t = Simclock.now t.clock
 let single t = Array.length t.vols = 1
 
-(* Which volume an operation belongs to. [Force] fans out to every
-   volume; its accounting (spans, error counts) is charged to volume 0,
-   which is the only volume when the distinction could matter for
-   compatibility. *)
+let dead v = v.v_crash <> None
+
+(* Which volume an operation belongs to. [Force] fans out to every live
+   volume; its accounting (spans, error counts) is charged to the lowest
+   live one, so a crash cuts a forcing session off only when no volume
+   is left to serve it. *)
 let target_vid t (op : Concurrent.op) =
   if single t then 0
   else
@@ -189,12 +191,11 @@ let target_vid t (op : Concurrent.op) =
     | Create { name; _ } | Open name | Read name | Delete name -> Volume_set.route t.vset name
     | Read_page { name; _ } -> Volume_set.route t.vset name
     | List prefix -> Volume_set.route t.vset prefix
-    | Force -> 0
+    | Force ->
+      Option.value (Array.find_index (fun v -> not (dead v)) t.vols) ~default:0
 
 (* ------------------------------------------------------------------ *)
 (* Crash quarantine. *)
-
-let dead v = v.v_crash <> None
 
 (* A planted crash on volume [v] halts that volume only. Sessions parked
    on it will never be acked — their mutations are exactly the

@@ -8,7 +8,7 @@
     instrument names never collide. Nothing else couples the volumes:
     a crash, recovery, or scavenge of one cannot touch another, which
     is exactly why acked ⇒ durable stays a per-volume contract
-    (DESIGN.md §17).
+    (DESIGN.md §16).
 
     The single-volume set is the degenerate case: no prefix is applied
     to its registry. *)

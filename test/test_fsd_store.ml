@@ -290,7 +290,7 @@ let test_boot_page_roundtrip () =
     }
   in
   (* Runtime knobs are not stamped: the page reads back the geometry's. *)
-  Boot_page.write device ~boot_count:7 ~clean_shutdown:true
+  Boot_page.write device ~boot_count:7
     { stamped with Params.commit_interval_us = 1; disk_qdepth = 4 };
   let bp =
     match Boot_page.read device with
@@ -298,7 +298,6 @@ let test_boot_page_roundtrip () =
     | None -> Alcotest.fail "read failed"
   in
   check int "boot count" 7 bp.Boot_page.boot_count;
-  check bool "clean" true bp.Boot_page.clean_shutdown;
   check bool "roundtrip" true (bp.Boot_page.params = stamped);
   (* the replica carries it through primary damage *)
   Device.damage device 0;

@@ -236,6 +236,32 @@ let test_recovery_independence () =
     check int "volume 0 still serving" 3 vr0'.S.vr_acked;
     check int "rebooted volume serving again" 3 vr1'.S.vr_acked)
 
+(* A client [Force] forces every live volume, so a crash on volume 0
+   must not cut off a session whose names all live on volume 1: its
+   forces go to the survivor, and it runs its whole script. *)
+let test_force_outlives_volume0 () =
+  let vset =
+    V.create_fresh ~geom:Geometry.small_test ~clock:(Simclock.create ()) 2
+  in
+  let spec = { C.default_churn with C.churn_ops = 40; force_every = 4 } in
+  let scripts = C.shard_scripts (C.churn_scripts spec ~clients:2) ~volumes:2 in
+  Device.plan_write_crash (V.device vset 0) ~after_sectors:40 ~damage_tail:0;
+  let r =
+    match S.run_to_crash (S.create_volumes vset scripts) with
+    | S.Completed r -> r
+    | S.Crashed _ -> Alcotest.fail "a crash on volume 0 stopped the run"
+  in
+  check (Alcotest.list int) "only volume 0 crashed" [ 0 ]
+    (List.filter_map
+       (fun v -> if v.S.vr_crashed then Some v.S.vr_volume else None)
+       r.S.per_volume);
+  let s1 = List.nth r.S.per_session 1 in
+  check (Alcotest.option Alcotest.string) "volume-1 session not aborted" None
+    s1.S.r_aborted;
+  check int "volume-1 session acked every mutation"
+    (List.length (Cedar_server.Oracle.muts_of_script scripts.(1)))
+    s1.S.r_mutations
+
 (* [create_fresh ~params] boots every volume with the caller's runtime
    knobs, not the defaults: a non-default commit interval and keep
    count read back from each volume, and the request-queue depth
@@ -274,5 +300,7 @@ let suite =
     ("two volumes: byte-identical reports", `Quick, test_two_volume_determinism);
     ("crash on one volume leaves the other serving", `Quick,
      test_recovery_independence);
+    ("a force outlives a crash on volume 0", `Quick,
+     test_force_outlives_volume0);
     ("create_fresh keeps params", `Quick, test_create_fresh_keeps_params);
   ]

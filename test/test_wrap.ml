@@ -6,7 +6,7 @@ open Cedar_util
 open Cedar_disk
 open Cedar_fsd
 module C = Cedar_workload.Concurrent
-module E = Cedar_server.Endurance
+module F = Cedar_server.Faultsweep
 module O = Cedar_server.Oracle
 module S = Cedar_server.Server
 module Obs = Cedar_obs
@@ -26,15 +26,15 @@ let fresh_fs ?(geom = Geometry.tiny_test) () =
 (* Churn determinism: two executions, >= 3 full wraps, byte-identical   *)
 
 let test_churn_deterministic () =
-  let cfg =
-    { E.clients = 2; spec = { C.default_churn with C.churn_ops = 150 } }
+  let run () =
+    F.clean_run ~geom:Geometry.tiny_test ~clients:2
+      (F.Wrap { C.default_churn with C.churn_ops = 150 })
   in
-  let run () = E.run ~geom:Geometry.tiny_test cfg in
   let a = run () in
-  check bool ">= 3 full wraps" true (a.E.e_third_entries >= 9);
-  check bool "clean" true (E.clean a);
+  check bool ">= 3 full wraps" true (a.F.c_third_entries >= 9);
+  check bool "clean" true (F.passed a);
   let b = run () in
-  let render r = Obs.Jsonb.to_string_pretty (E.report_json r) in
+  let render r = Obs.Jsonb.to_string_pretty (F.clean_run_json r) in
   check bool "byte-identical endurance reports" true
     (String.equal (render a) (render b))
 
@@ -48,17 +48,14 @@ let test_churn_deterministic () =
    seed is one where a skip that outlives a record landing in the third
    loses a burst. *)
 let test_home_writes_pinned () =
-  let cfg =
-    {
-      E.clients = 3;
-      spec = { C.default_churn with C.churn_ops = 160; churn_seed = 2 };
-    }
+  let r =
+    F.clean_run ~geom:Geometry.tiny_test ~clients:3
+      (F.Wrap { C.default_churn with C.churn_ops = 160; churn_seed = 2 })
   in
-  let r = E.run ~geom:Geometry.tiny_test cfg in
-  check bool ">= 3 full wraps" true (r.E.e_third_entries >= 9);
-  check bool "clean" true (E.clean r);
-  check int "fnt.home_writes" 59 r.E.e_fnt_home_writes;
-  check int "fsd.home_write_bursts" 42 r.E.e_home_write_bursts
+  check bool ">= 3 full wraps" true (r.F.c_third_entries >= 9);
+  check bool "clean" true (F.passed r);
+  check int "fnt.home_writes" 59 r.F.c_fnt_home_writes;
+  check int "fsd.home_write_bursts" 42 r.F.c_home_write_bursts
 
 (* ------------------------------------------------------------------ *)
 (* Every acked mutation survives a clean shutdown taken mid-wrap        *)
