@@ -633,7 +633,10 @@ let cmd_faultsweep clients tear max_forces scavenge wrap json =
       | None -> fail "unknown tear mode %S (none|zero|garbage|damage|all)" t)
   in
   let workload = if wrap then F.Wrap F.default_wrap_spec else F.Reference in
-  let s = F.sweep { F.clients; tears; max_forces; scavenge; workload } in
+  let s =
+    try F.sweep { F.clients; tears; max_forces; scavenge; workload }
+    with F.Refused why -> fail "faultsweep: %s" why
+  in
   if json then print_endline (Obs.Jsonb.to_string_pretty (F.summary_json s))
   else Format.printf "%a@." F.pp s;
   if s.F.sw_violations <> [] then exit 1

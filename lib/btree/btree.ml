@@ -63,24 +63,38 @@ module Make (S : STORE) = struct
       Array.fold_left (fun acc k -> acc + internal_key_bytes k) node_overhead keys
       + (4 * Array.length children)
 
+  (* One pass into one zeroed page: the kind byte, a u16 count, then a
+     leaf's (key, value) pairs or an internal node's keys and children,
+     strings as a u16 length and their bytes, children as u32s, all
+     little-endian. Callers check [encoded_bytes] against the page before
+     writing a node, and [insert] bounds every entry, so each field fits
+     its width. *)
   let encode t node =
-    let w = Bytebuf.Writer.create ~initial:t.page_bytes () in
+    let b = Bytes.make t.page_bytes '\000' in
+    let put_string pos s =
+      let n = String.length s in
+      Bytes.set_uint16_le b pos n;
+      Bytes.blit_string s 0 b (pos + 2) n;
+      pos + 2 + n
+    in
     (match node with
     | Leaf entries ->
-      Bytebuf.Writer.u8 w leaf_kind;
-      Bytebuf.Writer.u16 w (Array.length entries);
-      Array.iter
-        (fun (k, v) ->
-          Bytebuf.Writer.string w k;
-          Bytebuf.Writer.string w v)
-        entries
+      Bytes.set_uint8 b 0 leaf_kind;
+      Bytes.set_uint16_le b 1 (Array.length entries);
+      ignore
+        (Array.fold_left
+           (fun pos (k, v) -> put_string (put_string pos k) v)
+           node_overhead entries
+          : int)
     | Internal { keys; children } ->
       assert (Array.length children = Array.length keys + 1);
-      Bytebuf.Writer.u8 w internal_kind;
-      Bytebuf.Writer.u16 w (Array.length keys);
-      Array.iter (Bytebuf.Writer.string w) keys;
-      Array.iter (Bytebuf.Writer.u32 w) children);
-    Bytebuf.Writer.to_sector w ~size:t.page_bytes
+      Bytes.set_uint8 b 0 internal_kind;
+      Bytes.set_uint16_le b 1 (Array.length keys);
+      let pos = Array.fold_left put_string node_overhead keys in
+      Array.iteri
+        (fun i c -> Bytes.set_int32_le b (pos + (4 * i)) (Int32.of_int c))
+        children);
+    b
 
   let decode b =
     let r = Bytebuf.Reader.of_bytes b in
@@ -156,11 +170,16 @@ module Make (S : STORE) = struct
 
   let array_insert a i x =
     let n = Array.length a in
-    Array.init (n + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
+    let b = Array.make (n + 1) x in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
 
   let array_remove a i =
     let n = Array.length a in
-    Array.init (n - 1) (fun j -> if j < i then a.(j) else a.(j + 1))
+    let b = Array.sub a 0 (n - 1) in
+    Array.blit a (i + 1) b i (n - 1 - i);
+    b
 
   (* ---------------------------------------------------------------- *)
   (* Insert                                                            *)
@@ -367,23 +386,36 @@ module Make (S : STORE) = struct
   let in_lo lo k = match lo with None -> true | Some l -> String.compare k l >= 0
   let in_hi hi k = match hi with None -> true | Some h -> String.compare k h < 0
 
+  (* Visits only what can hold keys in [lo, hi): a leaf from its first
+     entry at or above [lo], an internal node from the child [lo] belongs
+     in, each up to the first key or separator at or above [hi]. *)
   let rec iter_rec t ?lo ?hi id f =
     match read_node t id with
     | Leaf entries ->
-      Array.iter (fun (k, v) -> if in_lo lo k && in_hi hi k then f k v) entries
+      let n = Array.length entries in
+      let rec go i =
+        if i < n then begin
+          let k, v = entries.(i) in
+          if in_hi hi k then begin
+            f k v;
+            go (i + 1)
+          end
+        end
+      in
+      go
+        (match lo with
+        | None -> 0
+        | Some l -> ( match leaf_position entries l with `Found i | `Insert_at i -> i))
     | Internal { keys; children } ->
       let n = Array.length keys in
-      for j = 0 to n do
-        (* Subtree j spans [keys.(j-1), keys.(j)). *)
-        let subtree_min_below_hi =
-          j = 0 || match hi with None -> true | Some h -> String.compare keys.(j - 1) h < 0
-        in
-        let subtree_max_above_lo =
-          j = n || match lo with None -> true | Some l -> String.compare keys.(j) l > 0
-        in
-        if subtree_min_below_hi && subtree_max_above_lo then
-          iter_rec t ?lo ?hi children.(j) f
-      done
+      (* Subtree j spans [keys.(j-1), keys.(j)). *)
+      let rec go j =
+        if j <= n && (j = 0 || in_hi hi keys.(j - 1)) then begin
+          iter_rec t ?lo ?hi children.(j) f;
+          go (j + 1)
+        end
+      in
+      go (match lo with None -> 0 | Some l -> child_index keys l)
 
   let iter_range ?lo ?hi t f =
     match S.get_root t.store with

@@ -463,16 +463,17 @@ let read_run t ~sector ~count =
 let read t s = read_run t ~sector:s ~count:1
 
 (* One command writing [count] sectors from [b], sector [i] from byte
-   [i * sector_bytes]. Only the first [budget] sectors reach the store;
-   the rest of the run, even within the same chunk, stays as it was. *)
-let write_sectors t ~sector ~count b =
-  if count <= 0 || count * t.geom.Geometry.sector_bytes > Bytes.length b then
-    invalid_arg "Device.write_sectors: count";
+   [pos + i * sector_bytes]. Only the first [budget] sectors reach the
+   store; the rest of the run, even within the same chunk, stays as it
+   was. *)
+let write_sectors t ~sector ~count ?(pos = 0) b =
+  if count <= 0 || pos < 0 || pos + (count * t.geom.Geometry.sector_bytes) > Bytes.length b
+  then invalid_arg "Device.write_sectors: count";
   check_sector t sector;
   check_sector t (sector + count - 1);
   charge_write t ~sector ~count;
   let budget = crash_budget t count in
-  store t ~sector ~count:budget b ~pos:0;
+  store t ~sector ~count:budget b ~pos;
   repair_run t ~sector ~count:budget;
   consume_write_budget t budget;
   if budget < count then

@@ -180,11 +180,12 @@ val write_run : t -> sector:int -> bytes -> unit
 (** One command writing [Bytes.length / sector_bytes] consecutive sectors,
     each copied once from its offset in the buffer. *)
 
-val write_sectors : t -> sector:int -> count:int -> bytes -> unit
-(** [write_sectors t ~sector ~count b] is one command writing the first
-    [count] sectors of [b]: a buffer the caller reuses for runs of
-    different lengths. Raises [Invalid_argument] unless [count > 0] and
-    [count * sector_bytes <= Bytes.length b]. *)
+val write_sectors : t -> sector:int -> count:int -> ?pos:int -> bytes -> unit
+(** [write_sectors t ~sector ~count ~pos b] is one command writing the
+    [count] sectors of [b] that start at byte [pos] (default 0): a
+    buffer the caller reuses for runs of different lengths and places.
+    Raises [Invalid_argument] unless [count > 0], [pos >= 0] and
+    [pos + count * sector_bytes <= Bytes.length b]. *)
 
 (** {1 Labeled I/O (used by CFS; models Trident microcode)} *)
 

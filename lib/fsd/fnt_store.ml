@@ -20,6 +20,9 @@ type cached = {
          the page is first framed. *)
   mutable frame : bytes; (* the framed image of [framed], rebuilt in place *)
   mutable frame_crcs : int array; (* the CRC-32 of each sector of [frame] *)
+  mutable frame_head : int;
+      (* the CRC-32 of [frame]'s last sector before the trailer; -1 while
+         [frame] holds no image *)
 }
 
 type anchor = {
@@ -53,37 +56,59 @@ let page_bytes t = full_page_bytes t.layout - trailer_bytes
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 
+(* Whether [a] and [b] hold the same bytes in [pos, pos + len). *)
+let same_range a b ~pos ~len =
+  let stop = pos + len in
+  let rec words i =
+    if i + 8 > stop then bytes i
+    else Int64.equal (Bytes.get_int64_ne a i) (Bytes.get_int64_ne b i) && words (i + 8)
+  and bytes i = i >= stop || (Bytes.get a i = Bytes.get b i && bytes (i + 1)) in
+  words pos
+
 (* The page image: the payload, then a 16-byte trailer of u32s — magic,
-   page number, the payload's CRC-32 and a zero word. [frame_into]
-   builds it in [out] and puts each sector's CRC in [crcs], hashing every
-   byte once: the payload's CRC is the whole sectors' CRCs combined with
-   that of the last sector's head (the bytes before the trailer), and
-   the last sector's CRC continues that head CRC over the trailer. *)
-let frame_into layout ~page payload out crcs =
+   page number, the payload's CRC-32 and a zero word. [frame_into] builds
+   it in [out] and puts each sector's CRC in [crcs], hashing every byte
+   at most once: the payload's CRC is the whole sectors' CRCs combined
+   with that of the last sector's head (the bytes before the trailer),
+   and the last sector's CRC continues that head CRC over the trailer.
+   [head] is the head CRC of a frame of the same page that [out] and
+   [crcs] already hold, or -1. Against such a frame, a whole sector or
+   the head whose payload bytes are unchanged keeps its CRC and is
+   neither copied nor hashed again: an anchor rewrite that bumps only
+   the uid rehashes one sector and the trailer. Returns the new head
+   CRC. *)
+let frame_into layout ~page ~head payload out crcs =
   let sb = layout.Layout.geom.Geometry.sector_bytes in
   let k = layout.Layout.params.Params.fnt_page_sectors in
   let n = full_page_bytes layout - trailer_bytes in
   if Bytes.length payload <> n then invalid_arg "Fnt_store.frame: payload size";
-  Bytes.blit payload 0 out 0 n;
+  let changed pos len = head < 0 || not (same_range payload out ~pos ~len) in
+  let refresh pos len =
+    Bytes.blit payload pos out pos len;
+    Crc32.bytes ~pos ~len out
+  in
   let payload_crc = ref 0 in
   for i = 0 to k - 2 do
-    let c = Crc32.bytes ~pos:(i * sb) ~len:sb out in
-    crcs.(i) <- c;
-    payload_crc := Crc32.combine !payload_crc c ~len:sb
+    let pos = i * sb in
+    if changed pos sb then crcs.(i) <- refresh pos sb;
+    payload_crc := Crc32.combine !payload_crc crcs.(i) ~len:sb
   done;
-  let head_len = sb - trailer_bytes in
-  let head = Crc32.bytes ~pos:((k - 1) * sb) ~len:head_len out in
+  let head_pos = (k - 1) * sb and head_len = sb - trailer_bytes in
+  let head = if changed head_pos head_len then refresh head_pos head_len else head in
   let payload_crc = Crc32.combine !payload_crc head ~len:head_len in
   Bytes.set_int32_le out n (Int32.of_int page_magic);
   Bytes.set_int32_le out (n + 4) (Int32.of_int page);
   Bytes.set_int32_le out (n + 8) (Int32.of_int payload_crc);
   Bytes.set_int32_le out (n + 12) 0l;
-  crcs.(k - 1) <- Crc32.bytes ~crc:head ~pos:n ~len:trailer_bytes out
+  crcs.(k - 1) <- Crc32.bytes ~crc:head ~pos:n ~len:trailer_bytes out;
+  head
 
 let frame layout ~page payload =
   let out = Bytes.create (full_page_bytes layout) in
-  frame_into layout ~page payload out
-    (Array.make layout.Layout.params.Params.fnt_page_sectors 0);
+  ignore
+    (frame_into layout ~page ~head:(-1) payload out
+       (Array.make layout.Layout.params.Params.fnt_page_sectors 0)
+      : int);
   out
 
 let unframe layout ~page image =
@@ -109,20 +134,20 @@ let unframe layout ~page image =
 
 let anchor_magic = 0x414e4331 (* "ANC1" *)
 
+(* Magic, root + 1 (0 for none), the uid counter, the map's length in
+   bits, then the packed map, written straight into a zeroed page. *)
 let encode_anchor t =
-  let w = Bytebuf.Writer.create () in
-  Bytebuf.Writer.u32 w anchor_magic;
-  (match t.anchor.root with
-  | None -> Bytebuf.Writer.u32 w 0
-  | Some r -> Bytebuf.Writer.u32 w (r + 1));
-  Bytebuf.Writer.u64 w t.anchor.next_uid;
-  Bytebuf.Writer.u32 w (Bitmap.length t.anchor.alloc_map);
-  Bytebuf.Writer.raw w (Bitmap.to_bytes t.anchor.alloc_map);
-  let b = Bytebuf.Writer.contents w in
-  if Bytes.length b > page_bytes t then
+  let map = t.anchor.alloc_map in
+  let map_len = (Bitmap.length map + 7) / 8 in
+  if 20 + map_len > page_bytes t then
     invalid_arg "Fnt_store: anchor exceeds one page; reduce fnt_pages";
   let out = Bytes.make (page_bytes t) '\000' in
-  Bytes.blit b 0 out 0 (Bytes.length b);
+  Bytes.set_int32_le out 0 (Int32.of_int anchor_magic);
+  Bytes.set_int32_le out 4
+    (Int32.of_int (match t.anchor.root with None -> 0 | Some r -> r + 1));
+  Bytes.set_int64_le out 8 t.anchor.next_uid;
+  Bytes.set_int32_le out 16 (Int32.of_int (Bitmap.length map));
+  Bitmap.blit_to_bytes map ~off:0 out ~pos:20 ~len:map_len;
   out
 
 let decode_anchor payload =
@@ -257,6 +282,22 @@ let attach device layout =
 (* A page the next group commit must log. *)
 let to_log c = c.dirty && c.modified
 
+(* A page entering the cache: read from home (clean) or written (dirty,
+   and so modified since it was last logged), never yet framed. *)
+let entry payload ~dirty ~at =
+  {
+    payload;
+    dirty;
+    modified = dirty;
+    third = None;
+    dirtied_at = at;
+    logged = None;
+    framed = Bytes.empty;
+    frame = Bytes.empty;
+    frame_crcs = [||];
+    frame_head = -1;
+  }
+
 let insert_cache t page c =
   (* Evictions are always clean (dirty pages are pinned). *)
   ignore (Lru.add t.cache page c : (int * cached) list);
@@ -267,18 +308,7 @@ let read t page =
   | Some c -> c.payload
   | None ->
     let payload = read_home t page in
-    insert_cache t page
-      {
-        payload;
-        dirty = false;
-        modified = false;
-        third = None;
-        dirtied_at = 0;
-        logged = None;
-        framed = Bytes.empty;
-        frame = Bytes.empty;
-        frame_crcs = [||];
-      };
+    insert_cache t page (entry payload ~dirty:false ~at:0);
     payload
 
 let write t page payload =
@@ -301,18 +331,7 @@ let write t page payload =
     end
   | None ->
     t.to_log_count <- t.to_log_count + 1;
-    insert_cache t page
-      {
-        payload;
-        dirty = true;
-        modified = true;
-        third = None;
-        dirtied_at = now;
-        logged = None;
-        framed = Bytes.empty;
-        frame = Bytes.empty;
-        frame_crcs = [||];
-      }
+    insert_cache t page (entry payload ~dirty:true ~at:now)
 
 (* Anchor mutations are ordinary writes of page 0. *)
 let write_anchor t = write t 0 (encode_anchor t)
@@ -372,7 +391,8 @@ let page_in_use t page =
 (* Log integration                                                     *)
 
 (* Framed once per logged version: the page's own buffer is reframed
-   only when the payload has changed since it was last framed. *)
+   only when the payload has changed since it was last framed, and then
+   only in the sectors that changed (see [frame_into]). *)
 let framed t page =
   match Lru.peek t.cache page with
   | Some c ->
@@ -381,7 +401,7 @@ let framed t page =
         c.frame <- Bytes.create (full_page_bytes t.layout);
         c.frame_crcs <- Array.make t.layout.Layout.params.Params.fnt_page_sectors 0
       end;
-      frame_into t.layout ~page c.payload c.frame c.frame_crcs;
+      c.frame_head <- frame_into t.layout ~page ~head:c.frame_head c.payload c.frame c.frame_crcs;
       c.framed <- c.payload
     end;
     c

@@ -81,6 +81,10 @@ type t = {
   mutable monitor : Monitor.t option;
       (* telemetry sampler; [None] (the default) keeps the hot path at
          one branch with zero allocation, same discipline as the trace *)
+  mutable create_image : bytes;
+      (* the leader and data of the file being created; grown on demand
+         and reused by every create, since the device copies a write at
+         issue *)
   boot_count : int;
   meters : meters;
 }
@@ -489,34 +493,41 @@ let split_leader_runs runs =
     in
     (leader, data)
 
-let versions t ~name =
+(* The versions of [name], newest first, each with its key and raw
+   entry: one range scan, which gives a create both its version number
+   and the versions its keep count prunes. *)
+let stored_versions t ~name =
   let lo, hi = Fname.bounds ~name in
-  B.fold_range ~lo ~hi t.tree ~init:[] ~f:(fun acc k _ ->
-      match Fname.parse k with Some (_, v) -> v :: acc | None -> acc)
-  |> List.rev
+  B.fold_range ~lo ~hi t.tree ~init:[] ~f:(fun acc k v ->
+      match Fname.parse k with Some (_, version) -> (version, k, v) :: acc | None -> acc)
 
-let delete_version_unchecked t name version =
-  let key = Fname.key ~name ~version in
-  match B.find t.tree key with
-  | None -> Fs_error.raise_ (Fs_error.No_such_file (Printf.sprintf "%s!%d" name version))
-  | Some v ->
-    let e = decode_entry name v in
-    t.mutation_seq <- t.mutation_seq + 1;
-    emit t (Trace.Mutation { seq = t.mutation_seq });
-    ignore (B.delete t.tree key : bool);
-    if e.Entry.anchor >= 0 then begin
-      (* The leader and the data pages return to the VAM at commit. *)
-      Alloc.free_on_commit t.alloc
-        ({ Run_table.start = e.Entry.anchor; len = 1 } :: Run_table.runs e.Entry.runs);
-      Hashtbl.remove t.pending_leaders e.Entry.anchor
-    end;
-    Hashtbl.remove t.verified e.Entry.uid
+let versions t ~name = List.rev_map (fun (v, _, _) -> v) (stored_versions t ~name)
 
-let enforce_keep t name newest_version keep =
+let next_version = function (v, _, _) :: _ -> v + 1 | [] -> 1
+
+(* Drop the version stored under [key]; its leader and data sectors
+   return to the VAM at the next commit. *)
+let delete_version t ~key (e : Entry.t) =
+  t.mutation_seq <- t.mutation_seq + 1;
+  emit t (Trace.Mutation { seq = t.mutation_seq });
+  ignore (B.delete t.tree key : bool);
+  if e.Entry.anchor >= 0 then begin
+    Alloc.free_on_commit t.alloc
+      ({ Run_table.start = e.Entry.anchor; len = 1 } :: Run_table.runs e.Entry.runs);
+    Hashtbl.remove t.pending_leaders e.Entry.anchor
+  end;
+  Hashtbl.remove t.verified e.Entry.uid
+
+(* After [version] of [name] is inserted, keep only the newest [keep]:
+   drop, oldest first, each of the [older] versions (newest first, as
+   [stored_versions] found them before the insert) at or below
+   [version - keep]. *)
+let enforce_keep t ~name ~version ~keep older =
   if keep > 0 then
-    List.iter
-      (fun v -> if v <= newest_version - keep then delete_version_unchecked t name v)
-      (versions t ~name)
+    List.fold_left
+      (fun acc ((v, _, _) as x) -> if v <= version - keep then x :: acc else acc)
+      [] older
+    |> List.iter (fun (_, key, raw) -> delete_version t ~key (decode_entry name raw))
 
 let create_common t ~name ~keep ~kind data =
   require_live t;
@@ -533,7 +544,8 @@ let create_common t ~name ~keep ~kind data =
   in
   let anchor, data_runs = split_leader_runs runs in
   let uid = Fnt_store.fresh_uid t.store in
-  let version = match newest t name with Some (_, v, _) -> v + 1 | None -> 1 in
+  let older = stored_versions t ~name in
+  let version = next_version older in
   let entry =
     {
       Entry.uid;
@@ -549,16 +561,17 @@ let create_common t ~name ~keep ~kind data =
    with e ->
      Alloc.free_now t.alloc runs;
      raise e);
-  (* One image: the leader, then the data zero-padded to whole pages.
-     Every write takes its sectors from it, a single-run file the whole
-     image at once. *)
-  let image = Bytes.create ((1 + data_pages) * sb) in
+  (* One image, in the volume's create buffer: the leader, then the data
+     zero-padded to whole pages. Every write takes its sectors from it,
+     a single-run file the whole image at once. *)
+  if Bytes.length t.create_image < (1 + data_pages) * sb then
+    t.create_image <- Bytes.create ((1 + data_pages) * sb);
+  let image = t.create_image in
   Bytes.blit (leader_image_of_entry t ~name ~version entry) 0 image 0 sb;
   Bytes.blit data 0 image sb byte_size;
   Bytes.fill image (sb + byte_size) ((data_pages * sb) - byte_size) '\000';
   let write_at ~sector ~pos ~sectors =
-    Device.write_run t.device ~sector
-      (if sectors = 1 + data_pages then image else Bytes.sub image pos (sectors * sb))
+    Device.write_sectors t.device ~sector ~count:sectors ~pos image
   in
   (* One synchronous I/O for the leader and the first data run when
      they are adjacent; on a fragmented volume the leader goes alone. *)
@@ -576,7 +589,7 @@ let create_common t ~name ~keep ~kind data =
       pos := !pos + (r.Run_table.len * sb))
     rest;
   Hashtbl.replace t.verified uid ();
-  enforce_keep t name version keep;
+  enforce_keep t ~name ~version ~keep older;
   op_done t ~pages:data_pages ();
   info_of name version entry
 
@@ -596,7 +609,8 @@ let create_symlink t ~name ~target =
   require_live t;
   validate_name name;
   let uid = Fnt_store.fresh_uid t.store in
-  let version = match newest t name with Some (_, v, _) -> v + 1 | None -> 1 in
+  let older = stored_versions t ~name in
+  let version = next_version older in
   let entry =
     {
       Entry.uid;
@@ -609,7 +623,7 @@ let create_symlink t ~name ~target =
     }
   in
   insert_entry t ~key:(Fname.key ~name ~version) entry;
-  enforce_keep t name version entry.Entry.keep;
+  enforce_keep t ~name ~version ~keep:entry.Entry.keep older;
   op_done t ()
 
 let open_stat t ~name =
@@ -668,8 +682,8 @@ let update_entry t ~key (e : Entry.t) =
 let delete t ~name =
   traced t ~op:"delete" ~name @@ fun () ->
   require_live t;
-  let _, version, e = newest_exn t name in
-  delete_version_unchecked t name version;
+  let key, _, e = newest_exn t name in
+  delete_version t ~key e;
   (* simulated freeing cost scales with the run table, as the paper's
      shadow-bitmap work did *)
   op_done t ~pages:(Run_table.pages e.Entry.runs / 2) ()
@@ -1119,6 +1133,7 @@ let boot ?params device =
       scrub_page_cursor = 0;
       scrub_key_cursor = "";
       monitor = None;
+      create_image = Bytes.empty;
       boot_count;
       meters = mk_meters (Device.metrics device);
     }
@@ -1225,6 +1240,19 @@ let check t =
             | exception Fs_error.Fs_error _ ->
               bad := (k ^ ": leader sector damaged") :: !bad
           end);
+    (* VAM/name-table agreement: each data sector is free, claimed,
+       freed by a delete awaiting commit, or quarantined by the
+       scavenger. One allocated but none of these has leaked. *)
+    let vam = Alloc.vam t.alloc in
+    let want =
+      Layout.data_sectors t.layout - Hashtbl.length claimed - Vam.shadow_count vam
+      - Vam.quarantined vam
+    in
+    if Vam.free_count vam <> want then
+      bad :=
+        Printf.sprintf "VAM free count %d disagrees with name table (want %d)"
+          (Vam.free_count vam) want
+        :: !bad;
     match !bad with
     | [] -> Ok ()
     | problems -> Error (String.concat "; " problems))

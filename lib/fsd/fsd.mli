@@ -230,5 +230,8 @@ val drop_caches : t -> unit
     (cold-cache benchmarking). *)
 
 val check : t -> (unit, string) result
-(** Structural check: B-tree invariants plus leader/name-table mutual
-    checks for every file. *)
+(** Structural check: B-tree invariants, leader/name-table mutual checks
+    for every file, no sector claimed twice or claimed yet free, and
+    VAM/name-table agreement — the free count equals the data areas less
+    the distinct claimed sectors, those of deletes awaiting commit and
+    those the scavenger quarantined, so a leaked sector fails it. *)

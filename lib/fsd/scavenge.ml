@@ -246,7 +246,7 @@ let run device =
         Run_table.iter_sectors e.Entry.runs (Vam.mark_allocated_for_rebuild vam)
       end)
     sorted;
-  Hashtbl.iter (fun s () -> Vam.mark_allocated_for_rebuild vam s) quarantine;
+  Hashtbl.iter (fun s () -> Vam.quarantine vam s) quarantine;
   Vam.save
     ~mode:(if params.Params.log_vam then Vam.Log_based else Vam.Snapshot)
     ~epoch:0L vam device;

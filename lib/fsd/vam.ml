@@ -9,14 +9,24 @@ type t = {
   mutable shadow : (int * int) list; (* (pos, len) runs freed since the last commit *)
   mutable shadow_sectors : int; (* their total length *)
   dirty_chunks : (int, unit) Hashtbl.t; (* bitmap chunks touched since drain *)
+  mutable quarantined : int;
+      (* sectors the scavenger took out of the free pool that no entry
+         claims; saved with the map *)
 }
 
 let total t = Bitmap.length t.free
 
 let chunk_bytes layout = layout.Layout.geom.Geometry.sector_bytes
 
-let of_free layout free =
-  { layout; free; shadow = []; shadow_sectors = 0; dirty_chunks = Hashtbl.create 16 }
+let of_free ?(quarantined = 0) layout free =
+  {
+    layout;
+    free;
+    shadow = [];
+    shadow_sectors = 0;
+    dirty_chunks = Hashtbl.create 16;
+    quarantined;
+  }
 
 let create_none_free layout =
   of_free layout (Bitmap.create (Geometry.total_sectors layout.Layout.geom))
@@ -92,6 +102,14 @@ let find_free_run_down t = Bitmap.find_run_set_down t.free
 let mark_allocated_for_rebuild t s =
   if Bitmap.get t.free s then Bitmap.clear t.free s
 
+let quarantine t s =
+  if Bitmap.get t.free s then begin
+    Bitmap.clear t.free s;
+    t.quarantined <- t.quarantined + 1
+  end
+
+let quarantined t = t.quarantined
+
 (* --- chunk interface for the VAM-logging extension ------------------- *)
 
 let chunk_count t = t.layout.Layout.vam_sectors - 1
@@ -107,7 +125,7 @@ let chunk_image t c =
   if c < 0 || c >= chunk_count t then invalid_arg "Vam.chunk_image";
   let out = Bytes.make (chunk_bytes t.layout) '\000' in
   let off, len = chunk_span t c in
-  if len > 0 then Bitmap.blit_to_bytes t.free ~off out ~len;
+  if len > 0 then Bitmap.blit_to_bytes t.free ~off out ~pos:0 ~len;
   out
 
 let apply_chunk t c image =
@@ -139,6 +157,7 @@ let save ?(mode = Snapshot) ?(epoch = 0L) t device =
   Bytebuf.Writer.u8 header (match mode with Snapshot -> 0 | Log_based -> 1);
   Bytebuf.Writer.u64 header epoch;
   Bytebuf.Writer.u32 header (Crc32.bytes body);
+  Bytebuf.Writer.u32 header t.quarantined;
   Device.write device t.layout.Layout.vam_start
     (Bytebuf.Writer.to_sector header ~size:sb);
   (* Body sectors follow the header in one command. *)
@@ -160,10 +179,11 @@ let load layout device =
       let mode = match Bytebuf.Reader.u8 r with 0 -> Snapshot | _ -> Log_based in
       let epoch = Bytebuf.Reader.u64 r in
       let crc = Bytebuf.Reader.u32 r in
-      (m, saved_bits, clean, mode, epoch, crc)
+      let quarantined = Bytebuf.Reader.u32 r in
+      (m, saved_bits, clean, mode, epoch, crc, quarantined)
     with
     | exception Bytebuf.Decode_error _ -> None
-    | m, saved_bits, clean, mode, epoch, crc ->
+    | m, saved_bits, clean, mode, epoch, crc, quarantined ->
       if m <> magic || saved_bits <> bits || not clean then None
       else begin
         let body_sectors = layout.Layout.vam_sectors - 1 in
@@ -176,7 +196,7 @@ let load layout device =
           let body = Bytes.sub body 0 ((bits + 7) / 8) in
           if Crc32.bytes body <> crc then None
           else
-            Some (of_free layout (Bitmap.of_bytes ~bits body), mode, epoch)
+            Some (of_free ~quarantined layout (Bitmap.of_bytes ~bits body), mode, epoch)
       end)
 
 let invalidate_saved layout device =

@@ -54,6 +54,15 @@ val find_free_run_down : t -> from:int -> downto_:int -> len:int -> int option
 val mark_allocated_for_rebuild : t -> int -> unit
 (** During reconstruction: claim one sector found referenced by the FNT. *)
 
+val quarantine : t -> int -> unit
+(** The scavenger's hold on a sector of a losing claim: allocated, yet
+    referenced by no entry. Counted (if the sector was free) and saved
+    with the map; a map reconstructed from the name table frees it. *)
+
+val quarantined : t -> int
+(** Sectors held by {!quarantine}: with {!shadow_count}, the allocated
+    sectors no entry claims on a sound volume. *)
+
 (** {1 Persistence (§5.5: saved on shutdown, read if properly saved)} *)
 
 val save : ?mode:mode -> ?epoch:int64 -> t -> Cedar_disk.Device.t -> unit

@@ -11,8 +11,8 @@
    contract (acked => durable, unacked => absent, recovery converges);
    each check below says what it catches. With [scavenge] set the sweep
    also destroys both copies of the name table after every crash,
-   forcing recovery through Scavenge.run, and the oracle and the VAM
-   check give way to the scavenger's weaker promise. *)
+   forcing recovery through Scavenge.run, and the oracle gives way to
+   the scavenger's weaker promise. *)
 
 open Cedar_util
 open Cedar_disk
@@ -113,7 +113,6 @@ type base = {
   scripts : Concurrent.script array;
   muts : Oracle.mut list array;  (* per client *)
   names : string list array;  (* per client *)
-  baseline_free : int;  (* free sectors of the empty volume *)
   writes : int array;  (* per force interval, from the clean run *)
   wrap_intervals : int list;
       (* intervals in which the log entered a third, plus neighbours *)
@@ -156,25 +155,6 @@ let destroy_fnt device (layout : Layout.t) =
     Device.damage device (layout.Layout.fnt_a_start + k);
     Device.damage device (layout.Layout.fnt_b_start + k)
   done
-
-(* VAM/name-table agreement: the empty volume's free count minus the
-   distinct sectors the entries claim must equal the free count. This
-   catches a leaked sector — allocated, but claimed by no entry — which
-   Fsd.check cannot see. *)
-let check_vam base fs add =
-  let claimed = Hashtbl.create 256 in
-  Fsd.fold_entries fs ~init:() ~f:(fun () ~name:_ ~version:_ e ->
-      if e.Cedar_fsbase.Entry.anchor >= 0 then begin
-        Hashtbl.replace claimed e.Cedar_fsbase.Entry.anchor ();
-        Cedar_fsbase.Run_table.iter_sectors e.Cedar_fsbase.Entry.runs (fun s ->
-            Hashtbl.replace claimed s ())
-      end);
-  let free = Fsd.free_sectors fs in
-  let want = base.baseline_free - Hashtbl.length claimed in
-  if free <> want then
-    add
-      (Printf.sprintf "VAM free count %d disagrees with name table (want %d)"
-         free want)
 
 (* Strict oracle: each client's namespace is the fold of a prefix of its
    mutating ops at least as long as its acked count — version-aware, so
@@ -285,17 +265,15 @@ let converge device fs add =
 (* The one verdict on volume [fs], booted from [device], after a run in
    which the server acked [acked]. Violations on [fs] go to [add], those
    of the convergence clause to [add_after]; its replay count and digest
-   match are returned. [scavenged] trades the oracle and the VAM check
-   for the scavenger's weaker promise. *)
+   match are returned. [Fsd.check] includes VAM/name-table agreement, so
+   a leaked sector (allocated, claimed by no entry) fails it.
+   [scavenged] trades the oracle for the scavenger's weaker promise. *)
 let verdict base device fs ~acked ~scavenged ~add ~add_after =
   (match Fsd.check fs with
   | Ok () -> ()
   | Error m -> add ("structural check failed: " ^ m));
   check_no_aliens base fs add;
-  (if not scavenged then begin
-     check_clients base fs acked add;
-     check_vam base fs add
-   end
+  (if not scavenged then check_clients base fs acked add
    else
      match base.workload with
      | Reference -> check_clients_scavenged base fs acked add
@@ -352,7 +330,6 @@ let clean_pass ?geom ~clients workload =
       Concurrent.churn_scripts spec ~clients
   in
   let device, fs = fresh_volume geom params in
-  let baseline_free = Fsd.free_sectors fs in
   let plan = Crash_plan.attach device in
   let samples = ref [] in
   let config =
@@ -389,7 +366,6 @@ let clean_pass ?geom ~clients workload =
       scripts;
       muts;
       names = Array.map Oracle.mut_names muts;
-      baseline_free;
       writes = Crash_plan.writes_per_interval plan;
       wrap_intervals =
         wrap_window ~samples:(Array.of_list (List.rev !samples)) ~total:third_entries;
@@ -482,13 +458,16 @@ let run_point cfg base ~force ~write ~tear =
   in
   (path, List.rev !violations)
 
+exception Refused of string
+
 let sweep ?geom cfg =
   if cfg.tears = [] then invalid_arg "Faultsweep.sweep: no tear modes";
   let base, clean = clean_pass ?geom ~clients:cfg.clients cfg.workload in
   if not (passed clean) then
-    invalid_arg
-      ("Faultsweep.sweep: the clean run fails the verdict: "
-      ^ List.hd (clean.c_violations @ clean.c_violations_after_reboot));
+    raise
+      (Refused
+         ("the clean run fails the verdict: "
+         ^ List.hd (clean.c_violations @ clean.c_violations_after_reboot)));
   let bound =
     match cfg.max_forces with
     | Some k -> min k (Array.length base.writes)
@@ -499,9 +478,10 @@ let sweep ?geom cfg =
     | Reference -> List.init bound Fun.id
     | Wrap _ ->
       if base.wrap_intervals = [] then
-        invalid_arg
-          "Faultsweep.sweep: the churn workload never entered a third (no \
-           wrap window to sweep)";
+        raise
+          (Refused
+             "the churn workload never entered a third (no wrap window to \
+              sweep)");
       List.filter (fun i -> i < bound) base.wrap_intervals
   in
   let points = ref 0 and runs = ref 0 in

@@ -11,10 +11,11 @@
     (falling through to [Scavenge.run]).
 
     The clean run's volume and every recovered one get the same verdict,
-    §5.4's contract: [Fsd.check] passes; every name comes from the
+    §5.4's contract: [Fsd.check] passes (its VAM/name-table agreement
+    catches a leaked sector); every name comes from the
     scripts; each client's namespace equals a mutation prefix no shorter
     than its acked count (the full fold when every mutation is acked);
-    the VAM agrees with the name table; and a clean shutdown and reboot
+    and a clean shutdown and reboot
     replays zero records, reproduces the namespace digest and passes
     [Fsd.check] again. *)
 
@@ -117,12 +118,16 @@ val passed : clean_run -> bool
 val clean_run_json : clean_run -> Cedar_obs.Jsonb.t
 val pp_clean_run : Format.formatter -> clean_run -> unit
 
+exception Refused of string
+(** Why {!sweep} has nothing sound to sweep: its clean run fails the
+    verdict, or a [Wrap] workload never enters a third. *)
+
 val sweep : ?geom:Cedar_disk.Geometry.t -> cfg -> summary
 (** Make the clean run ({!clean_run}'s geometry defaults), then crash
     and recover once per coordinate, giving every recovered volume the
-    same verdict. Raises [Invalid_argument] if the clean run does not
-    pass (or, for [Wrap], never enters a third), or on an empty tear
-    list / non-positive client count. *)
+    same verdict. Raises {!Refused} if the clean run does not pass (or,
+    for [Wrap], never enters a third), and [Invalid_argument] on an
+    empty tear list / non-positive client count. *)
 
 val summary_json : summary -> Cedar_obs.Jsonb.t
 (** Deterministic rendering, byte-identical across runs. *)

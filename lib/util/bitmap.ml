@@ -118,10 +118,13 @@ let find_run_set_down t ~from ~downto_ ~len =
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
 let to_bytes t = Bytes.copy t.data
 
-let blit_to_bytes t ~off dst ~len =
-  if off < 0 || len < 0 || off + len > Bytes.length t.data || len > Bytes.length dst then
-    invalid_arg "Bitmap.blit_to_bytes";
-  Bytes.blit t.data off dst 0 len
+let blit_to_bytes t ~off dst ~pos ~len =
+  if
+    off < 0 || len < 0 || pos < 0
+    || off + len > Bytes.length t.data
+    || pos + len > Bytes.length dst
+  then invalid_arg "Bitmap.blit_to_bytes";
+  Bytes.blit t.data off dst pos len
 
 let overwrite_bytes t ~off src =
   if off < 0 || off + Bytes.length src > Bytes.length t.data then

@@ -46,11 +46,11 @@ val equal : t -> t -> bool
 val to_bytes : t -> bytes
 (** Packed little-endian-bit representation, 8 bits per byte. *)
 
-val blit_to_bytes : t -> off:int -> bytes -> len:int -> unit
-(** [blit_to_bytes t ~off dst ~len] copies bytes [off .. off+len-1] of
-    the packed representation to the start of [dst] without copying the
-    rest of the map. Raises [Invalid_argument] if either range is out of
-    bounds. *)
+val blit_to_bytes : t -> off:int -> bytes -> pos:int -> len:int -> unit
+(** [blit_to_bytes t ~off dst ~pos ~len] copies bytes [off .. off+len-1]
+    of the packed representation to [dst] from byte [pos], without
+    copying the rest of the map. Raises [Invalid_argument] if either
+    range is out of bounds. *)
 
 val overwrite_bytes : t -> off:int -> bytes -> unit
 (** Patch a byte range of the packed representation in place (used to

@@ -25,11 +25,12 @@ let bytes ?(crc = 0) ?(pos = 0) ?len b =
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
-    (* Bytes [i..i+3] fold into the remainder; [i+4..i+7] are looked up
-       as they stand. Every index is a slice base plus a byte, so the
-       unchecked reads stay inside [table]. *)
-    let lo = Int32.to_int (Bytes.get_int32_le b !i) land 0xffffffff lxor !c in
-    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xffffffff in
+    (* One 64-bit load: bytes [i..i+3] fold into the remainder;
+       [i+4..i+7] are looked up as they stand. Every index is a slice
+       base plus a byte, so the unchecked reads stay inside [table]. *)
+    let w = Bytes.get_int64_le b !i in
+    let lo = Int64.to_int w land 0xffffffff lxor !c in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
     c :=
       Array.unsafe_get table (0x700 lor (lo land 0xff))
       lxor Array.unsafe_get table (0x600 lor ((lo lsr 8) land 0xff))

@@ -3,7 +3,7 @@
     sector.
 
     Computed slicing-by-8: eight 256-entry tables fold eight input bytes
-    per step (read as two little-endian 32-bit words), and a byte loop
+    per step (read as one little-endian 64-bit word), and a byte loop
     finishes the tail. The values are those of the classic byte-at-a-time
     loop — 0xCBF43926 for ["123456789"] — so every checksum on disk is
     unchanged. *)

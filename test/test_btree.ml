@@ -8,7 +8,8 @@ let bool = Alcotest.bool
    default it copies on read and on write, so the tree decodes every
    node it reads; with [~copying:false] it hands its bytes out, as the
    name-table cache does, and unchanged pages hit the tree's node memo.
-   [written] records every page write, newest first. *)
+   [written] records every page write, newest first; [reads] counts
+   page reads. *)
 module Mem_store = struct
   type t = {
     page_bytes : int;
@@ -18,6 +19,7 @@ module Mem_store = struct
     mutable root : int option;
     mutable writes : int;
     mutable written : (int * string) list;
+    mutable reads : int;
     free_list : (int, unit) Hashtbl.t;
   }
 
@@ -30,12 +32,14 @@ module Mem_store = struct
       root = None;
       writes = 0;
       written = [];
+      reads = 0;
       free_list = Hashtbl.create 8;
     }
 
   let page_bytes t = t.page_bytes
 
   let read t id =
+    t.reads <- t.reads + 1;
     match Hashtbl.find_opt t.pages id with
     | Some b -> if t.copying then Bytes.copy b else b
     | None -> failwith (Printf.sprintf "read of unallocated page %d" id)
@@ -299,6 +303,181 @@ let test_memo_matches_decoding () =
   let pages s = List.sort compare (Hashtbl.fold (fun id b acc -> (id, b) :: acc) s.Mem_store.pages []) in
   check bool "same final pages" true (pages sa = pages sb)
 
+(* The reference node codec: a page parsed and written again with
+   Bytebuf's reader and writer — kind byte, u16 count, then a leaf's
+   (key, value) strings or an internal node's keys and u32 children —
+   zero-padded to the page. Returns the node's leaf entries or its
+   separators and children, and the re-encoded page. *)
+type ref_node = Ref_leaf of (string * string) list | Ref_internal of string list * int list
+
+let reference_codec page_bytes b =
+  let r = Cedar_util.Bytebuf.Reader.of_bytes b in
+  let module W = Cedar_util.Bytebuf.Writer in
+  let module R = Cedar_util.Bytebuf.Reader in
+  let w = W.create () in
+  let kind = R.u8 r in
+  let n = R.u16 r in
+  W.u8 w kind;
+  W.u16 w n;
+  let node =
+    match kind with
+    | 1 ->
+      Ref_leaf
+        (List.init n (fun _ ->
+             let k = R.string r in
+             let v = R.string r in
+             W.string w k;
+             W.string w v;
+             (k, v)))
+    | 2 ->
+      let keys = List.init n (fun _ -> R.string r) in
+      List.iter (W.string w) keys;
+      let children = List.init (n + 1) (fun _ -> R.u32 r) in
+      List.iter (W.u32 w) children;
+      Ref_internal (keys, children)
+    | k -> Alcotest.failf "unknown node kind %d" k
+  in
+  (node, W.to_sector w ~size:page_bytes)
+
+(* Every page the tree writes is the reference encoding of the node it
+   holds, byte for byte, zero padding included; and the pages, read
+   through the reference codec alone, hold exactly a Map's bindings in
+   order. A seeded sequence of inserts (new keys and replacements) and
+   deletes on 256-byte pages grows the tree past two levels of internal
+   nodes, then shrinks it through merges and rebalances. *)
+let test_pages_match_reference_encoding () =
+  let module M = Map.Make (String) in
+  let s = Mem_store.make ~page_bytes:256 () in
+  let t = T.attach s in
+  let rng = Cedar_util.Rng.create 26 in
+  let reference = ref M.empty in
+  let pages = ref 0 in
+  let check_written () =
+    List.iter
+      (fun (id, b) ->
+        incr pages;
+        let _, again = reference_codec 256 (Bytes.of_string b) in
+        if not (String.equal b (Bytes.to_string again)) then
+          Alcotest.failf "page %d differs from its reference encoding" id)
+      s.Mem_store.written;
+    s.Mem_store.written <- []
+  in
+  let rec bindings id acc =
+    match fst (reference_codec 256 (Hashtbl.find s.Mem_store.pages id)) with
+    | Ref_leaf entries -> List.rev_append entries acc
+    | Ref_internal (_, children) -> List.fold_left (fun acc c -> bindings c acc) acc children
+  in
+  let same_content what =
+    let got = match Mem_store.get_root s with None -> [] | Some r -> List.rev (bindings r []) in
+    if got <> M.bindings !reference then Alcotest.failf "%s: pages hold the wrong bindings" what
+  in
+  let run ~steps ~insert_pct =
+    for _ = 1 to steps do
+      let key = key_of (Cedar_util.Rng.int rng 2000) in
+      if Cedar_util.Rng.int rng 100 < insert_pct then begin
+        let value = value_of (Cedar_util.Rng.int rng 60) in
+        T.insert t ~key ~value;
+        reference := M.add key value !reference
+      end
+      else begin
+        ignore (T.delete t key : bool);
+        reference := M.remove key !reference
+      end;
+      check_written ()
+    done
+  in
+  run ~steps:4000 ~insert_pct:80;
+  check bool "three or more levels" true ((T.stats t).depth >= 3);
+  same_content "after growth";
+  run ~steps:6000 ~insert_pct:10;
+  same_content "after shrinking";
+  expect_ok t;
+  check bool "pages written" true (!pages > 5000)
+
+(* [fold_range ~lo ~hi] is the full iteration filtered to [lo, hi), for
+   seeded bounds drawn from: no bound; every key ever inserted, present
+   or deleted, so every separator of the tree, stale ones included;
+   probes between adjacent keys, so between leaves; below the minimum
+   and above the maximum. Pairs are drawn in either order, so lo >= hi
+   is covered, and so are lo = hi. The scan is also bounded: it reads
+   exactly the pages whose key span, as the separators above them
+   delimit it, meets [lo, hi) — counted on the pages through the
+   reference codec. *)
+let test_range_bounds_match_filter () =
+  let s = Mem_store.make ~page_bytes:256 () in
+  let t = T.attach s in
+  let rng = Cedar_util.Rng.create 370 in
+  let ever = Hashtbl.create 512 in
+  for _ = 1 to 1200 do
+    let i = Cedar_util.Rng.int rng 400 in
+    if Cedar_util.Rng.int rng 100 < 75 then begin
+      T.insert t ~key:(key_of i) ~value:(value_of (i mod 100));
+      Hashtbl.replace ever (key_of i) ()
+    end
+    else ignore (T.delete t (key_of i) : bool)
+  done;
+  check bool "internal levels" true ((T.stats t).depth >= 3);
+  let all = T.fold_range t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) |> List.rev |> Array.of_list in
+  (* The index of the first binding at or above [b]. *)
+  let first_from = function
+    | None -> 0
+    | Some b ->
+      let rec go lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if String.compare (fst all.(mid)) b < 0 then go (mid + 1) hi else go lo mid
+      in
+      go 0 (Array.length all)
+  in
+  let probes =
+    Hashtbl.fold (fun k () acc -> k :: (k ^ "\000") :: (k ^ "~") :: acc) ever [ ""; "\255" ]
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
+  let bound () =
+    if Cedar_util.Rng.int rng 8 = 0 then None
+    else Some probes.(Cedar_util.Rng.int rng (Array.length probes))
+  in
+  (* Pages whose span meets [lo, hi): a child j of an internal node spans
+     [keys.(j-1), keys.(j)). *)
+  let rec pages_meeting lo hi id =
+    match fst (reference_codec 256 (Hashtbl.find s.Mem_store.pages id)) with
+    | Ref_leaf _ -> 1
+    | Ref_internal (keys, children) ->
+      let keys = Array.of_list keys in
+      let n = Array.length keys in
+      List.fold_left ( + ) 1
+        (List.mapi
+           (fun j c ->
+             let above_lo = j = n || match lo with None -> true | Some l -> keys.(j) > l in
+             let below_hi = j = 0 || match hi with None -> true | Some h -> keys.(j - 1) < h in
+             if above_lo && below_hi then pages_meeting lo hi c else 0)
+           children)
+  in
+  let root = Option.get (Mem_store.get_root s) in
+  let same lo hi =
+    let what = Printf.sprintf "range [%s, %s)" (Option.value lo ~default:"-") (Option.value hi ~default:"-") in
+    let a = first_from lo and b = match hi with None -> Array.length all | h -> first_from h in
+    let want = if a >= b then [] else Array.to_list (Array.sub all a (b - a)) in
+    let reads = s.Mem_store.reads in
+    let got = T.fold_range ?lo ?hi t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) |> List.rev in
+    if got <> want then
+      Alcotest.failf "%s: %d bindings, want %d" what (List.length got) (List.length want);
+    if s.Mem_store.reads - reads <> pages_meeting lo hi root then
+      Alcotest.failf "%s: read %d pages, want %d" what (s.Mem_store.reads - reads)
+        (pages_meeting lo hi root)
+  in
+  same None None;
+  Array.iter
+    (fun p ->
+      same (Some p) None;
+      same None (Some p);
+      same (Some p) (Some p))
+    probes;
+  for _ = 1 to 3000 do
+    same (bound ()) (bound ())
+  done
+
 let prop_range_matches_filter =
   QCheck.Test.make ~name:"range queries match filtering the full iteration" ~count:80
     QCheck.(triple (small_list (int_bound 200)) (int_bound 220) (int_bound 220))
@@ -395,6 +574,8 @@ let suite =
     ("mixed value sizes", `Quick, test_mixed_value_sizes);
     ("reinsert after emptying", `Quick, test_reinsert_after_empty);
     ("node memo agrees with decoding every read", `Quick, test_memo_matches_decoding);
+    ("pages match the reference encoding", `Quick, test_pages_match_reference_encoding);
+    ("range bounds match filtering", `Quick, test_range_bounds_match_filter);
     QCheck_alcotest.to_alcotest prop_range_matches_filter;
     QCheck_alcotest.to_alcotest prop_btree_vs_map;
     QCheck_alcotest.to_alcotest prop_find_last_below_vs_sorted;

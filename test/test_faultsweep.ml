@@ -176,6 +176,15 @@ let test_sweep_scavenge_mode () =
   check int "zero violations" 0 (List.length s.F.sw_violations);
   check int "every run scavenged" s.F.sw_runs s.F.sw_scavenged
 
+(* A wrap sweep whose churn never enters a third has no wrap window to
+   crash in: the sweep refuses it with [Refused], which the CLI reports
+   as an error, rather than sweeping nothing. *)
+let test_sweep_without_wrap_refused () =
+  let spec = { F.default_wrap_spec with Cedar_workload.Concurrent.churn_ops = 2 } in
+  match F.sweep { F.default_cfg with F.tears = [ Device.Tear_none ]; workload = F.Wrap spec } with
+  | _ -> Alcotest.fail "a wrap sweep with no wrap window ran"
+  | exception F.Refused _ -> ()
+
 (* Determinism: the sweep summary is byte-identical across runs. *)
 let test_sweep_deterministic () =
   let cfg =
@@ -199,4 +208,6 @@ let suite =
       test_sweep_scavenge_mode;
     Alcotest.test_case "sweep summaries are deterministic" `Slow
       test_sweep_deterministic;
+    Alcotest.test_case "a wrap sweep with no wrap window is refused" `Quick
+      test_sweep_without_wrap_refused;
   ]

@@ -482,6 +482,33 @@ let test_vam_reconstruction_equals_tracked () =
   check bool "reconstructed" true (report.Fsd.vam_source = Fsd.Vam_reconstructed);
   check int "same free count" tracked (Fsd.free_sectors fs2)
 
+(* A sector allocated but claimed by no entry has leaked, and Fsd.check
+   must say so; the sectors of a delete awaiting its commit have not.
+   The leak is planted in the map saved at shutdown, which the next boot
+   loads as it stands. *)
+let test_check_catches_leaked_run () =
+  let device, fs = fresh_fs () in
+  ignore (Fsd.create fs ~name:"kept" (content 700 1));
+  ignore (Fsd.create fs ~name:"gone" (content 900 2));
+  Fsd.force fs;
+  Fsd.delete fs ~name:"gone";
+  check bool "a delete awaiting commit is no leak" true (Fsd.check fs = Ok ());
+  Fsd.shutdown fs;
+  let l = Fsd.layout fs in
+  let vam, mode, epoch = Option.get (Vam.load l device) in
+  let pos =
+    Option.get (Vam.find_free_run vam ~from:l.Layout.small_lo ~upto:l.Layout.small_hi ~len:2)
+  in
+  Vam.allocate_run vam ~pos ~len:2;
+  Vam.save ~mode ~epoch vam device;
+  let fs2, report = Fsd.boot device in
+  check bool "the saved map is loaded" true (report.Fsd.vam_source = Fsd.Vam_loaded);
+  match Fsd.check fs2 with
+  | Ok () -> Alcotest.fail "a run claimed by no entry passed Fsd.check"
+  | Error m ->
+    check bool ("reported as a VAM disagreement: " ^ m) true
+      (String.starts_with ~prefix:"VAM free count" m)
+
 (* Property: version semantics (create bumps, keep trims, delete peels
    the newest) against a list model. *)
 let prop_version_semantics =
@@ -645,6 +672,7 @@ let suite =
     ("group commit batches creates", `Quick, test_group_commit_batches_many_creates);
     ("leader homed at third entry", `Quick, test_leader_homed_at_third_entry);
     ("vam reconstruction equals tracked", `Quick, test_vam_reconstruction_equals_tracked);
+    ("check catches a leaked run", `Quick, test_check_catches_leaked_run);
     QCheck_alcotest.to_alcotest prop_version_semantics;
     QCheck_alcotest.to_alcotest prop_crash_consistency;
   ]

@@ -483,6 +483,53 @@ let test_frame_crcs_and_reuse () =
         u2.Log.crcs)
     [ 1; 2; 4; 16 ]
 
+(* A page reframed in place keeps the CRC of each sector, and of the
+   last sector's head, whose payload bytes are unchanged; the result
+   must still be exactly a fresh frame. After each of a seeded run of
+   edits — none, one byte anywhere, one byte in the last sector's head,
+   a byte either side of a sector boundary, or a whole new payload — the
+   page is reframed and compared, image and per-sector CRCs, with the
+   same payload framed by a store that never framed the page. *)
+let test_reframe_matches_fresh_frame () =
+  let rng = Rng.create 26 in
+  List.iter
+    (fun k ->
+      let p = { (params ()) with Params.fnt_page_sectors = k; fnt_pages = 32 } in
+      let l = Layout.compute geom p in
+      let s = Fnt_store.create_fresh (mk_device ()) l in
+      let sb = geom.Geometry.sector_bytes in
+      let n = Fnt_store.page_bytes s in
+      let page = Fnt_store.alloc s in
+      let random () = Bytes.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+      let poke b i = Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Rng.int rng 255))) in
+      let payload = ref (random ()) in
+      for step = 1 to 150 do
+        let b =
+          match Rng.int rng 5 with
+          | 4 -> random ()
+          | edit ->
+            let b = Bytes.copy !payload in
+            (match edit with
+            | 1 -> poke b (Rng.int rng n)
+            | 2 -> poke b (((k - 1) * sb) + Rng.int rng (n - ((k - 1) * sb)))
+            | 3 ->
+              let edge = Rng.int rng k * sb in
+              poke b (if edge = 0 || Rng.bool rng then edge else edge - 1)
+            | _ -> ());
+            b
+        in
+        payload := b;
+        Fnt_store.write s page b;
+        let u = Fnt_store.logged_unit s page in
+        let r = Fnt_store.create_fresh (mk_device ()) l in
+        Fnt_store.write r page b;
+        let fresh = Fnt_store.logged_unit r page in
+        let what = Printf.sprintf "%d sectors, step %d" k step in
+        check bool (what ^ ": image") true (Bytes.equal u.Log.image fresh.Log.image);
+        check (Alcotest.array int) (what ^ ": sector CRCs") fresh.Log.crcs u.Log.crcs
+      done)
+    [ 1; 2; 4; 16 ]
+
 (* A diverged page whose third is re-entered by the very append that logs
    its new payload: that append has just reframed the page's buffer with
    the new payload, but what goes home is the committed image. Log p1,
@@ -596,6 +643,7 @@ let suite =
     ("store: read hands out the cached bytes", `Quick, test_store_read_identity);
     ("store: to-log count is exact", `Quick, test_store_to_log_count_exact);
     ("store: frame CRCs computed once, frame reused", `Quick, test_frame_crcs_and_reuse);
+    ("store: reframed page equals a fresh frame", `Quick, test_reframe_matches_fresh_frame);
     ("store: diverged page homes its committed frame", `Quick,
       test_diverged_page_homes_committed_frame);
   ]

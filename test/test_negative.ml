@@ -56,7 +56,8 @@ let test_bitmap_bounds () =
   Bitmap.set_run b20 ~pos:0 ~len:20;
   inv (fun () -> Bitmap.clear_run b20 ~pos:(-1) ~len:4);
   check Alcotest.int "clear_run changed nothing" 20 (Bitmap.count b20);
-  inv (fun () -> Bitmap.blit_to_bytes b20 ~off:2 (Bytes.create 4) ~len:2);
+  inv (fun () -> Bitmap.blit_to_bytes b20 ~off:2 (Bytes.create 4) ~pos:0 ~len:2);
+  inv (fun () -> Bitmap.blit_to_bytes b20 ~off:0 (Bytes.create 4) ~pos:3 ~len:2);
   inv (fun () -> Bitmap.overwrite_bytes b ~off:1 (Bytes.create 2))
 
 let test_lru_misuse () =

@@ -98,10 +98,21 @@ let test_crc32_matches_reference () =
     if got <> want then
       Alcotest.failf "pos %d len %d: got %08x, reference %08x" pos len got want
   in
-  (* Every alignment of the eight-byte step, and the sizes the file
-     system checksums: a sector and a name-table page payload. *)
+  (* Every alignment of the eight-byte load against every length
+     remainder the byte loop finishes, and the sizes the file system
+     checksums: a sector, a sector's head before a page trailer, and a
+     name-table page payload. Each is also checked as a continuation
+     of the CRC of the bytes before it. *)
   for pos = 0 to 7 do
-    List.iter (fun len -> same ~pos ~len) [ 0; 1; 7; 8; 9; 15; 16; 17; 512; 2032 ]
+    List.iter
+      (fun len ->
+        same ~pos ~len;
+        let whole = crc32_reference buf ~pos:0 ~len:(pos + len) in
+        let continued = Crc32.bytes ~crc:(crc32_reference buf ~pos:0 ~len:pos) ~pos ~len buf in
+        if continued <> whole then
+          Alcotest.failf "continue at pos %d len %d: got %08x, want %08x" pos len continued
+            whole)
+      (List.init 24 Fun.id @ [ 496; 512; 2032 ])
   done;
   for _ = 1 to 10_000 do
     let len = Rng.int rng 2101 in
