@@ -174,6 +174,11 @@ recovery-smoke:
 # scavenge, and info must end with a passing structural check. recover
 # must replay the VAM from the log both before and after the scavenger
 # rewrites the boot page, which shows the page kept the VAM-logging flag.
+# Last, a failing structural check must fail the command: on a fresh
+# small image with one file, the file's leader (sector 39, the first of
+# the small area) is marked damaged by rewriting the image's trailing
+# damaged-sector list (count 0 becomes count 1, sector 39), and info
+# must print the failed check and exit 1.
 scavenge-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/scavenge-smoke && mkdir -p _build/scavenge-smoke
@@ -202,6 +207,20 @@ scavenge-smoke:
 	@grep -q "VAM replayed from the log" _build/scavenge-smoke/recover2.txt || \
 		{ echo "scavenge-smoke: the scavenged boot page lost the VAM-logging flag"; exit 1; }
 	@echo "scavenge-smoke: recover and scavenge keep the file and the stamped flags"
+	./_build/default/bin/cedar.exe mkfs _build/scavenge-smoke/damaged.img \
+		--geometry small > /dev/null
+	./_build/default/bin/cedar.exe put _build/scavenge-smoke/damaged.img doc/a \
+		< _build/scavenge-smoke/file > /dev/null
+	python3 -c 'import struct, sys; p = sys.argv[1]; b = open(p, "rb").read(); assert b[-4:] == bytes(4); open(p, "wb").write(b[:-4] + struct.pack("<II", 1, 39))' \
+		_build/scavenge-smoke/damaged.img
+	@./_build/default/bin/cedar.exe info _build/scavenge-smoke/damaged.img \
+		> _build/scavenge-smoke/damaged.txt; status=$$?; \
+	if [ $$status -ne 1 ]; then \
+		echo "scavenge-smoke: info on a damaged leader exited $$status, not 1"; exit 1; fi
+	@tail -n 1 _build/scavenge-smoke/damaged.txt | \
+		grep -qx "structural check FAILED: doc/a!000001: leader sector damaged" || \
+		{ echo "scavenge-smoke: info did not report the damaged leader"; exit 1; }
+	@echo "scavenge-smoke: a failed structural check exits 1"
 
 # Telemetry smoke: two identical open-loop server runs must write valid,
 # non-trivial (>= 20 samples), byte-identical timeline JSON.

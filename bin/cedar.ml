@@ -190,6 +190,13 @@ let cmd_rm path name =
       ops.Cedar_fsbase.Fs_ops.delete ~name;
       Printf.printf "deleted newest version of %s\n" name)
 
+(* The structural check's verdict line; a failed check exits 1. *)
+let report_check = function
+  | Ok () -> print_endline "structural check: ok"
+  | Error m ->
+    Printf.printf "structural check FAILED: %s\n" m;
+    exit 1
+
 let cmd_info path =
   with_volume ~save:false path (fun vol ->
       match vol with
@@ -202,17 +209,13 @@ let cmd_info path =
         Printf.printf "free sectors: %d\n" (Cedar_fsd.Fsd.free_sectors fs);
         Printf.printf "files: %d\n"
           (List.length ((Cedar_fsd.Fsd.ops fs).Cedar_fsbase.Fs_ops.list ~prefix:""));
-        (match Cedar_fsd.Fsd.check fs with
-        | Ok () -> print_endline "structural check: ok"
-        | Error m -> Printf.printf "structural check FAILED: %s\n" m)
+        report_check (Cedar_fsd.Fsd.check fs)
       | Cfs_vol fs ->
         Printf.printf "CFS volume\n";
         Printf.printf "free sector hints: %d\n" (Cedar_cfs.Cfs.free_sector_hints fs);
         Printf.printf "files: %d\n"
           (List.length ((Cedar_cfs.Cfs.ops fs).Cedar_fsbase.Fs_ops.list ~prefix:""));
-        (match Cedar_cfs.Cfs.check fs with
-        | Ok () -> print_endline "structural check: ok"
-        | Error m -> Printf.printf "structural check FAILED: %s\n" m))
+        report_check (Cedar_cfs.Cfs.check fs))
 
 (* Simulate an operator hitting the big red switch: boot the volume and
    save it again WITHOUT a clean shutdown. *)
@@ -263,28 +266,32 @@ let cmd_recover path =
 
 (* Scavenge of last resort: rebuild the name table and VAM from whatever
    survives on disk (FSD: leader pages; CFS: its own scavenger), then boot
-   to prove the result is sound. *)
+   to prove the result is sound. The rebuilt image is saved whatever the
+   verdict. *)
 let cmd_scavenge path =
   guard @@ fun () ->
   let device = load_device path in
-  (match detect device with
-  | `Fsd _ ->
-    let r = Cedar_fsd.Scavenge.run device in
-    Printf.printf "FSD scavenge: %s; %.1f s\n"
-      (Format.asprintf "%a" Cedar_fsd.Scavenge.pp_report r)
-      (Simclock.s_of_us r.Cedar_fsd.Scavenge.duration_us);
-    let fs, _ = Cedar_fsd.Fsd.boot device in
-    (match Cedar_fsd.Fsd.check fs with
-    | Ok () -> print_endline "structural check: ok"
-    | Error m -> Printf.printf "structural check FAILED: %s\n" m);
-    Cedar_fsd.Fsd.shutdown fs
-  | `Cfs ->
-    let fs, r = Cedar_cfs.Cfs.scavenge device in
-    Printf.printf "CFS scavenge: %d files recovered, %d lost, %.1f s\n"
-      r.Cedar_cfs.Cfs.files_recovered r.Cedar_cfs.Cfs.files_lost
-      (Simclock.s_of_us r.Cedar_cfs.Cfs.duration_us);
-    Cedar_cfs.Cfs.shutdown fs);
-  save_device device path
+  let verdict =
+    match detect device with
+    | `Fsd _ ->
+      let r = Cedar_fsd.Scavenge.run device in
+      Printf.printf "FSD scavenge: %s; %.1f s\n"
+        (Format.asprintf "%a" Cedar_fsd.Scavenge.pp_report r)
+        (Simclock.s_of_us r.Cedar_fsd.Scavenge.duration_us);
+      let fs, _ = Cedar_fsd.Fsd.boot device in
+      let verdict = Cedar_fsd.Fsd.check fs in
+      Cedar_fsd.Fsd.shutdown fs;
+      Some verdict
+    | `Cfs ->
+      let fs, r = Cedar_cfs.Cfs.scavenge device in
+      Printf.printf "CFS scavenge: %d files recovered, %d lost, %.1f s\n"
+        r.Cedar_cfs.Cfs.files_recovered r.Cedar_cfs.Cfs.files_lost
+        (Simclock.s_of_us r.Cedar_cfs.Cfs.duration_us);
+      Cedar_cfs.Cfs.shutdown fs;
+      None
+  in
+  save_device device path;
+  Option.iter report_check verdict
 
 (* ------------------------------------------------------------------ *)
 (* Observability: stats / trace replay the fixed scripted workload     *)

@@ -18,21 +18,14 @@ let corrupt msg = Fs_error.raise_ (Fs_error.Corrupt_metadata msg)
    complaint). Clean pages are cached; every write goes straight to disk. *)
 
 module Direct_store = struct
-  type anchor = {
-    mutable root : int option;
-    alloc_map : Bitmap.t;
-    mutable uid_hint : int64;
-  }
-
   type t = {
     device : Device.t;
     layout : Cfs_layout.t;
     cache : (int, bytes) Lru.t; (* payloads; everything here is clean *)
-    anchor : anchor;
+    anchor : Meta_frame.anchor;
     mutable page_writes : int;
   }
 
-  let trailer = 16
   let page_magic = 0x43464e54 (* "CFNT" *)
   let anchor_magic = 0x43414e31 (* "CAN1" *)
 
@@ -40,43 +33,12 @@ module Direct_store = struct
     layout.Cfs_layout.params.Cfs_layout.fnt_page_sectors
     * layout.Cfs_layout.geom.Geometry.sector_bytes
 
-  let page_bytes t = full_bytes t.layout - trailer
+  let page_bytes t = full_bytes t.layout - Meta_frame.trailer_bytes
 
   let fnt_labels layout ~page =
     let n = layout.Cfs_layout.params.Cfs_layout.fnt_page_sectors in
     List.init n (fun i ->
         { Label.uid = 0L; page = (page * n) + i; kind = Label.Fnt })
-
-  let frame layout ~page payload =
-    let full = full_bytes layout in
-    if Bytes.length payload <> full - trailer then invalid_arg "Direct_store.frame";
-    let out = Bytes.make full '\000' in
-    Bytes.blit payload 0 out 0 (Bytes.length payload);
-    let w = Bytebuf.Writer.create ~initial:trailer () in
-    Bytebuf.Writer.u32 w page_magic;
-    Bytebuf.Writer.u32 w page;
-    Bytebuf.Writer.u32 w (Crc32.bytes payload);
-    Bytebuf.Writer.u32 w 0;
-    Bytes.blit (Bytebuf.Writer.contents w) 0 out (full - trailer) trailer;
-    out
-
-  let unframe layout ~page image =
-    let full = full_bytes layout in
-    if Bytes.length image <> full then None
-    else begin
-      let payload = Bytes.sub image 0 (full - trailer) in
-      let r = Bytebuf.Reader.of_bytes ~pos:(full - trailer) image in
-      match
-        let m = Bytebuf.Reader.u32 r in
-        let id = Bytebuf.Reader.u32 r in
-        let crc = Bytebuf.Reader.u32 r in
-        (m, id, crc)
-      with
-      | exception Bytebuf.Decode_error _ -> None
-      | m, id, crc ->
-        if m = page_magic && id = page && crc = Crc32.bytes payload then Some payload
-        else None
-    end
 
   let read t page =
     match Lru.find t.cache page with
@@ -89,7 +51,7 @@ module Direct_store = struct
         with Device.Error { sector; kind = _ } ->
           corrupt (Printf.sprintf "name-table sector %d unreadable" sector)
       in
-      match unframe t.layout ~page image with
+      match Meta_frame.unframe ~magic:page_magic ~page image with
       | Some payload ->
         ignore (Lru.add t.cache page payload : (int * bytes) list);
         payload
@@ -103,43 +65,13 @@ module Direct_store = struct
     let sector = Cfs_layout.fnt_sector t.layout ~page in
     Device.verified_write_run t.device ~sector
       ~expect:(fnt_labels t.layout ~page)
-      (frame t.layout ~page payload);
+      (Meta_frame.frame ~magic:page_magic ~page payload);
     t.page_writes <- t.page_writes + 1;
     ignore (Lru.add t.cache page payload : (int * bytes) list)
 
-  let encode_anchor t =
-    let w = Bytebuf.Writer.create () in
-    Bytebuf.Writer.u32 w anchor_magic;
-    (match t.anchor.root with
-    | None -> Bytebuf.Writer.u32 w 0
-    | Some r -> Bytebuf.Writer.u32 w (r + 1));
-    Bytebuf.Writer.u64 w t.anchor.uid_hint;
-    Bytebuf.Writer.u32 w (Bitmap.length t.anchor.alloc_map);
-    Bytebuf.Writer.raw w (Bitmap.to_bytes t.anchor.alloc_map);
-    let b = Bytebuf.Writer.contents w in
-    if Bytes.length b > page_bytes t then
-      invalid_arg "Cfs: anchor exceeds one page; reduce fnt_pages";
-    let out = Bytes.make (page_bytes t) '\000' in
-    Bytes.blit b 0 out 0 (Bytes.length b);
-    out
-
-  let decode_anchor payload =
-    let r = Bytebuf.Reader.of_bytes payload in
-    match
-      let m = Bytebuf.Reader.u32 r in
-      if m <> anchor_magic then None
-      else begin
-        let root = match Bytebuf.Reader.u32 r with 0 -> None | n -> Some (n - 1) in
-        let uid_hint = Bytebuf.Reader.u64 r in
-        let bits = Bytebuf.Reader.u32 r in
-        let map = Bitmap.of_bytes ~bits (Bytebuf.Reader.raw r ((bits + 7) / 8)) in
-        Some { root; alloc_map = map; uid_hint }
-      end
-    with
-    | v -> v
-    | exception Bytebuf.Decode_error _ -> None
-
-  let write_anchor t = write t 0 (encode_anchor t)
+  let write_anchor t =
+    write t 0
+      (Meta_frame.encode_anchor ~magic:anchor_magic ~page_bytes:(page_bytes t) t.anchor)
 
   let alloc t =
     let map = t.anchor.alloc_map in
@@ -178,12 +110,12 @@ module Direct_store = struct
   let create_fresh device layout =
     let map = Bitmap.create layout.Cfs_layout.params.Cfs_layout.fnt_pages in
     Bitmap.set map 0;
-    mk device layout { root = None; alloc_map = map; uid_hint = 1L }
+    mk device layout { root = None; alloc_map = map; next_uid = 1L }
 
   let attach device layout =
-    let t = mk device layout { root = None; alloc_map = Bitmap.create 1; uid_hint = 1L } in
+    let t = mk device layout { root = None; alloc_map = Bitmap.create 1; next_uid = 1L } in
     let payload = read t 0 in
-    match decode_anchor payload with
+    match Meta_frame.decode_anchor ~magic:anchor_magic payload with
     | Some anchor -> mk device layout anchor
     | None -> corrupt "CFS name-table anchor does not decode"
 end
@@ -284,42 +216,21 @@ let fresh_uid t =
 let boot_magic = 0x43425431 (* "CBT1" *)
 
 let write_boot device layout ~clean =
-  let sb = layout.Cfs_layout.geom.Geometry.sector_bytes in
   let w = Bytebuf.Writer.create () in
   Bytebuf.Writer.u32 w boot_magic;
   Bytebuf.Writer.bool w clean;
   Bytebuf.Writer.u16 w layout.Cfs_layout.params.Cfs_layout.fnt_page_sectors;
   Bytebuf.Writer.u32 w layout.Cfs_layout.params.Cfs_layout.fnt_pages;
-  let page = Bytebuf.Writer.seal w ~size:sb in
-  let buf = Bytes.make (3 * sb) '\000' in
-  Bytes.blit page 0 buf 0 sb;
-  Bytes.blit page 0 buf (2 * sb) sb;
-  Device.write_run device ~sector:0 buf
+  Meta_frame.write_mirrored device ~sector:0
+    (Bytebuf.Writer.seal w ~size:layout.Cfs_layout.geom.Geometry.sector_bytes)
 
 let read_boot device =
-  let parse b =
-    let r = Bytebuf.Reader.of_bytes b in
-    match
-      let m = Bytebuf.Reader.u32 r in
-      if m <> boot_magic then None
-      else begin
-        let clean = Bytebuf.Reader.bool r in
-        let fnt_page_sectors = Bytebuf.Reader.u16 r in
-        let fnt_pages = Bytebuf.Reader.u32 r in
-        let body_len = Bytebuf.Reader.pos r in
-        let crc = Bytebuf.Reader.u32 r in
-        if crc <> Crc32.bytes ~pos:0 ~len:body_len b then None
-        else Some (clean, fnt_page_sectors, fnt_pages)
-      end
-    with
-    | v -> v
-    | exception Bytebuf.Decode_error _ -> None
-  in
-  let try_at s = match Device.read device s with
-    | b -> parse b
-    | exception Device.Error _ -> None
-  in
-  match try_at 0 with Some v -> Some v | None -> try_at 2
+  Meta_frame.read_mirrored device ~sector:0 (fun b ->
+      Bytebuf.Reader.unseal ~magic:boot_magic b (fun r ->
+          let clean = Bytebuf.Reader.bool r in
+          let fnt_page_sectors = Bytebuf.Reader.u16 r in
+          let fnt_pages = Bytebuf.Reader.u32 r in
+          (clean, fnt_page_sectors, fnt_pages)))
 
 (* ------------------------------------------------------------------ *)
 (* VAM persistence (hints; loaded only after a clean shutdown)         *)
@@ -837,7 +748,7 @@ let mk_live device layout store vam =
       vam;
       hint = layout.Cfs_layout.data_lo;
       opened = Hashtbl.create 64;
-      next_uid = Int64.add store.Direct_store.anchor.Direct_store.uid_hint 1_000_000L;
+      next_uid = Int64.add store.Direct_store.anchor.Meta_frame.next_uid 1_000_000L;
       live = true;
       ops_c = Cedar_obs.Metrics.counter m "cfs.ops";
     }
@@ -871,7 +782,7 @@ let boot device =
 
 let shutdown t =
   require_live t;
-  t.store.Direct_store.anchor.Direct_store.uid_hint <- t.next_uid;
+  t.store.Direct_store.anchor.Meta_frame.next_uid <- t.next_uid;
   Direct_store.write_anchor t.store;
   save_vam t;
   write_boot t.device t.layout ~clean:true;
@@ -932,7 +843,7 @@ let scavenge device =
   List.iter (fun (_, uid) -> Hashtbl.remove orphan_uids uid) !headers;
   lost := !lost + Hashtbl.length orphan_uids;
   t.next_uid <- Int64.add !max_uid 1L;
-  t.store.Direct_store.anchor.Direct_store.uid_hint <- t.next_uid;
+  t.store.Direct_store.anchor.Meta_frame.next_uid <- t.next_uid;
   Direct_store.write_anchor t.store;
   save_vam t;
   write_boot device layout ~clean:false;

@@ -34,20 +34,10 @@ let encode t ~sector_bytes =
     Bytebuf.Writer.u8 w 1;
     Bytebuf.Writer.string w server;
     Bytebuf.Writer.i64 w last_used);
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  let out = Bytes.make (sectors * sector_bytes) '\000' in
-  let b = Bytebuf.Writer.contents w in
-  if Bytes.length b > Bytes.length out then invalid_arg "Header.encode: too large";
-  Bytes.blit b 0 out 0 (Bytes.length b);
-  out
+  Bytebuf.Writer.seal w ~size:(sectors * sector_bytes)
 
 let decode image =
-  match
-    let r = Bytebuf.Reader.of_bytes image in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> magic then None
-    else begin
+  Bytebuf.Reader.unseal ~magic image (fun r ->
       let uid = Bytebuf.Reader.u64 r in
       let name = Bytebuf.Reader.string r in
       let version = Bytebuf.Reader.u32 r in
@@ -64,15 +54,7 @@ let decode image =
           Cached { server; last_used }
         | _ -> raise (Bytebuf.Decode_error "bad header kind")
       in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len image then None
-      else Some { uid; name; version; keep; byte_size; created; runs; kind }
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
-  | exception Invalid_argument _ -> None
+      { uid; name; version; keep; byte_size; created; runs; kind })
 
 let labels t =
   [

@@ -1,5 +1,6 @@
 open Cedar_util
 open Cedar_disk
+open Cedar_fsbase
 
 type t = { boot_count : int; params : Params.t }
 
@@ -21,11 +22,7 @@ let encode ~sector_bytes ~boot_count (p : Params.t) =
   Bytebuf.Writer.seal w ~size:sector_bytes
 
 let decode geom b =
-  match
-    let r = Bytebuf.Reader.of_bytes b in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> magic then None
-    else begin
+  Bytebuf.Reader.unseal ~magic b (fun r ->
       let boot_count = Bytebuf.Reader.u32 r in
       ignore (Bytebuf.Reader.u8 r : int);
       let fnt_page_sectors = Bytebuf.Reader.u16 r in
@@ -34,44 +31,26 @@ let decode geom b =
       let log_vam = Bytebuf.Reader.bool r in
       let track_tolerant_log = Bytebuf.Reader.bool r in
       let shard_id = Bytebuf.Reader.u8 r in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len b then None
-      else
-        Some
+      {
+        boot_count;
+        params =
           {
-            boot_count;
-            params =
-              {
-                (Params.for_geometry geom) with
-                fnt_page_sectors;
-                fnt_pages;
-                log_sectors;
-                log_vam;
-                track_tolerant_log;
-                shard_id;
-              };
-          }
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
+            (Params.for_geometry geom) with
+            fnt_page_sectors;
+            fnt_pages;
+            log_sectors;
+            log_vam;
+            track_tolerant_log;
+            shard_id;
+          };
+      })
 
 let write device ~boot_count params =
   let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
-  let page = encode ~sector_bytes ~boot_count params in
-  let buf = Bytes.make (3 * sector_bytes) '\000' in
-  Bytes.blit page 0 buf 0 sector_bytes;
-  Bytes.blit page 0 buf (2 * sector_bytes) sector_bytes;
-  Device.write_run device ~sector:0 buf
+  Meta_frame.write_mirrored device ~sector:0 (encode ~sector_bytes ~boot_count params)
 
 let read device =
-  let try_at s =
-    match Device.read device s with
-    | b -> decode (Device.geometry device) b
-    | exception Device.Error _ -> None
-  in
-  match try_at 0 with Some t -> Some t | None -> try_at 2
+  Meta_frame.read_mirrored device ~sector:0 (decode (Device.geometry device))
 
 let adopt t (runtime : Params.t) =
   {

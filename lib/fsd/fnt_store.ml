@@ -25,17 +25,11 @@ type cached = {
          [frame] holds no image *)
 }
 
-type anchor = {
-  mutable root : int option;
-  alloc_map : Bitmap.t; (* set = page slot in use *)
-  mutable next_uid : int64;
-}
-
 type t = {
   device : Device.t;
   layout : Layout.t;
   cache : (int, cached) Lru.t;
-  anchor : anchor;
+  anchor : Meta_frame.anchor;
   mutable to_log_count : int;
       (* cached pages both dirty and modified, i.e. [pages_to_log]'s
          length; kept up to date wherever those flags change *)
@@ -44,8 +38,9 @@ type t = {
   dirty_age : Stats.t; (* dirty-to-home-write latency per page flush *)
 }
 
-let trailer_bytes = 16
+let trailer_bytes = Meta_frame.trailer_bytes
 let page_magic = 0x464e5431 (* "FNT1" *)
+let anchor_magic = 0x414e4331 (* "ANC1" *)
 
 let full_page_bytes layout =
   layout.Layout.params.Params.fnt_page_sectors
@@ -65,11 +60,11 @@ let same_range a b ~pos ~len =
   and bytes i = i >= stop || (Bytes.get a i = Bytes.get b i && bytes (i + 1)) in
   words pos
 
-(* The page image: the payload, then a 16-byte trailer of u32s — magic,
-   page number, the payload's CRC-32 and a zero word. [frame_into] builds
-   it in [out] and puts each sector's CRC in [crcs], hashing every byte
-   at most once: the payload's CRC is the whole sectors' CRCs combined
-   with that of the last sector's head (the bytes before the trailer),
+(* The page image is {!Meta_frame}'s: the payload, then a trailer that
+   carries the payload's CRC-32. [frame_into] builds it in [out] and
+   puts each sector's CRC in [crcs], hashing every byte at most once:
+   the payload's CRC is the whole sectors' CRCs combined with that of
+   the last sector's head (the bytes before the trailer),
    and the last sector's CRC continues that head CRC over the trailer.
    [head] is the head CRC of a frame of the same page that [out] and
    [crcs] already hold, or -1. Against such a frame, a whole sector or
@@ -96,75 +91,9 @@ let frame_into layout ~page ~head payload out crcs =
   let head_pos = (k - 1) * sb and head_len = sb - trailer_bytes in
   let head = if changed head_pos head_len then refresh head_pos head_len else head in
   let payload_crc = Crc32.combine !payload_crc head ~len:head_len in
-  Bytes.set_int32_le out n (Int32.of_int page_magic);
-  Bytes.set_int32_le out (n + 4) (Int32.of_int page);
-  Bytes.set_int32_le out (n + 8) (Int32.of_int payload_crc);
-  Bytes.set_int32_le out (n + 12) 0l;
+  Meta_frame.set_trailer out ~magic:page_magic ~page ~crc:payload_crc;
   crcs.(k - 1) <- Crc32.bytes ~crc:head ~pos:n ~len:trailer_bytes out;
   head
-
-let frame layout ~page payload =
-  let out = Bytes.create (full_page_bytes layout) in
-  ignore
-    (frame_into layout ~page ~head:(-1) payload out
-       (Array.make layout.Layout.params.Params.fnt_page_sectors 0)
-      : int);
-  out
-
-let unframe layout ~page image =
-  let full = full_page_bytes layout in
-  if Bytes.length image <> full then None
-  else begin
-    let payload = Bytes.sub image 0 (full - trailer_bytes) in
-    let r = Bytebuf.Reader.of_bytes ~pos:(full - trailer_bytes) image in
-    match
-      let m = Bytebuf.Reader.u32 r in
-      let id = Bytebuf.Reader.u32 r in
-      let crc = Bytebuf.Reader.u32 r in
-      (m, id, crc)
-    with
-    | exception Bytebuf.Decode_error _ -> None
-    | m, id, crc ->
-      if m = page_magic && id = page && crc = Crc32.bytes payload then Some payload
-      else None
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Anchor codec (page 0's payload)                                     *)
-
-let anchor_magic = 0x414e4331 (* "ANC1" *)
-
-(* Magic, root + 1 (0 for none), the uid counter, the map's length in
-   bits, then the packed map, written straight into a zeroed page. *)
-let encode_anchor t =
-  let map = t.anchor.alloc_map in
-  let map_len = (Bitmap.length map + 7) / 8 in
-  if 20 + map_len > page_bytes t then
-    invalid_arg "Fnt_store: anchor exceeds one page; reduce fnt_pages";
-  let out = Bytes.make (page_bytes t) '\000' in
-  Bytes.set_int32_le out 0 (Int32.of_int anchor_magic);
-  Bytes.set_int32_le out 4
-    (Int32.of_int (match t.anchor.root with None -> 0 | Some r -> r + 1));
-  Bytes.set_int64_le out 8 t.anchor.next_uid;
-  Bytes.set_int32_le out 16 (Int32.of_int (Bitmap.length map));
-  Bitmap.blit_to_bytes map ~off:0 out ~pos:20 ~len:map_len;
-  out
-
-let decode_anchor payload =
-  let r = Bytebuf.Reader.of_bytes payload in
-  match
-    let m = Bytebuf.Reader.u32 r in
-    if m <> anchor_magic then None
-    else begin
-      let root = match Bytebuf.Reader.u32 r with 0 -> None | n -> Some (n - 1) in
-      let next_uid = Bytebuf.Reader.u64 r in
-      let bits = Bytebuf.Reader.u32 r in
-      let map = Bitmap.of_bytes ~bits (Bytebuf.Reader.raw r ((bits + 7) / 8)) in
-      Some { root; alloc_map = map; next_uid }
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Home I/O                                                            *)
@@ -186,7 +115,7 @@ let read_twin ?(verify = true) device layout ~page =
   let n = layout.Layout.params.Params.fnt_page_sectors in
   let read_copy sector =
     match Device.read_run device ~sector ~count:n with
-    | image -> unframe layout ~page image
+    | image -> Meta_frame.unframe ~magic:page_magic ~page image
     | exception Device.Error _ -> None
   in
   let sa = Layout.fnt_sector_a layout ~page in
@@ -205,7 +134,7 @@ let try_read_home device layout ~page =
 
 let rewrite_copy t ~page sector payload =
   t.repairs <- t.repairs + 1;
-  Device.write_run t.device ~sector (frame t.layout ~page payload)
+  Device.write_run t.device ~sector (Meta_frame.frame ~magic:page_magic ~page payload)
 
 (* A read that misses the cache repairs a bad twin on the spot. *)
 let read_home t page =
@@ -267,7 +196,7 @@ let create_fresh device layout =
 let attach device layout =
   let t = mk device layout { root = None; alloc_map = Bitmap.create 1; next_uid = 1L } in
   let payload = read_home t 0 in
-  match decode_anchor payload with
+  match Meta_frame.decode_anchor ~magic:anchor_magic payload with
   | Some anchor ->
     let t' = mk device layout anchor in
     (* carry over a twin repair made while reading the anchor *)
@@ -334,7 +263,9 @@ let write t page payload =
     insert_cache t page (entry payload ~dirty:true ~at:now)
 
 (* Anchor mutations are ordinary writes of page 0. *)
-let write_anchor t = write t 0 (encode_anchor t)
+let write_anchor t =
+  write t 0
+    (Meta_frame.encode_anchor ~magic:anchor_magic ~page_bytes:(page_bytes t) t.anchor)
 
 let alloc t =
   match
@@ -435,7 +366,8 @@ let home_write t page c =
   let diverged = c.modified && c.logged <> None in
   let image = match c.logged with Some l when c.modified -> l | _ -> c.payload in
   write_home_image t.device t.layout ~page
-    (if image == c.framed then c.frame else frame t.layout ~page image);
+    (if image == c.framed then c.frame
+     else Meta_frame.frame ~magic:page_magic ~page image);
   let now = Simclock.now (Device.clock t.device) in
   let tr = Device.trace t.device in
   if Cedar_obs.Trace.enabled tr then

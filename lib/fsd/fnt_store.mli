@@ -9,10 +9,15 @@
     (§5.3). Reads that miss fetch {e both} copies and use whichever
     checks; a bad copy is repaired from the good one (§5.1).
 
-    Page 0 is the anchor: B-tree root pointer, page allocation map, and
-    the uid counter. It flows through the same cache/log/home machinery,
-    so a committed anchor update is exactly as durable as the tree pages
-    it describes. *)
+    Each copy is a {!Cedar_fsbase.Meta_frame} page frame with magic
+    "FNT1": the payload and a trailer carrying its page number and
+    CRC-32.
+
+    Page 0 is the anchor ({!Cedar_fsbase.Meta_frame.anchor}, magic
+    "ANC1"): B-tree root pointer, page allocation map, and the uid
+    counter. It flows through the same cache/log/home machinery, so a
+    committed anchor update is exactly as durable as the tree pages it
+    describes. *)
 
 type t
 
@@ -65,7 +70,9 @@ val framed_image : t -> int -> bytes
     logged. The buffer is the store's own: it is framed in place, only
     when the payload differs from the one it was last framed from, and
     stays valid until the page is next framed. Callers copy it (as
-    {!Log.append} and the device do) and never mutate it. *)
+    {!Log.append} and the device do) and never mutate it. Byte for byte
+    it is {!Cedar_fsbase.Meta_frame.frame} of the payload, which a home
+    write of any other image uses. *)
 
 val logged_unit : t -> int -> Log.logged_unit
 (** The cached page as a log unit: {!framed_image} together with the

@@ -65,11 +65,7 @@ let encode t ~sector_bytes =
   Bytebuf.Writer.seal w ~size:sector_bytes
 
 let decode b =
-  match
-    let r = Bytebuf.Reader.of_bytes b in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> magic then None
-    else begin
+  Bytebuf.Reader.unseal ~magic b (fun r ->
       let uid = Bytebuf.Reader.u64 r in
       let name = Bytebuf.Reader.string r in
       let version = Bytebuf.Reader.u32 r in
@@ -86,15 +82,7 @@ let decode b =
         | n -> raise (Bytebuf.Decode_error (Printf.sprintf "bad leader kind %d" n))
       in
       let runs = Run_table.decode r in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len b then None
-      else Some { uid; name; version; keep; byte_size; created; runs; kind }
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
-  | exception Invalid_argument _ -> None
+      { uid; name; version; keep; byte_size; created; runs; kind })
 
 let matches t ~name ~version (e : Entry.t) =
   Int64.equal t.uid e.Entry.uid

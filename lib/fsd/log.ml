@@ -1,5 +1,6 @@
 open Cedar_util
 open Cedar_disk
+open Cedar_fsbase
 
 type unit_kind = Fnt_page of int | Leader_page of int | Vam_chunk of int
 type logged_unit = { kind : unit_kind; image : bytes; crcs : int array }
@@ -104,13 +105,13 @@ type header = {
   h_data_sectors : int;
 }
 
+(* Header and end pages carry the special word after their magic. *)
+let expect_special r =
+  if Bytebuf.Reader.u64 r <> special then raise (Bytebuf.Decode_error "no special word")
+
 let decode_header layout b =
-  match
-    let r = Bytebuf.Reader.of_bytes b in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> magic_hdr then None
-    else if Bytebuf.Reader.u64 r <> special then None
-    else begin
+  Bytebuf.Reader.unseal ~magic:magic_hdr b (fun r ->
+      expect_special r;
       let h_record_no = Bytebuf.Reader.u64 r in
       let h_boot_count = Bytebuf.Reader.u32 r in
       let h_shard = Bytebuf.Reader.u8 r in
@@ -131,20 +132,11 @@ let decode_header layout b =
             (kind, n))
       in
       let h_data_sectors = Bytebuf.Reader.u16 r in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len b then None
-      else if
+      if
         h_data_sectors <> List.fold_left (fun a (_, n) -> a + n) 0 h_units
         || List.exists (fun (k, n) -> n <> unit_sectors layout k) h_units
-      then None
-      else
-        Some
-          { h_record_no; h_boot_count; h_shard; h_track_tolerant; h_units; h_data_sectors }
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
+      then raise (Bytebuf.Decode_error "unit sizes disagree with the layout");
+      { h_record_no; h_boot_count; h_shard; h_track_tolerant; h_units; h_data_sectors })
 
 (* The end page lists every data sector's CRC, unit by unit: the CRCs
    each unit carries, never recomputed here. *)
@@ -158,23 +150,11 @@ let encode_end layout ~record_no units =
   Bytebuf.Writer.seal w ~size:(sector_bytes layout)
 
 let decode_end b =
-  match
-    let r = Bytebuf.Reader.of_bytes b in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> magic_end then None
-    else if Bytebuf.Reader.u64 r <> special then None
-    else begin
+  Bytebuf.Reader.unseal ~magic:magic_end b (fun r ->
+      expect_special r;
       let record_no = Bytebuf.Reader.u64 r in
       let n = Bytebuf.Reader.u16 r in
-      let crcs = List.init n (fun _ -> Bytebuf.Reader.u32 r) in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len b then None
-      else Some (record_no, Array.of_list crcs)
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
+      (record_no, Array.init n (fun _ -> Bytebuf.Reader.u32 r)))
 
 let encode_pointer layout ~offset ~record_no ~boot_count =
   let w = Bytebuf.Writer.create () in
@@ -185,47 +165,25 @@ let encode_pointer layout ~offset ~record_no ~boot_count =
   Bytebuf.Writer.seal w ~size:(sector_bytes layout)
 
 let decode_pointer b =
-  match
-    let r = Bytebuf.Reader.of_bytes b in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> magic_ptr then None
-    else begin
+  Bytebuf.Reader.unseal ~magic:magic_ptr b (fun r ->
       let offset = Bytebuf.Reader.u32 r in
       let record_no = Bytebuf.Reader.u64 r in
       let boot_count = Bytebuf.Reader.u32 r in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len b then None
-      else Some (offset, record_no, boot_count)
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
+      (offset, record_no, boot_count))
 
 (* Pointer page in sector 0 of the log region, replicated in sector 2,
-   with the mandatory blank between: one three-sector command. *)
+   with the mandatory blank between. *)
 let write_pointer device layout ~offset ~record_no ~boot_count =
-  let sb = sector_bytes layout in
-  let ptr = encode_pointer layout ~offset ~record_no ~boot_count in
-  let buf = Bytes.make (3 * sb) '\000' in
-  Bytes.blit ptr 0 buf 0 sb;
-  Bytes.blit ptr 0 buf (2 * sb) sb;
-  Device.write_run device ~sector:layout.Layout.log_start buf
+  Meta_frame.write_mirrored device ~sector:layout.Layout.log_start
+    (encode_pointer layout ~offset ~record_no ~boot_count)
+
+let read_pointer device layout =
+  Meta_frame.read_mirrored device ~sector:layout.Layout.log_start decode_pointer
 
 let read_sector_opt device s =
   match Device.read device s with
   | b -> Some b
   | exception Device.Error _ -> None
-
-let read_pointer device layout =
-  let try_at s =
-    match read_sector_opt device s with
-    | None -> None
-    | Some b -> decode_pointer b
-  in
-  match try_at layout.Layout.log_start with
-  | Some p -> Some p
-  | None -> try_at (layout.Layout.log_start + 2)
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)

@@ -146,20 +146,26 @@ let dirty_chunk_count t = Hashtbl.length t.dirty_chunks
 
 let magic = 0x56414d31 (* "VAM1" *)
 
+(* The save area's header sector: magic, the map's length in bits, the
+   clean flag, the mode, the epoch, the body's CRC-32 and the
+   quarantine count. *)
+let write_header layout device ~clean ~mode ~epoch ~crc ~quarantined =
+  let w = Bytebuf.Writer.create () in
+  Bytebuf.Writer.u32 w magic;
+  Bytebuf.Writer.u32 w (Geometry.total_sectors layout.Layout.geom);
+  Bytebuf.Writer.bool w clean;
+  Bytebuf.Writer.u8 w (match mode with Snapshot -> 0 | Log_based -> 1);
+  Bytebuf.Writer.u64 w epoch;
+  Bytebuf.Writer.u32 w crc;
+  Bytebuf.Writer.u32 w quarantined;
+  Device.write device layout.Layout.vam_start
+    (Bytebuf.Writer.to_sector w ~size:layout.Layout.geom.Geometry.sector_bytes)
+
 let save ?(mode = Snapshot) ?(epoch = 0L) t device =
   let sb = t.layout.Layout.geom.Geometry.sector_bytes in
-  let bits = total t in
   let body = Bitmap.to_bytes t.free in
-  let header = Bytebuf.Writer.create () in
-  Bytebuf.Writer.u32 header magic;
-  Bytebuf.Writer.u32 header bits;
-  Bytebuf.Writer.bool header true; (* clean *)
-  Bytebuf.Writer.u8 header (match mode with Snapshot -> 0 | Log_based -> 1);
-  Bytebuf.Writer.u64 header epoch;
-  Bytebuf.Writer.u32 header (Crc32.bytes body);
-  Bytebuf.Writer.u32 header t.quarantined;
-  Device.write device t.layout.Layout.vam_start
-    (Bytebuf.Writer.to_sector header ~size:sb);
+  write_header t.layout device ~clean:true ~mode ~epoch ~crc:(Crc32.bytes body)
+    ~quarantined:t.quarantined;
   (* Body sectors follow the header in one command. *)
   let body_sectors = t.layout.Layout.vam_sectors - 1 in
   let padded = Bytes.make (body_sectors * sb) '\000' in
@@ -200,13 +206,4 @@ let load layout device =
       end)
 
 let invalidate_saved layout device =
-  let sb = layout.Layout.geom.Geometry.sector_bytes in
-  let header = Bytebuf.Writer.create () in
-  Bytebuf.Writer.u32 header magic;
-  Bytebuf.Writer.u32 header (Geometry.total_sectors layout.Layout.geom);
-  Bytebuf.Writer.bool header false; (* not clean *)
-  Bytebuf.Writer.u8 header 0;
-  Bytebuf.Writer.u64 header 0L;
-  Bytebuf.Writer.u32 header 0;
-  Device.write device layout.Layout.vam_start
-    (Bytebuf.Writer.to_sector header ~size:sb)
+  write_header layout device ~clean:false ~mode:Snapshot ~epoch:0L ~crc:0 ~quarantined:0

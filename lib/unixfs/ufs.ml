@@ -116,19 +116,10 @@ let encode_sb sh (p : Ufs_params.t) ~clean ~block_bytes =
   Bytebuf.Writer.u32 w sh.ngroups;
   Bytebuf.Writer.u32 w sh.bpg;
   Bytebuf.Writer.u32 w sh.ipg;
-  let body = Bytebuf.Writer.contents w in
-  Bytebuf.Writer.u32 w (Crc32.bytes body);
-  let out = Bytes.make block_bytes '\000' in
-  let b = Bytebuf.Writer.contents w in
-  Bytes.blit b 0 out 0 (Bytes.length b);
-  out
+  Bytebuf.Writer.seal w ~size:block_bytes
 
 let decode_sb image =
-  match
-    let r = Bytebuf.Reader.of_bytes image in
-    let m = Bytebuf.Reader.u32 r in
-    if m <> sb_magic then None
-    else begin
+  Bytebuf.Reader.unseal ~magic:sb_magic image (fun r ->
       let clean = Bytebuf.Reader.bool r in
       let block_sectors = Bytebuf.Reader.u16 r in
       let cylinders_per_group = Bytebuf.Reader.u16 r in
@@ -137,24 +128,15 @@ let decode_sb image =
       let _ngroups = Bytebuf.Reader.u32 r in
       let _bpg = Bytebuf.Reader.u32 r in
       let _ipg = Bytebuf.Reader.u32 r in
-      let body_len = Bytebuf.Reader.pos r in
-      let crc = Bytebuf.Reader.u32 r in
-      if crc <> Crc32.bytes ~pos:0 ~len:body_len image then None
-      else
-        Some
-          ( clean,
-            fun (base : Ufs_params.t) ->
-              {
-                base with
-                Ufs_params.block_sectors;
-                cylinders_per_group;
-                inode_ratio_blocks;
-                rotdelay_blocks;
-              } )
-    end
-  with
-  | v -> v
-  | exception Bytebuf.Decode_error _ -> None
+      ( clean,
+        fun (base : Ufs_params.t) ->
+          {
+            base with
+            Ufs_params.block_sectors;
+            cylinders_per_group;
+            inode_ratio_blocks;
+            rotdelay_blocks;
+          } ))
 
 (* ------------------------------------------------------------------ *)
 (* The file system                                                     *)

@@ -134,4 +134,17 @@ module Reader = struct
 
   let pos r = r.pos
   let remaining r = r.limit - r.pos
+
+  let unseal ~magic b f =
+    match
+      let r = of_bytes b in
+      if u32 r <> magic then None
+      else begin
+        let v = f r in
+        let body_len = r.pos in
+        if u32 r <> Crc32.bytes ~len:body_len b then None else Some v
+      end
+    with
+    | v -> v
+    | exception (Decode_error _ | Invalid_argument _) -> None
 end

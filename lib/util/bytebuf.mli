@@ -4,7 +4,9 @@
     length-prefixed with a 16-bit length unless a fixed width is requested.
     Decoding performs bounds checks and raises {!Decode_error} on any
     malformed input; file-system code relies on this to treat damaged
-    sectors as decode failures rather than crashes. *)
+    sectors as decode failures rather than crashes. A self-checksummed
+    metadata sector is written with {!Writer.seal} and read with
+    {!Reader.unseal}, which turns every such failure into [None]. *)
 
 exception Decode_error of string
 
@@ -53,7 +55,9 @@ module Writer : sig
   (** [seal w ~size] is a self-checksummed sector: the contents, their
       CRC-32 as a u32, then zero bytes up to exactly [size] bytes. Equal
       to appending [Crc32.bytes (contents w)] and calling {!to_sector}.
-      Raises [Invalid_argument] if the contents and CRC overflow. *)
+      Raises [Invalid_argument] if the contents and CRC overflow. Every
+      sealed metadata sector starts its contents with a u32 magic of its
+      own, and {!Reader.unseal} reads it back. *)
 end
 
 (** Bounds-checked decoder over a byte buffer. *)
@@ -76,4 +80,12 @@ module Reader : sig
 
   val pos : t -> int
   val remaining : t -> int
+
+  val unseal : magic:int -> bytes -> (t -> 'a) -> 'a option
+  (** [unseal ~magic b f] reads a sector {!Writer.seal} wrote: a u32
+      [magic], the fields [f] parses, then the CRC-32 of every byte
+      before it. [None] if the magic or the CRC differs, or if [f]
+      raises {!Decode_error} or [Invalid_argument]: the one rule by
+      which every sealed metadata sector of FSD, CFS and the BSD
+      baseline is judged damaged. *)
 end

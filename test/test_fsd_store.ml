@@ -489,7 +489,10 @@ let test_frame_crcs_and_reuse () =
    edits — none, one byte anywhere, one byte in the last sector's head,
    a byte either side of a sector boundary, or a whole new payload — the
    page is reframed and compared, image and per-sector CRCs, with the
-   same payload framed by a store that never framed the page. *)
+   same payload framed by a store that never framed the page, and with
+   the image that store writes home first: a home write of a payload
+   never framed goes through the plain frame, which shares no code with
+   the in-place one. *)
 let test_reframe_matches_fresh_frame () =
   let rng = Rng.create 26 in
   List.iter
@@ -521,11 +524,15 @@ let test_reframe_matches_fresh_frame () =
         payload := b;
         Fnt_store.write s page b;
         let u = Fnt_store.logged_unit s page in
-        let r = Fnt_store.create_fresh (mk_device ()) l in
+        let d = mk_device () in
+        let r = Fnt_store.create_fresh d l in
         Fnt_store.write r page b;
+        ignore (Fnt_store.flush_all_dirty r : int);
+        let plain = Device.read_run d ~sector:(Layout.fnt_sector_a l ~page) ~count:k in
         let fresh = Fnt_store.logged_unit r page in
         let what = Printf.sprintf "%d sectors, step %d" k step in
         check bool (what ^ ": image") true (Bytes.equal u.Log.image fresh.Log.image);
+        check bool (what ^ ": plain frame") true (Bytes.equal u.Log.image plain);
         check (Alcotest.array int) (what ^ ": sector CRCs") fresh.Log.crcs u.Log.crcs
       done)
     [ 1; 2; 4; 16 ]

@@ -26,4 +26,5 @@ let () =
       ("critpath", Test_critpath.suite);
       ("volumes", Test_volumes.suite);
       ("drift", Test_drift.suite);
+      ("formats", Test_formats.suite);
     ]

@@ -33,21 +33,31 @@ let field_gen =
         (string_size (0 -- 8));
     ]
 
+let write_field w = function
+  | F_u8 v -> Bytebuf.Writer.u8 w v
+  | F_u16 v -> Bytebuf.Writer.u16 w v
+  | F_u32 v -> Bytebuf.Writer.u32 w v
+  | F_u64 v -> Bytebuf.Writer.u64 w v
+  | F_bool v -> Bytebuf.Writer.bool w v
+  | F_string v -> Bytebuf.Writer.string w v
+  | F_fixed v -> Bytebuf.Writer.fixed_string w ~width:10 v
+
+(* Reads a field of the given field's type. *)
+let read_field r = function
+  | F_u8 _ -> F_u8 (Bytebuf.Reader.u8 r)
+  | F_u16 _ -> F_u16 (Bytebuf.Reader.u16 r)
+  | F_u32 _ -> F_u32 (Bytebuf.Reader.u32 r)
+  | F_u64 _ -> F_u64 (Bytebuf.Reader.u64 r)
+  | F_bool _ -> F_bool (Bytebuf.Reader.bool r)
+  | F_string _ -> F_string (Bytebuf.Reader.string r)
+  | F_fixed _ -> F_fixed (Bytebuf.Reader.fixed_string r ~width:10)
+
 let prop_bytebuf_roundtrip =
   QCheck.Test.make ~name:"bytebuf: random field sequences roundtrip" ~count:200
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 0 30) field_gen))
     (fun fields ->
       let w = Bytebuf.Writer.create () in
-      List.iter
-        (function
-          | F_u8 v -> Bytebuf.Writer.u8 w v
-          | F_u16 v -> Bytebuf.Writer.u16 w v
-          | F_u32 v -> Bytebuf.Writer.u32 w v
-          | F_u64 v -> Bytebuf.Writer.u64 w v
-          | F_bool v -> Bytebuf.Writer.bool w v
-          | F_string v -> Bytebuf.Writer.string w v
-          | F_fixed v -> Bytebuf.Writer.fixed_string w ~width:10 v)
-        fields;
+      List.iter (write_field w) fields;
       let r = Bytebuf.Reader.of_bytes (Bytebuf.Writer.contents w) in
       List.for_all
         (function
@@ -60,6 +70,60 @@ let prop_bytebuf_roundtrip =
           | F_fixed v -> Bytebuf.Reader.fixed_string r ~width:10 = v)
         fields
       && Bytebuf.Reader.remaining r = 0)
+
+(* ------------------------------------------------------------------ *)
+(* Sealed sectors: [Bytebuf.Reader.unseal] is the one rule by which every
+   sealed metadata sector — FSD's boot page, leaders and log pages, CFS's
+   boot page and headers, the UFS superblock — is judged damaged. *)
+
+let magic_gen = QCheck.Gen.map (fun x -> Int32.to_int x land 0xffffffff) QCheck.Gen.ui32
+let fields_gen = QCheck.Gen.list_size (QCheck.Gen.int_range 0 12) field_gen
+
+(* Reads fields of the given fields' types, in order. *)
+let read_fields fields r = List.map (read_field r) fields
+
+(* [magic], the fields, the CRC, then [slack] zero bytes; and the
+   length of the span the CRC covers. *)
+let sealed magic fields ~slack =
+  let w = Bytebuf.Writer.create () in
+  Bytebuf.Writer.u32 w magic;
+  List.iter (write_field w) fields;
+  let body_len = Bytes.length (Bytebuf.Writer.contents w) in
+  (Bytebuf.Writer.seal w ~size:(body_len + 4 + slack), body_len)
+
+let prop_unseal_roundtrip =
+  QCheck.Test.make ~name:"bytebuf: unseal of seal roundtrips" ~count:300
+    (QCheck.make QCheck.Gen.(triple magic_gen fields_gen (int_range 0 16)))
+    (fun (magic, fields, slack) ->
+      let b, _ = sealed magic fields ~slack in
+      Bytebuf.Reader.unseal ~magic b (read_fields fields) = Some fields)
+
+let prop_unseal_any_byte_changed =
+  QCheck.Test.make ~name:"bytebuf: one changed byte in a sealed span unseals to None"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair (triple magic_gen fields_gen (int_range 0 16)) (pair nat (int_range 1 255))))
+    (fun ((magic, fields, slack), (at, flip)) ->
+      let b, body_len = sealed magic fields ~slack in
+      let i = at mod (body_len + 4) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor flip));
+      Bytebuf.Reader.unseal ~magic b (read_fields fields) = None)
+
+let prop_unseal_never_raises =
+  QCheck.Test.make ~name:"bytebuf: unseal of random bytes never raises" ~count:500
+    (QCheck.make QCheck.Gen.(quad magic_gen bool fields_gen (string_size (int_range 0 80))))
+    (fun (magic, with_magic, fields, tail) ->
+      let b =
+        if with_magic then begin
+          let w = Bytebuf.Writer.create () in
+          Bytebuf.Writer.u32 w magic;
+          Bytes.cat (Bytebuf.Writer.contents w) (Bytes.of_string tail)
+        end
+        else Bytes.of_string tail
+      in
+      match Bytebuf.Reader.unseal ~magic b (read_fields fields) with
+      | Some _ | None -> true)
 
 (* ------------------------------------------------------------------ *)
 (* LRU vs a reference model (association list with recency). *)
@@ -382,6 +446,9 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_bytebuf_roundtrip;
+      prop_unseal_roundtrip;
+      prop_unseal_any_byte_changed;
+      prop_unseal_never_raises;
       prop_lru_vs_reference;
       prop_fname_order;
       prop_fname_bounds_bracket;
