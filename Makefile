@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test api-check examples-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
+.PHONY: all check build test api-check examples-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -46,29 +46,22 @@ examples-smoke:
 		{ echo "examples-smoke: remote_cache kept an uncommitted touch"; exit 1; }
 	@echo "examples-smoke: five examples ran, verdicts true"
 
-# Reproduce every paper table and regenerate the committed snapshots
-# (BENCH_OBS.json, BENCH_GROUPCOMMIT.json, BENCH_FAULTSWEEP.json,
-# BENCH_RECOVERY.json, BENCH_WRAP.json, BENCH_TIMELINE.json,
-# BENCH_BREAKDOWN.json, BENCH_VOLUMES.json, BENCH_QDEPTH.json) so
-# reviewers can diff observability, group-commit-scaling, crash-sweep,
-# restart-time, log-wrap-endurance, saturation-sweep, latency-anatomy,
-# multi-volume-scale-out and disk-scheduler-sweep output.
+# Reproduce every paper table, then regenerate every committed BENCH_*.json
+# snapshot (bench/snapshots.ml lists them: observability, group-commit
+# scaling, crash sweep, restart time, log-wrap endurance, saturation
+# sweep, latency anatomy, multi-volume scale-out and disk-scheduler
+# sweep) so reviewers can diff them. A snapshot whose named checks fail
+# is still written, and the harness exits 1.
 bench:
 	dune exec bench/main.exe
-	dune exec bench/main.exe -- obs-json --out BENCH_OBS.json
-	dune exec bench/main.exe -- clients --out BENCH_GROUPCOMMIT.json
-	dune exec bench/main.exe -- faultsweep --out BENCH_FAULTSWEEP.json
-	dune exec bench/main.exe -- recovery --out BENCH_RECOVERY.json
-	dune exec bench/main.exe -- wrap --out BENCH_WRAP.json
-	dune exec bench/main.exe -- timeline --out BENCH_TIMELINE.json
-	dune exec bench/main.exe -- breakdown --out BENCH_BREAKDOWN.json
-	dune exec bench/main.exe -- volumes --out BENCH_VOLUMES.json
-	dune exec bench/main.exe -- qdepth --out BENCH_QDEPTH.json
+	dune exec bench/main.exe -- snapshots
 
-# Snapshot drift gate: regenerate every BENCH_*.json into
-# _build/bench-diff/ and structurally compare against the committed
-# copies (timing-flavoured fields get 10% relative tolerance, everything
-# else must match exactly). Exits non-zero on drift.
+# Snapshot drift gate: regenerate every snapshot into _build/bench-diff/
+# and structurally compare it against the committed copy (timing-flavoured
+# fields get 10% relative tolerance, everything else must match exactly).
+# Every committed and every fresh snapshot must also carry a non-empty
+# top-level "checks" object whose entries are all true. Exits non-zero on
+# any drift or failed check.
 bench-diff:
 	dune exec bench/main.exe -- diff
 
@@ -160,9 +153,10 @@ wrap-smoke:
 		echo "wrap-smoke: cedar churn --force-every=-1 exited $$status, not 1"; exit 1; fi
 	@echo "wrap-smoke: --force-every=-1 refused"
 
-# Restart smoke: the recovery bench hard-fails (exit 1) if a crash
-# reboot replays the wrong record count or reads any log body sector
-# more than once — its internal assertions ARE the check.
+# Restart smoke: the harness exits 1 when the recovery snapshot's
+# single_pass check fails (a crash reboot replays the wrong record count
+# or reads any log body sector more than once) or its replay_linear
+# check does — the run IS the check.
 recovery-smoke:
 	dune exec bench/main.exe -- recovery --out _build/BENCH_RECOVERY.smoke.json \
 		> /dev/null
@@ -178,7 +172,9 @@ recovery-smoke:
 # small image with one file, the file's leader (sector 39, the first of
 # the small area) is marked damaged by rewriting the image's trailing
 # damaged-sector list (count 0 becomes count 1, sector 39), and info
-# must print the failed check and exit 1.
+# must print the failed check and exit 1. Then scavenge must heal it:
+# it keeps the intact name-table entry and rewrites its leader, exits 0,
+# info ends with a passing check and the file reads back cmp-equal.
 scavenge-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/scavenge-smoke && mkdir -p _build/scavenge-smoke
@@ -221,6 +217,36 @@ scavenge-smoke:
 		grep -qx "structural check FAILED: doc/a!000001: leader sector damaged" || \
 		{ echo "scavenge-smoke: info did not report the damaged leader"; exit 1; }
 	@echo "scavenge-smoke: a failed structural check exits 1"
+	./_build/default/bin/cedar.exe scavenge _build/scavenge-smoke/damaged.img \
+		> _build/scavenge-smoke/healed.txt
+	./_build/default/bin/cedar.exe info _build/scavenge-smoke/damaged.img \
+		> _build/scavenge-smoke/healed-info.txt
+	@tail -n 1 _build/scavenge-smoke/healed-info.txt | grep -qx "structural check: ok" || \
+		{ echo "scavenge-smoke: info after scavenging the damaged leader did not end 'structural check: ok'"; exit 1; }
+	./_build/default/bin/cedar.exe get _build/scavenge-smoke/damaged.img doc/a \
+		> _build/scavenge-smoke/get3
+	cmp _build/scavenge-smoke/file _build/scavenge-smoke/get3
+	@echo "scavenge-smoke: scavenge rewrites the damaged leader"
+
+# CLI smoke: every cedar command on fresh small FSD and CFS images
+# (scripts/cli_smoke.sh: mkfs, put, get cmp-equal to the input, ls, rm,
+# info, crash, recover, scavenge, stats, trace --limit 5, trace --chrome;
+# inspect and why --chrome on FSD, with both Chrome files valid JSON;
+# inspect, serve and why on CFS must exit 1 naming the FSD volume they
+# need). A second run on fresh images must print byte-identical output
+# and leave cmp-identical images.
+cli-smoke:
+	dune build bin/cedar.exe
+	rm -rf _build/cli-smoke && mkdir -p _build/cli-smoke
+	sh scripts/cli_smoke.sh ./_build/default/bin/cedar.exe _build/cli-smoke/run \
+		> _build/cli-smoke/out1.txt
+	mv _build/cli-smoke/run _build/cli-smoke/run1
+	sh scripts/cli_smoke.sh ./_build/default/bin/cedar.exe _build/cli-smoke/run \
+		> _build/cli-smoke/out2.txt
+	cmp _build/cli-smoke/out1.txt _build/cli-smoke/out2.txt
+	cmp _build/cli-smoke/run1/fsd.img _build/cli-smoke/run/fsd.img
+	cmp _build/cli-smoke/run1/cfs.img _build/cli-smoke/run/cfs.img
+	@echo "cli-smoke: every command ran on FSD and CFS, deterministic"
 
 # Telemetry smoke: two identical open-loop server runs must write valid,
 # non-trivial (>= 20 samples), byte-identical timeline JSON.
@@ -303,9 +329,10 @@ why-smoke:
 	@echo "why-smoke: --churn --ops 0 refused"
 
 # Disk-scheduler smoke: the qdepth sweep must rerun byte-identically and
-# both built-in regression checks must hold — a reordering policy beats
-# FIFO at depth >= 4, and depth-1 rows degenerate to the queue-off
-# baseline.
+# both of its snapshot's checks must hold — a reordering policy beats
+# FIFO at depth >= 4 (shape_ok), and depth-1 rows degenerate to the
+# queue-off baseline (depth1_ok). The harness exits 1 when either fails;
+# the greps pin that both are recorded.
 qdepth-smoke:
 	rm -rf _build/qdepth-smoke && mkdir -p _build/qdepth-smoke
 	dune exec bench/main.exe -- qdepth \
@@ -405,7 +432,7 @@ fmt-check:
 	fi
 
 ci: fmt-check check api-check examples-smoke serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
-	recovery-smoke scavenge-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \
+	recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \
 	perf-smoke bench-diff
 
 clean:

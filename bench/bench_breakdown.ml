@@ -15,18 +15,18 @@
      saturation.
 
    Every op of every rung must satisfy the conservation invariant
-   (queue + execute + append + parked = end - arrived, exactly);
-   BENCH_BREAKDOWN.json records that alongside the per-rung
-   blame and tail shares as named shape checks. *)
+   (queue + execute + append + parked = end - arrived, exactly); the
+   snapshot's checks record that alongside the per-rung blame and tail
+   shares. *)
 
 open Cedar_disk
 module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
-module Fsd = Cedar_fsd.Fsd
 module Crit = Cedar_obs.Critpath
 module Trace = Cedar_obs.Trace
 module J = Cedar_obs.Jsonb
 module Metrics = Cedar_obs.Metrics
+module V = Cedar_volumes.Volume_set
 
 let geom = Geometry.small_test
 let clients = 16
@@ -47,18 +47,15 @@ type rung = {
 }
 
 let run_rung rate =
-  let clock = Cedar_util.Simclock.create () in
-  let device = Device.create ~clock geom in
-  Fsd.format device params;
-  let fs, _report = Fsd.boot ~params device in
-  let tr = Fsd.trace fs in
+  let vset = V.create_fresh ~geom ~params ~clock:(Cedar_util.Simclock.create ()) 1 in
+  let tr = V.trace vset in
   Trace.enable ~capacity:(1 lsl 20) tr;
   let scripts =
     C.open_loop
       { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
       ~clients
   in
-  let report = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
+  let report = S.serve_volumes vset scripts in
   Trace.disable tr;
   if Trace.dropped tr > 0 then begin
     Printf.eprintf
@@ -151,10 +148,7 @@ let checks rungs twice =
     ("deterministic", first.json = twice.json);
   ]
 
-let default_out = "BENCH_BREAKDOWN.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr "knee-sweep latency breakdown (cedar why, conserved phase blame)";
   let rungs = List.map run_rung rates in
   let twice = run_rung (List.hd rates) in
@@ -169,26 +163,13 @@ let run ?out () =
         (100.0 *. park_side r)
         (100.0 *. entry_side r))
     rungs;
-  let cs = checks rungs twice in
-  let failed = List.filter (fun (_, ok) -> not ok) cs in
-  List.iter (fun (name, _) -> Printf.printf "  WARNING: check failed: %s\n" name) failed;
-  if failed = [] then
-    Printf.printf "  all %d blame-shift checks hold\n" (List.length cs);
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "breakdown");
-        ("geometry", J.Str "small_test");
-        ("clients", J.Int clients);
-        ("arrivals", J.Int arrivals);
-        ("commit_interval_us", J.Int params.Cedar_fsd.Params.commit_interval_us);
-        ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) cs));
-        ("checks_failed", J.Int (List.length failed));
-        ("rungs", J.Arr (List.map rung_json rungs));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "breakdown");
+      ("geometry", J.Str "small_test");
+      ("clients", J.Int clients);
+      ("arrivals", J.Int arrivals);
+      ("commit_interval_us", J.Int params.Cedar_fsd.Params.commit_interval_us);
+      Setup.checks (checks rungs twice);
+      ("rungs", J.Arr (List.map rung_json rungs));
+    ]

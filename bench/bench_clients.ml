@@ -4,13 +4,14 @@
    whole point is that one synchronous force covers many clients'
    transactions, so it should grow with N until the disk saturates.
 
-   Everything is simulated and seeded, so the emitted JSON
-   (BENCH_GROUPCOMMIT.json, committed at the repo root) is byte-stable:
-   reviewers diff it like a snapshot test. *)
+   Everything is simulated and seeded, so the snapshot is byte-stable:
+   reviewers diff it like a snapshot test. Its check is the paper's
+   claim: amortisation strictly improves with client count. *)
 
 module S = Cedar_server.Server
 module C = Cedar_workload.Concurrent
 module J = Cedar_obs.Jsonb
+module V = Cedar_volumes.Volume_set
 
 let client_counts = [ 1; 2; 4; 8; 16; 32 ]
 
@@ -19,10 +20,8 @@ let spec = { C.default_spec with C.modules = 8; rounds = 2; think_us = 50_000 }
 type row = { n : int; r : S.report }
 
 let run_one n =
-  let _device, fs = Setup.fsd_volume () in
-  let scripts = C.makedo_scripts spec ~clients:n in
-  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
-  { n; r }
+  let vset = V.create_fresh ~geom:Setup.geom ~clock:(Cedar_util.Simclock.create ()) 1 in
+  { n; r = S.serve_volumes vset (C.makedo_scripts spec ~clients:n) }
 
 let throughput_ops_s row =
   if row.r.S.duration_us = 0 then 0.
@@ -51,10 +50,11 @@ let row_json row =
       ("errors", J.Int r.S.total_errors);
     ]
 
-let default_out = "BENCH_GROUPCOMMIT.json"
+let rec monotone = function
+  | a :: (b :: _ as rest) -> b.r.S.ops_per_force > a.r.S.ops_per_force && monotone rest
+  | _ -> true
 
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr "group-commit scaling: N concurrent make/do clients (cedar serve)";
   Printf.printf
     "  %7s %9s %9s %8s %11s %12s %12s %10s\n"
@@ -70,42 +70,21 @@ let run ?out () =
         (r.S.wait_p99_us /. 1000.)
         r.S.batch_mean)
     rows;
-  (* The paper's claim, as a regression check the harness itself enforces:
-     amortisation strictly improves with client count. *)
-  let rec monotone = function
-    | a :: (b : row) :: rest ->
-      if b.r.S.ops_per_force <= a.r.S.ops_per_force then begin
-        Printf.printf
-          "  WARNING: ops/force not monotone (%d clients: %.2f, %d clients: %.2f)\n"
-          a.n a.r.S.ops_per_force b.n b.r.S.ops_per_force;
-        false
-      end
-      else monotone (b :: rest)
-    | _ -> true
-  in
-  let mono = monotone rows in
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "group-commit-scaling");
-        ("geometry", J.Str (Format.asprintf "%a" Cedar_disk.Geometry.pp Setup.geom));
-        ( "workload",
-          J.Obj
-            [
-              ("kind", J.Str "makedo-per-client");
-              ("modules", J.Int spec.C.modules);
-              ("deps_per_module", J.Int spec.C.deps_per_module);
-              ("rounds", J.Int spec.C.rounds);
-              ("source_bytes", J.Int spec.C.source_bytes);
-              ("think_us", J.Int spec.C.think_us);
-              ("seed", J.Int spec.C.seed);
-            ] );
-        ("ops_per_force_monotone", J.Bool mono);
-        ("rows", J.Arr (List.map row_json rows));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "group-commit-scaling");
+      ("geometry", J.Str (Format.asprintf "%a" Cedar_disk.Geometry.pp Setup.geom));
+      ( "workload",
+        J.Obj
+          [
+            ("kind", J.Str "makedo-per-client");
+            ("modules", J.Int spec.C.modules);
+            ("deps_per_module", J.Int spec.C.deps_per_module);
+            ("rounds", J.Int spec.C.rounds);
+            ("source_bytes", J.Int spec.C.source_bytes);
+            ("think_us", J.Int spec.C.think_us);
+            ("seed", J.Int spec.C.seed);
+          ] );
+      Setup.checks [ ("ops_per_force_monotone", monotone rows) ];
+      ("rows", J.Arr (List.map row_json rows));
+    ]

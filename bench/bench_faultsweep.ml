@@ -4,11 +4,11 @@
    with both name-table copies destroyed after each crash. The columns
    that matter are the recovery-path histogram (log replay should carry
    almost everything, twin repair the damaged-sector points, the
-   scavenger only the forced pass) and the violation count, which the
-   harness requires to be zero.
+   scavenger only the forced pass) and the violation count, whose check
+   requires it to be zero.
 
-   Deterministic and seeded like every other bench: the emitted JSON
-   (BENCH_FAULTSWEEP.json, committed at the repo root) is byte-stable. *)
+   Deterministic and seeded like every other bench: the snapshot is
+   byte-stable. *)
 
 module F = Cedar_server.Faultsweep
 module J = Cedar_obs.Jsonb
@@ -42,29 +42,33 @@ let rows () =
   in
   tear_rows @ [ { label = "scavenge"; cfg = scav_cfg; s = F.sweep scav_cfg } ]
 
+(* A crash sweep's counts, as every sweep row (here and in bench wrap)
+   renders them after its own keys. *)
+let counts_json s =
+  [
+    ("points", J.Int s.F.sw_points);
+    ("runs", J.Int s.F.sw_runs);
+    ("recovered_by_replay", J.Int s.F.sw_replay);
+    ("recovered_by_twin_repair", J.Int s.F.sw_twin_repair);
+    ("recovered_by_scavenge", J.Int s.F.sw_scavenged);
+    ("violations", J.Int (List.length s.F.sw_violations));
+  ]
+
 let row_json row =
   let s = row.s in
   J.Obj
-    [
-      ("mode", J.Str row.label);
-      ("clients", J.Int s.F.sw_clients);
-      ("scavenge", J.Bool s.F.sw_scavenge);
-      ( "writes_per_interval",
-        J.Arr
-          (Array.to_list (Array.map (fun n -> J.Int n) s.F.sw_writes_per_interval))
-      );
-      ("points", J.Int s.F.sw_points);
-      ("runs", J.Int s.F.sw_runs);
-      ("recovered_by_replay", J.Int s.F.sw_replay);
-      ("recovered_by_twin_repair", J.Int s.F.sw_twin_repair);
-      ("recovered_by_scavenge", J.Int s.F.sw_scavenged);
-      ("violations", J.Int (List.length s.F.sw_violations));
-    ]
+    ([
+       ("mode", J.Str row.label);
+       ("clients", J.Int s.F.sw_clients);
+       ("scavenge", J.Bool s.F.sw_scavenge);
+       ( "writes_per_interval",
+         J.Arr
+           (Array.to_list (Array.map (fun n -> J.Int n) s.F.sw_writes_per_interval))
+       );
+     ]
+    @ counts_json s)
 
-let default_out = "BENCH_FAULTSWEEP.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr
     "crash-injection sweep: every sector write of every force interval \
      (cedar faultsweep)";
@@ -81,19 +85,11 @@ let run ?out () =
   let total_violations =
     List.fold_left (fun n r -> n + List.length r.s.F.sw_violations) 0 rows
   in
-  if total_violations > 0 then
-    Printf.printf "  WARNING: %d recovery-contract violations\n" total_violations;
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "faultsweep");
-        ("workload", J.Str "crash_reference, 2 clients");
-        ("violations_total", J.Int total_violations);
-        ("rows", J.Arr (List.map row_json rows));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "faultsweep");
+      ("workload", J.Str "crash_reference, 2 clients");
+      ("violations_total", J.Int total_violations);
+      Setup.checks [ ("no_violations", total_violations = 0) ];
+      ("rows", J.Arr (List.map row_json rows));
+    ]

@@ -6,27 +6,27 @@
    over FIFO, and does that show up where clients feel it (p99 op
    latency)?
 
-   Two built-in regression checks ride along:
+   Two checks ride along in the snapshot:
 
-   - shape: at queue depth >= 4 a reordering policy must beat FIFO on
-     both total seek time and p99 latency (the scheduler exists for a
-     reason);
-   - degeneracy: at depth 1 there is nothing to reorder, so every
+   - shape_ok: at queue depth >= 4 a reordering policy must beat FIFO
+     on both total seek time and p99 latency (the scheduler exists for
+     a reason);
+   - depth1_ok: at depth 1 there is nothing to reorder, so every
      policy's row must be identical to the others and to a run with the
      queue disabled entirely (the depth-1 pin -- queueing is off, the
      synchronous path byte-for-byte).
 
-   Everything is simulated and seeded, so BENCH_QDEPTH.json is
-   byte-stable and diffable like a snapshot test. *)
+   Everything is simulated and seeded, so the snapshot is byte-stable
+   and diffable like a snapshot test. *)
 
 open Cedar_util
 open Cedar_disk
 module Params = Cedar_fsd.Params
-module Fsd = Cedar_fsd.Fsd
 module S = Cedar_server.Server
 module C = Cedar_workload.Concurrent
 module M = Cedar_obs.Metrics
 module J = Cedar_obs.Jsonb
+module V = Cedar_volumes.Volume_set
 
 let client_counts = [ 4; 8 ]
 let depths = [ 1; 4; 8 ]
@@ -61,17 +61,13 @@ let pctl st p =
   if Stats.n st = 0 then 0.0 else Stats.percentile st p
 
 let run_cell ~clients ~policy ~depth =
-  let clock = Simclock.create () in
-  let device = Device.create ~clock Setup.geom in
   let params =
     { Params.default with Params.disk_sched = policy; disk_qdepth = depth }
   in
-  Fsd.format device params;
-  let fs, _report = Fsd.boot ~params device in
-  let scripts = C.churn_scripts spec ~clients in
-  let r = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
+  let vset = V.create_fresh ~geom:Setup.geom ~params ~clock:(Simclock.create ()) 1 in
+  let r = S.serve_volumes vset (C.churn_scripts spec ~clients) in
   let lat =
-    match M.read_dist (Device.metrics device) "server.op_latency_us" with
+    match M.read_dist (V.metrics vset) "server.op_latency_us" with
     | Some st -> st
     | None -> Stats.create ()
   in
@@ -80,7 +76,7 @@ let run_cell ~clients ~policy ~depth =
     c_depth = depth;
     c_policy = policy;
     c_r = r;
-    c_io = Iostats.copy (Device.stats device);
+    c_io = Iostats.copy (Device.stats (V.device vset 0));
     c_lat_p50 = pctl lat 0.50;
     c_lat_p99 = pctl lat 0.99;
     c_lat_max = pctl lat 1.0;
@@ -165,10 +161,7 @@ let depth1_checks cells baselines =
       (clients, same))
     client_counts
 
-let default_out = "BENCH_QDEPTH.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr
     "disk scheduler sweep: clients x queue depth x policy (churn workload)";
   let cells =
@@ -201,69 +194,44 @@ let run ?out () =
     (baselines @ cells);
   let shapes = shape_checks cells in
   let d1 = depth1_checks cells baselines in
-  let shape_ok =
-    List.for_all (fun (_, _, elev, sstf) -> elev || sstf) shapes
-  in
-  let depth1_ok = List.for_all snd d1 in
-  List.iter
-    (fun (clients, depth, elev, sstf) ->
-      if not (elev || sstf) then
-        Printf.printf
-          "  WARNING: no policy beats fifo at clients=%d depth=%d (elevator=%b sstf=%b)\n"
-          clients depth elev sstf)
-    shapes;
-  List.iter
-    (fun (clients, same) ->
-      if not same then
-        Printf.printf
-          "  WARNING: depth-1 rows differ from the queue-off baseline at clients=%d\n"
-          clients)
-    d1;
-  Printf.printf "  shape checks %s, depth-1 degeneracy %s\n"
-    (if shape_ok then "ok" else "FAILED")
-    (if depth1_ok then "ok" else "FAILED");
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "disk-scheduler-sweep");
-        ("geometry", J.Str (Format.asprintf "%a" Geometry.pp Setup.geom));
-        ( "workload",
-          J.Obj
-            [
-              ("kind", J.Str "churn-per-client");
-              ("slots", J.Int spec.C.slots);
-              ("churn_ops", J.Int spec.C.churn_ops);
-              ("bytes_min", J.Int spec.C.bytes_min);
-              ("bytes_max", J.Int spec.C.bytes_max);
-              ("think_us", J.Int spec.C.churn_think_us);
-              ("seed", J.Int spec.C.churn_seed);
-            ] );
-        ( "shape_checks",
-          J.Arr
-            (List.map
-               (fun (clients, depth, elev, sstf) ->
-                 J.Obj
-                   [
-                     ("clients", J.Int clients);
-                     ("depth", J.Int depth);
-                     ("elevator_beats_fifo", J.Bool elev);
-                     ("sstf_beats_fifo", J.Bool sstf);
-                   ])
-               shapes) );
-        ("shape_ok", J.Bool shape_ok);
-        ( "depth1_identical",
-          J.Arr
-            (List.map
-               (fun (clients, same) ->
-                 J.Obj [ ("clients", J.Int clients); ("identical", J.Bool same) ])
-               d1) );
-        ("depth1_ok", J.Bool depth1_ok);
-        ("baselines", J.Arr (List.map row_json baselines));
-        ("rows", J.Arr (List.map row_json cells));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "disk-scheduler-sweep");
+      ("geometry", J.Str (Format.asprintf "%a" Geometry.pp Setup.geom));
+      ( "workload",
+        J.Obj
+          [
+            ("kind", J.Str "churn-per-client");
+            ("slots", J.Int spec.C.slots);
+            ("churn_ops", J.Int spec.C.churn_ops);
+            ("bytes_min", J.Int spec.C.bytes_min);
+            ("bytes_max", J.Int spec.C.bytes_max);
+            ("think_us", J.Int spec.C.churn_think_us);
+            ("seed", J.Int spec.C.churn_seed);
+          ] );
+      Setup.checks
+        [
+          ("shape_ok", List.for_all (fun (_, _, elev, sstf) -> elev || sstf) shapes);
+          ("depth1_ok", List.for_all snd d1);
+        ];
+      ( "shape_checks",
+        J.Arr
+          (List.map
+             (fun (clients, depth, elev, sstf) ->
+               J.Obj
+                 [
+                   ("clients", J.Int clients);
+                   ("depth", J.Int depth);
+                   ("elevator_beats_fifo", J.Bool elev);
+                   ("sstf_beats_fifo", J.Bool sstf);
+                 ])
+             shapes) );
+      ( "depth1_identical",
+        J.Arr
+          (List.map
+             (fun (clients, same) ->
+               J.Obj [ ("clients", J.Int clients); ("identical", J.Bool same) ])
+             d1) );
+      ("baselines", J.Arr (List.map row_json baselines));
+      ("rows", J.Arr (List.map row_json cells));
+    ]

@@ -10,13 +10,13 @@
    enabled. The trace then gives:
 
    - the measured replay time and record/page counts, which must grow
-     ~linearly across the 1x/10x/100x scales;
+     ~linearly across the 1x/10x/100x scales (check replay_linear);
    - every Dev_read that landed in the log body, which must touch no
-     sector more than once — the single sequential pass. The harness
-     hard-fails on a double read; this file IS the assertion.
+     sector more than once — the single sequential pass (check
+     single_pass, which also wants every committed record replayed).
 
-   Deterministic (simulated clock, fixed workload), so the emitted
-   BENCH_RECOVERY.json is byte-stable and committed at the repo root. *)
+   Deterministic (simulated clock, fixed workload), so the snapshot is
+   byte-stable. *)
 
 open Cedar_disk
 open Cedar_fsd
@@ -86,6 +86,8 @@ let run_scale n =
     max_reads;
   }
 
+let per_record r = float_of_int r.replay_us /. float_of_int (max 1 r.n)
+
 let row_json r =
   J.Obj
     [
@@ -97,14 +99,23 @@ let row_json r =
       ("restart_total_us", J.Int r.total_us);
       ("log_body_sectors_read", J.Int r.body_reads);
       ("max_reads_per_sector", J.Int r.max_reads);
-      ( "replay_us_per_record",
-        J.Float (float_of_int r.replay_us /. float_of_int (max 1 r.n)) );
+      ("replay_us_per_record", J.Float (per_record r));
     ]
 
-let default_out = "BENCH_RECOVERY.json"
+(* Single pass: every row replays exactly the records it committed and
+   reads no log-body sector twice. *)
+let single_pass rows =
+  List.for_all (fun r -> r.replayed = r.n && r.max_reads <= 1) rows
 
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+(* Linearity: per-record replay cost must not grow with scale (fixed
+   boot costs shrink it instead). A super-linear replay would roughly
+   double us/record each decade; 1.5x catches that while tolerating
+   noise-free simulated-time quantisation. *)
+let replay_linear = function
+  | small :: rest -> List.for_all (fun r -> per_record r <= 1.5 *. per_record small) rest
+  | [] -> true
+
+let build () =
   Setup.hr "restart time vs live log length (single-pass REDO replay)";
   let rows = List.map run_scale scales in
   Printf.printf "  %8s %12s %9s %8s %10s %11s %10s\n" "records" "live-sect"
@@ -112,53 +123,14 @@ let run ?out () =
   List.iter
     (fun r ->
       Printf.printf "  %8d %12d %9d %8d %10d %11.1f %10d\n" r.n r.live_sectors
-        r.replayed r.replayed_pages r.replay_us
-        (float_of_int r.replay_us /. float_of_int (max 1 r.n))
-        r.max_reads)
+        r.replayed r.replayed_pages r.replay_us (per_record r) r.max_reads)
     rows;
-  List.iter
-    (fun r ->
-      if r.replayed <> r.n then begin
-        Printf.printf
-          "  FAIL: %d records committed before the crash but %d replayed\n" r.n
-          r.replayed;
-        exit 1
-      end;
-      if r.max_reads > 1 then begin
-        Printf.printf
-          "  FAIL: a log body sector was read %d times during restart \
-           (single-pass contract)\n"
-          r.max_reads;
-        exit 1
-      end)
-    rows;
-  (* Linearity guard: per-record replay cost must not grow with scale
-     (fixed boot costs shrink it instead). A super-linear replay would
-     roughly double us/record each decade; 1.5x catches that while
-     tolerating noise-free simulated-time quantisation. *)
-  (match rows with
-  | small :: rest ->
-    let per r = float_of_int r.replay_us /. float_of_int (max 1 r.n) in
-    List.iter
-      (fun r ->
-        if per r > 1.5 *. per small then
-          Printf.printf
-            "  WARNING: replay us/record grew from %.1f (n=%d) to %.1f (n=%d)\n"
-            (per small) small.n (per r) r.n)
-      rest
-  | [] -> ());
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "recovery-restart");
-        ("geometry", J.Str (Format.asprintf "%a" Geometry.pp Setup.geom));
-        ("log_sectors", J.Int params.Params.log_sectors);
-        ("single_pass", J.Bool true);
-        ("rows", J.Arr (List.map row_json rows));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "recovery-restart");
+      ("geometry", J.Str (Format.asprintf "%a" Geometry.pp Setup.geom));
+      ("log_sectors", J.Int params.Params.log_sectors);
+      Setup.checks
+        [ ("single_pass", single_pass rows); ("replay_linear", replay_linear rows) ];
+      ("rows", J.Arr (List.map row_json rows));
+    ]

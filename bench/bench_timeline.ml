@@ -7,7 +7,7 @@
    fresh small-geometry volume, so rungs are independent and the whole
    sweep is reproducible from the seed.
 
-   What BENCH_TIMELINE.json asserts (the regression surface):
+   What the snapshot's checks assert (the regression surface):
 
    - device busy fraction and commit-wait p99 rise monotonically with
      offered load (within a small tolerance for the flat region);
@@ -30,6 +30,7 @@ module Fsd = Cedar_fsd.Fsd
 module Mon = Cedar_obs.Monitor
 module Timeline = Cedar_obs.Timeline
 module J = Cedar_obs.Jsonb
+module V = Cedar_volumes.Volume_set
 
 let geom = Geometry.small_test
 let clients = 16
@@ -55,17 +56,14 @@ type rung = {
 }
 
 let run_rung rate =
-  let clock = Cedar_util.Simclock.create () in
-  let device = Device.create ~clock geom in
-  Fsd.format device params;
-  let fs, _report = Fsd.boot ~params device in
-  let m = Fsd.enable_monitor fs in
+  let vset = V.create_fresh ~geom ~params ~clock:(Cedar_util.Simclock.create ()) 1 in
+  let m = Fsd.enable_monitor (V.vol vset 0) in
   let scripts =
     C.open_loop
       { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
       ~clients
   in
-  let report = S.serve_volumes (Cedar_volumes.Volume_set.of_fsd fs) scripts in
+  let report = S.serve_volumes vset scripts in
   let samples = Mon.samples m in
   {
     rate;
@@ -156,10 +154,7 @@ let checks rungs twice =
     ("deterministic", first.timeline_json = twice.timeline_json);
   ]
 
-let default_out = "BENCH_TIMELINE.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr "open-loop saturation sweep (cedar serve --open-loop, telemetry monitor)";
   let rungs = List.map run_rung rates in
   let twice = run_rung (List.hd rates) in
@@ -174,26 +169,14 @@ let run ?out () =
         (r.report.S.wait_p99_us /. 1000.)
         (List.length r.samples))
     rungs;
-  let cs = checks rungs twice in
-  let failed = List.filter (fun (_, ok) -> not ok) cs in
-  List.iter (fun (name, _) -> Printf.printf "  WARNING: check failed: %s\n" name) failed;
-  if failed = [] then Printf.printf "  all %d knee checks hold\n" (List.length cs);
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "timeline");
-        ("geometry", J.Str "small_test");
-        ("clients", J.Int clients);
-        ("arrivals", J.Int arrivals);
-        ("commit_interval_us", J.Int commit_interval_us);
-        ("monitor_interval_us", J.Int Cedar_fsd.Params.monitor_interval_us);
-        ("checks", J.Obj (List.map (fun (n, ok) -> (n, J.Bool ok)) cs));
-        ("checks_failed", J.Int (List.length failed));
-        ("rungs", J.Arr (List.map rung_json rungs));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "timeline");
+      ("geometry", J.Str "small_test");
+      ("clients", J.Int clients);
+      ("arrivals", J.Int arrivals);
+      ("commit_interval_us", J.Int commit_interval_us);
+      ("monitor_interval_us", J.Int Cedar_fsd.Params.monitor_interval_us);
+      Setup.checks (checks rungs twice);
+      ("rungs", J.Arr (List.map rung_json rungs));
+    ]

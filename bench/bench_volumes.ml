@@ -3,7 +3,7 @@
    each) under the single cooperative scheduler.
 
    The single-volume ops/force curve flattens with client count (see
-   BENCH_GROUPCOMMIT.json: 7.1 at N=16 -> 8.7 at N=32) because one FNT
+   bench clients: 7.1 at N=16 -> 8.7 at N=32) because one FNT
    and one log serialise every metadata mutation. Sharding removes that
    serialisation: each volume's force rides its own spindle, so forces
    on distinct volumes overlap in simulated time and the system pays
@@ -11,8 +11,8 @@
    headline metric is therefore *aggregate acked mutations per
    per-volume log force* — mutations retired per commit window —
    computed as acked * V / total log forces. For V = 1 it reduces to
-   the plain ops/force of BENCH_GROUPCOMMIT.json, so the two benches
-   share a baseline.
+   the plain ops/force of bench clients, so the two benches share a
+   baseline.
 
    Workload parity: every row (including V = 1) runs the same
    [Concurrent.makedo_scripts] spec as `bench clients`, wrapped by
@@ -20,11 +20,10 @@
    k mod V (V = 1 gets the constant "v0/" prefix — same shape, one
    shard).
 
-   Everything is simulated and seeded; BENCH_VOLUMES.json is
-   byte-stable and diffed like a snapshot test. The two acceptance
-   shape checks — 4 volumes >= 2x the single-volume figure at N = 32,
-   and monotone growth in volume count at N = 64 — are recorded in the
-   JSON and enforced here (exit 1 on violation). *)
+   Everything is simulated and seeded; the snapshot is byte-stable and
+   diffed like a snapshot test. Its checks: 4 volumes >= 2x the
+   single-volume figure at N = 32, monotone growth in volume count at
+   N = 64, and the single-volume curve flattening from 32 to 64. *)
 
 module S = Cedar_server.Server
 module V = Cedar_volumes.Volume_set
@@ -84,10 +83,7 @@ let row_json row =
 let find rows ~volumes ~clients =
   List.find (fun row -> row.volumes = volumes && row.clients = clients) rows
 
-let default_out = "BENCH_VOLUMES.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr
     "multi-volume scale-out: N make/do clients sharded over V volumes";
   Printf.printf "  %7s %7s %9s %9s %9s %12s %11s %10s\n" "volumes" "clients"
@@ -107,16 +103,15 @@ let run ?out () =
           volume_counts)
       client_counts
   in
-  (* Shape check 1: at N = 32 clients, four volumes must at least double
-     the single-volume amortisation (whose figure tracks the 8.x of
-     BENCH_GROUPCOMMIT.json). *)
+  (* At N = 32 clients, four volumes must at least double the
+     single-volume amortisation (whose figure tracks the 8.x of bench
+     clients). *)
   let v1_32 = agg_ops_per_force (find rows ~volumes:1 ~clients:32) in
   let v4_32 = agg_ops_per_force (find rows ~volumes:4 ~clients:32) in
   let v4_over_v1 = if v1_32 = 0. then 0. else v4_32 /. v1_32 in
-  let doubled = v4_over_v1 >= 2.0 in
-  (* Shape check 2: at N = 64 clients the aggregate curve must not
-     decline anywhere as volumes are added (ties allowed — two volume
-     counts can land on the same window occupancy). *)
+  (* At N = 64 clients the aggregate curve must not decline anywhere as
+     volumes are added (ties allowed — two volume counts can land on the
+     same window occupancy). *)
   let at_64 =
     List.map (fun v -> agg_ops_per_force (find rows ~volumes:v ~clients:64))
       volume_counts
@@ -125,55 +120,39 @@ let run ?out () =
     | a :: b :: rest -> a <= b && non_decreasing (b :: rest)
     | _ -> true
   in
-  let monotone_64 = non_decreasing at_64 in
-  (* Context check (recorded, not fatal): the single-volume curve has
-     flattened — doubling the clients from 32 to 64 buys little. *)
+  (* And the single-volume curve has flattened: doubling the clients
+     from 32 to 64 buys little. *)
   let v1_64 = agg_ops_per_force (find rows ~volumes:1 ~clients:64) in
-  let v1_flat = v1_64 <= 1.25 *. v1_32 in
-  Printf.printf "  shape: v4/v1 at N=32 = %.2f (>= 2.0: %b)\n" v4_over_v1
-    doubled;
-  Printf.printf "  shape: monotone in volumes at N=64: %b [%s]\n" monotone_64
+  Printf.printf "  v4/v1 at N=32: %.2f\n" v4_over_v1;
+  Printf.printf "  agg op/force by volumes at N=64: [%s]\n"
     (String.concat " " (List.map (Printf.sprintf "%.2f") at_64));
-  Printf.printf "  shape: single-volume flattens 32->64: %b (%.2f -> %.2f)\n"
-    v1_flat v1_32 v1_64;
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "multi-volume-scale-out");
-        ("geometry", J.Str (Format.asprintf "%a" Cedar_disk.Geometry.pp Setup.geom));
-        ( "workload",
-          J.Obj
-            [
-              ("kind", J.Str "makedo-per-client-sharded");
-              ("modules", J.Int spec.C.modules);
-              ("deps_per_module", J.Int spec.C.deps_per_module);
-              ("rounds", J.Int spec.C.rounds);
-              ("source_bytes", J.Int spec.C.source_bytes);
-              ("think_us", J.Int spec.C.think_us);
-              ("seed", J.Int spec.C.seed);
-            ] );
-        ( "metric",
-          J.Str
-            "agg_ops_per_force = mutations_acked * volumes / log_forces \
-             (mutations per commit window; per-volume forces overlap on \
-             independent spindles)" );
-        ( "shape",
-          J.Obj
-            [
-              ("v4_over_v1_at_32", J.Float v4_over_v1);
-              ("v4_ge_2x_v1_at_32", J.Bool doubled);
-              ("monotone_in_volumes_at_64", J.Bool monotone_64);
-              ("single_volume_flattens", J.Bool v1_flat);
-            ] );
-        ("rows", J.Arr (List.map row_json rows));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out;
-  if not (doubled && monotone_64) then begin
-    prerr_endline "bench volumes: scale-out shape check FAILED";
-    exit 1
-  end
+  Printf.printf "  single volume 32->64: %.2f -> %.2f\n" v1_32 v1_64;
+  J.Obj
+    [
+      ("bench", J.Str "multi-volume-scale-out");
+      ("geometry", J.Str (Format.asprintf "%a" Cedar_disk.Geometry.pp Setup.geom));
+      ( "workload",
+        J.Obj
+          [
+            ("kind", J.Str "makedo-per-client-sharded");
+            ("modules", J.Int spec.C.modules);
+            ("deps_per_module", J.Int spec.C.deps_per_module);
+            ("rounds", J.Int spec.C.rounds);
+            ("source_bytes", J.Int spec.C.source_bytes);
+            ("think_us", J.Int spec.C.think_us);
+            ("seed", J.Int spec.C.seed);
+          ] );
+      ( "metric",
+        J.Str
+          "agg_ops_per_force = mutations_acked * volumes / log_forces \
+           (mutations per commit window; per-volume forces overlap on \
+           independent spindles)" );
+      ("shape", J.Obj [ ("v4_over_v1_at_32", J.Float v4_over_v1) ]);
+      Setup.checks
+        [
+          ("v4_ge_2x_v1_at_32", v4_over_v1 >= 2.0);
+          ("monotone_in_volumes_at_64", non_decreasing at_64);
+          ("single_volume_flattens", v1_64 <= 1.25 *. v1_32);
+        ];
+      ("rows", J.Arr (List.map row_json rows));
+    ]

@@ -1,6 +1,6 @@
 (* Log-wrap endurance and the wrap-window crash sweep (bench wrap).
 
-   Two halves, both deterministic and emitted to BENCH_WRAP.json:
+   Two halves, both deterministic and recorded in one snapshot:
 
    - endurance rows: the faultsweep harness's clean run of the churn
      workload on the small and tiny geometries, given the one
@@ -12,7 +12,8 @@
      recovery-contract violations.
 
    The violation counters in the JSON are the regression surface: any
-   non-zero value is a recovery bug, and the harness warns loudly. *)
+   non-zero value is a recovery bug, and the snapshot's no_violations
+   check fails on it. *)
 
 open Cedar_disk
 module F = Cedar_server.Faultsweep
@@ -59,21 +60,11 @@ let endurance_json (label, r) =
 
 let sweep_json (label, s) =
   J.Obj
-    [
-      ("tear", J.Str label);
-      ("intervals_swept", J.Int (List.length s.F.sw_intervals));
-      ("points", J.Int s.F.sw_points);
-      ("runs", J.Int s.F.sw_runs);
-      ("recovered_by_replay", J.Int s.F.sw_replay);
-      ("recovered_by_twin_repair", J.Int s.F.sw_twin_repair);
-      ("recovered_by_scavenge", J.Int s.F.sw_scavenged);
-      ("violations", J.Int (List.length s.F.sw_violations));
-    ]
+    (("tear", J.Str label)
+    :: ("intervals_swept", J.Int (List.length s.F.sw_intervals))
+    :: Bench_faultsweep.counts_json s)
 
-let default_out = "BENCH_WRAP.json"
-
-let run ?out () =
-  let out = match out with Some p -> p | None -> default_out in
+let build () =
   Setup.hr "log-wrap endurance + wrap-window crash sweep (cedar churn / faultsweep --wrap)";
   let es = endurance_rows () in
   Printf.printf "  %-10s %6s %7s %7s %7s %7s %7s %6s\n" "geometry" "acked"
@@ -100,19 +91,16 @@ let run ?out () =
     List.fold_left (fun n (_, s) -> n + List.length s.F.sw_violations) 0 ss
     + List.fold_left (fun n (_, r) -> n + clean_violations r) 0 es
   in
-  if violations > 0 then
-    Printf.printf "  WARNING: %d wrap-window contract violations\n" violations;
-  let obj =
-    J.Obj
-      [
-        ("bench", J.Str "log-wrap");
-        ("violations_total", J.Int violations);
-        ("endurance", J.Arr (List.map endurance_json es));
-        ("wrap_sweep", J.Arr (List.map sweep_json ss));
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (J.to_string_pretty obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote %s\n" out
+  J.Obj
+    [
+      ("bench", J.Str "log-wrap");
+      ("violations_total", J.Int violations);
+      Setup.checks
+        [
+          ("no_violations", violations = 0);
+          ( "endurance_digests_match",
+            List.for_all (fun (_, r) -> r.F.c_digest_match) es );
+        ];
+      ("endurance", J.Arr (List.map endurance_json es));
+      ("wrap_sweep", J.Arr (List.map sweep_json ss));
+    ]

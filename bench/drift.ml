@@ -1,6 +1,6 @@
 (* The drift gate's comparisons (bench diff): a structural diff of a
-   regenerated snapshot against its committed copy, and the named shape
-   checks every committed snapshot must record as holding.
+   regenerated snapshot against its committed copy, and the one rule
+   for the named checks every snapshot records.
 
    The simulation is deterministic, so every field must match exactly
    except the ones whose key is declared in [tolerant_keys]: measured
@@ -108,63 +108,21 @@ let rec diff ~path ~key want got acc =
     if want = got then acc
     else Printf.sprintf "%s: %s, want %s" path (J.to_string got) (J.to_string want) :: acc
 
-(* The named shape checks of the committed snapshots. A regenerated
-   snapshot whose check fails differs from a committed one that holds,
-   so [diff] catches it; this list catches a snapshot committed with the
-   check already failing. A path step is an object key, or "*" for
-   every field of an object or element of an array. [True] wants every
-   boolean the path reaches to be true (other values are skipped, but
-   at least one boolean must be reached); [Zero] wants the integer 0. *)
-type want = True | Zero
-
-let shape_checks =
-  [
-    ("BENCH_TIMELINE.json", [ "checks"; "*" ], True);
-    ("BENCH_BREAKDOWN.json", [ "checks"; "*" ], True);
-    ("BENCH_QDEPTH.json", [ "shape_ok" ], True);
-    ("BENCH_QDEPTH.json", [ "depth1_ok" ], True);
-    ("BENCH_VOLUMES.json", [ "shape"; "*" ], True);
-    ("BENCH_GROUPCOMMIT.json", [ "ops_per_force_monotone" ], True);
-    ("BENCH_WRAP.json", [ "endurance"; "*"; "digest_match" ], True);
-    ("BENCH_FAULTSWEEP.json", [ "violations_total" ], Zero);
-  ]
-
-(* The values [steps] reaches in [v], each with its path. *)
-let rec reach ~path steps v =
-  match (steps, v) with
-  | [], _ -> [ (path, v) ]
-  | "*" :: rest, J.Obj kvs ->
-    List.concat_map (fun (k, x) -> reach ~path:(path ^ "." ^ k) rest x) kvs
-  | "*" :: rest, J.Arr xs ->
-    List.concat
-      (List.mapi (fun i x -> reach ~path:(Printf.sprintf "%s[%d]" path i) rest x) xs)
-  | k :: rest, J.Obj kvs -> (
-    match List.assoc_opt k kvs with
-    | Some x -> reach ~path:(path ^ "." ^ k) rest x
-    | None -> [])
-  | _ :: _, _ -> []
-
-(* One line per check of [file]'s snapshot [v] that does not hold. *)
-let failed_checks file v =
-  List.concat_map
-    (fun (f, steps, want) ->
-      if f <> file then []
-      else begin
-        let where = file ^ "." ^ String.concat "." steps in
-        match (want, reach ~path:file steps v) with
-        | True, found ->
-          let bools =
-            List.filter_map
-              (function p, J.Bool b -> Some (p, b) | _ -> None)
-              found
-          in
-          if bools = [] then [ where ^ ": no check recorded" ]
-          else
-            List.filter_map
-              (fun (p, b) -> if b then None else Some (p ^ ": false, want true"))
-              bools
-        | Zero, [ (_, J.Int 0) ] -> []
-        | Zero, [ (p, x) ] -> [ Printf.sprintf "%s: %s, want 0" p (J.to_string x) ]
-        | Zero, _ -> [ where ^ ": no check recorded" ]
-      end)
-    shape_checks
+(* The one check rule. A snapshot records its contract as one top-level
+   "checks" object of named booleans. A regenerated snapshot whose check
+   fails differs from a committed one that holds, so [diff] catches it;
+   this rule also catches a snapshot committed with a check already
+   failing, or with no check at all. One line per entry of [v]'s checks
+   that is not [true], or one line when [v] records none; [label] (the
+   snapshot's path) prefixes each. *)
+let failed_checks label v =
+  let where = label ^ ".checks" in
+  let checks = match v with J.Obj kvs -> List.assoc_opt "checks" kvs | _ -> None in
+  match checks with
+  | Some (J.Obj (_ :: _ as cs)) ->
+    List.filter_map
+      (fun (name, c) ->
+        if c = J.Bool true then None
+        else Some (Printf.sprintf "%s.%s: %s, want true" where name (J.to_string c)))
+      cs
+  | _ -> [ where ^ ": no check recorded" ]

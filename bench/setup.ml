@@ -45,3 +45,9 @@ let pct x = x *. 100.0
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
+
+(* A snapshot's contract: its top-level "checks" object of named
+   booleans, which the harness and bench diff enforce
+   ([Drift.failed_checks]). *)
+let checks cs =
+  ("checks", Cedar_obs.Jsonb.Obj (List.map (fun (n, ok) -> (n, Cedar_obs.Jsonb.Bool ok)) cs))

@@ -7,6 +7,7 @@ module B = Cedar_btree.Btree.Make (Fnt_store)
 type report = {
   entries_kept : int;
   entries_rebuilt : int;
+  leaders_rewritten : int;
   stale_leaders : int;
   conflicts : int;
   quarantined_sectors : int;
@@ -17,10 +18,10 @@ type report = {
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "%d entries kept, %d rebuilt from leaders, %d stale leaders dropped, %d \
-     conflicts (%d sectors quarantined), %d FNT page pairs lost, %d log \
-     records replayed"
-    r.entries_kept r.entries_rebuilt r.stale_leaders r.conflicts
+    "%d entries kept, %d rebuilt from leaders, %d leaders rewritten, %d \
+     stale leaders dropped, %d conflicts (%d sectors quarantined), %d FNT \
+     page pairs lost, %d log records replayed"
+    r.entries_kept r.entries_rebuilt r.leaders_rewritten r.stale_leaders r.conflicts
     r.quarantined_sectors r.fnt_pages_lost r.replayed_records
 
 (* A logged leader image may be applied to its home sector only when
@@ -159,7 +160,7 @@ let run device =
       true
     end
   in
-  let entries_kept = ref 0 in
+  let kept = ref [] in
   List.iter
     (fun (k, v) ->
       match Entry.decode v with
@@ -170,7 +171,7 @@ let run device =
         if ok then begin
           Hashtbl.replace accepted k e;
           Hashtbl.replace accepted_uids e.Entry.uid ();
-          incr entries_kept
+          kept := (k, e) :: !kept
         end
         else incr conflicts)
     (List.rev !tree_entries);
@@ -238,6 +239,30 @@ let run device =
     (if Int64.compare !uid_floor (Int64.add max_uid 1L) > 0 then !uid_floor
      else Int64.add max_uid 1L);
   Fnt_store.flush_anchor store;
+  (* A kept entry owns its anchor sector, so when the sweep found no
+     leader there corroborating the entry (damaged, torn or stale), the
+     image the scrubber writes goes home. The sweep already read every
+     anchor: this adds writes, not reads. *)
+  let swept = Hashtbl.create 256 in
+  List.iter (fun (s, l) -> Hashtbl.replace swept s l) !leaders;
+  let leaders_rewritten = ref 0 in
+  List.iter
+    (fun (key, (e : Entry.t)) ->
+      match Fname.parse key with
+      | Some (name, version) when e.Entry.anchor >= 0 ->
+        let corroborated =
+          match Hashtbl.find_opt swept e.Entry.anchor with
+          | Some l -> Leader.matches l ~name ~version e
+          | None -> false
+        in
+        if not corroborated then begin
+          Device.write device e.Entry.anchor
+            (Leader.encode (Leader.of_entry ~name ~version e)
+               ~sector_bytes:geom.Geometry.sector_bytes);
+          incr leaders_rewritten
+        end
+      | Some _ | None -> ())
+    (List.rev !kept);
   let vam = Vam.create_all_free layout in
   List.iter
     (fun (_, e) ->
@@ -271,8 +296,9 @@ let run device =
     params;
   end_phase "write-back";
   {
-    entries_kept = !entries_kept;
+    entries_kept = List.length !kept;
     entries_rebuilt = !entries_rebuilt;
+    leaders_rewritten = !leaders_rewritten;
     stale_leaders = !stale_leaders;
     conflicts = !conflicts;
     quarantined_sectors = Hashtbl.length quarantine;

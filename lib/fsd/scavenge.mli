@@ -18,6 +18,8 @@
       allocated, referenced by nothing) rather than handed out again;
     + drop stale leaders of deleted files when the surviving name table
       is complete enough to prove the deletion;
+    + rewrite the leader of every salvaged entry whose leader did not
+      corroborate it (damaged, torn or stale), as the scrubber would;
     + write a fresh FNT, VAM, empty log, and clean boot page.
 
     After {!run} the volume boots cleanly with nothing to replay. Files
@@ -29,6 +31,8 @@
 type report = {
   entries_kept : int;  (** salvaged from surviving FNT pages *)
   entries_rebuilt : int;  (** reconstructed from leader pages *)
+  leaders_rewritten : int;
+      (** leaders of salvaged entries rewritten from the entry *)
   stale_leaders : int;  (** leaders of provably deleted files, dropped *)
   conflicts : int;  (** key/sector claims that lost to a newer uid *)
   quarantined_sectors : int;

@@ -20,6 +20,7 @@ open Cedar_fsd
 open Cedar_workload
 module Jsonb = Cedar_obs.Jsonb
 module Metrics = Cedar_obs.Metrics
+module Volume_set = Cedar_volumes.Volume_set
 
 type workload =
   | Reference  (** the unique-name crash_reference script, all intervals *)
@@ -117,13 +118,6 @@ type base = {
   wrap_intervals : int list;
       (* intervals in which the log entered a third, plus neighbours *)
 }
-
-let fresh_volume geom params =
-  let clock = Simclock.create () in
-  let device = Device.create ~clock geom in
-  Fsd.format device params;
-  let fs, _ = Fsd.boot device in
-  (device, fs)
 
 (* The wrap window: every force interval in which the log entered a
    third, widened by one interval each side — the entry's home-write
@@ -329,7 +323,8 @@ let clean_pass ?geom ~clients workload =
         invalid_arg "Faultsweep: churn_keep must match the volume's default_keep";
       Concurrent.churn_scripts spec ~clients
   in
-  let device, fs = fresh_volume geom params in
+  let vset = Volume_set.create_fresh ~geom ~params ~clock:(Simclock.create ()) 1 in
+  let device = Volume_set.device vset 0 and fs = Volume_set.vol vset 0 in
   let plan = Crash_plan.attach device in
   let samples = ref [] in
   let config =
@@ -342,9 +337,7 @@ let clean_pass ?geom ~clients workload =
             Crash_plan.note_force plan);
     }
   in
-  let server =
-    Server.create_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) scripts
-  in
+  let server = Server.create_volumes ~config vset scripts in
   let report =
     match Server.run_to_crash server with
     | Server.Completed r -> r
@@ -402,7 +395,11 @@ let clean_run ?geom ~clients workload = snd (clean_pass ?geom ~clients workload)
 (* The sweep.                                                          *)
 
 let run_point cfg base ~force ~write ~tear =
-  let device, fs = fresh_volume base.geom base.params in
+  let vset =
+    Volume_set.create_fresh ~geom:base.geom ~params:base.params
+      ~clock:(Simclock.create ()) 1
+  in
+  let device = Volume_set.device vset 0 in
   let plan = Crash_plan.attach device in
   Crash_plan.arm plan ~force ~write ~tear;
   let config =
@@ -411,9 +408,7 @@ let run_point cfg base ~force ~write ~tear =
       Server.on_force = Some (fun _ -> Crash_plan.note_force plan);
     }
   in
-  let server =
-    Server.create_volumes ~config (Cedar_volumes.Volume_set.of_fsd fs) base.scripts
-  in
+  let server = Server.create_volumes ~config vset base.scripts in
   let violations = ref [] in
   let add what =
     violations :=

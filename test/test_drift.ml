@@ -1,12 +1,14 @@
 (* The snapshot drift gate (bench diff): which fields may drift is one
    declared list of keys, and this suite pins every field of the
    committed snapshots it covers — widening the list, or adding a field
-   under a tolerant key, shows up here as a reviewed change. *)
+   under a tolerant key, shows up here as a reviewed change. Each
+   snapshot's contract is its one "checks" object, held by one rule. *)
 
 module J = Cedar_obs.Jsonb
 
 let check = Alcotest.check
 let int = Alcotest.int
+let bool = Alcotest.bool
 
 (* The committed snapshots, in the project root. *)
 let snapshots () =
@@ -114,8 +116,8 @@ let test_counts_and_inputs_exact () =
   check int "a time beyond 10% drifts" 1
     (drifted "duration_us" (J.Int 1000) (J.Int 1200))
 
-(* bench diff also fails on a committed snapshot whose named shape
-   check does not hold: every committed one holds, and one check of
+(* bench diff also fails on a committed snapshot whose named check does
+   not hold: every committed one holds, and one check of
    BENCH_TIMELINE.json set false is reported, once. *)
 let test_committed_checks_hold () =
   List.iter
@@ -146,9 +148,46 @@ let test_committed_checks_hold () =
     [ "BENCH_TIMELINE.json.checks.deterministic: false, want true" ]
     (Drift.failed_checks "BENCH_TIMELINE.json" (set_false (parse "BENCH_TIMELINE.json")))
 
+(* The one check rule asks every snapshot for a contract: no "checks"
+   object, an empty one, or one that is not an object is reported, once. *)
+let test_missing_checks_reported () =
+  let none = [ "BENCH_X.json.checks: no check recorded" ] in
+  List.iter
+    (fun (what, v) ->
+      check Alcotest.(list string) what none (Drift.failed_checks "BENCH_X.json" v))
+    [
+      ("no checks object", J.Obj [ ("bench", J.Str "x") ]);
+      ("an empty checks object", J.Obj [ ("checks", J.Obj []) ]);
+      ("a checks value that is not an object", J.Obj [ ("checks", J.Bool true) ]);
+    ]
+
+(* The names in a committed snapshot's checks object. *)
+let check_names file =
+  match parse file with
+  | J.Obj kvs -> (
+    match List.assoc_opt "checks" kvs with
+    | Some (J.Obj cs) -> List.map fst cs
+    | Some _ | None -> [])
+  | _ -> []
+
+(* Every committed snapshot records a non-empty contract, and both crash
+   sweeps' contracts demand zero violations, so a recovery bug committed
+   with a regenerated snapshot cannot pass the gate unseen. *)
+let test_committed_contracts () =
+  List.iter
+    (fun f -> check bool (f ^ ": checks is non-empty") true (check_names f <> []))
+    (snapshots ());
+  List.iter
+    (fun f ->
+      check bool (f ^ ": checks carries no_violations") true
+        (List.mem "no_violations" (check_names f)))
+    [ "BENCH_WRAP.json"; "BENCH_FAULTSWEEP.json" ]
+
 let suite =
   [
     ("tolerant fields are pinned", `Quick, test_tolerant_fields_pinned);
     ("counts and inputs are exact", `Quick, test_counts_and_inputs_exact);
     ("committed shape checks hold", `Quick, test_committed_checks_hold);
+    ("a missing contract is reported", `Quick, test_missing_checks_reported);
+    ("committed contracts are complete", `Quick, test_committed_contracts);
   ]

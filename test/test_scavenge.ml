@@ -228,6 +228,29 @@ let test_scavenge_empty_volume () =
   check bool "structural check ok" true (Fsd.check fs2 = Ok ());
   Fsd.shutdown fs2
 
+(* A lone damaged leader under an intact name table: the scavenger keeps
+   the entry and writes its leader back, so the rebuilt volume passes
+   the leader/table mutual check and the file still reads back. *)
+let test_scavenge_heals_damaged_leader () =
+  let device, fs = fresh () in
+  ignore (Fsd.create fs ~name:"heal/a" (content 700 6));
+  ignore (Fsd.create fs ~name:"heal/b" (content 300 7));
+  let anchor =
+    Fsd.fold_entries fs ~init:(-1) ~f:(fun acc ~name ~version:_ e ->
+        if String.equal name "heal/a" then e.Entry.anchor else acc)
+  in
+  Fsd.shutdown fs;
+  check bool "found the leader sector" true (anchor >= 0);
+  Device.damage device anchor;
+  let r = Scavenge.run device in
+  check int "both entries kept" 2 r.Scavenge.entries_kept;
+  check int "the damaged leader rewritten" 1 r.Scavenge.leaders_rewritten;
+  let fs2, _ = Fsd.boot device in
+  check bool "structural check ok" true (Fsd.check fs2 = Ok ());
+  check bool "content reads back" true
+    (Bytes.equal (content 700 6) (Fsd.read_all fs2 ~name:"heal/a"));
+  Fsd.shutdown fs2
+
 (* ------------------------------------------------------------------ *)
 (* The online scrub demon. *)
 
@@ -425,6 +448,7 @@ let suite =
     ("uid floor survives scavenge", `Quick, test_uid_floor_after_scavenge);
     ("scavenge on a healthy volume", `Quick, test_scavenge_healthy_volume);
     ("scavenge on an empty volume", `Quick, test_scavenge_empty_volume);
+    ("scavenge heals a damaged leader", `Quick, test_scavenge_heals_damaged_leader);
     ("scrub repairs FNT copy before any read", `Quick, test_scrub_repairs_fnt_copy_before_read);
     ("scrub rewrites a corrupt leader", `Quick, test_scrub_rewrites_corrupt_leader);
     ("scrub repair: counter + trace event", `Quick, test_scrub_repair_emits_metric_and_trace);
