@@ -52,13 +52,8 @@ type cell = {
   c_policy : Device.policy;
   c_r : S.report;
   c_io : Iostats.t;
-  c_lat_p50 : float;
-  c_lat_p99 : float;
-  c_lat_max : float;
+  c_lat : M.summary;  (** server.op_latency_us *)
 }
-
-let pctl st p =
-  if Stats.n st = 0 then 0.0 else Stats.percentile st p
 
 let run_cell ~clients ~policy ~depth =
   let params =
@@ -66,20 +61,16 @@ let run_cell ~clients ~policy ~depth =
   in
   let vset = V.create_fresh ~geom:Setup.geom ~params ~clock:(Simclock.create ()) 1 in
   let r = S.serve_volumes vset (C.churn_scripts spec ~clients) in
-  let lat =
-    match M.read_dist (V.metrics vset) "server.op_latency_us" with
-    | Some st -> st
-    | None -> Stats.create ()
-  in
   {
     c_clients = clients;
     c_depth = depth;
     c_policy = policy;
     c_r = r;
     c_io = Iostats.copy (Device.stats (V.device vset 0));
-    c_lat_p50 = pctl lat 0.50;
-    c_lat_p99 = pctl lat 0.99;
-    c_lat_max = pctl lat 1.0;
+    c_lat =
+      M.summarize
+        (Option.value ~default:(Stats.create ())
+           (M.read_dist (V.metrics vset) "server.op_latency_us"));
   }
 
 (* The measured numbers only -- no policy/depth labels -- so depth-1
@@ -98,9 +89,9 @@ let measures_json c =
       ("rotation_us", J.Int io.Iostats.rotation_us);
       ("transfer_us", J.Int io.Iostats.transfer_us);
       ("busy_us", J.Int io.Iostats.busy_us);
-      ("op_lat_p50_us", J.Float c.c_lat_p50);
-      ("op_lat_p99_us", J.Float c.c_lat_p99);
-      ("op_lat_max_us", J.Float c.c_lat_max);
+      ("op_lat_p50_us", J.Float c.c_lat.M.p50);
+      ("op_lat_p99_us", J.Float c.c_lat.M.p99);
+      ("op_lat_max_us", J.Float c.c_lat.M.max);
       ("errors", J.Int r.S.total_errors);
     ]
 
@@ -135,7 +126,7 @@ let shape_checks cells =
             let sstf = find cells ~clients ~depth ~policy:Device.Sstf in
             let seek c = c.c_io.Iostats.seek_us in
             let beats c =
-              seek c < seek fifo && c.c_lat_p99 < fifo.c_lat_p99
+              seek c < seek fifo && c.c_lat.M.p99 < fifo.c_lat.M.p99
             in
             Some (clients, depth, beats elev, beats sstf)
           end)
@@ -189,8 +180,8 @@ let build () =
         (if c.c_depth = 0 then "none" else Device.policy_to_string c.c_policy)
         (float_of_int c.c_io.Iostats.seek_us /. 1000.)
         c.c_io.Iostats.ios
-        (c.c_lat_p50 /. 1000.)
-        (c.c_lat_p99 /. 1000.))
+        (c.c_lat.M.p50 /. 1000.)
+        (c.c_lat.M.p99 /. 1000.))
     (baselines @ cells);
   let shapes = shape_checks cells in
   let d1 = depth1_checks cells baselines in

@@ -30,8 +30,6 @@ let scales = [ 1; 10; 100 ]
    run. Everything else is stock. *)
 let params = { Params.default with Params.log_sectors = (3 * 3200) + 3 }
 
-let content n = Bytes.init n (fun i -> Char.chr (i mod 251))
-
 type row = {
   n : int;  (** records committed before the crash *)
   live_sectors : int;  (** log sectors those records occupy *)
@@ -50,7 +48,8 @@ let run_scale n =
   let fs, _ = Fsd.boot device in
   for i = 0 to n - 1 do
     ignore
-      (Fsd.create fs ~name:(Printf.sprintf "rec/f%04d" i) (content 700)
+      (Fsd.create fs ~name:(Printf.sprintf "rec/f%04d" i)
+         (Cedar_workload.Concurrent.content ~fill:0 700)
         : Cedar_fsbase.Fs_ops.info);
     Fsd.force fs
   done;

@@ -41,7 +41,7 @@ FSD   File name table entry : text name, version, keep, uid, run table,
 (* ------------------------------------------------------------------ *)
 (* Shared measurement helpers                                          *)
 
-let payload i n = Bytes.init n (fun j -> Char.chr ((i + j) mod 251))
+let payload i n = Concurrent.content ~fill:i n
 
 (* Between measured operations the arm is sent somewhere else on the
    volume (uncounted), so every operation pays a realistic initial seek —
@@ -428,9 +428,9 @@ let log_records () =
   Makedo.prepare ops { Makedo.default with Makedo.modules = 40 };
   ignore (Makedo.build ops { Makedo.default with Makedo.modules = 40 });
   let st = Fsd.log_stats fs in
-  let sizes = st.Flog.record_sizes in
-  pf "records=%d  min=%.0f  p50=%.0f  mean=%.1f  max=%.0f sectors\n" (Stats.n sizes)
-    (Stats.min sizes) (Stats.percentile sizes 0.5) (Stats.mean sizes) (Stats.max sizes);
+  let d = Cedar_obs.Metrics.summarize st.Flog.record_sizes in
+  pf "records=%d  min=%.0f  p50=%.0f  mean=%.1f  max=%.0f sectors\n"
+    d.Cedar_obs.Metrics.n d.min d.p50 d.mean d.max;
   pf "(minimum possible record: 1 logged sector -> 7 on disk)\n"
 
 (* ------------------------------------------------------------------ *)

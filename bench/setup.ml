@@ -36,7 +36,7 @@ let populate (ops : Cedar_fsbase.Fs_ops.t) ~files ~seed =
   for i = 0 to files - 1 do
     let dir = Printf.sprintf "vol/d%02d" (i mod 20) in
     let size = Cedar_workload.Sizes.sample rng in
-    let data = Bytes.init size (fun j -> Char.chr ((i + j) mod 251)) in
+    let data = Cedar_workload.Concurrent.content ~fill:i size in
     ignore (ops.Cedar_fsbase.Fs_ops.create ~name:(Printf.sprintf "%s/f%05d" dir i) ~data)
   done;
   ops.Cedar_fsbase.Fs_ops.force ()

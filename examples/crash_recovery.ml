@@ -12,7 +12,7 @@ open Cedar_util
 open Cedar_disk
 open Cedar_fsd
 
-let payload i n = Bytes.init n (fun j -> Char.chr ((i + j) mod 251))
+let payload i n = Cedar_workload.Concurrent.content ~fill:i n
 
 let () =
   let clock = Simclock.create () in

@@ -1,6 +1,7 @@
 open Cedar_util
 open Cedar_disk
 open Cedar_fsbase
+module Trace = Cedar_obs.Trace
 
 type scavenge_report = {
   files_recovered : int;
@@ -188,22 +189,6 @@ let op_cpu t =
   cpu t t.layout.Cfs_layout.params.Cfs_layout.cpu_op_us
 
 let require_live t = if not t.live then Fs_error.raise_ Fs_error.Not_booted
-
-(* Span wrapper matching Fsd's, so the per-op I/O tables line up across
-   the three systems. Single-branch no-op while tracing is disabled. *)
-let traced t ~op ~name f =
-  let tr = Device.trace t.device in
-  if not (Cedar_obs.Trace.enabled tr) then f ()
-  else begin
-    let id = Cedar_obs.Trace.begin_span tr ~at:(Simclock.now t.clock) ~op ~name in
-    match f () with
-    | v ->
-      Cedar_obs.Trace.end_span tr ~at:(Simclock.now t.clock) id;
-      v
-    | exception e ->
-      Cedar_obs.Trace.end_span tr ~at:(Simclock.now t.clock) id;
-      raise e
-  end
 
 let fresh_uid t =
   let uid = t.next_uid in
@@ -563,11 +548,11 @@ let create_common t ~name ~keep ~kind data =
   info_of name version h
 
 let create t ~name ?(keep = 2) data =
-  traced t ~op:"create" ~name (fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"create" ~name (fun () ->
       create_common t ~name ~keep ~kind:Header.Local data)
 
 let import_cached t ~name ~server data =
-  traced t ~op:"import" ~name (fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"import" ~name (fun () ->
       create_common t ~name ~keep:2
         ~kind:(Header.Cached { server; last_used = Simclock.now t.clock })
         data)
@@ -614,7 +599,7 @@ let last_used t ~name =
   | Header.Local -> None
 
 let open_stat t ~name =
-  traced t ~op:"open" ~name @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"open" ~name @@ fun () ->
   require_live t;
   let _, version, h, _ = open_header t name in
   op_cpu t;
@@ -640,7 +625,7 @@ let read_runs t (h : Header.t) buf =
     (Run_table.runs h.Header.runs)
 
 let read_all t ~name =
-  traced t ~op:"read_all" ~name @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"read_all" ~name @@ fun () ->
   require_live t;
   let _, _, h, _ = open_header t name in
   let sb = sector_bytes t in
@@ -655,7 +640,7 @@ let read_all t ~name =
   Bytes.sub buf 0 h.Header.byte_size
 
 let read_page t ~name ~page =
-  traced t ~op:"read_page" ~name @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"read_page" ~name @@ fun () ->
   require_live t;
   let _, _, h, _ = open_header t name in
   if page < 0 || page >= Run_table.pages h.Header.runs then
@@ -671,7 +656,7 @@ let read_page t ~name ~page =
     corrupt (Printf.sprintf "stale run table for %s at sector %d" name sector)
 
 let delete t ~name =
-  traced t ~op:"delete" ~name @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"delete" ~name @@ fun () ->
   require_live t;
   let _, version, raw = newest_exn t name in
   let pages =
@@ -692,7 +677,7 @@ let delete t ~name =
   cpu t (pages * t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us / 2)
 
 let list t ~prefix =
-  traced t ~op:"list" ~name:prefix @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"list" ~name:prefix @@ fun () ->
   require_live t;
   (* The name table has only names and header addresses; properties such
      as the byte count require reading each header (Table 3's 146 I/Os

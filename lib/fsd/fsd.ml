@@ -128,22 +128,6 @@ let emit t ev =
   let tr = Device.trace t.device in
   if Trace.enabled tr then Trace.emit tr ~at:(now t) ev
 
-(* Wrap a public operation in a trace span so the device I/Os it issues
-   nest under it. The disabled case is the single-branch hot path. *)
-let traced t ~op ~name f =
-  let tr = Device.trace t.device in
-  if not (Trace.enabled tr) then f ()
-  else begin
-    let id = Trace.begin_span tr ~at:(now t) ~op ~name in
-    match f () with
-    | v ->
-      Trace.end_span tr ~at:(now t) id;
-      v
-    | exception e ->
-      Trace.end_span tr ~at:(now t) id;
-      raise e
-  end
-
 let corrupt msg = Fs_error.raise_ (Fs_error.Corrupt_metadata msg)
 
 (* ------------------------------------------------------------------ *)
@@ -308,7 +292,7 @@ let do_force t =
   end
 
 let force t =
-  traced t ~op:"force" ~name:"" (fun () ->
+  Trace.span (trace t) t.clock ~op:"force" ~name:"" (fun () ->
       let (), io = Device.track t.device (fun () -> do_force t) in
       t.last_force_io <- Some io)
 
@@ -383,9 +367,10 @@ let insert_entry t ~key (e : Entry.t) =
 let leader_image_of_entry t ~name ~version (e : Entry.t) =
   Leader.encode (Leader.of_entry ~name ~version e) ~sector_bytes:(sector_bytes t)
 
-(* After any entry change the leader must be refreshed (it mirrors the
-   whole entry for the scavenger); it is logged at the next commit and
-   home-written lazily (never a synchronous I/O). *)
+(* After an entry changes in place (a cached file's last-used time) the
+   leader must be refreshed (it mirrors the whole entry for the
+   scavenger); it is logged at the next commit and home-written lazily
+   (never a synchronous I/O). *)
 let refresh_leader t ~name ~version (e : Entry.t) =
   if e.Entry.anchor >= 0 then begin
     let image = leader_image_of_entry t ~name ~version e in
@@ -401,14 +386,12 @@ let refresh_leader t ~name ~version (e : Entry.t) =
         { image; modified = true; logged = None }
   end
 
+(* The pending image, else the home copy; raises [Device.Error] when
+   the home sector cannot be read. *)
 let read_leader t (e : Entry.t) =
   match Hashtbl.find_opt t.pending_leaders e.Entry.anchor with
   | Some pl -> Leader.decode pl.image
-  | None -> (
-    match Device.read t.device e.Entry.anchor with
-    | b -> Leader.decode b
-    | exception Device.Error { sector; _ } ->
-      Fs_error.raise_ (Fs_error.Damaged_data { name = "<leader>"; sector }))
+  | None -> Leader.decode (Device.read t.device e.Entry.anchor)
 
 let check_leader t name version (e : Entry.t) leader =
   match leader with
@@ -420,13 +403,24 @@ let check_leader t name version (e : Entry.t) leader =
 let leader_verified t (e : Entry.t) =
   e.Entry.anchor < 0 || Hashtbl.mem t.verified e.Entry.uid
 
+(* A leader that is unreadable, fails its checksum or no longer
+   corroborates the entry is rewritten from the name table: the entry is
+   the primary copy, the leader reconstructible redundancy. *)
+let repair_leader t ~name ~version (e : Entry.t) =
+  Device.write t.device e.Entry.anchor (leader_image_of_entry t ~name ~version e);
+  Metrics.inc t.meters.m_scrub_leader_repairs;
+  emit t (Trace.Scrub_repair { target = "leader"; loc = e.Entry.anchor });
+  Hashtbl.replace t.verified e.Entry.uid ()
+
 (* ------------------------------------------------------------------ *)
 (* Data I/O                                                            *)
 
 (* Read [count] pages from page [first], one command per run they
    cross. On the file's first access the leader is verified too:
    combined with the first transfer when page 0 is read and the leader
-   is the sector just before it (§5.7), else by a read of its own. *)
+   is the sector just before it (§5.7), else by a read of its own. A
+   leader whose sector cannot be read carries nothing the read needs:
+   the data is read without it and the leader rewritten from the entry. *)
 let read_pages t name version (e : Entry.t) ~first ~count =
   let sb = sector_bytes t in
   let stop = first + count in
@@ -436,6 +430,7 @@ let read_pages t name version (e : Entry.t) ~first ~count =
     && first = 0 && count > 0
     && Run_table.sector_of_page e.Entry.runs 0 = e.Entry.anchor + 1
   in
+  let leader_lost = ref false in
   (* [page] is the file page the next run starts at; [parts] holds the
      pages read so far, newest first. *)
   let rec read page parts = function
@@ -446,13 +441,15 @@ let read_pages t name version (e : Entry.t) ~first ~count =
         else
           let sector = r.Run_table.start + lo - page and len = hi - lo in
           if piggyback && lo = 0 then begin
-            let combined =
-              Device.read_run t.device ~sector:(sector - 1) ~count:(1 + len)
-            in
-            Metrics.inc t.meters.m_leader_piggybacks;
-            emit t (Trace.Leader_piggyback { sector = e.Entry.anchor });
-            check_leader t name version e (Leader.decode (Bytes.sub combined 0 sb));
-            [ Bytes.sub combined sb (len * sb) ]
+            match Device.read_run t.device ~sector:(sector - 1) ~count:(1 + len) with
+            | combined ->
+              Metrics.inc t.meters.m_leader_piggybacks;
+              emit t (Trace.Leader_piggyback { sector = e.Entry.anchor });
+              check_leader t name version e (Leader.decode (Bytes.sub combined 0 sb));
+              [ Bytes.sub combined sb (len * sb) ]
+            | exception Device.Error { sector = bad; _ } when bad = e.Entry.anchor ->
+              leader_lost := true;
+              [ Device.read_run t.device ~sector ~count:len ]
           end
           else Device.read_run t.device ~sector ~count:len :: parts
       in
@@ -461,12 +458,16 @@ let read_pages t name version (e : Entry.t) ~first ~count =
   in
   let parts =
     try
-      if (not piggyback) && not (leader_verified t e) then
-        check_leader t name version e (read_leader t e);
+      if (not piggyback) && not (leader_verified t e) then begin
+        match read_leader t e with
+        | leader -> check_leader t name version e leader
+        | exception Device.Error _ -> leader_lost := true
+      end;
       read 0 [] (Run_table.runs e.Entry.runs)
     with Device.Error { sector; _ } ->
       Fs_error.raise_ (Fs_error.Damaged_data { name; sector })
   in
+  if !leader_lost then repair_leader t ~name ~version e;
   match parts with [ one ] -> one | parts -> Bytes.concat Bytes.empty (List.rev parts)
 
 (* ------------------------------------------------------------------ *)
@@ -594,18 +595,18 @@ let create_common t ~name ~keep ~kind data =
   info_of name version entry
 
 let create t ~name ?keep data =
-  traced t ~op:"create" ~name (fun () ->
+  Trace.span (trace t) t.clock ~op:"create" ~name (fun () ->
       let keep = Option.value keep ~default:t.params.Params.default_keep in
       create_common t ~name ~keep ~kind:Entry.Local data)
 
 let import_cached t ~name ~server data =
-  traced t ~op:"import" ~name (fun () ->
+  Trace.span (trace t) t.clock ~op:"import" ~name (fun () ->
       create_common t ~name ~keep:t.params.Params.default_keep
         ~kind:(Entry.Cached { server; last_used = now t })
         data)
 
 let create_symlink t ~name ~target =
-  traced t ~op:"symlink" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"symlink" ~name @@ fun () ->
   require_live t;
   validate_name name;
   let uid = Fnt_store.fresh_uid t.store in
@@ -627,21 +628,21 @@ let create_symlink t ~name ~target =
   op_done t ()
 
 let open_stat t ~name =
-  traced t ~op:"open" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"open" ~name @@ fun () ->
   require_live t;
   let _, version, e = newest_exn t name in
   op_done t ();
   info_of name version e
 
 let exists t ~name =
-  traced t ~op:"exists" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"exists" ~name @@ fun () ->
   require_live t;
   let r = newest t name <> None in
   op_done t ();
   r
 
 let readlink t ~name =
-  traced t ~op:"readlink" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"readlink" ~name @@ fun () ->
   require_live t;
   let _, _, e = newest_exn t name in
   op_done t ();
@@ -661,10 +662,11 @@ let rec read_all_depth t ~name ~depth =
     Bytes.sub bytes 0 e.Entry.byte_size
 
 let read_all t ~name =
-  traced t ~op:"read_all" ~name (fun () -> read_all_depth t ~name ~depth:0)
+  Trace.span (trace t) t.clock ~op:"read_all" ~name (fun () ->
+      read_all_depth t ~name ~depth:0)
 
 let read_page t ~name ~page =
-  traced t ~op:"read_page" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"read_page" ~name @@ fun () ->
   require_live t;
   let _, version, e = newest_exn t name in
   let npages = Run_table.pages e.Entry.runs in
@@ -680,7 +682,7 @@ let update_entry t ~key (e : Entry.t) =
   | None -> ()
 
 let delete t ~name =
-  traced t ~op:"delete" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"delete" ~name @@ fun () ->
   require_live t;
   let key, _, e = newest_exn t name in
   delete_version t ~key e;
@@ -689,7 +691,7 @@ let delete t ~name =
   op_done t ~pages:(Run_table.pages e.Entry.runs / 2) ()
 
 let touch_cached t ~name =
-  traced t ~op:"touch" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"touch" ~name @@ fun () ->
   require_live t;
   let key, _, e = newest_exn t name in
   (match e.Entry.kind with
@@ -701,7 +703,7 @@ let touch_cached t ~name =
   op_done t ()
 
 let last_used t ~name =
-  traced t ~op:"last_used" ~name @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"last_used" ~name @@ fun () ->
   require_live t;
   let _, _, e = newest_exn t name in
   op_done t ();
@@ -710,7 +712,7 @@ let last_used t ~name =
   | Entry.Local | Entry.Symlink _ -> None
 
 let list t ~prefix =
-  traced t ~op:"list" ~name:prefix @@ fun () ->
+  Trace.span (trace t) t.clock ~op:"list" ~name:prefix @@ fun () ->
   require_live t;
   let hi = prefix ^ "\xff\xff\xff\xff" in
   let acc = ref [] in
@@ -760,11 +762,10 @@ let scrub_fnt_pages t =
       | `Ok | `Unreadable -> ()
   done
 
-(* A leader that fails its checksum or no longer corroborates the entry
-   is rewritten from the name table (the entry is the primary copy; the
-   leader is reconstructible redundancy). Leaders with a pending image
-   are skipped: their home copy is legitimately stale until the logging
-   code writes it. *)
+(* A leader that is unreadable, fails its checksum or no longer
+   corroborates the entry is repaired ([repair_leader]). Leaders with a
+   pending image are skipped: their home copy is legitimately stale
+   until the logging code writes it. *)
 let scrub_leaders t =
   let budget = Params.scrub_leaders_per_pass in
   let scanned = ref 0 in
@@ -793,13 +794,8 @@ let scrub_leaders t =
                  | None -> false)
                | exception Device.Error _ -> false
              in
-             if not ok then begin
-               Device.write t.device e.Entry.anchor
-                 (leader_image_of_entry t ~name ~version e);
-               Metrics.inc t.meters.m_scrub_leader_repairs;
-               emit t (Trace.Scrub_repair { target = "leader"; loc = e.Entry.anchor })
-             end;
-             Hashtbl.replace t.verified e.Entry.uid ()
+             if ok then Hashtbl.replace t.verified e.Entry.uid ()
+             else repair_leader t ~name ~version e
            end)
    with Exit -> ());
   if !wrapped then t.scrub_key_cursor <- ""
@@ -1237,8 +1233,7 @@ let check t =
             | Some l when Leader.matches l ~name ~version e -> ()
             | Some _ -> bad := (k ^ ": leader mismatch") :: !bad
             | None -> bad := (k ^ ": leader unreadable") :: !bad
-            | exception Fs_error.Fs_error _ ->
-              bad := (k ^ ": leader sector damaged") :: !bad
+            | exception Device.Error _ -> bad := (k ^ ": leader sector damaged") :: !bad
           end);
     (* VAM/name-table agreement: each data sector is free, claimed,
        freed by a delete awaiting commit, or quarantined by the

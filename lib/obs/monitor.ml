@@ -26,20 +26,13 @@ type sample = {
 
 type view = { dt_us : int; delta : string -> int; value : string -> int }
 
-type watch = {
-  mutable w_seen : int;  (* Stats.n at the previous sample *)
-  w_buf : float array;  (* circular: last [window] recorded values *)
-  mutable w_len : int;
-  mutable w_next : int;  (* next write position *)
-}
-
 type t = {
   metrics : Metrics.t;
   interval_us : int;
   now : unit -> int;
   window : int;
   mutable derived_fns : (string * (view -> float)) list;  (* name-sorted *)
-  mutable watches : (string * watch) list;  (* name-sorted *)
+  mutable watches : string list;  (* name-sorted *)
   prev : (string, int) Hashtbl.t;  (* last sampled counter/gauge values *)
   ring : sample array;  (* length = capacity; only [len] slots valid *)
   mutable head : int;  (* index of the oldest sample *)
@@ -101,44 +94,19 @@ let sorted_replace name v assoc =
 let derive t name f = t.derived_fns <- sorted_replace name f t.derived_fns
 
 let watch_dist t name =
-  if not (List.mem_assoc name t.watches) then
-    t.watches <-
-      sorted_replace name
-        { w_seen = 0; w_buf = Array.make t.window 0.0; w_len = 0; w_next = 0 }
-        t.watches
+  if not (List.mem name t.watches) then
+    t.watches <- List.sort String.compare (name :: t.watches)
 
-(* Pull the values a watched dist gained since our last visit into the
-   watch's circular window. [Stats.values] only ever grows, except when
-   a layer re-registers the name with a fresh series (per-boot reset) —
-   then [n] shrinks and we restart the watch from scratch. *)
-let refresh_watch w s =
-  let n = Stats.n s in
-  if n < w.w_seen then begin
-    w.w_seen <- 0;
-    w.w_len <- 0;
-    w.w_next <- 0
-  end;
-  let fresh = n - w.w_seen in
-  if fresh > 0 then begin
-    (* newest-first from [recent]; insert oldest-first to keep the
-       window chronological. *)
-    List.iter
-      (fun v ->
-        w.w_buf.(w.w_next) <- v;
-        w.w_next <- (w.w_next + 1) mod Array.length w.w_buf;
-        if w.w_len < Array.length w.w_buf then w.w_len <- w.w_len + 1)
-      (List.rev (Stats.recent s fresh));
-    w.w_seen <- n
-  end
-
-let watch_stat w =
-  let s = Stats.create () in
-  let cap = Array.length w.w_buf in
-  let start = (w.w_next - w.w_len + cap) mod cap in
-  for i = 0 to w.w_len - 1 do
-    Stats.add s w.w_buf.((start + i) mod cap)
-  done;
-  Metrics.summarize s
+(* A watched dist's window: the last [window] values of the series the
+   registry holds now, so a re-registered (per-boot) series shows only
+   its own values. Added oldest first, as they were recorded, so the
+   mean sums in the same order as the series'. *)
+let window_summary t name =
+  let w = Stats.create () in
+  (match Metrics.read_dist t.metrics name with
+  | Some s -> List.iter (Stats.add w) (List.rev (Stats.recent s t.window))
+  | None -> ());
+  Metrics.summarize w
 
 let push t s =
   let cap = Array.length t.ring in
@@ -184,15 +152,7 @@ let sample_now t =
     }
   in
   let derived = List.map (fun (name, f) -> (name, f view)) t.derived_fns in
-  let dists =
-    List.map
-      (fun (name, w) ->
-        (match Metrics.read_dist t.metrics name with
-        | Some s -> refresh_watch w s
-        | None -> ());
-        (name, watch_stat w))
-      t.watches
-  in
+  let dists = List.map (fun name -> (name, window_summary t name)) t.watches in
   let s =
     {
       at_us = at;

@@ -54,11 +54,14 @@ val derive : t -> string -> (view -> float) -> unit
     sample over that interval's {!view}. *)
 
 val watch_dist : t -> string -> unit
-(** Start tracking sliding-window percentiles for the distribution
-    registered in the metrics registry under this name. Idempotent; a
-    name not (yet) registered reports [n = 0] until it appears. If
-    the owner re-registers the dist with a fresh series (per-boot
-    reset), the window restarts from the new series. *)
+(** Report sliding-window percentiles for the distribution registered
+    in the metrics registry under this name: each sample summarises
+    ({!Metrics.summarize}) the last [window] values of the series the
+    registry holds at that moment ({!Cedar_util.Stats.recent}); the
+    monitor keeps no values of its own. Idempotent; a name not (yet)
+    registered reports [n = 0] until it appears. If the owner
+    re-registers the dist with a fresh series (per-boot reset), the
+    window holds only the new series' values. *)
 
 val maybe_sample : t -> unit
 (** Take a sample iff at least [interval_us] has elapsed since the last

@@ -1,3 +1,5 @@
+module Simclock = Cedar_util.Simclock
+
 type op_record = {
   client : int;
   opseq : int;
@@ -121,6 +123,20 @@ let end_span t ~at id =
       | [] -> ()
     in
     unwind t.spans
+  end
+
+let span t clock ~op ~name f =
+  if not t.on then f ()
+  else begin
+    let id = begin_span t ~at:(Simclock.now clock) ~op ~name in
+    match f () with
+    | v ->
+      end_span t ~at:(Simclock.now clock) id;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_span t ~at:(Simclock.now clock) id;
+      Printexc.raise_with_backtrace e bt
   end
 
 let length t = t.len

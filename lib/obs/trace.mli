@@ -143,12 +143,22 @@ val current_span : t -> int
 val begin_span : t -> at:int -> op:string -> name:string -> int
 (** Open a span for operation [op] on file [name]; records an
     {!Op_begin} entry under the previous span and returns the new span
-    id (0 when disabled — {!end_span} ignores it). *)
+    id (0 when disabled — {!end_span} ignores it). Library code opens
+    spans through {!span}, which pairs the two. *)
 
 val end_span : t -> at:int -> int -> unit
 (** Close the span, recording {!Op_end} with its duration. Spans
     opened after it that were never closed are discarded (exception
     unwinding). *)
+
+val span :
+  t -> Cedar_util.Simclock.t -> op:string -> name:string -> (unit -> 'a) -> 'a
+(** [span t clock ~op ~name f] runs [f] inside a span for operation
+    [op] on file [name], stamped from [clock]: {!begin_span}, [f ()],
+    then {!end_span}, also when [f] raises (the exception is re-raised
+    with its backtrace). While tracing is disabled it is exactly [f ()].
+    Every traced call (FSD, CFS and UFS operations, a served op) opens
+    its span here. *)
 
 val length : t -> int
 val dropped : t -> int

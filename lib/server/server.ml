@@ -380,19 +380,11 @@ let exec_op t v (op : Concurrent.op) =
    as a typed abort. *)
 let run_op t v s op =
   s.ops <- s.ops + 1;
-  let t_start = now t in
-  s.t_exec_start <- t_start;
-  (* [begin_span] is guarded so a tracing-off run performs no
-     allocation on this path (the label is precomputed per session). *)
-  let span =
-    if Trace.enabled t.trace then
-      Trace.begin_span t.trace ~at:t_start ~op:s.label
-        ~name:(Concurrent.op_name op)
-    else 0
-  in
+  s.t_exec_start <- now t;
+  (* The span label is precomputed per session and the name is a field
+     of the op, so a tracing-off run allocates nothing for the span. *)
   let token, io =
-    Fun.protect
-      ~finally:(fun () -> Trace.end_span t.trace ~at:(now t) span)
+    Trace.span t.trace t.clock ~op:s.label ~name:(Concurrent.op_name op)
       (fun () ->
         Cedar_disk.Device.track v.v_dev (fun () ->
             match Fsd.submit v.v_fsd (fun () -> exec_op t v op) with
@@ -684,9 +676,8 @@ let run t =
       d
     end
   in
-  let wait = merged (fun v -> v.v_commit_wait_us) in
+  let wait = Metrics.summarize (merged (fun v -> v.v_commit_wait_us)) in
   let batch = merged (fun v -> v.v_batch_size) in
-  let dist_or d f default = if Stats.n d = 0 then default else f d in
   {
     clients = Array.length t.sessions;
     duration_us;
@@ -700,14 +691,14 @@ let run t =
     total_dropped = 0;
     total_errors = total (fun s -> s.errors);
     total_aborted = total (fun s -> if s.aborted = None then 0 else 1);
-    wait_n = Stats.n wait;
-    wait_mean_us = dist_or wait Stats.mean 0.;
-    wait_p50_us = dist_or wait (fun d -> Stats.percentile d 0.50) 0.;
-    wait_p99_us = dist_or wait (fun d -> Stats.percentile d 0.99) 0.;
-    wait_max_us = dist_or wait Stats.max 0.;
+    wait_n = wait.Metrics.n;
+    wait_mean_us = wait.Metrics.mean;
+    wait_p50_us = wait.Metrics.p50;
+    wait_p99_us = wait.Metrics.p99;
+    wait_max_us = wait.Metrics.max;
     batch_n = Stats.n batch;
-    batch_mean = dist_or batch Stats.mean 0.;
-    batch_max = dist_or batch Stats.max 0.;
+    batch_mean = Stats.mean batch;
+    batch_max = (if Stats.n batch = 0 then 0. else Stats.max batch);
     per_session =
       Array.to_list
         (Array.map

@@ -1,6 +1,7 @@
 open Cedar_util
 open Cedar_disk
 open Cedar_fsbase
+module Trace = Cedar_obs.Trace
 
 type fsck_report = {
   inodes_checked : int;
@@ -164,22 +165,6 @@ let require_live t = if not t.live then Fs_error.raise_ Fs_error.Not_booted
 let op_cpu t =
   Cedar_obs.Metrics.inc t.ops_c;
   Simclock.advance t.clock t.params.Ufs_params.cpu_op_us
-
-(* Span wrapper for the public operations; free when tracing is off. *)
-let traced t ~op ~name f =
-  let tr = Device.trace t.device in
-  if not (Cedar_obs.Trace.enabled tr) then f ()
-  else begin
-    let t0 = Simclock.now t.clock in
-    let id = Cedar_obs.Trace.begin_span tr ~at:t0 ~op ~name in
-    match f () with
-    | v ->
-      Cedar_obs.Trace.end_span tr ~at:(Simclock.now t.clock) id;
-      v
-    | exception e ->
-      Cedar_obs.Trace.end_span tr ~at:(Simclock.now t.clock) id;
-      raise e
-  end
 
 let data_cpu t us = t.cpu_overlapped <- t.cpu_overlapped + us
 
@@ -503,7 +488,7 @@ let info_of_inode path inum (ino : Inode.t) =
   { Fs_ops.name = path; version = 1; byte_size = ino.Inode.size; uid = Int64.of_int inum }
 
 let stat t ~path =
-  traced t ~op:"stat" ~name:path @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"stat" ~name:path @@ fun () ->
   require_live t;
   op_cpu t;
   match lookup_path t path with
@@ -520,7 +505,7 @@ let free_file_blocks t ino =
   if ino.Inode.indirect <> 0 then free_block t ino.Inode.indirect
 
 let unlink t ~path =
-  traced t ~op:"delete" ~name:path @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"delete" ~name:path @@ fun () ->
   require_live t;
   op_cpu t;
   let components = split_path path in
@@ -543,7 +528,7 @@ let unlink t ~path =
         free_inode t inum))
 
 let create t ~path data =
-  traced t ~op:"create" ~name:path @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"create" ~name:path @@ fun () ->
   require_live t;
   op_cpu t;
   if exists t ~path then unlink t ~path;
@@ -589,7 +574,7 @@ let create t ~path data =
   info_of_inode path inum ino
 
 let read_all t ~path =
-  traced t ~op:"read_all" ~name:path @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"read_all" ~name:path @@ fun () ->
   require_live t;
   op_cpu t;
   match lookup_path t path with
@@ -614,7 +599,7 @@ let read_all t ~path =
     out
 
 let read_page t ~path ~page =
-  traced t ~op:"read_page" ~name:path @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"read_page" ~name:path @@ fun () ->
   require_live t;
   op_cpu t;
   match lookup_path t path with
@@ -634,7 +619,7 @@ let read_page t ~path ~page =
     end
 
 let readdir t ~path =
-  traced t ~op:"list" ~name:path @@ fun () ->
+  Trace.span (Device.trace t.device) t.clock ~op:"list" ~name:path @@ fun () ->
   require_live t;
   op_cpu t;
   match lookup_path t path with

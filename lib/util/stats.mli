@@ -12,8 +12,7 @@ val total : t -> float
 
 val recent : t -> int -> float list
 (** [recent t k] is the most recent [min k (n t)] values added, newest
-    first. O(k); lets a sampler pull only the values added since its
-    last visit. *)
+    first. O(k); a sampler's sliding window is the last [k] values. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [0,1]; nearest-rank, so [percentile t 0.0]

@@ -2,13 +2,13 @@ open Cedar_fsbase
 
 let file_name ~dir i = Printf.sprintf "%s/file%04d" dir i
 
-let payload i n = Bytes.init n (fun j -> Char.chr ((i + j) mod 251))
-
 let create_many (ops : Fs_ops.t) ~dir ~n ~bytes_each =
   let (), s =
     Measure.run ops (fun () ->
         for i = 0 to n - 1 do
-          ignore (ops.Fs_ops.create ~name:(file_name ~dir i) ~data:(payload i bytes_each))
+          ignore
+            (ops.Fs_ops.create ~name:(file_name ~dir i)
+               ~data:(Concurrent.content ~fill:i bytes_each))
         done;
         ops.Fs_ops.force ())
   in

@@ -5,7 +5,7 @@ let bytes_each = 900
 let dir = "obs"
 
 let name i = Bulk.file_name ~dir i
-let payload i = Bytes.init bytes_each (fun j -> Char.chr ((i + j) mod 251))
+let payload i = Concurrent.content ~fill:i bytes_each
 
 let warmup (ops : Fs_ops.t) =
   (* Touch the directory's name-table neighbourhood so the scripted run

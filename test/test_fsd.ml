@@ -363,6 +363,44 @@ let test_leader_detects_wild_write () =
     (function Fs_error.Corrupt_metadata _ -> true | _ -> false)
     (fun () -> Fsd.read_all fs3 ~name:"target")
 
+(* A leader whose sector cannot be read is lost redundancy, not a lost
+   file: the leader "carries no information needed for operation"
+   (leader.mli). The file's first read returns its data, rewrites the
+   leader from the entry and counts the repair as the scrubber does.
+   [page] picks the path by which that read verifies the leader: page 0
+   rides the leader's transfer (§5.7), any other page reads it alone. *)
+let check_damaged_leader_read ~page =
+  let device, fs = fresh_fs () in
+  let data = content (3 * 512) 4 in
+  ignore (Fsd.create fs ~name:"victim" data);
+  Fsd.shutdown fs;
+  let fs2, _ = Fsd.boot device in
+  let anchor =
+    Fsd.fold_entries fs2 ~init:(-1) ~f:(fun acc ~name ~version:_ e ->
+        if name = "victim" then e.Entry.anchor else acc)
+  in
+  Device.damage device anchor;
+  check bool "check flags the damaged leader" true (Result.is_error (Fsd.check fs2));
+  let ios = ref [] in
+  Device.set_observer device
+    (Some (fun ~rw ~sector ~count -> ios := (rw, sector, count) :: !ios));
+  let got = Fsd.read_page fs2 ~name:"victim" ~page in
+  Device.set_observer device None;
+  check bool "content reads back" true
+    (Bytes.equal got (Bytes.sub data (page * 512) 512));
+  (match List.rev !ios with
+  | (`R, sector, count) :: _ ->
+    check int "the first read starts at the leader" anchor sector;
+    check bool "with the data only on page 0" (page = 0) (count > 1)
+  | _ -> Alcotest.fail "expected a read of the leader first");
+  check bool "leader rewritten" true (List.mem (`W, anchor, 1) !ios);
+  check int "repair counted" 1 (fsd_count fs2 "scrub_leader_repairs");
+  check int "no piggyback counted" 0 (fsd_count fs2 "leader_piggybacks");
+  check bool "check passes" true (Fsd.check fs2 = Ok ())
+
+let test_damaged_leader_piggybacked () = check_damaged_leader_read ~page:0
+let test_damaged_leader_read_alone () = check_damaged_leader_read ~page:1
+
 (* ------------------------------------------------------------------ *)
 (* I/O behaviour (the paper's headline properties)                     *)
 
@@ -665,6 +703,8 @@ let suite =
     ("boot page replica", `Quick, test_boot_page_replica);
     ("data damage isolated", `Quick, test_data_damage_isolated_to_file);
     ("leader detects wild write", `Quick, test_leader_detects_wild_write);
+    ("damaged leader: piggybacked read", `Quick, test_damaged_leader_piggybacked);
+    ("damaged leader: separate read", `Quick, test_damaged_leader_read_alone);
     ("create = one synchronous io", `Quick, test_create_is_one_synchronous_io);
     ("open does no io", `Quick, test_open_does_no_io);
     ("delete does no io", `Quick, test_delete_does_no_io);

@@ -122,6 +122,34 @@ let test_window_percentiles () =
   (* window now 94..100,7,7,7; sorted 7,7,7,94..100: p50 = 5th = 95 *)
   check close "slid p50" 95.0 w2.Metrics.p50
 
+(* A layer that re-registers a watched dist (the per-boot reset) starts
+   a fresh series: the next window holds only its values, also when it
+   outgrew the old series before that sample. *)
+let test_window_follows_reregistration () =
+  let m = Metrics.create () in
+  let clock = ref 0 in
+  let old_series = Metrics.dist m "lat_us" in
+  let mon =
+    Monitor.create ~window:10 ~interval_us:100 ~now:(fun () -> !clock) m
+  in
+  Monitor.watch_dist mon "lat_us";
+  for i = 1 to 5 do
+    Stats.add old_series (float_of_int i)
+  done;
+  clock := 100;
+  let s1 = Monitor.sample_now mon in
+  check int "old series in the window" 5
+    (List.assoc "lat_us" s1.Monitor.dists).Metrics.n;
+  let fresh = Metrics.dist m "lat_us" in
+  for i = 101 to 108 do
+    Stats.add fresh (float_of_int i)
+  done;
+  clock := 200;
+  let w = List.assoc "lat_us" (Monitor.sample_now mon).Monitor.dists in
+  check int "only the fresh values" 8 w.Metrics.n;
+  check close "min is the fresh series' oldest" 101.0 w.Metrics.min;
+  check close "max is its newest" 108.0 w.Metrics.max
+
 (* ------------------------------------------------------------------ *)
 (* Ring eviction                                                       *)
 
@@ -329,6 +357,7 @@ let suite =
     ("hand-computed interval deltas", `Quick, test_hand_computed_intervals);
     ("sampling cadence", `Quick, test_cadence);
     ("sliding-window percentiles", `Quick, test_window_percentiles);
+    ("window follows a re-registered dist", `Quick, test_window_follows_reregistration);
     ("ring eviction", `Quick, test_ring_eviction);
     ("timeline determinism end-to-end", `Quick, test_timeline_determinism);
     ("sampling performs zero device I/O", `Quick, test_sampling_is_io_free);

@@ -99,6 +99,50 @@ let test_abandoned_span_unwound () =
   let last = List.nth (Trace.to_list tr) 3 in
   check int "back at top level" 0 last.Trace.span
 
+(* [Trace.span] is the begin/end pair around [f], closed on the
+   exception path too, and exactly [f ()] while tracing is off. *)
+let test_span_function () =
+  let clock = Simclock.create () in
+  let by_pair = Trace.create () and by_span = Trace.create () in
+  Trace.enable by_pair;
+  Trace.enable by_span;
+  let id = Trace.begin_span by_pair ~at:0 ~op:"create" ~name:"f" in
+  Trace.emit by_pair ~at:3 (Trace.Leader_piggyback { sector = 7 });
+  Trace.end_span by_pair ~at:5 id;
+  let r =
+    Trace.span by_span clock ~op:"create" ~name:"f" (fun () ->
+        Simclock.advance clock 3;
+        Trace.emit by_span ~at:(Simclock.now clock)
+          (Trace.Leader_piggyback { sector = 7 });
+        Simclock.advance clock 2;
+        42)
+  in
+  check int "returns f's value" 42 r;
+  check bool "same entries as the begin/end pair" true
+    (Trace.to_list by_pair = Trace.to_list by_span);
+  (match
+     Trace.span by_span clock ~op:"delete" ~name:"g" (fun () ->
+         Simclock.advance clock 4;
+         raise Exit)
+   with
+  | _ -> Alcotest.fail "expected Exit"
+  | exception Exit -> ());
+  (match List.rev (Trace.to_list by_span) with
+  | { Trace.span; event = Trace.Op_end { op; us }; _ }
+    :: { Trace.seq; event = Trace.Op_begin _; _ } :: _ ->
+    check string "raising span closed" "delete" op;
+    check int "its duration" 4 us;
+    check int "under its own id" seq span
+  | _ -> Alcotest.fail "expected Op_begin, Op_end for the raising span");
+  check int "back at top level" 0 (Trace.current_span by_span);
+  let off = Trace.create () in
+  check int "off: f's value" 7
+    (Trace.span off clock ~op:"x" ~name:"" (fun () -> 7));
+  check int "off: nothing recorded" 0 (Trace.length off);
+  Trace.enable off;
+  Trace.emit off ~at:0 (Trace.Leader_piggyback { sector = 1 });
+  check int "off: no seq consumed" 1 (List.hd (Trace.to_list off)).Trace.seq
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
 
@@ -497,6 +541,7 @@ let suite =
     ("disabled trace is inert", `Quick, test_disabled_is_inert);
     ("span nesting", `Quick, test_span_nesting);
     ("abandoned span unwound", `Quick, test_abandoned_span_unwound);
+    ("span function", `Quick, test_span_function);
     ("metrics registry", `Quick, test_metrics_registry);
     ("json builder", `Quick, test_jsonb);
     ("op event sequences (§4)", `Quick, test_op_event_sequences);
