@@ -28,7 +28,9 @@ api-check:
 # Example smoke: the five programs under examples/ call the library too
 # (they alone keep Remote, Fsd.last_used and Cfs.import_cached exported),
 # so CI runs them rather than only compiling them. Each must exit 0, and
-# the verdict lines of crash_recovery and remote_cache must hold.
+# the verdict lines of crash_recovery, remote_cache and bulk_build (FSD
+# does the fewest I/Os of the three file systems on the make/do build)
+# must hold.
 examples-smoke:
 	dune build
 	rm -rf _build/examples-smoke && mkdir -p _build/examples-smoke
@@ -44,6 +46,8 @@ examples-smoke:
 		{ echo "examples-smoke: remote_cache lost the last-used time"; exit 1; }
 	@grep -q "rolled back to the committed value .*: true$$" _build/examples-smoke/remote_cache.out || \
 		{ echo "examples-smoke: remote_cache kept an uncommitted touch"; exit 1; }
+	@grep -q "^FSD does the fewest I/Os of the three: true$$" _build/examples-smoke/bulk_build.out || \
+		{ echo "examples-smoke: bulk_build: FSD did not do the fewest I/Os"; exit 1; }
 	@echo "examples-smoke: five examples ran, verdicts true"
 
 # Paper-harness smoke: every section of the paper harness except R9 (the

@@ -228,10 +228,7 @@ let table3 () =
   let _, fsd_fs = Setup.fsd_volume () in
   let fsd = bulk_on (Fsd.ops fsd_fs) ~drop_caches:(fun () -> Fsd.drop_caches fsd_fs) in
   (* MakeDo on fresh volumes *)
-  let makedo ops =
-    Makedo.prepare ops Makedo.default;
-    (Makedo.build ops Makedo.default).Measure.ios
-  in
+  let makedo ops = (Concurrent.makedo_direct ops ~modules:24).Measure.ios in
   let _, cfs2 = Setup.cfs_volume () in
   let cfs_makedo = makedo (Cfs.ops cfs2) in
   let _, fsd2 = Setup.fsd_volume () in
@@ -425,8 +422,7 @@ let log_records () =
     Fsd.force fs
   done;
   (* heavy load: bursts of creates per commit window *)
-  Makedo.prepare ops { Makedo.default with Makedo.modules = 40 };
-  ignore (Makedo.build ops { Makedo.default with Makedo.modules = 40 });
+  ignore (Concurrent.makedo_direct ops ~modules:40);
   let st = Fsd.log_stats fs in
   let d = Cedar_obs.Metrics.summarize st.Flog.record_sizes in
   pf "records=%d  min=%.0f  p50=%.0f  mean=%.1f  max=%.0f sectors\n"

@@ -291,10 +291,14 @@ let do_force t =
     t.last_force <- now t
   end
 
+(* Every force is a write barrier (a no-op without a request queue): the
+   record-size backstop runs inside an op, right behind its data writes. *)
 let force t =
+  ignore (Device.busy_until t.device : int);
   Trace.span (trace t) t.clock ~op:"force" ~name:"" (fun () ->
       let (), io = Device.track t.device (fun () -> do_force t) in
-      t.last_force_io <- Some io)
+      t.last_force_io <- Some io);
+  ignore (Device.busy_until t.device : int)
 
 let last_force_window t =
   match t.last_force_io with

@@ -86,7 +86,9 @@ val last_used : t -> name:string -> int option
 (** {1 Commit and time} *)
 
 val force : t -> unit
-(** Client-requested log force (§5.4: "clients may force the log"). *)
+(** Client-requested log force (§5.4: "clients may force the log"). On a
+    queued device every force is a write barrier: what was issued before
+    it is serviced before its record, and its record before it returns. *)
 
 val tick : t -> us:int -> unit
 (** Advance virtual time (idle workstation), then {!run_due_demons}. *)

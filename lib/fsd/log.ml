@@ -246,17 +246,21 @@ let reset_pointer t =
   write_pointer t.device t.layout ~offset:t.write_off ~record_no:t.next_record_no
     ~boot_count:t.boot_count
 
-(* Which thirds would appending a record of [record_sectors] enter?
-   Mirrors [append]'s wrap and entry logic, without side effects. *)
-let thirds_entered_by t ~record_sectors =
+(* Where a record of [record_sectors] goes: its start (back at 0 when it
+   would run past the end of the body) and the thirds it touches that the
+   head is not in yet, which [append] enters and so overwrites. *)
+let place t ~record_sectors =
   let third = third_sectors t.layout in
   let start =
     if t.write_off + record_sectors > body_sectors t.layout then 0 else t.write_off
   in
   let first = start / third and last = (start + record_sectors - 1) / third in
-  List.filter
-    (fun j -> j <> t.current_third)
-    (List.init (last - first + 1) (fun i -> first + i))
+  ( start,
+    List.filter
+      (fun j -> j <> t.current_third)
+      (List.init (last - first + 1) (fun i -> first + i)) )
+
+let thirds_entered_by t ~record_sectors = snd (place t ~record_sectors)
 
 (* Pointer target: the first record of the oldest third that still holds
    live records; if no other third does, the record about to be written. *)
@@ -276,7 +280,10 @@ let enter_third t j =
   t.on_enter_third j;
   t.third_first.(j) <- None;
   t.current_third <- j;
-  update_pointer t
+  update_pointer t;
+  (* A barrier: the pointer and the home writes this entry needs are
+     serviced before the record that overwrites [j]. *)
+  ignore (Device.busy_until t.device : int)
 
 let append t units =
   if units = [] then invalid_arg "Log.append: empty record";
@@ -293,12 +300,10 @@ let append t units =
   let size = record_total_sectors t.layout units in
   let third = third_sectors t.layout in
   if size > third then invalid_arg "Log.append: record larger than a third";
-  if t.write_off + size > body_sectors t.layout then t.write_off <- 0;
-  (* Enter every third this record touches that we are not already in. *)
-  let first_t = t.write_off / third and last_t = (t.write_off + size - 1) / third in
-  for j = first_t to last_t do
-    if j <> t.current_third then enter_third t j
-  done;
+  let start, entered = place t ~record_sectors:size in
+  t.write_off <- start;
+  List.iter (enter_third t) entered;
+  let first_t = t.write_off / third in
   if t.third_first.(first_t) = None then
     t.third_first.(first_t) <- Some (t.write_off, t.next_record_no);
   (* Assemble the record in the log's buffer, in the active layout: each

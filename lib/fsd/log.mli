@@ -96,8 +96,8 @@ val next_record_no : t -> int64
 
 val thirds_entered_by : t -> record_sectors:int -> int list
 (** Which thirds appending a record of that many total sectors would
-    enter (and therefore overwrite). A pure prediction, nothing in the
-    file system calls it: the diverged-page test drives it to learn
+    enter (and therefore overwrite), without side effects. {!append}
+    enters exactly these; the diverged-page test drives it to learn
     which record reclaims a third. *)
 
 val reset_pointer : t -> unit

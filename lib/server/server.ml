@@ -98,6 +98,7 @@ type session = {
 type vol = {
   v_id : int;
   v_fsd : Fsd.t;
+  v_ops : Cedar_fsbase.Fs_ops.t;  (* [Fsd.ops v_fsd] *)
   v_dev : Cedar_disk.Device.t;
   mutable v_crash : int option;
       (* the sector a planted crash fired at; the volume is quarantined *)
@@ -229,11 +230,7 @@ let force_vol t v =
   t.forces <- t.forces + 1;
   v.v_forces <- v.v_forces + 1;
   (match t.cfg.on_force with Some f -> f t.forces | None -> ());
-  (* A force is a synchronization barrier: the device services every
-     queued request before it and every request of it after it. *)
-  ignore (Cedar_disk.Device.busy_until v.v_dev : int);
-  guarded t v (fun () -> Fsd.force v.v_fsd);
-  ignore (Cedar_disk.Device.busy_until v.v_dev : int)
+  guarded t v (fun () -> Fsd.force v.v_fsd)
 
 (* An explicit client [Force]: flush every live volume, index order. *)
 let force_all t =
@@ -360,18 +357,7 @@ let schedule_point t =
 (* Session stepping. *)
 
 let exec_op t v (op : Concurrent.op) =
-  let fsd = v.v_fsd in
-  match op with
-  | Create { name; bytes; fill } ->
-    ignore
-      (Fsd.create fsd ~name (Concurrent.content ~fill bytes)
-        : Cedar_fsbase.Fs_ops.info)
-  | Open name -> ignore (Fsd.open_stat fsd ~name : Cedar_fsbase.Fs_ops.info)
-  | Read name -> ignore (Fsd.read_all fsd ~name : bytes)
-  | Read_page { name; page } -> ignore (Fsd.read_page fsd ~name ~page : bytes)
-  | Delete name -> Fsd.delete fsd ~name
-  | List prefix -> ignore (Fsd.list fsd ~prefix : Cedar_fsbase.Fs_ops.info list)
-  | Force -> force_all t
+  match op with Force -> force_all t | op -> Concurrent.exec v.v_ops op
 
 (* [Fs_error] is a client error (bad name, missing file): count it and
    move on. A planted device crash quarantines the volume. Anything else
@@ -600,6 +586,7 @@ let create_volumes ?(config = default_config) vset scripts =
         {
           v_id = i;
           v_fsd = fsd;
+          v_ops = Fsd.ops fsd;
           v_dev = dev;
           v_crash = None;
           v_last_durable = Fsd.durable_seq fsd;

@@ -6,6 +6,7 @@
    scripts. *)
 
 open Cedar_util
+open Cedar_fsbase
 
 type op =
   | Create of { name : string; bytes : int; fill : int }
@@ -59,10 +60,20 @@ let op_kind = function
 
 let op_kinds = [ "create"; "open"; "read"; "read_page"; "delete"; "list"; "force" ]
 
-(* ------------------------------------------------------------------ *)
-(* The §7 make/do workload, one client's worth.
+let exec (ops : Fs_ops.t) = function
+  | Create { name; bytes; fill } ->
+    ignore (ops.Fs_ops.create ~name ~data:(content ~fill bytes) : Fs_ops.info)
+  | Open name -> ignore (ops.Fs_ops.open_stat ~name : Fs_ops.info)
+  | Read name -> ignore (ops.Fs_ops.read_all ~name : bytes)
+  | Read_page { name; page } -> ignore (ops.Fs_ops.read_page ~name ~page : bytes)
+  | Delete name -> ops.Fs_ops.delete ~name
+  | List prefix -> ignore (ops.Fs_ops.list ~prefix : Fs_ops.info list)
+  | Force -> ops.Fs_ops.force ()
 
-   Mirrors [Makedo.build]: read each module's source, stat and touch its
+(* ------------------------------------------------------------------ *)
+(* The §7 make/do workload, one client's worth (Table 3's MakeDo row).
+
+   Per round: read each module's source, stat and touch its
    dependencies, create-use-delete a compiler temp, emit the derived
    object, and rewrite the build description — under the client's own
    directory, with think time between operations (a developer's
@@ -100,7 +111,9 @@ let think rng spec acc =
     Think (lo + Rng.int rng (max 1 spec.think_us)) :: acc
   end
 
-let makedo_client spec ~client =
+(* One client's make/do, split where the build starts. Both halves draw
+   from one generator: the served script is the two end to end. *)
+let makedo_phases spec ~client =
   let rng = Rng.create (spec.seed + (client * 7919)) in
   let acc = ref [] in
   let push op = acc := Op op :: think rng spec !acc in
@@ -112,6 +125,8 @@ let makedo_client spec ~client =
     push (Create { name = source_name ~client i; bytes; fill = i })
   done;
   push (Create { name = df_name ~client; bytes = 2_000; fill = 0 });
+  let prepare = List.rev !acc in
+  acc := [];
   for round = 1 to spec.rounds do
     for i = 0 to spec.modules - 1 do
       push (Read (source_name ~client i));
@@ -134,10 +149,23 @@ let makedo_client spec ~client =
     push (Create { name = df_name ~client; bytes = 2_200; fill = round });
     push (List (client_dir client ^ "/bin/"))
   done;
-  List.rev !acc
+  (prepare, List.rev !acc)
 
 let makedo_scripts spec ~clients =
-  Array.init clients (fun client -> makedo_client spec ~client)
+  Array.init clients (fun client ->
+      let prepare, build = makedo_phases spec ~client in
+      prepare @ build)
+
+(* Replay through any file system, skipping think and arrival steps. *)
+let replay ops = List.iter (function Op op -> exec ops op | Think _ | At _ -> ())
+
+let makedo_direct ops ~modules =
+  let spec =
+    { default_spec with modules; rounds = 1; source_bytes = 6_000; think_us = 0 }
+  in
+  let prepare, build = makedo_phases spec ~client:0 in
+  replay ops (prepare @ [ Op Force ]);
+  snd (Measure.run ops (fun () -> replay ops (build @ [ Op Force ])))
 
 (* ------------------------------------------------------------------ *)
 (* The crash-sweep reference script.

@@ -2,9 +2,10 @@
 
     A {e script} is a pure description of one client session's behavior —
     operations interleaved with think time — replayed by the server
-    scheduler (lib/server). Generation is deterministic: equal specs give
-    equal scripts, which is what makes server runs replayable from a
-    seed. *)
+    scheduler (lib/server), or one make/do client directly through any
+    file system ({!makedo_direct}). Generation is deterministic: equal
+    specs give equal scripts, which is what makes server runs replayable
+    from a seed. *)
 
 type op =
   | Create of { name : string; bytes : int; fill : int }
@@ -41,6 +42,9 @@ val op_kind : op -> string
 val op_kinds : string list
 (** Every label {!op_kind} returns, in declaration order. *)
 
+val exec : Cedar_fsbase.Fs_ops.t -> op -> unit
+(** Run one operation through any file system; [Force] forces it. *)
+
 val mutates : op -> bool
 (** Whether the operation leaves log-pending metadata (create/delete) —
     the ops whose sessions park on the group-commit batcher. *)
@@ -62,6 +66,11 @@ val makedo_scripts : spec -> clients:int -> script array
 (** One closed-loop make/do session per client, each under its own
     directory [c<NN>/]: create sources, then per round read sources, stat
     dependencies, create-use-delete compiler temps and emit objects. *)
+
+val makedo_direct : Cedar_fsbase.Fs_ops.t -> modules:int -> Measure.sample
+(** Client 0's make/do ([c00/]) with 6,000-byte sources, one round and
+    no think time, replayed through any file system: the prepare phase
+    and a force, then the measured build and a final force. *)
 
 (** {1 The crash-sweep reference script} *)
 

@@ -604,6 +604,64 @@ let test_no_io_op_acked_at_execute_end () =
     true (busy_until > exec_end);
   check int "the list is acked at its execute end" exec_end acked
 
+(* ------------------------------------------------------------------ *)
+(* Write order: every force is a write barrier                          *)
+
+(* On a queued device the policy may service a later request first, so
+   a log record must be issued with nothing older still queued: the
+   op data a record commits, and the pointer and home writes a third
+   entry needs, are serviced before it. An issue-time observer checks
+   the rule on every log-body write (the log region after the pointer's
+   mirrored 3-sector frame): the record must be the only request in the
+   queue. Each run must include record-size forces (log forces the
+   scheduler did not start) or third entries, the two places a record
+   used to be queued behind older writes. *)
+let check_write_order what ~geom ~depth ~policy scripts =
+  let params =
+    { (Params.for_geometry geom) with Params.disk_qdepth = depth; disk_sched = policy }
+  in
+  let vset =
+    Cedar_volumes.Volume_set.create_fresh ~geom ~params ~clock:(Simclock.create ()) 1
+  in
+  let dev = Cedar_volumes.Volume_set.device vset 0 in
+  let fs = Cedar_volumes.Volume_set.vol vset 0 in
+  let l = Fsd.layout fs in
+  let records = ref 0 and behind = ref 0 in
+  Device.set_observer dev
+    (Some
+       (fun ~rw ~sector ~count:_ ->
+         if rw = `W && sector >= l.Layout.log_start + 3
+            && sector < l.Layout.log_start + l.Layout.log_sectors
+         then begin
+           incr records;
+           if Device.queue_length dev > 1 then incr behind
+         end));
+  let r = S.serve_volumes vset scripts in
+  Device.set_observer dev None;
+  let entries = Option.get (Obs.Metrics.read (Fsd.metrics fs) "log.third_entries") in
+  check int (what ^ ": no errors") 0 r.S.total_errors;
+  check bool (what ^ ": records were written") true (!records > 0);
+  check bool
+    (Printf.sprintf "%s: record-size forces (%d log, %d server) or third entries (%d)"
+       what r.S.log_forces r.S.server_forces entries)
+    true
+    (r.S.log_forces > r.S.server_forces || entries > 0);
+  check int
+    (Printf.sprintf "%s: records issued behind queued requests (of %d)" what !records)
+    0 !behind
+
+let test_write_order () =
+  let makedo = C.makedo_scripts C.default_spec ~clients:8 in
+  check_write_order "make/do, elevator depth 4" ~geom:Geometry.small_test ~depth:4
+    ~policy:Device.Elevator makedo;
+  check_write_order "make/do, sstf depth 8" ~geom:Geometry.small_test ~depth:8
+    ~policy:Device.Sstf makedo;
+  check_write_order "open loop, elevator depth 8" ~geom:Geometry.trident_t300 ~depth:8
+    ~policy:Device.Elevator
+    (C.open_loop
+       { C.default_open with C.ol_rate_per_s = 12.0; ol_ops = 600 }
+       ~clients:32)
+
 let suite =
   [
     Alcotest.test_case "same-seed runs are byte-identical" `Quick test_determinism;
@@ -630,4 +688,5 @@ let suite =
     Alcotest.test_case "no-I/O op acked at execute end" `Quick
       test_no_io_op_acked_at_execute_end;
     Alcotest.test_case "ledger exact on every timing" `Quick test_ledger;
+    Alcotest.test_case "every force is a write barrier" `Quick test_write_order;
   ]

@@ -1,6 +1,7 @@
 (* Tests for the workload library: the size distribution's 50%/8% shape,
-   MakeDo running identically across all three file systems, bulk
-   helpers, the fake file server, and the measurement plumbing. *)
+   the make/do script replayed identically across all three file
+   systems, the served make/do scripts' digest, bulk helpers, the fake
+   file server, and the measurement plumbing. *)
 
 open Cedar_util
 open Cedar_disk
@@ -103,26 +104,26 @@ let test_bulk_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* MakeDo across all three systems                                     *)
 
-let makedo_spec = { Makedo.default with Makedo.modules = 8 }
+let makedo_modules = 8
 
-let expected_names spec =
+(* The replayed make/do is client 0's, so its names sit under c00/. *)
+let expected_names modules =
   List.concat
     [
-      List.init spec.Makedo.modules (fun i -> Makedo.source_name i);
-      List.init spec.Makedo.modules (fun i -> Makedo.object_name i);
-      [ Makedo.df_name ];
+      List.init modules (Printf.sprintf "c00/src/M%03d.mesa");
+      List.init modules (Printf.sprintf "c00/bin/M%03d.bcd");
+      [ "c00/build/program.df" ];
     ]
   |> List.sort compare
 
 (* BSD's list is per-directory, so enumerate the build's directories
    rather than using a flat prefix. *)
 let run_makedo ops =
-  Makedo.prepare ops makedo_spec;
-  let s = Makedo.build ops makedo_spec in
+  let s = Concurrent.makedo_direct ops ~modules:makedo_modules in
   let names =
     List.concat_map
       (fun dir -> List.map (fun i -> i.Fs_ops.name) (ops.Fs_ops.list ~prefix:dir))
-      [ "src/"; "bin/"; "build/" ]
+      [ "c00/src/"; "c00/bin/"; "c00/build/" ]
     |> List.sort compare
   in
   (s, names)
@@ -131,7 +132,7 @@ let test_makedo_same_result_everywhere () =
   let _, fsd_names = run_makedo (fsd_ops ()) in
   let _, cfs_names = run_makedo (cfs_ops ()) in
   let _, ufs_names = run_makedo (ufs_ops ()) in
-  let expected = expected_names makedo_spec in
+  let expected = expected_names makedo_modules in
   check (Alcotest.list Alcotest.string) "fsd names" expected fsd_names;
   check (Alcotest.list Alcotest.string) "cfs names" expected cfs_names;
   check (Alcotest.list Alcotest.string) "ufs names" expected ufs_names
@@ -139,9 +140,8 @@ let test_makedo_same_result_everywhere () =
 let test_makedo_temps_deleted () =
   List.iter
     (fun ops ->
-      Makedo.prepare ops makedo_spec;
-      ignore (Makedo.build ops makedo_spec);
-      check int "no temps left" 0 (List.length (ops.Fs_ops.list ~prefix:"tmp/")))
+      ignore (Concurrent.makedo_direct ops ~modules:makedo_modules : Measure.sample);
+      check int "no temps left" 0 (List.length (ops.Fs_ops.list ~prefix:"c00/tmp/")))
     [ fsd_ops (); cfs_ops (); ufs_ops () ]
 
 let test_makedo_fsd_beats_cfs_on_ios () =
@@ -151,6 +151,37 @@ let test_makedo_fsd_beats_cfs_on_ios () =
     (Printf.sprintf "cfs %d > fsd %d ios" cfs_s.Measure.ios fsd_s.Measure.ios)
     true
     (cfs_s.Measure.ios > fsd_s.Measure.ios)
+
+(* The served make/do scripts, pinned step for step: perfbench's
+   makedo-8vol spec (the default, 64 clients, seed 1) printed one step a
+   line and digested. A change that moves any served step fails here. *)
+let step_line = function
+  | Concurrent.Think us -> Printf.sprintf "think %d" us
+  | Concurrent.At t -> Printf.sprintf "at %d" t
+  | Concurrent.Op (Concurrent.Create { name; bytes; fill }) ->
+    Printf.sprintf "create %s %d %d" name bytes fill
+  | Concurrent.Op (Concurrent.Open name) -> "open " ^ name
+  | Concurrent.Op (Concurrent.Read name) -> "read " ^ name
+  | Concurrent.Op (Concurrent.Read_page { name; page }) ->
+    Printf.sprintf "read_page %s %d" name page
+  | Concurrent.Op (Concurrent.Delete name) -> "delete " ^ name
+  | Concurrent.Op (Concurrent.List prefix) -> "list " ^ prefix
+  | Concurrent.Op Concurrent.Force -> "force"
+
+let test_makedo_scripts_pinned () =
+  let b = Buffer.create 400_000 in
+  Array.iteri
+    (fun client script ->
+      Buffer.add_string b (Printf.sprintf "client %d\n" client);
+      List.iter
+        (fun step ->
+          Buffer.add_string b (step_line step);
+          Buffer.add_char b '\n')
+        script)
+    (Concurrent.makedo_scripts Concurrent.default_spec ~clients:64);
+  check Alcotest.string "served make/do scripts digest"
+    "04e739fd0f6bcad46acfb1b6b43c8a69"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_shard_scripts_pin_clients () =
   let scripts =
@@ -199,6 +230,7 @@ let suite =
     ("makedo: same files on all systems", `Quick, test_makedo_same_result_everywhere);
     ("makedo: temps deleted", `Quick, test_makedo_temps_deleted);
     ("makedo: fsd beats cfs on ios", `Quick, test_makedo_fsd_beats_cfs_on_ios);
+    ("makedo: served scripts pinned", `Quick, test_makedo_scripts_pinned);
     ("shard_scripts pins clients to volumes", `Quick, test_shard_scripts_pin_clients);
     ("content matches the per-byte formula", `Quick, test_content_matches_formula);
   ]
