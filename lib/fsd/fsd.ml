@@ -966,8 +966,10 @@ let format device params =
   Vam.save (Vam.create_all_free layout) device;
   Boot_page.write device ~boot_count:0 params
 
-(* Scan the whole name table once: mark allocated sectors in the VAM and
-   collect anchor-sector -> uid for validating logged leader images. *)
+(* Scan the whole name table once: with [vam], mark every entry's
+   sectors allocated; and record anchor-sector -> uid for the anchors
+   [anchors] already holds, the sectors of the logged leader images it
+   validates. *)
 let scan_name_table t_tree vam anchors cpu_per_entry clock =
   B.iter t_tree (fun k v ->
       Simclock.advance clock cpu_per_entry;
@@ -975,15 +977,9 @@ let scan_name_table t_tree vam anchors cpu_per_entry clock =
       | exception Bytebuf.Decode_error m ->
         corrupt (Printf.sprintf "entry %s does not decode during scan: %s" k m)
       | e ->
-        if e.Entry.anchor >= 0 then begin
-          (match vam with
-          | Some vm -> Vam.mark_allocated_for_rebuild vm e.Entry.anchor
-          | None -> ());
-          Hashtbl.replace anchors e.Entry.anchor e.Entry.uid
-        end;
-        match vam with
-        | Some vm -> Run_table.iter_sectors e.Entry.runs (Vam.mark_allocated_for_rebuild vm)
-        | None -> ())
+        Option.iter (fun vm -> Vam.mark_entry_allocated vm e) vam;
+        if Hashtbl.mem anchors e.Entry.anchor then
+          Hashtbl.replace anchors e.Entry.anchor (Some e.Entry.uid))
 
 let boot ?params device =
   let clock = Device.clock device in
@@ -1055,7 +1051,8 @@ let boot ?params device =
      from the name table. A mode mismatch (the volume last ran with the
      other setting) falls back to reconstruction. *)
   let v0 = Simclock.now clock in
-  let anchors = Hashtbl.create 64 in
+  let anchors = Hashtbl.create 16 in
+  List.iter (fun (sector, _, _) -> Hashtbl.replace anchors sector None) leader_images;
   let reconstruct () =
     let vm = Vam.create_all_free layout in
     scan_name_table tree (Some vm) anchors (Params.cpu_page_us / 2) clock;
@@ -1102,7 +1099,7 @@ let boot ?params device =
     List.iter
       (fun (sector, image, _) ->
         let ok =
-          match (Leader.decode image, Hashtbl.find_opt anchors sector) with
+          match (Leader.decode image, Hashtbl.find anchors sector) with
           | Some l, Some uid -> Int64.equal l.Leader.uid uid
           | _, _ -> false
         in

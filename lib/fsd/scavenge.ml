@@ -264,13 +264,7 @@ let run device =
       | Some _ | None -> ())
     (List.rev !kept);
   let vam = Vam.create_all_free layout in
-  List.iter
-    (fun (_, e) ->
-      if e.Entry.anchor >= 0 then begin
-        Vam.mark_allocated_for_rebuild vam e.Entry.anchor;
-        Run_table.iter_sectors e.Entry.runs (Vam.mark_allocated_for_rebuild vam)
-      end)
-    sorted;
+  List.iter (fun (_, e) -> Vam.mark_entry_allocated vam e) sorted;
   Hashtbl.iter (fun s () -> Vam.quarantine vam s) quarantine;
   Vam.save
     ~mode:(if params.Params.log_vam then Vam.Log_based else Vam.Snapshot)

@@ -1,5 +1,6 @@
 open Cedar_util
 open Cedar_disk
+open Cedar_fsbase
 
 type mode = Snapshot | Log_based
 
@@ -59,14 +60,20 @@ let allocate_run t ~pos ~len =
   Bitmap.clear_run t.free ~pos ~len;
   mark_chunks t ~pos ~len
 
+(* The whole run is checked before any bit is set, so a release that
+   fails frees nothing. The metadata block separates the two data
+   areas, so a run of data sectors lies inside one of them. *)
 let release_run t ~pos ~len =
   check_run t ~pos ~len;
-  for s = pos to pos + len - 1 do
-    if not (Layout.is_data_sector t.layout s) then
-      invalid_arg "Vam.release_run: metadata sector";
-    if Bitmap.get t.free s then invalid_arg "Vam.release_run: double free";
-    Bitmap.set t.free s
-  done;
+  let l = t.layout in
+  let inside lo hi = pos >= lo && pos + len <= hi in
+  if
+    not
+      (inside l.Layout.small_lo l.Layout.small_hi || inside l.Layout.big_lo l.Layout.big_hi)
+  then invalid_arg "Vam.release_run: metadata sector";
+  if not (Bitmap.all_clear_in_run t.free ~pos ~len) then
+    invalid_arg "Vam.release_run: double free";
+  Bitmap.set_run t.free ~pos ~len;
   mark_chunks t ~pos ~len
 
 let shadow_release_run t ~pos ~len =
@@ -81,9 +88,8 @@ let commit_shadow t =
     | [] -> ()
     | (pos, len) :: rest ->
       if pos < prev_end then invalid_arg "Vam.commit_shadow: overlapping frees";
-      for s = pos to pos + len - 1 do
-        if Bitmap.get t.free s then invalid_arg "Vam.commit_shadow: double free"
-      done;
+      if not (Bitmap.all_clear_in_run t.free ~pos ~len) then
+        invalid_arg "Vam.commit_shadow: double free";
       check (pos + len) rest
   in
   check 0 (List.sort compare t.shadow);
@@ -101,6 +107,12 @@ let find_free_run_down t = Bitmap.find_run_set_down t.free
 
 let mark_allocated_for_rebuild t s =
   if Bitmap.get t.free s then Bitmap.clear t.free s
+
+let mark_entry_allocated t (e : Entry.t) =
+  if e.Entry.anchor >= 0 then Bitmap.clear t.free e.Entry.anchor;
+  List.iter
+    (fun r -> Bitmap.clear_run t.free ~pos:r.Run_table.start ~len:r.Run_table.len)
+    (Run_table.runs e.Entry.runs)
 
 let quarantine t s =
   if Bitmap.get t.free s then begin

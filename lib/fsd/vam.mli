@@ -35,7 +35,9 @@ val allocate_run : t -> pos:int -> len:int -> unit
     not currently free. *)
 
 val release_run : t -> pos:int -> len:int -> unit
-(** Immediate release (used by reconstruction and by aborted creates). *)
+(** Immediate release (used by aborted creates). Raises
+    [Invalid_argument], changing nothing, if the run holds a metadata
+    sector or a sector already free. *)
 
 val shadow_release_run : t -> pos:int -> len:int -> unit
 (** Deferred release: free only at the next {!commit_shadow}. *)
@@ -53,6 +55,13 @@ val find_free_run_down : t -> from:int -> downto_:int -> len:int -> int option
 
 val mark_allocated_for_rebuild : t -> int -> unit
 (** During reconstruction: claim one sector found referenced by the FNT. *)
+
+val mark_entry_allocated : t -> Cedar_fsbase.Entry.t -> unit
+(** During reconstruction: claim every sector of one name-table entry,
+    its anchor (the leader, when it has one) and each of its runs, a
+    whole run per step. Boot and the scavenger rebuild the map with it,
+    one entry at a time. Raises [Invalid_argument] if a run leaves the
+    volume. *)
 
 val quarantine : t -> int -> unit
 (** The scavenger's hold on a sector of a losing claim: allocated, yet

@@ -28,92 +28,195 @@ let clear t i =
 
 let assign t i v = if v then set t i else clear t i
 
-let popcount_byte =
-  lazy
-    (Array.init 256 (fun n ->
-         let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-         go n 0))
+(* Set bits of a 64-bit word; inlined, so the word is never boxed. *)
+let[@inline] popcount64 w =
+  let open Int64 in
+  let w = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
+  let m2 = 0x3333333333333333L in
+  let w = add (logand w m2) (logand (shift_right_logical w 2) m2) in
+  let w = logand (add w (shift_right_logical w 4)) 0x0f0f0f0f0f0f0f0fL in
+  to_int (shift_right_logical (mul w 0x0101010101010101L) 56)
+
+(* Eight bytes of the packed map as one word. A word is only counted or
+   compared with all zeros and all ones, so its byte order does not
+   matter. *)
+let[@inline] word t b = Bytes.get_int64_ne t.data b
 
 let count t =
-  let pc = Lazy.force popcount_byte in
+  let n = Bytes.length t.data in
   let total = ref 0 in
-  Bytes.iter (fun c -> total := !total + pc.(Char.code c)) t.data;
+  let b = ref 0 in
+  while !b + 8 <= n do
+    total := !total + popcount64 (word t !b);
+    b := !b + 8
+  done;
+  for b = !b to n - 1 do
+    total := !total + popcount64 (Int64.of_int (Char.code (Bytes.get t.data b)))
+  done;
   (* Bits past [t.bits] in the final byte are never set. *)
   !total
 
-(* Runs are applied a byte at a time. [run_mask ~pos ~stop b] selects the
-   bits of byte [b] inside [pos, stop); every byte strictly between the
-   run's first and last is 0xff. *)
+(* [run_mask ~pos ~stop b] selects the bits of byte [b] inside
+   [pos, stop); every byte strictly between the run's first and last is
+   0xff. *)
 let run_mask ~pos ~stop b =
   let lo = if b = pos lsr 3 then pos land 7 else 0 in
   let hi = if b = (stop - 1) lsr 3 then (stop - 1) land 7 else 7 in
   (0xff lsl lo) land (0xff lsr (7 - hi))
 
+(* Byte [b] with the bits under mask [m] set to [v]. *)
+let assign_masked t b m v =
+  let byte = Char.code (Bytes.get t.data b) in
+  Bytes.set t.data b (Char.chr (if v then byte lor m else byte land lnot m land 0xff))
+
 (* The whole run is validated before any byte changes, so an
-   out-of-range run leaves the map as it was. *)
+   out-of-range run leaves the map as it was. The two edge bytes change
+   under their masks and the bytes between are filled. *)
 let assign_run name t ~pos ~len v =
   if pos < 0 || len < 0 || pos + len > t.bits then
     invalid_arg (Printf.sprintf "Bitmap.%s: run [%d,+%d) out of [0,%d)" name pos len t.bits);
   let stop = pos + len in
-  if len > 0 then
-    for b = pos lsr 3 to (stop - 1) lsr 3 do
-      let byte = Char.code (Bytes.get t.data b) and m = run_mask ~pos ~stop b in
-      Bytes.set t.data b (Char.chr (if v then byte lor m else byte land lnot m land 0xff))
-    done
+  if len > 0 then begin
+    let first = pos lsr 3 and last = (stop - 1) lsr 3 in
+    assign_masked t first (run_mask ~pos ~stop first) v;
+    if last > first then begin
+      Bytes.fill t.data (first + 1) (last - first - 1) (if v then '\255' else '\000');
+      assign_masked t last (run_mask ~pos ~stop last) v
+    end
+  end
 
 let set_run t ~pos ~len = assign_run "set_run" t ~pos ~len true
 let clear_run t ~pos ~len = assign_run "clear_run" t ~pos ~len false
 
-let all_set_in_run t ~pos ~len =
-  let stop = pos + len in
-  let rec go b =
-    b > (stop - 1) lsr 3
-    ||
-    let m = run_mask ~pos ~stop b in
-    Char.code (Bytes.get t.data b) land m = m && go (b + 1)
-  in
-  pos >= 0 && stop <= t.bits && (len <= 0 || go (pos lsr 3))
+(* Whether the bits of byte [b] under mask [m] all equal [v]. *)
+let masked_uniform t b m v =
+  Char.code (Bytes.get t.data b) land m = if v then m else 0
 
-(* The run searches scan bit by bit, but at a byte boundary they take a
-   whole byte in one step: a 0x00 byte breaks the run, and a 0xff byte
-   extends it by eight when that cannot complete it (the bit steps then
-   find exactly where it completes). A byte that straddles the search
-   bound is stepped over too: it can neither complete a run nor, once
-   the bound is passed, start one. Every index read is inside the map,
-   so bytes are read unchecked. *)
+(* Whether bytes [b, last) all have every bit equal to [v], a word at a
+   time while a whole word fits. *)
+let rec bytes_uniform t b last v =
+  if b + 8 <= last then
+    Int64.equal (word t b) (if v then -1L else 0L) && bytes_uniform t (b + 8) last v
+  else b >= last || (masked_uniform t b 0xff v && bytes_uniform t (b + 1) last v)
+
+let uniform_run t ~pos ~len v =
+  let stop = pos + len in
+  pos >= 0 && stop <= t.bits
+  && (len <= 0
+     ||
+     let first = pos lsr 3 and last = (stop - 1) lsr 3 in
+     masked_uniform t first (run_mask ~pos ~stop first) v
+     && (first = last
+        || bytes_uniform t (first + 1) last v
+           && masked_uniform t last (run_mask ~pos ~stop last) v))
+
+let all_set_in_run t ~pos ~len = uniform_run t ~pos ~len true
+let all_clear_in_run t ~pos ~len = uniform_run t ~pos ~len false
+
+(* Tables over the 256 byte values that cross a mixed byte in one step.
+   [ones_up] counts a byte's set bits from bit 0 up to the first clear
+   one, [ones_down] from bit 7 down. For a run of [n <= 8] bits,
+   [first_run] at [(n - 1) * 256 + byte] is the lowest bit at which [n]
+   set bits start inside the byte, [last_run] the highest; both are 8
+   when there is none. Only the searches read them, so they are built
+   on the first search, as a program that never searches need not pay
+   for them at start-up. *)
+type tables = {
+  ones_up : string;
+  ones_down : string;
+  first_run : string;
+  last_run : string;
+}
+
+let tables =
+  lazy
+    (let table n f = String.init n (fun i -> Char.chr (f i)) in
+     let ones_from next byte =
+       let rec go k = if k < 8 && byte land next k <> 0 then go (k + 1) else k in
+       go 0
+     in
+     let runs_inside i =
+       let n = (i lsr 8) + 1 and byte = i land 0xff in
+       let m = (1 lsl n) - 1 in
+       List.filter (fun p -> byte land (m lsl p) = m lsl p) (List.init (9 - n) Fun.id)
+     in
+     {
+       ones_up = table 256 (ones_from (fun k -> 1 lsl k));
+       ones_down = table 256 (ones_from (fun k -> 0x80 lsr k));
+       first_run = table 2048 (fun i -> match runs_inside i with p :: _ -> p | [] -> 8);
+       last_run =
+         table 2048 (fun i -> match List.rev (runs_inside i) with p :: _ -> p | [] -> 8);
+     })
+
+let lookup table i = Char.code (String.unsafe_get table i)
+
+(* Both searches look for [len] set bits inside [lo, hi), with
+   [0 <= lo < hi <= length] and [len >= 1]. A byte is read under the
+   mask of [lo, hi), so the run can neither start below [lo] nor end
+   at or past [hi]. A 64-bit word inside [lo, hi) is taken in one step
+   when it is all zero, or all ones and too short to complete the run;
+   every other byte in one step through the tables: a run carried in
+   from the previous byte completes in this one, else a run of [len <=
+   8] lies inside it, else the run carried on is this byte's edge of
+   ones. [tb] is the forced [tables]. Every byte read lies inside the
+   map, so bytes are read unchecked. *)
+let masked_byte t ~lo ~hi b =
+  let v = Char.code (Bytes.unsafe_get t.data b) in
+  if b = lo lsr 3 || b = (hi - 1) lsr 3 then v land run_mask ~pos:lo ~stop:hi b else v
+
+(* [run] counts the set bits ending just below byte [b]. *)
+let rec search_up tb t ~lo ~hi ~len b run =
+  if b > (hi - 1) lsr 3 then None
+  else if b land 7 = 0 && b lsl 3 >= lo && (b + 8) lsl 3 <= hi then
+    let w = word t b in
+    if Int64.equal w 0L then search_up tb t ~lo ~hi ~len (b + 8) 0
+    else if Int64.equal w (-1L) && run + 64 < len then
+      search_up tb t ~lo ~hi ~len (b + 8) (run + 64)
+    else step_up tb t ~lo ~hi ~len b run
+  else step_up tb t ~lo ~hi ~len b run
+
+and step_up tb t ~lo ~hi ~len b run =
+  let v = masked_byte t ~lo ~hi b in
+  if run + lookup tb.ones_up v >= len then Some ((b lsl 3) - run)
+  else
+    let p = if len <= 8 then lookup tb.first_run (((len - 1) lsl 8) lor v) else 8 in
+    if p < 8 then Some ((b lsl 3) + p)
+    else
+      let carry = if v = 0xff then run + 8 else lookup tb.ones_down v in
+      search_up tb t ~lo ~hi ~len (b + 1) carry
+
+(* [run] counts the set bits starting just above byte [b]. *)
+let rec search_down tb t ~lo ~hi ~len b run =
+  if b < lo lsr 3 then None
+  else if b land 7 = 7 && (b - 7) lsl 3 >= lo && (b + 1) lsl 3 <= hi then
+    let w = word t (b - 7) in
+    if Int64.equal w 0L then search_down tb t ~lo ~hi ~len (b - 8) 0
+    else if Int64.equal w (-1L) && run + 64 < len then
+      search_down tb t ~lo ~hi ~len (b - 8) (run + 64)
+    else step_down tb t ~lo ~hi ~len b run
+  else step_down tb t ~lo ~hi ~len b run
+
+and step_down tb t ~lo ~hi ~len b run =
+  let v = masked_byte t ~lo ~hi b in
+  if run + lookup tb.ones_down v >= len then Some ((b lsl 3) + 8 + run - len)
+  else
+    let p = if len <= 8 then lookup tb.last_run (((len - 1) lsl 8) lor v) else 8 in
+    if p < 8 then Some ((b lsl 3) + p)
+    else
+      let carry = if v = 0xff then run + 8 else lookup tb.ones_up v in
+      search_down tb t ~lo ~hi ~len (b - 1) carry
+
 let find_run_set t ~from ~upto ~len =
   if len <= 0 then invalid_arg "Bitmap.find_run_set";
   let upto = min upto t.bits in
-  (* [run] counts consecutive set bits ending just before [i]. *)
-  let rec go i run =
-    if run >= len then Some (i - len)
-    else if i >= upto then None
-    else
-      match Bytes.unsafe_get t.data (i lsr 3) with
-      | '\000' when i land 7 = 0 -> go (i + 8) 0
-      | '\255' when i land 7 = 0 && run + 8 < len -> go (i + 8) (run + 8)
-      | b ->
-        if Char.code b land (1 lsl (i land 7)) <> 0 then go (i + 1) (run + 1)
-        else go (i + 1) 0
-  in
-  if from < 0 || from >= upto then None else go from 0
+  if from < 0 || from >= upto then None
+  else search_up (Lazy.force tables) t ~lo:from ~hi:upto ~len (from lsr 3) 0
 
 let find_run_set_down t ~from ~downto_ ~len =
   if len <= 0 then invalid_arg "Bitmap.find_run_set_down";
   let from = min from (t.bits - 1) and downto_ = max downto_ 0 in
-  (* [run] counts consecutive set bits starting just above [i]. *)
-  let rec go i run =
-    if run >= len then Some (i + 1)
-    else if i < downto_ then None
-    else
-      match Bytes.unsafe_get t.data (i lsr 3) with
-      | '\000' when i land 7 = 7 -> go (i - 8) 0
-      | '\255' when i land 7 = 7 && run + 8 < len -> go (i - 8) (run + 8)
-      | b ->
-        if Char.code b land (1 lsl (i land 7)) <> 0 then go (i - 1) (run + 1)
-        else go (i - 1) 0
-  in
-  go from 0
+  if from < downto_ then None
+  else search_down (Lazy.force tables) t ~lo:downto_ ~hi:(from + 1) ~len (from lsr 3) 0
 
 let equal a b = a.bits = b.bits && Bytes.equal a.data b.data
 let to_bytes t = Bytes.copy t.data

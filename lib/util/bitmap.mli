@@ -2,9 +2,11 @@
 
     Used for the volume allocation maps of FSD and CFS and the
     cylinder-group bitmaps of the BSD baseline. Bit [i] set means "page
-    [i] is free" for a VAM. Run operations step a whole byte at a time
-    wherever the run covers one, so their cost follows the run's length
-    in bytes, not in bits. *)
+    [i] is free" for a VAM. Setting or clearing a run masks its two edge
+    bytes and fills the bytes between; counting, run checks and run
+    searches take 64 bits per step, and a search crosses a byte that
+    mixes set and clear bits in one table lookup. No run operation steps
+    one bit at a time. *)
 
 type t
 
@@ -31,6 +33,10 @@ val clear_run : t -> pos:int -> len:int -> unit
 val all_set_in_run : t -> pos:int -> len:int -> bool
 (** Whether bits [pos .. pos+len-1] are all set; [false], not an
     exception, for a run that leaves the map. *)
+
+val all_clear_in_run : t -> pos:int -> len:int -> bool
+(** Whether bits [pos .. pos+len-1] are all clear; range rule as
+    {!all_set_in_run}. *)
 
 val find_run_set : t -> from:int -> upto:int -> len:int -> int option
 (** [find_run_set t ~from ~upto ~len] finds the lowest [pos] with

@@ -102,6 +102,32 @@ let test_vam_alloc_release () =
   | () -> Alcotest.fail "double free must fail"
   | exception Invalid_argument _ -> ()
 
+(* A release that fails frees nothing: the whole run is checked before
+   any bit is set, whether the fault is a sector already free or a
+   metadata sector. *)
+let test_vam_failed_release_frees_nothing () =
+  let l = layout () in
+  let v = Vam.create_all_free l in
+  let lo = l.Layout.small_lo in
+  Vam.allocate_run v ~pos:lo ~len:4;
+  Vam.release_run v ~pos:(lo + 3) ~len:1;
+  let free1 = Vam.free_count v in
+  ignore (Vam.drain_dirty_chunks v : int list);
+  (match Vam.release_run v ~pos:lo ~len:4 with
+  | () -> Alcotest.fail "releasing a run with a free sector must fail"
+  | exception Invalid_argument _ -> ());
+  check int "free count unchanged" free1 (Vam.free_count v);
+  check bool "first three still allocated" false
+    (List.exists (fun s -> Vam.is_free v s) [ lo; lo + 1; lo + 2 ]);
+  check int "no chunk dirtied" 0 (Vam.dirty_chunk_count v);
+  let top = l.Layout.small_hi - 2 in
+  Vam.allocate_run v ~pos:top ~len:2;
+  let free2 = Vam.free_count v in
+  (match Vam.release_run v ~pos:top ~len:3 with
+  | () -> Alcotest.fail "releasing a run into the name table must fail"
+  | exception Invalid_argument _ -> ());
+  check int "metadata run frees nothing" free2 (Vam.free_count v)
+
 let test_vam_shadow_commit () =
   let v = Vam.create_all_free (layout ()) in
   let l = layout () in
@@ -629,6 +655,7 @@ let suite =
     ("vam: alloc/release", `Quick, test_vam_alloc_release);
     ("vam: shadow commit", `Quick, test_vam_shadow_commit);
     ("vam: shadow double free rejected", `Quick, test_vam_shadow_double_free);
+    ("vam: a failed release frees nothing", `Quick, test_vam_failed_release_frees_nothing);
     ("vam: save/load roundtrip", `Quick, test_vam_save_load_roundtrip);
     ("vam: damaged save rejected", `Quick, test_vam_load_rejects_damage);
     ("alloc: small files low", `Quick, test_alloc_small_in_small_area);

@@ -356,29 +356,80 @@ let prop_log_random_batches_with_damage =
       else r.Log.replayed_records <= nrecords)
 
 (* ------------------------------------------------------------------ *)
-(* Bitmap run-search laws. *)
+(* Bitmap kernel laws, against the bit-by-bit reference below. *)
 
-(* Dense maps built a byte at a time from whole 0x00 bytes, whole 0xff
-   bytes and random ones, so runs start, stop and complete at byte
-   edges, where the searches step a byte at once. The length is rarely
-   a multiple of 8, and the bounds are random (some past the end). *)
-type run_case = { bits : int; bytes : string; len : int; lo : int; hi : int }
+(* The reference takes one bit per step through [get] and [assign]. *)
+module Bit_steps = struct
+  let in_map b ~pos ~len = pos >= 0 && len >= 0 && pos + len <= Bitmap.length b
+
+  let count b =
+    let n = ref 0 in
+    for i = 0 to Bitmap.length b - 1 do
+      if Bitmap.get b i then incr n
+    done;
+    !n
+
+  let uniform b ~pos ~len v =
+    pos >= 0
+    && pos + len <= Bitmap.length b
+    && List.for_all (fun k -> Bitmap.get b (pos + k) = v) (List.init (max len 0) Fun.id)
+
+  let assign_run b ~pos ~len v =
+    for i = pos to pos + len - 1 do
+      Bitmap.assign b i v
+    done
+
+  (* The lowest [pos >= from] with [pos + len <= min upto length] whose
+     run is all set. *)
+  let find_up b ~from ~upto ~len =
+    let upto = min upto (Bitmap.length b) in
+    let rec go pos =
+      if pos + len > upto then None
+      else if uniform b ~pos ~len true then Some pos
+      else go (pos + 1)
+    in
+    if from < 0 then None else go from
+
+  (* The highest [pos >= max downto_ 0] with [pos + len <= from + 1],
+     [from] capped at the last bit, whose run is all set. *)
+  let find_down b ~from ~downto_ ~len =
+    let top = min from (Bitmap.length b - 1) in
+    let rec go pos =
+      if pos < max downto_ 0 then None
+      else if uniform b ~pos ~len true then Some pos
+      else go (pos - 1)
+    in
+    go (top - len + 1)
+end
+
+(* Maps of 0 to 760 bits built a 64-bit word at a time: all-zero words,
+   all-one words and words of 0x00, 0xff and random bytes, so runs start,
+   stop and complete at byte and word edges, where the kernel steps a
+   whole byte or word at once. The length is rarely a multiple of 8;
+   [pos], [lo] and [hi] fall mid-byte and past either end; [len] runs
+   from 1 to 200, so runs cross several words. *)
+type run_case = { bits : int; bytes : string; pos : int; len : int; lo : int; hi : int }
 
 let run_case_gen =
   let open QCheck.Gen in
-  let* bits = int_range 1 200 in
-  let* bytes =
-    list_repeat ((bits + 7) / 8)
-      (frequency [ (2, return 0); (3, return 0xff); (2, int_bound 255) ])
+  let* bits = frequency [ (1, int_range 0 16); (6, int_range 17 760) ] in
+  let byte = frequency [ (2, return 0); (3, return 0xff); (2, int_bound 255) ] in
+  let word =
+    frequency
+      [ (2, return (List.init 8 (fun _ -> 0))); (3, return (List.init 8 (fun _ -> 0xff)));
+        (3, list_repeat 8 byte) ]
   in
-  let* len = int_range 1 40 in
-  let* lo = int_range (-4) (bits + 4) in
-  let+ hi = int_range (-4) (bits + 12) in
-  { bits; bytes = String.of_seq (List.to_seq (List.map Char.chr bytes)); len; lo; hi }
+  let* words = list_repeat ((bits + 63) / 64) word in
+  let* len = frequency [ (3, int_range 1 12); (3, int_range 13 70); (2, int_range 71 200) ] in
+  let* pos = int_range (-8) (bits + 8) in
+  let* lo = int_range (-8) (bits + 8) in
+  let+ hi = int_range (-8) (bits + 72) in
+  let bytes = List.filteri (fun i _ -> i < (bits + 7) / 8) (List.concat words) in
+  { bits; bytes = String.of_seq (List.to_seq (List.map Char.chr bytes)); pos; len; lo; hi }
 
 let run_case =
   QCheck.make run_case_gen ~print:(fun c ->
-      Printf.sprintf "bits=%d len=%d lo=%d hi=%d map=%s" c.bits c.len c.lo c.hi
+      Printf.sprintf "bits=%d pos=%d len=%d lo=%d hi=%d map=%s" c.bits c.pos c.len c.lo c.hi
         (String.concat " "
            (List.map (fun ch -> Printf.sprintf "%02x" (Char.code ch))
               (List.of_seq (String.to_seq c.bytes)))))
@@ -387,33 +438,63 @@ let bitmap_of c = Bitmap.of_bytes ~bits:c.bits (Bytes.of_string c.bytes)
 
 let prop_bitmap_find_run_correct =
   QCheck.Test.make ~name:"bitmap: find_run_set returns the lowest valid window"
-    ~count:500 run_case (fun c ->
+    ~count:1000 run_case (fun c ->
       let b = bitmap_of c in
-      let upto = min c.hi c.bits in
-      let reference =
-        let rec go pos =
-          if pos + c.len > upto then None
-          else if Bitmap.all_set_in_run b ~pos ~len:c.len then Some pos
-          else go (pos + 1)
-        in
-        if c.lo < 0 then None else go c.lo
-      in
-      Bitmap.find_run_set b ~from:c.lo ~upto:c.hi ~len:c.len = reference)
+      Bitmap.find_run_set b ~from:c.lo ~upto:c.hi ~len:c.len
+      = Bit_steps.find_up b ~from:c.lo ~upto:c.hi ~len:c.len)
 
 let prop_bitmap_find_run_down_correct =
   QCheck.Test.make ~name:"bitmap: find_run_set_down returns the highest valid window"
-    ~count:500 run_case (fun c ->
+    ~count:1000 run_case (fun c ->
       let b = bitmap_of c in
-      let top = min c.hi (c.bits - 1) in
-      let reference =
-        let rec go pos =
-          if pos < max c.lo 0 then None
-          else if Bitmap.all_set_in_run b ~pos ~len:c.len then Some pos
-          else go (pos - 1)
-        in
-        go (top - c.len + 1)
+      Bitmap.find_run_set_down b ~from:c.hi ~downto_:c.lo ~len:c.len
+      = Bit_steps.find_down b ~from:c.hi ~downto_:c.lo ~len:c.len)
+
+(* A run inside the map changes exactly its bits; one that leaves it
+   raises and changes nothing. [len] may be 0 here. *)
+let prop_bitmap_assign_run =
+  QCheck.Test.make ~name:"bitmap: set_run and clear_run match bit steps" ~count:1000
+    QCheck.(pair run_case bool)
+    (fun (c, v) ->
+      let len = c.len - 1 in
+      let b = bitmap_of c and reference = bitmap_of c in
+      let run = if v then Bitmap.set_run else Bitmap.clear_run in
+      let raised =
+        match run b ~pos:c.pos ~len with () -> false | exception Invalid_argument _ -> true
       in
-      Bitmap.find_run_set_down b ~from:c.hi ~downto_:c.lo ~len:c.len = reference)
+      let in_map = Bit_steps.in_map reference ~pos:c.pos ~len in
+      if in_map then Bit_steps.assign_run reference ~pos:c.pos ~len v;
+      raised = (not in_map) && Bitmap.equal b reference
+      && Bitmap.count b = Bit_steps.count reference)
+
+let prop_bitmap_count_and_uniform_runs =
+  QCheck.Test.make
+    ~name:"bitmap: count, all_set_in_run and all_clear_in_run match bit steps" ~count:1000
+    run_case (fun c ->
+      let b = bitmap_of c in
+      let len = c.len - 1 in
+      Bitmap.count b = Bit_steps.count b
+      && Bitmap.all_set_in_run b ~pos:c.pos ~len = Bit_steps.uniform b ~pos:c.pos ~len true
+      && Bitmap.all_clear_in_run b ~pos:c.pos ~len = Bit_steps.uniform b ~pos:c.pos ~len false)
+
+(* Every byte value between all-zero and all-one neighbours, for every
+   run length that can end in, start in or cross it: the searches read
+   each entry of their byte tables here, which random maps need not. *)
+let test_bitmap_every_byte () =
+  List.iter
+    (fun (left, right) ->
+      for v = 0 to 255 do
+        let bytes = Bytes.init 3 (fun i -> Char.chr [| left; v; right |].(i)) in
+        let b = Bitmap.of_bytes ~bits:24 bytes in
+        for len = 1 to 17 do
+          let up = Bitmap.find_run_set b ~from:0 ~upto:24 ~len
+          and down = Bitmap.find_run_set_down b ~from:23 ~downto_:0 ~len in
+          if up <> Bit_steps.find_up b ~from:0 ~upto:24 ~len
+             || down <> Bit_steps.find_down b ~from:23 ~downto_:0 ~len
+          then Alcotest.failf "byte %02x between %02x and %02x, len %d" v left right len
+        done
+      done)
+    [ (0, 0); (0xff, 0); (0, 0xff); (0xff, 0xff) ]
 
 (* ------------------------------------------------------------------ *)
 (* Geometry: chs mapping is a bijection for random geometries. *)
@@ -459,5 +540,8 @@ let suite =
       prop_log_random_batches_with_damage;
       prop_bitmap_find_run_correct;
       prop_bitmap_find_run_down_correct;
+      prop_bitmap_assign_run;
+      prop_bitmap_count_and_uniform_runs;
       prop_geometry_chs_bijection;
     ]
+  @ [ ("bitmap: every byte value matches bit steps", `Quick, test_bitmap_every_byte) ]
