@@ -53,8 +53,10 @@ examples-smoke:
 # Paper-harness smoke: every section of the paper harness must run to
 # exit 0 and print its heading: the five "Table N." and the nine
 # "R1."-"R9." titles. A section that raises fails here instead of at the next manual
-# `make bench`. The numbers are not compared yet: that needs a committed
-# snapshot of them (BENCH_PAPER.json on the ROADMAP).
+# `make bench`. R9's two verdict lines must read true: each allocator's
+# map holds exactly its live files' sectors. The numbers are not compared
+# yet: that needs a committed snapshot of them (BENCH_PAPER.json on the
+# ROADMAP).
 paper-smoke:
 	dune build bench/main.exe
 	rm -rf _build/paper-smoke && mkdir -p _build/paper-smoke
@@ -66,7 +68,9 @@ paper-smoke:
 		grep -q "^$$h\. " _build/paper-smoke/out.txt || \
 			{ echo "paper-smoke: no '$$h.' heading"; exit 1; }; \
 	done
-	@echo "paper-smoke: Tables 1-5 and R1-R9 ran"
+	@test "$$(grep -c ' every allocated sector belongs to a live file: true$$' _build/paper-smoke/out.txt)" = 2 || \
+		{ echo "paper-smoke: R9: an allocator holds sectors no live file owns"; exit 1; }
+	@echo "paper-smoke: Tables 1-5 and R1-R9 ran, R9's allocators leak nothing"
 
 # Reproduce every paper table, then regenerate every committed BENCH_*.json
 # snapshot (bench/snapshots.ml lists them: observability, group-commit

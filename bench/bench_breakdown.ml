@@ -1,9 +1,9 @@
 (* The knee-sweep latency breakdown (bench breakdown).
 
-   Re-drives the saturation-knee ladder of bench timeline — same
-   geometry, client count and arrival budget — but with lifecycle
-   tracing on, and collects each rung's per-op phase records through
-   Critpath.
+   Re-drives the saturation-knee ladder of bench timeline
+   ([Bench_timeline.rates], [rung_volume], [rung_scripts]) but with
+   lifecycle tracing on, and collects each rung's per-op phase records
+   through Critpath.
    The artifact this bench exists to pin down is the *blame shift*
    across the knee, Hagmann's §5.4 trade seen per-op:
 
@@ -19,8 +19,6 @@
    snapshot's checks record that alongside the per-rung blame and tail
    shares. *)
 
-open Cedar_disk
-module C = Cedar_workload.Concurrent
 module S = Cedar_server.Server
 module Crit = Cedar_obs.Critpath
 module Trace = Cedar_obs.Trace
@@ -28,16 +26,11 @@ module J = Cedar_obs.Jsonb
 module Metrics = Cedar_obs.Metrics
 module V = Cedar_volumes.Volume_set
 
-let geom = Geometry.small_test
-let clients = 16
-let arrivals = 240
-let rates = [ 4.0; 8.0; 16.0; 32.0; 64.0 ]
-
 (* Unlike bench timeline (which shortens the commit interval to make the
    time demon visible per-sample), this bench keeps the stock 500 ms
    interval: the parked-for-force wait must be long enough to own the
    tail below the knee for the blame shift to be observable. *)
-let params = Cedar_fsd.Params.for_geometry geom
+let params = Cedar_fsd.Params.for_geometry Bench_timeline.geom
 
 type rung = {
   rate : float;
@@ -47,15 +40,10 @@ type rung = {
 }
 
 let run_rung rate =
-  let vset = V.create_fresh ~geom ~params ~clock:(Cedar_util.Simclock.create ()) 1 in
+  let vset = Bench_timeline.rung_volume params in
   let tr = V.trace vset in
   Trace.enable ~capacity:(1 lsl 20) tr;
-  let scripts =
-    C.open_loop
-      { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
-      ~clients
-  in
-  let report = S.serve_volumes vset scripts in
+  let report = S.serve_volumes vset (Bench_timeline.rung_scripts rate) in
   Trace.disable tr;
   if Trace.dropped tr > 0 then begin
     Printf.eprintf
@@ -150,8 +138,8 @@ let checks rungs twice =
 
 let build () =
   Setup.hr "knee-sweep latency breakdown (cedar why, conserved phase blame)";
-  let rungs = List.map run_rung rates in
-  let twice = run_rung (List.hd rates) in
+  let rungs = List.map run_rung Bench_timeline.rates in
+  let twice = run_rung (List.hd Bench_timeline.rates) in
   Printf.printf "  %8s %6s %9s %-10s %10s %10s\n" "offered" "ops" "conserved"
     "blame" "park-side" "entry-side";
   List.iter
@@ -164,12 +152,9 @@ let build () =
         (100.0 *. entry_side r))
     rungs;
   J.Obj
-    [
-      ("bench", J.Str "breakdown");
-      ("geometry", J.Str "small_test");
-      ("clients", J.Int clients);
-      ("arrivals", J.Int arrivals);
-      ("commit_interval_us", J.Int params.Cedar_fsd.Params.commit_interval_us);
-      Setup.checks (checks rungs twice);
-      ("rungs", J.Arr (List.map rung_json rungs));
-    ]
+    ((("bench", J.Str "breakdown") :: Bench_timeline.ladder_json)
+    @ [
+        ("commit_interval_us", J.Int params.Cedar_fsd.Params.commit_interval_us);
+        Setup.checks (checks rungs twice);
+        ("rungs", J.Arr (List.map rung_json rungs));
+      ])

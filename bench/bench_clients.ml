@@ -23,11 +23,24 @@ let run_one n =
   let vset = V.create_fresh ~geom:Setup.geom ~clock:(Cedar_util.Simclock.create ()) 1 in
   { n; r = S.serve_volumes vset (C.makedo_scripts spec ~clients:n) }
 
-let throughput_ops_s row =
-  if row.r.S.duration_us = 0 then 0.
-  else
-    float_of_int row.r.S.total_ops
-    /. Cedar_util.Simclock.s_of_us row.r.S.duration_us
+let throughput_ops_s (r : S.report) =
+  if r.S.duration_us = 0 then 0.
+  else float_of_int r.S.total_ops /. Cedar_util.Simclock.s_of_us r.S.duration_us
+
+(* The workload field of this snapshot and of bench volumes, which runs
+   [spec] sharded; [kind] names which. *)
+let workload_json kind =
+  ( "workload",
+    J.Obj
+      [
+        ("kind", J.Str kind);
+        ("modules", J.Int spec.C.modules);
+        ("deps_per_module", J.Int spec.C.deps_per_module);
+        ("rounds", J.Int spec.C.rounds);
+        ("source_bytes", J.Int spec.C.source_bytes);
+        ("think_us", J.Int spec.C.think_us);
+        ("seed", J.Int spec.C.seed);
+      ] )
 
 let row_json row =
   let r = row.r in
@@ -40,7 +53,7 @@ let row_json row =
       ("log_forces", J.Int r.S.log_forces);
       ("server_forces", J.Int r.S.server_forces);
       ("ops_per_force", J.Float r.S.ops_per_force);
-      ("throughput_ops_s", J.Float (throughput_ops_s row));
+      ("throughput_ops_s", J.Float (throughput_ops_s r));
       ("commit_wait_mean_us", J.Float r.S.wait_mean_us);
       ("commit_wait_p50_us", J.Float r.S.wait_p50_us);
       ("commit_wait_p99_us", J.Float r.S.wait_p99_us);
@@ -65,7 +78,7 @@ let build () =
     (fun row ->
       let r = row.r in
       Printf.printf "  %7d %9d %9d %8.1f %11.1f %12.1f %12.1f %10.1f\n" row.n
-        r.S.total_ops r.S.log_forces r.S.ops_per_force (throughput_ops_s row)
+        r.S.total_ops r.S.log_forces r.S.ops_per_force (throughput_ops_s r)
         (r.S.wait_p50_us /. 1000.)
         (r.S.wait_p99_us /. 1000.)
         r.S.batch_mean)
@@ -74,17 +87,7 @@ let build () =
     [
       ("bench", J.Str "group-commit-scaling");
       ("geometry", J.Str (Format.asprintf "%a" Cedar_disk.Geometry.pp Setup.geom));
-      ( "workload",
-        J.Obj
-          [
-            ("kind", J.Str "makedo-per-client");
-            ("modules", J.Int spec.C.modules);
-            ("deps_per_module", J.Int spec.C.deps_per_module);
-            ("rounds", J.Int spec.C.rounds);
-            ("source_bytes", J.Int spec.C.source_bytes);
-            ("think_us", J.Int spec.C.think_us);
-            ("seed", J.Int spec.C.seed);
-          ] );
+      workload_json "makedo-per-client";
       Setup.checks [ ("ops_per_force_monotone", monotone rows) ];
       ("rows", J.Arr (List.map row_json rows));
     ]

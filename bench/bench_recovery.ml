@@ -42,10 +42,7 @@ type row = {
 }
 
 let run_scale n =
-  let clock = Cedar_util.Simclock.create () in
-  let device = Device.create ~clock Setup.geom in
-  Fsd.format device params;
-  let fs, _ = Fsd.boot device in
+  let device, fs = Setup.fsd_volume ~params () in
   for i = 0 to n - 1 do
     ignore
       (Fsd.create fs ~name:(Printf.sprintf "rec/f%04d" i)

@@ -51,15 +51,58 @@ let disturb (ops : Fs_ops.t) i =
   let corner = [| total / 9; total * 8 / 9; total / 4; total * 3 / 4 |] in
   ignore (Device.read ops.Fs_ops.device corner.(i mod 4))
 
-let avg_ms ops n f =
+(* Mean simulated ms per call of [f 0] .. [f (n-1)]; [before i] runs
+   uncounted ahead of each call. *)
+let avg_ms (ops : Fs_ops.t) n ~before f =
   let total = ref 0 in
   for i = 0 to n - 1 do
-    disturb ops i;
+    before i;
     let t0 = Simclock.now ops.Fs_ops.clock in
     f i;
     total := !total + (Simclock.now ops.Fs_ops.clock - t0)
   done;
   float_of_int !total /. 1000.0 /. float_of_int n
+
+(* The moderately full volume (EXPERIMENTS.md, caveat 3): 6000 files of
+   the usual size mix, then a crash. Table 2's last row, R1, R4 and R7's
+   paper row read one such volume per system, filled at most once per
+   run. *)
+let full_files = 6000
+let full_seed = 3
+
+(* The reports [f] takes from a volume it then drops. Only reports are
+   kept: a kept device would hold every populated sector for the rest of
+   the run. The volume is collected at once; left to the GC's pace, its
+   sectors stay allocated while the next sections fill their own. *)
+let full_volume f =
+  lazy
+    (let reports = f () in
+     Gc.full_major ();
+     reports)
+
+(* A filled FSD volume, not yet crashed, and the log sectors the fill
+   wrote. *)
+let fill_fsd params =
+  let device, fs = Setup.fsd_volume ~params () in
+  Setup.populate (Fsd.ops fs) ~files:full_files ~seed:full_seed;
+  (device, (Fsd.log_stats fs).Flog.total_sectors)
+
+type fsd_full = { crash : Fsd.boot_report; clean : Fsd.boot_report; log_sectors : int }
+
+(* The boot after the crash, then the boot after a clean shutdown. *)
+let fsd_full =
+  full_volume (fun () ->
+      let device, log_sectors = fill_fsd Fparams.default in
+      let fs, crash = Fsd.boot device in
+      Fsd.shutdown fs;
+      { crash; clean = snd (Fsd.boot device); log_sectors })
+
+(* CFS has no log: its crash recovery is the scavenger. *)
+let cfs_full =
+  full_volume (fun () ->
+      let device, fs = Setup.cfs_volume () in
+      Setup.populate (Cfs.ops fs) ~files:full_files ~seed:full_seed;
+      snd (Cfs.scavenge device))
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: wall-clock times, CFS vs FSD                               *)
@@ -72,122 +115,60 @@ type t2 = {
   small_delete : float;
   large_delete : float;
   read_page : float;
-  recovery_s : float;
 }
 
 let large_pages = 1000
+let t2_files = 20
+let t2_name kind i = Printf.sprintf "dir/%c%03d" kind i
 
-let measure_fsd_t2 () =
-  let device, fs = Setup.fsd_volume () in
-  let ops = Fsd.ops fs in
-  let n = 20 in
+(* One routine measures both columns. A system passes what makes its
+   opens cold, and what makes its first reads cold: that returns the ops
+   to read (and delete) through and the kind of file to read. *)
+let measure_t2 (ops : Fs_ops.t) ~cold_opens ~cold_reads =
+  let timed ops n f = avg_ms ops n ~before:(disturb ops) f in
   let small_create =
-    avg_ms ops n (fun i ->
-        ignore (ops.Fs_ops.create ~name:(Printf.sprintf "dir/s%03d" i) ~data:(payload i 900)))
+    timed ops t2_files (fun i ->
+        ignore (ops.Fs_ops.create ~name:(t2_name 's' i) ~data:(payload i 900)))
   in
   let large_create =
-    avg_ms ops 3 (fun i ->
-        ignore
-          (ops.Fs_ops.create
-             ~name:(Printf.sprintf "dir/L%03d" i)
-             ~data:(payload i (large_pages * 512))))
+    timed ops 3 (fun i ->
+        ignore (ops.Fs_ops.create ~name:(t2_name 'L' i) ~data:(payload i (large_pages * 512))))
   in
-  Fsd.force fs;
-  let open_ =
-    avg_ms ops n (fun i -> ignore (ops.Fs_ops.open_stat ~name:(Printf.sprintf "dir/s%03d" i)))
-  in
-  (* open + first data access on files never read before (fresh boot
-     clears the verified set -> leader piggyback path) *)
-  for i = 0 to n - 1 do
-    ignore (ops.Fs_ops.create ~name:(Printf.sprintf "dir/r%03d" i) ~data:(payload i 900))
-  done;
-  Fsd.shutdown fs;
-  let fs, _ = Fsd.boot device in
-  let ops = Fsd.ops fs in
+  cold_opens ();
+  let open_ = timed ops t2_files (fun i -> ignore (ops.Fs_ops.open_stat ~name:(t2_name 's' i))) in
+  let ops, kind = cold_reads () in
   (* "Open + Read" is one combined operation: resolve the name and read
-     the first page (FSD verifies the leader by piggybacking). *)
-  let open_read =
-    avg_ms ops n (fun i ->
-        ignore (ops.Fs_ops.read_page ~name:(Printf.sprintf "dir/r%03d" i) ~page:0))
-  in
-  let read_page =
-    avg_ms ops n (fun i ->
-        ignore (ops.Fs_ops.read_page ~name:(Printf.sprintf "dir/r%03d" i) ~page:0))
-  in
-  let small_delete =
-    avg_ms ops n (fun i -> ops.Fs_ops.delete ~name:(Printf.sprintf "dir/s%03d" i))
-  in
-  let large_delete =
-    avg_ms ops 3 (fun i -> ops.Fs_ops.delete ~name:(Printf.sprintf "dir/L%03d" i))
-  in
-  (* crash recovery on a moderately full volume *)
-  Setup.populate ops ~files:6000 ~seed:11;
-  let _fs2, report = Fsd.boot device in
-  let recovery_s = Simclock.s_of_us report.Fsd.total_us in
-  {
-    small_create;
-    large_create;
-    open_;
-    open_read;
-    small_delete;
-    large_delete;
-    read_page;
-    recovery_s;
-  }
-
-let measure_cfs_t2 () =
-  let device, fs = Setup.cfs_volume () in
-  let ops = Cfs.ops fs in
-  let n = 20 in
-  let small_create =
-    avg_ms ops n (fun i ->
-        ignore (ops.Fs_ops.create ~name:(Printf.sprintf "dir/s%03d" i) ~data:(payload i 900)))
-  in
-  let large_create =
-    avg_ms ops 3 (fun i ->
-        ignore
-          (ops.Fs_ops.create
-             ~name:(Printf.sprintf "dir/L%03d" i)
-             ~data:(payload i (large_pages * 512))))
-  in
-  Cfs.drop_open_cache fs;
-  let open_ =
-    avg_ms ops n (fun i -> ignore (ops.Fs_ops.open_stat ~name:(Printf.sprintf "dir/s%03d" i)))
-  in
-  Cfs.drop_open_cache fs;
-  let open_read =
-    avg_ms ops n (fun i ->
-        ignore (ops.Fs_ops.read_page ~name:(Printf.sprintf "dir/s%03d" i) ~page:0))
-  in
-  let read_page =
-    avg_ms ops n (fun i ->
-        ignore (ops.Fs_ops.read_page ~name:(Printf.sprintf "dir/s%03d" i) ~page:0))
-  in
-  let small_delete =
-    avg_ms ops n (fun i -> ops.Fs_ops.delete ~name:(Printf.sprintf "dir/s%03d" i))
-  in
-  let large_delete =
-    avg_ms ops 3 (fun i -> ops.Fs_ops.delete ~name:(Printf.sprintf "dir/L%03d" i))
-  in
-  Setup.populate ops ~files:6000 ~seed:11;
-  (* crash: no shutdown; CFS must scavenge *)
-  let _fs2, report = Cfs.scavenge device in
-  let recovery_s = Simclock.s_of_us report.Cfs.duration_us in
-  {
-    small_create;
-    large_create;
-    open_;
-    open_read;
-    small_delete;
-    large_delete;
-    read_page;
-    recovery_s;
-  }
+     the first page. *)
+  let read_first i = ignore (ops.Fs_ops.read_page ~name:(t2_name kind i) ~page:0) in
+  let open_read = timed ops t2_files read_first in
+  let read_page = timed ops t2_files read_first in
+  let small_delete = timed ops t2_files (fun i -> ops.Fs_ops.delete ~name:(t2_name 's' i)) in
+  let large_delete = timed ops 3 (fun i -> ops.Fs_ops.delete ~name:(t2_name 'L' i)) in
+  { small_create; large_create; open_; open_read; small_delete; large_delete; read_page }
 
 let table2 () =
   Setup.hr "Table 2. CFS vs FSD, wall clock (ms; paper values in brackets)";
-  let cfs = measure_cfs_t2 () in
-  let fsd = measure_fsd_t2 () in
+  let cfs =
+    let _, fs = Setup.cfs_volume () in
+    let drop () = Cfs.drop_open_cache fs in
+    measure_t2 (Cfs.ops fs) ~cold_opens:drop ~cold_reads:(fun () ->
+        drop ();
+        (Cfs.ops fs, 's'))
+  in
+  let fsd =
+    let device, fs = Setup.fsd_volume () in
+    let ops = Fsd.ops fs in
+    measure_t2 ops
+      ~cold_opens:(fun () -> Fsd.force fs)
+      ~cold_reads:(fun () ->
+        (* files never read, after a reboot: the verified set is empty,
+           so the first read verifies the leader by piggybacking *)
+        for i = 0 to t2_files - 1 do
+          ignore (ops.Fs_ops.create ~name:(t2_name 'r' i) ~data:(payload i 900))
+        done;
+        Fsd.shutdown fs;
+        (Fsd.ops (fst (Fsd.boot device)), 'r'))
+  in
   let row name c f (pc, pff, ps) =
     pf "%-16s %9.1f %9.1f  speedup %5.2fx   [%s %s, %sx]\n" name c f (c /. f) pc
       pff ps
@@ -200,8 +181,10 @@ let table2 () =
   row "Small delete" cfs.small_delete fsd.small_delete ("214", "15", "14.5");
   row "Large delete" cfs.large_delete fsd.large_delete ("2692", "118", "22.8");
   row "Read page" cfs.read_page fsd.read_page ("41", "41", "1.0");
+  let cfs_s = Simclock.s_of_us (Lazy.force cfs_full).Cfs.duration_us in
+  let fsd_s = Simclock.s_of_us (Lazy.force fsd_full).crash.Fsd.total_us in
   pf "%-16s %8.1fs %8.1fs  speedup %5.0fx   [3600+ s, 25 s, 100+x]\n"
-    "Crash recovery" cfs.recovery_s fsd.recovery_s (cfs.recovery_s /. fsd.recovery_s)
+    "Crash recovery" cfs_s fsd_s (cfs_s /. fsd_s)
 
 (* ------------------------------------------------------------------ *)
 (* Tables 3 and 4: disk I/O counts                                     *)
@@ -221,12 +204,17 @@ let bulk_on (ops : Fs_ops.t) ~drop_caches =
   let reads = (Bulk.read_many ops ~dir:"bulkdir" ~n:100).Measure.ios in
   { creates; list_warm; list; reads }
 
+(* One FSD run feeds both tables. *)
+let fsd_bulk =
+  lazy
+    (let _, fs = Setup.fsd_volume () in
+     bulk_on (Fsd.ops fs) ~drop_caches:(fun () -> Fsd.drop_caches fs))
+
 let table3 () =
   Setup.hr "Table 3. CFS vs FSD, disk I/Os (paper values in brackets)";
   let _, cfs_fs = Setup.cfs_volume () in
   let cfs = bulk_on (Cfs.ops cfs_fs) ~drop_caches:(fun () -> Cfs.drop_open_cache cfs_fs) in
-  let _, fsd_fs = Setup.fsd_volume () in
-  let fsd = bulk_on (Fsd.ops fsd_fs) ~drop_caches:(fun () -> Fsd.drop_caches fsd_fs) in
+  let fsd = Lazy.force fsd_bulk in
   (* MakeDo on fresh volumes *)
   let makedo ops = (Concurrent.makedo_direct ops ~modules:24).Measure.ios in
   let _, cfs2 = Setup.cfs_volume () in
@@ -247,8 +235,7 @@ let table3 () =
 
 let table4 () =
   Setup.hr "Table 4. FSD vs 4.3 BSD, disk I/Os (paper values in brackets)";
-  let _, fsd_fs = Setup.fsd_volume () in
-  let fsd = bulk_on (Fsd.ops fsd_fs) ~drop_caches:(fun () -> Fsd.drop_caches fsd_fs) in
+  let fsd = Lazy.force fsd_bulk in
   let _, ufs_fs = Setup.ufs_volume Uparams.default in
   let ufs = bulk_on (Ufs.ops ufs_fs) ~drop_caches:(fun () -> Ufs.drop_clean_cache ufs_fs) in
   let row name f u (pff, pu, pr) =
@@ -324,26 +311,19 @@ let table5 () =
 
 let recovery () =
   Setup.hr "R1. Crash recovery on a moderately full volume (paper: CFS 3600+ s, FSD 1-25 s, fsck ~420 s)";
-  let files = 6000 in
-  (* FSD *)
-  let device, fsd_fs = Setup.fsd_volume () in
-  Setup.populate (Fsd.ops fsd_fs) ~files ~seed:3;
-  let _, report = Fsd.boot device in
+  let report = (Lazy.force fsd_full).crash in
   pf "FSD    recover:  %5.1f s  (log replay %.2f s, VAM rebuild %.1f s, %d records)\n"
     (Simclock.s_of_us report.Fsd.total_us)
     (Simclock.s_of_us report.Fsd.log_replay_us)
     (Simclock.s_of_us report.Fsd.vam_us)
     report.Fsd.replayed_records;
-  (* CFS *)
-  let device, cfs_fs = Setup.cfs_volume () in
-  Setup.populate (Cfs.ops cfs_fs) ~files ~seed:3;
-  let _, srep = Cfs.scavenge device in
+  let srep = Lazy.force cfs_full in
   pf "CFS    scavenge: %5.1f s  (%d files recovered)\n"
     (Simclock.s_of_us srep.Cfs.duration_us)
     srep.Cfs.files_recovered;
   (* 4.3 BSD *)
   let device, ufs_fs = Setup.ufs_volume Uparams.default in
-  Setup.populate (Ufs.ops ufs_fs) ~files ~seed:3;
+  Setup.populate (Ufs.ops ufs_fs) ~files:full_files ~seed:full_seed;
   Ufs.sync ufs_fs;
   let _, frep = Ufs.fsck device in
   pf "4.3BSD fsck:    %6.1f s  (%d inodes, %d dirs)\n"
@@ -379,11 +359,8 @@ let bulk_update_workload (ops : Fs_ops.t) =
 let group_commit ?(intervals = [ 0; 100_000; 500_000; 2_000_000 ]) () =
   Setup.hr "R2. Group commit ablation (paper: metadata I/Os /2.98, all I/Os /2.34)";
   let run interval_us =
-    let clock = Simclock.create () in
-    let device = Device.create ~clock Setup.geom in
     let params = { Fparams.default with Fparams.commit_interval_us = interval_us } in
-    Fsd.format device params;
-    let fs, _ = Fsd.boot ~params device in
+    let device, fs = Setup.fsd_volume ~params () in
     let layout = Fsd.layout fs in
     let meta, data = classified_ios device layout (fun () -> bulk_update_workload (Fsd.ops fs)) in
     (meta, data, Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) "fsd.forces"))
@@ -434,24 +411,19 @@ let log_records () =
 
 let vam_rebuild () =
   Setup.hr "R4. VAM handling (paper: rebuild ~20 s; saved map loads instantly)";
-  let device, fs = Setup.fsd_volume () in
-  Setup.populate (Fsd.ops fs) ~files:5000 ~seed:5;
-  (* crash: reconstruct *)
-  let fs2, r1 = Fsd.boot device in
+  let full = Lazy.force fsd_full in
   pf "after crash:          VAM %s in %.1f s\n"
-    (match r1.Fsd.vam_source with
+    (match full.crash.Fsd.vam_source with
     | Fsd.Vam_reconstructed -> "reconstructed from the name table"
     | Fsd.Vam_replayed -> "replayed from the log"
     | Fsd.Vam_loaded -> "loaded")
-    (Simclock.s_of_us r1.Fsd.vam_us);
-  Fsd.shutdown fs2;
-  let _, r2 = Fsd.boot device in
+    (Simclock.s_of_us full.crash.Fsd.vam_us);
   pf "after clean shutdown: VAM %s in %.2f s\n"
-    (match r2.Fsd.vam_source with
+    (match full.clean.Fsd.vam_source with
     | Fsd.Vam_loaded -> "loaded from its save area"
     | Fsd.Vam_replayed -> "replayed from the log"
     | Fsd.Vam_reconstructed -> "reconstructed")
-    (Simclock.s_of_us r2.Fsd.vam_us)
+    (Simclock.s_of_us full.clean.Fsd.vam_us)
 
 (* ------------------------------------------------------------------ *)
 (* R5: the analytic model vs the simulator (paper: within ~5%)         *)
@@ -464,16 +436,10 @@ let model_validation () =
   (* The protocol: between operations the arm rests at the central
      cylinders (the metadata region, where it naturally lives); each
      measured operation then starts with the seek the scripts encode. *)
-  let measure ops ~park ~prep n f =
-    let total = ref 0 in
-    for i = 0 to n - 1 do
-      prep i;
-      ignore (Device.read ops.Fs_ops.device park);
-      let t0 = Simclock.now ops.Fs_ops.clock in
-      f i;
-      total := !total + (Simclock.now ops.Fs_ops.clock - t0)
-    done;
-    float_of_int !total /. 1000.0 /. float_of_int n
+  let measure (ops : Fs_ops.t) ~park ~prep n f =
+    avg_ms ops n f ~before:(fun i ->
+        prep i;
+        ignore (Device.read ops.Fs_ops.device park))
   in
   (* --- CFS --- *)
   let _, cfs = Setup.cfs_volume () in
@@ -568,16 +534,10 @@ let model_validation () =
   done;
   Fsd.force fsd;
   let force_ms =
-    let total = ref 0 in
-    for i = 0 to 4 do
-      (* put the arm in the file area, dirty one leaf, measure the force *)
-      ignore (fops.Fs_ops.read_page ~name:(Printf.sprintf "m/t%02d" i) ~page:0);
-      Fsd.touch_cached fsd ~name:(Printf.sprintf "m/t%02d" i);
-      let t0 = Simclock.now fops.Fs_ops.clock in
-      Fsd.force fsd;
-      total := !total + (Simclock.now fops.Fs_ops.clock - t0)
-    done;
-    float_of_int !total /. 1000.0 /. 5.0
+    (* put the arm in the file area, dirty one leaf, measure the force *)
+    avg_ms fops 5 (fun _ -> Fsd.force fsd) ~before:(fun i ->
+        ignore (fops.Fs_ops.read_page ~name:(Printf.sprintf "m/t%02d" i) ~page:0);
+        Fsd.touch_cached fsd ~name:(Printf.sprintf "m/t%02d" i))
   in
   let rows =
     [
@@ -660,19 +620,9 @@ let log_utilization () =
 let vam_logging () =
   Setup.hr
     "R7. VAM-logging extension (paper's prediction: worst-case recovery 25 s -> ~2 s)";
-  let run log_vam =
-    let clock = Simclock.create () in
-    let device = Device.create ~clock Setup.geom in
-    let p = { Fparams.default with Fparams.log_vam } in
-    Fsd.format device p;
-    let fs, _ = Fsd.boot ~params:p device in
-    Setup.populate (Fsd.ops fs) ~files:6000 ~seed:21;
-    let st = Fsd.log_stats fs in
-    let _, report = Fsd.boot ~params:p device in
-    (report, st.Flog.total_sectors)
-  in
-  let off, off_sectors = run false in
-  let on, on_sectors = run true in
+  let off = Lazy.force fsd_full in
+  let device, on_sectors = fill_fsd { Fparams.default with Fparams.log_vam = true } in
+  let _, on = Fsd.boot device in
   pf "%-14s %10s %12s %12s %10s\n" "" "recovery" "log replay" "VAM" "source";
   let row label (r : Fsd.boot_report) =
     pf "%-14s %8.1f s %10.2f s %10.2f s %10s\n" label
@@ -684,11 +634,11 @@ let vam_logging () =
       | Fsd.Vam_reconstructed -> "rebuilt"
       | Fsd.Vam_loaded -> "loaded")
   in
-  row "paper (off)" off;
+  row "paper (off)" off.crash;
   row "extension on" on;
   pf "log traffic for the same workload: %d sectors without, %d with (+%.0f%%)\n"
-    off_sectors on_sectors
-    (100.0 *. float_of_int (on_sectors - off_sectors) /. float_of_int (max 1 off_sectors))
+    off.log_sectors on_sectors
+    (100.0 *. float_of_int (on_sectors - off.log_sectors) /. float_of_int (max 1 off.log_sectors))
 
 (* ------------------------------------------------------------------ *)
 (* R8: log-size ablation — smaller logs re-enter thirds sooner and      *)
@@ -697,14 +647,11 @@ let vam_logging () =
 let log_size () =
   Setup.hr "R8. Log-size ablation (smaller log -> more home writes of hot pages)";
   let run log_sectors =
-    let clock = Simclock.create () in
-    let device = Device.create ~clock Setup.geom in
     (* a smaller record cap keeps the smallest logs structurally valid *)
-    let p =
+    let params =
       { Fparams.default with Fparams.log_sectors; max_record_data_sectors = 40 }
     in
-    Fsd.format device p;
-    let fs, _ = Fsd.boot ~params:p device in
+    let _, fs = Setup.fsd_volume ~params () in
     let ops = Fsd.ops fs in
     for i = 0 to 599 do
       ignore (ops.Fs_ops.create ~name:(Printf.sprintf "hot/f%04d" i) ~data:(payload i 700));
@@ -734,64 +681,57 @@ let fragmentation () =
     let vam = Cedar_fsd.Vam.create_all_free layout in
     let alloc = Cedar_fsd.Alloc.create vam in
     (* the old allocator: one pool, first fit from the bottom — freshly
-       freed holes near the start get plugged by whatever comes next *)
+       freed holes near the start get plugged by whatever comes next. A
+       request it cannot meet gives back the runs it took. *)
     let first_fit_alloc sectors =
-      let gather_from lo hi remaining chunk =
+      let gather_from lo hi =
         let rec go acc remaining chunk =
           if remaining = 0 then Some (List.rev acc)
-          else if List.length acc > 24 then None
+          else if List.length acc > 24 then give_back acc
           else
             let want = min remaining chunk in
             match Cedar_fsd.Vam.find_free_run vam ~from:lo ~upto:hi ~len:want with
             | Some pos ->
               Cedar_fsd.Vam.allocate_run vam ~pos ~len:want;
               go ({ Run_table.start = pos; len = want } :: acc) (remaining - want) chunk
-            | None -> if chunk = 1 then None else go acc remaining (max 1 (chunk / 2))
+            | None when chunk = 1 -> give_back acc
+            | None -> go acc remaining (max 1 (chunk / 2))
+        and give_back acc =
+          Cedar_fsd.Alloc.free_now alloc acc;
+          None
         in
-        go [] remaining chunk
+        go [] sectors sectors
       in
-      match gather_from layout.Flayout.small_lo layout.Flayout.small_hi sectors sectors with
-      | Some runs when List.fold_left (fun a r -> a + r.Run_table.len) 0 runs = sectors ->
-        Some runs
-      | Some partial ->
-        (* continue in the upper region *)
-        let got = List.fold_left (fun a r -> a + r.Run_table.len) 0 partial in
-        (match gather_from layout.Flayout.big_lo layout.Flayout.big_hi (sectors - got) (sectors - got) with
-        | Some rest -> Some (partial @ rest)
-        | None ->
-          Cedar_fsd.Alloc.free_now alloc partial;
-          None)
-      | None -> (
-        match gather_from layout.Flayout.big_lo layout.Flayout.big_hi sectors sectors with
-        | Some runs -> Some runs
-        | None -> None)
+      match gather_from layout.Flayout.small_lo layout.Flayout.small_hi with
+      | Some runs -> Some runs
+      | None -> gather_from layout.Flayout.big_lo layout.Flayout.big_hi
     in
     let rng = Rng.create 31 in
     let big_live = ref [] in
     let big_n = ref 0 in
     let runs_of_large = Stats.create () in
     let rejected = ref 0 in
+    (* sectors held by live files, counted as they are allocated and freed *)
+    let live = ref 0 in
+    let sectors_of runs = List.fold_left (fun a r -> a + r.Run_table.len) 0 runs in
     let alloc_file ~bytes =
       let sectors = 1 + ((bytes + 511) / 512) in
-      if use_split then begin
-        let small = bytes <= Fparams.small_file_bytes in
-        match Cedar_fsd.Alloc.allocate alloc ~sectors ~small with
-        | Ok runs -> Some runs
-        | Error _ ->
-          incr rejected;
-          None
-      end
-      else
-        match first_fit_alloc sectors with
-        | Some runs -> Some runs
-        | None ->
-          incr rejected;
-          None
+      let got =
+        if use_split then
+          let small = bytes <= Fparams.small_file_bytes in
+          Result.to_option (Cedar_fsd.Alloc.allocate alloc ~sectors ~small)
+        else first_fit_alloc sectors
+      in
+      (match got with
+      | Some runs -> live := !live + sectors_of runs
+      | None -> incr rejected);
+      got
     in
     let delete_random_big () =
       if !big_n > 0 then begin
         let i = Rng.int rng !big_n in
         let arr = Array.of_list !big_live in
+        live := !live - sectors_of arr.(i);
         Cedar_fsd.Alloc.free_now alloc arr.(i);
         arr.(i) <- arr.(!big_n - 1);
         big_live := Array.to_list (Array.sub arr 0 (!big_n - 1));
@@ -800,7 +740,7 @@ let fragmentation () =
     in
     (* fill to ~70% with the usual mix *)
     let total_data = Flayout.data_sectors layout in
-    while Cedar_fsd.Vam.free_count vam > total_data * 30 / 100 do
+    while total_data - !live > total_data * 30 / 100 do
       let bytes = Sizes.sample rng in
       match alloc_file ~bytes with
       | Some runs when bytes > Fparams.small_file_bytes ->
@@ -839,13 +779,22 @@ let fragmentation () =
       scan layout.Flayout.big_lo layout.Flayout.big_hi;
       Printf.sprintf "largest free extent %d sectors" !best
     in
-    (Stats.mean runs_of_large, Stats.max runs_of_large, !rejected, probe)
+    (* the one true recount: the map's free sectors against the count *)
+    let no_leak = Cedar_fsd.Vam.free_count vam = total_data - !live in
+    (Stats.mean runs_of_large, Stats.max runs_of_large, !rejected, probe, no_leak)
   in
-  let s_mean, s_max, s_rej, s_probe = churn true in
-  let p_mean, p_max, p_rej, p_probe = churn false in
+  let split = churn true in
+  let pool = churn false in
+  let runs = [ ("big/small split (paper)", split); ("single first-fit pool", pool) ] in
   pf "%-26s %13s %12s %9s   %s\n" "" "big: mean" "max extents" "rejected" "";
-  pf "%-26s %13.2f %12.0f %9d   %s\n" "big/small split (paper)" s_mean s_max s_rej s_probe;
-  pf "%-26s %13.2f %12.0f %9d   %s\n" "single first-fit pool" p_mean p_max p_rej p_probe
+  List.iter
+    (fun (label, (mean, max, rej, probe, _)) ->
+      pf "%-26s %13.2f %12.0f %9d   %s\n" label mean max rej probe)
+    runs;
+  List.iter
+    (fun (label, (_, _, _, _, no_leak)) ->
+      pf "%-26s every allocated sector belongs to a live file: %b\n" label no_leak)
+    runs
 
 let all () =
   table1 ();

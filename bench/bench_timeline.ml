@@ -32,10 +32,22 @@ module Timeline = Cedar_obs.Timeline
 module J = Cedar_obs.Jsonb
 module V = Cedar_volumes.Volume_set
 
+(* The ladder, which bench breakdown re-drives: one fresh
+   small-geometry volume per rung, [clients] sessions sharing [arrivals]
+   open-loop arrivals at each offered rate. *)
 let geom = Geometry.small_test
 let clients = 16
 let arrivals = 240
 let rates = [ 4.0; 8.0; 16.0; 32.0; 64.0 ]
+
+let rung_volume params =
+  V.create_fresh ~geom ~params ~clock:(Cedar_util.Simclock.create ()) 1
+
+let rung_scripts rate =
+  C.open_loop { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals } ~clients
+
+let ladder_json =
+  [ ("geometry", J.Str "small_test"); ("clients", J.Int clients); ("arrivals", J.Int arrivals) ]
 
 (* The half-second commit interval of §5.4 would pin every commit wait
    to ~500 ms and hide the knee in the wait tail behind the timer; for
@@ -56,14 +68,9 @@ type rung = {
 }
 
 let run_rung rate =
-  let vset = V.create_fresh ~geom ~params ~clock:(Cedar_util.Simclock.create ()) 1 in
+  let vset = rung_volume params in
   let m = Fsd.enable_monitor (V.vol vset 0) in
-  let scripts =
-    C.open_loop
-      { C.default_open with C.ol_rate_per_s = rate; ol_ops = arrivals }
-      ~clients
-  in
-  let report = S.serve_volumes vset scripts in
+  let report = S.serve_volumes vset (rung_scripts rate) in
   let samples = Mon.samples m in
   {
     rate;
@@ -170,13 +177,10 @@ let build () =
         (List.length r.samples))
     rungs;
   J.Obj
-    [
-      ("bench", J.Str "timeline");
-      ("geometry", J.Str "small_test");
-      ("clients", J.Int clients);
-      ("arrivals", J.Int arrivals);
-      ("commit_interval_us", J.Int commit_interval_us);
-      ("monitor_interval_us", J.Int Cedar_fsd.Params.monitor_interval_us);
-      Setup.checks (checks rungs twice);
-      ("rungs", J.Arr (List.map rung_json rungs));
-    ]
+    ((("bench", J.Str "timeline") :: ladder_json)
+    @ [
+        ("commit_interval_us", J.Int commit_interval_us);
+        ("monitor_interval_us", J.Int Cedar_fsd.Params.monitor_interval_us);
+        Setup.checks (checks rungs twice);
+        ("rungs", J.Arr (List.map rung_json rungs));
+      ])

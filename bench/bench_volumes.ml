@@ -14,8 +14,8 @@
    the plain ops/force of bench clients, so the two benches share a
    baseline.
 
-   Workload parity: every row (including V = 1) runs the same
-   [Concurrent.makedo_scripts] spec as `bench clients`, wrapped by
+   Workload parity: every row (including V = 1) runs bench clients'
+   [Concurrent.makedo_scripts] spec ([Bench_clients.spec]), wrapped by
    [Concurrent.shard_scripts] so client k's namespace lives on volume
    k mod V (V = 1 gets the constant "v0/" prefix — same shape, one
    shard).
@@ -32,14 +32,13 @@ module J = Cedar_obs.Jsonb
 
 let volume_counts = [ 1; 2; 4; 8 ]
 let client_counts = [ 8; 16; 32; 64 ]
-let spec = { C.default_spec with C.modules = 8; rounds = 2; think_us = 50_000 }
 
 type row = { volumes : int; clients : int; r : S.report }
 
 let run_one ~volumes ~clients =
   let clock = Cedar_util.Simclock.create () in
   let vset = V.create_fresh ~geom:Setup.geom ~clock volumes in
-  let scripts = C.shard_scripts (C.makedo_scripts spec ~clients) ~volumes in
+  let scripts = C.shard_scripts (C.makedo_scripts Bench_clients.spec ~clients) ~volumes in
   let r = S.serve_volumes vset scripts in
   { volumes; clients; r }
 
@@ -51,12 +50,6 @@ let agg_ops_per_force row =
   else
     float_of_int (row.r.S.mutations_acked * row.volumes)
     /. float_of_int row.r.S.log_forces
-
-let throughput_ops_s row =
-  if row.r.S.duration_us = 0 then 0.
-  else
-    float_of_int row.r.S.total_ops
-    /. Cedar_util.Simclock.s_of_us row.r.S.duration_us
 
 let row_json row =
   let r = row.r in
@@ -73,7 +66,7 @@ let row_json row =
         J.Float (float_of_int r.S.log_forces /. float_of_int row.volumes) );
       ("agg_ops_per_force", J.Float (agg_ops_per_force row));
       ("ops_per_force_pooled", J.Float r.S.ops_per_force);
-      ("throughput_ops_s", J.Float (throughput_ops_s row));
+      ("throughput_ops_s", J.Float (Bench_clients.throughput_ops_s r));
       ("commit_wait_p50_us", J.Float r.S.wait_p50_us);
       ("commit_wait_p99_us", J.Float r.S.wait_p99_us);
       ("batch_mean", J.Float r.S.batch_mean);
@@ -98,7 +91,7 @@ let build () =
             Printf.printf "  %7d %7d %9d %9d %9.1f %12.2f %11.1f %10.1f\n"
               volumes clients r.S.mutations_acked r.S.log_forces
               (float_of_int r.S.log_forces /. float_of_int volumes)
-              (agg_ops_per_force row) (throughput_ops_s row) r.S.batch_mean;
+              (agg_ops_per_force row) (Bench_clients.throughput_ops_s r) r.S.batch_mean;
             row)
           volume_counts)
       client_counts
@@ -131,17 +124,7 @@ let build () =
     [
       ("bench", J.Str "multi-volume-scale-out");
       ("geometry", J.Str (Format.asprintf "%a" Cedar_disk.Geometry.pp Setup.geom));
-      ( "workload",
-        J.Obj
-          [
-            ("kind", J.Str "makedo-per-client-sharded");
-            ("modules", J.Int spec.C.modules);
-            ("deps_per_module", J.Int spec.C.deps_per_module);
-            ("rounds", J.Int spec.C.rounds);
-            ("source_bytes", J.Int spec.C.source_bytes);
-            ("think_us", J.Int spec.C.think_us);
-            ("seed", J.Int spec.C.seed);
-          ] );
+      Bench_clients.workload_json "makedo-per-client-sharded";
       ( "metric",
         J.Str
           "agg_ops_per_force = mutations_acked * volumes / log_forces \

@@ -1,4 +1,4 @@
-(* bench obs-json: Tables 2, 3/4 and 5 analogues replayed from the event
+(* bench obs-json: Tables 2 and 3/4 analogues replayed from the event
    trace rather than from bespoke counters — the trace-driven twin of
    bench_tables.ml, as a machine-readable snapshot. Its check is the
    conservation [Tables.per_op] promises: moving each force's log I/O
@@ -21,8 +21,9 @@ let amortised_ios_conserved per_op =
   && conserved (fun r -> r.T.sectors_written) (fun r -> r.T.amortised_sectors_written)
 
 let build () =
-  (* Tables 3/4 + 2: the fixed scripted workload, then the paper's bulk
-     pattern (100 x 512 B), both traced on a fresh FSD volume. *)
+  (* Tables 3/4 + 2: the fixed scripted workload, then a bulk pass of
+     the paper's Tables 3/4 shape (100 x 512 B; the tables use 700 B),
+     both traced on a fresh FSD volume. *)
   let device, fs = Setup.fsd_volume () in
   let ops = Cedar_fsd.Fsd.ops fs in
   Script.warmup ops;
@@ -38,8 +39,9 @@ let build () =
      re-registers every fsd.* and log.* instrument from zero. *)
   let metrics = Obs.Metrics.to_json (Device.metrics device) in
   let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
-  (* Table 5: leave uncommitted work pending, crash (no shutdown), and
-     boot with tracing on so the recovery phases land in the trace. *)
+  (* Table 2's crash recovery row: leave uncommitted work pending, crash
+     (no shutdown), and boot with tracing on so the recovery phases land
+     in the trace. *)
   for i = 0 to 49 do
     ignore
       (ops.Fs_ops.create

@@ -6,11 +6,11 @@ open Cedar_disk
 
 let geom = Geometry.trident_t300
 
-let fsd_volume () =
+let fsd_volume ?(params = Cedar_fsd.Params.default) () =
   let clock = Simclock.create () in
   let device = Device.create ~clock geom in
-  Cedar_fsd.Fsd.format device Cedar_fsd.Params.default;
-  let fs, _report = Cedar_fsd.Fsd.boot device in
+  Cedar_fsd.Fsd.format device params;
+  let fs, _report = Cedar_fsd.Fsd.boot ~params device in
   (device, fs)
 
 let cfs_volume () =

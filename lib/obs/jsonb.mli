@@ -1,7 +1,8 @@
 (** Minimal JSON value builder used by the observability layer.
 
-    The tree is built from plain constructors and rendered with
-    {!to_string}; no parsing, no external dependency. Object member
+    The tree is built from plain constructors, rendered with
+    {!to_string} and parsed back with {!of_string}; no external
+    dependency. Object member
     order is preserved as given, so callers that want deterministic
     output (the table emitters) sort before building. *)
 

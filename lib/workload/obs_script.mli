@@ -17,5 +17,6 @@ val warmup : Cedar_fsbase.Fs_ops.t -> unit
 val scripted : Cedar_fsbase.Fs_ops.t -> unit
 
 val paper_bulk : Cedar_fsbase.Fs_ops.t -> unit
-(** The paper's Tables 3/4 bulk pattern (100 files of 512 bytes) for the
-    bench emitter. *)
+(** A bulk pass of the paper's Tables 3/4 shape for the bench emitter:
+    create, list, read and delete 100 files of 512 bytes (the tables
+    themselves use 700-byte files). *)

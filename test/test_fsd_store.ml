@@ -251,6 +251,38 @@ let test_alloc_fragments_when_needed () =
       (List.fold_left (fun acc r -> acc + r.Run_table.len) 0 runs)
   | Error _ -> Alcotest.fail "fragmented allocation should succeed"
 
+(* Both ways an allocation fails give back the runs it gathered first. *)
+let test_alloc_failure_takes_nothing () =
+  let l = layout () in
+  let full_volume () =
+    let v = Vam.create_all_free l in
+    Vam.allocate_run v ~pos:l.Layout.small_lo ~len:(l.Layout.small_hi - l.Layout.small_lo);
+    Vam.allocate_run v ~pos:l.Layout.big_lo ~len:(l.Layout.big_hi - l.Layout.big_lo);
+    v
+  in
+  let fails_cleanly label v ~sectors want =
+    let free = Vam.free_count v in
+    (match Alloc.allocate (Alloc.create v) ~sectors ~small:true with
+    | Error e -> check bool (label ^ ": failure mode") true (e = want)
+    | Ok _ -> Alcotest.fail (label ^ ": allocation should fail"));
+    check int (label ^ ": free count unchanged") free (Vam.free_count v)
+  in
+  (* the big area full, the small one perforated into 1-sector holes *)
+  let v = full_volume () in
+  let s = ref (l.Layout.small_lo + 1) in
+  while !s < l.Layout.small_hi - 1 do
+    Vam.release_run v ~pos:!s ~len:1;
+    s := !s + 2
+  done;
+  fails_cleanly "too fragmented" v
+    ~sectors:((params ()).Params.max_runs_per_file + 1)
+    `Too_fragmented;
+  (* 3 free sectors, two of them adjacent, for a request of 4 *)
+  let v = full_volume () in
+  Vam.release_run v ~pos:l.Layout.small_lo ~len:2;
+  Vam.release_run v ~pos:l.Layout.big_lo ~len:1;
+  fails_cleanly "volume full" v ~sectors:4 `Volume_full
+
 (* ------------------------------------------------------------------ *)
 (* Leader                                                              *)
 
@@ -663,6 +695,7 @@ let suite =
     ("alloc: areas are only hints", `Quick, test_alloc_spills_to_other_area);
     ("alloc: volume full", `Quick, test_alloc_volume_full);
     ("alloc: fragments when needed", `Quick, test_alloc_fragments_when_needed);
+    ("alloc: a failed allocation takes nothing", `Quick, test_alloc_failure_takes_nothing);
     ("leader: roundtrip + matches", `Quick, test_leader_roundtrip);
     ("leader: mismatch detected", `Quick, test_leader_mismatch_detected);
     ("leader: garbage rejected", `Quick, test_leader_garbage_rejected);
