@@ -204,6 +204,12 @@ recovery-smoke:
 # damage stays for the next step). Then scavenge must heal it:
 # it keeps the intact name-table entry and rewrites its leader, exits 0,
 # info ends with a passing check and the file reads back cmp-equal.
+# Then the twin-copy read: on another fresh small image with one file,
+# copy A of the name-table anchor (page 0, sector 4639, the first of
+# fntA, which every boot reads) is marked damaged the same way. recover
+# must exit 0, having rewritten copy A from copy B (the saved image's
+# damaged-sector list is empty again), info must end with a passing
+# check and the file must read back cmp-equal.
 scavenge-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/scavenge-smoke && mkdir -p _build/scavenge-smoke
@@ -260,6 +266,24 @@ scavenge-smoke:
 		> _build/scavenge-smoke/get3
 	cmp _build/scavenge-smoke/file _build/scavenge-smoke/get3
 	@echo "scavenge-smoke: scavenge rewrites the damaged leader"
+	./_build/default/bin/cedar.exe mkfs _build/scavenge-smoke/twin.img \
+		--geometry small > /dev/null
+	./_build/default/bin/cedar.exe put _build/scavenge-smoke/twin.img doc/a \
+		< _build/scavenge-smoke/file > /dev/null
+	python3 -c 'import struct, sys; p = sys.argv[1]; b = open(p, "rb").read(); assert b[-4:] == bytes(4); open(p, "wb").write(b[:-4] + struct.pack("<II", 1, 4639))' \
+		_build/scavenge-smoke/twin.img
+	./_build/default/bin/cedar.exe recover _build/scavenge-smoke/twin.img > /dev/null
+	@python3 -c 'import sys; sys.exit(open(sys.argv[1], "rb").read()[-4:] != bytes(4))' \
+		_build/scavenge-smoke/twin.img || \
+		{ echo "scavenge-smoke: recover did not rewrite the damaged anchor copy"; exit 1; }
+	./_build/default/bin/cedar.exe info _build/scavenge-smoke/twin.img \
+		> _build/scavenge-smoke/twin-info.txt
+	@tail -n 1 _build/scavenge-smoke/twin-info.txt | grep -qx "structural check: ok" || \
+		{ echo "scavenge-smoke: info after a damaged anchor copy did not end 'structural check: ok'"; exit 1; }
+	./_build/default/bin/cedar.exe get _build/scavenge-smoke/twin.img doc/a \
+		> _build/scavenge-smoke/get-twin
+	cmp _build/scavenge-smoke/file _build/scavenge-smoke/get-twin
+	@echo "scavenge-smoke: a damaged anchor copy is rewritten from its twin"
 
 # CLI smoke: every cedar command on fresh small FSD and CFS images
 # (scripts/cli_smoke.sh: mkfs, put, get cmp-equal to the input, ls, rm,
@@ -416,12 +440,14 @@ stats-smoke:
 # measures (1005.2 and 1935.0) and under the path before it (1220.0 and
 # 2698.1). An untraced run's peak heap (peak_heap_mb, exact run to run
 # and the same at any --seconds) must stay under 42 MB on makedo-8vol
-# and 56 MB on openloop-1vol. It measures 37.80 and 55.20 (38.28 and
-# 50.58 before the name-table path above: openloop peaks after the
-# serve, while crashed-device copies boot, so the GC's pacing of the
-# smaller allocation stream moves it; 40.95 and 57.30 with an extra
-# file-sized read buffer, 45.94 and 112.98 with the per-sector store
-# before the chunked device image).
+# and 56 MB on openloop-1vol. It measures 36.55 and 52.36 (openloop
+# peaks after the serve, while crashed-device copies boot, so the GC's
+# pacing of the allocation stream moves it: 60.25 when boot reads into
+# reused buffers but distributions keep their samples as lists of boxed
+# floats, 54.82 with both as before; 38.28 and 50.58 before the
+# name-table path above; 40.95 and 57.30 with an extra file-sized read
+# buffer, 45.94 and 112.98 with the per-sector store before the chunked
+# device image).
 perf-smoke:
 	rm -rf _build/perf-smoke && mkdir -p _build/perf-smoke
 	@for w in makedo-8vol openloop-1vol; do for tr in 0 1; do \

@@ -707,8 +707,23 @@ let fragmentation () =
       | None -> gather_from layout.Flayout.big_lo layout.Flayout.big_hi
     in
     let rng = Rng.create 31 in
-    let big_live = ref [] in
-    let big_n = ref 0 in
+    (* The live big files, oldest first, in slots [big_lo, big_hi) of
+       [big]: the [i]-th newest is slot [big_hi - 1 - i]. A deletion moves
+       the oldest file into the victim's slot and drops the oldest's, so
+       both a birth and a death cost O(1). *)
+    let big = ref [||] and big_lo = ref 0 and big_hi = ref 0 in
+    let add_big runs =
+      if !big_hi = Array.length !big then begin
+        let n = !big_hi - !big_lo in
+        let grown = Array.make (max 1024 (2 * n)) [] in
+        Array.blit !big !big_lo grown 0 n;
+        big := grown;
+        big_lo := 0;
+        big_hi := n
+      end;
+      !big.(!big_hi) <- runs;
+      incr big_hi
+    in
     let runs_of_large = Stats.create () in
     let rejected = ref 0 in
     (* sectors held by live files, counted as they are allocated and freed *)
@@ -728,14 +743,14 @@ let fragmentation () =
       got
     in
     let delete_random_big () =
-      if !big_n > 0 then begin
-        let i = Rng.int rng !big_n in
-        let arr = Array.of_list !big_live in
-        live := !live - sectors_of arr.(i);
-        Cedar_fsd.Alloc.free_now alloc arr.(i);
-        arr.(i) <- arr.(!big_n - 1);
-        big_live := Array.to_list (Array.sub arr 0 (!big_n - 1));
-        decr big_n
+      let n = !big_hi - !big_lo in
+      if n > 0 then begin
+        let slot = !big_hi - 1 - Rng.int rng n in
+        let runs = !big.(slot) in
+        live := !live - sectors_of runs;
+        Cedar_fsd.Alloc.free_now alloc runs;
+        !big.(slot) <- !big.(!big_lo);
+        incr big_lo
       end
     in
     (* fill to ~70% with the usual mix *)
@@ -743,9 +758,7 @@ let fragmentation () =
     while total_data - !live > total_data * 30 / 100 do
       let bytes = Sizes.sample rng in
       match alloc_file ~bytes with
-      | Some runs when bytes > Fparams.small_file_bytes ->
-        big_live := runs :: !big_live;
-        incr big_n
+      | Some runs when bytes > Fparams.small_file_bytes -> add_big runs
       | Some _ | None -> ()
     done;
     (* steady state: a big file dies; a small (permanent) and a big file
@@ -757,8 +770,7 @@ let fragmentation () =
       match alloc_file ~bytes:big_bytes with
       | Some runs ->
         Stats.add runs_of_large (float_of_int (List.length runs));
-        big_live := runs :: !big_live;
-        incr big_n
+        add_big runs
       | None -> ()
     done;
     let probe =

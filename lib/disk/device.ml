@@ -377,12 +377,11 @@ let store t ~sector ~count b ~pos =
   done;
   Bitmap.set_run t.written ~pos:sector ~len:count
 
-(* [count] stored sectors from [sector], copied once into a fresh buffer,
-   one blit per chunk; never-written sectors read as zeroes. *)
-let copy_out t ~sector ~count =
+(* [count] stored sectors from [sector], copied once into [out] from
+   byte [pos], one blit per chunk; never-written sectors read as zeroes. *)
+let copy_into t ~sector ~count out ~pos =
   let sb = t.geom.Geometry.sector_bytes in
-  let out = Bytes.create (count * sb) in
-  let s = ref sector and pos = ref 0 and left = ref count in
+  let s = ref sector and pos = ref pos and left = ref count in
   while !left > 0 do
     let off = !s mod chunk_sectors in
     let n = Int.min !left (chunk_sectors - off) in
@@ -392,7 +391,11 @@ let copy_out t ~sector ~count =
     s := !s + n;
     pos := !pos + (n * sb);
     left := !left - n
-  done;
+  done
+
+let copy_out t ~sector ~count =
+  let out = Bytes.create (count * t.geom.Geometry.sector_bytes) in
+  copy_into t ~sector ~count out ~pos:0;
   out
 
 (* The damaged set is empty unless a fault was injected, so the common
@@ -452,13 +455,20 @@ let fire_crash t ~sector ~tear =
 (* ------------------------------------------------------------------ *)
 (* Plain sector I/O                                                    *)
 
-let read_run t ~sector ~count =
-  if count <= 0 then invalid_arg "Device.read_run";
+let read_run_into t ~sector ~count buf ~pos =
+  if count <= 0 || pos < 0 || pos + (count * t.geom.Geometry.sector_bytes) > Bytes.length buf
+  then invalid_arg "Device.read_run_into";
   check_sector t sector;
   check_sector t (sector + count - 1);
   charge_read t ~sector ~count;
   ensure_ok t ~sector ~count;
-  copy_out t ~sector ~count
+  copy_into t ~sector ~count buf ~pos
+
+let read_run t ~sector ~count =
+  if count <= 0 then invalid_arg "Device.read_run";
+  let buf = Bytes.create (count * t.geom.Geometry.sector_bytes) in
+  read_run_into t ~sector ~count buf ~pos:0;
+  buf
 
 let read t s = read_run t ~sector:s ~count:1
 

@@ -159,7 +159,8 @@ val completed_at : t -> completion -> int
     on the first write into it, plus a bitmap of the sectors ever
     written. A command moves its run one chunk piece at a time. Every
     write copies the caller's bytes at issue, so the caller may reuse
-    its buffer at once; every read returns a fresh buffer. A write
+    its buffer at once; a read returns a fresh buffer, or
+    ({!read_run_into}) copies into the caller's. A write
     interrupted by a planted crash stores only the sectors before the
     crash point; the rest of the run keeps its old contents. *)
 
@@ -175,6 +176,13 @@ val write : t -> int -> bytes -> unit
 val read_run : t -> sector:int -> count:int -> bytes
 (** One command transferring [count] consecutive sectors; result is a
     fresh buffer holding their concatenation. *)
+
+val read_run_into : t -> sector:int -> count:int -> bytes -> pos:int -> unit
+(** [read_run_into t ~sector ~count buf ~pos] is {!read_run}'s command,
+    checked and charged alike, copying the sectors into [buf] from byte
+    [pos] instead of into a fresh buffer. Raises [Invalid_argument]
+    unless [count > 0] and the run fits in [buf] from [pos], and [Error]
+    on a damaged sector before touching [buf]. *)
 
 val write_run : t -> sector:int -> bytes -> unit
 (** One command writing [Bytes.length / sector_bytes] consecutive sectors,

@@ -18,11 +18,14 @@ let frame ~magic ~page payload =
   set_trailer image ~magic ~page ~crc:(Crc32.bytes payload);
   image
 
-let unframe ~magic ~page image =
+let frame_valid ~magic ~page image =
   let n = Bytes.length image - trailer_bytes in
   let word i = Int32.to_int (Bytes.get_int32_le image (n + (4 * i))) land 0xffffffff in
-  if n >= 0 && word 0 = magic && word 1 = page && word 2 = Crc32.bytes ~len:n image then
-    Some (Bytes.sub image 0 n)
+  n >= 0 && word 0 = magic && word 1 = page && word 2 = Crc32.bytes ~len:n image
+
+let unframe ~magic ~page image =
+  if frame_valid ~magic ~page image then
+    Some (Bytes.sub image 0 (Bytes.length image - trailer_bytes))
   else None
 
 (* ------------------------------------------------------------------ *)

@@ -25,9 +25,14 @@ val frame : magic:int -> page:int -> bytes -> bytes
 (** [frame ~magic ~page payload] is a fresh image: [payload], then its
     trailer. *)
 
+val frame_valid : magic:int -> page:int -> bytes -> bool
+(** Whether a full page image's trailer carries this magic and page
+    number and the CRC-32 of the payload before it. Hashes the payload
+    once and copies nothing. *)
+
 val unframe : magic:int -> page:int -> bytes -> bytes option
-(** The payload of a full page image, or [None] if the trailer's magic,
-    page number or payload CRC differs. *)
+(** The payload of a full page image, copied out, or [None] unless
+    {!frame_valid}. *)
 
 (** {1 Anchor payload}
 

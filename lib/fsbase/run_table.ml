@@ -5,22 +5,31 @@ type t = { runs : run list; pages : int }
 
 let empty = { runs = []; pages = 0 }
 
-let coalesce runs =
-  let rec go = function
-    | a :: b :: rest when a.start + a.len = b.start ->
-      go ({ start = a.start; len = a.len + b.len } :: rest)
-    | a :: rest -> a :: go rest
-    | [] -> []
-  in
-  go runs
+(* Merges physically adjacent runs; a list with none to merge comes back
+   as itself, unallocated. *)
+let rec coalesce = function
+  | a :: b :: rest when a.start + a.len = b.start ->
+    coalesce ({ start = a.start; len = a.len + b.len } :: rest)
+  | a :: rest as runs ->
+    let rest' = coalesce rest in
+    if rest' == rest then runs else a :: rest'
+  | [] -> []
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> a.start < b.start && ascending rest
+  | [ _ ] | [] -> true
 
 let validate runs =
   List.iter
     (fun r ->
       if r.len <= 0 || r.start < 0 then invalid_arg "Run_table: bad run")
     runs;
-  (* No two runs may overlap, regardless of logical order. *)
-  let sorted = List.sort (fun a b -> compare a.start b.start) runs in
+  (* No two runs may overlap, regardless of logical order. A file's runs
+     usually ascend already, and then need no sorting. *)
+  let sorted =
+    if ascending runs then runs
+    else List.sort (fun a b -> Int.compare a.start b.start) runs
+  in
   let rec check = function
     | a :: (b :: _ as rest) ->
       if a.start + a.len > b.start then invalid_arg "Run_table: overlapping runs";
@@ -73,11 +82,11 @@ let encode w t =
       Bytebuf.Writer.u32 w r.len)
     t.runs
 
-let decode r =
-  let runs =
-    Bytebuf.Reader.list r (fun r ->
-        let start = Bytebuf.Reader.u32 r in
-        let len = Bytebuf.Reader.u32 r in
-        { start; len })
-  in
-  of_runs runs
+let rec decode_runs r n =
+  if n = 0 then []
+  else
+    let start = Bytebuf.Reader.u32 r in
+    let len = Bytebuf.Reader.u32 r in
+    { start; len } :: decode_runs r (n - 1)
+
+let decode r = of_runs (decode_runs r (Bytebuf.Reader.u16 r))

@@ -25,9 +25,14 @@ type cached = {
          [frame] holds no image *)
 }
 
+(* The two full-page buffers a twin-copy read fills, copy A and copy B:
+   a payload leaves them only as a copy. *)
+type twin = { copy_a : bytes; copy_b : bytes }
+
 type t = {
   device : Device.t;
   layout : Layout.t;
+  twin : twin; (* every read of this store's home copies fills these *)
   cache : (int, cached) Lru.t;
   anchor : Meta_frame.anchor;
   mutable to_log_count : int;
@@ -104,33 +109,45 @@ let write_home_image device layout ~page image =
   Device.write_run device ~sector:(Layout.fnt_sector_a layout ~page) image;
   Device.write_run device ~sector:(Layout.fnt_sector_b layout ~page) image
 
-(* The twin-copy read (§5.1): copy A, then copy B, each checked against
-   its trailer. Returns the payload and the copy to rewrite from it, if
-   any: a lone bad copy, or B when both check but disagree (a torn
+let twin_buffers layout =
+  let n = full_page_bytes layout in
+  { copy_a = Bytes.create n; copy_b = Bytes.create n }
+
+(* The twin-copy read (§5.1): copy A, then copy B, each read into its
+   buffer in [tw]. Returns the payload and the copy to rewrite from it,
+   if any: a lone bad copy, or B when both check but disagree (a torn
    home-write pair, or a wild write that happens to re-frame) — home
    writes go A then B, so A is never the stale one. [None] means both
-   copies are bad. With [~verify:false] a good A is taken without
-   reading B, and no repair is asked for. *)
-let read_twin ?(verify = true) device layout ~page =
+   copies are bad. Each copy is checksummed at most once, and B not at
+   all when its checked bytes (all but the trailer's last word, which no
+   check reads) equal A's: it then checks exactly when A does. With
+   [~verify:false] a good A is taken without reading B, and no repair is
+   asked for. *)
+let read_twin ?(verify = true) tw device layout ~page =
   let n = layout.Layout.params.Params.fnt_page_sectors in
-  let read_copy sector =
-    match Device.read_run device ~sector ~count:n with
-    | image -> Meta_frame.unframe ~magic:page_magic ~page image
-    | exception Device.Error _ -> None
+  let read sector buf =
+    match Device.read_run_into device ~sector ~count:n buf ~pos:0 with
+    | () -> true
+    | exception Device.Error _ -> false
   in
+  let valid buf = Meta_frame.frame_valid ~magic:page_magic ~page buf in
+  let payload buf = Bytes.sub buf 0 (Bytes.length buf - trailer_bytes) in
+  let a = tw.copy_a and b = tw.copy_b in
   let sa = Layout.fnt_sector_a layout ~page in
   let sb = Layout.fnt_sector_b layout ~page in
-  match read_copy sa with
-  | Some pa when not verify -> Some (pa, None)
-  | a -> (
-    match (a, read_copy sb) with
-    | Some pa, Some pb when Bytes.equal pa pb -> Some (pa, None)
-    | Some pa, _ -> Some (pa, Some sb)
-    | None, Some pb -> Some (pb, Some sa)
-    | None, None -> None)
+  let a_read = read sa a in
+  let a_ok = a_read && valid a in
+  if a_ok && not verify then Some (payload a, None)
+  else
+    let b_read = read sb b in
+    if a_read && b_read && same_range a b ~pos:0 ~len:(Bytes.length a - 4) then
+      if a_ok then Some (payload a, None) else None
+    else if a_ok then Some (payload a, Some sb)
+    else if b_read && valid b then Some (payload b, Some sa)
+    else None
 
 let try_read_home device layout ~page =
-  Option.map fst (read_twin ~verify:false device layout ~page)
+  Option.map fst (read_twin ~verify:false (twin_buffers layout) device layout ~page)
 
 let rewrite_copy t ~page sector payload =
   t.repairs <- t.repairs + 1;
@@ -138,7 +155,7 @@ let rewrite_copy t ~page sector payload =
 
 (* A read that misses the cache repairs a bad twin on the spot. *)
 let read_home t page =
-  match read_twin t.device t.layout ~page with
+  match read_twin t.twin t.device t.layout ~page with
   | Some (payload, repair) ->
     Option.iter
       (fun sector ->
@@ -159,7 +176,7 @@ let read_home t page =
    deliberately not consulted — a dirty page's home copies are
    legitimately old but must still agree with each other. *)
 let scrub_page t page =
-  match read_twin t.device t.layout ~page with
+  match read_twin t.twin t.device t.layout ~page with
   | Some (_, None) -> `Ok
   | Some (payload, Some sector) ->
     rewrite_copy t ~page sector payload;
@@ -169,11 +186,12 @@ let scrub_page t page =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let mk device layout anchor =
+let mk device layout twin anchor =
   let t =
     {
       device;
       layout;
+      twin;
       cache = Lru.create ~capacity:layout.Layout.params.Params.cache_pages;
       anchor;
       to_log_count = 0;
@@ -191,14 +209,17 @@ let mk device layout anchor =
 let create_fresh device layout =
   let map = Bitmap.create layout.Layout.params.Params.fnt_pages in
   Bitmap.set map 0; (* the anchor page itself *)
-  mk device layout { root = None; alloc_map = map; next_uid = 1L }
+  mk device layout (twin_buffers layout) { root = None; alloc_map = map; next_uid = 1L }
 
 let attach device layout =
-  let t = mk device layout { root = None; alloc_map = Bitmap.create 1; next_uid = 1L } in
+  let t =
+    mk device layout (twin_buffers layout)
+      { root = None; alloc_map = Bitmap.create 1; next_uid = 1L }
+  in
   let payload = read_home t 0 in
   match Meta_frame.decode_anchor ~magic:anchor_magic payload with
   | Some anchor ->
-    let t' = mk device layout anchor in
+    let t' = mk device layout t.twin anchor in
     (* carry over a twin repair made while reading the anchor *)
     t'.repairs <- t.repairs;
     t'

@@ -7,7 +7,8 @@
     during crash recovery. Dirty pages are pinned in the cache — their
     only durable copy is in the log, so they must stay until written home
     (§5.3). Reads that miss fetch {e both} copies and use whichever
-    checks; a bad copy is repaired from the good one (§5.1).
+    checks; copies whose checked bytes are equal are checksummed once.
+    A bad copy is repaired from the good one (§5.1).
 
     Each copy is a {!Cedar_fsbase.Meta_frame} page frame with magic
     "FNT1": the payload and a trailer carrying its page number and
@@ -127,10 +128,11 @@ val repairs : t -> int
 (** {1 Scrubbing and scavenging} *)
 
 val scrub_page : t -> int -> [ `Ok | `Repaired | `Unreadable ]
-(** Verify both home copies of a page (checksum and twin comparison),
-    rewriting a lone bad or stale copy in place. [`Unreadable] means both
-    copies are bad: only the offline scavenger can help. Bypasses the
-    cache. *)
+(** Verify both home copies of a page, rewriting a lone bad or stale
+    copy in place (B is stale when it differs from a good A). Copy A is
+    verified by its checksum; B by equality with A, or by its own
+    checksum when A is bad. [`Unreadable] means both copies are bad:
+    only the offline scavenger can help. Bypasses the cache. *)
 
 val try_read_home :
   Cedar_disk.Device.t -> Layout.t -> page:int -> bytes option

@@ -180,11 +180,6 @@ let write_pointer device layout ~offset ~record_no ~boot_count =
 let read_pointer device layout =
   Meta_frame.read_mirrored device ~sector:layout.Layout.log_start decode_pointer
 
-let read_sector_opt device s =
-  match Device.read device s with
-  | b -> Some b
-  | exception Device.Error _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 
@@ -375,8 +370,10 @@ type recovery = {
    sectors, or [None] (chain break / torn). The
    layout is self-describing: the header carries a flag, and when the
    primary header is gone the copy is probed at both candidate offsets
-   (+2 classic, +track for the track-tolerant format). *)
-let read_record device layout ~shard ~off ~expected ~corrected =
+   (+2 classic, +track for the track-tolerant format). Header and end
+   sectors are read into [scratch], one sector the pass owns, and
+   decoded at once. *)
+let read_record device layout ~shard ~off ~expected ~corrected ~scratch =
   let body = body_start layout in
   (* not even an empty classic record fits past here *)
   if off + Params.log_record_sectors layout.Layout.geom ~track_tolerant:false 0
@@ -384,7 +381,12 @@ let read_record device layout ~shard ~off ~expected ~corrected =
   then None
   else begin
     let sector i = body + off + i in
-    let header_at i = Option.bind (read_sector_opt device (sector i)) (decode_header layout) in
+    let decoded s decode =
+      match Device.read_run_into device ~sector:s ~count:1 scratch ~pos:0 with
+      | () -> decode scratch
+      | exception Device.Error _ -> None
+    in
+    let header_at i = decoded (sector i) (decode_header layout) in
     let header =
       match header_at 0 with
       | Some h -> Some h
@@ -424,10 +426,10 @@ let read_record device layout ~shard ~off ~expected ~corrected =
         if off + size > body_sectors layout then None
         else begin
           let endp =
-            match Option.bind (read_sector_opt device (sector end_primary)) decode_end with
+            match decoded (sector end_primary) decode_end with
             | Some e -> Some e
             | None -> (
-              match Option.bind (read_sector_opt device (sector end_copy)) decode_end with
+              match decoded (sector end_copy) decode_end with
               | Some e ->
                 incr corrected;
                 Some e
@@ -438,42 +440,32 @@ let read_record device layout ~shard ~off ~expected ~corrected =
           | Some (end_no, crcs) ->
             if end_no <> h.h_record_no || Array.length crcs <> n then None
             else begin
-              (* Collect each data sector from whichever copy checks out. *)
-              let fetch i =
-                let want = crcs.(i) in
+              (* Read each data sector straight into its unit's image,
+                 from whichever copy checks out: one command per sector,
+                 the copy only when the primary fails its CRC. *)
+              let sb = sector_bytes layout in
+              let fetch image ~slot i =
+                let pos = slot * sb in
                 let try_sector s =
-                  match read_sector_opt device s with
-                  | Some b when Crc32.bytes b = want -> Some b
-                  | Some _ | None -> None
+                  match Device.read_run_into device ~sector:s ~count:1 image ~pos with
+                  | () -> Crc32.bytes ~pos ~len:sb image = crcs.(i)
+                  | exception Device.Error _ -> false
                 in
-                match try_sector (sector (data_primary i)) with
-                | Some b -> Some b
-                | None ->
-                  (match try_sector (sector (data_copy i)) with
-                  | Some b ->
-                    incr corrected;
-                    Some b
-                  | None -> None)
+                try_sector (sector (data_primary i))
+                || (try_sector (sector (data_copy i)) && (incr corrected; true))
               in
-              let rec collect i acc =
-                if i = n then Some (List.rev acc)
-                else match fetch i with None -> None | Some b -> collect (i + 1) (b :: acc)
+              let rec units first = function
+                | [] -> Some []
+                | (kind, nsec) :: rest ->
+                  let image = Bytes.create (nsec * sb) in
+                  let rec fill slot =
+                    slot = nsec || (fetch image ~slot (first + slot) && fill (slot + 1))
+                  in
+                  if fill 0 then
+                    Option.map (fun us -> (kind, image) :: us) (units (first + nsec) rest)
+                  else None (* both copies of a data sector lost *)
               in
-              match collect 0 [] with
-              | None -> None (* both copies of a data sector lost *)
-              | Some sectors ->
-                let sectors = Array.of_list sectors in
-                let units, _ =
-                  List.fold_left
-                    (fun (acc, i) (kind, nsec) ->
-                      let image =
-                        Bytes.concat Bytes.empty
-                          (List.init nsec (fun k -> sectors.(i + k)))
-                      in
-                      ((kind, image) :: acc, i + nsec))
-                    ([], 0) h.h_units
-                in
-                Some (List.rev units, size)
+              Option.map (fun us -> (us, size)) (units 0 h.h_units)
             end
         end
       end
@@ -487,6 +479,7 @@ let read_record device layout ~shard ~off ~expected ~corrected =
    probed there again. *)
 let recover ?(shard = 0) device layout =
   let corrected = ref 0 in
+  let scratch = Bytes.create (sector_bytes layout) in
   let images : (unit_kind, bytes * int64) Hashtbl.t = Hashtbl.create 64 in
   let surviving = ref [] in
   let replayed = ref 0 in
@@ -506,14 +499,14 @@ let recover ?(shard = 0) device layout =
       let rec scan off expected wrapped visited =
         if visited > body_sectors layout then off
         else
-          match read_record device layout ~shard ~off ~expected ~corrected with
+          match read_record device layout ~shard ~off ~expected ~corrected ~scratch with
           | Some (units, size) ->
             apply ~off expected units;
             scan (off + size) (Int64.add expected 1L) wrapped (visited + size)
           | None ->
             (* The writer may have wrapped to offset 0 mid-chain. *)
             if (not wrapped) && off <> 0 && ptr_off <> 0 then
-              match read_record device layout ~shard ~off:0 ~expected ~corrected with
+              match read_record device layout ~shard ~off:0 ~expected ~corrected ~scratch with
               | Some (units, size) ->
                 apply ~off:0 expected units;
                 scan size (Int64.add expected 1L) true (visited + size)

@@ -12,8 +12,9 @@
     - {!log_activity}, the Table 2 and §5.4 analogue: bytes logged per
       commit batch, forces vs empty forces, ops amortised per force,
       the force cadence and the active log third's occupancy;
-    - {!recovery_phases}, the Table 5 analogue: per-phase timings of
-      log replay, VAM rebuild and scavenging.
+    - {!recovery_phases}, the analogue of Table 2's crash-recovery row
+      (§5.5): per-phase timings of log replay, VAM rebuild and
+      scavenging.
 
     A span's duration is the FSD call's own latency. A server client's
     latency is its op record ({!Trace.op_record}), which adds the time

@@ -75,33 +75,37 @@ module Reader = struct
       invalid_arg "Bytebuf.Reader.of_bytes";
     { buf; limit = pos + len; pos }
 
-  let need r n = if r.pos + n > r.limit then fail "truncated input (need %d at %d, limit %d)" n r.pos r.limit
+  let truncated r n = fail "truncated input (need %d at %d, limit %d)" n r.pos r.limit
 
-  let u8 r =
+  (* The fixed-width reads are inlined into each decoder, so an [i64]
+     or a [u32] field boxes nothing on its way into a record. *)
+  let[@inline] need r n = if r.pos + n > r.limit then truncated r n
+
+  let[@inline] u8 r =
     need r 1;
     let v = Char.code (Bytes.get r.buf r.pos) in
     r.pos <- r.pos + 1;
     v
 
-  let u16 r =
+  let[@inline] u16 r =
     need r 2;
     let v = Bytes.get_uint16_le r.buf r.pos in
     r.pos <- r.pos + 2;
     v
 
-  let u32 r =
+  let[@inline] u32 r =
     need r 4;
     let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) land 0xffffffff in
     r.pos <- r.pos + 4;
     v
 
-  let u64 r =
+  let[@inline] u64 r =
     need r 8;
     let v = Bytes.get_int64_le r.buf r.pos in
     r.pos <- r.pos + 8;
     v
 
-  let i64 r = Int64.to_int (u64 r)
+  let[@inline] i64 r = Int64.to_int (u64 r)
 
   let bool r =
     match u8 r with
@@ -119,7 +123,12 @@ module Reader = struct
     let n = u16 r in
     raw r n
 
-  let string r = Bytes.to_string (bytes r)
+  let string r =
+    let n = u16 r in
+    need r n;
+    let s = Bytes.sub_string r.buf r.pos n in
+    r.pos <- r.pos + n;
+    s
 
   let fixed_string r ~width =
     let b = raw r width in

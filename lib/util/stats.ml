@@ -1,5 +1,5 @@
 type t = {
-  mutable values : float list;
+  mutable values : float array; (* samples in arrival order; the first [n] are set *)
   mutable n : int;
   mutable total : float;
   mutable min : float;
@@ -8,10 +8,15 @@ type t = {
 }
 
 let create () =
-  { values = []; n = 0; total = 0.0; min = infinity; max = neg_infinity; sorted = None }
+  { values = [||]; n = 0; total = 0.0; min = infinity; max = neg_infinity; sorted = None }
 
 let add t v =
-  t.values <- v :: t.values;
+  if t.n = Array.length t.values then begin
+    let grown = Array.make (Stdlib.max 16 (2 * t.n)) 0.0 in
+    Array.blit t.values 0 grown 0 t.n;
+    t.values <- grown
+  end;
+  t.values.(t.n) <- v;
   t.n <- t.n + 1;
   t.total <- t.total +. v;
   if v < t.min then t.min <- v;
@@ -28,20 +33,12 @@ let sorted t =
   match t.sorted with
   | Some a -> a
   | None ->
-    let a = Array.of_list t.values in
+    let a = Array.sub t.values 0 t.n in
     Array.sort compare a;
     t.sorted <- Some a;
     a
 
-let recent t k =
-  (* values is newest-first, so the first [k] entries are the most
-     recent additions (still newest-first). *)
-  let rec take k = function
-    | [] -> []
-    | _ when k <= 0 -> []
-    | v :: rest -> v :: take (k - 1) rest
-  in
-  take k t.values
+let recent t k = List.init (Stdlib.max 0 (Stdlib.min k t.n)) (fun i -> t.values.(t.n - 1 - i))
 
 let percentile t p =
   if t.n = 0 then invalid_arg "Stats.percentile: empty";

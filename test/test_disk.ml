@@ -69,6 +69,43 @@ let test_device_run_io () =
   check int "two ios total" 2 st.Iostats.ios;
   check int "three sectors each way" 3 st.Iostats.sectors_read
 
+(* [read_run_into] is [read_run]'s command: on two devices that see the
+   same writes, the same reads return the same bytes, charge the same
+   stats and time, and a damaged sector raises the same error, leaving
+   the caller's buffer as it was. The copy may start at an offset; a run
+   that does not fit the buffer from there is refused. *)
+let test_read_run_into_matches_read_run () =
+  let clock_a, a = mk () and clock_b, b = mk () in
+  let sb = (Device.geometry a).Geometry.sector_bytes in
+  let data = Bytes.init (6 * sb) (fun i -> Char.chr ((i * 7) land 0xff)) in
+  List.iter (fun d -> Device.write_run d ~sector:40 data) [ a; b ];
+  let same_stats what =
+    check bool (what ^ ": same stats") true (Device.stats a = Device.stats b);
+    check int (what ^ ": same clock") (Simclock.now clock_a) (Simclock.now clock_b)
+  in
+  let fresh = Device.read_run a ~sector:41 ~count:4 in
+  let buf = Bytes.make ((4 * sb) + 9) '#' in
+  Device.read_run_into b ~sector:41 ~count:4 buf ~pos:9;
+  check bool "same bytes at the offset" true (Bytes.equal fresh (Bytes.sub buf 9 (4 * sb)));
+  check Alcotest.string "bytes before the offset untouched" "#########" (Bytes.sub_string buf 0 9);
+  same_stats "whole run";
+  List.iter (fun d -> Device.damage d 43) [ a; b ];
+  let error f = match f () with () -> None | exception Device.Error e -> Some e.sector in
+  let got_a = error (fun () -> ignore (Device.read_run a ~sector:42 ~count:3 : bytes)) in
+  let untouched = Bytes.make (3 * sb) '#' in
+  let got_b = error (fun () -> Device.read_run_into b ~sector:42 ~count:3 untouched ~pos:0) in
+  check (Alcotest.option int) "read_run: damaged sector" (Some 43) got_a;
+  check (Alcotest.option int) "read_run_into: same error" got_a got_b;
+  check bool "buffer untouched by the failed read" true
+    (Bytes.equal (Bytes.make (3 * sb) '#') untouched);
+  same_stats "damaged run";
+  List.iter
+    (fun (count, pos, len) ->
+      match Device.read_run_into b ~sector:40 ~count (Bytes.create len) ~pos with
+      | () -> Alcotest.failf "count %d pos %d into %d bytes accepted" count pos len
+      | exception Invalid_argument _ -> ())
+    [ (0, 0, sb); (1, -1, sb); (1, 1, sb); (3, 0, (3 * sb) - 1) ]
+
 let test_device_timing_advances_clock () =
   let clock, d = mk () in
   let g = Device.geometry d in
@@ -659,6 +696,7 @@ let suite =
     ("geometry timing constants", `Quick, test_geometry_timing_constants);
     ("device read/write", `Quick, test_device_read_write);
     ("device run io", `Quick, test_device_run_io);
+    ("device read_run_into matches read_run", `Quick, test_read_run_into_matches_read_run);
     ("device timing advances clock", `Quick, test_device_timing_advances_clock);
     ("device sequential vs random", `Quick, test_device_sequential_cheaper_than_random);
     ("device damage", `Quick, test_device_damage);

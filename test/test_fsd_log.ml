@@ -134,6 +134,41 @@ let test_damage_tolerance_header_and_data () =
   check int "still recovered" 1 r.Log.replayed_records;
   check bool "corrections counted" true (r.Log.corrected_sectors >= 2)
 
+(* A record of several units whose middle primary data sector is
+   damaged: replay reads that sector's copy into the same place of its
+   unit's image, counts one correction, and returns every unit image as
+   it was appended. *)
+let test_damaged_middle_data_sector () =
+  let device, layout = mk () in
+  let log = attach device layout in
+  let sb = layout.Layout.geom.Geometry.sector_bytes in
+  let varied kind sectors seed =
+    Log.hashed_unit layout kind
+      (Bytes.init (sectors * sb) (fun i -> Char.chr (((i * 31) + seed) land 0xff)))
+  in
+  let k = layout.Layout.params.Params.fnt_page_sectors in
+  let units =
+    [
+      varied (Log.Fnt_page 3) k 1;
+      varied (Log.Leader_page 5000) 1 2;
+      varied (Log.Fnt_page 9) k 3;
+      varied (Log.Leader_page 5001) 1 4;
+    ]
+  in
+  ignore (Log.append log units : int);
+  let n = (2 * k) + 2 in
+  (* Classic layout: header, blank, header', then the primary data. *)
+  Device.damage device (layout.Layout.log_start + 3 + 3 + (n / 2));
+  let r = Log.recover device layout in
+  check int "replayed" 1 r.Log.replayed_records;
+  check int "one correction" 1 r.Log.corrected_sectors;
+  List.iter
+    (fun u ->
+      match find_image r.Log.images u.Log.kind with
+      | Some img -> check bool "unit image as appended" true (Bytes.equal u.Log.image img)
+      | None -> Alcotest.fail "unit image missing")
+    units
+
 let test_damage_two_adjacent_sectors () =
   let device, layout = mk () in
   let log = attach device layout in
@@ -437,6 +472,8 @@ let suite =
     ("torn write after end page commits", `Quick, test_torn_write_after_end_page_commits);
     ("damage tolerance header+data", `Quick, test_damage_tolerance_header_and_data);
     ("damage two adjacent sectors", `Quick, test_damage_two_adjacent_sectors);
+    ("damaged middle data sector of a multi-unit record", `Quick,
+      test_damaged_middle_data_sector);
     ("pointer replica used", `Quick, test_pointer_replica_used);
     ("thirds flush and wrap", `Quick, test_thirds_flush_callback_and_wrap);
     ("log utilization ~5/6", `Quick, test_utilization_five_sixths);

@@ -642,6 +642,89 @@ let test_diverged_page_homes_committed_frame () =
     (Fnt_store.try_read_home device l ~page);
   check bool "new payload still to be homed" true (List.mem page (Fnt_store.dirty_pages s))
 
+(* The twin-copy read's five outcomes, through the scrub (which reads
+   both copies, bypassing the cache), a cache miss of a freshly attached
+   store and the scavenger's probe: the scrub and the miss read copy A
+   then copy B, two commands, and rewrite only a lone bad copy, or B
+   when both check but differ; the probe stops at a good copy A. Copies
+   that differ only in the trailer's last word, which no check reads,
+   agree. *)
+let test_store_twin_read_outcomes () =
+  let l = layout () in
+  let page = 3 in
+  let k = l.Layout.params.Params.fnt_page_sectors in
+  let payload_bytes = (k * geom.Geometry.sector_bytes) - Meta_frame.trailer_bytes in
+  let frame c =
+    Meta_frame.frame ~magic:0x464e5431 (* "FNT1" *) ~page (Bytes.make payload_bytes c)
+  in
+  let bad = frame 'x' in
+  Bytes.set bad 7 'y' (* the trailer's CRC no longer matches *);
+  let unchecked = frame 'p' in
+  Bytes.set unchecked (Bytes.length unchecked - 1) '\001';
+  let sa = Layout.fnt_sector_a l ~page and sb = Layout.fnt_sector_b l ~page in
+  let cases =
+    [
+      ("identical good copies", `Frame (frame 'p'), `Frame (frame 'p'), `Ok, Some 'p', None);
+      ("identical bad copies", `Frame bad, `Frame bad, `Unreadable, None, None);
+      ("copy A bad", `Frame bad, `Frame (frame 'p'), `Repaired, Some 'p', Some sa);
+      ("copy B unreadable", `Frame (frame 'p'), `Damaged, `Repaired, Some 'p', Some sb);
+      ("good copies differ", `Frame (frame 'p'), `Frame (frame 'q'), `Repaired, Some 'p', Some sb);
+      ("copies differ in the unchecked word", `Frame (frame 'p'), `Frame unchecked, `Ok, Some 'p', None);
+    ]
+  in
+  let setup (a, b) =
+    let device = mk_device () in
+    let s = Fnt_store.create_fresh device l in
+    Fnt_store.flush_anchor s;
+    List.iter
+      (fun (sector, copy) ->
+        match copy with
+        | `Frame image -> Device.write_run device ~sector image
+        | `Damaged -> Device.damage device sector)
+      [ (sa, a); (sb, b) ];
+    device
+  in
+  let io device f =
+    let st = Device.stats device in
+    let reads = st.Iostats.reads and writes = st.Iostats.writes in
+    let v = f () in
+    (v, st.Iostats.reads - reads, st.Iostats.writes - writes)
+  in
+  let payload = function
+    | Some c -> Some (Bytes.make payload_bytes c)
+    | None -> None
+  in
+  List.iter
+    (fun (what, a, b, scrubbed, want, rewritten) ->
+      let name s = what ^ ": " ^ s in
+      let device = setup (a, b) in
+      let s = Fnt_store.attach device l in
+      let got, reads, writes = io device (fun () -> Fnt_store.scrub_page s page) in
+      check bool (name "scrub outcome") true (got = scrubbed);
+      check int (name "scrub reads") 2 reads;
+      check int (name "scrub writes") (if rewritten = None then 0 else 1) writes;
+      Option.iter
+        (fun sector ->
+          check bool (name "rewritten copy holds the good frame") true
+            (Bytes.equal (frame 'p') (Device.read_run device ~sector ~count:k)))
+        rewritten;
+      let device = setup (a, b) in
+      let s = Fnt_store.attach device l in
+      let got, reads, writes =
+        io device (fun () ->
+            match Fnt_store.read s page with
+            | p -> Some p
+            | exception Fs_error.Fs_error (Fs_error.Corrupt_metadata _) -> None)
+      in
+      check (Alcotest.option Alcotest.bytes) (name "read payload") (payload want) got;
+      check int (name "read reads") 2 reads;
+      check int (name "read writes") (if rewritten = None then 0 else 1) writes;
+      let device = setup (a, b) in
+      let got, reads, _ = io device (fun () -> Fnt_store.try_read_home device l ~page) in
+      check (Alcotest.option Alcotest.bytes) (name "probe payload") (payload want) got;
+      check int (name "probe reads") (if a = `Frame (frame 'p') then 1 else 2) reads)
+    cases
+
 (* [pages_to_log_count] is the O(1) count the commit demon polls; it
    must equal [List.length (pages_to_log s)] after any sequence of the
    operations that change a page's dirty or modified flag, on a cache
@@ -709,6 +792,7 @@ let suite =
     ("store: freed page reusable", `Quick, test_store_free_page_reusable);
     ("store: read hands out the cached bytes", `Quick, test_store_read_identity);
     ("store: to-log count is exact", `Quick, test_store_to_log_count_exact);
+    ("store: twin read outcomes and device reads", `Quick, test_store_twin_read_outcomes);
     ("store: frame CRCs computed once, frame reused", `Quick, test_frame_crcs_and_reuse);
     ("store: reframed page equals a fresh frame", `Quick, test_reframe_matches_fresh_frame);
     ("store: diverged page homes its committed frame", `Quick,

@@ -98,12 +98,12 @@ let test_crc32_matches_reference () =
     if got <> want then
       Alcotest.failf "pos %d len %d: got %08x, reference %08x" pos len got want
   in
-  (* Every alignment of the eight-byte load against every length
-     remainder the byte loop finishes, and the sizes the file system
-     checksums: a sector, a sector's head before a page trailer, and a
-     name-table page payload. Each is also checked as a continuation
-     of the CRC of the bytes before it. *)
-  for pos = 0 to 7 do
+  (* Every alignment of two eight-byte loads against every length up to
+     six loads, so every remainder the byte loop finishes, and the sizes
+     the file system checksums: a sector, a sector's head before a page
+     trailer, and a name-table page payload. Each is also checked as a
+     continuation of the CRC of the bytes before it. *)
+  for pos = 0 to 15 do
     List.iter
       (fun len ->
         same ~pos ~len;
@@ -112,7 +112,7 @@ let test_crc32_matches_reference () =
         if continued <> whole then
           Alcotest.failf "continue at pos %d len %d: got %08x, want %08x" pos len continued
             whole)
-      (List.init 24 Fun.id @ [ 496; 512; 2032 ])
+      (List.init 48 Fun.id @ [ 496; 512; 2032 ])
   done;
   for _ = 1 to 10_000 do
     let len = Rng.int rng 2101 in
@@ -321,6 +321,37 @@ let test_percentile_edges () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* Every sample is kept, in order, as the store grows: against a list
+   model, [recent] is newest first and the percentiles are those of the
+   sorted samples, also when queries (which cache the sorted samples)
+   come between additions. *)
+let test_stats_matches_list_model () =
+  let s = Stats.create () in
+  let model = ref [] in
+  let rng = Rng.create 7 in
+  for i = 1 to 1000 do
+    let v = float_of_int (Rng.int rng 50) in
+    Stats.add s v;
+    model := v :: !model;
+    if i mod 97 = 0 || i = 1000 then begin
+      let sorted = Array.of_list (List.sort compare !model) in
+      List.iter
+        (fun p ->
+          let want = sorted.(max 0 (int_of_float (ceil (p *. float_of_int i)) - 1)) in
+          check (Alcotest.float 0.) (Printf.sprintf "p%g after %d" p i) want
+            (Stats.percentile s p))
+        [ 0.0; 0.25; 0.5; 0.99; 1.0 ];
+      List.iter
+        (fun k ->
+          check (Alcotest.list (Alcotest.float 0.)) (Printf.sprintf "recent %d after %d" k i)
+            (List.filteri (fun j _ -> j < k) !model)
+            (Stats.recent s k))
+        [ 0; 1; 17; i; i + 5 ]
+    end
+  done;
+  check int "n" 1000 (Stats.n s);
+  check (Alcotest.float 0.) "total" (List.fold_left ( +. ) 0. (List.rev !model)) (Stats.total s)
+
 let suite =
   [
     ("bytebuf roundtrip", `Quick, test_bytebuf_roundtrip);
@@ -343,5 +374,6 @@ let suite =
     ("rng split independent", `Quick, test_rng_split_independent);
     ("simclock", `Quick, test_simclock);
     ("stats", `Quick, test_stats);
+    ("stats matches a list model", `Quick, test_stats_matches_list_model);
     ("percentile edges", `Quick, test_percentile_edges);
   ]
