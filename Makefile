@@ -163,8 +163,11 @@ faultsweep-smoke:
 # of the crash-contract verdict (structural check, alien names, the
 # oracle, VAM agreement, a non-zero replay or a changed namespace after
 # the clean shutdown) or too few wraps, and the two JSON summaries must
-# be byte-identical. Last, a negative --force-every must be refused with
-# exit 1, not run as if it were 0.
+# be byte-identical. The run must also drive the one home-write pass
+# both ways: name-table pages written home (fnt_home_writes > 0) and
+# background demon passes that wrote something (home_write_bursts > 0).
+# Last, a negative --force-every must be refused with exit 1, not run as
+# if it were 0.
 wrap-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/wrap-smoke && mkdir -p _build/wrap-smoke
@@ -173,7 +176,10 @@ wrap-smoke:
 	./_build/default/bin/cedar.exe churn --tiny --ops 60 --min-wraps 1 \
 		--json > _build/wrap-smoke/run2.json
 	cmp _build/wrap-smoke/run1.json _build/wrap-smoke/run2.json
-	@echo "wrap-smoke: wrapped, clean, deterministic"
+	@python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(not (r["fnt_home_writes"] > 0 and r["home_write_bursts"] > 0))' \
+		_build/wrap-smoke/run1.json || \
+		{ echo "wrap-smoke: the churn run wrote no page home or ran no home-write burst"; exit 1; }
+	@echo "wrap-smoke: wrapped, clean, deterministic, home writes and demon bursts seen"
 	@./_build/default/bin/cedar.exe churn --force-every=-1 > /dev/null 2>&1; \
 	status=$$?; if [ $$status -ne 1 ]; then \
 		echo "wrap-smoke: cedar churn --force-every=-1 exited $$status, not 1"; exit 1; fi

@@ -5,7 +5,7 @@
    - endurance rows: the faultsweep harness's clean run of the churn
      workload on the small and tiny geometries, given the one
      crash-contract verdict, with wrap counts, background home-write
-     bursts, reclaim stalls, and the zero-replay clean reboot;
+     bursts, and the zero-replay clean reboot;
    - sweep rows: the wrap-mode crash sweep (crashes planted only inside
      the wrap window — third entries and their neighbours) once per
      tear mode on the tiny geometry, which must report zero
@@ -51,7 +51,6 @@ let endurance_json (label, r) =
       ("log_records", J.Int r.F.c_log_records);
       ("third_entries", J.Int r.F.c_third_entries);
       ("home_write_bursts", J.Int r.F.c_home_write_bursts);
-      ("reclaim_stalls", J.Int r.F.c_reclaim_stalls);
       ("fnt_home_writes", J.Int r.F.c_fnt_home_writes);
       ("replayed_after_shutdown", J.Int r.F.c_replayed_after_shutdown);
       ("digest_match", J.Bool r.F.c_digest_match);
@@ -67,14 +66,13 @@ let sweep_json (label, s) =
 let build () =
   Setup.hr "log-wrap endurance + wrap-window crash sweep (cedar churn / faultsweep --wrap)";
   let es = endurance_rows () in
-  Printf.printf "  %-10s %6s %7s %7s %7s %7s %7s %6s\n" "geometry" "acked"
-    "records" "thirds" "bursts" "stalls" "replay" "clean";
+  Printf.printf "  %-10s %6s %7s %7s %7s %7s %6s\n" "geometry" "acked"
+    "records" "thirds" "bursts" "replay" "clean";
   List.iter
     (fun (label, r) ->
-      Printf.printf "  %-10s %6d %7d %7d %7d %7d %7d %6s\n" label
+      Printf.printf "  %-10s %6d %7d %7d %7d %7d %6s\n" label
         r.F.c_report.Cedar_server.Server.mutations_acked r.F.c_log_records
-        r.F.c_third_entries r.F.c_home_write_bursts r.F.c_reclaim_stalls
-        r.F.c_replayed_after_shutdown
+        r.F.c_third_entries r.F.c_home_write_bursts r.F.c_replayed_after_shutdown
         (if F.passed r then "yes" else "NO"))
     es;
   let ss = sweep_rows () in

@@ -629,14 +629,20 @@ let read_all t ~name =
   require_live t;
   let _, _, h, _ = open_header t name in
   let sb = sector_bytes t in
-  let buf = Bytes.create (Run_table.pages h.Header.runs * sb) in
+  let pages = Run_table.pages h.Header.runs in
+  if not (Run_table.holds h.Header.runs ~sector_bytes:sb ~byte_size:h.Header.byte_size)
+  then
+    corrupt
+      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" name
+         h.Header.byte_size pages);
+  let buf = Bytes.create (pages * sb) in
   (try read_runs t h buf with
   | Device.Error { sector; kind = Device.Damaged } ->
     Fs_error.raise_ (Fs_error.Damaged_data { name; sector })
   | Device.Error { sector; kind = Device.Label_mismatch _ } ->
     corrupt (Printf.sprintf "stale run table for %s at sector %d" name sector));
   op_cpu t;
-  cpu t (Run_table.pages h.Header.runs * t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us);
+  cpu t (pages * t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us);
   Bytes.sub buf 0 h.Header.byte_size
 
 let read_page t ~name ~page =
@@ -682,7 +688,6 @@ let list t ~prefix =
   (* The name table has only names and header addresses; properties such
      as the byte count require reading each header (Table 3's 146 I/Os
      for 100 files). *)
-  let hi = prefix ^ "\xff\xff\xff\xff" in
   let acc = ref [] in
   let current : (string * int * string) option ref = ref None in
   let flush () =
@@ -705,7 +710,7 @@ let list t ~prefix =
     | None -> ()
   in
   wrap_tree (fun () ->
-      B.iter_range ~lo:prefix ~hi t.tree (fun k v ->
+      B.iter_range ~lo:prefix ?hi:(Fname.prefix_bound prefix) t.tree (fun k v ->
           cpu t (t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us / 2);
           match Fname.parse k with
           | None -> ()

@@ -38,6 +38,9 @@ val create : t -> name:string -> ?keep:int -> bytes -> Cedar_fsbase.Fs_ops.info
 val open_stat : t -> name:string -> Cedar_fsbase.Fs_ops.info
 val exists : t -> name:string -> bool
 val read_all : t -> name:string -> bytes
+(** Raises [Corrupt_metadata] when the header's byte size does not fill
+    exactly the file's data pages ({!Cedar_fsbase.Run_table.holds}). *)
+
 val read_page : t -> name:string -> page:int -> bytes
 val delete : t -> name:string -> unit
 val list : t -> prefix:string -> Cedar_fsbase.Fs_ops.info list

@@ -21,6 +21,16 @@ let bounds ~name =
      [name]'s versions; a longer name ("foo.txt" vs "foo") sorts outside. *)
   (name ^ "!", name ^ "\"")
 
+let prefix_bound prefix =
+  let rec last n =
+    if n = 0 then None
+    else if prefix.[n - 1] = '\xff' then last (n - 1)
+    else
+      let next = Char.chr (Char.code prefix.[n - 1] + 1) in
+      Some (String.sub prefix 0 (n - 1) ^ String.make 1 next)
+  in
+  last (String.length prefix)
+
 let parse k =
   match String.rindex_opt k '!' with
   | None -> None

@@ -15,6 +15,13 @@ val key : name:string -> version:int -> string
 val bounds : name:string -> string * string
 (** [(lo, hi)] such that a key belongs to [name] iff [lo <= key < hi]. *)
 
+val prefix_bound : string -> string option
+(** The least string above every string that starts with the given
+    prefix — the prefix with its trailing 0xff bytes dropped and its
+    last remaining byte incremented — or [None] when no byte remains
+    (every key is in range). A key starts with the prefix iff
+    [prefix <= key] and it sorts below this bound. *)
+
 val parse : string -> (string * int) option
 (** Inverse of {!key}. *)
 

@@ -7,7 +7,6 @@ type t =
   | Damaged_data of { name : string; sector : int }
   | Bad_page of { name : string; page : int }
   | Not_booted
-  | Log_reclaim_stall of { third : int; pinned_pages : int }
 
 exception Fs_error of t
 
@@ -23,9 +22,5 @@ let pp ppf = function
     Format.fprintf ppf "damaged sector %d in %s" sector name
   | Bad_page { name; page } -> Format.fprintf ppf "page %d out of range in %s" page name
   | Not_booted -> Format.fprintf ppf "file system not booted"
-  | Log_reclaim_stall { third; pinned_pages } ->
-    Format.fprintf ppf
-      "cannot reclaim log third %d: %d modified page(s) hold no committed image"
-      third pinned_pages
 
 let to_string t = Format.asprintf "%a" pp t

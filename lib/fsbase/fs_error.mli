@@ -11,10 +11,6 @@ type t =
   | Damaged_data of { name : string; sector : int }
   | Bad_page of { name : string; page : int }
   | Not_booted
-  | Log_reclaim_stall of { third : int; pinned_pages : int }
-      (** a log third is due for reclamation but a dirty page pinned in
-          the cache holds no committed image that could be written home;
-          reclaiming would destroy the only durable copy (§4.4) *)
 
 exception Fs_error of t
 

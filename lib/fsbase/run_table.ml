@@ -46,6 +46,9 @@ let of_runs runs =
 let runs t = t.runs
 let pages t = t.pages
 
+let holds t ~sector_bytes ~byte_size =
+  byte_size >= 0 && t.pages = (max 0 (byte_size - 1) / sector_bytes) + 1
+
 let append t r =
   of_runs (t.runs @ [ r ])
 

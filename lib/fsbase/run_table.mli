@@ -15,6 +15,12 @@ val runs : t -> run list
 val pages : t -> int
 (** Total number of pages (sectors). *)
 
+val holds : t -> sector_bytes:int -> byte_size:int -> bool
+(** Whether a file of [byte_size] bytes fills exactly these pages: the
+    size is not negative and needs [pages t] sectors, one at least (an
+    empty file keeps one page). Both file systems check an entry's size
+    against its run table before reading it. *)
+
 val append : t -> run -> t
 (** Extends the file; coalesces with the final run when contiguous. *)
 

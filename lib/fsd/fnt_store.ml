@@ -4,16 +4,10 @@ open Cedar_fsbase
 
 type cached = {
   mutable payload : bytes;
-  mutable dirty : bool;
-  mutable modified : bool; (* changed since last logged *)
-  mutable third : int option; (* where the image was last logged *)
+  mutable dirty : Dirty.t option;
+      (* what the home copies still owe the page; [None] while they hold
+         its payload *)
   mutable dirtied_at : int; (* virtual time the page last became dirty *)
-  mutable logged : bytes option;
-      (* The committed image as last logged, retained from the moment the
-         payload diverges from it. When the third holding that log copy
-         is reclaimed, this — never the uncommitted payload — is what
-         goes home; [None] while the payload itself is the logged image
-         (or nothing is logged). *)
   mutable framed : bytes;
       (* The payload [frame] was last built from, compared with [==] as
          payloads are never mutated once handed over; [Bytes.empty] until
@@ -36,8 +30,8 @@ type t = {
   cache : (int, cached) Lru.t;
   anchor : Meta_frame.anchor;
   mutable to_log_count : int;
-      (* cached pages both dirty and modified, i.e. [pages_to_log]'s
-         length; kept up to date wherever those flags change *)
+      (* cached pages dirty and modified, i.e. [pages_to_log]'s length;
+         kept up to date wherever a page's [dirty] changes *)
   mutable home_writes : int;
   mutable repairs : int;
   dirty_age : Stats.t; (* dirty-to-home-write latency per page flush *)
@@ -230,18 +224,15 @@ let attach device layout =
 (* Cache                                                               *)
 
 (* A page the next group commit must log. *)
-let to_log c = c.dirty && c.modified
+let to_log c = match c.dirty with Some d -> Dirty.modified d | None -> false
 
-(* A page entering the cache: read from home (clean) or written (dirty,
-   and so modified since it was last logged), never yet framed. *)
-let entry payload ~dirty ~at =
+(* A page entering the cache: read from home (clean) or written, never
+   yet framed. *)
+let entry payload dirty ~at =
   {
     payload;
     dirty;
-    modified = dirty;
-    third = None;
     dirtied_at = at;
-    logged = None;
     framed = Bytes.empty;
     frame = Bytes.empty;
     frame_crcs = [||];
@@ -251,37 +242,32 @@ let entry payload ~dirty ~at =
 let insert_cache t page c =
   (* Evictions are always clean (dirty pages are pinned). *)
   ignore (Lru.add t.cache page c : (int * cached) list);
-  if c.dirty then Lru.pin t.cache page
+  if Option.is_some c.dirty then Lru.pin t.cache page
 
 let read t page =
   match Lru.find t.cache page with
   | Some c -> c.payload
   | None ->
     let payload = read_home t page in
-    insert_cache t page (entry payload ~dirty:false ~at:0);
+    insert_cache t page (entry payload None ~at:0);
     payload
 
 let write t page payload =
   if Bytes.length payload <> page_bytes t then invalid_arg "Fnt_store.write: size";
   let now = Simclock.now (Device.clock t.device) in
   match Lru.peek t.cache page with
-  | Some c ->
-    (* First modification after a log commit: the payload about to be
-       replaced is the committed logged image. Retain it — it is what
-       must go home if its third reclaims before this change commits. *)
-    if c.dirty && (not c.modified) && c.logged = None then c.logged <- Some c.payload;
+  | Some c -> (
     if not (to_log c) then t.to_log_count <- t.to_log_count + 1;
     c.payload <- payload;
-    c.modified <- true;
-    if not c.dirty then begin
-      c.dirty <- true;
-      c.third <- None;
+    match c.dirty with
+    | Some d -> Dirty.modify d
+    | None ->
+      c.dirty <- Some (Dirty.create ());
       c.dirtied_at <- now;
-      Lru.pin t.cache page
-    end
+      Lru.pin t.cache page)
   | None ->
     t.to_log_count <- t.to_log_count + 1;
-    insert_cache t page (entry payload ~dirty:true ~at:now)
+    insert_cache t page (entry payload (Some (Dirty.create ())) ~at:now)
 
 (* Anchor mutations are ordinary writes of page 0. *)
 let write_anchor t =
@@ -365,27 +351,24 @@ let logged_unit t page =
   let c = framed t page in
   { Log.kind = Log.Fnt_page page; image = c.frame; crcs = c.frame_crcs }
 
+(* Payloads are never mutated once handed over, so the payload just
+   logged is itself the committed image its log copy holds. *)
 let mark_logged t pages ~third =
   List.iter
     (fun page ->
       match Lru.peek t.cache page with
-      | Some c when c.dirty ->
-        if c.modified then t.to_log_count <- t.to_log_count - 1;
-        c.third <- Some third;
-        c.modified <- false;
-        (* The payload is now itself the committed image. *)
-        c.logged <- None
+      | Some ({ dirty = Some d; _ } as c) ->
+        if Dirty.modified d then t.to_log_count <- t.to_log_count - 1;
+        Dirty.logged d ~third c.payload
       | Some _ | None -> ())
     pages
 
-let home_write t page c =
-  (* A diverged page homes its retained committed image; the newer,
-     uncommitted payload stays dirty and pinned until its own commit.
-     That image's frame is usually the page's own, built when it was
-     logged; but the force logging the newer payload may already have
-     reframed the page's buffer, so any other image is framed afresh. *)
-  let diverged = c.modified && c.logged <> None in
-  let image = match c.logged with Some l when c.modified -> l | _ -> c.payload in
+(* The image [Dirty.home] names goes home. Its frame is usually the
+   page's own, built when it was logged; but the force logging a newer
+   payload may already have reframed the page's buffer, so any other
+   image is framed afresh. *)
+let home_write t page c d =
+  let image, still_dirty = Dirty.home d ~current:c.payload in
   write_home_image t.device t.layout ~page
     (if image == c.framed then c.frame
      else Meta_frame.frame ~magic:page_magic ~page image);
@@ -394,67 +377,31 @@ let home_write t page c =
   if Cedar_obs.Trace.enabled tr then
     Cedar_obs.Trace.emit tr ~at:now (Cedar_obs.Trace.Fnt_write_twice { page });
   t.home_writes <- t.home_writes + 1;
-  c.third <- None;
-  c.logged <- None;
-  if not diverged then begin
+  if not still_dirty then begin
     Stats.add t.dirty_age (float_of_int (now - c.dirtied_at));
     if to_log c then t.to_log_count <- t.to_log_count - 1;
-    c.dirty <- false;
-    c.modified <- false;
+    c.dirty <- None;
     Lru.unpin t.cache page
   end
 
-(* Pages that claim [third] and could not be safely homed: modified since
-   their last commit with no retained committed image. Writing their
-   payload home would make uncommitted state durable while the log copy
-   that could roll it back is destroyed — refuse instead. Unreachable
-   while the retention protocol in [write] holds. *)
-let stalled_in_third t third =
-  let n = ref 0 in
-  Lru.iter t.cache (fun _ c ->
-      if c.dirty && c.third = Some third && c.modified && c.logged = None then incr n);
-  !n
-
-let flush_third t third =
-  (match stalled_in_third t third with
-  | 0 -> ()
-  | pinned_pages ->
-    Fs_error.raise_ (Fs_error.Log_reclaim_stall { third; pinned_pages }));
+(* Home-write, lowest page id first, at most [budget] of the dirty pages
+   [due] selects. *)
+let flush ?(budget = max_int) t due =
   let victims = ref [] in
   Lru.iter t.cache (fun page c ->
-      if c.dirty && c.third = Some third then victims := (page, c) :: !victims);
-  List.iter (fun (page, c) -> home_write t page c) !victims;
-  List.length !victims
+      match c.dirty with
+      | Some d when due d -> victims := (page, c, d) :: !victims
+      | Some _ | None -> ());
+  let victims = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !victims in
+  List.iteri (fun i (page, c, d) -> if i < budget then home_write t page c d) victims;
+  Int.min budget (List.length victims)
 
-(* Bounded variant for the background home-write demon: flush up to
-   [budget] pages claiming [third], lowest page first, skipping (rather
-   than raising on) any stalled page — the synchronous reclaim at third
-   entry remains the correctness backstop. *)
-let flush_some_third t third ~budget =
-  let victims = ref [] in
-  Lru.iter t.cache (fun page c ->
-      if c.dirty && c.third = Some third && not (c.modified && c.logged = None) then
-        victims := (page, c) :: !victims);
-  let victims = List.sort compare !victims in
-  let n = ref 0 in
-  List.iter
-    (fun (page, c) ->
-      if !n < budget then begin
-        home_write t page c;
-        incr n
-      end)
-    victims;
-  !n
-
-let flush_all_dirty t =
-  let victims = ref [] in
-  Lru.iter t.cache (fun page c -> if c.dirty then victims := (page, c) :: !victims);
-  List.iter (fun (page, c) -> home_write t page c) !victims;
-  List.length !victims
+let flush_third ?budget t third = flush ?budget t (fun d -> Dirty.claims d third)
+let flush_all_dirty t = flush t (fun _ -> true)
 
 let dirty_pages t =
   let acc = ref [] in
-  Lru.iter t.cache (fun page c -> if c.dirty then acc := page :: !acc);
+  Lru.iter t.cache (fun page c -> if Option.is_some c.dirty then acc := page :: !acc);
   List.sort compare !acc
 
 let pages_to_log t =
@@ -466,7 +413,7 @@ let pages_to_log_count t = t.to_log_count
 
 let drop_clean_cache t =
   let clean = ref [] in
-  Lru.iter t.cache (fun page c -> if not c.dirty then clean := page :: !clean);
+  Lru.iter t.cache (fun page c -> if Option.is_none c.dirty then clean := page :: !clean);
   List.iter (Lru.remove t.cache) !clean
 
 let flush_anchor t =

@@ -4,11 +4,13 @@
     [write] only updates the cache and notes the page for the next group
     commit; pages reach their two home locations when the log writer
     re-enters the third they were last logged in, at clean shutdown, or
-    during crash recovery. Dirty pages are pinned in the cache — their
-    only durable copy is in the log, so they must stay until written home
-    (§5.3). Reads that miss fetch {e both} copies and use whichever
-    checks; copies whose checked bytes are equal are checksummed once.
-    A bad copy is repaired from the good one (§5.1).
+    during crash recovery, as the image their last log copy holds (the
+    one rule of {!Dirty}, which leaders follow too). Dirty pages are
+    pinned in the cache — their only durable copy is in the log, so they
+    must stay until written home (§5.3). Reads that miss fetch {e both}
+    copies and use whichever checks; copies whose checked bytes are equal
+    are checksummed once. A bad copy is repaired from the good one
+    (§5.1).
 
     Each copy is a {!Cedar_fsbase.Meta_frame} page frame with magic
     "FNT1": the payload and a trailer carrying its page number and
@@ -81,25 +83,21 @@ val logged_unit : t -> int -> Log.logged_unit
     byte is hashed twice. *)
 
 val mark_logged : t -> int list -> third:int -> unit
-(** Note the third in which these pages' images now live in the log. *)
+(** Note that these pages' current payloads are now committed in a log
+    record starting in the given third: that record holds the image each
+    page goes home as ({!Dirty}). *)
 
-val flush_third : t -> int -> int
-(** Home-write every dirty page last logged in the given third; returns
-    how many pages were written. A page modified again since that commit
-    homes its retained committed image (never the uncommitted payload)
-    and stays dirty and pinned awaiting its own commit. Raises
-    [Fs_error Log_reclaim_stall] if a page claiming the third is
-    modified yet holds no committed image — reclaiming would destroy its
-    only durable copy. *)
-
-val flush_some_third : t -> int -> budget:int -> int
-(** Bounded variant for the background home-write demon: flush up to
-    [budget] pages claiming the given third, lowest page id first,
-    skipping stalled pages instead of raising. Returns how many pages
-    were written. *)
+val flush_third : ?budget:int -> t -> int -> int
+(** Home-write, lowest page id first, up to [budget] (default: all) of
+    the pages whose last log copy lies in the given third; returns how
+    many were written. Each goes home as the committed image that copy
+    holds, never a newer payload; a page changed since then stays dirty
+    and pinned awaiting its own commit. *)
 
 val flush_all_dirty : t -> int
-(** Home-write everything dirty (clean shutdown). *)
+(** Home-write every dirty page, lowest page id first, each as
+    {!flush_third} would: the committed image if it was ever logged,
+    else its payload (format, and {!Fsd.drop_caches}' cold cache). *)
 
 val write_home_image : Cedar_disk.Device.t -> Layout.t -> page:int -> bytes -> unit
 (** Write a framed image to both home locations (used by recovery). *)

@@ -34,19 +34,10 @@ type meters = {
   m_scrub_fnt_repairs : Metrics.counter;
   m_scrub_leader_repairs : Metrics.counter;
   m_home_write_bursts : Metrics.counter;
-  m_reclaim_stalls : Metrics.counter;
 }
 
-(* A leader whose current image has not reached its home sector yet. The
-   newest image is logged at the next force while [modified]; [logged]
-   retains the last committed image together with the third holding its
-   log copy — when that third reclaims, the committed image (never an
-   uncommitted newer one) is what goes home. *)
-type pending_leader = {
-  mutable image : bytes;
-  mutable modified : bool; (* image changed since last logged *)
-  mutable logged : (int * bytes) option; (* (third, committed image) *)
-}
+(* A leader whose home sector does not hold its current image yet. *)
+type pending_leader = { mutable image : bytes; dirty : Dirty.t }
 
 type t = {
   device : Device.t;
@@ -101,7 +92,6 @@ let mk_meters reg =
     m_scrub_fnt_repairs = Metrics.counter reg "fsd.scrub_fnt_repairs";
     m_scrub_leader_repairs = Metrics.counter reg "fsd.scrub_leader_repairs";
     m_home_write_bursts = Metrics.counter reg "fsd.home_write_bursts";
-    m_reclaim_stalls = Metrics.counter reg "fsd.reclaim_stalls";
   }
 
 let layout t = t.layout
@@ -130,47 +120,48 @@ let emit t ev =
 
 let corrupt msg = Fs_error.raise_ (Fs_error.Corrupt_metadata msg)
 
+(* The fault of an entry whose byte size does not fill exactly its data
+   pages, which a read would run past or silently truncate. *)
+let size_mismatch t key (e : Entry.t) =
+  let byte_size = e.Entry.byte_size in
+  if Run_table.holds e.Entry.runs ~sector_bytes:(sector_bytes t) ~byte_size then None
+  else
+    Some
+      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" key byte_size
+         (Run_table.pages e.Entry.runs))
+
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
 
-(* Leaders logged in third [j] but never piggybacked must be written by
-   the logging code before the third is overwritten (§5.3). With VAM
-   logging, chunk images living in [j] are about to die too: rewrite the
-   whole base, stamped with the current record number, so recovery
-   ignores every older (stale) chunk image still in the log. *)
-let home_due_leaders t j ~budget =
-  let due = ref [] in
-  Hashtbl.iter
-    (fun sector pl ->
-      match pl.logged with
-      | Some (j', image) when j' = j -> due := (sector, image, pl) :: !due
-      | Some _ | None -> ())
-    t.pending_leaders;
-  let written = ref 0 in
+(* The one home-write pass (§5.3): the units whose last log copy lies in
+   third [j] go home as the committed image that copy holds, name-table
+   pages first and then leaders, each lowest first, at most [budget] in
+   all. Leaders too must be written by the logging code before their
+   third is overwritten, piggybacked or not. Returns the pages and the
+   leaders written. *)
+let home_third ?(budget = max_int) t j =
+  let pages = Fnt_store.flush_third ~budget t.store j in
+  let due =
+    Hashtbl.fold
+      (fun sector pl acc -> if Dirty.claims pl.dirty j then (sector, pl) :: acc else acc)
+      t.pending_leaders []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.filteri (fun i _ -> i < budget - pages)
+  in
   List.iter
-    (fun (sector, image, pl) ->
-      if !written < budget then begin
-        Device.write t.device sector image;
-        Metrics.inc t.meters.m_leader_home_writes;
-        pl.logged <- None;
-        (* A newer uncommitted image keeps the entry alive until its own
-           commit; otherwise the leader is fully home. *)
-        if not pl.modified then Hashtbl.remove t.pending_leaders sector;
-        incr written
-      end)
-    (List.sort (fun (a, _, _) (b, _, _) -> compare a b) !due);
-  !written
+    (fun (sector, pl) ->
+      let image, still_dirty = Dirty.home pl.dirty ~current:pl.image in
+      Device.write t.device sector image;
+      Metrics.inc t.meters.m_leader_home_writes;
+      if not still_dirty then Hashtbl.remove t.pending_leaders sector)
+    due;
+  (pages, List.length due)
 
+(* With VAM logging, chunk images living in [j] are about to die too:
+   rewrite the whole base, stamped with the current record number, so
+   recovery ignores every older (stale) chunk image still in the log. *)
 let handle_enter_third t j =
-  (match Fnt_store.flush_third t.store j with
-  | (_ : int) -> ()
-  | exception
-      (Fs_error.Fs_error (Fs_error.Log_reclaim_stall { third; pinned_pages }) as ex)
-    ->
-    Metrics.inc t.meters.m_reclaim_stalls;
-    emit t (Trace.Reclaim_stall { third; pinned = pinned_pages });
-    raise ex);
-  ignore (home_due_leaders t j ~budget:max_int : int);
+  ignore (home_third t j : int * int);
   if t.params.Params.log_vam && Hashtbl.fold (fun _ th acc -> acc || th = j) t.chunk_thirds false
   then begin
     (* The record being appended right now (number [next_record_no]) logs
@@ -202,9 +193,7 @@ let note_logged t batch ~third =
       match u.Log.kind with
       | Log.Leader_page s -> (
         match Hashtbl.find_opt t.pending_leaders s with
-        | Some pl ->
-          pl.logged <- Some (third, u.Log.image);
-          pl.modified <- false
+        | Some pl -> Dirty.logged pl.dirty ~third u.Log.image
         | None -> ())
       | Log.Vam_chunk c -> Hashtbl.replace t.chunk_thirds c third
       | Log.Fnt_page _ -> ())
@@ -220,7 +209,7 @@ let do_force t =
   let pages = Fnt_store.pages_to_log t.store in
   let leaders =
     Hashtbl.fold
-      (fun sector pl acc -> if pl.modified then (sector, pl) :: acc else acc)
+      (fun sector pl acc -> if Dirty.modified pl.dirty then (sector, pl) :: acc else acc)
       t.pending_leaders []
   in
   if pages = [] && leaders = [] then begin
@@ -380,14 +369,10 @@ let refresh_leader t ~name ~version (e : Entry.t) =
     let image = leader_image_of_entry t ~name ~version e in
     match Hashtbl.find_opt t.pending_leaders e.Entry.anchor with
     | Some pl ->
-      (* Keep [pl.logged]: the previously committed image still lives in
-         the log and must go home when its third reclaims, even though a
-         newer uncommitted image now shadows it in memory. *)
       pl.image <- image;
-      pl.modified <- true
+      Dirty.modify pl.dirty
     | None ->
-      Hashtbl.add t.pending_leaders e.Entry.anchor
-        { image; modified = true; logged = None }
+      Hashtbl.add t.pending_leaders e.Entry.anchor { image; dirty = Dirty.create () }
   end
 
 (* The pending image, else the home copy; raises [Device.Error] when
@@ -661,6 +646,7 @@ let rec read_all_depth t ~name ~depth =
     else read_all_depth t ~name:target ~depth:(depth + 1)
   | Entry.Local | Entry.Cached _ ->
     let npages = Run_table.pages e.Entry.runs in
+    Option.iter corrupt (size_mismatch t name e);
     let bytes = read_pages t name version e ~first:0 ~count:npages in
     op_done t ~pages:npages ();
     Bytes.sub bytes 0 e.Entry.byte_size
@@ -718,7 +704,6 @@ let last_used t ~name =
 let list t ~prefix =
   Trace.span (trace t) t.clock ~op:"list" ~name:prefix @@ fun () ->
   require_live t;
-  let hi = prefix ^ "\xff\xff\xff\xff" in
   let acc = ref [] in
   let current : (string * int * Entry.t) option ref = ref None in
   let entries = ref 0 in
@@ -727,7 +712,7 @@ let list t ~prefix =
     | Some (n, v, e) -> acc := info_of n v e :: !acc
     | None -> ()
   in
-  B.iter_range ~lo:prefix ~hi t.tree (fun k v ->
+  B.iter_range ~lo:prefix ?hi:(Fname.prefix_bound prefix) t.tree (fun k v ->
       incr entries;
       match Fname.parse k with
       | None -> ()
@@ -819,19 +804,15 @@ let maybe_scrub t =
    ([handle_enter_third]) finds little left to do inside an op.
 
    A pass that homes fewer pages plus leaders than its budget has homed
-   everything the third holds (bar stalled pages, which a later scan
-   would skip too), so the third is remembered in [homed_third] and
-   later passes skip both scans while it is still the next one. *)
+   everything the third holds, so the third is remembered in
+   [homed_third] and later passes skip both scans while it is still the
+   next one. *)
 let maybe_home_writes t =
   let budget = Params.home_writes_per_pass in
   if Log.third_fill t.log >= Params.home_write_fill then begin
     let next = (Log.current_third t.log + 1) mod 3 in
     if next <> t.homed_third then begin
-      let pages = Fnt_store.flush_some_third t.store next ~budget in
-      let leaders =
-        if pages >= budget then 0
-        else home_due_leaders t next ~budget:(budget - pages)
-      in
+      let pages, leaders = home_third ~budget t next in
       if pages + leaders > 0 then begin
         Metrics.inc t.meters.m_home_write_bursts;
         emit t (Trace.Home_write_burst { third = next; pages; leaders })
@@ -924,8 +905,6 @@ let enable_monitor ?(interval_us = Params.monitor_interval_us) t =
       if forces = 0 then 0.0
       else float_of_int (v.Monitor.delta "server.acked") /. float_of_int forces);
   Monitor.derive m "sat.op_rate_s" (fun v -> per_second (v.Monitor.delta "fsd.ops") v);
-  Monitor.derive m "sat.reclaim_stall_rate_s" (fun v ->
-      per_second (v.Monitor.delta "fsd.reclaim_stalls") v);
   Monitor.derive m "sat.home_write_burst_rate_s" (fun v ->
       per_second (v.Monitor.delta "fsd.home_write_bursts") v);
   (* Per-phase occupancy gauges (the live face of the latency anatomy):
@@ -1182,13 +1161,10 @@ let try_boot ?params device =
 let shutdown t =
   require_live t;
   force t;
-  ignore (Fnt_store.flush_all_dirty t.store : int);
-  Hashtbl.iter
-    (fun sector pl ->
-      Device.write t.device sector pl.image;
-      Metrics.inc t.meters.m_leader_home_writes)
-    t.pending_leaders;
-  Hashtbl.reset t.pending_leaders;
+  (* The force left every dirty unit's last log copy in some third. *)
+  for j = 0 to 2 do
+    ignore (home_third t j : int * int)
+  done;
   Log.reset_pointer t.log;
   let mode = if t.params.Params.log_vam then Vam.Log_based else Vam.Snapshot in
   Vam.save ~mode
@@ -1227,6 +1203,7 @@ let check t =
           if e.Entry.anchor >= 0 then begin
             claim k e.Entry.anchor;
             Run_table.iter_sectors e.Entry.runs (claim k);
+            Option.iter (fun m -> bad := m :: !bad) (size_mismatch t k e);
             let name, version =
               match Fname.parse k with Some (n, v) -> (n, v) | None -> (k, 0)
             in

@@ -64,7 +64,9 @@ val open_stat : t -> name:string -> Cedar_fsbase.Fs_ops.info
 val exists : t -> name:string -> bool
 val read_all : t -> name:string -> bytes
 (** Follows a chain of symlinks to the file at its end; a chain of more
-    than 8 symlinks raises [Corrupt_metadata]. *)
+    than 8 symlinks raises [Corrupt_metadata], and so does a file whose
+    entry's byte size does not fill exactly its data pages
+    ({!Cedar_fsbase.Run_table.holds}). *)
 
 val read_page : t -> name:string -> page:int -> bytes
 val delete : t -> name:string -> unit
@@ -176,7 +178,8 @@ val enable_monitor : ?interval_us:int -> t -> Cedar_obs.Monitor.t
     - [sat.ops_per_force] — acked server ops per non-empty force this
       interval (batcher occupancy), 0 when no force landed;
     - [sat.op_rate_s] — FSD ops per second;
-    - [sat.reclaim_stall_rate_s], [sat.home_write_burst_rate_s];
+    - [sat.home_write_burst_rate_s] — home-write demon passes that
+      wrote something, per second;
     - [sat.phase_queue], [sat.phase_execute], [sat.phase_append],
       [sat.phase_parked] — the mean number of server ops inside each
       latency phase over the interval, from the server's
@@ -233,7 +236,8 @@ val drop_caches : t -> unit
 
 val check : t -> (unit, string) result
 (** Structural check: B-tree invariants, leader/name-table mutual checks
-    for every file, no sector claimed twice or claimed yet free, and
+    for every file, every file's byte size filling exactly its data
+    pages, no sector claimed twice or claimed yet free, and
     VAM/name-table agreement — the free count equals the data areas less
     the distinct claimed sectors, those of deletes awaiting commit and
     those the scavenger quarantined, so a leaked sector fails it. *)

@@ -161,10 +161,6 @@ let chrome ?(samples = []) entries =
                ("pages", Jsonb.Int pages);
                ("leaders", Jsonb.Int leaders);
              ])
-      | Trace.Reclaim_stall { third; pinned } ->
-        push
-          (instant ~name:"reclaim-stall" ~cat:"fsd" ~ts ~tid:tid_meta
-             [ ("third", Jsonb.Int third); ("pinned", Jsonb.Int pinned) ])
       | Trace.Mutation { seq } ->
         push
           (instant ~name:"mutation" ~cat:"fsd" ~ts ~tid:tid_meta

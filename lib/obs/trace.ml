@@ -37,7 +37,6 @@ type event =
   | Op_begin of { op : string; name : string }
   | Op_end of { op : string; us : int }
   | Home_write_burst of { third : int; pages : int; leaders : int }
-  | Reclaim_stall of { third : int; pinned : int }
   | Mutation of { seq : int }
   | Op_submitted of { client : int; opseq : int }
   | Op_done of op_record
@@ -184,8 +183,6 @@ let pp_event ppf = function
   | Home_write_burst { third; pages; leaders } ->
     Format.fprintf ppf "home-write-burst third=%d pages=%d leaders=%d" third
       pages leaders
-  | Reclaim_stall { third; pinned } ->
-    Format.fprintf ppf "reclaim-stall third=%d pinned=%d" third pinned
   | Mutation { seq } -> Format.fprintf ppf "mutation seq=%d" seq
   | Op_submitted { client; opseq } ->
     Format.fprintf ppf "op-submitted client=%d opseq=%d" client opseq

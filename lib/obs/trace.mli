@@ -83,10 +83,6 @@ type event =
       (** One batched background home-write pass pre-flushing dirty FNT
           pages and leaders whose survival horizon is [third], issued
           between group commits once reclamation is near (§4.4). *)
-  | Reclaim_stall of { third : int; pinned : int }
-      (** Reclamation of [third] found [pinned] modified pages holding no
-          committed image; the reclaim was refused with a typed error
-          instead of home-writing uncommitted state. *)
   | Mutation of { seq : int }
       (** A namespace mutation (create/delete entry) reached the volume
           under the enclosing op span; [seq] is [Fsd.mutation_seq] after

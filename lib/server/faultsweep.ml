@@ -287,7 +287,6 @@ type clean_run = {
   c_third_entries : int;
   c_log_records : int;
   c_home_write_bursts : int;
-  c_reclaim_stalls : int;
   c_fnt_home_writes : int;
   c_violations : string list;
   c_replayed_after_shutdown : int;
@@ -347,7 +346,6 @@ let clean_pass ?geom ~clients workload =
   let stats = Fsd.log_stats fs in
   let third_entries = stats.Log.third_entries and log_records = stats.Log.records in
   let bursts = metric fs "fsd.home_write_bursts" in
-  let stalls = metric fs "fsd.reclaim_stalls" in
   let fnt_homes = Fsd.fnt_home_writes fs in
   let muts = Array.map Oracle.muts_of_script scripts in
   let base =
@@ -381,7 +379,6 @@ let clean_pass ?geom ~clients workload =
       c_third_entries = third_entries;
       c_log_records = log_records;
       c_home_write_bursts = bursts;
-      c_reclaim_stalls = stalls;
       c_fnt_home_writes = fnt_homes;
       c_violations = List.rev !found;
       c_replayed_after_shutdown = replayed;
@@ -581,7 +578,6 @@ let clean_run_json c =
       ("third_entries", Jsonb.Int c.c_third_entries);
       ("log_records", Jsonb.Int c.c_log_records);
       ("home_write_bursts", Jsonb.Int c.c_home_write_bursts);
-      ("reclaim_stalls", Jsonb.Int c.c_reclaim_stalls);
       ("fnt_home_writes", Jsonb.Int c.c_fnt_home_writes);
       ("violations", strings c.c_violations);
       ("replayed_after_shutdown", Jsonb.Int c.c_replayed_after_shutdown);
@@ -598,8 +594,8 @@ let pp_clean_run ppf c =
     c.c_third_entries
     (float_of_int c.c_third_entries /. 3.0);
   Format.fprintf ppf
-    "  home writes: %d pages (%d background bursts, %d reclaim stalls)@."
-    c.c_fnt_home_writes c.c_home_write_bursts c.c_reclaim_stalls;
+    "  home writes: %d pages (%d background bursts)@." c.c_fnt_home_writes
+    c.c_home_write_bursts;
   Format.fprintf ppf "  reboot: replayed %d record(s), namespace %s@."
     c.c_replayed_after_shutdown
     (if c.c_digest_match then "identical" else "CHANGED");

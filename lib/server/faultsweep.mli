@@ -89,7 +89,6 @@ type clean_run = {
   c_third_entries : int;  (** thirds entered — /3 for full log wraps *)
   c_log_records : int;
   c_home_write_bursts : int;  (** background home-write demon passes *)
-  c_reclaim_stalls : int;  (** typed [Log_reclaim_stall] refusals *)
   c_fnt_home_writes : int;
   c_violations : string list;
       (** client errors and aborted sessions in the serve, then what the

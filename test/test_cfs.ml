@@ -242,11 +242,52 @@ let test_cached_survives_scavenge_with_properties () =
   check (Alcotest.option int) "last-used survives (it is in the header)" (Some lu)
     (Cfs.last_used fs2 ~name:"cache/y")
 
+(* A header that claims a byte size its file's pages cannot hold — 5,000
+   or 100 bytes for a 1,000-byte file of two pages, written with a valid
+   checksum — makes [read_all] raise [Corrupt_metadata], instead of
+   failing inside [Bytes.sub] or returning 100 bytes as the file. *)
+let test_size_not_fitting_pages_refused () =
+  List.iter
+    (fun claim ->
+      let device, fs = fresh () in
+      ignore (Cfs.create fs ~name:"size/f" (content 1000 1));
+      Cfs.drop_open_cache fs;
+      let hdr = ref (-1) in
+      Device.set_observer device
+        (Some
+           (fun ~rw ~sector ~count -> if rw = `R && count = 2 && !hdr < 0 then hdr := sector));
+      ignore (Cfs.open_stat fs ~name:"size/f");
+      Device.set_observer device None;
+      let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
+      let h = Option.get (Header.decode (Device.read_run device ~sector:!hdr ~count:2)) in
+      check int "two pages" 2 (Run_table.pages h.Header.runs);
+      Device.write_run device ~sector:!hdr
+        (Header.encode { h with Header.byte_size = claim } ~sector_bytes);
+      Cfs.drop_open_cache fs;
+      match Cfs.read_all fs ~name:"size/f" with
+      | b -> Alcotest.failf "%d bytes claimed: read %d bytes" claim (Bytes.length b)
+      | exception Fs_error.Fs_error (Fs_error.Corrupt_metadata _) -> ())
+    [ 5000; 100 ]
+
+(* [list] finds every name that starts with the prefix, also one whose
+   bytes after the prefix start with four 0xff bytes (a valid name). *)
+let test_list_finds_names_past_ff () =
+  let _, fs = fresh () in
+  let odd = "a/\xff\xff\xff\xffz" in
+  ignore (Cfs.create fs ~name:"a/b" (content 10 1));
+  ignore (Cfs.create fs ~name:odd (content 10 2));
+  ignore (Cfs.create fs ~name:"a0" (content 10 3));
+  check bool "exists" true (Cfs.exists fs ~name:odd);
+  check (Alcotest.list Alcotest.string) "listed" [ "a/b"; odd ]
+    (List.map (fun i -> i.Fs_ops.name) (Cfs.list fs ~prefix:"a/"))
+
 let suite =
   [
     ("create/read roundtrip", `Quick, test_create_read_roundtrip);
     ("versions, keep, delete", `Quick, test_versions_keep_delete);
     ("list reads headers", `Quick, test_list_reads_headers);
+    ("list finds names past 0xff bytes", `Quick, test_list_finds_names_past_ff);
+    ("size not fitting pages refused", `Quick, test_size_not_fitting_pages_refused);
     ("create costs many ios", `Quick, test_create_costs_many_ios);
     ("label mismatch detected", `Quick, test_label_mismatch_detected);
     ("shutdown/reboot", `Quick, test_shutdown_reboot);

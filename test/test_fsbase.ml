@@ -47,6 +47,30 @@ let test_run_table_codec () =
   let r = Cedar_util.Bytebuf.Reader.of_bytes (Cedar_util.Bytebuf.Writer.contents w) in
   check bool "roundtrip" true (Run_table.equal t (Run_table.decode r))
 
+(* A byte size fits a run table when it needs exactly its pages, one at
+   least: the boundaries either side of each page count, a negative size
+   never fits, and neither does a size whose page count would overflow
+   if computed as [(size + sector_bytes - 1) / sector_bytes]. *)
+let test_run_table_holds () =
+  let holds t byte_size = Run_table.holds t ~sector_bytes:512 ~byte_size in
+  let one = rt [ (10, 1) ] and two = rt [ (10, 2) ] in
+  List.iter
+    (fun (what, t, byte_size, want) -> check bool what want (holds t byte_size))
+    [
+      ("empty file, one page", one, 0, true);
+      ("one byte", one, 1, true);
+      ("one full page", one, 512, true);
+      ("a byte over one page", one, 513, false);
+      ("negative", one, -1, false);
+      ("huge", one, max_int, false);
+      ("two pages need more than one", two, 512, false);
+      ("two pages, a byte over one", two, 513, true);
+      ("two full pages", two, 1024, true);
+      ("two pages claimed five thousand bytes", two, 5000, false);
+      ("two pages claimed a hundred bytes", two, 100, false);
+      ("no pages", Run_table.empty, 0, false);
+    ]
+
 let prop_run_table_page_mapping =
   QCheck.Test.make ~name:"run table page/sector mapping is injective" ~count:100
     QCheck.(list_of_size Gen.(1 -- 8) (pair (int_range 0 50) (int_range 1 6)))
@@ -82,6 +106,39 @@ let test_fname_bounds () =
     (String.compare lo other <= 0 && String.compare other hi < 0);
   check bool "shorter name outside" false
     (String.compare lo shorter <= 0 && String.compare shorter hi < 0)
+
+(* A key starts with the prefix exactly when it lies in
+   [prefix, prefix_bound prefix): trailing 0xff bytes are dropped before
+   the increment, and a prefix of only 0xff bytes (or none) has no
+   bound. *)
+let test_fname_prefix_bound () =
+  let bound = Alcotest.(option string) in
+  check bound "plain" (Some "a0") (Fname.prefix_bound "a/");
+  check bound "trailing 0xff dropped" (Some "b") (Fname.prefix_bound "a\xff\xff");
+  check bound "inner 0xff kept" (Some "\xffb") (Fname.prefix_bound "\xffa");
+  check bound "all 0xff" None (Fname.prefix_bound "\xff\xff");
+  check bound "empty" None (Fname.prefix_bound "");
+  let in_range prefix key =
+    String.compare prefix key <= 0
+    &&
+    match Fname.prefix_bound prefix with
+    | Some b -> String.compare key b < 0
+    | None -> true
+  in
+  List.iter
+    (fun (prefix, key) ->
+      check bool
+        (Printf.sprintf "%S in range of %S" key prefix)
+        (String.starts_with ~prefix key) (in_range prefix key))
+    [
+      ("a/", "a/b!000001");
+      ("a/", "a/\xff\xff\xff\xffz!000001");
+      ("a/", "a0!000001");
+      ("a/", "a.!000001");
+      ("a\xff", "a\xff\xff!000001");
+      ("a\xff", "b!000001");
+      ("\xff", "\xff\xff\xff\xff\xff!000001");
+    ]
 
 let test_fname_parse () =
   (match Fname.parse (Fname.key ~name:"x.bcd" ~version:42) with
@@ -143,10 +200,12 @@ let suite =
     ("run table append", `Quick, test_run_table_append);
     ("run table overlap rejected", `Quick, test_run_table_overlap_rejected);
     ("run table codec", `Quick, test_run_table_codec);
+    ("run table holds a byte size", `Quick, test_run_table_holds);
     QCheck_alcotest.to_alcotest prop_run_table_page_mapping;
     ("fname key order", `Quick, test_fname_key_order);
     ("fname bounds", `Quick, test_fname_bounds);
     ("fname parse", `Quick, test_fname_parse);
+    ("fname prefix bound", `Quick, test_fname_prefix_bound);
     ("fname validate", `Quick, test_fname_validate);
     ("entry roundtrip local", `Quick, test_entry_roundtrip_local);
     ("entry roundtrip symlink", `Quick, test_entry_roundtrip_symlink);

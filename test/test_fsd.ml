@@ -505,6 +505,103 @@ let test_leader_homed_at_third_entry () =
   check bool "read with a pending leader" true
     (Bytes.equal (content 300 1) (Fsd.read_all fs2 ~name:"rem/lead"))
 
+(* The leader twin of the store's diverged-page test (§5.3). A cached
+   file is touched and forced, so its leader's last log copy holds the
+   first touch, then touched again. The force that logs the second touch
+   is the one whose record re-enters the first touch's third: the
+   reclaim must write the first touch home, the committed image, and not
+   the second, which no log copy holds yet. A crash right after that
+   home write must recover the first touch; without one, the leader
+   sector holds the second touch once its own third is reclaimed. No
+   [tick] runs, so the home-write demon never homes a leader first. *)
+let test_diverged_leader_homes_committed_image () =
+  let name = "rem/lead" in
+  let entries fs = (Fsd.log_stats fs).Log.third_entries in
+  let fill fs i =
+    ignore (Fsd.create fs ~name:"fill" ~keep:1 (content 32 i));
+    Fsd.force fs
+  in
+  (* Fill after the first touch's force: [k] forces, or (with [None])
+     until a record enters a third for the third time since — the force
+     that re-enters the first touch's third. *)
+  let setup fillers =
+    let device, fs = fresh_fs () in
+    ignore (Fsd.import_cached fs ~name ~server:"ivy" (content 300 1));
+    Fsd.force fs;
+    Fsd.touch_cached fs ~name;
+    let first = Option.get (Fsd.last_used fs ~name) in
+    Fsd.force fs;
+    let e0 = entries fs in
+    let n = ref 0 in
+    while
+      match fillers with Some k -> !n < k | None -> entries fs < e0 + 3 && !n < 5000
+    do
+      incr n;
+      fill fs !n
+    done;
+    (device, fs, first, e0, !n)
+  in
+  let _, fs, _, e0, reclaiming = setup None in
+  check int "the log wrapped" (e0 + 3) (entries fs);
+  let leader_sector fs =
+    Fsd.fold_entries fs ~init:(-1) ~f:(fun acc ~name:n ~version:_ e ->
+        if String.equal n name then e.Entry.anchor else acc)
+  in
+  let on_disk device sector =
+    match Leader.decode (Device.read device sector) with
+    | Some { Leader.kind = Leader.Cached { last_used; _ }; _ } -> Some last_used
+    | Some _ | None -> None
+  in
+  let touched_again () =
+    let device, fs, first, e0, _ = setup (Some (reclaiming - 1)) in
+    check int "first touch's third not re-entered yet" (e0 + 2) (entries fs);
+    Fsd.touch_cached fs ~name;
+    let second = Option.get (Fsd.last_used fs ~name) in
+    check bool "touches differ" true (second > first);
+    (device, fs, leader_sector fs, first, second)
+  in
+  let some = Alcotest.(option int) in
+  (* Crash at the first write after the reclaim writes the leader home. *)
+  let device, fs, sector, first, _ = touched_again () in
+  Device.set_observer device
+    (Some
+       (fun ~rw ~sector:s ~count:_ ->
+         if rw = `W && s = sector then
+           Device.plan_write_crash_tear device ~after_sectors:1 ~tear:Device.Tear_none));
+  (match Fsd.force fs with
+  | () -> Alcotest.fail "the reclaim wrote no leader home"
+  | exception Device.Crash_during_write _ -> ());
+  Device.set_observer device None;
+  check some "the reclaim homed the first touch" (Some first) (on_disk device sector);
+  let fs2, _ = Fsd.boot device in
+  check some "a crash recovers the first touch" (Some first) (Fsd.last_used fs2 ~name);
+  check some "its leader too" (Some first) (on_disk device sector);
+  check bool "check after the crash" true (Fsd.check fs2 = Ok ());
+  (* No crash: the second touch goes home with its own third. *)
+  let device, fs, sector, first, second = touched_again () in
+  Fsd.force fs;
+  check some "the reclaim homed the first touch" (Some first) (on_disk device sector);
+  let e1 = entries fs in
+  let i = ref reclaiming in
+  while entries fs < e1 + 3 do
+    incr i;
+    fill fs !i
+  done;
+  check some "the next reclaim homes the second touch" (Some second)
+    (on_disk device sector)
+
+(* [list] finds every name that starts with the prefix, also one whose
+   bytes after the prefix start with four 0xff bytes (a valid name). *)
+let test_list_finds_names_past_ff () =
+  let _, fs = fresh_fs () in
+  let odd = "a/\xff\xff\xff\xffz" in
+  List.iteri
+    (fun i name -> ignore (Fsd.create fs ~name (content 10 i)))
+    [ "a/b"; odd; "a0" ];
+  check bool "exists" true (Fsd.exists fs ~name:odd);
+  check (Alcotest.list Alcotest.string) "listed" [ "a/b"; odd ]
+    (List.map (fun i -> i.Fs_ops.name) (Fsd.list fs ~prefix:"a/"))
+
 let test_vam_reconstruction_equals_tracked () =
   let device, fs = fresh_fs () in
   for i = 1 to 30 do
@@ -763,6 +860,7 @@ let suite =
     ("versions and keep", `Quick, test_versions_and_keep);
     ("delete", `Quick, test_delete);
     ("list", `Quick, test_list);
+    ("list finds names past 0xff bytes", `Quick, test_list_finds_names_past_ff);
     ("symlink", `Quick, test_symlink);
     ("cached last-used", `Quick, test_cached_last_used);
     ("inspect report", `Quick, test_inspect_report);
@@ -788,6 +886,8 @@ let suite =
     ("list does no io when cached", `Quick, test_list_does_no_io_when_cached);
     ("group commit batches creates", `Quick, test_group_commit_batches_many_creates);
     ("leader homed at third entry", `Quick, test_leader_homed_at_third_entry);
+    ("diverged leader homes its committed image", `Quick,
+      test_diverged_leader_homes_committed_image);
     ("vam reconstruction equals tracked", `Quick, test_vam_reconstruction_equals_tracked);
     ("boot rebuild equals a per-sector rebuild", `Quick, test_boot_rebuild_equals_per_sector);
     ("check catches a leaked run", `Quick, test_check_catches_leaked_run);

@@ -642,6 +642,50 @@ let test_diverged_page_homes_committed_frame () =
     (Fnt_store.try_read_home device l ~page);
   check bool "new payload still to be homed" true (List.mem page (Fnt_store.dirty_pages s))
 
+(* [flush_third ~budget:k] homes the k lowest pages that claim the third,
+   and a second call with no budget the rest, in ascending order — the
+   order of the [Fnt_write_twice] events. Pages written in neither order
+   and pages of another third, which stay dirty, make both orders
+   visible. *)
+let test_store_flush_third_lowest_first () =
+  let device, _, s = mk_store () in
+  let tr = Device.trace device in
+  Cedar_obs.Trace.enable tr;
+  let pages = Array.init 8 (fun _ -> Fnt_store.alloc s) in
+  let ours = List.map (Array.get pages) [ 6; 1; 4; 2; 7 ] in
+  let others = List.map (Array.get pages) [ 3; 0; 5 ] in
+  List.iter (fun p -> Fnt_store.write s p (page_payload s 'o')) (ours @ others);
+  Fnt_store.mark_logged s ours ~third:1;
+  Fnt_store.mark_logged s others ~third:2;
+  let homed () =
+    let order =
+      List.filter_map
+        (fun e ->
+          match e.Cedar_obs.Trace.event with
+          | Cedar_obs.Trace.Fnt_write_twice { page } -> Some page
+          | _ -> None)
+        (Cedar_obs.Trace.to_list tr)
+    in
+    Cedar_obs.Trace.clear tr;
+    order
+  in
+  let sorted = List.sort compare ours in
+  ignore (homed () : int list);
+  check int "budget" 2 (Fnt_store.flush_third s 1 ~budget:2);
+  check (Alcotest.list int) "the two lowest"
+    (List.filteri (fun i _ -> i < 2) sorted)
+    (homed ());
+  check int "the rest" 3 (Fnt_store.flush_third s 1);
+  check (Alcotest.list int) "the rest, ascending"
+    (List.filteri (fun i _ -> i >= 2) sorted)
+    (homed ());
+  check int "nothing left in the third" 0 (Fnt_store.flush_third s 1);
+  List.iter
+    (fun p ->
+      check bool "another third's page stays dirty" true
+        (List.mem p (Fnt_store.dirty_pages s)))
+    others
+
 (* The twin-copy read's five outcomes, through the scrub (which reads
    both copies, bypassing the cache), a cache miss of a freshly attached
    store and the scavenger's probe: the scrub and the miss read copy A
@@ -749,7 +793,7 @@ let test_store_to_log_count_exact () =
     | 3 when !live <> [] -> ignore (Fnt_store.read s (pick ()) : bytes)
     | 4 -> Fnt_store.mark_logged s (Fnt_store.pages_to_log s) ~third:(Rng.int rng 3)
     | 5 ->
-      ignore (Fnt_store.flush_some_third s (Rng.int rng 3) ~budget:(1 + Rng.int rng 4) : int)
+      ignore (Fnt_store.flush_third s (Rng.int rng 3) ~budget:(1 + Rng.int rng 4) : int)
     | 6 -> ignore (Fnt_store.flush_third s (Rng.int rng 3) : int)
     | 7 -> if Rng.int rng 8 = 0 then ignore (Fnt_store.flush_all_dirty s : int)
     | _ -> Fnt_store.drop_clean_cache s);
@@ -795,6 +839,8 @@ let suite =
     ("store: twin read outcomes and device reads", `Quick, test_store_twin_read_outcomes);
     ("store: frame CRCs computed once, frame reused", `Quick, test_frame_crcs_and_reuse);
     ("store: reframed page equals a fresh frame", `Quick, test_reframe_matches_fresh_frame);
+    ("store: flush_third homes the lowest pages first", `Quick,
+      test_store_flush_third_lowest_first);
     ("store: diverged page homes its committed frame", `Quick,
       test_diverged_page_homes_committed_frame);
   ]
