@@ -444,11 +444,16 @@ stats-smoke:
 # and 2090 on openloop-1vol, about 8 % above what the name-table path
 # with one version scan per create, CRC reuse and a reused create image
 # measures (1005.2 and 1935.0) and under the path before it (1220.0 and
-# 2698.1). An untraced run's peak heap (peak_heap_mb, exact run to run
+# 2698.1). Its per-sector CRC-32 must take under 150 ns
+# (crc32.sector.host_ns): the carry-less-multiply kernel measures 24-45
+# ns and the portable OCaml loop 459-633 ns on a 2-vCPU x86-64 host, so
+# a build that silently falls back to the OCaml loop fails here. An
+# untraced run's peak heap (peak_heap_mb, exact run to run
 # and the same at any --seconds) must stay under 42 MB on makedo-8vol
-# and 56 MB on openloop-1vol. It measures 36.55 and 52.36 (openloop
+# and 56 MB on openloop-1vol. It measures 36.01 and 54.79 (openloop
 # peaks after the serve, while crashed-device copies boot, so the GC's
-# pacing of the allocation stream moves it: 60.25 when boot reads into
+# pacing of the allocation stream moves it: 52.24 with per-sector CRC
+# arrays on each log unit and frame, which allocate more; 60.25 when boot reads into
 # reused buffers but distributions keep their samples as lists of boxed
 # floats, 54.82 with both as before; 38.28 and 50.58 before the
 # name-table path above; 40.95 and 57.30 with an extra file-sized read
@@ -477,6 +482,9 @@ perf-smoke:
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["fnt.btree.insert.words"]["value"] >= 400)' || \
 				{ echo "perf-smoke: $$w --trace 1 fnt.btree.insert.words is not < 400"; exit 1; }; \
+			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
+				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["crc32.sector.host_ns"]["value"] >= 150)' || \
+				{ echo "perf-smoke: $$w --trace 1 crc32.sector.host_ns is not < 150"; exit 1; }; \
 			case $$w in makedo-8vol) bound=1090;; *) bound=2090;; esac; \
 			tail -n 1 _build/perf-smoke/$$w-trace$$tr.out | python3 -c \
 				'import json, sys; m = json.load(sys.stdin)["metrics"]; sys.exit(m["obs.minor_words_per_op"]["value"] >= float(sys.argv[1]))' $$bound || \

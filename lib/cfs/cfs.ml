@@ -381,6 +381,16 @@ let write_header t (h : Header.t) ~sector =
   Device.verified_write_run t.device ~sector ~expect:(Header.labels h)
     (Header.encode h ~sector_bytes:(sector_bytes t))
 
+(* The fault of a header whose byte size does not fill exactly its data
+   pages, which a read would run past or silently truncate. *)
+let size_mismatch t key (h : Header.t) =
+  let byte_size = h.Header.byte_size in
+  if Run_table.holds h.Header.runs ~sector_bytes:(sector_bytes t) ~byte_size then None
+  else
+    Some
+      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" key byte_size
+         (Run_table.pages h.Header.runs))
+
 let read_header t ~uid ~sector =
   let expect =
     [
@@ -630,11 +640,7 @@ let read_all t ~name =
   let _, _, h, _ = open_header t name in
   let sb = sector_bytes t in
   let pages = Run_table.pages h.Header.runs in
-  if not (Run_table.holds h.Header.runs ~sector_bytes:sb ~byte_size:h.Header.byte_size)
-  then
-    corrupt
-      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" name
-         h.Header.byte_size pages);
+  Option.iter corrupt (size_mismatch t name h);
   let buf = Bytes.create (pages * sb) in
   (try read_runs t h buf with
   | Device.Error { sector; kind = Device.Damaged } ->
@@ -863,6 +869,7 @@ let check t =
                  bad := (k ^ ": " ^ Fs_error.to_string e) :: !bad
                | h ->
                  if h.Header.uid <> uid then bad := (k ^ ": header uid mismatch") :: !bad;
+                 Option.iter (fun m -> bad := m :: !bad) (size_mismatch t k h);
                  (match Fname.parse k with
                  | Some (n, ver) ->
                    if h.Header.name <> n || h.Header.version <> ver then

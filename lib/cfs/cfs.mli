@@ -75,4 +75,6 @@ val layout : t -> Cfs_layout.t
 val free_sector_hints : t -> int
 
 val check : t -> (unit, string) result
-(** Cross-checks the name table against headers and labels. *)
+(** Cross-checks the name table against headers and labels, and names
+    each file whose header's byte size does not fill exactly its data
+    pages. *)

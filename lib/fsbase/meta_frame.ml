@@ -6,16 +6,18 @@ open Cedar_disk
 
 let trailer_bytes = 16
 
-let set_trailer image ~magic ~page ~crc =
-  let n = Bytes.length image - trailer_bytes in
+let frame_into ~magic ~page payload image =
+  let n = Bytes.length payload in
+  if Bytes.length image <> n + trailer_bytes then invalid_arg "Meta_frame.frame_into";
+  Bytes.blit payload 0 image 0 n;
   Bytes.set_int32_le image n (Int32.of_int magic);
   Bytes.set_int32_le image (n + 4) (Int32.of_int page);
-  Bytes.set_int32_le image (n + 8) (Int32.of_int crc);
+  Bytes.set_int32_le image (n + 8) (Int32.of_int (Crc32.bytes payload));
   Bytes.set_int32_le image (n + 12) 0l
 
 let frame ~magic ~page payload =
-  let image = Bytes.extend payload 0 trailer_bytes in
-  set_trailer image ~magic ~page ~crc:(Crc32.bytes payload);
+  let image = Bytes.create (Bytes.length payload + trailer_bytes) in
+  frame_into ~magic ~page payload image;
   image
 
 let frame_valid ~magic ~page image =

@@ -16,10 +16,11 @@
 val trailer_bytes : int
 (** 16. *)
 
-val set_trailer : bytes -> magic:int -> page:int -> crc:int -> unit
-(** Write the trailer into the last {!trailer_bytes} of a full page
-    image, given the CRC-32 of the payload before it. For a framer that
-    takes that CRC from per-sector CRCs it already holds. *)
+val frame_into : magic:int -> page:int -> bytes -> bytes -> unit
+(** [frame_into ~magic ~page payload image] writes the full page image
+    into [image], which must be {!trailer_bytes} longer than [payload]:
+    [payload], then its trailer. For a framer that keeps one image
+    buffer per page. *)
 
 val frame : magic:int -> page:int -> bytes -> bytes
 (** [frame ~magic ~page payload] is a fresh image: [payload], then its

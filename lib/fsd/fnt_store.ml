@@ -13,10 +13,6 @@ type cached = {
          payloads are never mutated once handed over; [Bytes.empty] until
          the page is first framed. *)
   mutable frame : bytes; (* the framed image of [framed], rebuilt in place *)
-  mutable frame_crcs : int array; (* the CRC-32 of each sector of [frame] *)
-  mutable frame_head : int;
-      (* the CRC-32 of [frame]'s last sector before the trailer; -1 while
-         [frame] holds no image *)
 }
 
 (* The two full-page buffers a twin-copy read fills, copy A and copy B:
@@ -48,7 +44,7 @@ let full_page_bytes layout =
 let page_bytes t = full_page_bytes t.layout - trailer_bytes
 
 (* ------------------------------------------------------------------ *)
-(* Framing                                                             *)
+(* Home I/O                                                            *)
 
 (* Whether [a] and [b] hold the same bytes in [pos, pos + len). *)
 let same_range a b ~pos ~len =
@@ -58,44 +54,6 @@ let same_range a b ~pos ~len =
     else Int64.equal (Bytes.get_int64_ne a i) (Bytes.get_int64_ne b i) && words (i + 8)
   and bytes i = i >= stop || (Bytes.get a i = Bytes.get b i && bytes (i + 1)) in
   words pos
-
-(* The page image is {!Meta_frame}'s: the payload, then a trailer that
-   carries the payload's CRC-32. [frame_into] builds it in [out] and
-   puts each sector's CRC in [crcs], hashing every byte at most once:
-   the payload's CRC is the whole sectors' CRCs combined with that of
-   the last sector's head (the bytes before the trailer),
-   and the last sector's CRC continues that head CRC over the trailer.
-   [head] is the head CRC of a frame of the same page that [out] and
-   [crcs] already hold, or -1. Against such a frame, a whole sector or
-   the head whose payload bytes are unchanged keeps its CRC and is
-   neither copied nor hashed again: an anchor rewrite that bumps only
-   the uid rehashes one sector and the trailer. Returns the new head
-   CRC. *)
-let frame_into layout ~page ~head payload out crcs =
-  let sb = layout.Layout.geom.Geometry.sector_bytes in
-  let k = layout.Layout.params.Params.fnt_page_sectors in
-  let n = full_page_bytes layout - trailer_bytes in
-  if Bytes.length payload <> n then invalid_arg "Fnt_store.frame: payload size";
-  let changed pos len = head < 0 || not (same_range payload out ~pos ~len) in
-  let refresh pos len =
-    Bytes.blit payload pos out pos len;
-    Crc32.bytes ~pos ~len out
-  in
-  let payload_crc = ref 0 in
-  for i = 0 to k - 2 do
-    let pos = i * sb in
-    if changed pos sb then crcs.(i) <- refresh pos sb;
-    payload_crc := Crc32.combine !payload_crc crcs.(i) ~len:sb
-  done;
-  let head_pos = (k - 1) * sb and head_len = sb - trailer_bytes in
-  let head = if changed head_pos head_len then refresh head_pos head_len else head in
-  let payload_crc = Crc32.combine !payload_crc head ~len:head_len in
-  Meta_frame.set_trailer out ~magic:page_magic ~page ~crc:payload_crc;
-  crcs.(k - 1) <- Crc32.bytes ~crc:head ~pos:n ~len:trailer_bytes out;
-  head
-
-(* ------------------------------------------------------------------ *)
-(* Home I/O                                                            *)
 
 let write_home_image device layout ~page image =
   if Bytes.length image <> full_page_bytes layout then
@@ -235,8 +193,6 @@ let entry payload dirty ~at =
     dirtied_at = at;
     framed = Bytes.empty;
     frame = Bytes.empty;
-    frame_crcs = [||];
-    frame_head = -1;
   }
 
 let insert_cache t page c =
@@ -329,27 +285,20 @@ let page_in_use t page =
 (* Log integration                                                     *)
 
 (* Framed once per logged version: the page's own buffer is reframed
-   only when the payload has changed since it was last framed, and then
-   only in the sectors that changed (see [frame_into]). *)
-let framed t page =
+   only when the payload has changed since it was last framed. *)
+let framed_image t page =
   match Lru.peek t.cache page with
   | Some c ->
     if c.framed != c.payload then begin
-      if Bytes.length c.frame = 0 then begin
+      if Bytes.length c.frame = 0 then
         c.frame <- Bytes.create (full_page_bytes t.layout);
-        c.frame_crcs <- Array.make t.layout.Layout.params.Params.fnt_page_sectors 0
-      end;
-      c.frame_head <- frame_into t.layout ~page ~head:c.frame_head c.payload c.frame c.frame_crcs;
+      Meta_frame.frame_into ~magic:page_magic ~page c.payload c.frame;
       c.framed <- c.payload
     end;
-    c
+    c.frame
   | None -> invalid_arg (Printf.sprintf "Fnt_store.framed_image: page %d not cached" page)
 
-let framed_image t page = (framed t page).frame
-
-let logged_unit t page =
-  let c = framed t page in
-  { Log.kind = Log.Fnt_page page; image = c.frame; crcs = c.frame_crcs }
+let logged_unit t page = { Log.kind = Log.Fnt_page page; image = framed_image t page }
 
 (* Payloads are never mutated once handed over, so the payload just
    logged is itself the committed image its log copy holds. *)

@@ -73,14 +73,12 @@ val framed_image : t -> int -> bytes
     logged. The buffer is the store's own: it is framed in place, only
     when the payload differs from the one it was last framed from, and
     stays valid until the page is next framed. Callers copy it (as
-    {!Log.append} and the device do) and never mutate it. Byte for byte
-    it is {!Cedar_fsbase.Meta_frame.frame} of the payload, which a home
-    write of any other image uses. *)
+    {!Log.append} and the device do) and never mutate it. It is framed
+    by {!Cedar_fsbase.Meta_frame.frame_into}, the framing a home write
+    of any other image uses. *)
 
 val logged_unit : t -> int -> Log.logged_unit
-(** The cached page as a log unit: {!framed_image} together with the
-    CRC-32 of each of its sectors, taken while framing, so no logged
-    byte is hashed twice. *)
+(** The cached page as a log unit: its {!framed_image}. *)
 
 val mark_logged : t -> int list -> third:int -> unit
 (** Note that these pages' current payloads are now committed in a log

@@ -227,11 +227,11 @@ let do_force t =
     let base_units =
       List.map (Fnt_store.logged_unit t.store) pages
       @ List.map
-          (fun (sector, pl) -> Log.hashed_unit t.layout (Log.Leader_page sector) pl.image)
+          (fun (sector, pl) -> { Log.kind = Log.Leader_page sector; image = pl.image })
           leaders
     in
     let vam = Alloc.vam t.alloc in
-    let chunk_unit c = Log.hashed_unit t.layout (Log.Vam_chunk c) (Vam.chunk_image vam c) in
+    let chunk_unit c = { Log.kind = Log.Vam_chunk c; image = Vam.chunk_image vam c } in
     let units =
       if not t.params.Params.log_vam then base_units
       else

@@ -3,7 +3,7 @@ open Cedar_disk
 open Cedar_fsbase
 
 type unit_kind = Fnt_page of int | Leader_page of int | Vam_chunk of int
-type logged_unit = { kind : unit_kind; image : bytes; crcs : int array }
+type logged_unit = { kind : unit_kind; image : bytes }
 
 type stats = {
   mutable records : int;
@@ -45,11 +45,6 @@ let unit_sectors layout = function
 
 let data_sectors_of layout units =
   List.fold_left (fun acc u -> acc + unit_sectors layout u.kind) 0 units
-
-let hashed_unit layout kind image =
-  let sb = sector_bytes layout in
-  let crcs = Array.init (Bytes.length image / sb) (fun i -> Crc32.bytes ~pos:(i * sb) ~len:sb image) in
-  { kind; image; crcs }
 
 let track_tolerant layout = layout.Layout.params.Params.track_tolerant_log
 let spt layout = layout.Layout.geom.Geometry.sectors_per_track
@@ -138,16 +133,19 @@ let decode_header layout b =
       then raise (Bytebuf.Decode_error "unit sizes disagree with the layout");
       { h_record_no; h_boot_count; h_shard; h_track_tolerant; h_units; h_data_sectors })
 
-(* The end page lists every data sector's CRC, unit by unit: the CRCs
-   each unit carries, never recomputed here. *)
-let encode_end layout ~record_no units =
+(* The end page lists the CRC-32 of each of the record's [n] data
+   sectors, hashed where [append] assembled them: in [buf] from [pos]. *)
+let encode_end layout ~record_no ~n buf ~pos =
+  let sb = sector_bytes layout in
   let w = Bytebuf.Writer.create () in
   Bytebuf.Writer.u32 w magic_end;
   Bytebuf.Writer.u64 w special;
   Bytebuf.Writer.u64 w record_no;
-  Bytebuf.Writer.u16 w (data_sectors_of layout units);
-  List.iter (fun u -> Array.iter (Bytebuf.Writer.u32 w) u.crcs) units;
-  Bytebuf.Writer.seal w ~size:(sector_bytes layout)
+  Bytebuf.Writer.u16 w n;
+  for i = 0 to n - 1 do
+    Bytebuf.Writer.u32 w (Crc32.bytes ~pos:(pos + (i * sb)) ~len:sb buf)
+  done;
+  Bytebuf.Writer.seal w ~size:sb
 
 let decode_end b =
   Bytebuf.Reader.unseal ~magic:magic_end b (fun r ->
@@ -286,8 +284,7 @@ let append t units =
     (fun u ->
       let n = unit_sectors t.layout u.kind in
       if Bytes.length u.image <> n * sector_bytes t.layout then
-        invalid_arg "Log.append: image size mismatch";
-      if Array.length u.crcs <> n then invalid_arg "Log.append: CRC count mismatch")
+        invalid_arg "Log.append: image size mismatch")
     units;
   let n = data_sectors_of t.layout units in
   if n > max_data_sectors_hard t.layout then
@@ -315,7 +312,9 @@ let append t units =
       pos := !pos + Bytes.length u.image)
     units;
   Bytes.blit (encode_header t units) 0 buf 0 sb;
-  Bytes.blit (encode_end t.layout ~record_no:t.next_record_no units) 0 buf !pos sb;
+  Bytes.blit
+    (encode_end t.layout ~record_no:t.next_record_no ~n buf ~pos:(data_at * sb))
+    0 buf !pos sb;
   if track_tolerant t.layout then begin
     (* primary block at 0, identical copy block one track later *)
     let d = spt t.layout in

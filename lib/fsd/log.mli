@@ -23,15 +23,8 @@ type unit_kind =
       (** one sector-sized slice of the allocation bitmap, by chunk
           index — the optional VAM-logging extension (§5.3) *)
 
-type logged_unit = { kind : unit_kind; image : bytes; crcs : int array }
-(** One unit of a record: its image, whole sectors, and the CRC-32 of
-    each of those sectors in order. {!append} lists the CRCs in the end
-    page as given, without rehashing the image, so they must be the
-    image's; a name-table frame computes them while it is framed. *)
-
-val hashed_unit : Layout.t -> unit_kind -> bytes -> logged_unit
-(** A unit whose CRCs are computed from the image, one per whole
-    sector: how leaders and allocation-map chunks are logged. *)
+type logged_unit = { kind : unit_kind; image : bytes }
+(** One unit of a record: its image, whole sectors. *)
 
 type stats = {
   mutable records : int;
@@ -71,9 +64,10 @@ val append : t -> logged_unit list -> int
     record {e starts} — the logged images survive until that third is
     next entered, so that is when the pages must be written home. The
     record is assembled in a buffer the log owns and reuses; the unit
-    images are copied, so callers may reuse theirs. Raises
+    images are copied, so callers may reuse theirs. The end page's
+    CRC-32 of each data sector is hashed from that buffer. Raises
     [Invalid_argument] if the record exceeds a third, or if a unit's
-    image or CRC array does not match its kind's sector count. *)
+    image does not match its kind's sector count. *)
 
 val unit_sectors : Layout.t -> unit_kind -> int
 val record_total_sectors : Layout.t -> logged_unit list -> int

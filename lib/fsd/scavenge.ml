@@ -146,7 +146,10 @@ let run device =
      first, so a lingering leader of a deleted-and-recreated name loses
      to the live one. All sector claims are tracked: overlapping claims
      are conflicts, and the loser's sectors are quarantined — kept
-     allocated but referenced by nothing — instead of being handed out. *)
+     allocated but referenced by nothing — instead of being handed out.
+     A leader that cannot describe a file — a byte size its pages do not
+     fill exactly, or a sector outside the data areas — is a conflict
+     too, whose sectors inside the data areas are quarantined. *)
   let claimed = Hashtbl.create 1024 in
   let accepted : (string, Entry.t) Hashtbl.t = Hashtbl.create 256 in
   let accepted_uids = Hashtbl.create 256 in
@@ -195,13 +198,21 @@ let run device =
       else begin
         let key = Fname.key ~name:l.Leader.name ~version:l.Leader.version in
         let e = Leader.to_entry l ~anchor:sector in
-        if Hashtbl.mem accepted key || not (try_claim e) then begin
-          (* Lost to a newer claim on the key or the sectors. Keep the
-             loser's unclaimed sectors out of the free pool. *)
+        let describes_a_file =
+          Run_table.holds e.Entry.runs ~sector_bytes:geom.Geometry.sector_bytes
+            ~byte_size:e.Entry.byte_size
+          && List.for_all (Layout.is_data_sector layout) (entry_sectors e)
+        in
+        if (not describes_a_file) || Hashtbl.mem accepted key || not (try_claim e)
+        then begin
+          (* Refused, or lost to a newer claim on the key or the sectors.
+             Keep the loser's unclaimed data sectors out of the free
+             pool. *)
           incr conflicts;
           List.iter
             (fun s ->
-              if not (Hashtbl.mem claimed s) then begin
+              if Layout.is_data_sector layout s && not (Hashtbl.mem claimed s)
+              then begin
                 Hashtbl.replace claimed s ();
                 Hashtbl.replace quarantine s ()
               end)

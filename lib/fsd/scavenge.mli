@@ -15,7 +15,9 @@
       whose FNT pages were lost;
     + resolve conflicts — two claims on one key or one sector lose to
       the {e newer} uid; the loser's sectors are quarantined (kept
-      allocated, referenced by nothing) rather than handed out again;
+      allocated, referenced by nothing) rather than handed out again.
+      A leader whose byte size does not fill exactly its pages, or that
+      names a sector outside the data areas, is refused the same way;
     + drop stale leaders of deleted files when the surviving name table
       is complete enough to prove the deletion;
     + rewrite the leader of every salvaged entry whose leader did not
@@ -34,7 +36,9 @@ type report = {
   leaders_rewritten : int;
       (** leaders of salvaged entries rewritten from the entry *)
   stale_leaders : int;  (** leaders of provably deleted files, dropped *)
-  conflicts : int;  (** key/sector claims that lost to a newer uid *)
+  conflicts : int;
+      (** key/sector claims that lost to a newer uid, and leaders that
+          cannot describe a file *)
   quarantined_sectors : int;
       (** sectors of conflicting claims: left allocated, owned by nothing *)
   fnt_pages_lost : int;  (** page pairs with both copies bad *)

@@ -1,7 +1,8 @@
-(* Slicing-by-8 (Kounavis & Berry). [table.(k * 256 + n)] is the CRC of
-   byte [n] followed by [k] zero bytes; slice 0 is the classic
-   byte-at-a-time table. Eight lookups, one per slice, fold eight input
-   bytes at once. The remainder lives in the low 32 bits of an int. *)
+(* Slicing-by-8 (Kounavis & Berry), the path for a CPU without the
+   kernel. [table.(k * 256 + n)] is the CRC of byte [n] followed by [k]
+   zero bytes; slice 0 is the classic byte-at-a-time table. Eight
+   lookups, one per slice, fold eight input bytes at once. The remainder
+   lives in the low 32 bits of an int. *)
 let table =
   let t = Array.make 2048 0 in
   for n = 0 to 255 do
@@ -17,10 +18,7 @@ let table =
   done;
   t
 
-let bytes ?(crc = 0) ?(pos = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Crc32.bytes";
+let sliced crc b pos len =
   let c = ref (crc lxor 0xffffffff) in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
@@ -47,60 +45,26 @@ let bytes ?(crc = 0) ?(pos = 0) ?len b =
   done;
   !c lxor 0xffffffff
 
+(* The carry-less-multiply kernel (crc32_stubs.c). It reads the slice
+   unchecked, so every call checks it first. *)
+external kernel_init : unit -> bool = "cedar_crc32_kernel_init" [@@noalloc]
+external kernel : int -> bytes -> int -> int -> int = "cedar_crc32_kernel" [@@noalloc]
+
+(* Chosen once, from the CPU. *)
+let use_kernel = kernel_init ()
+
+(* The slice's length, after refusing a slice that is not inside [b];
+   written so that no sum can overflow past the check. *)
+let slice_len name b pos len =
+  let len = match len with Some l -> l | None -> Bytes.length b - pos in
+  if pos < 0 || len < 0 || len > Bytes.length b - pos then invalid_arg name;
+  len
+
+let bytes ?(crc = 0) ?(pos = 0) ?len b =
+  let len = slice_len "Crc32.bytes" b pos len in
+  if use_kernel then kernel crc b pos len else sliced crc b pos len
+
+let portable ?(crc = 0) ?(pos = 0) ?len b =
+  sliced crc b pos (slice_len "Crc32.portable" b pos len)
+
 let string s = bytes (Bytes.unsafe_of_string s)
-
-(* Combining (zlib's crc32_combine). For A followed by B,
-   crc (A B) = Z (crc A) lxor crc B, where Z feeds len(B) zero bytes
-   through the bare register: multiplication by x^(8 len(B)) mod P, a
-   linear map (the pre- and post-conditioning cancel). Z is tabulated per
-   length as four 256-entry tables, one per byte of its 32-bit input,
-   built from Z's images of the 32 basis bits. *)
-let zeros_operator len =
-  let feed c =
-    let c = ref c in
-    for _ = 1 to len do
-      c := table.(!c land 0xff) lxor (!c lsr 8)
-    done;
-    !c
-  in
-  let basis = Array.init 32 (fun bit -> feed (1 lsl bit)) in
-  Array.init 1024 (fun i ->
-      let n = i land 0xff and base = (i lsr 8) * 8 in
-      let acc = ref 0 in
-      for j = 0 to 7 do
-        if n land (1 lsl j) <> 0 then acc := !acc lxor basis.(base + j)
-      done;
-      !acc)
-
-(* The operators built so far, newest first. Callers combine at a few
-   fixed lengths (a sector, a sector less a trailer), so a short linear
-   scan finds them; a length not among the last [operator_slots] is
-   tabulated afresh. *)
-let operator_slots = 8
-let op_lens = Array.make operator_slots (-1)
-let op_tables = Array.make operator_slots [||]
-let op_next = ref 0
-
-let operator len =
-  let rec find i =
-    if i = operator_slots then begin
-      let z = zeros_operator len in
-      let slot = !op_next in
-      op_lens.(slot) <- len;
-      op_tables.(slot) <- z;
-      op_next := (slot + 1) mod operator_slots;
-      z
-    end
-    else if op_lens.(i) = len then op_tables.(i)
-    else find (i + 1)
-  in
-  find 0
-
-let combine a b ~len =
-  if len < 0 then invalid_arg "Crc32.combine";
-  let z = operator len in
-  z.(a land 0xff)
-  lxor z.(0x100 lor ((a lsr 8) land 0xff))
-  lxor z.(0x200 lor ((a lsr 16) land 0xff))
-  lxor z.(0x300 lor ((a lsr 24) land 0xff))
-  lxor b

@@ -245,7 +245,8 @@ let test_cached_survives_scavenge_with_properties () =
 (* A header that claims a byte size its file's pages cannot hold — 5,000
    or 100 bytes for a 1,000-byte file of two pages, written with a valid
    checksum — makes [read_all] raise [Corrupt_metadata], instead of
-   failing inside [Bytes.sub] or returning 100 bytes as the file. *)
+   failing inside [Bytes.sub] or returning 100 bytes as the file, and
+   [Cfs.check] fail naming the file. *)
 let test_size_not_fitting_pages_refused () =
   List.iter
     (fun claim ->
@@ -264,9 +265,15 @@ let test_size_not_fitting_pages_refused () =
       Device.write_run device ~sector:!hdr
         (Header.encode { h with Header.byte_size = claim } ~sector_bytes);
       Cfs.drop_open_cache fs;
-      match Cfs.read_all fs ~name:"size/f" with
+      (match Cfs.read_all fs ~name:"size/f" with
       | b -> Alcotest.failf "%d bytes claimed: read %d bytes" claim (Bytes.length b)
-      | exception Fs_error.Fs_error (Fs_error.Corrupt_metadata _) -> ())
+      | exception Fs_error.Fs_error (Fs_error.Corrupt_metadata _) -> ());
+      match Cfs.check fs with
+      | Ok () -> Alcotest.failf "%d bytes claimed: check passed" claim
+      | Error m ->
+        check Alcotest.string "check names the file"
+          (Printf.sprintf "size/f!000001: byte size %d does not fit its 2 data pages" claim)
+          m)
     [ 5000; 100 ]
 
 (* [list] finds every name that starts with the prefix, also one whose

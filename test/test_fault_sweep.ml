@@ -136,9 +136,9 @@ let test_record_survives_any_single_or_double_damage () =
   let n = 2 * layout.Layout.params.Params.fnt_page_sectors in
   let units =
     [
-      Log.hashed_unit layout (Log.Fnt_page 3) (Bytes.make (n / 2 * 512) 'a');
-      Log.hashed_unit layout (Log.Fnt_page 5) (Bytes.make (n / 2 * 512) 'b');
-      Log.hashed_unit layout (Log.Leader_page 700) (Bytes.make 512 'c');
+      { Log.kind = Log.Fnt_page 3; image = Bytes.make (n / 2 * 512) 'a' };
+      { Log.kind = Log.Fnt_page 5; image = Bytes.make (n / 2 * 512) 'b' };
+      { Log.kind = Log.Leader_page 700; image = Bytes.make 512 'c' };
     ]
   in
   let size = Log.record_total_sectors layout units in

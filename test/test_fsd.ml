@@ -336,6 +336,49 @@ let test_data_damage_isolated_to_file () =
   (* The bystander and the volume structure are unaffected. *)
   check bool "bystander fine" true (Bytes.equal other (Fsd.read_all fs ~name:"bystander"))
 
+module B = Cedar_btree.Btree.Make (Fnt_store)
+
+(* An entry that claims a byte size its file's pages cannot hold —
+   5,000 or 100 bytes for a 1,000-byte file of two pages — written
+   with its leader straight into the shut-down volume's name table:
+   [read_all] must refuse it with [Corrupt_metadata] — not fail inside
+   [Bytes.sub], nor return the first 100 bytes as if they were the
+   file — and [Fsd.check] must name it. The other file still reads
+   back. *)
+let test_size_not_fitting_pages_refused () =
+  List.iter
+    (fun claim ->
+      let what s = Printf.sprintf "%d bytes claimed: %s" claim s in
+      let device, fs = fresh_fs () in
+      ignore (Fsd.create fs ~name:"size/f" (content 1000 1));
+      ignore (Fsd.create fs ~name:"size/g" (content 700 2));
+      Fsd.shutdown fs;
+      let store = Fnt_store.attach device (Fsd.layout fs) in
+      let tree = B.attach store in
+      let key = Fname.key ~name:"size/f" ~version:1 in
+      let e = Entry.decode (Option.get (B.find tree key)) in
+      let e = { e with Entry.byte_size = claim } in
+      B.insert tree ~key ~value:(Entry.encode e);
+      ignore (Fnt_store.flush_all_dirty store : int);
+      Device.write device e.Entry.anchor
+        (Leader.encode
+           (Leader.of_entry ~name:"size/f" ~version:1 e)
+           ~sector_bytes:(Device.geometry device).Geometry.sector_bytes);
+      let fs2 = boot_fs device in
+      expect_error
+        (function Fs_error.Corrupt_metadata _ -> true | _ -> false)
+        (fun () -> Fsd.read_all fs2 ~name:"size/f");
+      check bool (what "the other file reads back") true
+        (Bytes.equal (content 700 2) (Fsd.read_all fs2 ~name:"size/g"));
+      match Fsd.check fs2 with
+      | Ok () -> Alcotest.fail (what "check passed")
+      | Error m ->
+        let want =
+          Printf.sprintf "size/f!000001: byte size %d does not fit its 2 data pages" claim
+        in
+        check Alcotest.string (what "check names the entry") want m)
+    [ 5000; 100 ]
+
 let test_leader_detects_wild_write () =
   let device, fs = fresh_fs () in
   ignore (Fsd.create fs ~name:"target" (content 512 1));
@@ -878,6 +921,8 @@ let suite =
     ("boot page replica", `Quick, test_boot_page_replica);
     ("data damage isolated", `Quick, test_data_damage_isolated_to_file);
     ("leader detects wild write", `Quick, test_leader_detects_wild_write);
+    ("a size that does not fit its pages is refused", `Quick,
+      test_size_not_fitting_pages_refused);
     ("damaged leader: piggybacked read", `Quick, test_damaged_leader_piggybacked);
     ("damaged leader: separate read", `Quick, test_damaged_leader_read_alone);
     ("create = one synchronous io", `Quick, test_create_is_one_synchronous_io);

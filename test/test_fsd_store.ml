@@ -495,11 +495,10 @@ let test_store_read_identity () =
   check bool "new bytes after eviction" false (b4 == b3);
   check bool "same contents after eviction" true (Bytes.equal b4 b3)
 
-(* A frame's checksums are computed while framing, each byte once: the
-   trailer's CRC must still be the payload's, and each unit CRC its
-   sector's, whatever the page size. The frame buffer is the page's own,
-   reframed in place only when the payload changes. *)
-let test_frame_crcs_and_reuse () =
+(* A page's frame: the trailer's CRC must be the payload's, whatever
+   the page size. The frame buffer is the page's own, reframed in place
+   when the payload changes. *)
+let test_frame_trailer_and_reuse () =
   let rng = Rng.create 7 in
   List.iter
     (fun k ->
@@ -517,11 +516,6 @@ let test_frame_crcs_and_reuse () =
       check int (what "trailer CRC is the payload's")
         (Crc32.bytes p1)
         (Int32.to_int (Bytes.get_int32_le u.Log.image (Bytes.length p1 + 8)) land 0xffffffff);
-      check int (what "CRC count") k (Array.length u.Log.crcs);
-      Array.iteri
-        (fun i c ->
-          check int (what "sector %d CRC" i) (Crc32.bytes ~pos:(i * sb) ~len:sb u.Log.image) c)
-        u.Log.crcs;
       check bool (what "payload unframes") true
         (Bytes.equal p1 (Bytes.sub u.Log.image 0 (Bytes.length p1)));
       let again = Fnt_store.logged_unit s page in
@@ -532,25 +526,17 @@ let test_frame_crcs_and_reuse () =
       check bool (what "frame buffer reused") true (u2.Log.image == u.Log.image);
       check int (what "reframed trailer CRC")
         (Crc32.bytes p2)
-        (Int32.to_int (Bytes.get_int32_le u2.Log.image (Bytes.length p2 + 8)) land 0xffffffff);
-      Array.iteri
-        (fun i c ->
-          check int (what "reframed sector %d CRC" i)
-            (Crc32.bytes ~pos:(i * sb) ~len:sb u2.Log.image)
-            c)
-        u2.Log.crcs)
+        (Int32.to_int (Bytes.get_int32_le u2.Log.image (Bytes.length p2 + 8)) land 0xffffffff))
     [ 1; 2; 4; 16 ]
 
-(* A page reframed in place keeps the CRC of each sector, and of the
-   last sector's head, whose payload bytes are unchanged; the result
-   must still be exactly a fresh frame. After each of a seeded run of
-   edits — none, one byte anywhere, one byte in the last sector's head,
-   a byte either side of a sector boundary, or a whole new payload — the
-   page is reframed and compared, image and per-sector CRCs, with the
+(* A page reframed in its own buffer must be exactly a fresh frame:
+   nothing of the frame it overwrites may survive. After each of a
+   seeded run of edits — none, one byte anywhere, one byte in the last
+   sector's head, a byte either side of a sector boundary, or a whole
+   new payload — the page is reframed and its image compared with the
    same payload framed by a store that never framed the page, and with
-   the image that store writes home first: a home write of a payload
-   never framed goes through the plain frame, which shares no code with
-   the in-place one. *)
+   the image that store writes home first (a home write of a payload
+   never framed builds a fresh frame). *)
 let test_reframe_matches_fresh_frame () =
   let rng = Rng.create 26 in
   List.iter
@@ -590,8 +576,7 @@ let test_reframe_matches_fresh_frame () =
         let fresh = Fnt_store.logged_unit r page in
         let what = Printf.sprintf "%d sectors, step %d" k step in
         check bool (what ^ ": image") true (Bytes.equal u.Log.image fresh.Log.image);
-        check bool (what ^ ": plain frame") true (Bytes.equal u.Log.image plain);
-        check (Alcotest.array int) (what ^ ": sector CRCs") fresh.Log.crcs u.Log.crcs
+        check bool (what ^ ": plain frame") true (Bytes.equal u.Log.image plain)
       done)
     [ 1; 2; 4; 16 ]
 
@@ -626,7 +611,7 @@ let test_diverged_page_homes_committed_frame () =
   while not (List.mem t1 (Log.thirds_entered_by log ~record_sectors)) do
     ignore
       (Log.append log
-         [ Log.hashed_unit l (Log.Leader_page 5000) (Bytes.make geom.Geometry.sector_bytes 'f') ]
+         [ { Log.kind = Log.Leader_page 5000; image = Bytes.make geom.Geometry.sector_bytes 'f' } ]
         : int);
     incr fillers
   done;
@@ -837,7 +822,7 @@ let suite =
     ("store: read hands out the cached bytes", `Quick, test_store_read_identity);
     ("store: to-log count is exact", `Quick, test_store_to_log_count_exact);
     ("store: twin read outcomes and device reads", `Quick, test_store_twin_read_outcomes);
-    ("store: frame CRCs computed once, frame reused", `Quick, test_frame_crcs_and_reuse);
+    ("store: frame trailer CRC, frame buffer reused", `Quick, test_frame_trailer_and_reuse);
     ("store: reframed page equals a fresh frame", `Quick, test_reframe_matches_fresh_frame);
     ("store: flush_third homes the lowest pages first", `Quick,
       test_store_flush_third_lowest_first);

@@ -41,6 +41,25 @@ let test_reader_bounds () =
   | exception Bytebuf.Decode_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Crc32                                                                *)
+
+(* A slice not inside the buffer is refused before any byte is read —
+   the kernel reads its slice unchecked — on both paths, including a
+   length so large that [pos + len] wraps past [max_int]. *)
+let test_crc32_bounds () =
+  let b = Bytes.make 100 'c' in
+  List.iter
+    (fun (crc32 : ?crc:int -> ?pos:int -> ?len:int -> bytes -> int) ->
+      inv (fun () -> crc32 ~pos:(-1) b);
+      inv (fun () -> crc32 ~len:(-1) b);
+      inv (fun () -> crc32 ~pos:101 b);
+      inv (fun () -> crc32 ~pos:40 ~len:61 b);
+      inv (fun () -> crc32 ~len:101 b);
+      inv (fun () -> crc32 ~pos:1 ~len:max_int b);
+      check Alcotest.int "the empty slice at the end" 0 (crc32 ~pos:100 b))
+    [ Crc32.bytes; Crc32.portable ]
+
+(* ------------------------------------------------------------------ *)
 (* Bitmap / Lru / Rng / Simclock                                        *)
 
 let test_bitmap_bounds () =
@@ -217,12 +236,13 @@ let test_log_misuse () =
   in
   inv (fun () -> Log.append log []);
   inv (fun () ->
-      Log.append log [ Log.hashed_unit layout (Log.Leader_page 9) (Bytes.create 100) ])
+      Log.append log [ { Log.kind = Log.Leader_page 9; image = Bytes.create 100 } ])
 
 let suite =
   [
     ("bytebuf writer bounds", `Quick, test_writer_bounds);
     ("bytebuf reader bounds", `Quick, test_reader_bounds);
+    ("crc32 bounds", `Quick, test_crc32_bounds);
     ("bitmap bounds", `Quick, test_bitmap_bounds);
     ("lru misuse", `Quick, test_lru_misuse);
     ("rng misuse", `Quick, test_rng_misuse);

@@ -126,6 +126,23 @@ let prop_unseal_never_raises =
       | Some _ | None -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Crc32: the kernel behind [bytes] equals the portable OCaml path on
+   random slices, fresh and continuing a random CRC. *)
+
+let prop_crc32_kernel_matches_portable =
+  QCheck.Test.make ~name:"crc32: bytes equals the portable path" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         triple (string_size (int_range 0 2100)) (pair nat nat) (int_range 0 0xffffffff)))
+    (fun (s, (a, b), crc) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Crc32.bytes ~pos ~len buf = Crc32.portable ~pos ~len buf
+      && Crc32.bytes ~crc ~pos ~len buf = Crc32.portable ~crc ~pos ~len buf)
+
+(* ------------------------------------------------------------------ *)
 (* LRU vs a reference model (association list with recency). *)
 
 let prop_lru_vs_reference =
@@ -326,7 +343,7 @@ let prop_log_random_batches_with_damage =
                 else (Log.Leader_page (5000 + Rng.int rng 50), 1)
               in
               Hashtbl.replace expected kind fill;
-              Log.hashed_unit layout kind (Bytes.make (sectors * 512) fill))
+              { Log.kind; image = Bytes.make (sectors * 512) fill })
         in
         let size = Log.record_total_sectors layout units in
         (match !first_off with None -> first_off := Some 0 | Some _ -> ());
@@ -530,6 +547,7 @@ let suite =
       prop_unseal_roundtrip;
       prop_unseal_any_byte_changed;
       prop_unseal_never_raises;
+      prop_crc32_kernel_matches_portable;
       prop_lru_vs_reference;
       prop_fname_order;
       prop_fname_bounds_bracket;

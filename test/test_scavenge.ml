@@ -252,47 +252,55 @@ let test_scavenge_heals_damaged_leader () =
     (Bytes.equal (content 700 6) (Fsd.read_all fs2 ~name:"heal/a"));
   Fsd.shutdown fs2
 
-(* A leader that claims a byte size its file's pages cannot hold: the
-   scavenger rebuilds the entry from it, so the name table now says 5,000
-   (or 100) bytes for a 1,000-byte file of two pages. [read_all] must
-   refuse it with [Corrupt_metadata] — not fail inside [Bytes.sub], nor
-   return the first 100 bytes as if they were the file — and
-   [Fsd.check] must name it. The other file still reads back. *)
+(* A leader that cannot describe a file, written over size/f's leader
+   before both name-table copies are lost: the scavenger refuses it as a
+   conflict, quarantining its data sectors, rather than rebuilding an
+   entry no read can serve or failing in the allocation map. size/g is
+   the one entry rebuilt, the rebuilt volume passes [Fsd.check], size/f
+   is gone and size/g reads back. *)
+let refused_leader what rewrite =
+  let what s = Printf.sprintf "%s: %s" what s in
+  let device, fs = fresh () in
+  ignore (Fsd.create fs ~name:"size/f" (content 1000 1));
+  ignore (Fsd.create fs ~name:"size/g" (content 700 2));
+  let anchor =
+    Fsd.fold_entries fs ~init:(-1) ~f:(fun acc ~name ~version:_ e ->
+        if String.equal name "size/f" then e.Entry.anchor else acc)
+  in
+  Fsd.shutdown fs;
+  let layout = Fsd.layout fs in
+  let leader = Option.get (Leader.decode (Device.read device anchor)) in
+  Device.write device anchor
+    (Leader.encode (rewrite leader) ~sector_bytes:geom.Geometry.sector_bytes);
+  Log.format device layout;
+  destroy_fnt device layout;
+  let r = Scavenge.run device in
+  check int (what "one entry rebuilt") 1 r.Scavenge.entries_rebuilt;
+  check int (what "the leader refused") 1 r.Scavenge.conflicts;
+  let fs2, _ = Fsd.boot device in
+  check bool (what "structural check ok") true (Fsd.check fs2 = Ok ());
+  check bool (what "size/f is gone") false (Fsd.exists fs2 ~name:"size/f");
+  check bool (what "the other file reads back") true
+    (Bytes.equal (content 700 2) (Fsd.read_all fs2 ~name:"size/g"));
+  Fsd.shutdown fs2
+
+(* 5,000 or 100 bytes claimed for a 1,000-byte file of two pages. *)
 let test_size_not_fitting_pages_refused () =
   List.iter
     (fun claim ->
-      let what s = Printf.sprintf "%d bytes claimed: %s" claim s in
-      let device, fs = fresh () in
-      ignore (Fsd.create fs ~name:"size/f" (content 1000 1));
-      ignore (Fsd.create fs ~name:"size/g" (content 700 2));
-      let anchor =
-        Fsd.fold_entries fs ~init:(-1) ~f:(fun acc ~name ~version:_ e ->
-            if String.equal name "size/f" then e.Entry.anchor else acc)
-      in
-      Fsd.shutdown fs;
-      let layout = Fsd.layout fs in
-      let leader = Option.get (Leader.decode (Device.read device anchor)) in
-      Device.write device anchor
-        (Leader.encode { leader with Leader.byte_size = claim }
-           ~sector_bytes:geom.Geometry.sector_bytes);
-      Log.format device layout;
-      destroy_fnt device layout;
-      let r = Scavenge.run device in
-      check int (what "both entries rebuilt") 2 r.Scavenge.entries_rebuilt;
-      let fs2, _ = Fsd.boot device in
-      (match Fsd.read_all fs2 ~name:"size/f" with
-      | b -> Alcotest.failf "%s" (what (Printf.sprintf "read %d bytes" (Bytes.length b)))
-      | exception Fs_error.Fs_error (Fs_error.Corrupt_metadata _) -> ());
-      check bool (what "the other file reads back") true
-        (Bytes.equal (content 700 2) (Fsd.read_all fs2 ~name:"size/g"));
-      match Fsd.check fs2 with
-      | Ok () -> Alcotest.fail (what "check passed")
-      | Error m ->
-        let want =
-          Printf.sprintf "size/f!000001: byte size %d does not fit its 2 data pages" claim
-        in
-        check string (what "check names the entry") want m)
+      refused_leader
+        (Printf.sprintf "%d bytes claimed" claim)
+        (fun l -> { l with Leader.byte_size = claim }))
     [ 5000; 100 ]
+
+(* A run [767,+2) on the 768-sector volume: its last sector does not
+   exist. *)
+let test_run_off_the_volume_refused () =
+  let last = Geometry.total_sectors geom - 1 in
+  refused_leader
+    (Printf.sprintf "a run [%d,+2)" last)
+    (fun l ->
+      { l with Leader.runs = Run_table.of_runs [ { Run_table.start = last; len = 2 } ] })
 
 (* ------------------------------------------------------------------ *)
 (* The online scrub demon. *)
@@ -494,6 +502,7 @@ let suite =
     ("scavenge heals a damaged leader", `Quick, test_scavenge_heals_damaged_leader);
     ("a size that does not fit its pages is refused", `Quick,
       test_size_not_fitting_pages_refused);
+    ("a leader with a run off the volume is refused", `Quick, test_run_off_the_volume_refused);
     ("scrub repairs FNT copy before any read", `Quick, test_scrub_repairs_fnt_copy_before_read);
     ("scrub rewrites a corrupt leader", `Quick, test_scrub_rewrites_corrupt_leader);
     ("scrub repair: counter + trace event", `Quick, test_scrub_repair_emits_metric_and_trace);

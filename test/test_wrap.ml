@@ -130,7 +130,7 @@ let test_twin_repair_observable () =
 
 let leader_unit layout sector fill =
   let sbytes = layout.Layout.geom.Geometry.sector_bytes in
-  Log.hashed_unit layout (Log.Leader_page sector) (Bytes.make sbytes fill)
+  { Log.kind = Log.Leader_page sector; image = Bytes.make sbytes fill }
 
 let test_third_fill_boundary () =
   let geom = Geometry.tiny_test in
