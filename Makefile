@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test api-check examples-smoke paper-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check ci clean
+.PHONY: all check build test api-check examples-smoke paper-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check loc ci clean
 
 all: build
 
@@ -503,6 +503,16 @@ fmt-check:
 	else \
 		echo "fmt-check: ocamlformat not installed, skipping"; \
 	fi
+
+# Source size, as ROADMAP.md's State section reports it: the .ml + .mli
+# lines, and the .c lines, of lib/ + bin/, bench/, test/ and perfbench/.
+# Every change measures what it adds or deletes the same way. Not a gate.
+loc:
+	@for g in "lib bin" bench test perfbench; do \
+		ml=$$(find $$g \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
+		c=$$(find $$g -name '*.c' -exec cat {} + | wc -l); \
+		printf '%-10s %6d .ml + .mli %6d .c\n' "$$g" $$ml $$c; \
+	done
 
 ci: fmt-check check api-check examples-smoke paper-smoke serve-smoke volumes-smoke faultsweep-smoke wrap-smoke \
 	recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke \

@@ -122,31 +122,22 @@ module Direct_store = struct
 end
 
 module B = Cedar_btree.Btree.Make (Direct_store)
+module Nt = Name_table.Make (B)
 
 (* ------------------------------------------------------------------ *)
 (* Name-table values: Table 1's CFS column — uid, keep, and the header
    page 0 disk address. Everything else lives in the header. *)
 
 module Nt_value = struct
-  (* Local and cached entries point at a header; symbolic links live
-     entirely in the name table (which is why the scavenger, working
-     from labels and headers, cannot recover them). *)
-  type v =
-    | File of { uid : int64; keep : int; header_sector : int }
-    | Symlink of { target : string }
+  type t = { uid : int64; keep : int; header_sector : int }
 
-  let encode_file ~uid ~keep ~header_sector =
+  (* The leading tag byte 0 is what every stored value carries. *)
+  let encode ~uid ~keep ~header_sector =
     let w = Bytebuf.Writer.create ~initial:16 () in
     Bytebuf.Writer.u8 w 0;
     Bytebuf.Writer.u64 w uid;
     Bytebuf.Writer.u16 w keep;
     Bytebuf.Writer.u32 w header_sector;
-    Bytes.to_string (Bytebuf.Writer.contents w)
-
-  let encode_symlink ~target =
-    let w = Bytebuf.Writer.create ~initial:16 () in
-    Bytebuf.Writer.u8 w 1;
-    Bytebuf.Writer.string w target;
     Bytes.to_string (Bytebuf.Writer.contents w)
 
   let decode s =
@@ -156,8 +147,7 @@ module Nt_value = struct
       let uid = Bytebuf.Reader.u64 r in
       let keep = Bytebuf.Reader.u16 r in
       let header_sector = Bytebuf.Reader.u32 r in
-      File { uid; keep; header_sector }
-    | 1 -> Symlink { target = Bytebuf.Reader.string r }
+      { uid; keep; header_sector }
     | n -> raise (Bytebuf.Decode_error (Printf.sprintf "bad CFS entry kind %d" n))
 end
 
@@ -171,7 +161,7 @@ type t = {
   tree : B.t;
   vam : Bitmap.t; (* set = free; a hint with no invariants (§2) *)
   mutable hint : int;
-  opened : (string, Header.t * int) Hashtbl.t; (* key -> header, sector *)
+  opened : (string, File_record.t * int) Hashtbl.t; (* key -> header, sector *)
   mutable next_uid : int64;
   mutable live : bool;
   ops_c : Cedar_obs.Metrics.counter;
@@ -377,30 +367,14 @@ let allocate_file t ~data_pages =
 (* ------------------------------------------------------------------ *)
 (* Header I/O                                                          *)
 
-let write_header t (h : Header.t) ~sector =
-  Device.verified_write_run t.device ~sector ~expect:(Header.labels h)
-    (Header.encode h ~sector_bytes:(sector_bytes t))
-
-(* The fault of a header whose byte size does not fill exactly its data
-   pages, which a read would run past or silently truncate. *)
-let size_mismatch t key (h : Header.t) =
-  let byte_size = h.Header.byte_size in
-  if Run_table.holds h.Header.runs ~sector_bytes:(sector_bytes t) ~byte_size then None
-  else
-    Some
-      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" key byte_size
-         (Run_table.pages h.Header.runs))
+let write_header t (h : File_record.t) ~sector =
+  Device.verified_write_run t.device ~sector ~expect:(Header.labels h.File_record.uid)
+    (File_record.encode Header.format h ~sector_bytes:(sector_bytes t))
 
 let read_header t ~uid ~sector =
-  let expect =
-    [
-      { Label.uid; page = 0; kind = Label.Header };
-      { Label.uid; page = 1; kind = Label.Header };
-    ]
-  in
-  match Device.verified_read_run t.device ~sector ~expect with
+  match Device.verified_read_run t.device ~sector ~expect:(Header.labels uid) with
   | image -> (
-    match Header.decode image with
+    match File_record.decode Header.format image with
     | Some h -> h
     | None -> corrupt (Printf.sprintf "header at sector %d fails its checksum" sector))
   | exception Device.Error { sector; kind = Device.Label_mismatch _ } ->
@@ -411,62 +385,39 @@ let read_header t ~uid ~sector =
 (* ------------------------------------------------------------------ *)
 (* Name-table access                                                   *)
 
-let validate_name name =
-  match Fname.validate name with
-  | Ok () -> ()
-  | Error reason -> Fs_error.raise_ (Fs_error.Bad_name { name; reason })
-
 let wrap_tree f =
   try f () with Cedar_btree.Btree.Corrupt m -> corrupt ("name table: " ^ m)
 
-let newest t name =
-  validate_name name;
-  let _, hi = Fname.bounds ~name in
-  wrap_tree (fun () ->
-      match B.find_last_below t.tree hi with
-      | None -> None
-      | Some (k, v) -> (
-        match Fname.parse k with
-        | Some (n, version) when String.equal n name -> Some (k, version, v)
-        | Some _ | None -> None))
+let newest t name = wrap_tree (fun () -> Nt.newest t.tree name)
+let newest_exn t name = wrap_tree (fun () -> Nt.newest_exn t.tree name)
 
-let newest_exn t name =
-  match newest t name with
-  | Some x -> x
-  | None -> Fs_error.raise_ (Fs_error.No_such_file name)
+(* The header of the version stored under [key], cached per open file. *)
+let cached_header t key raw =
+  match Hashtbl.find_opt t.opened key with
+  | Some hs -> hs
+  | None ->
+    let { Nt_value.uid; header_sector; _ } = Nt_value.decode raw in
+    let h = read_header t ~uid ~sector:header_sector in
+    Hashtbl.replace t.opened key (h, header_sector);
+    (h, header_sector)
 
-(* Open = name-table lookup + header read, cached per open file; follows
-   symbolic links (bounded). *)
-let rec open_header ?(depth = 0) t name =
-  if depth > 8 then corrupt ("symlink chain too deep at " ^ name)
-  else begin
-    let key, version, raw = newest_exn t name in
-    match Nt_value.decode raw with
-    | Nt_value.Symlink { target } -> open_header ~depth:(depth + 1) t target
-    | Nt_value.File { uid; header_sector; _ } -> (
-      match Hashtbl.find_opt t.opened key with
-      | Some (h, s) -> (key, version, h, s)
-      | None ->
-        let h = read_header t ~uid ~sector:header_sector in
-        Hashtbl.replace t.opened key (h, header_sector);
-        (key, version, h, header_sector))
-  end
+(* Open = name-table lookup + header read. *)
+let open_header t name =
+  let key, version, raw = newest_exn t name in
+  let h, sector = cached_header t key raw in
+  (key, version, h, sector)
 
-let info_of name version (h : Header.t) =
-  { Fs_ops.name; version; byte_size = h.Header.byte_size; uid = h.Header.uid }
+let info_of name version (h : File_record.t) =
+  { Fs_ops.name; version; byte_size = h.File_record.byte_size; uid = h.File_record.uid }
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
 
 let versions t ~name =
   require_live t;
-  let lo, hi = Fname.bounds ~name in
-  wrap_tree (fun () ->
-      B.fold_range ~lo ~hi t.tree ~init:[] ~f:(fun acc k _ ->
-          match Fname.parse k with Some (_, v) -> v :: acc | None -> acc))
-  |> List.rev
+  List.rev_map (fun (v, _, _) -> v) (wrap_tree (fun () -> Nt.versions t.tree ~name))
 
-let free_labels_of t (h : Header.t) ~header_sector =
+let free_labels_of t (h : File_record.t) ~header_sector =
   (* One command for the header pair, one per data run. *)
   Device.write_labels t.device ~sector:header_sector [ Label.free; Label.free ];
   Bitmap.set_run t.vam ~pos:header_sector ~len:Header.sectors;
@@ -475,22 +426,15 @@ let free_labels_of t (h : Header.t) ~header_sector =
       Device.write_labels t.device ~sector:r.Run_table.start
         (List.init r.Run_table.len (fun _ -> Label.free));
       Bitmap.set_run t.vam ~pos:r.Run_table.start ~len:r.Run_table.len)
-    (Run_table.runs h.Header.runs)
+    (Run_table.runs h.File_record.runs)
 
 let delete_version_unchecked t name version =
   let key = Fname.key ~name ~version in
   match wrap_tree (fun () -> B.find t.tree key) with
   | None -> Fs_error.raise_ (Fs_error.No_such_file (Printf.sprintf "%s!%d" name version))
   | Some v ->
-    (match Nt_value.decode v with
-    | Nt_value.Symlink _ -> ()
-    | Nt_value.File { uid; header_sector; _ } ->
-      let h =
-        match Hashtbl.find_opt t.opened key with
-        | Some (h, _) -> h
-        | None -> read_header t ~uid ~sector:header_sector
-      in
-      free_labels_of t h ~header_sector);
+    let h, header_sector = cached_header t key v in
+    free_labels_of t h ~header_sector;
     ignore (wrap_tree (fun () -> B.delete t.tree key) : bool);
     Hashtbl.remove t.opened key
 
@@ -502,7 +446,7 @@ let enforce_keep t name newest_version keep =
 
 let create_common t ~name ~keep ~kind data =
   require_live t;
-  validate_name name;
+  Name_table.validate_name name;
   let sb = sector_bytes t in
   let byte_size = Bytes.length data in
   let data_pages = max 1 ((byte_size + sb - 1) / sb) in
@@ -511,11 +455,10 @@ let create_common t ~name ~keep ~kind data =
   (* 1: find and verify candidate pages (allocate_file reads labels). *)
   let header_sector, data_runs = allocate_file t ~data_pages in
   let runs = Run_table.of_runs data_runs in
-  let h =
-    { Header.uid; name; version; keep; byte_size; created = Simclock.now t.clock; runs; kind }
-  in
+  let created = Simclock.now t.clock in
+  let h = { File_record.uid; name; version; keep; byte_size; created; runs; kind } in
   (* 2: claim the header labels. *)
-  Device.write_labels t.device ~sector:header_sector (Header.labels h);
+  Device.write_labels t.device ~sector:header_sector (Header.labels uid);
   (* 3: claim the data labels, one command per run. *)
   List.iteri
     (fun i r ->
@@ -530,7 +473,7 @@ let create_common t ~name ~keep ~kind data =
              { Label.uid; page = base + k; kind = Label.Data })))
     data_runs;
   (* 4: write the header (size not yet final, as in the paper's script). *)
-  write_header t { h with Header.byte_size = 0 } ~sector:header_sector;
+  write_header t { h with File_record.byte_size = 0 } ~sector:header_sector;
   (* 5: write the data through the labels. *)
   let padded = Bytes.make (data_pages * sb) '\000' in
   Bytes.blit data 0 padded 0 byte_size;
@@ -548,7 +491,7 @@ let create_common t ~name ~keep ~kind data =
   (* 6: update the name table (synchronous page writes). *)
   wrap_tree (fun () ->
       B.insert t.tree ~key:(Fname.key ~name ~version)
-        ~value:(Nt_value.encode_file ~uid ~keep ~header_sector));
+        ~value:(Nt_value.encode ~uid ~keep ~header_sector));
   (* 7: rewrite the header with the final byte count. *)
   write_header t h ~sector:header_sector;
   Hashtbl.replace t.opened (Fname.key ~name ~version) (h, header_sector);
@@ -559,54 +502,35 @@ let create_common t ~name ~keep ~kind data =
 
 let create t ~name ?(keep = 2) data =
   Trace.span (Device.trace t.device) t.clock ~op:"create" ~name (fun () ->
-      create_common t ~name ~keep ~kind:Header.Local data)
+      create_common t ~name ~keep ~kind:Entry.Local data)
 
 let import_cached t ~name ~server data =
   Trace.span (Device.trace t.device) t.clock ~op:"import" ~name (fun () ->
       create_common t ~name ~keep:2
-        ~kind:(Header.Cached { server; last_used = Simclock.now t.clock })
+        ~kind:(Entry.Cached { server; last_used = Simclock.now t.clock })
         data)
-
-let create_symlink t ~name ~target =
-  require_live t;
-  validate_name name;
-  let version = match newest t name with Some (_, v, _) -> v + 1 | None -> 1 in
-  wrap_tree (fun () ->
-      B.insert t.tree ~key:(Fname.key ~name ~version)
-        ~value:(Nt_value.encode_symlink ~target));
-  enforce_keep t name version 2;
-  op_cpu t
-
-let readlink t ~name =
-  require_live t;
-  let _, _, raw = newest_exn t name in
-  op_cpu t;
-  match Nt_value.decode raw with
-  | Nt_value.Symlink { target } -> Some target
-  | Nt_value.File _ -> None
 
 (* CFS keeps the last-used time in the header: every update reads and
    rewrites the header pair — the traffic FSD's group commit removes. *)
 let touch_cached t ~name =
   require_live t;
   let key, _, h, header_sector = open_header t name in
-  match h.Header.kind with
-  | Header.Cached { server; _ } ->
-    let h' =
-      { h with Header.kind = Header.Cached { server; last_used = Simclock.now t.clock } }
-    in
+  match h.File_record.kind with
+  | Entry.Cached { server; _ } ->
+    let last_used = Simclock.now t.clock in
+    let h' = { h with File_record.kind = Entry.Cached { server; last_used } } in
     write_header t h' ~sector:header_sector;
     Hashtbl.replace t.opened key (h', header_sector);
     op_cpu t
-  | Header.Local -> corrupt (name ^ " is not a cached remote file")
+  | Entry.Local -> corrupt (name ^ " is not a cached remote file")
 
 let last_used t ~name =
   require_live t;
   let _, _, h, _ = open_header t name in
   op_cpu t;
-  match h.Header.kind with
-  | Header.Cached { last_used; _ } -> Some last_used
-  | Header.Local -> None
+  match h.File_record.kind with
+  | Entry.Cached { last_used; _ } -> Some last_used
+  | Entry.Local -> None
 
 let open_stat t ~name =
   Trace.span (Device.trace t.device) t.clock ~op:"open" ~name @@ fun () ->
@@ -620,27 +544,30 @@ let exists t ~name =
   op_cpu t;
   newest t name <> None
 
-let read_runs t (h : Header.t) buf =
+let read_runs t (h : File_record.t) buf =
   let sb = sector_bytes t in
   let off = ref 0 in
   List.iter
     (fun r ->
+      let uid = h.File_record.uid in
       let labels =
         List.init r.Run_table.len (fun k ->
-            { Label.uid = h.Header.uid; page = (!off / sb) + k; kind = Label.Data })
+            { Label.uid; page = (!off / sb) + k; kind = Label.Data })
       in
       let d = Device.verified_read_run t.device ~sector:r.Run_table.start ~expect:labels in
       Bytes.blit d 0 buf !off (r.Run_table.len * sb);
       off := !off + (r.Run_table.len * sb))
-    (Run_table.runs h.Header.runs)
+    (Run_table.runs h.File_record.runs)
 
 let read_all t ~name =
   Trace.span (Device.trace t.device) t.clock ~op:"read_all" ~name @@ fun () ->
   require_live t;
   let _, _, h, _ = open_header t name in
   let sb = sector_bytes t in
-  let pages = Run_table.pages h.Header.runs in
-  Option.iter corrupt (size_mismatch t name h);
+  let pages = Run_table.pages h.File_record.runs in
+  Option.iter corrupt
+    (Run_table.size_mismatch h.File_record.runs ~sector_bytes:sb ~key:name
+       ~byte_size:h.File_record.byte_size);
   let buf = Bytes.create (pages * sb) in
   (try read_runs t h buf with
   | Device.Error { sector; kind = Device.Damaged } ->
@@ -649,16 +576,16 @@ let read_all t ~name =
     corrupt (Printf.sprintf "stale run table for %s at sector %d" name sector));
   op_cpu t;
   cpu t (pages * t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us);
-  Bytes.sub buf 0 h.Header.byte_size
+  Bytes.sub buf 0 h.File_record.byte_size
 
 let read_page t ~name ~page =
   Trace.span (Device.trace t.device) t.clock ~op:"read_page" ~name @@ fun () ->
   require_live t;
   let _, _, h, _ = open_header t name in
-  if page < 0 || page >= Run_table.pages h.Header.runs then
+  if page < 0 || page >= Run_table.pages h.File_record.runs then
     Fs_error.raise_ (Fs_error.Bad_page { name; page });
-  let sector = Run_table.sector_of_page h.Header.runs page in
-  let expect = { Label.uid = h.Header.uid; page; kind = Label.Data } in
+  let sector = Run_table.sector_of_page h.File_record.runs page in
+  let expect = { Label.uid = h.File_record.uid; page; kind = Label.Data } in
   op_cpu t;
   match Device.verified_read t.device sector ~expect with
   | b -> b
@@ -670,19 +597,11 @@ let read_page t ~name ~page =
 let delete t ~name =
   Trace.span (Device.trace t.device) t.clock ~op:"delete" ~name @@ fun () ->
   require_live t;
-  let _, version, raw = newest_exn t name in
+  let key, version, raw = newest_exn t name in
   let pages =
-    match Nt_value.decode raw with
-    | Nt_value.Symlink _ -> 0
-    | Nt_value.File { uid; header_sector; _ } -> (
-      match Hashtbl.find_opt t.opened (Fname.key ~name ~version) with
-      | Some (h, _) -> Run_table.pages h.Header.runs
-      | None -> (
-        match read_header t ~uid ~sector:header_sector with
-        | h ->
-          Hashtbl.replace t.opened (Fname.key ~name ~version) (h, header_sector);
-          Run_table.pages h.Header.runs
-        | exception Fs_error.Fs_error _ -> 0))
+    match cached_header t key raw with
+    | h, _ -> Run_table.pages h.File_record.runs
+    | exception Fs_error.Fs_error _ -> 0
   in
   delete_version_unchecked t name version;
   op_cpu t;
@@ -695,37 +614,13 @@ let list t ~prefix =
      as the byte count require reading each header (Table 3's 146 I/Os
      for 100 files). *)
   let acc = ref [] in
-  let current : (string * int * string) option ref = ref None in
-  let flush () =
-    match !current with
-    | Some (n, ver, v) -> (
-      match Nt_value.decode v with
-      | Nt_value.Symlink _ ->
-        acc := { Fs_ops.name = n; version = ver; byte_size = 0; uid = 0L } :: !acc
-      | Nt_value.File { uid; header_sector; _ } ->
-        let key = Fname.key ~name:n ~version:ver in
-        let h =
-          match Hashtbl.find_opt t.opened key with
-          | Some (h, _) -> h
-          | None ->
-            let h = read_header t ~uid ~sector:header_sector in
-            Hashtbl.replace t.opened key (h, header_sector);
-            h
-        in
-        acc := info_of n ver h :: !acc)
-    | None -> ()
-  in
   wrap_tree (fun () ->
-      B.iter_range ~lo:prefix ?hi:(Fname.prefix_bound prefix) t.tree (fun k v ->
-          cpu t (t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us / 2);
-          match Fname.parse k with
-          | None -> ()
-          | Some (n, ver) ->
-            (match !current with
-            | Some (cn, _, _) when not (String.equal cn n) -> flush ()
-            | Some _ | None -> ());
-            current := Some (n, ver, v)));
-  flush ();
+      Nt.iter_newest t.tree ~prefix
+        ~on_key:(fun () ->
+          cpu t (t.layout.Cfs_layout.params.Cfs_layout.cpu_page_us / 2))
+        (fun n ver v ->
+          let h, _ = cached_header t (Fname.key ~name:n ~version:ver) v in
+          acc := info_of n ver h :: !acc));
   op_cpu t;
   List.rev !acc
 
@@ -826,12 +721,13 @@ let scavenge device =
       | h ->
         wrap_tree (fun () ->
             B.insert t.tree
-              ~key:(Fname.key ~name:h.Header.name ~version:h.Header.version)
+              ~key:(Fname.key ~name:h.File_record.name ~version:h.File_record.version)
               ~value:
-                (Nt_value.encode_file ~uid:h.Header.uid ~keep:h.Header.keep
+                (Nt_value.encode ~uid:h.File_record.uid ~keep:h.File_record.keep
                    ~header_sector:sector));
-        if Int64.compare h.Header.uid !max_uid > 0 then max_uid := h.Header.uid;
-        Hashtbl.remove orphan_uids h.Header.uid;
+        if Int64.compare h.File_record.uid !max_uid > 0 then
+          max_uid := h.File_record.uid;
+        Hashtbl.remove orphan_uids h.File_record.uid;
         incr recovered)
     (List.rev !headers);
   (* Uids with surviving header or data labels but no readable header:
@@ -858,23 +754,37 @@ let check t =
   | Error m -> Error ("name table: " ^ m)
   | Ok () -> (
     let bad = ref [] in
+    (* No sector may belong to two files: a header pair or a data page
+       claimed twice is a run table gone stale. *)
+    let claimed = Hashtbl.create 256 in
+    let claim k s =
+      if Hashtbl.mem claimed s then
+        bad := Printf.sprintf "%s: sector %d claimed twice" k s :: !bad
+      else Hashtbl.replace claimed s ()
+    in
     (try
        wrap_tree (fun () ->
            B.iter t.tree (fun k v ->
-               match Nt_value.decode v with
-               | Nt_value.Symlink _ -> ()
-               | Nt_value.File { uid; header_sector; _ } -> (
+               let { Nt_value.uid; header_sector; _ } = Nt_value.decode v in
                match read_header t ~uid ~sector:header_sector with
                | exception Fs_error.Fs_error e ->
                  bad := (k ^ ": " ^ Fs_error.to_string e) :: !bad
                | h ->
-                 if h.Header.uid <> uid then bad := (k ^ ": header uid mismatch") :: !bad;
-                 Option.iter (fun m -> bad := m :: !bad) (size_mismatch t k h);
+                 if h.File_record.uid <> uid then
+                   bad := (k ^ ": header uid mismatch") :: !bad;
+                 claim k header_sector;
+                 claim k (header_sector + 1);
+                 Run_table.iter_sectors h.File_record.runs (claim k);
+                 Option.iter
+                   (fun m -> bad := m :: !bad)
+                   (Run_table.size_mismatch h.File_record.runs
+                      ~sector_bytes:(sector_bytes t) ~key:k
+                      ~byte_size:h.File_record.byte_size);
                  (match Fname.parse k with
                  | Some (n, ver) ->
-                   if h.Header.name <> n || h.Header.version <> ver then
+                   if h.File_record.name <> n || h.File_record.version <> ver then
                      bad := (k ^ ": header name mismatch") :: !bad
-                 | None -> bad := (k ^ ": unparseable key") :: !bad))))
+                 | None -> bad := (k ^ ": unparseable key") :: !bad)))
      with Fs_error.Fs_error e -> bad := Fs_error.to_string e :: !bad);
     match !bad with [] -> Ok () | problems -> Error (String.concat "; " problems))
 

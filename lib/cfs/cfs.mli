@@ -48,13 +48,9 @@ val list : t -> prefix:string -> Cedar_fsbase.Fs_ops.info list
 
 val versions : t -> name:string -> int list
 
-(** {1 Remote-file entries (Table 1's other kinds)} *)
+(** {1 Cached copies of remote files (§4)}
 
-val create_symlink : t -> name:string -> target:string -> unit
-(** Symbolic links live only in the name table — the scavenger cannot
-    recover them (nothing on disk carries their labels). *)
-
-val readlink : t -> name:string -> string option
+    §4's symbolic links are not reproduced. *)
 
 val import_cached :
   t -> name:string -> server:string -> bytes -> Cedar_fsbase.Fs_ops.info
@@ -77,4 +73,4 @@ val free_sector_hints : t -> int
 val check : t -> (unit, string) result
 (** Cross-checks the name table against headers and labels, and names
     each file whose header's byte size does not fill exactly its data
-    pages. *)
+    pages, and each sector (header or data) that two files claim. *)

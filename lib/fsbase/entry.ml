@@ -1,9 +1,6 @@
 open Cedar_util
 
-type kind =
-  | Local
-  | Symlink of { target : string }
-  | Cached of { server : string; mutable last_used : int }
+type kind = Local | Cached of { server : string; last_used : int }
 
 type t = {
   uid : int64;
@@ -18,6 +15,7 @@ type t = {
 let local ~uid ~keep ~byte_size ~created ~runs ~anchor =
   { uid; keep; byte_size; created; runs; anchor; kind = Local }
 
+(* Kind tags are pinned on disk: 0 local, 2 cached; 1 is unused. *)
 let encode t =
   let w = Bytebuf.Writer.create ~initial:64 () in
   Bytebuf.Writer.u64 w t.uid;
@@ -28,9 +26,6 @@ let encode t =
   Run_table.encode w t.runs;
   (match t.kind with
   | Local -> Bytebuf.Writer.u8 w 0
-  | Symlink { target } ->
-    Bytebuf.Writer.u8 w 1;
-    Bytebuf.Writer.string w target
   | Cached { server; last_used } ->
     Bytebuf.Writer.u8 w 2;
     Bytebuf.Writer.string w server;
@@ -44,11 +39,11 @@ let decode s =
   let byte_size = Bytebuf.Reader.i64 r in
   let created = Bytebuf.Reader.i64 r in
   let anchor = Bytebuf.Reader.u32 r - 1 in
+  if anchor < 0 then raise (Bytebuf.Decode_error "entry has no leader");
   let runs = Run_table.decode r in
   let kind =
     match Bytebuf.Reader.u8 r with
     | 0 -> Local
-    | 1 -> Symlink { target = Bytebuf.Reader.string r }
     | 2 ->
       let server = Bytebuf.Reader.string r in
       let last_used = Bytebuf.Reader.i64 r in
@@ -61,10 +56,4 @@ let equal a b =
   a.uid = b.uid && a.keep = b.keep && a.byte_size = b.byte_size
   && a.created = b.created && a.anchor = b.anchor
   && Run_table.equal a.runs b.runs
-  &&
-  match (a.kind, b.kind) with
-  | Local, Local -> true
-  | Symlink { target = t1 }, Symlink { target = t2 } -> t1 = t2
-  | Cached { server = s1; last_used = l1 }, Cached { server = s2; last_used = l2 } ->
-    s1 = s2 && l1 = l2
-  | (Local | Symlink _ | Cached _), _ -> false
+  && a.kind = b.kind

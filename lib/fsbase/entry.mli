@@ -2,16 +2,15 @@
 
     The paper's Table 1: in FSD the name table holds everything — text
     name (the key), version (in the key), keep, uid, run table, byte size,
-    and create time. Three kinds of entries exist (§4): local files,
-    symbolic links to remote files, and cached copies of remote files. In
-    CFS the same record type is split: the FNT entry holds only
-    [uid]/[keep] plus the header address, and the run table and properties
-    live in the file header. *)
+    and create time. Two kinds of files exist (§4): local files and cached
+    copies of remote files; §4's symbolic links are not reproduced. Each
+    entry's leader page keeps a checked copy of it ({!File_record}). CFS
+    stores a value of its own in its name table — uid, keep and the header
+    address — and keeps the rest in the file header. *)
 
 type kind =
   | Local
-  | Symlink of { target : string }
-  | Cached of { server : string; mutable last_used : int }
+  | Cached of { server : string; last_used : int }
       (** [last_used] is the property whose lazy update motivates group
           commit (§5.4). *)
 
@@ -22,10 +21,8 @@ type t = {
   created : int;  (** virtual time, microseconds *)
   runs : Run_table.t;  (** data pages only *)
   anchor : int;
-      (** CFS: the "header page 0 disk address" of Table 1. FSD: the
-          leader-page sector, which by construction physically precedes
-          the first data page. [-1] when the entry has no disk pages
-          (symlinks). *)
+      (** the leader-page sector, which by construction physically
+          precedes the first data page *)
   kind : kind;
 }
 
@@ -40,6 +37,7 @@ val local :
 
 val encode : t -> string
 val decode : string -> t
-(** Raises [Bytebuf.Decode_error] on malformed input. *)
+(** Raises [Bytebuf.Decode_error] on malformed input, and on an entry
+    without a leader sector. *)
 
 val equal : t -> t -> bool

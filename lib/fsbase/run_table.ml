@@ -49,6 +49,13 @@ let pages t = t.pages
 let holds t ~sector_bytes ~byte_size =
   byte_size >= 0 && t.pages = (max 0 (byte_size - 1) / sector_bytes) + 1
 
+let size_mismatch t ~sector_bytes ~key ~byte_size =
+  if holds t ~sector_bytes ~byte_size then None
+  else
+    Some
+      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" key byte_size
+         t.pages)
+
 let append t r =
   of_runs (t.runs @ [ r ])
 

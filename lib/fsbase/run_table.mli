@@ -21,6 +21,12 @@ val holds : t -> sector_bytes:int -> byte_size:int -> bool
     empty file keeps one page). Both file systems check an entry's size
     against its run table before reading it. *)
 
+val size_mismatch :
+  t -> sector_bytes:int -> key:string -> byte_size:int -> string option
+(** [None] when {!holds}, else the fault both file systems name for the
+    file [key]: its byte size does not fill exactly its data pages, so a
+    read would run past them or silently truncate. *)
+
 val append : t -> run -> t
 (** Extends the file; coalesces with the final run when contiguous. *)
 

@@ -3,6 +3,7 @@ open Cedar_disk
 open Cedar_fsbase
 
 module B = Cedar_btree.Btree.Make (Fnt_store)
+module Nt = Name_table.Make (B)
 module Trace = Cedar_obs.Trace
 module Metrics = Cedar_obs.Metrics
 module Monitor = Cedar_obs.Monitor
@@ -119,16 +120,6 @@ let emit t ev =
   if Trace.enabled tr then Trace.emit tr ~at:(now t) ev
 
 let corrupt msg = Fs_error.raise_ (Fs_error.Corrupt_metadata msg)
-
-(* The fault of an entry whose byte size does not fill exactly its data
-   pages, which a read would run past or silently truncate. *)
-let size_mismatch t key (e : Entry.t) =
-  let byte_size = e.Entry.byte_size in
-  if Run_table.holds e.Entry.runs ~sector_bytes:(sector_bytes t) ~byte_size then None
-  else
-    Some
-      (Printf.sprintf "%s: byte size %d does not fit its %d data pages" key byte_size
-         (Run_table.pages e.Entry.runs))
 
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
@@ -314,32 +305,15 @@ let maybe_commit t =
 (* ------------------------------------------------------------------ *)
 (* Name-table access                                                   *)
 
-let validate_name name =
-  match Fname.validate name with
-  | Ok () -> ()
-  | Error reason -> Fs_error.raise_ (Fs_error.Bad_name { name; reason })
-
 let decode_entry name v =
   match Entry.decode v with
   | e -> e
   | exception Bytebuf.Decode_error m ->
     corrupt (Printf.sprintf "entry for %s does not decode: %s" name m)
 
-let newest t name =
-  validate_name name;
-  let _, hi = Fname.bounds ~name in
-  match B.find_last_below t.tree hi with
-  | None -> None
-  | Some (k, v) -> (
-    match Fname.parse k with
-    | Some (n, version) when String.equal n name ->
-      Some (k, version, decode_entry name v)
-    | Some _ | None -> None)
-
 let newest_exn t name =
-  match newest t name with
-  | Some x -> x
-  | None -> Fs_error.raise_ (Fs_error.No_such_file name)
+  let key, version, v = Nt.newest_exn t.tree name in
+  (key, version, decode_entry name v)
 
 let info_of name version (e : Entry.t) =
   { Fs_ops.name; version; byte_size = e.Entry.byte_size; uid = e.Entry.uid }
@@ -358,29 +332,28 @@ let insert_entry t ~key (e : Entry.t) =
 (* Leader handling                                                     *)
 
 let leader_image_of_entry t ~name ~version (e : Entry.t) =
-  Leader.encode (Leader.of_entry ~name ~version e) ~sector_bytes:(sector_bytes t)
+  File_record.encode Leader.format (Leader.of_entry ~name ~version e)
+    ~sector_bytes:(sector_bytes t)
 
 (* After an entry changes in place (a cached file's last-used time) the
    leader must be refreshed (it mirrors the whole entry for the
    scavenger); it is logged at the next commit and home-written lazily
    (never a synchronous I/O). *)
 let refresh_leader t ~name ~version (e : Entry.t) =
-  if e.Entry.anchor >= 0 then begin
-    let image = leader_image_of_entry t ~name ~version e in
-    match Hashtbl.find_opt t.pending_leaders e.Entry.anchor with
-    | Some pl ->
-      pl.image <- image;
-      Dirty.modify pl.dirty
-    | None ->
-      Hashtbl.add t.pending_leaders e.Entry.anchor { image; dirty = Dirty.create () }
-  end
+  let image = leader_image_of_entry t ~name ~version e in
+  match Hashtbl.find_opt t.pending_leaders e.Entry.anchor with
+  | Some pl ->
+    pl.image <- image;
+    Dirty.modify pl.dirty
+  | None ->
+    Hashtbl.add t.pending_leaders e.Entry.anchor { image; dirty = Dirty.create () }
 
 (* The pending image, else the home copy; raises [Device.Error] when
    the home sector cannot be read. *)
 let read_leader t (e : Entry.t) =
   match Hashtbl.find_opt t.pending_leaders e.Entry.anchor with
-  | Some pl -> Leader.decode pl.image
-  | None -> Leader.decode (Device.read t.device e.Entry.anchor)
+  | Some pl -> File_record.decode Leader.format pl.image
+  | None -> File_record.decode Leader.format (Device.read t.device e.Entry.anchor)
 
 let check_leader t name version (e : Entry.t) leader =
   match leader with
@@ -389,8 +362,7 @@ let check_leader t name version (e : Entry.t) leader =
   | Some _ | None ->
     corrupt (Printf.sprintf "leader/name-table mismatch for %s (uid %Ld)" name e.Entry.uid)
 
-let leader_verified t (e : Entry.t) =
-  e.Entry.anchor < 0 || Hashtbl.mem t.verified e.Entry.uid
+let leader_verified t (e : Entry.t) = Hashtbl.mem t.verified e.Entry.uid
 
 (* A leader that is unreadable, fails its checksum or no longer
    corroborates the entry is rewritten from the name table: the entry is
@@ -434,7 +406,8 @@ let read_pages t name version (e : Entry.t) ~first ~count =
             | combined ->
               Metrics.inc t.meters.m_leader_piggybacks;
               emit t (Trace.Leader_piggyback { sector = e.Entry.anchor });
-              check_leader t name version e (Leader.decode (Bytes.sub combined 0 sb));
+              check_leader t name version e
+                (File_record.decode Leader.format (Bytes.sub combined 0 sb));
               [ Bytes.sub combined sb (len * sb) ]
             | exception Device.Error { sector = bad; _ } when bad = e.Entry.anchor ->
               leader_lost := true;
@@ -483,17 +456,7 @@ let split_leader_runs runs =
     in
     (leader, data)
 
-(* The versions of [name], newest first, each with its key and raw
-   entry: one range scan, which gives a create both its version number
-   and the versions its keep count prunes. *)
-let stored_versions t ~name =
-  let lo, hi = Fname.bounds ~name in
-  B.fold_range ~lo ~hi t.tree ~init:[] ~f:(fun acc k v ->
-      match Fname.parse k with Some (_, version) -> (version, k, v) :: acc | None -> acc)
-
-let versions t ~name = List.rev_map (fun (v, _, _) -> v) (stored_versions t ~name)
-
-let next_version = function (v, _, _) :: _ -> v + 1 | [] -> 1
+let versions t ~name = List.rev_map (fun (v, _, _) -> v) (Nt.versions t.tree ~name)
 
 (* Drop the version stored under [key]; its leader and data sectors
    return to the VAM at the next commit. *)
@@ -501,16 +464,14 @@ let delete_version t ~key (e : Entry.t) =
   t.mutation_seq <- t.mutation_seq + 1;
   emit t (Trace.Mutation { seq = t.mutation_seq });
   ignore (B.delete t.tree key : bool);
-  if e.Entry.anchor >= 0 then begin
-    Alloc.free_on_commit t.alloc
-      ({ Run_table.start = e.Entry.anchor; len = 1 } :: Run_table.runs e.Entry.runs);
-    Hashtbl.remove t.pending_leaders e.Entry.anchor
-  end;
+  Alloc.free_on_commit t.alloc
+    ({ Run_table.start = e.Entry.anchor; len = 1 } :: Run_table.runs e.Entry.runs);
+  Hashtbl.remove t.pending_leaders e.Entry.anchor;
   Hashtbl.remove t.verified e.Entry.uid
 
 (* After [version] of [name] is inserted, keep only the newest [keep]:
    drop, oldest first, each of the [older] versions (newest first, as
-   [stored_versions] found them before the insert) at or below
+   the version scan found them before the insert) at or below
    [version - keep]. *)
 let enforce_keep t ~name ~version ~keep older =
   if keep > 0 then
@@ -521,7 +482,7 @@ let enforce_keep t ~name ~version ~keep older =
 
 let create_common t ~name ~keep ~kind data =
   require_live t;
-  validate_name name;
+  Name_table.validate_name name;
   let sb = sector_bytes t in
   let byte_size = Bytes.length data in
   let data_pages = max 1 ((byte_size + sb - 1) / sb) in
@@ -534,8 +495,10 @@ let create_common t ~name ~keep ~kind data =
   in
   let anchor, data_runs = split_leader_runs runs in
   let uid = Fnt_store.fresh_uid t.store in
-  let older = stored_versions t ~name in
-  let version = next_version older in
+  (* One range scan gives the create both its version number and the
+     versions its keep count prunes. *)
+  let older = Nt.versions t.tree ~name in
+  let version = match older with (v, _, _) :: _ -> v + 1 | [] -> 1 in
   let entry =
     {
       Entry.uid;
@@ -594,28 +557,6 @@ let import_cached t ~name ~server data =
         ~kind:(Entry.Cached { server; last_used = now t })
         data)
 
-let create_symlink t ~name ~target =
-  Trace.span (trace t) t.clock ~op:"symlink" ~name @@ fun () ->
-  require_live t;
-  validate_name name;
-  let uid = Fnt_store.fresh_uid t.store in
-  let older = stored_versions t ~name in
-  let version = next_version older in
-  let entry =
-    {
-      Entry.uid;
-      keep = t.params.Params.default_keep;
-      byte_size = 0;
-      created = now t;
-      runs = Run_table.empty;
-      anchor = -1;
-      kind = Entry.Symlink { target };
-    }
-  in
-  insert_entry t ~key:(Fname.key ~name ~version) entry;
-  enforce_keep t ~name ~version ~keep:entry.Entry.keep older;
-  op_done t ()
-
 let open_stat t ~name =
   Trace.span (trace t) t.clock ~op:"open" ~name @@ fun () ->
   require_live t;
@@ -626,34 +567,21 @@ let open_stat t ~name =
 let exists t ~name =
   Trace.span (trace t) t.clock ~op:"exists" ~name @@ fun () ->
   require_live t;
-  let r = newest t name <> None in
+  let r = Nt.newest t.tree name <> None in
   op_done t ();
   r
 
-let readlink t ~name =
-  Trace.span (trace t) t.clock ~op:"readlink" ~name @@ fun () ->
-  require_live t;
-  let _, _, e = newest_exn t name in
-  op_done t ();
-  match e.Entry.kind with Entry.Symlink { target } -> Some target | _ -> None
-
-let rec read_all_depth t ~name ~depth =
+let read_all t ~name =
+  Trace.span (trace t) t.clock ~op:"read_all" ~name @@ fun () ->
   require_live t;
   let _, version, e = newest_exn t name in
-  match e.Entry.kind with
-  | Entry.Symlink { target } ->
-    if depth >= 8 then corrupt ("symlink chain too deep at " ^ name)
-    else read_all_depth t ~name:target ~depth:(depth + 1)
-  | Entry.Local | Entry.Cached _ ->
-    let npages = Run_table.pages e.Entry.runs in
-    Option.iter corrupt (size_mismatch t name e);
-    let bytes = read_pages t name version e ~first:0 ~count:npages in
-    op_done t ~pages:npages ();
-    Bytes.sub bytes 0 e.Entry.byte_size
-
-let read_all t ~name =
-  Trace.span (trace t) t.clock ~op:"read_all" ~name (fun () ->
-      read_all_depth t ~name ~depth:0)
+  let npages = Run_table.pages e.Entry.runs in
+  Option.iter corrupt
+    (Run_table.size_mismatch e.Entry.runs ~sector_bytes:(sector_bytes t) ~key:name
+       ~byte_size:e.Entry.byte_size);
+  let bytes = read_pages t name version e ~first:0 ~count:npages in
+  op_done t ~pages:npages ();
+  Bytes.sub bytes 0 e.Entry.byte_size
 
 let read_page t ~name ~page =
   Trace.span (trace t) t.clock ~op:"read_page" ~name @@ fun () ->
@@ -688,8 +616,7 @@ let touch_cached t ~name =
   | Entry.Cached { server; _ } ->
     update_entry t ~key
       { e with Entry.kind = Entry.Cached { server; last_used = now t } }
-  | Entry.Local | Entry.Symlink _ ->
-    corrupt (name ^ " is not a cached remote file"));
+  | Entry.Local -> corrupt (name ^ " is not a cached remote file"));
   op_done t ()
 
 let last_used t ~name =
@@ -699,29 +626,15 @@ let last_used t ~name =
   op_done t ();
   match e.Entry.kind with
   | Entry.Cached { last_used; _ } -> Some last_used
-  | Entry.Local | Entry.Symlink _ -> None
+  | Entry.Local -> None
 
 let list t ~prefix =
   Trace.span (trace t) t.clock ~op:"list" ~name:prefix @@ fun () ->
   require_live t;
-  let acc = ref [] in
-  let current : (string * int * Entry.t) option ref = ref None in
-  let entries = ref 0 in
-  let flush () =
-    match !current with
-    | Some (n, v, e) -> acc := info_of n v e :: !acc
-    | None -> ()
-  in
-  B.iter_range ~lo:prefix ?hi:(Fname.prefix_bound prefix) t.tree (fun k v ->
-      incr entries;
-      match Fname.parse k with
-      | None -> ()
-      | Some (n, ver) ->
-        (match !current with
-        | Some (cn, _, _) when not (String.equal cn n) -> flush ()
-        | Some _ | None -> ());
-        current := Some (n, ver, decode_entry n v));
-  flush ();
+  let acc = ref [] and entries = ref 0 in
+  Nt.iter_newest t.tree ~prefix
+    ~on_key:(fun () -> incr entries)
+    (fun n ver v -> acc := info_of n ver (decode_entry n v) :: !acc);
   cpu t (!entries * Params.cpu_page_us);
   op_done t ();
   List.rev !acc
@@ -771,14 +684,11 @@ let scrub_leaders t =
          | None -> ()
          | Some (name, version) ->
            let e = decode_entry name v in
-           if
-             e.Entry.anchor >= 0
-             && not (Hashtbl.mem t.pending_leaders e.Entry.anchor)
-           then begin
+           if not (Hashtbl.mem t.pending_leaders e.Entry.anchor) then begin
              let ok =
                match Device.read t.device e.Entry.anchor with
                | b -> (
-                 match Leader.decode b with
+                 match File_record.decode Leader.format b with
                  | Some l -> Leader.matches l ~name ~version e
                  | None -> false)
                | exception Device.Error _ -> false
@@ -1078,8 +988,10 @@ let boot ?params device =
     List.iter
       (fun (sector, image, _) ->
         let ok =
-          match (Leader.decode image, Hashtbl.find anchors sector) with
-          | Some l, Some uid -> Int64.equal l.Leader.uid uid
+          match
+            (File_record.decode Leader.format image, Hashtbl.find anchors sector)
+          with
+          | Some l, Some uid -> Int64.equal l.File_record.uid uid
           | _, _ -> false
         in
         if ok then Device.write device sector image else incr skipped_leaders)
@@ -1199,20 +1111,22 @@ let check t =
     B.iter t.tree (fun k v ->
         match Entry.decode v with
         | exception Bytebuf.Decode_error m -> bad := (k ^ ": " ^ m) :: !bad
-        | e ->
-          if e.Entry.anchor >= 0 then begin
-            claim k e.Entry.anchor;
-            Run_table.iter_sectors e.Entry.runs (claim k);
-            Option.iter (fun m -> bad := m :: !bad) (size_mismatch t k e);
-            let name, version =
-              match Fname.parse k with Some (n, v) -> (n, v) | None -> (k, 0)
-            in
-            match read_leader t e with
-            | Some l when Leader.matches l ~name ~version e -> ()
-            | Some _ -> bad := (k ^ ": leader mismatch") :: !bad
-            | None -> bad := (k ^ ": leader unreadable") :: !bad
-            | exception Device.Error _ -> bad := (k ^ ": leader sector damaged") :: !bad
-          end);
+        | e -> (
+          claim k e.Entry.anchor;
+          Run_table.iter_sectors e.Entry.runs (claim k);
+          Option.iter
+            (fun m -> bad := m :: !bad)
+            (Run_table.size_mismatch e.Entry.runs ~sector_bytes:(sector_bytes t) ~key:k
+               ~byte_size:e.Entry.byte_size);
+          let name, version =
+            match Fname.parse k with Some (n, v) -> (n, v) | None -> (k, 0)
+          in
+          match read_leader t e with
+          | Some l when Leader.matches l ~name ~version e -> ()
+          | Some _ -> bad := (k ^ ": leader mismatch") :: !bad
+          | None -> bad := (k ^ ": leader unreadable") :: !bad
+          | exception Device.Error _ ->
+            bad := (k ^ ": leader sector damaged") :: !bad));
     (* VAM/name-table agreement: each data sector is free, claimed,
        freed by a delete awaiting commit, or quarantined by the
        scavenger. One allocated but none of these has leaked. *)

@@ -63,20 +63,18 @@ val create : t -> name:string -> ?keep:int -> bytes -> Cedar_fsbase.Fs_ops.info
 val open_stat : t -> name:string -> Cedar_fsbase.Fs_ops.info
 val exists : t -> name:string -> bool
 val read_all : t -> name:string -> bytes
-(** Follows a chain of symlinks to the file at its end; a chain of more
-    than 8 symlinks raises [Corrupt_metadata], and so does a file whose
-    entry's byte size does not fill exactly its data pages
-    ({!Cedar_fsbase.Run_table.holds}). *)
+(** Raises [Corrupt_metadata] when the entry's byte size does not fill
+    exactly the file's data pages ({!Cedar_fsbase.Run_table.holds}). *)
 
 val read_page : t -> name:string -> page:int -> bytes
 val delete : t -> name:string -> unit
 val list : t -> prefix:string -> Cedar_fsbase.Fs_ops.info list
 val versions : t -> name:string -> int list
 
-(** {1 Remote-file entries (§4: symlinks and cached copies)} *)
+(** {1 Cached copies of remote files (§4)}
 
-val create_symlink : t -> name:string -> target:string -> unit
-val readlink : t -> name:string -> string option
+    §4's other remote-file kind, the symbolic link, is not reproduced. *)
+
 val import_cached :
   t -> name:string -> server:string -> bytes -> Cedar_fsbase.Fs_ops.info
 val touch_cached : t -> name:string -> unit

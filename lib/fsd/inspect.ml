@@ -46,17 +46,16 @@ let name_table_report fs ppf =
        100.0
        *. float_of_int stats.Cedar_btree.Btree.used_bytes
        /. float_of_int (stats.Cedar_btree.Btree.pages * page_payload));
-  let local, links, cached, bytes =
-    Fsd.fold_entries fs ~init:(0, 0, 0, 0)
-      ~f:(fun (l, s, c, b) ~name:_ ~version:_ e ->
+  let local, cached, bytes =
+    Fsd.fold_entries fs ~init:(0, 0, 0)
+      ~f:(fun (l, c, b) ~name:_ ~version:_ e ->
+        let b = b + e.Entry.byte_size in
         match e.Entry.kind with
-        | Entry.Local -> (l + 1, s, c, b + e.Entry.byte_size)
-        | Entry.Symlink _ -> (l, s + 1, c, b)
-        | Entry.Cached _ -> (l, s, c + 1, b + e.Entry.byte_size))
+        | Entry.Local -> (l + 1, c, b)
+        | Entry.Cached _ -> (l, c + 1, b))
   in
-  Format.fprintf ppf
-    "entries: %d local, %d symlinks, %d cached remote; %d bytes of file data@."
-    local links cached bytes
+  Format.fprintf ppf "entries: %d local, %d cached remote; %d bytes of file data@."
+    local cached bytes
 
 let robustness_report fs ppf =
   let count name =

@@ -7,35 +7,27 @@
     piggybacking its read on the file's first data access (§5.7).
 
     The leader records the complete name-table entry — name, version,
-    properties, and the full run table — under a self-checksum, so the
-    offline scavenger ({!Scavenge}) can rebuild a file's entry from its
-    leader alone when both copies of the FNT page holding it are lost. *)
+    properties, and the full run table — as a one-sector
+    {!Cedar_fsbase.File_record}, so the offline scavenger ({!Scavenge})
+    can rebuild a file's entry from its leader alone when both copies of
+    the FNT page holding it are lost. *)
 
-type kind = Local | Cached of { server : string; last_used : int }
+val format : Cedar_fsbase.File_record.format
+(** One sector, magic "LDR2", the kind before the run table. *)
 
-type t = {
-  uid : int64;
-  name : string;
-  version : int;
-  keep : int;
-  byte_size : int;
-  created : int;
-  runs : Cedar_fsbase.Run_table.t;  (** the data runs (leader excluded) *)
-  kind : kind;
-}
+val of_entry :
+  name:string -> version:int -> Cedar_fsbase.Entry.t -> Cedar_fsbase.File_record.t
 
-val of_entry : name:string -> version:int -> Cedar_fsbase.Entry.t -> t
-
-val to_entry : t -> anchor:int -> Cedar_fsbase.Entry.t
+val to_entry : Cedar_fsbase.File_record.t -> anchor:int -> Cedar_fsbase.Entry.t
 (** Rebuild the name-table entry from a leader found at sector [anchor]
     (the scavenger's inverse of {!of_entry}). *)
 
-val encode : t -> sector_bytes:int -> bytes
-
-val decode : bytes -> t option
-(** [None] when the sector does not hold a well-formed leader. *)
-
-val matches : t -> name:string -> version:int -> Cedar_fsbase.Entry.t -> bool
+val matches :
+  Cedar_fsbase.File_record.t ->
+  name:string ->
+  version:int ->
+  Cedar_fsbase.Entry.t ->
+  bool
 (** The §5.8 software check: does this leader corroborate the name-table
     entry under this key? Compares uid, name, version, byte size,
     creation time, and the whole run table. [keep] and the remote-cache

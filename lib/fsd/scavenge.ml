@@ -31,14 +31,14 @@ let pp_report ppf r =
    else may be reused file data — leave it alone; the merge pass decides
    from what is actually on disk. *)
 let apply_logged_leader device sector image =
-  match Leader.decode image with
+  match File_record.decode Leader.format image with
   | None -> ()
   | Some l -> (
     match Device.read device sector with
     | exception Device.Error _ -> Device.write device sector image
     | current -> (
-      match Leader.decode current with
-      | Some cur when Int64.equal cur.Leader.uid l.Leader.uid ->
+      match File_record.decode Leader.format current with
+      | Some cur when Int64.equal cur.File_record.uid l.File_record.uid ->
         Device.write device sector image
       | Some _ | None -> ()))
 
@@ -133,7 +133,7 @@ let run device =
       match Device.read device s with
       | exception Device.Error _ -> ()
       | b -> (
-        match Leader.decode b with
+        match File_record.decode Leader.format b with
         | Some l -> leaders := (s, l) :: !leaders
         | None -> ())
     done
@@ -149,7 +149,9 @@ let run device =
      allocated but referenced by nothing — instead of being handed out.
      A leader that cannot describe a file — a byte size its pages do not
      fill exactly, or a sector outside the data areas — is a conflict
-     too, whose sectors inside the data areas are quarantined. *)
+     too, whose sectors inside the data areas are quarantined. So is an
+     entry that names one sector twice, such as a run over its own
+     leader. *)
   let claimed = Hashtbl.create 1024 in
   let accepted : (string, Entry.t) Hashtbl.t = Hashtbl.create 256 in
   let accepted_uids = Hashtbl.create 256 in
@@ -157,7 +159,10 @@ let run device =
   let conflicts = ref 0 in
   let try_claim e =
     let sectors = entry_sectors e in
-    if List.exists (Hashtbl.mem claimed) sectors then false
+    if
+      List.compare_lengths (List.sort_uniq Int.compare sectors) sectors <> 0
+      || List.exists (Hashtbl.mem claimed) sectors
+    then false
     else begin
       List.iter (fun s -> Hashtbl.replace claimed s ()) sectors;
       true
@@ -170,8 +175,7 @@ let run device =
       | exception Bytebuf.Decode_error _ -> incr conflicts
       | exception Invalid_argument _ -> incr conflicts
       | e ->
-        let ok = e.Entry.anchor < 0 || try_claim e in
-        if ok then begin
+        if try_claim e then begin
           Hashtbl.replace accepted k e;
           Hashtbl.replace accepted_uids e.Entry.uid ();
           kept := (k, e) :: !kept
@@ -181,22 +185,24 @@ let run device =
   let entries_rebuilt = ref 0 in
   let stale_leaders = ref 0 in
   let by_uid_desc =
-    List.sort (fun (_, a) (_, b) -> Int64.compare b.Leader.uid a.Leader.uid) !leaders
+    List.sort
+      (fun (_, a) (_, b) -> Int64.compare b.File_record.uid a.File_record.uid)
+      !leaders
   in
   List.iter
-    (fun (sector, (l : Leader.t)) ->
-      if Hashtbl.mem accepted_uids l.Leader.uid then ()
+    (fun (sector, (l : File_record.t)) ->
+      if Hashtbl.mem accepted_uids l.File_record.uid then ()
       else if tree_complete then
         (* The whole table survived and does not know this uid: the file
            was deleted; the leader is a stale husk. *)
         incr stale_leaders
       else if
-        Fname.validate l.Leader.name <> Ok ()
-        || l.Leader.version < 1
-        || l.Leader.version > 999_999
+        Fname.validate l.File_record.name <> Ok ()
+        || l.File_record.version < 1
+        || l.File_record.version > 999_999
       then incr conflicts
       else begin
-        let key = Fname.key ~name:l.Leader.name ~version:l.Leader.version in
+        let key = Fname.key ~name:l.File_record.name ~version:l.File_record.version in
         let e = Leader.to_entry l ~anchor:sector in
         let describes_a_file =
           Run_table.holds e.Entry.runs ~sector_bytes:geom.Geometry.sector_bytes
@@ -260,7 +266,7 @@ let run device =
   List.iter
     (fun (key, (e : Entry.t)) ->
       match Fname.parse key with
-      | Some (name, version) when e.Entry.anchor >= 0 ->
+      | Some (name, version) ->
         let corroborated =
           match Hashtbl.find_opt swept e.Entry.anchor with
           | Some l -> Leader.matches l ~name ~version e
@@ -268,11 +274,11 @@ let run device =
         in
         if not corroborated then begin
           Device.write device e.Entry.anchor
-            (Leader.encode (Leader.of_entry ~name ~version e)
+            (File_record.encode Leader.format (Leader.of_entry ~name ~version e)
                ~sector_bytes:geom.Geometry.sector_bytes);
           incr leaders_rewritten
         end
-      | Some _ | None -> ())
+      | None -> ())
     (List.rev !kept);
   let vam = Vam.create_all_free layout in
   List.iter (fun (_, e) -> Vam.mark_entry_allocated vam e) sorted;

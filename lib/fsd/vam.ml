@@ -109,7 +109,7 @@ let mark_allocated_for_rebuild t s =
   if Bitmap.get t.free s then Bitmap.clear t.free s
 
 let mark_entry_allocated t (e : Entry.t) =
-  if e.Entry.anchor >= 0 then Bitmap.clear t.free e.Entry.anchor;
+  Bitmap.clear t.free e.Entry.anchor;
   List.iter
     (fun r -> Bitmap.clear_run t.free ~pos:r.Run_table.start ~len:r.Run_table.len)
     (Run_table.runs e.Entry.runs)

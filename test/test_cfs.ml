@@ -200,28 +200,6 @@ let test_vam_is_only_a_hint () =
     (Bytes.equal data (Cfs.read_all fs ~name:"dodger"));
   check bool "check ok" true (Cfs.check fs = Ok ())
 
-let test_symlink () =
-  let _, fs = fresh () in
-  ignore (Cfs.create fs ~name:"target" (content 333 1));
-  Cfs.create_symlink fs ~name:"alias" ~target:"target";
-  check (Alcotest.option Alcotest.string) "readlink" (Some "target")
-    (Cfs.readlink fs ~name:"alias");
-  check bool "read through link" true
-    (Bytes.equal (content 333 1) (Cfs.read_all fs ~name:"alias"))
-
-let test_symlinks_lost_by_scavenge () =
-  (* The scavenger rebuilds the name table from labels and headers;
-     symbolic links leave neither, so they do not survive — a real CFS
-     weakness FSD's logging removes. *)
-  let device, fs = fresh () in
-  ignore (Cfs.create fs ~name:"real" (content 200 2));
-  Cfs.create_symlink fs ~name:"alias" ~target:"real";
-  check bool "alias resolvable before crash" true
-    (Cfs.readlink fs ~name:"alias" = Some "real");
-  let fs2, _ = Cfs.scavenge device in
-  check bool "real file recovered" true (Cfs.exists fs2 ~name:"real");
-  check bool "symlink lost" false (Cfs.exists fs2 ~name:"alias")
-
 let test_cached_touch_costs_header_rewrite () =
   let device, fs = fresh () in
   ignore (Cfs.import_cached fs ~name:"cache/x" ~server:"ivy" (content 500 3));
@@ -242,6 +220,23 @@ let test_cached_survives_scavenge_with_properties () =
   check (Alcotest.option int) "last-used survives (it is in the header)" (Some lu)
     (Cfs.last_used fs2 ~name:"cache/y")
 
+(* The sector of [name]'s header, found by watching a cold open read
+   it, and the header it holds. *)
+let header_of device fs name =
+  Cfs.drop_open_cache fs;
+  let hdr = ref (-1) in
+  Device.set_observer device
+    (Some (fun ~rw ~sector ~count -> if rw = `R && count = 2 && !hdr < 0 then hdr := sector));
+  ignore (Cfs.open_stat fs ~name);
+  Device.set_observer device None;
+  let image = Device.read_run device ~sector:!hdr ~count:Header.sectors in
+  (!hdr, Option.get (File_record.decode Header.format image))
+
+(* Rewrites the header at [sector] with a valid checksum. *)
+let write_header device ~sector h =
+  let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
+  Device.write_run device ~sector (File_record.encode Header.format h ~sector_bytes)
+
 (* A header that claims a byte size its file's pages cannot hold — 5,000
    or 100 bytes for a 1,000-byte file of two pages, written with a valid
    checksum — makes [read_all] raise [Corrupt_metadata], instead of
@@ -252,18 +247,9 @@ let test_size_not_fitting_pages_refused () =
     (fun claim ->
       let device, fs = fresh () in
       ignore (Cfs.create fs ~name:"size/f" (content 1000 1));
-      Cfs.drop_open_cache fs;
-      let hdr = ref (-1) in
-      Device.set_observer device
-        (Some
-           (fun ~rw ~sector ~count -> if rw = `R && count = 2 && !hdr < 0 then hdr := sector));
-      ignore (Cfs.open_stat fs ~name:"size/f");
-      Device.set_observer device None;
-      let sector_bytes = (Device.geometry device).Geometry.sector_bytes in
-      let h = Option.get (Header.decode (Device.read_run device ~sector:!hdr ~count:2)) in
-      check int "two pages" 2 (Run_table.pages h.Header.runs);
-      Device.write_run device ~sector:!hdr
-        (Header.encode { h with Header.byte_size = claim } ~sector_bytes);
+      let sector, h = header_of device fs "size/f" in
+      check int "two pages" 2 (Run_table.pages h.File_record.runs);
+      write_header device ~sector { h with File_record.byte_size = claim };
       Cfs.drop_open_cache fs;
       (match Cfs.read_all fs ~name:"size/f" with
       | b -> Alcotest.failf "%d bytes claimed: read %d bytes" claim (Bytes.length b)
@@ -275,6 +261,28 @@ let test_size_not_fitting_pages_refused () =
           (Printf.sprintf "size/f!000001: byte size %d does not fit its 2 data pages" claim)
           m)
     [ 5000; 100 ]
+
+(* Two headers that claim one data page: dup/g's header rewritten to
+   hold dup/f's run table. [read_all] of dup/g meets dup/f's labels, and
+   [Cfs.check] names the sector claimed twice. *)
+let test_sector_claimed_twice_detected () =
+  let device, fs = fresh () in
+  ignore (Cfs.create fs ~name:"dup/f" (content 300 1));
+  ignore (Cfs.create fs ~name:"dup/g" (content 300 2));
+  let _, f = header_of device fs "dup/f" in
+  let sector, g = header_of device fs "dup/g" in
+  write_header device ~sector { g with File_record.runs = f.File_record.runs };
+  Cfs.drop_open_cache fs;
+  expect_error
+    (function Fs_error.Corrupt_metadata _ -> true | _ -> false)
+    (fun () -> Cfs.read_all fs ~name:"dup/g");
+  match Cfs.check fs with
+  | Ok () -> Alcotest.fail "check passed"
+  | Error m ->
+    check Alcotest.string "check names the sector"
+      (Printf.sprintf "dup/g!000001: sector %d claimed twice"
+         (Run_table.sector_of_page f.File_record.runs 0))
+      m
 
 (* [list] finds every name that starts with the prefix, also one whose
    bytes after the prefix start with four 0xff bytes (a valid name). *)
@@ -295,6 +303,7 @@ let suite =
     ("list reads headers", `Quick, test_list_reads_headers);
     ("list finds names past 0xff bytes", `Quick, test_list_finds_names_past_ff);
     ("size not fitting pages refused", `Quick, test_size_not_fitting_pages_refused);
+    ("sector claimed twice detected", `Quick, test_sector_claimed_twice_detected);
     ("create costs many ios", `Quick, test_create_costs_many_ios);
     ("label mismatch detected", `Quick, test_label_mismatch_detected);
     ("shutdown/reboot", `Quick, test_shutdown_reboot);
@@ -305,8 +314,6 @@ let suite =
     ("header loss loses only that file", `Quick, test_header_loss_loses_only_that_file);
     ("open costs one io cold", `Quick, test_open_costs_one_io_cold);
     ("vam is only a hint", `Quick, test_vam_is_only_a_hint);
-    ("symlink create/read", `Quick, test_symlink);
-    ("symlinks lost by scavenge", `Quick, test_symlinks_lost_by_scavenge);
     ("cached touch costs a header rewrite", `Quick, test_cached_touch_costs_header_rewrite);
     ("cached survives scavenge", `Quick, test_cached_survives_scavenge_with_properties);
   ]

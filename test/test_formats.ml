@@ -84,6 +84,38 @@ let fsd_default = Cedar_fsd.Params.for_geometry geom
 let fsd_extended =
   { fsd_default with Cedar_fsd.Params.log_vam = true; track_tolerant_log = true }
 
+(* Cached copies of remote files, whose entries, leaders and headers
+   carry the cached kind. FSD logs the first touch's leader image in a
+   force, loses the second touch in the crash, and recovery writes the
+   logged image home. *)
+let fsd_cached_image () =
+  let device = Device.create ~clock:(Simclock.create ()) geom in
+  let open Cedar_fsd in
+  Fsd.format device fsd_default;
+  let fs, _ = Fsd.boot device in
+  ignore (Fsd.create fs ~name:"doc/a" (content 700 1) : Fs_ops.info);
+  ignore (Fsd.import_cached fs ~name:"rem/x" ~server:"ivy" (content 1400 2) : Fs_ops.info);
+  Fsd.touch_cached fs ~name:"rem/x";
+  Fsd.force fs;
+  Fsd.touch_cached fs ~name:"rem/x";
+  let fs, _ = Fsd.boot device in
+  ignore (Fsd.import_cached fs ~name:"rem/y" ~server:"ivy" (content 300 3) : Fs_ops.info);
+  Fsd.shutdown fs;
+  device
+
+let cfs_cached_image () =
+  let device = Device.create ~clock:(Simclock.create ()) geom in
+  let open Cedar_cfs in
+  Cfs.format device (Cfs_layout.params_for_geometry geom);
+  (match Cfs.boot device with
+  | `Ok fs ->
+    ignore (Cfs.create fs ~name:"doc/a" (content 700 1) : Fs_ops.info);
+    ignore (Cfs.import_cached fs ~name:"rem/x" ~server:"ivy" (content 1400 2) : Fs_ops.info);
+    Cfs.touch_cached fs ~name:"rem/x";
+    Cfs.shutdown fs
+  | `Needs_scavenge -> Alcotest.fail "fresh CFS volume must boot");
+  device
+
 (* The digests, recorded when the test was written. *)
 let suite =
   [
@@ -97,6 +129,12 @@ let suite =
     ( "cfs image bytes pinned",
       `Quick,
       pin "CFS" "e96d719eee51d776f6476608b204d998" cfs_image );
+    ( "fsd cached-file image bytes pinned",
+      `Quick,
+      pin "FSD cached files" "49881015dfaacfd5d7b1445295906bfd" fsd_cached_image );
+    ( "cfs cached-file image bytes pinned",
+      `Quick,
+      pin "CFS cached files" "456e5d75d6b2e2338750298a06c1bc54" cfs_cached_image );
     ( "ufs image bytes pinned",
       `Quick,
       pin "4.3BSD" "9f44e7fae17d3e97fb040b19f9472555" ufs_image );

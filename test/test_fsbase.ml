@@ -165,20 +165,6 @@ let test_entry_roundtrip_local () =
   let e = sample_local in
   check bool "local roundtrip" true (Entry.equal e (Entry.decode (Entry.encode e)))
 
-let test_entry_roundtrip_symlink () =
-  let e =
-    {
-      Entry.uid = 5L;
-      keep = 0;
-      byte_size = 0;
-      created = 1;
-      runs = Run_table.empty;
-      anchor = -1;
-      kind = Entry.Symlink { target = "remote/thing.mesa" };
-    }
-  in
-  check bool "symlink roundtrip" true (Entry.equal e (Entry.decode (Entry.encode e)))
-
 let test_entry_roundtrip_cached () =
   let e =
     {
@@ -188,10 +174,18 @@ let test_entry_roundtrip_cached () =
   in
   check bool "cached roundtrip" true (Entry.equal e (Entry.decode (Entry.encode e)))
 
+(* Garbage, and an entry without a leader sector (stored anchor 0): every
+   file has a leader. *)
 let test_entry_bad_input () =
-  match Entry.decode "garbage" with
-  | _ -> Alcotest.fail "expected Decode_error"
-  | exception Cedar_util.Bytebuf.Decode_error _ -> ()
+  List.iter
+    (fun (what, s) ->
+      match Entry.decode s with
+      | _ -> Alcotest.failf "%s: expected Decode_error" what
+      | exception Cedar_util.Bytebuf.Decode_error _ -> ())
+    [
+      ("garbage", "garbage");
+      ("no leader", Entry.encode { sample_local with Entry.anchor = -1 });
+    ]
 
 let suite =
   [
@@ -208,7 +202,6 @@ let suite =
     ("fname prefix bound", `Quick, test_fname_prefix_bound);
     ("fname validate", `Quick, test_fname_validate);
     ("entry roundtrip local", `Quick, test_entry_roundtrip_local);
-    ("entry roundtrip symlink", `Quick, test_entry_roundtrip_symlink);
     ("entry roundtrip cached", `Quick, test_entry_roundtrip_cached);
     ("entry bad input", `Quick, test_entry_bad_input);
   ]

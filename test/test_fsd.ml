@@ -118,25 +118,9 @@ let test_list () =
     (names (Fsd.list fs ~prefix:"src/"));
   check int "all files" 3 (List.length (Fsd.list fs ~prefix:""))
 
-let test_symlink () =
-  let _, fs = fresh_fs () in
-  ignore (Fsd.create fs ~name:"real" (content 77 1));
-  Fsd.create_symlink fs ~name:"link" ~target:"real";
-  check (Alcotest.option Alcotest.string) "readlink" (Some "real")
-    (Fsd.readlink fs ~name:"link");
-  check bool "read through link" true
-    (Bytes.equal (content 77 1) (Fsd.read_all fs ~name:"link"));
-  (* Symlink loop detection *)
-  Fsd.create_symlink fs ~name:"loop1" ~target:"loop2";
-  Fsd.create_symlink fs ~name:"loop2" ~target:"loop1";
-  expect_error
-    (function Fs_error.Corrupt_metadata _ -> true | _ -> false)
-    (fun () -> Fsd.read_all fs ~name:"loop1")
-
 let test_inspect_report () =
   let _, fs = fresh_fs () in
   ignore (Fsd.create fs ~name:"ins/a" (content 600 1));
-  Fsd.create_symlink fs ~name:"ins/l" ~target:"ins/a";
   ignore (Fsd.import_cached fs ~name:"ins/c" ~server:"ivy" (content 300 2));
   Fsd.force fs;
   let report = Inspect.volume_report fs in
@@ -145,7 +129,7 @@ let test_inspect_report () =
     let rec go i = i + n <= m && (String.sub report i n = sub || go (i + 1)) in
     go 0
   in
-  check bool "mentions entries" true (has "1 local, 1 symlinks, 1 cached");
+  check bool "mentions entries" true (has "1 local, 1 cached");
   check bool "mentions records" true (has "surviving records");
   check bool "mentions free sectors" true (has "free sectors")
 
@@ -361,7 +345,7 @@ let test_size_not_fitting_pages_refused () =
       B.insert tree ~key ~value:(Entry.encode e);
       ignore (Fnt_store.flush_all_dirty store : int);
       Device.write device e.Entry.anchor
-        (Leader.encode
+        (File_record.encode Leader.format
            (Leader.of_entry ~name:"size/f" ~version:1 e)
            ~sector_bytes:(Device.geometry device).Geometry.sector_bytes);
       let fs2 = boot_fs device in
@@ -536,8 +520,8 @@ let test_leader_homed_at_third_entry () =
         if name = "rem/lead" then e.Entry.anchor else acc)
   in
   let on_disk =
-    match Leader.decode (Device.read device anchor) with
-    | Some { Leader.kind = Leader.Cached { last_used; _ }; _ } -> Some last_used
+    match File_record.decode Leader.format (Device.read device anchor) with
+    | Some { File_record.kind = Entry.Cached { last_used; _ }; _ } -> Some last_used
     | Some _ | None -> None
   in
   check (Alcotest.option int) "leader on disk carries the touch" (Some touched) on_disk;
@@ -591,8 +575,8 @@ let test_diverged_leader_homes_committed_image () =
         if String.equal n name then e.Entry.anchor else acc)
   in
   let on_disk device sector =
-    match Leader.decode (Device.read device sector) with
-    | Some { Leader.kind = Leader.Cached { last_used; _ }; _ } -> Some last_used
+    match File_record.decode Leader.format (Device.read device sector) with
+    | Some { File_record.kind = Entry.Cached { last_used; _ }; _ } -> Some last_used
     | Some _ | None -> None
   in
   let touched_again () =
@@ -713,8 +697,8 @@ let test_boot_rebuild_equals_per_sector () =
           if name = cached 1 then e.Entry.anchor else acc)
     in
     let on_disk =
-      match Leader.decode (Device.read device anchor) with
-      | Some { Leader.kind = Leader.Cached { last_used; _ }; _ } -> Some last_used
+      match File_record.decode Leader.format (Device.read device anchor) with
+      | Some { File_record.kind = Entry.Cached { last_used; _ }; _ } -> Some last_used
       | Some _ | None -> None
     in
     check (Alcotest.option int) "a logged leader went home" touched on_disk;
@@ -904,7 +888,6 @@ let suite =
     ("delete", `Quick, test_delete);
     ("list", `Quick, test_list);
     ("list finds names past 0xff bytes", `Quick, test_list_finds_names_past_ff);
-    ("symlink", `Quick, test_symlink);
     ("cached last-used", `Quick, test_cached_last_used);
     ("inspect report", `Quick, test_inspect_report);
     ("clean shutdown + reboot", `Quick, test_clean_shutdown_reboot);

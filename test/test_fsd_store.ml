@@ -293,9 +293,9 @@ let sample_entry =
 
 let test_leader_roundtrip () =
   let l = Leader.of_entry ~name:"dir/sample" ~version:3 sample_entry in
-  let b = Leader.encode l ~sector_bytes:512 in
+  let b = File_record.encode Leader.format l ~sector_bytes:512 in
   check int "one sector" 512 (Bytes.length b);
-  match Leader.decode b with
+  match File_record.decode Leader.format b with
   | Some l' ->
     check bool "matches entry" true
       (Leader.matches l' ~name:"dir/sample" ~version:3 sample_entry);
@@ -322,14 +322,14 @@ let test_leader_mismatch_detected () =
     (Leader.matches l ~name:"dir/sample" ~version:3 grown)
 
 let test_leader_garbage_rejected () =
-  check bool "zeros" true (Leader.decode (Bytes.make 512 '\000') = None);
+  check bool "zeros" true (File_record.decode Leader.format (Bytes.make 512 '\000') = None);
   let b =
-    Leader.encode
+    File_record.encode Leader.format
       (Leader.of_entry ~name:"dir/sample" ~version:3 sample_entry)
       ~sector_bytes:512
   in
   Bytes.set b 9 'X';
-  check bool "bitflip" true (Leader.decode b = None)
+  check bool "bitflip" true (File_record.decode Leader.format b = None)
 
 (* ------------------------------------------------------------------ *)
 (* Boot page                                                           *)

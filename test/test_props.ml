@@ -236,7 +236,6 @@ let entry_gen =
         let kind =
           match kind_pick with
           | 0 -> Entry.Local
-          | 1 -> Entry.Symlink { target = server }
           | _ -> Entry.Cached { server; last_used = size * 3 }
         in
         {
@@ -245,10 +244,10 @@ let entry_gen =
           byte_size = size;
           created = size * 7;
           runs;
-          anchor = (if kind_pick = 1 then -1 else 9 + uid mod 1000);
+          anchor = 9 + (uid mod 1000);
           kind;
         })
-      (pair (triple nat nat nat) (triple runs_gen (int_bound 2) (string_size (1 -- 12)))))
+      (pair (triple nat nat nat) (triple runs_gen (int_bound 1) (string_size (1 -- 12)))))
 
 let prop_entry_roundtrip =
   QCheck.Test.make ~name:"entry: random entries roundtrip" ~count:300
@@ -270,8 +269,8 @@ let prop_leader_matches_entry =
     (fun e ->
       let open Cedar_fsd in
       let l = Leader.of_entry ~name:"prop/file" ~version:7 e in
-      let b = Leader.encode l ~sector_bytes:512 in
-      match Leader.decode b with
+      let b = File_record.encode Leader.format l ~sector_bytes:512 in
+      match File_record.decode Leader.format b with
       | Some l' -> Leader.matches l' ~name:"prop/file" ~version:7 e
       | None -> false)
 

@@ -156,7 +156,7 @@ let test_conflicting_leaders_newer_uid_wins () =
       ~anchor:s
   in
   Device.write device s
-    (Leader.encode
+    (File_record.encode Leader.format
        (Leader.of_entry ~name:"dup" ~version:1 forged)
        ~sector_bytes:geom.Geometry.sector_bytes);
   Log.format device layout;
@@ -253,11 +253,11 @@ let test_scavenge_heals_damaged_leader () =
   Fsd.shutdown fs2
 
 (* A leader that cannot describe a file, written over size/f's leader
-   before both name-table copies are lost: the scavenger refuses it as a
-   conflict, quarantining its data sectors, rather than rebuilding an
-   entry no read can serve or failing in the allocation map. size/g is
-   the one entry rebuilt, the rebuilt volume passes [Fsd.check], size/f
-   is gone and size/g reads back. *)
+   (at sector [anchor]) before both name-table copies are lost: the
+   scavenger refuses it as a conflict, quarantining its data sectors,
+   rather than rebuilding an entry no read can serve or failing in the
+   allocation map. size/g is the one entry rebuilt, the rebuilt volume
+   passes [Fsd.check], size/f is gone and size/g reads back. *)
 let refused_leader what rewrite =
   let what s = Printf.sprintf "%s: %s" what s in
   let device, fs = fresh () in
@@ -269,9 +269,10 @@ let refused_leader what rewrite =
   in
   Fsd.shutdown fs;
   let layout = Fsd.layout fs in
-  let leader = Option.get (Leader.decode (Device.read device anchor)) in
+  let leader = Option.get (File_record.decode Leader.format (Device.read device anchor)) in
   Device.write device anchor
-    (Leader.encode (rewrite leader) ~sector_bytes:geom.Geometry.sector_bytes);
+    (File_record.encode Leader.format (rewrite ~anchor leader)
+       ~sector_bytes:geom.Geometry.sector_bytes);
   Log.format device layout;
   destroy_fnt device layout;
   let r = Scavenge.run device in
@@ -290,7 +291,7 @@ let test_size_not_fitting_pages_refused () =
     (fun claim ->
       refused_leader
         (Printf.sprintf "%d bytes claimed" claim)
-        (fun l -> { l with Leader.byte_size = claim }))
+        (fun ~anchor:_ l -> { l with File_record.byte_size = claim }))
     [ 5000; 100 ]
 
 (* A run [767,+2) on the 768-sector volume: its last sector does not
@@ -299,8 +300,14 @@ let test_run_off_the_volume_refused () =
   let last = Geometry.total_sectors geom - 1 in
   refused_leader
     (Printf.sprintf "a run [%d,+2)" last)
-    (fun l ->
-      { l with Leader.runs = Run_table.of_runs [ { Run_table.start = last; len = 2 } ] })
+    (fun ~anchor:_ l ->
+      { l with File_record.runs = Run_table.of_runs [ { Run_table.start = last; len = 2 } ] })
+
+(* The run [anchor,+2): two pages that hold the file's 1,000 bytes, the
+   first of them the leader's own sector. *)
+let test_run_over_own_leader_refused () =
+  refused_leader "a run over its own leader" (fun ~anchor l ->
+      { l with File_record.runs = Run_table.of_runs [ { Run_table.start = anchor; len = 2 } ] })
 
 (* ------------------------------------------------------------------ *)
 (* The online scrub demon. *)
@@ -503,6 +510,7 @@ let suite =
     ("a size that does not fit its pages is refused", `Quick,
       test_size_not_fitting_pages_refused);
     ("a leader with a run off the volume is refused", `Quick, test_run_off_the_volume_refused);
+    ("a leader with a run over its own sector is refused", `Quick, test_run_over_own_leader_refused);
     ("scrub repairs FNT copy before any read", `Quick, test_scrub_repairs_fnt_copy_before_read);
     ("scrub rewrites a corrupt leader", `Quick, test_scrub_rewrites_corrupt_leader);
     ("scrub repair: counter + trace event", `Quick, test_scrub_repair_emits_metric_and_trace);
