@@ -195,7 +195,7 @@ recovery-smoke:
 	@echo "recovery-smoke: single-pass replay holds"
 
 # CLI recovery smoke: crash, recover and scavenge on a small image made
-# with both extension flags (VAM logging, track-tolerant log). A file put
+# with the VAM-logging extension flag. A file put
 # before the crashes must read back cmp-equal after recover and after
 # scavenge, and info must end with a passing structural check. recover
 # must replay the VAM from the log both before and after the scavenger
@@ -220,7 +220,7 @@ scavenge-smoke:
 	dune build bin/cedar.exe
 	rm -rf _build/scavenge-smoke && mkdir -p _build/scavenge-smoke
 	./_build/default/bin/cedar.exe mkfs _build/scavenge-smoke/vol.img --geometry small \
-		--log-vam --track-tolerant > /dev/null
+		--log-vam > /dev/null
 	seq 1 700 > _build/scavenge-smoke/file
 	./_build/default/bin/cedar.exe put _build/scavenge-smoke/vol.img doc/file \
 		< _build/scavenge-smoke/file > /dev/null

@@ -129,29 +129,21 @@ let geometry_of = function
   | "small" -> Geometry.small_test
   | g -> fail "unknown geometry %S (t300|small)" g
 
-let cmd_mkfs path fs_kind geom_name log_vam track_tolerant =
+let cmd_mkfs path fs_kind geom_name log_vam =
   let geom = geometry_of geom_name in
   let device = Device.create ~clock:(Simclock.create ()) geom in
   (match fs_kind with
   | "fsd" ->
-    let p =
-      {
-        (Cedar_fsd.Params.for_geometry geom) with
-        Cedar_fsd.Params.log_vam;
-        track_tolerant_log = track_tolerant;
-      }
-    in
-    Cedar_fsd.Fsd.format device p
+    Cedar_fsd.Fsd.format device
+      { (Cedar_fsd.Params.for_geometry geom) with Cedar_fsd.Params.log_vam }
   | "cfs" ->
-    if log_vam || track_tolerant then
-      fail "--log-vam/--track-tolerant are FSD extensions";
+    if log_vam then fail "--log-vam is an FSD extension";
     Cedar_cfs.Cfs.format device (Cedar_cfs.Cfs_layout.params_for_geometry geom)
   | k -> fail "unknown file system %S (fsd|cfs)" k);
   save_device device path;
-  Printf.printf "formatted %s as %s on %s%s%s\n" path fs_kind
+  Printf.printf "formatted %s as %s on %s%s\n" path fs_kind
     (Format.asprintf "%a" Geometry.pp geom)
     (if log_vam then " +vam-logging" else "")
-    (if track_tolerant then " +track-tolerant-log" else "")
 
 let read_stdin () =
   let buf = Buffer.create 4096 in
@@ -699,13 +691,8 @@ let mkfs_cmd =
   let log_vam =
     Arg.(value & flag & info [ "log-vam" ] ~doc:"enable the VAM-logging extension")
   in
-  let track_tolerant =
-    Arg.(
-      value & flag
-      & info [ "track-tolerant" ] ~doc:"log records survive whole-track losses")
-  in
   Cmd.v (Cmd.info "mkfs" ~doc:"create a fresh volume image")
-    Term.(const cmd_mkfs $ img $ fs_kind $ geom $ log_vam $ track_tolerant)
+    Term.(const cmd_mkfs $ img $ fs_kind $ geom $ log_vam)
 
 let put_cmd =
   Cmd.v (Cmd.info "put" ~doc:"store stdin as a new version of NAME")

@@ -7,6 +7,7 @@ type t =
   | Damaged_data of { name : string; sector : int }
   | Bad_page of { name : string; page : int }
   | Not_booted
+  | Unsupported_format of string
 
 exception Fs_error of t
 
@@ -22,5 +23,6 @@ let pp ppf = function
     Format.fprintf ppf "damaged sector %d in %s" sector name
   | Bad_page { name; page } -> Format.fprintf ppf "page %d out of range in %s" page name
   | Not_booted -> Format.fprintf ppf "file system not booted"
+  | Unsupported_format m -> Format.fprintf ppf "unsupported volume format: %s" m
 
 let to_string t = Format.asprintf "%a" pp t

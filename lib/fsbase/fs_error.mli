@@ -11,6 +11,9 @@ type t =
   | Damaged_data of { name : string; sector : int }
   | Bad_page of { name : string; page : int }
   | Not_booted
+  | Unsupported_format of string
+      (** a volume this build recognises but cannot mount: no scavenge
+          can help, and nothing is written to it *)
 
 exception Fs_error of t
 

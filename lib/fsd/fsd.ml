@@ -856,8 +856,9 @@ let format device params =
   Boot_page.write device ~boot_count:0 params
 
 (* Scan the whole name table once: with [vam], mark every entry's
-   sectors allocated; and record anchor-sector -> uid for the anchors
-   [anchors] already holds, the sectors of the logged leader images it
+   sectors allocated, refusing an entry that names a sector outside the
+   data areas; and record anchor-sector -> uid for the anchors [anchors]
+   already holds, the sectors of the logged leader images it
    validates. *)
 let scan_name_table t_tree vam anchors cpu_per_entry clock =
   B.iter t_tree (fun k v ->
@@ -866,7 +867,12 @@ let scan_name_table t_tree vam anchors cpu_per_entry clock =
       | exception Bytebuf.Decode_error m ->
         corrupt (Printf.sprintf "entry %s does not decode during scan: %s" k m)
       | e ->
-        Option.iter (fun vm -> Vam.mark_entry_allocated vm e) vam;
+        (match vam with
+        | Some vm ->
+          if not (Layout.in_data_areas (Vam.layout vm) e) then
+            corrupt (Printf.sprintf "entry %s names a sector outside the data areas" k);
+          Vam.mark_entry_allocated vm e
+        | None -> ());
         if Hashtbl.mem anchors e.Entry.anchor then
           Hashtbl.replace anchors e.Entry.anchor (Some e.Entry.uid))
 
@@ -880,7 +886,7 @@ let boot ?params device =
     | None -> corrupt "both boot pages are unreadable"
   in
   (* Explicit params win, but for the layout and the shard; otherwise the
-     volume's own boot page decides, extension flags included. *)
+     volume's own boot page decides, the VAM-logging flag included. *)
   let p =
     match params with Some p -> Boot_page.adopt bp p | None -> bp.Boot_page.params
   in

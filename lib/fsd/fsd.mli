@@ -42,15 +42,20 @@ val boot : ?params:Params.t -> Cedar_disk.Device.t -> t * boot_report
     page stamps) supplies runtime knobs; the layout and the
     shard are taken from the boot page ({!Boot_page.adopt}). Raises
     [Fs_error Corrupt_metadata] on unrecoverable name-table damage —
-    prefer {!try_boot} when the caller can scavenge. *)
+    prefer {!try_boot} when the caller can scavenge — and
+    [Fs_error Unsupported_format], before writing anything, on a volume
+    in a format this build cannot read ({!Boot_page.read}). *)
 
 val try_boot :
   ?params:Params.t ->
   Cedar_disk.Device.t ->
   [ `Ok of t * boot_report | `Needs_scavenge of string ]
 (** Like {!boot}, but damage the log cannot repair (both copies of an FNT
-    page lost, an undecodable anchor) yields [`Needs_scavenge reason]
-    instead of an exception; run {!Scavenge.run} and boot again. *)
+    page lost, an undecodable anchor, an entry naming a sector outside
+    the data areas when the map is rebuilt) yields
+    [`Needs_scavenge reason] instead of an exception; run
+    {!Scavenge.run} and boot again. [Unsupported_format] still raises:
+    no scavenge can help. *)
 
 val shutdown : t -> unit
 (** Controlled shutdown: force, write everything home, save the VAM. *)

@@ -1,4 +1,5 @@
 open Cedar_disk
+open Cedar_fsbase
 
 type t = {
   geom : Geometry.t;
@@ -69,6 +70,21 @@ let fnt_sector_b t ~page =
 
 let is_data_sector t s =
   (s >= t.small_lo && s < t.small_hi) || (s >= t.big_lo && s < t.big_hi)
+
+(* A run lies in one area: the metadata between them is never a file's. *)
+let rec runs_in_data_areas t = function
+  | [] -> true
+  | { Run_table.start; len } :: rest ->
+    ((start >= t.small_lo && start + len <= t.small_hi)
+    || (start >= t.big_lo && start + len <= t.big_hi))
+    && runs_in_data_areas t rest
+
+let in_data_areas t (e : Entry.t) =
+  is_data_sector t e.anchor && runs_in_data_areas t (Run_table.runs e.runs)
+
+let describes_a_file t (e : Entry.t) =
+  Run_table.holds e.runs ~sector_bytes:t.geom.Geometry.sector_bytes ~byte_size:e.byte_size
+  && in_data_areas t e
 
 let data_sectors t = t.small_hi - t.small_lo + (t.big_hi - t.big_lo)
 

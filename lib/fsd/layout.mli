@@ -46,5 +46,15 @@ val fnt_sector_b : t -> page:int -> int
 val is_data_sector : t -> int -> bool
 (** Whether a sector belongs to one of the two data areas. *)
 
+val in_data_areas : t -> Cedar_fsbase.Entry.t -> bool
+(** Whether every sector of a name-table entry — its leader and each of
+    its runs — is a data sector. Checked a run at a time, allocating
+    nothing: boot's map rebuild asks it of every entry. *)
+
+val describes_a_file : t -> Cedar_fsbase.Entry.t -> bool
+(** {!in_data_areas}, and the byte size fills exactly the entry's pages
+    ({!Cedar_fsbase.Run_table.holds}). The scavenger keeps only entries,
+    salvaged or rebuilt from a leader, that pass it. *)
+
 val data_sectors : t -> int
 val pp : Format.formatter -> t -> unit

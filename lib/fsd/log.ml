@@ -46,26 +46,18 @@ let unit_sectors layout = function
 let data_sectors_of layout units =
   List.fold_left (fun acc u -> acc + unit_sectors layout u.kind) 0 units
 
-let track_tolerant layout = layout.Layout.params.Params.track_tolerant_log
-let spt layout = layout.Layout.geom.Geometry.sectors_per_track
-
-(* Classic layout (§5.3): header, blank, header', data, end, data', end'
-   — copies separated by at least two sectors (survives 1-2 consecutive
-   failures). Track-tolerant layout: primary block (header, data, end)
-   and an identical copy block one full track later — every element's
-   copies are [sectors_per_track] apart, so losing a whole track leaves
-   one of each. *)
+(* The record layout (§5.3): header, blank, header', data, end, data',
+   end' — copies separated by at least two sectors, so any one or two
+   consecutive failures leave one of each. *)
 let record_total_sectors layout units =
-  Params.log_record_sectors layout.Layout.geom
-    ~track_tolerant:(track_tolerant layout) (data_sectors_of layout units)
+  Params.log_record_sectors (data_sectors_of layout units)
 
 let max_data_sectors_hard layout =
   let sb = sector_bytes layout in
   (* End page holds a u32 CRC per data sector after 26 bytes of framing;
      the header holds 7 bytes per unit after 32. Leaders are the worst
      case (one unit per sector). *)
-  let structural = Int.min ((sb - 26 - 4) / 4) ((sb - 32 - 4) / 7) in
-  if track_tolerant layout then Int.min structural (spt layout - 2) else structural
+  Int.min ((sb - 26 - 4) / 4) ((sb - 32 - 4) / 7)
 
 (* ------------------------------------------------------------------ *)
 (* Sector codecs                                                       *)
@@ -80,7 +72,7 @@ let encode_header t units =
   Bytebuf.Writer.u64 w t.next_record_no;
   Bytebuf.Writer.u32 w t.boot_count;
   Bytebuf.Writer.u8 w t.shard;
-  Bytebuf.Writer.u8 w (if track_tolerant t.layout then 1 else 0);
+  Bytebuf.Writer.u8 w 0;
   Bytebuf.Writer.u16 w (List.length units);
   List.iter
     (fun u ->
@@ -95,7 +87,6 @@ type header = {
   h_record_no : int64;
   h_boot_count : int;
   h_shard : int;
-  h_track_tolerant : bool;
   h_units : (unit_kind * int) list; (* kind, sectors *)
   h_data_sectors : int;
 }
@@ -110,7 +101,9 @@ let decode_header layout b =
       let h_record_no = Bytebuf.Reader.u64 r in
       let h_boot_count = Bytebuf.Reader.u32 r in
       let h_shard = Bytebuf.Reader.u8 r in
-      let h_track_tolerant = Bytebuf.Reader.u8 r = 1 in
+      (* The flag byte once selected a second record layout, since
+         retired: a header that sets it is not one of this layout's. *)
+      if Bytebuf.Reader.u8 r <> 0 then raise (Bytebuf.Decode_error "flag byte set");
       let nunits = Bytebuf.Reader.u16 r in
       let h_units =
         List.init nunits (fun _ ->
@@ -131,7 +124,7 @@ let decode_header layout b =
         h_data_sectors <> List.fold_left (fun a (_, n) -> a + n) 0 h_units
         || List.exists (fun (k, n) -> n <> unit_sectors layout k) h_units
       then raise (Bytebuf.Decode_error "unit sizes disagree with the layout");
-      { h_record_no; h_boot_count; h_shard; h_track_tolerant; h_units; h_data_sectors })
+      { h_record_no; h_boot_count; h_shard; h_units; h_data_sectors })
 
 (* The end page lists the CRC-32 of each of the record's [n] data
    sectors, hashed where [append] assembled them: in [buf] from [pos]. *)
@@ -298,14 +291,13 @@ let append t units =
   let first_t = t.write_off / third in
   if t.third_first.(first_t) = None then
     t.third_first.(first_t) <- Some (t.write_off, t.next_record_no);
-  (* Assemble the record in the log's buffer, in the active layout: each
-     unit image is copied once, into the primary data slot, and the
-     copies are blitted from the primary. *)
+  (* Assemble the record in the log's buffer: each unit image is copied
+     once, into the primary data slot, and the copies are blitted from
+     the primary. *)
   let sb = sector_bytes t.layout in
   if Bytes.length t.buf < size * sb then t.buf <- Bytes.create (size * sb);
   let buf = t.buf in
-  let data_at = if track_tolerant t.layout then 1 else 3 in
-  let pos = ref (data_at * sb) in
+  let pos = ref (3 * sb) in
   List.iter
     (fun u ->
       Bytes.blit u.image 0 buf !pos (Bytes.length u.image);
@@ -313,20 +305,12 @@ let append t units =
     units;
   Bytes.blit (encode_header t units) 0 buf 0 sb;
   Bytes.blit
-    (encode_end t.layout ~record_no:t.next_record_no ~n buf ~pos:(data_at * sb))
+    (encode_end t.layout ~record_no:t.next_record_no ~n buf ~pos:(3 * sb))
     0 buf !pos sb;
-  if track_tolerant t.layout then begin
-    (* primary block at 0, identical copy block one track later *)
-    let d = spt t.layout in
-    Bytes.fill buf ((n + 2) * sb) ((d - n - 2) * sb) '\000';
-    Bytes.blit buf 0 buf (d * sb) ((n + 2) * sb)
-  end
-  else begin
-    (* sector 1 stays blank; header' at 2; data' and end' after end *)
-    Bytes.fill buf sb sb '\000';
-    Bytes.blit buf 0 buf (2 * sb) sb;
-    Bytes.blit buf (3 * sb) buf ((4 + n) * sb) ((n + 1) * sb)
-  end;
+  (* sector 1 stays blank; header' at 2; data' and end' after end *)
+  Bytes.fill buf sb sb '\000';
+  Bytes.blit buf 0 buf (2 * sb) sb;
+  Bytes.blit buf (3 * sb) buf ((4 + n) * sb) ((n + 1) * sb);
   Device.write_sectors t.device ~sector:(body_start t.layout + t.write_off) ~count:size buf;
   let tr = Device.trace t.device in
   if Cedar_obs.Trace.enabled tr then
@@ -366,18 +350,14 @@ type recovery = {
 
 (* Read the record at body offset [off] expecting [expected] as its record
    number. Returns each unit's kind and image, and the record's size in
-   sectors, or [None] (chain break / torn). The
-   layout is self-describing: the header carries a flag, and when the
-   primary header is gone the copy is probed at both candidate offsets
-   (+2 classic, +track for the track-tolerant format). Header and end
-   sectors are read into [scratch], one sector the pass owns, and
-   decoded at once. *)
+   sectors, or [None] (chain break / torn). Each element is read from
+   its primary, and from its copy only when the primary fails: a chain
+   end costs the header and its copy. Header and end sectors are read
+   into [scratch], one sector the pass owns, and decoded at once. *)
 let read_record device layout ~shard ~off ~expected ~corrected ~scratch =
   let body = body_start layout in
-  (* not even an empty classic record fits past here *)
-  if off + Params.log_record_sectors layout.Layout.geom ~track_tolerant:false 0
-     > body_sectors layout
-  then None
+  (* not even an empty record fits past here *)
+  if off + Params.log_record_sectors 0 > body_sectors layout then None
   else begin
     let sector i = body + off + i in
     let decoded s decode =
@@ -385,24 +365,16 @@ let read_record device layout ~shard ~off ~expected ~corrected ~scratch =
       | () -> decode scratch
       | exception Device.Error _ -> None
     in
-    let header_at i = decoded (sector i) (decode_header layout) in
-    let header =
-      match header_at 0 with
-      | Some h -> Some h
-      | None -> (
-        (* primary unreadable or garbage: try the copies *)
-        match header_at 2 with
-        | Some h when not h.h_track_tolerant ->
-          incr corrected;
-          Some h
-        | Some _ | None -> (
-          match header_at (spt layout) with
-          | Some h when h.h_track_tolerant ->
-            incr corrected;
-            Some h
-          | Some _ | None -> None))
+    (* [primary] or, when that fails, its copy [copy]. *)
+    let either primary copy decode =
+      match decoded (sector primary) decode with
+      | Some v -> Some v
+      | None ->
+        let v = decoded (sector copy) decode in
+        if Option.is_some v then incr corrected;
+        v
     in
-    match header with
+    match either 0 2 (decode_header layout) with
     | None -> None
     | Some h ->
       (* A record stamped for another volume's shard ends this chain:
@@ -411,30 +383,10 @@ let read_record device layout ~shard ~off ~expected ~corrected ~scratch =
       if h.h_record_no <> expected || h.h_shard <> shard then None
       else begin
         let n = h.h_data_sectors in
-        let size =
-          Params.log_record_sectors layout.Layout.geom
-            ~track_tolerant:h.h_track_tolerant n
-        in
-        (* primary/copy offsets of the end page and data sector i *)
-        let end_primary, end_copy, data_primary, data_copy =
-          if h.h_track_tolerant then
-            let d = spt layout in
-            (1 + n, d + 1 + n, (fun i -> 1 + i), fun i -> d + 1 + i)
-          else (3 + n, 4 + (2 * n), (fun i -> 3 + i), fun i -> 4 + n + i)
-        in
+        let size = Params.log_record_sectors n in
         if off + size > body_sectors layout then None
         else begin
-          let endp =
-            match decoded (sector end_primary) decode_end with
-            | Some e -> Some e
-            | None -> (
-              match decoded (sector end_copy) decode_end with
-              | Some e ->
-                incr corrected;
-                Some e
-              | None -> None)
-          in
-          match endp with
+          match either (3 + n) (4 + (2 * n)) decode_end with
           | None -> None (* torn record: the commit never completed *)
           | Some (end_no, crcs) ->
             if end_no <> h.h_record_no || Array.length crcs <> n then None
@@ -450,8 +402,8 @@ let read_record device layout ~shard ~off ~expected ~corrected ~scratch =
                   | () -> Crc32.bytes ~pos ~len:sb image = crcs.(i)
                   | exception Device.Error _ -> false
                 in
-                try_sector (sector (data_primary i))
-                || (try_sector (sector (data_copy i)) && (incr corrected; true))
+                try_sector (sector (3 + i))
+                || (try_sector (sector (4 + n + i)) && (incr corrected; true))
               in
               let rec units first = function
                 | [] -> Some []

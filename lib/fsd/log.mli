@@ -123,6 +123,8 @@ val recover : ?shard:int -> Cedar_disk.Device.t -> Layout.t -> recovery
     pointer and apply each committed record in log order, stopping at
     the first break; tolerant of 1–2 consecutive damaged sectors
     anywhere (uses the replicas). Every live log sector is read at most
-    once — restart cost is linear in the live log length. A record
-    whose header carries a shard tag other than [shard] (default 0)
-    terminates the chain exactly like a torn record. *)
+    once — restart cost is linear in the live log length — and the
+    chain's end costs two reads, the header slot and its copy. A record
+    whose header carries a shard tag other than [shard] (default 0), or
+    a non-zero flag byte (once the mark of a second, retired record
+    layout), terminates the chain exactly like a torn record. *)

@@ -11,7 +11,6 @@ type t = {
   max_runs_per_file : int;
   default_keep : int;
   log_vam : bool;
-  track_tolerant_log : bool;
   blackbox_every_n_forces : int;
   disk_sched : Device.policy;
   disk_qdepth : int;
@@ -29,8 +28,7 @@ let home_write_fill = 0.5
 let home_writes_per_pass = 4
 let monitor_interval_us = 100_000
 
-let log_record_sectors g ~track_tolerant n =
-  if track_tolerant then g.Geometry.sectors_per_track + n + 2 else (2 * n) + 5
+let log_record_sectors n = (2 * n) + 5
 
 let default =
   {
@@ -44,7 +42,6 @@ let default =
     max_runs_per_file = 40;
     default_keep = 2;
     log_vam = false;
-    track_tolerant_log = false;
     blackbox_every_n_forces = 1;
     disk_sched = Device.Fifo;
     disk_qdepth = 0; (* no request queue; data I/O services at issue *)
@@ -60,11 +57,7 @@ let for_geometry g =
     let fnt_page_sectors = 2 in
     let fnt_pages = max 32 (total / 64 / fnt_page_sectors) in
     let max_record_data_sectors = 16 in
-    let third =
-      max
-        (log_record_sectors g ~track_tolerant:false max_record_data_sectors)
-        (total / 48)
-    in
+    let third = max (log_record_sectors max_record_data_sectors) (total / 48) in
     {
       default with
       fnt_page_sectors;
@@ -79,10 +72,7 @@ let for_geometry g =
 let validate g t =
   let total = Geometry.total_sectors g in
   let third = (t.log_sectors - 3) / 3 in
-  let max_record =
-    log_record_sectors g ~track_tolerant:t.track_tolerant_log
-      t.max_record_data_sectors
-  in
+  let max_record = log_record_sectors t.max_record_data_sectors in
   let fnt_sectors = t.fnt_pages * t.fnt_page_sectors in
   let vam_sectors = 1 + ((total + 4095) / 4096) in
   let metadata =

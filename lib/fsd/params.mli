@@ -28,13 +28,6 @@ type t = {
           recovery can skip the name-table scan ("would greatly decrease
           worst case crash recovery time from about twenty five seconds
           to about two seconds"). Off by default, as in the paper. *)
-  track_tolerant_log : bool;
-      (** §3's "more stringent requirements (e.g., loss of a whole track)
-          can be met within the framework": log records place every
-          element's copy a full track after its primary, so losing any
-          [sectors_per_track] consecutive sectors is survivable. Costs
-          more log space for small records; caps records at
-          [sectors_per_track - 2] data sectors. Off by default. *)
   blackbox_every_n_forces : int;
       (** unused: nothing reads or validates it. It stays only because
           the perfbench workloads still set it. *)
@@ -94,12 +87,9 @@ val monitor_interval_us : int
     is off by default and costs one branch per demon dispatch while
     off. *)
 
-val log_record_sectors :
-  Cedar_disk.Geometry.t -> track_tolerant:bool -> int -> int
-(** Total sectors of a log record holding [n] data sectors: [2n + 5] in
-    the classic layout (header, blank, header copy, data, end, data
-    copies, end copy), [sectors_per_track + n + 2] in the
-    track-tolerant one (a primary block and its copy one track later).
+val log_record_sectors : int -> int
+(** Total sectors of a log record holding [n] data sectors: [2n + 5]
+    (header, blank, header copy, data, end, data copies, end copy; §5.3).
     The one statement of the rule: {!validate} sizes the log with it
     and {!Log} writes and reads records by it. *)
 

@@ -147,26 +147,41 @@ let run device =
      to the live one. All sector claims are tracked: overlapping claims
      are conflicts, and the loser's sectors are quarantined — kept
      allocated but referenced by nothing — instead of being handed out.
-     A leader that cannot describe a file — a byte size its pages do not
-     fill exactly, or a sector outside the data areas — is a conflict
-     too, whose sectors inside the data areas are quarantined. So is an
-     entry that names one sector twice, such as a run over its own
-     leader. *)
+     An entry, salvaged or rebuilt, that cannot describe a file — a byte
+     size its pages do not fill exactly, or a sector outside the data
+     areas — is a conflict too, whose sectors inside the data areas are
+     quarantined. So is an entry that names one sector twice, such as a
+     run over its own leader. *)
   let claimed = Hashtbl.create 1024 in
   let accepted : (string, Entry.t) Hashtbl.t = Hashtbl.create 256 in
   let accepted_uids = Hashtbl.create 256 in
   let quarantine = Hashtbl.create 64 in
   let conflicts = ref 0 in
   let try_claim e =
-    let sectors = entry_sectors e in
-    if
-      List.compare_lengths (List.sort_uniq Int.compare sectors) sectors <> 0
-      || List.exists (Hashtbl.mem claimed) sectors
-    then false
+    if not (Layout.describes_a_file layout e) then false
     else begin
-      List.iter (fun s -> Hashtbl.replace claimed s ()) sectors;
-      true
+      let sectors = entry_sectors e in
+      if
+        List.compare_lengths (List.sort_uniq Int.compare sectors) sectors <> 0
+        || List.exists (Hashtbl.mem claimed) sectors
+      then false
+      else begin
+        List.iter (fun s -> Hashtbl.replace claimed s ()) sectors;
+        true
+      end
     end
+  in
+  (* Refused, or lost to an earlier claim on the key or the sectors: keep
+     the loser's unclaimed data sectors out of the free pool. *)
+  let refuse e =
+    incr conflicts;
+    List.iter
+      (fun s ->
+        if Layout.is_data_sector layout s && not (Hashtbl.mem claimed s) then begin
+          Hashtbl.replace claimed s ();
+          Hashtbl.replace quarantine s ()
+        end)
+      (entry_sectors e)
   in
   let kept = ref [] in
   List.iter
@@ -180,7 +195,7 @@ let run device =
           Hashtbl.replace accepted_uids e.Entry.uid ();
           kept := (k, e) :: !kept
         end
-        else incr conflicts)
+        else refuse e)
     (List.rev !tree_entries);
   let entries_rebuilt = ref 0 in
   let stale_leaders = ref 0 in
@@ -204,26 +219,7 @@ let run device =
       else begin
         let key = Fname.key ~name:l.File_record.name ~version:l.File_record.version in
         let e = Leader.to_entry l ~anchor:sector in
-        let describes_a_file =
-          Run_table.holds e.Entry.runs ~sector_bytes:geom.Geometry.sector_bytes
-            ~byte_size:e.Entry.byte_size
-          && List.for_all (Layout.is_data_sector layout) (entry_sectors e)
-        in
-        if (not describes_a_file) || Hashtbl.mem accepted key || not (try_claim e)
-        then begin
-          (* Refused, or lost to a newer claim on the key or the sectors.
-             Keep the loser's unclaimed data sectors out of the free
-             pool. *)
-          incr conflicts;
-          List.iter
-            (fun s ->
-              if Layout.is_data_sector layout s && not (Hashtbl.mem claimed s)
-              then begin
-                Hashtbl.replace claimed s ();
-                Hashtbl.replace quarantine s ()
-              end)
-            (entry_sectors e)
-        end
+        if Hashtbl.mem accepted key || not (try_claim e) then refuse e
         else begin
           Hashtbl.replace accepted key e;
           Hashtbl.replace accepted_uids e.Entry.uid ();

@@ -16,8 +16,8 @@
     + resolve conflicts — two claims on one key or one sector lose to
       the {e newer} uid; the loser's sectors are quarantined (kept
       allocated, referenced by nothing) rather than handed out again.
-      A leader whose byte size does not fill exactly its pages, or that
-      names a sector outside the data areas, is refused the same way;
+      An entry, salvaged or rebuilt from a leader, that cannot describe
+      a file ({!Layout.describes_a_file}) is refused the same way;
     + drop stale leaders of deleted files when the surviving name table
       is complete enough to prove the deletion;
     + rewrite the leader of every salvaged entry whose leader did not
@@ -27,8 +27,7 @@
     After {!run} the volume boots cleanly with nothing to replay. Files
     whose leader {e and} FNT entry are both lost keep their data sectors
     on disk but are unreachable (counted neither recovered nor
-    quarantined — nothing on the volume names them); symbolic links whose
-    FNT page died are gone, as in CFS (they live only in the table). *)
+    quarantined — nothing on the volume names them). *)
 
 type report = {
   entries_kept : int;  (** salvaged from surviving FNT pages *)
@@ -37,8 +36,8 @@ type report = {
       (** leaders of salvaged entries rewritten from the entry *)
   stale_leaders : int;  (** leaders of provably deleted files, dropped *)
   conflicts : int;
-      (** key/sector claims that lost to a newer uid, and leaders that
-          cannot describe a file *)
+      (** key/sector claims that lost to a newer uid, and entries or
+          leaders that cannot describe a file *)
   quarantined_sectors : int;
       (** sectors of conflicting claims: left allocated, owned by nothing *)
   fnt_pages_lost : int;  (** page pairs with both copies bad *)
@@ -49,6 +48,8 @@ type report = {
 val run : Cedar_disk.Device.t -> report
 (** Rebuild the volume's metadata in place. Always succeeds in producing
     a bootable volume (an empty one, in the worst case); never raises on
-    damage. Call {!Fsd.boot} afterwards. *)
+    damage. Raises [Fs_error (Unsupported_format _)] before writing
+    anything when the boot page names a format this build cannot read
+    ({!Boot_page.read}). Call {!Fsd.boot} afterwards. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -81,8 +81,7 @@ let pin name md5 image () =
 
 let fsd_default = Cedar_fsd.Params.for_geometry geom
 
-let fsd_extended =
-  { fsd_default with Cedar_fsd.Params.log_vam = true; track_tolerant_log = true }
+let fsd_log_vam = { fsd_default with Cedar_fsd.Params.log_vam = true }
 
 (* Cached copies of remote files, whose entries, leaders and headers
    carry the cached kind. FSD logs the first touch's leader image in a
@@ -116,22 +115,26 @@ let cfs_cached_image () =
   | `Needs_scavenge -> Alcotest.fail "fresh CFS volume must boot");
   device
 
-(* The digests, recorded when the test was written. *)
+(* The digests, recorded when each test was written. The three FSD
+   ones were re-recorded when boot stopped probing for a retired second
+   log record layout: one read fewer moves the create (and last-used)
+   time of the file made after the recovery boot, and the checksums
+   over it, and no other byte. *)
 let suite =
   [
     ( "fsd image bytes pinned",
       `Quick,
-      pin "FSD" "57bd0e1af18a40df3db5684ae8765740" (fun () -> fsd_image fsd_default) );
-    ( "fsd log_vam + track_tolerant image bytes pinned",
+      pin "FSD" "889a6ebcce5e540a52cfb77654ae169e" (fun () -> fsd_image fsd_default) );
+    ( "fsd log_vam image bytes pinned",
       `Quick,
-      pin "FSD +vam-logging +track-tolerant-log" "dd6a796516af345374b3221460694825"
-        (fun () -> fsd_image fsd_extended) );
+      pin "FSD +vam-logging" "68ebe9a00e027b1e11b9395303769c5a" (fun () ->
+          fsd_image fsd_log_vam) );
     ( "cfs image bytes pinned",
       `Quick,
       pin "CFS" "e96d719eee51d776f6476608b204d998" cfs_image );
     ( "fsd cached-file image bytes pinned",
       `Quick,
-      pin "FSD cached files" "49881015dfaacfd5d7b1445295906bfd" fsd_cached_image );
+      pin "FSD cached files" "377f8e2a07582f56cb562928a362660d" fsd_cached_image );
     ( "cfs cached-file image bytes pinned",
       `Quick,
       pin "CFS cached files" "456e5d75d6b2e2338750298a06c1bc54" cfs_cached_image );

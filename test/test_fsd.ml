@@ -715,10 +715,10 @@ let test_boot_rebuild_equals_per_sector () =
       r.Fsd.log_replay_us r.Fsd.vam_us r.Fsd.total_us
   in
   check Alcotest.string "rebuilt map"
-    "6 records, 18 pages, 4 skipped, reconstructed; replay 458782 us, vam 285528 us, total 934682 us"
+    "6 records, 18 pages, 4 skipped, reconstructed; replay 442116 us, vam 285528 us, total 918016 us"
     (pinned (boot_after_crash ~log_vam:false));
   check Alcotest.string "VAM logging"
-    "6 records, 19 pages, 4 skipped, replayed; replay 475448 us, vam 68570 us, total 963508 us"
+    "6 records, 19 pages, 4 skipped, replayed; replay 458782 us, vam 68570 us, total 946842 us"
     (pinned (boot_after_crash ~log_vam:true))
 
 (* A sector allocated but claimed by no entry has leaked, and Fsd.check

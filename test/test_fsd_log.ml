@@ -317,93 +317,10 @@ let test_classic_record_layout () =
       (Int32.to_int (Bytes.get_int32_le endp (22 + (4 * i))) land 0xffffffff)
   done
 
-(* --- the track-tolerant record format (the §3 extension) ----------- *)
-
-let tt_layout () =
-  let geom = Geometry.small_test in
-  let params =
-    { (Params.for_geometry geom) with Params.track_tolerant_log = true }
-  in
-  Layout.compute geom params
-
-let mk_tt () =
-  let layout = tt_layout () in
-  let clock = Simclock.create () in
-  let device = Device.create ~clock layout.Layout.geom in
-  Log.format device layout;
-  (device, layout)
-
-let test_tt_roundtrip () =
-  let device, layout = mk_tt () in
-  let log = attach device layout in
-  let units = [ fnt_unit layout 3 'a'; leader_unit layout 5000 'b' ] in
-  (* size: one track + data + header + end *)
-  check int "tt record size"
-    (layout.Layout.geom.Geometry.sectors_per_track
-    + layout.Layout.params.Params.fnt_page_sectors
-    + 1 + 2)
-    (Log.record_total_sectors layout units);
-  ignore (Log.append log units : int);
-  ignore (Log.append log [ fnt_unit layout 4 'c' ] : int);
-  let r = Log.recover device layout in
-  check int "both recovered" 2 r.Log.replayed_records;
-  check bool "image a" true
-    (match find_image r.Log.images (Log.Fnt_page 3) with
-    | Some img -> Bytes.get img 0 = 'a'
-    | None -> false)
-
-let test_tt_record_layout () =
-  let device, layout = mk_tt () in
-  let log = attach device layout in
-  let units = patterned_units layout in
-  ignore (Log.append log units : int);
-  let sb = layout.Layout.geom.Geometry.sector_bytes in
-  let spt = layout.Layout.geom.Geometry.sectors_per_track in
-  let n = List.fold_left (fun a u -> a + Bytes.length u.Log.image) 0 units / sb in
-  let block = record_sectors device layout ~first:0 ~count:(n + 2) in
-  check bool "primary data = the unit images in order" true
-    (Bytes.equal
-       (Bytes.concat Bytes.empty (List.map (fun u -> u.Log.image) units))
-       (Bytes.sub block sb (n * sb)));
-  check bool "block at +spt = block at 0" true
-    (Bytes.equal block (record_sectors device layout ~first:spt ~count:(n + 2)));
-  check bool "the gap between the blocks is zero" true
-    (Bytes.equal
-       (Bytes.make ((spt - n - 2) * sb) '\000')
-       (record_sectors device layout ~first:(n + 2) ~count:(spt - n - 2)))
-
-let test_tt_survives_whole_track_loss () =
-  (* Damage every possible aligned AND unaligned window of a full track's
-     width across the record: one copy of everything must survive. *)
-  let spt = Geometry.small_test.Geometry.sectors_per_track in
-  let layout = tt_layout () in
-  let units = [ fnt_unit layout 7 'q'; leader_unit layout 6000 'r' ] in
-  let size = Log.record_total_sectors layout units in
-  let body = layout.Layout.log_start + 3 in
-  for first = 0 to size - 1 do
-    let clock = Simclock.create () in
-    let device = Device.create ~clock layout.Layout.geom in
-    Log.format device layout;
-    let log =
-      Log.attach device layout ~boot_count:1 ~next_record_no:1_000_000L ~write_off:0
-        ~on_enter_third:(fun _ -> ())
-    in
-    ignore (Log.append log units : int);
-    for k = 0 to spt - 1 do
-      Device.damage device (body + first + k)
-    done;
-    let r = Log.recover device layout in
-    if r.Log.replayed_records <> 1 then
-      Alcotest.failf "track loss at offset %d destroyed the record" first;
-    (match find_image r.Log.images (Log.Fnt_page 7) with
-    | Some img when Bytes.get img 0 = 'q' -> ()
-    | Some _ | None -> Alcotest.failf "track loss at %d: wrong/missing image" first)
-  done
-
 let test_classic_fails_under_track_loss () =
-  (* The classic format (copies a few sectors apart) cannot survive a
-     full-track hit placed over both copies — the reason the extension
-     exists. *)
+  (* The record format (copies a few sectors apart) cannot survive a
+     full-track hit placed over both copies: a limit of the format, which
+     tolerates one or two consecutive bad sectors (§5.3). *)
   let device, layout = mk () in
   let log = attach device layout in
   ignore (Log.append log [ fnt_unit layout 7 'x' ] : int);
@@ -415,36 +332,25 @@ let test_classic_fails_under_track_loss () =
   let r = Log.recover device layout in
   check int "record unrecoverable in classic mode" 0 r.Log.replayed_records
 
-let test_tt_mixed_with_classic_records () =
-  (* Per-record self-description: a volume can carry records of both
-     layouts (e.g. after a runtime knob change) and recover them all. *)
-  let geom = Geometry.small_test in
-  let classic_params = Params.for_geometry geom in
-  let tt_params = { classic_params with Params.track_tolerant_log = true } in
-  let classic_layout = Layout.compute geom classic_params in
-  let tt = Layout.compute geom tt_params in
-  let clock = Simclock.create () in
-  let device = Device.create ~clock geom in
-  Log.format device classic_layout;
-  let log1 =
-    Log.attach device classic_layout ~boot_count:1 ~next_record_no:10L ~write_off:0
-      ~on_enter_third:(fun _ -> ())
-  in
-  ignore (Log.append log1 [ fnt_unit classic_layout 1 'c' ] : int);
-  let off = (2 * classic_layout.Layout.params.Params.fnt_page_sectors) + 5 in
-  let log2 =
-    Log.attach device tt ~boot_count:1 ~next_record_no:11L ~write_off:off
-      ~on_enter_third:(fun _ -> ())
-  in
-  (* attach rewrote the pointer to (off, 11): the classic record at 0 is
-     no longer in the chain, but the tt record must recover *)
-  ignore (Log.append log2 [ fnt_unit tt 2 't' ] : int);
-  let r = Log.recover device tt in
-  check int "tt record recovered" 1 r.Log.replayed_records;
-  check bool "tt image" true
-    (match find_image r.Log.images (Log.Fnt_page 2) with
-    | Some img -> Bytes.get img 0 = 't'
-    | None -> false)
+(* Recovering a freshly formatted log finds the chain's end at once:
+   one pointer read (its first copy is good) and the record header at
+   offset 0 and its copy, both blank. No other sector is read. *)
+let test_empty_log_recovery_reads () =
+  let device, layout = mk () in
+  let reads = ref [] in
+  Device.set_observer device
+    (Some
+       (fun ~rw ~sector ~count ->
+         if rw = `R then reads := (sector, count) :: !reads));
+  let r = Log.recover device layout in
+  Device.set_observer device None;
+  check int "nothing replayed" 0 r.Log.replayed_records;
+  let body = layout.Layout.log_start + 3 in
+  check
+    Alcotest.(list (pair int int))
+    "pointer, header, header copy"
+    [ (layout.Layout.log_start, 1); (body, 1); (body + 2, 1) ]
+    (List.rev !reads)
 
 let suite =
   [
@@ -464,9 +370,7 @@ let suite =
     ("thirds_entered_by predicts entries", `Quick, test_thirds_entered_by);
     ("oversized record rejected", `Quick, test_oversized_record_rejected);
     ("classic record layout", `Quick, test_classic_record_layout);
-    ("track-tolerant: roundtrip", `Quick, test_tt_roundtrip);
-    ("track-tolerant: record layout", `Quick, test_tt_record_layout);
-    ("track-tolerant: survives whole-track loss", `Slow, test_tt_survives_whole_track_loss);
     ("classic fails under track loss", `Quick, test_classic_fails_under_track_loss);
-    ("mixed-format logs recover", `Quick, test_tt_mixed_with_classic_records);
+    ("an empty log costs the pointer and one header pair", `Quick,
+      test_empty_log_recovery_reads);
   ]

@@ -343,7 +343,6 @@ let test_boot_page_roundtrip () =
       fnt_pages = 80;
       log_sectors = 642;
       log_vam = true;
-      track_tolerant_log = false;
       shard_id = 3;
     }
   in

@@ -188,59 +188,17 @@ let prop_replayed_equals_reconstructed =
       && r2.Fsd.vam_source = Fsd.Vam_reconstructed
       && free_replayed = free_rebuilt)
 
-(* The §3 whole-track extension, end to end: crash, then lose a whole
-   track inside the log; the committed state still recovers. *)
-let test_track_tolerant_fs_end_to_end () =
-  let geom = Geometry.small_test in
-  let p = { (Params.for_geometry geom) with Params.track_tolerant_log = true } in
-  let clock = Simclock.create () in
-  let device = Device.create ~clock geom in
-  Fsd.format device p;
-  let fs, _ = Fsd.boot ~params:p device in
-  for i = 0 to 19 do
-    ignore (Fsd.create fs ~name:(Printf.sprintf "tt/f%02d" i) (content 800 i))
-  done;
-  Fsd.force fs;
-  (* lose an entire track in the middle of the log body *)
-  let layout = Fsd.layout fs in
-  let spt = geom.Geometry.sectors_per_track in
-  let track_start = (layout.Layout.log_start + 3 + spt) / spt * spt in
-  for k = 0 to spt - 1 do
-    Device.damage device (track_start + k)
-  done;
-  let fs2, report = Fsd.boot ~params:p device in
-  check bool "records replayed despite track loss" true (report.Fsd.replayed_records > 0);
-  for i = 0 to 19 do
-    let name = Printf.sprintf "tt/f%02d" i in
-    check bool (name ^ " intact") true (Bytes.equal (content 800 i) (Fsd.read_all fs2 ~name))
-  done;
-  check bool "check" true (Fsd.check fs2 = Ok ())
-
-(* Both extensions together, under the crash sweep workload. *)
+(* VAM logging under repeated crashes, with keep-1 creates freeing the
+   previous version each round. (The name is from when a second log
+   extension, since retired, ran alongside.) *)
 let test_both_extensions_together () =
-  let geom = Geometry.small_test in
-  let p =
-    {
-      (Params.for_geometry geom) with
-      Params.log_vam = true;
-      track_tolerant_log = true;
-    }
-  in
-  let clock = Simclock.create () in
-  let device = Device.create ~clock geom in
-  Fsd.format device p;
-  let fs = ref (fst (Fsd.boot ~params:p device)) in
+  let device, p, fs = fresh () in
+  let fs = ref fs in
   for round = 0 to 60 do
     ignore (Fsd.create !fs ~name:(Printf.sprintf "duo/%03d" round) ~keep:1 (content 700 round));
     if round mod 4 = 0 then Fsd.force !fs;
     if round mod 15 = 14 then begin
-      (* crash and also lose a whole track of the log *)
-      let layout = Fsd.layout !fs in
-      let spt = geom.Geometry.sectors_per_track in
-      let track = (layout.Layout.log_start + 3 + (2 * spt)) / spt * spt in
-      for k = 0 to spt - 1 do
-        Device.damage device (track + k)
-      done;
+      (* crash *)
       let fs2, report = Fsd.boot ~params:p device in
       check bool
         (Printf.sprintf "round %d: vam replayed" round)
@@ -307,7 +265,6 @@ let suite =
     ("clean shutdown roundtrip", `Quick, test_clean_shutdown_roundtrip);
     ("torn commit keeps map consistent", `Quick, test_torn_commit_keeps_map_consistent);
     QCheck_alcotest.to_alcotest prop_replayed_equals_reconstructed;
-    ("track-tolerant log end to end", `Quick, test_track_tolerant_fs_end_to_end);
     ("both extensions together", `Quick, test_both_extensions_together);
     ("chunk images are map slices", `Quick, test_chunk_images_are_map_slices);
   ]

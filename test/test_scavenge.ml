@@ -294,20 +294,84 @@ let test_size_not_fitting_pages_refused () =
         (fun ~anchor:_ l -> { l with File_record.byte_size = claim }))
     [ 5000; 100 ]
 
-(* A run [767,+2) on the 768-sector volume: its last sector does not
-   exist. *)
+(* [767,+2) on the 768-sector volume: its last sector does not exist. *)
+let off_the_volume = [ { Run_table.start = Geometry.total_sectors geom - 1; len = 2 } ]
+
 let test_run_off_the_volume_refused () =
-  let last = Geometry.total_sectors geom - 1 in
-  refused_leader
-    (Printf.sprintf "a run [%d,+2)" last)
-    (fun ~anchor:_ l ->
-      { l with File_record.runs = Run_table.of_runs [ { Run_table.start = last; len = 2 } ] })
+  refused_leader "a run [767,+2)" (fun ~anchor:_ l ->
+      { l with File_record.runs = Run_table.of_runs off_the_volume })
 
 (* The run [anchor,+2): two pages that hold the file's 1,000 bytes, the
    first of them the leader's own sector. *)
 let test_run_over_own_leader_refused () =
   refused_leader "a run over its own leader" (fun ~anchor l ->
       { l with File_record.runs = Run_table.of_runs [ { Run_table.start = anchor; len = 2 } ] })
+
+module B = Cedar_btree.Btree.Make (Fnt_store)
+
+(* size/f (1,000 bytes) and size/g (700) on a shut-down volume, then
+   size/f's name-table entry and its leader rewritten, both validly
+   sealed, to name [runs layout]; both name-table copies stay intact. *)
+let rewritten_entry runs =
+  let device, fs = fresh () in
+  ignore (Fsd.create fs ~name:"size/f" (content 1000 1));
+  ignore (Fsd.create fs ~name:"size/g" (content 700 2));
+  Fsd.shutdown fs;
+  let layout = Fsd.layout fs in
+  let store = Fnt_store.attach device layout in
+  let tree = B.attach store in
+  let key = Fname.key ~name:"size/f" ~version:1 in
+  let e = Entry.decode (Option.get (B.find tree key)) in
+  let e = { e with Entry.runs = Run_table.of_runs (runs layout) } in
+  B.insert tree ~key ~value:(Entry.encode e);
+  ignore (Fnt_store.flush_all_dirty store : int);
+  Device.write device e.Entry.anchor
+    (File_record.encode Leader.format
+       (Leader.of_entry ~name:"size/f" ~version:1 e)
+       ~sector_bytes:geom.Geometry.sector_bytes);
+  (device, layout)
+
+(* Two sectors at the start of the log body. *)
+let run_in_log_body layout = [ { Run_table.start = layout.Layout.log_start + 3; len = 2 } ]
+
+(* The scavenger refuses a salvaged entry that cannot describe a file,
+   as it refuses such a leader: a conflict whose sectors in the data
+   areas — the leader, and sector 767 of the run off the volume — are
+   quarantined, not a kept entry whose read returns other sectors, nor
+   a failure in the allocation map. *)
+let refused_salvaged_entry what runs ~quarantined () =
+  let what s = Printf.sprintf "%s: %s" what s in
+  let device, _ = rewritten_entry runs in
+  let r = Scavenge.run device in
+  check int (what "one entry kept") 1 r.Scavenge.entries_kept;
+  check int (what "the entry refused") 1 r.Scavenge.conflicts;
+  check int (what "its data-area sectors quarantined") quarantined
+    r.Scavenge.quarantined_sectors;
+  let fs2, _ = Fsd.boot device in
+  check bool (what "structural check ok") true (Fsd.check fs2 = Ok ());
+  check bool (what "size/f is gone") false (Fsd.exists fs2 ~name:"size/f");
+  check bool (what "the other file reads back") true
+    (Bytes.equal (content 700 2) (Fsd.read_all fs2 ~name:"size/g"));
+  Fsd.shutdown fs2
+
+(* A boot that rebuilds the map (the saved one invalidated, as a crash
+   leaves it) refuses the entry by its key, so [try_boot] sends the
+   volume to the scavenger, which refuses it too. *)
+let test_boot_refuses_run_off_the_volume () =
+  let device, layout = rewritten_entry (fun _ -> off_the_volume) in
+  Vam.invalidate_saved layout device;
+  (match Fsd.try_boot device with
+  | `Needs_scavenge m ->
+    check string "the entry named" "entry size/f!000001 names a sector outside the data areas"
+      m
+  | `Ok _ -> Alcotest.fail "boot accepted a run off the volume");
+  let r = Scavenge.run device in
+  check int "the entry refused" 1 r.Scavenge.conflicts;
+  let fs2, _ = Fsd.boot device in
+  check bool "structural check ok" true (Fsd.check fs2 = Ok ());
+  check bool "size/g reads back" true
+    (Bytes.equal (content 700 2) (Fsd.read_all fs2 ~name:"size/g"));
+  Fsd.shutdown fs2
 
 (* ------------------------------------------------------------------ *)
 (* The online scrub demon. *)
@@ -432,8 +496,8 @@ let test_scrub_counts_passes () =
     && fsd_count fs "scrub_leader_repairs" = 0);
   Fsd.shutdown fs
 
-(* The boot page's six stamped fields — layout, shard and the two
-   extension flags — survive every rewrite of the page: a crash and the
+(* The boot page's five stamped fields — layout, shard and the VAM
+   logging flag — survive every rewrite of the page: a crash and the
    scavenger's fresh page, a boot given other params, and a shutdown. *)
 let test_stamped_identity () =
   let clock = Simclock.create () in
@@ -442,13 +506,12 @@ let test_stamped_identity () =
     {
       (Params.for_geometry Geometry.small_test) with
       Params.log_vam = true;
-      track_tolerant_log = true;
       shard_id = 5;
     }
   in
   let stamped (p : Params.t) =
-    Printf.sprintf "fnt %dx%d log %d vam %b tt %b shard %d" p.fnt_pages
-      p.fnt_page_sectors p.log_sectors p.log_vam p.track_tolerant_log p.shard_id
+    Printf.sprintf "fnt %dx%d log %d vam %b shard %d" p.fnt_pages p.fnt_page_sectors
+      p.log_sectors p.log_vam p.shard_id
   in
   let on_page () =
     match Boot_page.read device with
@@ -497,6 +560,41 @@ let test_stamped_identity () =
   Fsd.shutdown fs;
   check str "shutdown stamps the booted params" (stamped booted) (on_page ())
 
+(* A volume formatted with the retired track-tolerant log by an earlier
+   build: its boot page sets the byte after the VAM-logging flag (byte
+   20 of the 22 the page seals), and its log may hold records this build
+   cannot read. Boot, [try_boot] and the scavenger each refuse it with
+   an error naming that format, and write no sector: a scavenge that
+   read the page as unreadable would rebuild the volume over the log. *)
+let test_retired_log_format_refused () =
+  let device, fs = fresh () in
+  ignore (Fsd.create fs ~name:"kept" (content 700 1));
+  Fsd.force fs;
+  let page = Device.read device 0 in
+  Bytes.set_uint8 page 20 1;
+  let w = Bytebuf.Writer.create () in
+  Bytebuf.Writer.raw w (Bytes.sub page 0 22);
+  Meta_frame.write_mirrored device ~sector:0
+    (Bytebuf.Writer.seal w ~size:(Bytes.length page));
+  let written = ref 0 in
+  Device.set_observer device
+    (Some (fun ~rw ~sector:_ ~count -> if rw = `W then written := !written + count));
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted the retired format" what
+    | exception Fs_error.Fs_error e ->
+      check string (what ^ ": the format named")
+        "unsupported volume format: the volume was formatted with the retired \
+         track-tolerant log (mkfs --track-tolerant), whose records this build \
+         cannot read"
+        (Fs_error.to_string e)
+  in
+  refused "boot" (fun () -> ignore (Fsd.boot device));
+  refused "try_boot" (fun () -> ignore (Fsd.try_boot device));
+  refused "scavenge" (fun () -> ignore (Scavenge.run device));
+  Device.set_observer device None;
+  check int "no sector written" 0 !written
+
 let suite =
   [
     ("total FNT loss: rebuild from leaders", `Quick, test_total_fnt_loss);
@@ -511,10 +609,19 @@ let suite =
       test_size_not_fitting_pages_refused);
     ("a leader with a run off the volume is refused", `Quick, test_run_off_the_volume_refused);
     ("a leader with a run over its own sector is refused", `Quick, test_run_over_own_leader_refused);
+    ( "a salvaged entry in the log body is refused",
+      `Quick,
+      refused_salvaged_entry "a run in the log body" run_in_log_body ~quarantined:1 );
+    ( "a salvaged entry off the volume is refused",
+      `Quick,
+      refused_salvaged_entry "a run [767,+2)" (fun _ -> off_the_volume) ~quarantined:2 );
+    ("boot refuses an entry off the volume", `Quick, test_boot_refuses_run_off_the_volume);
     ("scrub repairs FNT copy before any read", `Quick, test_scrub_repairs_fnt_copy_before_read);
     ("scrub rewrites a corrupt leader", `Quick, test_scrub_rewrites_corrupt_leader);
     ("scrub repair: counter + trace event", `Quick, test_scrub_repair_emits_metric_and_trace);
     ("scrub pass counter", `Quick, test_scrub_counts_passes);
+    ("a volume in the retired log format is refused", `Quick,
+      test_retired_log_format_refused);
     ( "stamped identity survives scavenge, boot and shutdown",
       `Quick,
       test_stamped_identity );
