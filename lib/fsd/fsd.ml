@@ -157,7 +157,8 @@ let handle_enter_third t j =
   then begin
     (* The record being appended right now (number [next_record_no]) logs
        chunk states the current map already contains, so it is covered by
-       the epoch too. *)
+       the epoch too. Should that record never land, boot refuses this
+       base: replay does not reach its epoch. *)
     Vam.save ~mode:Vam.Log_based ~epoch:(Log.next_record_no t.log) (Alloc.vam t.alloc)
       t.device;
     Hashtbl.reset t.chunk_thirds;
@@ -855,26 +856,35 @@ let format device params =
   Vam.save (Vam.create_all_free layout) device;
   Boot_page.write device ~boot_count:0 params
 
-(* Scan the whole name table once: with [vam], mark every entry's
-   sectors allocated, refusing an entry that names a sector outside the
-   data areas; and record anchor-sector -> uid for the anchors [anchors]
-   already holds, the sectors of the logged leader images it
-   validates. *)
-let scan_name_table t_tree vam anchors cpu_per_entry clock =
-  B.iter t_tree (fun k v ->
-      Simclock.advance clock cpu_per_entry;
+(* Rebuild the map from the name table in one scan: every entry's
+   sectors are marked allocated, and an entry that names a sector
+   outside the data areas is refused. *)
+let reconstruct_vam layout tree clock =
+  let vm = Vam.create_all_free layout in
+  B.iter tree (fun k v ->
+      Simclock.advance clock (Params.cpu_page_us / 2);
       match Entry.decode v with
       | exception Bytebuf.Decode_error m ->
         corrupt (Printf.sprintf "entry %s does not decode during scan: %s" k m)
       | e ->
-        (match vam with
-        | Some vm ->
-          if not (Layout.in_data_areas (Vam.layout vm) e) then
-            corrupt (Printf.sprintf "entry %s names a sector outside the data areas" k);
-          Vam.mark_entry_allocated vm e
-        | None -> ());
-        if Hashtbl.mem anchors e.Entry.anchor then
-          Hashtbl.replace anchors e.Entry.anchor (Some e.Entry.uid))
+        if not (Layout.in_data_areas layout e) then
+          corrupt (Printf.sprintf "entry %s names a sector outside the data areas" k);
+        Vam.mark_entry_allocated vm e);
+  vm
+
+(* A logged leader image goes home only while the entry its own key
+   names still has that sector as its anchor and the image's uid: the
+   file may since have been deleted and the sector reused, and a stale
+   image would stomp live data. *)
+let leader_still_named tree ~sector image =
+  match File_record.decode Leader.format image with
+  | None -> false
+  | Some { File_record.name; version; uid; _ } -> (
+    match B.find tree (Fname.key ~name ~version) with
+    | Some v ->
+      let e = decode_entry name v in
+      e.Entry.anchor = sector && Int64.equal e.Entry.uid uid
+    | None | (exception Invalid_argument _) -> false)
 
 let boot ?params device =
   let clock = Device.clock device in
@@ -921,63 +931,76 @@ let boot ?params device =
     if Trace.enabled tr then Trace.emit tr ~at:(Simclock.now clock) ev
   in
   trace_boot (Trace.Recovery_phase { phase = "log-replay"; us = log_replay_us });
-  (* Attach the recovered structures. *)
-  let t_ref = ref None in
-  let on_enter j =
-    match !t_ref with Some t -> handle_enter_third t j | None -> ()
+  (* Install everything replay found before Log.attach moves the
+     recovery pointer, recovery's commit point: until it moves, a crash
+     replays this same log and installs it all again. The name table is
+     attached first, so a table beyond repair fails the boot while the
+     scavenger can still see this log. *)
+  let store = Fnt_store.attach device layout in
+  let tree = B.attach store in
+  let vetted =
+    List.filter (fun (sector, image, _) -> leader_still_named tree ~sector image) leader_images
   in
+  List.iter (fun (sector, image, _) -> Device.write device sector image) vetted;
   let base_no =
     match rec_info.Log.last_record_no with
     | Some n -> max n rec_info.Log.pointer_record_no
     | None -> rec_info.Log.pointer_record_no
   in
-  (* Attach the name table before the log: Log.attach moves the recovery
-     pointer, and if the name table turns out to be beyond repair the
-     caller will run the scavenger, which must still see this log. *)
-  let store = Fnt_store.attach device layout in
-  let tree = B.attach store in
+  let next_record_no = Int64.add base_no 1_000_000L in
+  (* A [Log_based] base holds every change up to its epoch, so it is
+     trusted only when replay reached that epoch: at most the last
+     replayed record or, when nothing replayed, below the pointer's. *)
+  let reached epoch =
+    match rec_info.Log.last_record_no with
+    | Some n -> Int64.compare epoch n <= 0
+    | None -> Int64.compare epoch rec_info.Log.pointer_record_no < 0
+  in
+  (* The map. With VAM logging: a base replay reached, plus the chunk
+     images logged after its epoch, else a rebuild from the name table,
+     saved as the new base stamped just below this session's first
+     record. Without: a clean snapshot, else a rebuild. A saved map the
+     session will not keep current is marked stale: a snapshot once the
+     volume is live, and a base no chunk images will be logged for. *)
+  let vam_phase () =
+    let v0 = Simclock.now clock in
+    let vam, source =
+      match (Vam.load layout device, p.Params.log_vam) with
+      | Some (vm, Vam.Log_based, epoch), true when reached epoch ->
+        (* Chunk images from records at or below the epoch predate the
+           base: skip them. *)
+        List.iter
+          (fun (c, image, no) -> if Int64.compare no epoch > 0 then Vam.apply_chunk vm c image)
+          vam_chunk_images;
+        Simclock.advance clock (List.length vam_chunk_images * Params.cpu_page_us);
+        (vm, Vam_replayed)
+      | Some (vm, mode, _), false ->
+        Vam.invalidate_saved layout device;
+        if mode = Vam.Snapshot then (vm, Vam_loaded)
+        else (reconstruct_vam layout tree clock, Vam_reconstructed)
+      | Some _, true | None, _ -> (reconstruct_vam layout tree clock, Vam_reconstructed)
+    in
+    if p.Params.log_vam then begin
+      Vam.save ~mode:Vam.Log_based ~epoch:(Int64.pred next_record_no) vam device;
+      ignore (Vam.drain_dirty_chunks vam : int list)
+    end;
+    (vam, source, Simclock.now clock - v0)
+  in
+  (* With VAM logging the new base is installed before the pointer
+     moves, so a refused base is overwritten before a later crash could
+     trust it; without, the map's I/O stays after the pointer. *)
+  let logged_vam = if p.Params.log_vam then Some (vam_phase ()) else None in
+  let t_ref = ref None in
+  let on_enter j =
+    match !t_ref with Some t -> handle_enter_third t j | None -> ()
+  in
   let log =
-    Log.attach ~shard:p.Params.shard_id device layout ~boot_count
-      ~next_record_no:(Int64.add base_no 1_000_000L)
+    Log.attach ~shard:p.Params.shard_id device layout ~boot_count ~next_record_no
       ~write_off:rec_info.Log.next_write_off ~on_enter_third:on_enter
   in
-  (* VAM: with VAM logging, rebuild from the saved base plus the logged
-     chunk images; otherwise trust a clean snapshot; else reconstruct
-     from the name table. A mode mismatch (the volume last ran with the
-     other setting) falls back to reconstruction. *)
-  let v0 = Simclock.now clock in
-  let anchors = Hashtbl.create 16 in
-  List.iter (fun (sector, _, _) -> Hashtbl.replace anchors sector None) leader_images;
-  let reconstruct () =
-    let vm = Vam.create_all_free layout in
-    scan_name_table tree (Some vm) anchors (Params.cpu_page_us / 2) clock;
-    (vm, Vam_reconstructed, true)
+  let vam, vam_source, vam_us =
+    match logged_vam with Some v -> v | None -> vam_phase ()
   in
-  let vam, vam_source, scanned =
-    match (Vam.load layout device, p.Params.log_vam) with
-    | Some (vm, Vam.Log_based, epoch), true ->
-      (* Chunk images from records at or below the base's epoch predate
-         the base (it was rewritten after they were logged): skip them. *)
-      List.iter
-        (fun (c, image, no) ->
-          if Int64.compare no epoch > 0 then Vam.apply_chunk vm c image)
-        vam_chunk_images;
-      Simclock.advance clock (List.length vam_chunk_images * Params.cpu_page_us);
-      (vm, Vam_replayed, false)
-    | Some (vm, Vam.Snapshot, _), false ->
-      Vam.invalidate_saved layout device;
-      (vm, Vam_loaded, false)
-    | Some _, _ | None, _ -> reconstruct ()
-  in
-  (* With VAM logging, rewrite the base now: the pointer was just reset,
-     so every surviving chunk record will postdate this image. *)
-  if p.Params.log_vam then begin
-    Vam.save ~mode:Vam.Log_based
-      ~epoch:(Int64.sub (Log.next_record_no log) 1L)
-      vam device;
-    ignore (Vam.drain_dirty_chunks vam : int list)
-  end;
-  let vam_us = Simclock.now clock - v0 in
   let vam_source_str =
     match vam_source with
     | Vam_loaded -> "loaded"
@@ -985,24 +1008,6 @@ let boot ?params device =
     | Vam_replayed -> "replayed"
   in
   trace_boot (Trace.Vam_rebuild { source = vam_source_str; us = vam_us });
-  (* Leader images are applied only where the (recovered) name table still
-     points: stale ones could stomp reused data sectors. *)
-  let skipped_leaders = ref 0 in
-  if leader_images <> [] then begin
-    if not scanned then
-      scan_name_table tree None anchors (Params.cpu_page_us / 2) clock;
-    List.iter
-      (fun (sector, image, _) ->
-        let ok =
-          match
-            (File_record.decode Leader.format image, Hashtbl.find anchors sector)
-          with
-          | Some l, Some uid -> Int64.equal l.File_record.uid uid
-          | _, _ -> false
-        in
-        if ok then Device.write device sector image else incr skipped_leaders)
-      leader_images
-  end;
   let t =
     {
       device;
@@ -1058,7 +1063,7 @@ let boot ?params device =
         List.length fnt_images + List.length leader_images
         + List.length vam_chunk_images;
       corrected_sectors = rec_info.Log.corrected_sectors;
-      skipped_leaders = !skipped_leaders;
+      skipped_leaders = List.length leader_images - List.length vetted;
       vam_source;
       log_replay_us;
       vam_us;
@@ -1117,6 +1122,10 @@ let check t =
     B.iter t.tree (fun k v ->
         match Entry.decode v with
         | exception Bytebuf.Decode_error m -> bad := (k ^ ": " ^ m) :: !bad
+        | e when not (Layout.in_data_areas t.layout e) ->
+          (* Judged a run at a time before any sector is touched: a
+             sealed run may claim any length. *)
+          bad := (k ^ ": names a sector outside the data areas") :: !bad
         | e -> (
           claim k e.Entry.anchor;
           Run_table.iter_sectors e.Entry.runs (claim k);

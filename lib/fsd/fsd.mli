@@ -23,9 +23,10 @@ type boot_report = {
   replayed_pages : int;  (** page images written home by recovery *)
   corrected_sectors : int;
   skipped_leaders : int;
-      (** logged leader images dropped because the name table no longer
-          references their sector (the file was deleted and the sector
-          possibly reused — writing would risk data) *)
+      (** logged leader images dropped because the entry their own key
+          names is gone or no longer has their sector and uid (the file
+          was deleted and the sector possibly reused — writing would
+          risk data) *)
   vam_source : vam_source;
   log_replay_us : int;
   vam_us : int;
@@ -40,9 +41,20 @@ val format : Cedar_disk.Device.t -> Params.t -> unit
 val boot : ?params:Params.t -> Cedar_disk.Device.t -> t * boot_report
 (** Run recovery and attach. [params] (default: the params the boot
     page stamps) supplies runtime knobs; the layout and the
-    shard are taken from the boot page ({!Boot_page.adopt}). Raises
-    [Fs_error Corrupt_metadata] on unrecoverable name-table damage —
-    prefer {!try_boot} when the caller can scavenge — and
+    shard are taken from the boot page ({!Boot_page.adopt}).
+
+    Recovery commits once: it writes home every name-table page and
+    leader image the log replays and, with VAM logging, the new VAM
+    base, and only then moves the log pointer, its commit point; a
+    crash before that leaves the log to replay again. A logged leader
+    image goes home only when the entry its own key names still has
+    that sector as its anchor and the image's uid; no scan of the name
+    table vets it. A saved VAM-logging base is used only when replay
+    reached its epoch; otherwise the map is rebuilt from the name
+    table.
+
+    Raises [Fs_error Corrupt_metadata] on unrecoverable name-table
+    damage — prefer {!try_boot} when the caller can scavenge — and
     [Fs_error Unsupported_format], before writing anything, on a volume
     in a format this build cannot read ({!Boot_page.read}). *)
 
@@ -51,11 +63,13 @@ val try_boot :
   Cedar_disk.Device.t ->
   [ `Ok of t * boot_report | `Needs_scavenge of string ]
 (** Like {!boot}, but damage the log cannot repair (both copies of an FNT
-    page lost, an undecodable anchor, an entry naming a sector outside
-    the data areas when the map is rebuilt) yields
+    page lost, an undecodable anchor or entry, an entry naming a sector
+    outside the data areas when the map is rebuilt) yields
     [`Needs_scavenge reason] instead of an exception; run
-    {!Scavenge.run} and boot again. [Unsupported_format] still raises:
-    no scavenge can help. *)
+    {!Scavenge.run} and boot again. Damage found before the log pointer
+    moves (the name table, a logged leader's entry, a VAM-logging
+    rebuild) leaves the log intact for the scavenger.
+    [Unsupported_format] still raises: no scavenge can help. *)
 
 val shutdown : t -> unit
 (** Controlled shutdown: force, write everything home, save the VAM. *)

@@ -172,16 +172,24 @@ let run device =
     end
   in
   (* Refused, or lost to an earlier claim on the key or the sectors: keep
-     the loser's unclaimed data sectors out of the free pool. *)
-  let refuse e =
+     the loser's unclaimed data sectors out of the free pool, a run at a
+     time, each clipped to the data areas first, since a refused run may
+     claim any length. *)
+  let refuse (e : Entry.t) =
     incr conflicts;
-    List.iter
-      (fun s ->
-        if Layout.is_data_sector layout s && not (Hashtbl.mem claimed s) then begin
-          Hashtbl.replace claimed s ();
-          Hashtbl.replace quarantine s ()
-        end)
-      (entry_sectors e)
+    let hold { Run_table.start; len } =
+      List.iter
+        (fun (lo, hi) ->
+          for s = max start lo to min (start + len) hi - 1 do
+            if not (Hashtbl.mem claimed s) then begin
+              Hashtbl.replace claimed s ();
+              Hashtbl.replace quarantine s ()
+            end
+          done)
+        [ (layout.Layout.small_lo, layout.Layout.small_hi);
+          (layout.Layout.big_lo, layout.Layout.big_hi) ]
+    in
+    List.iter hold ({ Run_table.start = e.Entry.anchor; len = 1 } :: Run_table.runs e.Entry.runs)
   in
   let kept = ref [] in
   List.iter

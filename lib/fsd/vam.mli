@@ -78,7 +78,12 @@ val save : ?mode:mode -> ?epoch:int64 -> t -> Cedar_disk.Device.t -> unit
 (** Writes the bitmap and a checksummed header marking it cleanly saved.
     [mode] defaults to [Snapshot]. For a [Log_based] base, [epoch] is the
     highest log record number whose effects the image already contains:
-    recovery applies only chunk images from records numbered above it. *)
+    recovery uses the base only if replay reached that record (the
+    epoch is at most the last record replayed or, when none was, below
+    the pointer's record number), and then applies only chunk images
+    from records numbered above it. A base stamped for a record that
+    never landed is so refused, and the map rebuilt from the name
+    table. *)
 
 val load : Layout.t -> Cedar_disk.Device.t -> (t * mode * int64) option
 (** [None] if the save area is absent, damaged, or not marked clean. *)

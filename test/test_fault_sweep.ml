@@ -289,6 +289,203 @@ let test_metadata_silent_corruption_sweep () =
     (!fnt_targets @ leaders);
   Sys.remove tmp
 
+(* ------------------------------------------------------------------ *)
+(* Crash during recovery. §5.4's contract covers a crash at any moment,
+   recovery's own writes included. A small volume holds committed
+   creates, cached files whose touched leaders are only in the log,
+   committed deletes and one unforced create; it is crashed, and its
+   recovery boot is then crashed after each of its sector writes, under
+   each tear. The boot after that must find every committed file
+   intact and nothing else: recovery moves the log pointer, its commit
+   point, only after installing everything replay found, so an
+   interrupted pass is replayed again in full. *)
+
+let small = Geometry.small_test
+let rc_file i = Printf.sprintf "rc/f%02d" i
+let rc_cached i = Printf.sprintf "rc/c%02d" i
+let rc_deleted i = i mod 4 = 0
+
+let crashed_volume ~log_vam =
+  let device = Device.create ~clock:(Simclock.create ()) small in
+  Fsd.format device { (Params.for_geometry small) with Params.log_vam };
+  let fs, _ = Fsd.boot device in
+  for i = 1 to 20 do
+    ignore (Fsd.create fs ~name:(rc_file i) (content (i * 211) i))
+  done;
+  for i = 1 to 6 do
+    ignore (Fsd.import_cached fs ~name:(rc_cached i) ~server:"ivy" (content (300 * i) (50 + i)))
+  done;
+  Fsd.force fs;
+  for i = 1 to 6 do
+    Fsd.touch_cached fs ~name:(rc_cached i)
+  done;
+  for i = 1 to 20 do
+    if rc_deleted i then Fsd.delete fs ~name:(rc_file i)
+  done;
+  Fsd.force fs;
+  ignore (Fsd.create fs ~name:"rc/unforced" (content 500 99));
+  device
+
+(* The first of the problems [Fsd.check] lists. *)
+let first_fault m = List.hd (String.split_on_char ';' m)
+
+(* What is wrong with a rebooted volume, first found first. *)
+let recovered_fault fs =
+  let wrong = ref [] in
+  let note m = wrong := m :: !wrong in
+  (match Fsd.check fs with Ok () -> () | Error m -> note (first_fault m));
+  let reads name data =
+    match Fsd.read_all fs ~name with
+    | got -> if not (Bytes.equal got data) then note (name ^ " reads back wrong")
+    | exception e -> note (Printf.sprintf "%s: %s" name (Printexc.to_string e))
+  in
+  for i = 1 to 20 do
+    if rc_deleted i then begin
+      if Fsd.exists fs ~name:(rc_file i) then note (rc_file i ^ " deleted yet present")
+    end
+    else reads (rc_file i) (content (i * 211) i)
+  done;
+  for i = 1 to 6 do
+    reads (rc_cached i) (content (300 * i) (50 + i))
+  done;
+  if Fsd.exists fs ~name:"rc/unforced" then note "the unforced create is present";
+  List.rev !wrong
+
+let tear_name = function
+  | Device.Tear_none -> "none"
+  | Device.Tear_zero -> "zero"
+  | Device.Tear_garbage -> "garbage"
+  | Device.Tear_damage n -> Printf.sprintf "damage %d" n
+
+let recovery_crash_sweep ~log_vam ~sectors ~commands () =
+  let device = crashed_volume ~log_vam in
+  let written = ref 0 and cmds = ref 0 in
+  Device.set_observer device
+    (Some
+       (fun ~rw ~sector:_ ~count ->
+         if rw = `W then begin
+           written := !written + count;
+           incr cmds
+         end));
+  ignore (Fsd.boot device : Fsd.t * Fsd.boot_report);
+  check int "sectors the recovery boot writes" sectors !written;
+  check int "its write commands" commands !cmds;
+  let failed = ref [] in
+  List.iter
+    (fun tear ->
+      for cut = 0 to sectors - 1 do
+        let device = crashed_volume ~log_vam in
+        Device.plan_write_crash_tear device ~after_sectors:cut ~tear;
+        match Fsd.boot device with
+        | _ -> Alcotest.failf "tear %s, cut %d: the recovery boot never crashed" (tear_name tear) cut
+        | exception Device.Crash_during_write _ -> (
+          Device.cancel_write_crash device;
+          let fault =
+            match Fsd.boot device with
+            | fs, _ -> recovered_fault fs
+            | exception e -> [ "reboot raised " ^ Printexc.to_string e ]
+          in
+          match fault with
+          | [] -> ()
+          | m :: _ -> failed := Printf.sprintf "tear %s, cut %d: %s" (tear_name tear) cut m :: !failed)
+      done)
+    [ Device.Tear_none; Device.Tear_zero; Device.Tear_garbage; Device.Tear_damage 1 ];
+  check (Alcotest.list Alcotest.string) "crash points that lose committed state" []
+    (List.rev !failed)
+
+(* ------------------------------------------------------------------ *)
+(* A VAM base stamped for a record that never landed. With VAM logging,
+   entering a third whose chunk images are live rewrites the base,
+   stamped with the number of the record being appended and already
+   holding that force's allocations and committed frees. A crash after
+   the base lands and before the record does must not leave a boot that
+   trusts it: the base is used only when replay reached its epoch. The
+   workload is one big file, then forces that each carry a create and
+   the delete of the file before, until the log has entered four
+   thirds; every sector write of each force interval that rewrites the
+   base is crashed, with a clean and a garbage tear. *)
+
+let base_name i = Printf.sprintf "s/%04d" i
+
+(* Calls [note] before each force and [forced] after it, and stops
+   before round [i] when [stop i]; returns the rounds run. *)
+let base_rounds fs ~note ~forced ~stop =
+  let force () =
+    note ();
+    Fsd.force fs;
+    forced ()
+  in
+  ignore (Fsd.create fs ~name:"s/big" (content 20_000 7));
+  force ();
+  let i = ref 0 in
+  while not (stop !i) do
+    ignore (Fsd.create fs ~name:(base_name !i) (content 900 !i));
+    if !i > 0 then Fsd.delete fs ~name:(base_name (!i - 1));
+    force ();
+    incr i
+  done;
+  !i
+
+let base_volume () =
+  let device = Device.create ~clock:(Simclock.create ()) small in
+  let p = { (Params.for_geometry small) with Params.log_vam = true } in
+  Fsd.format device p;
+  let fs, _ = Fsd.boot device in
+  (device, fs, Crash_plan.attach device)
+
+let test_unlanded_base_refused () =
+  (* The clean run: how many rounds make four third entries, and which
+     force intervals rewrite the base. *)
+  let _, fs, plan = base_volume () in
+  let rewrites () =
+    Option.get (Cedar_obs.Metrics.read (Fsd.metrics fs) "fsd.vam_base_rewrites")
+  in
+  let forces = ref 0 and seen = ref 0 and rewriting = ref [] in
+  let rounds =
+    base_rounds fs
+      ~note:(fun () -> Crash_plan.note_force plan)
+      ~forced:(fun () ->
+        incr forces;
+        if rewrites () > !seen then begin
+          seen := rewrites ();
+          rewriting := !forces :: !rewriting
+        end)
+      ~stop:(fun _ -> (Fsd.log_stats fs).Log.third_entries >= 4)
+  in
+  check bool "the base was rewritten" true (!rewriting <> []);
+  let writes = Crash_plan.writes_per_interval plan in
+  let failed = ref [] in
+  List.iter
+    (fun interval ->
+      List.iter
+        (fun tear ->
+          for write = 0 to writes.(interval) - 1 do
+            let device, fs, plan = base_volume () in
+            Crash_plan.arm plan ~force:interval ~write ~tear;
+            let where = Printf.sprintf "interval %d, write %d, tear %s" interval write (tear_name tear) in
+            match
+              base_rounds fs
+                ~note:(fun () -> Crash_plan.note_force plan)
+                ~forced:ignore
+                ~stop:(fun i -> i >= rounds)
+            with
+            | _ -> Alcotest.failf "%s: never crashed" where
+            | exception Device.Crash_during_write _ -> (
+              Crash_plan.detach plan;
+              Device.cancel_write_crash device;
+              match Fsd.boot device with
+              | fs2, _ -> (
+                match Fsd.check fs2 with
+                | Ok () -> ()
+                | Error m -> failed := Printf.sprintf "%s: %s" where (first_fault m) :: !failed)
+              | exception e ->
+                failed := Printf.sprintf "%s: reboot raised %s" where (Printexc.to_string e) :: !failed)
+          done)
+        [ Device.Tear_none; Device.Tear_garbage ])
+    (List.rev !rewriting);
+  check (Alcotest.list Alcotest.string) "crash points that trust an unlanded base" []
+    (List.rev !failed)
+
 let suite =
   [
     ("crash after every written sector", `Slow, test_crash_after_every_sector);
@@ -302,4 +499,11 @@ let suite =
       `Slow,
       test_metadata_silent_corruption_sweep );
     ("sector count sanity", `Quick, fun () -> check int "nonzero" 1 (min 1 (sectors_in_workload ())));
+    ( "crash during recovery",
+      `Quick,
+      recovery_crash_sweep ~log_vam:false ~sectors:28 ~commands:16 );
+    ( "crash during recovery with VAM logging",
+      `Quick,
+      recovery_crash_sweep ~log_vam:true ~sectors:32 ~commands:18 );
+    ("a base stamped for an unlanded record is refused", `Quick, test_unlanded_base_refused);
   ]

@@ -644,12 +644,13 @@ let test_vam_reconstruction_equals_tracked () =
   check bool "reconstructed" true (report.Fsd.vam_source = Fsd.Vam_reconstructed);
   check int "same free count" tracked (Fsd.free_sectors fs2)
 
-(* A crash after cached files' leaders were logged: boot applies the
-   images whose anchor the name table still names and skips the four of
-   deleted files. The map rebuilt a run at a time (or replayed, with VAM
-   logging) equals the one a per-sector rebuild of the recovered name
-   table gives, byte for byte, and the boot report, simulated times
-   included, is the one the per-sector rebuild gave. *)
+(* A crash after cached files' leaders were logged: boot vets each
+   image by its own key and applies those whose entry still names the
+   sector with the image's uid, before it moves the log pointer, and
+   skips the four of deleted files. The map rebuilt a run at a time (or
+   replayed, with VAM logging) equals the one a per-sector rebuild of
+   the recovered name table gives, byte for byte, and the boot report,
+   simulated times included, is pinned. *)
 let test_boot_rebuild_equals_per_sector () =
   let boot_after_crash ~log_vam =
     let clock = Simclock.create () in
@@ -715,10 +716,10 @@ let test_boot_rebuild_equals_per_sector () =
       r.Fsd.log_replay_us r.Fsd.vam_us r.Fsd.total_us
   in
   check Alcotest.string "rebuilt map"
-    "6 records, 18 pages, 4 skipped, reconstructed; replay 442116 us, vam 285528 us, total 918016 us"
+    "6 records, 18 pages, 4 skipped, reconstructed; replay 442116 us, vam 155180 us, total 935362 us"
     (pinned (boot_after_crash ~log_vam:false));
   check Alcotest.string "VAM logging"
-    "6 records, 19 pages, 4 skipped, replayed; replay 458782 us, vam 68570 us, total 946842 us"
+    "6 records, 19 pages, 4 skipped, replayed; replay 458782 us, vam 30732 us, total 825674 us"
     (pinned (boot_after_crash ~log_vam:true))
 
 (* A sector allocated but claimed by no entry has leaked, and Fsd.check

@@ -103,6 +103,25 @@ let test_mode_mismatch_reconstructs () =
   check bool "snapshot base not replayed" true
     (report2.Fsd.vam_source = Fsd.Vam_reconstructed)
 
+(* A boot without VAM logging on a VAM-logging volume logs no chunk
+   images, so it must not leave the base valid: a crash, then a boot
+   with the volume's own VAM logging, would trust the base and lose
+   every allocation the session made. *)
+let test_session_without_logging_retires_base () =
+  let device, p, fs = fresh () in
+  ignore (Fsd.create fs ~name:"a" (content 1000 1));
+  Fsd.force fs;
+  let fs, _ = Fsd.boot ~params:{ p with Params.log_vam = false } device in
+  for i = 0 to 9 do
+    ignore (Fsd.create fs ~name:(Printf.sprintf "b%d" i) (content 3000 i))
+  done;
+  Fsd.force fs;
+  let fs2, report = Fsd.boot device in
+  check bool "the volume's VAM logging" true (Fsd.params fs2).Params.log_vam;
+  check bool "rebuilt, the stale base refused" true
+    (report.Fsd.vam_source = Fsd.Vam_reconstructed);
+  check bool "check" true (Fsd.check fs2 = Ok ())
+
 let test_survives_log_wrap () =
   (* Chunk images whose third is about to be overwritten must be folded
      into the overwriting record; after many cycles the replayed map is
@@ -211,6 +230,48 @@ let test_both_extensions_together () =
     end
   done
 
+(* A recovery that replays the map reads no more of the name table than
+   it needs: each logged leader image is vetted by its own key, so
+   beyond the anchor the boot reads one root-to-leaf path per leader,
+   here the root and the one leaf that holds all three cached names,
+   each as a pair of copies, and not the table's other 32 pages. *)
+let test_leaders_vetted_without_a_scan () =
+  let device, p, fs = fresh () in
+  for i = 0 to 299 do
+    ignore (Fsd.create fs ~name:(Printf.sprintf "n/f%03d" i) (content (100 + i) i))
+  done;
+  let cached i = Printf.sprintf "rem/c%d" i in
+  for i = 1 to 3 do
+    ignore (Fsd.import_cached fs ~name:(cached i) ~server:"ivy" (content 400 (40 + i)))
+  done;
+  Fsd.force fs;
+  for i = 1 to 3 do
+    Fsd.touch_cached fs ~name:(cached i)
+  done;
+  Fsd.force fs;
+  (* crash *)
+  let l = Fsd.layout fs in
+  let in_table s =
+    (s >= l.Layout.fnt_a_start && s < l.Layout.fnt_a_start + l.Layout.fnt_sectors)
+    || (s >= l.Layout.fnt_b_start && s < l.Layout.fnt_b_start + l.Layout.fnt_sectors)
+  in
+  let reads = ref 0 in
+  Device.set_observer device
+    (Some (fun ~rw ~sector ~count:_ -> if rw = `R && in_table sector then incr reads));
+  let fs2, report = Fsd.boot ~params:p device in
+  Device.set_observer device None;
+  check bool "vam replayed" true (report.Fsd.vam_source = Fsd.Vam_replayed);
+  check int "no leader skipped" 0 report.Fsd.skipped_leaders;
+  let tree = Fsd.fnt_stats fs2 in
+  check int "a root over the leaves" 2 tree.Cedar_btree.Btree.depth;
+  check int "tree pages" 34 tree.Cedar_btree.Btree.pages;
+  check int "name-table read commands" 6 !reads;
+  for i = 1 to 3 do
+    check bool (cached i ^ " reads back") true
+      (Bytes.equal (content 400 (40 + i)) (Fsd.read_all fs2 ~name:(cached i)))
+  done;
+  check bool "check" true (Fsd.check fs2 = Ok ())
+
 (* Each chunk image is its slice of the packed map, read without
    copying the whole map; the last chunk, which the map only partly
    fills on this geometry, is zero-padded. *)
@@ -261,10 +322,14 @@ let suite =
     ("committed delete frees via log", `Quick, test_committed_delete_frees_pages_via_log);
     ("uncommitted create leaks safely", `Quick, test_uncommitted_create_pages_leak_safely);
     ("mode mismatch reconstructs", `Quick, test_mode_mismatch_reconstructs);
+    ( "a session without VAM logging retires the base",
+      `Quick,
+      test_session_without_logging_retires_base );
     ("survives log wrap", `Quick, test_survives_log_wrap);
     ("clean shutdown roundtrip", `Quick, test_clean_shutdown_roundtrip);
     ("torn commit keeps map consistent", `Quick, test_torn_commit_keeps_map_consistent);
     QCheck_alcotest.to_alcotest prop_replayed_equals_reconstructed;
     ("both extensions together", `Quick, test_both_extensions_together);
     ("chunk images are map slices", `Quick, test_chunk_images_are_map_slices);
+    ("leaders vetted without a scan", `Quick, test_leaders_vetted_without_a_scan);
   ]

@@ -23,7 +23,7 @@ let string = Alcotest.string
 let geom = Geometry.tiny_test
 let content n seed = Bytes.init n (fun i -> Char.chr ((i + seed) mod 251))
 
-let fresh () =
+let fresh ?(geom = geom) () =
   let clock = Simclock.create () in
   let device = Device.create ~clock geom in
   Fsd.format device (Params.for_geometry geom);
@@ -312,8 +312,8 @@ module B = Cedar_btree.Btree.Make (Fnt_store)
 (* size/f (1,000 bytes) and size/g (700) on a shut-down volume, then
    size/f's name-table entry and its leader rewritten, both validly
    sealed, to name [runs layout]; both name-table copies stay intact. *)
-let rewritten_entry runs =
-  let device, fs = fresh () in
+let rewritten_entry ?(geom = geom) runs =
+  let device, fs = fresh ~geom () in
   ignore (Fsd.create fs ~name:"size/f" (content 1000 1));
   ignore (Fsd.create fs ~name:"size/g" (content 700 2));
   Fsd.shutdown fs;
@@ -372,6 +372,48 @@ let test_boot_refuses_run_off_the_volume () =
   check bool "size/g reads back" true
     (Bytes.equal (content 700 2) (Fsd.read_all fs2 ~name:"size/g"));
   Fsd.shutdown fs2
+
+(* A run from 100 sectors into the small-file area, [len] sectors long:
+   past the end of a small volume for any length from 10,240. *)
+let past_the_volume len layout = [ { Run_table.start = layout.Layout.small_lo + 100; len } ]
+
+(* The run sealed into size/f's entry on a small volume that shut down
+   cleanly, so boot loads the saved map and never scans the table:
+   [Fsd.check] judges the entry a run at a time and names it, claiming
+   none of the sectors it lists, most of which do not exist. *)
+let test_check_names_a_run_past_the_volume () =
+  let device, _ = rewritten_entry ~geom:Geometry.small_test (past_the_volume 100_000) in
+  let fs, report = Fsd.boot device in
+  check bool "the saved map loaded" true (report.Fsd.vam_source = Fsd.Vam_loaded);
+  match Fsd.check fs with
+  | Ok () -> Alcotest.fail "check accepted a run past the volume"
+  | Error m ->
+    check (Alcotest.list string) "the entry named once"
+      [ "size/f!000001: names a sector outside the data areas" ]
+      (List.filter
+         (fun p -> String.starts_with ~prefix:"size/f" p)
+         (String.split_on_char ';' m |> List.map String.trim))
+
+(* The scavenger refuses that entry and quarantines its sectors a run at
+   a time, each clipped to the data areas, so what it allocates follows
+   the volume, not the length the run claims: 100,000 and 1,000,000
+   sectors from the same start clip to the same sectors. *)
+let test_scavenge_clips_a_refused_run () =
+  let scavenge len =
+    let device, _ = rewritten_entry ~geom:Geometry.small_test (past_the_volume len) in
+    let w0 = Gc.minor_words () in
+    let r = Scavenge.run device in
+    let allocated = Gc.minor_words () -. w0 in
+    check int (Printf.sprintf "run of %d: the entry refused" len) 1 r.Scavenge.conflicts;
+    (r.Scavenge.quarantined_sectors, allocated)
+  in
+  let q1, w1 = scavenge 100_000 in
+  let q2, w2 = scavenge 1_000_000 in
+  check int "the same sectors quarantined" q1 q2;
+  check bool
+    (Printf.sprintf "minor words within 10 %%: %.0f and %.0f" w1 w2)
+    true
+    (Float.abs (w2 -. w1) <= 0.1 *. w1)
 
 (* ------------------------------------------------------------------ *)
 (* The online scrub demon. *)
@@ -616,6 +658,8 @@ let suite =
       `Quick,
       refused_salvaged_entry "a run [767,+2)" (fun _ -> off_the_volume) ~quarantined:2 );
     ("boot refuses an entry off the volume", `Quick, test_boot_refuses_run_off_the_volume);
+    ("check names a run past the volume", `Quick, test_check_names_a_run_past_the_volume);
+    ("the scavenger clips a refused run", `Quick, test_scavenge_clips_a_refused_run);
     ("scrub repairs FNT copy before any read", `Quick, test_scrub_repairs_fnt_copy_before_read);
     ("scrub rewrites a corrupt leader", `Quick, test_scrub_rewrites_corrupt_leader);
     ("scrub repair: counter + trace event", `Quick, test_scrub_repair_emits_metric_and_trace);
