@@ -1,7 +1,7 @@
 # Tier-1 gate (see ROADMAP.md): `make check` must pass — a clean build
 # with zero warnings plus the full test suite — before any PR lands.
 
-.PHONY: all check build test api-check examples-smoke paper-smoke bench bench-diff serve-smoke volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check loc ci clean
+.PHONY: all check build test api-check examples-smoke paper-smoke bench bench-diff serve-smoke serve-scale volumes-smoke faultsweep-smoke wrap-smoke recovery-smoke scavenge-smoke cli-smoke timeline-smoke watch-smoke why-smoke qdepth-smoke stats-smoke perf-smoke fmt fmt-check loc ci clean
 
 all: build
 
@@ -129,6 +129,15 @@ serve-smoke:
 	if [ $$status -ne 1 ]; then \
 		echo "serve-smoke: --open-loop nan exited $$status, not 1"; exit 1; fi
 	@echo "serve-smoke: --open-loop nan refused"
+
+# Scaling probe (not part of ci): the wall time per op of whole `cedar
+# serve --rounds 1` processes at 64, 256, 1,024 and 4,096 clients, on 8
+# fresh in-memory volumes and on one mkfs'd t300 image (made in
+# _build/serve-scale). One line per run: wall seconds, ops, us per op.
+# ~20 s; the 4,096-client run on 8 volumes peaks near 1.1 GB.
+serve-scale:
+	dune build bin/cedar.exe
+	python3 scripts/serve_scale.py
 
 # Multi-volume determinism smoke: two same-seed 2-volume sharded server
 # runs (fresh in-memory volumes, no image) must produce byte-identical

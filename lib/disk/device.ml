@@ -44,15 +44,29 @@ type completion = {
   mutable command_us : int;
 }
 
+(* A request slot: filled at issue and reused once serviced, so a
+   command allocates nothing. *)
 type request = {
-  req_sector : int;
-  req_count : int;
-  req_write : bool;
-  req_enq_at : int; (* virtual clock at issue *)
-  req_span : int; (* trace span of the issuing op, attributed at service *)
-  req_io : completion list; (* every enclosing [track]'s, innermost first *)
+  mutable req_sector : int;
+  mutable req_count : int;
+  mutable req_write : bool;
+  mutable req_enq_at : int; (* virtual clock at issue *)
+  mutable req_span : int; (* trace span of the issuing op, attributed at service *)
+  mutable req_io : completion list;
+      (* every enclosing [track]'s, innermost first; [] once serviced *)
   mutable req_passes : int; (* times passed over by the policy *)
 }
+
+let empty_slot () =
+  {
+    req_sector = 0;
+    req_count = 0;
+    req_write = false;
+    req_enq_at = 0;
+    req_span = 0;
+    req_io = [];
+    req_passes = 0;
+  }
 
 type t = {
   id : int; (* device id stamped into trace events; volume index in a set *)
@@ -78,7 +92,10 @@ type t = {
   mutable depth : int;
   mutable busy_horizon : int; (* completion time of the last serviced request *)
   mutable qpolicy : policy;
-  mutable queue : request list; (* pending, issue order *)
+  mutable queue : request array;
+      (* slots: the first [qlen] are pending, in issue order; the next
+         [submit] fills slot [qlen] *)
+  mutable qlen : int;
   mutable tracking : completion list; (* open [track]s, innermost first *)
   mutable sweep_up : bool; (* elevator arm direction *)
 }
@@ -93,7 +110,7 @@ let register_gauges t =
   Metrics.gauge metrics "device.label_ops" (fun () -> s.Iostats.label_ops);
   Metrics.gauge metrics "device.seeks" (fun () -> s.Iostats.seeks);
   Metrics.gauge metrics "device.busy_us" (fun () -> s.Iostats.busy_us);
-  Metrics.gauge metrics "device.qdepth" (fun () -> List.length t.queue)
+  Metrics.gauge metrics "device.qdepth" (fun () -> t.qlen)
 
 (* Sectors per chunk of the in-memory image: 32 KB at 512-byte sectors.
    Allocation is next-fit, so written sectors cluster and a chunk is
@@ -125,7 +142,8 @@ let create ?(id = 0) ?(depth = 0) ?trace ?metrics ~clock geom =
       depth;
       busy_horizon = 0;
       qpolicy = Fifo;
-      queue = [];
+      queue = [| empty_slot () |];
+      qlen = 0;
       tracking = [];
       sweep_up = true;
     }
@@ -213,6 +231,20 @@ let mechanics t ~span ~start ~sector ~count ~write =
        else Trace.Dev_read { dev = t.id; sector; count; us = dur });
   (seek, dur)
 
+(* Charge a command serviced from [start] to [finish] to every
+   completion waiting on it. Services happen in time order: the first
+   one is the earliest, the last one the latest. *)
+let rec charge cs ~start ~finish ~seek ~dur =
+  match cs with
+  | [] -> ()
+  | c :: rest ->
+    if c.started_at < 0 then c.started_at <- start;
+    c.outstanding <- c.outstanding - 1;
+    c.done_at <- finish;
+    c.seek_us <- c.seek_us + seek;
+    c.command_us <- c.command_us + dur;
+    charge rest ~start ~finish ~seek ~dur
+
 let service t r =
   let start = Int.max (Int.max (Simclock.now t.clock) t.busy_horizon) r.req_enq_at in
   let seek, dur =
@@ -221,85 +253,91 @@ let service t r =
   in
   t.busy_horizon <- start + dur;
   if t.depth = 0 then Simclock.advance_to t.clock t.busy_horizon;
-  List.iter
-    (fun c ->
-      (* Services happen in time order: the first one is the earliest,
-         the last one the latest. *)
-      if c.started_at < 0 then c.started_at <- start;
-      c.outstanding <- c.outstanding - 1;
-      c.done_at <- t.busy_horizon;
-      c.seek_us <- c.seek_us + seek;
-      c.command_us <- c.command_us + dur)
-    r.req_io
+  charge r.req_io ~start ~finish:t.busy_horizon ~seek ~dur;
+  r.req_io <- []
 
 let cyl_of t sector = sector / Geometry.sectors_per_cylinder t.geom
 
-(* Pick the next request to service. Ties (equal distance) go to the
-   earliest-listed request, i.e. FIFO order, keeping every policy
-   deterministic. *)
+(* The pending request nearest the arm among those [dir] admits (1: at
+   or above the arm's cylinder, -1: at or below it, 0: any), the
+   earliest issued on a tie; -1 if [dir] admits none. *)
+let nearest t dir =
+  let best = ref (-1) and best_d = ref max_int in
+  for i = 0 to t.qlen - 1 do
+    let delta = cyl_of t t.queue.(i).req_sector - t.head_cyl in
+    if (dir = 0 || (dir > 0 && delta >= 0) || (dir < 0 && delta <= 0))
+       && abs delta < !best_d
+    then begin
+      best := i;
+      best_d := abs delta
+    end
+  done;
+  !best
+
+(* The earliest-issued pending request from slot [i] on that was passed
+   over [sstf_age_limit] times, else the nearest one. *)
+let rec aged_or_nearest t i =
+  if i = t.qlen then nearest t 0
+  else if t.queue.(i).req_passes >= sstf_age_limit then i
+  else aged_or_nearest t (i + 1)
+
+(* The index of the next request to service. Ties (equal distance) go
+   to the earliest-issued request, i.e. FIFO order, keeping every
+   policy deterministic. *)
 let pick t =
-  match t.queue with
-  | [] -> invalid_arg "Device.pick: empty queue"
-  | [ r ] -> r
-  | rs -> (
-    let d r = abs (cyl_of t r.req_sector - t.head_cyl) in
-    let nearest cands =
-      List.fold_left
-        (fun best r -> if d r < d best then r else best)
-        (List.hd cands) (List.tl cands)
-    in
+  if t.qlen = 0 then invalid_arg "Device.pick: empty queue";
+  if t.qlen = 1 then 0
+  else
     match t.qpolicy with
-    | Fifo -> List.hd rs
-    | Sstf -> (
+    | Fifo -> 0
+    | Sstf ->
       (* Aging: any request passed over [sstf_age_limit] times wins,
          oldest first — the starvation bound. *)
-      match List.filter (fun r -> r.req_passes >= sstf_age_limit) rs with
-      | aged :: _ -> aged
-      | [] -> nearest rs)
+      aged_or_nearest t 0
     | Elevator -> (
-      let ahead up =
-        List.filter
-          (fun r -> if up then cyl_of t r.req_sector >= t.head_cyl
-                    else cyl_of t r.req_sector <= t.head_cyl)
-          rs
-      in
-      match ahead t.sweep_up with
-      | [] ->
+      match nearest t (if t.sweep_up then 1 else -1) with
+      | -1 ->
         (* Nothing left in this direction: reverse the sweep. *)
         t.sweep_up <- not t.sweep_up;
-        nearest (match ahead t.sweep_up with [] -> rs | l -> l)
-      | cands -> nearest cands))
+        (match nearest t (if t.sweep_up then 1 else -1) with -1 -> nearest t 0 | i -> i)
+      | i -> i)
 
+(* Service the picked request. The slots behind it close the gap, so
+   the pending ones keep issue order, and its slot becomes the free one
+   at [qlen]. *)
 let service_next t =
-  let r = pick t in
-  t.queue <- List.filter (fun x -> x != r) t.queue;
-  List.iter (fun x -> x.req_passes <- x.req_passes + 1) t.queue;
+  let i = pick t in
+  let q = t.queue in
+  let r = q.(i) in
+  Array.blit q (i + 1) q i (t.qlen - i - 1);
+  t.qlen <- t.qlen - 1;
+  q.(t.qlen) <- r;
+  for j = 0 to t.qlen - 1 do
+    q.(j).req_passes <- q.(j).req_passes + 1
+  done;
   service t r
 
 let submit t ~sector ~count ~write =
-  let r =
-    {
-      req_sector = sector;
-      req_count = count;
-      req_write = write;
-      req_enq_at = Simclock.now t.clock;
-      req_span = Trace.current_span t.trace;
-      req_io = t.tracking;
-      req_passes = 0;
-    }
-  in
   List.iter (fun c -> c.outstanding <- c.outstanding + 1) t.tracking;
-  if t.depth < 2 then service t r
-  else begin
-    (* A full tag queue blocks the host: service until a slot frees up. *)
-    while List.length t.queue >= t.depth do
+  (* A full tag queue blocks the host: service until a slot frees up. *)
+  if t.depth >= 2 then
+    while t.qlen >= t.depth do
       service_next t
     done;
-    t.queue <- t.queue @ [ r ]
-  end
+  if t.qlen = Array.length t.queue then
+    t.queue <- Array.append t.queue (Array.init t.qlen (fun _ -> empty_slot ()));
+  let r = t.queue.(t.qlen) in
+  r.req_sector <- sector;
+  r.req_count <- count;
+  r.req_write <- write;
+  r.req_enq_at <- Simclock.now t.clock;
+  r.req_span <- Trace.current_span t.trace;
+  r.req_io <- t.tracking;
+  r.req_passes <- 0;
+  if t.depth < 2 then service t r else t.qlen <- t.qlen + 1
 
 let drain t =
-  while t.queue <> [] do
+  while t.qlen > 0 do
     service_next t
   done
 
@@ -320,7 +358,7 @@ let completed_at t c =
   done;
   c.done_at
 
-let queue_length t = List.length t.queue
+let queue_length t = t.qlen
 
 let set_queue t ~policy ~depth =
   if depth < 0 then invalid_arg "Device.set_queue: depth < 0";

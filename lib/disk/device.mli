@@ -85,7 +85,11 @@ val metrics : t -> Cedar_obs.Metrics.t
       happen at issue, but a request is serviced lazily, at the point
       the {!policy} picks it — so seeks and arm position are charged in
       service order. A full queue services one request to free a slot
-      before accepting the next.
+      before accepting the next. The pending requests sit in an array
+      in issue order; the policy picks one by its index, the earliest
+      issued on a tie, and the requests behind it close the gap. A
+      serviced request's slot is reused by the next, so a command
+      allocates no queue storage at any depth.
 
     The mechanical model and all [Iostats] accounting are the same at
     every depth. *)

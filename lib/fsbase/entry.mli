@@ -37,7 +37,8 @@ val local :
 
 val encode : t -> string
 val decode : string -> t
-(** Raises [Bytebuf.Decode_error] on malformed input, and on an entry
+(** Raises [Bytebuf.Decode_error] on malformed input (a run table
+    {!Run_table.of_runs} refuses included), and on an entry
     without a leader sector. *)
 
 val equal : t -> t -> bool

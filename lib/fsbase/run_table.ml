@@ -99,4 +99,8 @@ let rec decode_runs r n =
     let len = Bytebuf.Reader.u32 r in
     { start; len } :: decode_runs r (n - 1)
 
-let decode r = of_runs (decode_runs r (Bytebuf.Reader.u16 r))
+(* A table [of_runs] refuses is malformed input, refused like any other. *)
+let decode r =
+  match of_runs (decode_runs r (Bytebuf.Reader.u16 r)) with
+  | t -> t
+  | exception Invalid_argument m -> raise (Bytebuf.Decode_error m)

@@ -43,3 +43,7 @@ val equal : t -> t -> bool
 
 val encode : Cedar_util.Bytebuf.Writer.t -> t -> unit
 val decode : Cedar_util.Bytebuf.Reader.t -> t
+(** Raises [Cedar_util.Bytebuf.Decode_error] on a truncated table and on
+    one {!of_runs} refuses, so a sealed record that checks but names a
+    zero-length run or two overlapping runs is refused as malformed,
+    like any other bad input. *)

@@ -293,15 +293,14 @@ let last_force_window t =
 let force_threshold t =
   Int.max 2 ((max_data_sectors t / t.params.Params.fnt_page_sectors) - 4)
 
+let commit_due_at t = t.last_force + t.params.Params.commit_interval_us
+let bulk_due t = Fnt_store.pages_to_log_count t.store >= force_threshold t
+
 let maybe_commit t =
   (* Under a server scheduler ([autocommit] off, see {!submit}) the
      interval-driven force belongs to the batcher; the bulk trigger stays
      on unconditionally so one force remains one atomic record. *)
-  let due_time =
-    t.autocommit && now t - t.last_force >= t.params.Params.commit_interval_us
-  in
-  let due_bulk = Fnt_store.pages_to_log_count t.store >= force_threshold t in
-  if due_time || due_bulk then force t
+  if (t.autocommit && now t >= commit_due_at t) || bulk_due t then force t
 
 (* ------------------------------------------------------------------ *)
 (* Name-table access                                                   *)
@@ -700,13 +699,20 @@ let scrub_leaders t =
    with Exit -> ());
   if !wrapped then t.scrub_key_cursor <- ""
 
+let scrub_due_at t = t.last_scrub + Params.scrub_interval_us
+
 let maybe_scrub t =
-  if now t - t.last_scrub >= Params.scrub_interval_us then begin
+  if now t >= scrub_due_at t then begin
     t.last_scrub <- now t;
     Metrics.inc t.meters.m_scrub_passes;
     scrub_fnt_pages t;
     scrub_leaders t
   end
+
+let next_third t = (Log.current_third t.log + 1) mod 3
+
+let home_writes_due t =
+  Log.third_fill t.log >= Params.home_write_fill && next_third t <> t.homed_third
 
 (* Background home-write scheduling: once the current third is
    [home_write_fill] full, pre-flush pages and leaders whose survival
@@ -720,16 +726,14 @@ let maybe_scrub t =
    next one. *)
 let maybe_home_writes t =
   let budget = Params.home_writes_per_pass in
-  if Log.third_fill t.log >= Params.home_write_fill then begin
-    let next = (Log.current_third t.log + 1) mod 3 in
-    if next <> t.homed_third then begin
-      let pages, leaders = home_third ~budget t next in
-      if pages + leaders > 0 then begin
-        Metrics.inc t.meters.m_home_write_bursts;
-        emit t (Trace.Home_write_burst { third = next; pages; leaders })
-      end;
-      if pages + leaders < budget then t.homed_third <- next
-    end
+  if home_writes_due t then begin
+    let next = next_third t in
+    let pages, leaders = home_third ~budget t next in
+    if pages + leaders > 0 then begin
+      Metrics.inc t.meters.m_home_write_bursts;
+      emit t (Trace.Home_write_burst { third = next; pages; leaders })
+    end;
+    if pages + leaders < budget then t.homed_third <- next
   end
 
 (* Demon dispatch, separated from time-advance so that an external
@@ -742,6 +746,15 @@ let run_due_demons t =
   maybe_home_writes t;
   maybe_scrub t;
   match t.monitor with None -> () | Some m -> Monitor.maybe_sample m
+
+(* Each demon above acts only on one of these conditions, and nothing
+   but an operation, a force or a demon pass on this volume changes
+   them; time alone makes only the three deadlines come due. *)
+let demons_due_at t =
+  if bulk_due t || home_writes_due t then min_int
+  else
+    let due = Int.min (commit_due_at t) (scrub_due_at t) in
+    match t.monitor with None -> due | Some m -> Int.min due (Monitor.due_at m)
 
 let tick t ~us =
   require_live t;
@@ -779,8 +792,6 @@ let submit t f =
 let token_durable t (tok : token) = t.durable_seq >= tok
 let mutation_seq t = t.mutation_seq
 let durable_seq t = t.durable_seq
-
-let commit_due_at t = t.last_force + t.params.Params.commit_interval_us
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry monitor                                                   *)

@@ -127,6 +127,17 @@ val run_due_demons : t -> unit
     clock (lib/server) calls it directly, so demons fire identically
     whether or not a server owns the clock. *)
 
+val demons_due_at : t -> int
+(** The earliest virtual time at which {!run_due_demons} could act if
+    the volume is left alone: the commit deadline ({!commit_due_at}),
+    the next scrub pass or the monitor's next sample, whichever comes
+    first; [min_int] while the bulk trigger or the home-write demon
+    already has work. Only an operation, a force or a demon pass on the
+    volume moves it, so a caller that owns the clock may skip
+    {!run_due_demons} on a volume none of those touched since its last
+    pass until the clock reaches this time: the skipped passes would
+    have done nothing. *)
+
 (** {1 Submission (server scheduler interface)}
 
     A concurrent server executes each client operation through {!submit}

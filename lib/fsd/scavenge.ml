@@ -196,7 +196,6 @@ let run device =
     (fun (k, v) ->
       match Entry.decode v with
       | exception Bytebuf.Decode_error _ -> incr conflicts
-      | exception Invalid_argument _ -> incr conflicts
       | e ->
         if try_claim e then begin
           Hashtbl.replace accepted k e;

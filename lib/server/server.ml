@@ -34,7 +34,15 @@
    Determinism: sessions are stepped round-robin by index, volumes are
    visited in index order, the only clock is [Simclock], and the only
    randomness is the script generator's seeded [Rng] — two runs from
-   the same seed produce byte-identical reports. *)
+   the same seed produce byte-identical reports.
+
+   Event-driven: no scheduling step scans the sessions. One transition
+   function ([set_state]) keeps every set the scheduler consults
+   current: the ready set, each volume's parked set, the Iowait set,
+   the done and drain-ready counts, and a min-heap of thinking
+   sessions' wakes. A volume's demons run only when an op or a force
+   touched it since their last pass, or once [Fsd.demons_due_at]
+   comes: a skipped pass would have done nothing. *)
 
 open Cedar_util
 open Cedar_obs
@@ -106,9 +114,10 @@ type vol = {
   mutable v_forces : int;  (* server-initiated forces on this volume *)
   mutable v_forces0 : int;  (* log forces at run start *)
   mutable v_acked : int;
-  mutable v_parked : int;
-      (* sessions in [Parked] on this volume: up where [run_op] parks
-         one, down where [poll_wakes] wakes it or [quarantine] aborts it *)
+  v_parked : Bitmap.t;  (* sessions in [Parked] on this volume, by index *)
+  mutable v_touched : bool;
+      (* an op or a force reached it since its last demon pass *)
+  mutable v_demons_due : int;  (* [Fsd.demons_due_at] after that pass *)
   v_commit_wait_us : Stats.t;
   v_batch_size : Stats.t;
   (* Per-op end-to-end latency (arrival to ack), every op kind. *)
@@ -123,6 +132,52 @@ type vol = {
   c_phase_parked_us : Metrics.counter;
 }
 
+(* A min-heap of thinking sessions' wakes: [(at, session index)] pairs
+   in two growable int arrays, so a push or a pop allocates nothing. An
+   entry is not removed when its session moves on; whoever reads the
+   heap drops the stale ones it finds on top. *)
+module Wakes = struct
+  type t = { mutable at : int array; mutable key : int array; mutable len : int }
+
+  let create () = { at = Array.make 64 0; key = Array.make 64 0; len = 0 }
+  let is_empty h = h.len = 0
+  let min_at h = h.at.(0)
+  let min_key h = h.key.(0)
+
+  let set h i ~at ~key =
+    h.at.(i) <- at;
+    h.key.(i) <- key
+
+  let push h ~at ~key =
+    if h.len = Array.length h.at then begin
+      h.at <- Array.append h.at h.at;
+      h.key <- Array.append h.key h.key
+    end;
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while !i > 0 && h.at.((!i - 1) / 2) > at do
+      let p = (!i - 1) / 2 in
+      set h !i ~at:h.at.(p) ~key:h.key.(p);
+      i := p
+    done;
+    set h !i ~at ~key
+
+  let pop h =
+    h.len <- h.len - 1;
+    let at = h.at.(h.len) and key = h.key.(h.len) in
+    let i = ref 0 and settled = ref false in
+    while not !settled do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < h.len && h.at.(l + 1) < h.at.(l) then l + 1 else l in
+      if c < h.len && h.at.(c) < at then begin
+        set h !i ~at:h.at.(c) ~key:h.key.(c);
+        i := c
+      end
+      else settled := true
+    done;
+    if h.len > 0 then set h !i ~at ~key
+end
+
 type t = {
   vset : Volume_set.t;
   vols : vol array;
@@ -130,7 +185,14 @@ type t = {
   trace : Trace.t;  (* shared by every volume *)
   cfg : config;
   sessions : session array;
-  mutable cursor : int;  (* round-robin scan start *)
+  mutable cursor : int;  (* round-robin search start *)
+  (* Kept current by [set_state], so no scheduling step scans the
+     sessions: *)
+  ready : Bitmap.t;  (* sessions in [Ready] *)
+  iowait : Bitmap.t;  (* sessions in [Iowait] *)
+  mutable n_done : int;
+  mutable n_drained : int;  (* sessions [Parked] with exhausted scripts *)
+  wakes : Wakes.t;
   mutable forces : int;  (* server-initiated (time/explicit/drain), all vols *)
   mutable acked_rev : (int * Concurrent.op) list;  (* ack journal, newest first *)
 }
@@ -196,6 +258,54 @@ let target_vid t (op : Concurrent.op) =
       Option.value (Array.find_index (fun v -> not (dead v)) t.vols) ~default:0
 
 (* ------------------------------------------------------------------ *)
+(* Session transitions. *)
+
+(* The one place a session changes state: it leaves the set its old
+   state keeps it in and joins the new one's. A session's script does
+   not change while it is parked, so whether it counts as drain-ready
+   reads the same on the way in and on the way out. *)
+let set_state t s st =
+  (match s.state with
+  | Ready -> Bitmap.clear t.ready s.client
+  | Iowait _ -> Bitmap.clear t.iowait s.client
+  | Parked { w; _ } ->
+    Bitmap.clear t.vols.(w.w_vol).v_parked s.client;
+    if s.steps = [] then t.n_drained <- t.n_drained - 1
+  | Thinking _ | Done -> ());
+  s.state <- st;
+  match st with
+  | Ready -> Bitmap.set t.ready s.client
+  | Thinking { until } -> Wakes.push t.wakes ~at:until ~key:s.client
+  | Iowait _ -> Bitmap.set t.iowait s.client
+  | Parked { w; _ } ->
+    Bitmap.set t.vols.(w.w_vol).v_parked s.client;
+    if s.steps = [] then t.n_drained <- t.n_drained + 1
+  | Done -> t.n_done <- t.n_done + 1
+
+(* End a session for good, recording why. *)
+let abort t s reason =
+  set_state t s Done;
+  s.aborted <- Some reason;
+  s.steps <- []
+
+(* The lowest member of [set] at or above [from], or -1. *)
+let next_member set ~from ~upto =
+  match Bitmap.find_run_set set ~from ~upto ~len:1 with Some i -> i | None -> -1
+
+(* [f] on every session in [set], in ascending index; [f] may take the
+   session it is given out of [set]. *)
+let iter_set t set f =
+  let n = Array.length t.sessions in
+  let rec from i =
+    let i = next_member set ~from:i ~upto:n in
+    if i >= 0 then begin
+      f t.sessions.(i);
+      from (i + 1)
+    end
+  in
+  from 0
+
+(* ------------------------------------------------------------------ *)
 (* Crash quarantine. *)
 
 (* A planted crash on volume [v] halts that volume only. Sessions parked
@@ -206,21 +316,14 @@ let target_vid t (op : Concurrent.op) =
 let quarantine t v ~sector =
   v.v_crash <- Some sector;
   let reason = Printf.sprintf "volume %d crashed" v.v_id in
-  Array.iter
-    (fun s ->
-      match s.state with
-      | (Parked { w; _ } | Iowait w) when w.w_vol = v.v_id ->
-        s.aborted <- Some reason;
-        s.steps <- [];
-        s.state <- Done
-      | _ -> ())
-    t.sessions;
-  v.v_parked <- 0
+  iter_set t v.v_parked (fun s -> abort t s reason);
+  iter_set t t.iowait (fun s ->
+      match s.state with Iowait w when w.w_vol = v.v_id -> abort t s reason | _ -> ())
 
-(* Run [f] against volume [v], quarantining [v] if a planted crash
-   fires. *)
+(* Run [f] on volume [v]'s FSD, quarantining [v] if a planted crash
+   fires. [f] takes the FSD itself, so a call allocates no closure. *)
 let guarded t v f =
-  try f ()
+  try f v.v_fsd
   with Cedar_disk.Device.Crash_during_write { sector } -> quarantine t v ~sector
 
 (* ------------------------------------------------------------------ *)
@@ -229,8 +332,9 @@ let guarded t v f =
 let force_vol t v =
   t.forces <- t.forces + 1;
   v.v_forces <- v.v_forces + 1;
+  v.v_touched <- true;
   (match t.cfg.on_force with Some f -> f t.forces | None -> ());
-  guarded t v (fun () -> Fsd.force v.v_fsd)
+  guarded t v Fsd.force
 
 (* An explicit client [Force]: flush every live volume, index order. *)
 let force_all t =
@@ -309,48 +413,51 @@ let complete t s w ~forced =
     ~transfer_us:(io.Cedar_disk.Device.command_us - io.Cedar_disk.Device.seek_us);
   Stats.add v.v_op_latency_us (float_of_int (done_at - s.arrival_us));
   s.arrival_us <- done_at;
-  s.state <- (if done_at > now t then Thinking { until = done_at } else Ready)
+  set_state t s (if done_at > now t then Thinking { until = done_at } else Ready)
 
-(* Wake every parked session the last force on each volume covered. One
-   durable advance on one volume = one batch; its size is the number of
-   sessions released together, the quantity Hagmann's group commit
-   amortises that volume's force over. *)
+(* Wake every parked session the last force on each volume covered, in
+   session-index order. One durable advance on one volume = one batch;
+   its size is the number of sessions released together, the quantity
+   Hagmann's group commit amortises that volume's force over. *)
 let poll_wakes t =
-  Array.iter
-    (fun v ->
-      if not (dead v) then begin
-        let d = Fsd.durable_seq v.v_fsd in
-        if d > v.v_last_durable then begin
-          v.v_last_durable <- d;
-          let woken = ref 0 in
-          Array.iter
-            (fun s ->
-              match s.state with
-              | Parked { w; token }
-                when w.w_vol = v.v_id && Fsd.token_durable v.v_fsd token ->
-                incr woken;
-                v.v_parked <- v.v_parked - 1;
-                complete t s w
-                  ~forced:(Some (Cedar_disk.Device.busy_until v.v_dev))
-              | _ -> ())
-            t.sessions;
-          if !woken > 0 then Stats.add v.v_batch_size (float_of_int !woken)
-        end
-      end)
-    t.vols
+  for i = 0 to Array.length t.vols - 1 do
+    let v = t.vols.(i) in
+    if not (dead v) then begin
+      let d = Fsd.durable_seq v.v_fsd in
+      if d > v.v_last_durable then begin
+        v.v_last_durable <- d;
+        let woken = ref 0 in
+        iter_set t v.v_parked (fun s ->
+            match s.state with
+            | Parked { w; token } when Fsd.token_durable v.v_fsd token ->
+              incr woken;
+              complete t s w ~forced:(Some (Cedar_disk.Device.busy_until v.v_dev))
+            | _ -> ());
+        if !woken > 0 then Stats.add v.v_batch_size (float_of_int !woken)
+      end
+    end
+  done
 
 (* Run at every point where the scheduler regains control: fire each
-   volume's commit demon if its interval elapsed inside the last op, let
-   the other demons (scrub, home-writer, monitor) run on every volume,
-   then release whoever the forces covered. *)
+   volume's commit demon if its interval elapsed inside the last op,
+   run the other demons (scrub, home-writer, monitor) on every volume
+   touched since its last pass or whose demon deadline has come, then
+   release whoever the forces covered. *)
 let schedule_point t =
-  Array.iter
-    (fun v ->
-      if (not (dead v)) && now t >= Fsd.commit_due_at v.v_fsd then force_vol t v)
-    t.vols;
-  Array.iter
-    (fun v -> if not (dead v) then guarded t v (fun () -> Fsd.run_due_demons v.v_fsd))
-    t.vols;
+  for i = 0 to Array.length t.vols - 1 do
+    let v = t.vols.(i) in
+    if (not (dead v)) && now t >= Fsd.commit_due_at v.v_fsd then force_vol t v
+  done;
+  for i = 0 to Array.length t.vols - 1 do
+    let v = t.vols.(i) in
+    if (not (dead v)) && (v.v_touched || now t >= v.v_demons_due) then begin
+      guarded t v Fsd.run_due_demons;
+      if not (dead v) then begin
+        v.v_touched <- false;
+        v.v_demons_due <- Fsd.demons_due_at v.v_fsd
+      end
+    end
+  done;
   poll_wakes t
 
 (* ------------------------------------------------------------------ *)
@@ -366,6 +473,7 @@ let exec_op t v (op : Concurrent.op) =
    as a typed abort. *)
 let run_op t v s op =
   s.ops <- s.ops + 1;
+  v.v_touched <- true;
   s.t_exec_start <- now t;
   (* The span label is precomputed per session and the name is a field
      of the op, so a tracing-off run allocates nothing for the span. *)
@@ -380,17 +488,11 @@ let run_op t v s op =
               Fsd.always_durable
             | exception Cedar_disk.Device.Crash_during_write { sector } ->
               quarantine t v ~sector;
-              s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
-              s.steps <- [];
-              s.state <- Done;
+              abort t s (Printf.sprintf "volume %d crashed" v.v_id);
               Fsd.always_durable
             | exception e ->
-              s.aborted <-
-                Some
-                  (Printf.sprintf "%s: %s" (Concurrent.op_name op)
-                     (Printexc.to_string e));
-              s.steps <- [];
-              s.state <- Done;
+              abort t s
+                (Printf.sprintf "%s: %s" (Concurrent.op_name op) (Printexc.to_string e));
               Fsd.always_durable))
   in
   s.t_exec_end <- now t;
@@ -407,22 +509,19 @@ let run_op t v s op =
     in
     (* Reads, lists, explicit forces and client errors are always
        durable; so is a mutation a mid-op force already covered. *)
-    if not (Fsd.token_durable v.v_fsd token) then begin
-      s.state <- Parked { w; token };
-      v.v_parked <- v.v_parked + 1
-    end
-    else if Cedar_disk.Device.pending io then s.state <- Iowait w
+    if not (Fsd.token_durable v.v_fsd token) then set_state t s (Parked { w; token })
+    else if Cedar_disk.Device.pending io then set_state t s (Iowait w)
     else complete t s w ~forced:None
 
 let step t s =
   match s.steps with
-  | [] -> s.state <- Done
+  | [] -> set_state t s Done
   | step :: rest -> (
     match step with
     | Concurrent.Think us ->
       s.steps <- rest;
       let until = now t + us in
-      s.state <- Thinking { until };
+      set_state t s (Thinking { until });
       (* The next op becomes runnable when the think ends; scheduler
          delay past that deadline is its queue wait. *)
       s.arrival_us <- until
@@ -432,7 +531,7 @@ let step t s =
          load is pinned to the clock, so the backlog is preserved. *)
       s.steps <- rest;
       if at > now t then begin
-        s.state <- Thinking { until = at };
+        set_state t s (Thinking { until = at });
         s.arrival_us <- at
       end
       (* else: behind schedule — arrival_us stays at the previous op's
@@ -443,9 +542,7 @@ let step t s =
         (* The owning volume crashed out from under this session: there
            is no one to serve the op, or any later op routed the same
            way. Typed abort, like any other server-side termination. *)
-        s.aborted <- Some (Printf.sprintf "volume %d crashed" v.v_id);
-        s.steps <- [];
-        s.state <- Done
+        abort t s (Printf.sprintf "volume %d crashed" v.v_id)
       end
       else begin
         s.opseq <- s.opseq + 1;
@@ -459,76 +556,75 @@ let step t s =
 (* ------------------------------------------------------------------ *)
 (* The scheduler. *)
 
-let runnable t (s : session) =
-  match s.state with
-  | Ready -> true
-  | Thinking { until } -> until <= now t
-  | Parked _ | Iowait _ | Done -> false
+(* Whether heap entry [(at, i)] still holds: session [i] is still
+   thinking toward [at]. *)
+let current t ~at i =
+  match t.sessions.(i).state with Thinking { until } -> until = at | _ -> false
 
-(* Round-robin: scan from the cursor so no session can monopolise the
-   scheduler — after k steps every runnable session has run at least
-   once. *)
+(* Move every thinking session whose wake has come to the ready set. *)
+let rec promote_due t =
+  let h = t.wakes in
+  if (not (Wakes.is_empty h)) && Wakes.min_at h <= now t then begin
+    let at = Wakes.min_at h and i = Wakes.min_key h in
+    Wakes.pop h;
+    if current t ~at i then set_state t t.sessions.(i) Ready;
+    promote_due t
+  end
+
+(* Round-robin: the first ready session at or after the cursor, wrapping
+   around, so no session can monopolise the scheduler — after k steps
+   every runnable session has run at least once. *)
 let next_runnable t =
+  promote_due t;
   let n = Array.length t.sessions in
-  let rec scan i =
-    if i = n then None
-    else
-      let s = t.sessions.((t.cursor + i) mod n) in
-      if runnable t s then begin
-        t.cursor <- ((t.cursor + i + 1) mod n);
-        Some s
-      end
-      else scan (i + 1)
+  let i =
+    match next_member t.ready ~from:t.cursor ~upto:n with
+    | -1 -> next_member t.ready ~from:0 ~upto:t.cursor
+    | i -> i
   in
-  scan 0
+  if i < 0 then None
+  else begin
+    t.cursor <- (i + 1) mod n;
+    Some t.sessions.(i)
+  end
 
-let all_done t =
-  Array.for_all
-    (fun s ->
-      match s.state with
-      | Done -> true
-      | Ready | Thinking _ | Parked _ | Iowait _ -> false)
-    t.sessions
+let all_done t = t.n_done = Array.length t.sessions
+
+(* The earliest thinking session's wake, or [max_int], dropping the
+   stale entries on top of the heap. *)
+let rec next_wake t =
+  let h = t.wakes in
+  if Wakes.is_empty h then max_int
+  else
+    let at = Wakes.min_at h in
+    if current t ~at (Wakes.min_key h) then at
+    else begin
+      Wakes.pop h;
+      next_wake t
+    end
+
+(* A volume's next wake: its commit deadline or, with a monitor
+   attached, the monitor's next sample if sooner, so samples land on
+   their cadence instead of at the next commit or think edge. *)
+let wake_at v =
+  let due = Fsd.commit_due_at v.v_fsd in
+  match Fsd.monitor v.v_fsd with
+  | Some m -> Int.min due (Cedar_obs.Monitor.due_at m)
+  | None -> due
 
 (* Every live session is either thinking toward a known time or parked
    waiting for some volume's commit demon; the next interesting instant
-   is the earliest of those across all live volumes. *)
+   is the earliest of those wakes and every live volume's. *)
 let next_event_time t =
-  let demons =
-    Array.fold_left
-      (fun acc v ->
-        if dead v then acc
-        else
-          (* An attached telemetry monitor wakes the scheduler too, so
-             samples land on their cadence instead of at the next
-             commit/think edge. *)
-          let due =
-            match Fsd.monitor v.v_fsd with
-            | Some m -> Int.min (Fsd.commit_due_at v.v_fsd) (Cedar_obs.Monitor.due_at m)
-            | None -> Fsd.commit_due_at v.v_fsd
-          in
-          Int.min acc due)
-      max_int t.vols
-  in
   Array.fold_left
-    (fun acc s ->
-      match s.state with
-      | Thinking { until } -> Int.min acc until
-      | Parked _ | Iowait _ | Ready | Done -> acc)
-    demons t.sessions
+    (fun acc v -> if dead v then acc else Int.min acc (wake_at v))
+    (next_wake t) t.vols
 
 (* All remaining work is parked sessions whose scripts are exhausted:
    nothing new can join those batches, so flush them now rather than
    sleeping out the rest of the commit interval (shutdown semantics). *)
 let only_drain_left t =
-  (not (all_done t))
-  && Array.for_all
-       (fun s ->
-         match s.state with
-         | Done -> true
-         | Parked _ -> s.steps = []
-         | Iowait _ | Ready | Thinking _ -> false)
-       t.sessions
+  (not (all_done t)) && t.n_done + t.n_drained = Array.length t.sessions
 
 (* Resolve every Iowait session, in index order (which keeps the drain
    deterministic). Runs only once no session is runnable — the point of
@@ -537,20 +633,20 @@ let only_drain_left t =
    Returns whether any resolved. *)
 let resolve_iowait t =
   let any = ref false in
-  Array.iter
-    (fun s ->
+  iter_set t t.iowait (fun s ->
       match s.state with
       | Iowait w ->
         any := true;
         complete t s w ~forced:None
-      | _ -> ())
-    t.sessions;
+      | _ -> ());
   !any
 
 (* Flush every live volume still owing acks, index order. *)
 let force_drain t =
   Array.iter
-    (fun v -> if (not (dead v)) && v.v_parked > 0 then force_vol t v)
+    (fun v ->
+      let parked = next_member v.v_parked ~from:0 ~upto:(Array.length t.sessions) >= 0 in
+      if (not (dead v)) && parked then force_vol t v)
     t.vols
 
 let create_volumes ?(config = default_config) vset scripts =
@@ -593,7 +689,9 @@ let create_volumes ?(config = default_config) vset scripts =
           v_forces = 0;
           v_forces0 = 0;
           v_acked = 0;
-          v_parked = 0;
+          v_parked = Bitmap.create (Array.length sessions);
+          v_touched = false;  (* [run] sets it *)
+          v_demons_due = max_int;
           v_commit_wait_us = Metrics.dist m "server.commit_wait_us";
           v_batch_size = Metrics.dist m "server.batch_size";
           v_op_latency_us = Metrics.dist m "server.op_latency_us";
@@ -613,12 +711,20 @@ let create_volumes ?(config = default_config) vset scripts =
       cfg = config;
       sessions;
       cursor = 0;
+      ready = Bitmap.create (Array.length sessions);
+      iowait = Bitmap.create (Array.length sessions);
+      n_done = 0;
+      n_drained = 0;
+      wakes = Wakes.create ();
       forces = 0;
       acked_rev = [];
     }
   in
+  Bitmap.set_run t.ready ~pos:0 ~len:(Array.length sessions);
   Array.iter
-    (fun v -> Metrics.gauge (Fsd.metrics v.v_fsd) "server.queue_depth" (fun () -> v.v_parked))
+    (fun v ->
+      Metrics.gauge (Fsd.metrics v.v_fsd) "server.queue_depth" (fun () ->
+          Bitmap.count v.v_parked))
     vols;
   t
 
@@ -628,6 +734,8 @@ let fsd_forces v = Option.get (Metrics.read (Fsd.metrics v.v_fsd) "fsd.forces")
 let run t =
   let t0 = now t in
   Array.iter (fun v -> v.v_forces0 <- fsd_forces v) t.vols;
+  (* Every volume's demons run at the first scheduling point. *)
+  Array.iter (fun v -> v.v_touched <- true) t.vols;
   let rec loop () =
     if not (all_done t) then begin
       (match next_runnable t with

@@ -37,10 +37,25 @@
     sessions.
 
     Determinism contract: given the same volume images, scripts and
-    configuration, two runs produce byte-identical {!report_json} output
-    (sessions are stepped round-robin by index, volumes in index order;
-    the only clock is the simulated one; scripts carry their own
-    seeds). *)
+    configuration, two runs produce byte-identical {!report_json} output.
+    Every scheduling choice is fixed:
+    - the next session to step is the first ready one at or after a
+      round-robin cursor, in session-index order;
+    - a batch wakes, and {!config.on_ack} sees, its sessions in
+      ascending index, and volumes are forced, run their demons and
+      release their batches in index order;
+    - sessions waiting on queued device requests are resolved, in
+      index order, only once no session is ready;
+    - the clock advances to the earliest deadline: a thinking session's
+      wake, a volume's commit deadline or its monitor's next sample.
+
+    The only clock is the simulated one, and scripts carry their own
+    seeds. The scheduler keeps these choices without scanning the
+    sessions: each state change updates a ready set, per-volume parked
+    sets, an Iowait set and a heap of thinking sessions' wakes, and a
+    volume's demons run only when an op or a force touched it or
+    {!Cedar_fsd.Fsd.demons_due_at} has come, which skips only passes
+    that would have done nothing. *)
 
 type config = {
   on_force : (int -> unit) option;

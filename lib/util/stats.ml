@@ -34,7 +34,9 @@ let sorted t =
   | Some a -> a
   | None ->
     let a = Array.sub t.values 0 t.n in
-    Array.sort compare a;
+    (* [Float.compare] orders like polymorphic [compare] (nan first)
+       without its generic dispatch per comparison. *)
+    Array.stable_sort Float.compare a;
     t.sorted <- Some a;
     a
 

@@ -689,6 +689,98 @@ let test_completions_not_retained () =
     true
     (!live <= Device.queue_length d)
 
+(* The request queue against a list model of its policies: the model
+   keeps pending requests in a list in issue order and picks as the
+   device always has (FIFO: the oldest; SSTF: the oldest passed over 8
+   times, else the nearest cylinder; elevator: the nearest ahead of the
+   arm in the sweep's direction, reversing when none is; every tie to
+   the earliest issued; a lone request is taken without turning the
+   sweep). A seeded stream of runs, waits on one request and full
+   drains must be serviced in the model's order under each policy, at
+   depths 2 to 8. Service order is read back from the completions: each
+   service ends after the one before it. *)
+type model_req = { m_id : int; m_cyl : int; m_last_cyl : int; mutable m_passes : int }
+
+let queue_order_run seed =
+  let rng = Rng.create seed in
+  let policy = [| Device.Fifo; Device.Sstf; Device.Elevator |].(Rng.int rng 3) in
+  let depth = 2 + Rng.int rng 7 in
+  let g = Geometry.small_test in
+  let spc = Geometry.sectors_per_cylinder g in
+  let _, d = mk () in
+  Device.set_queue d ~policy ~depth;
+  let pending = ref [] and head = ref 0 and up = ref true and order = ref [] in
+  let pick () =
+    let dist r = abs (r.m_cyl - !head) in
+    let nearest = function
+      | first :: rest -> List.fold_left (fun b r -> if dist r < dist b then r else b) first rest
+      | [] -> assert false
+    in
+    match !pending with
+    | [ r ] -> r
+    | rs -> (
+      match policy with
+      | Device.Fifo -> List.hd rs
+      | Device.Sstf -> (
+        match List.filter (fun r -> r.m_passes >= 8) rs with
+        | aged :: _ -> aged
+        | [] -> nearest rs)
+      | Device.Elevator -> (
+        let ahead up = List.filter (fun r -> if up then r.m_cyl >= !head else r.m_cyl <= !head) rs in
+        match ahead !up with
+        | [] ->
+          up := not !up;
+          nearest (match ahead !up with [] -> rs | l -> l)
+        | cands -> nearest cands))
+  in
+  let service_next () =
+    let r = pick () in
+    pending := List.filter (fun x -> x != r) !pending;
+    List.iter (fun x -> x.m_passes <- x.m_passes + 1) !pending;
+    head := r.m_last_cyl;
+    order := r.m_id :: !order
+  in
+  let completions = ref [] in
+  for id = 0 to 199 do
+    match Rng.int rng 10 with
+    | 0 when !completions <> [] ->
+      (* Wait for one earlier request. *)
+      let k, c = List.nth !completions (Rng.int rng (List.length !completions)) in
+      ignore (Device.completed_at d c : int);
+      while List.exists (fun r -> r.m_id = k) !pending do
+        service_next ()
+      done
+    | 1 ->
+      ignore (Device.busy_until d : int);
+      while !pending <> [] do
+        service_next ()
+      done
+    | _ ->
+      let count = 1 + Rng.int rng 3 in
+      let sector = Rng.int rng (Geometry.total_sectors g - count) in
+      while List.length !pending >= depth do
+        service_next ()
+      done;
+      pending :=
+        !pending
+        @ [ { m_id = id; m_cyl = sector / spc; m_last_cyl = (sector + count - 1) / spc; m_passes = 0 } ];
+      let (), c = Device.track d (fun () -> ignore (Device.read_run d ~sector ~count)) in
+      completions := (id, c) :: !completions
+  done;
+  ignore (Device.busy_until d : int);
+  while !pending <> [] do
+    service_next ()
+  done;
+  let serviced =
+    List.map (fun (id, c) -> (Device.completed_at d c, id)) !completions
+    |> List.sort compare |> List.map snd
+  in
+  serviced = List.rev !order
+
+let prop_queue_matches_list_model =
+  QCheck.Test.make ~name:"request queue services in the list model's order" ~count:200
+    (QCheck.int_bound 1_000_000) queue_order_run
+
 let suite =
   [
     ("geometry chs roundtrip", `Quick, test_geometry_chs_roundtrip);
@@ -725,4 +817,5 @@ let suite =
     ("own timeline = sync mechanics", `Quick, test_own_timeline_matches_sync);
     ("queue depth cap", `Quick, test_queue_depth_cap);
     ("completions are not retained", `Quick, test_completions_not_retained);
+    QCheck_alcotest.to_alcotest prop_queue_matches_list_model;
   ]

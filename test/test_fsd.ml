@@ -363,6 +363,76 @@ let test_size_not_fitting_pages_refused () =
         check Alcotest.string (what "check names the entry") want m)
     [ 5000; 100 ]
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [value], an encoded entry, with its run table replaced by [runs]:
+   the entry's fixed fields take 30 bytes, then the table is a u16 count
+   and a (u32 start, u32 len) pair per run. *)
+let with_raw_runs value runs =
+  let fixed = 30 in
+  let old_runs = Bytes.get_uint16_le (Bytes.of_string value) fixed in
+  let rest = fixed + 2 + (8 * old_runs) in
+  let w = Bytebuf.Writer.create () in
+  Bytebuf.Writer.raw w (Bytes.of_string (String.sub value 0 fixed));
+  Bytebuf.Writer.u16 w (List.length runs);
+  List.iter
+    (fun (start, len) ->
+      Bytebuf.Writer.u32 w start;
+      Bytebuf.Writer.u32 w len)
+    runs;
+  Bytebuf.Writer.raw w (Bytes.of_string (String.sub value rest (String.length value - rest)));
+  Bytes.to_string (Bytebuf.Writer.contents w)
+
+(* A run table that cannot describe a file — a zero-length run, or the
+   file's first page named twice — sealed into a name-table page that
+   still checks. Decoding it is a decode error like any other: [read_all]
+   refuses with [Fs_error], [Fsd.check] names the entry, a boot after a
+   crash (which rebuilds the map from the name table) asks for the
+   scavenger naming the entry, and the scavenger counts it a conflict
+   and keeps the other file. *)
+let test_bad_run_table_is_a_decode_error () =
+  List.iter
+    (fun (what, refusal, runs_of) ->
+      let what s = Printf.sprintf "%s: %s" what s in
+      let key = Fname.key ~name:"size/f" ~version:1 in
+      let device, fs = fresh_fs ~geom:Geometry.tiny_test () in
+      ignore (Fsd.create fs ~name:"size/f" (content 1000 1));
+      ignore (Fsd.create fs ~name:"size/g" (content 700 2));
+      Fsd.shutdown fs;
+      let store = Fnt_store.attach device (Fsd.layout fs) in
+      let tree = B.attach store in
+      let value = Option.get (B.find tree key) in
+      let first = Run_table.sector_of_page (Entry.decode value).Entry.runs 0 in
+      B.insert tree ~key ~value:(with_raw_runs value (runs_of first));
+      ignore (Fnt_store.flush_all_dirty store : int);
+      let fs2 = boot_fs device in
+      expect_error (fun _ -> true) (fun () -> Fsd.read_all fs2 ~name:"size/f");
+      (match Fsd.check fs2 with
+      | Ok () -> Alcotest.fail (what "check passed")
+      | Error m ->
+        check bool (what ("check names the entry and the refusal: " ^ m)) true
+          (contains m (key ^ ": Run_table: " ^ refusal)));
+      (* Crash: a force with no shutdown after it. *)
+      ignore (Fsd.create fs2 ~name:"other" (content 10 3));
+      Fsd.force fs2;
+      (match Fsd.try_boot device with
+      | `Ok _ -> Alcotest.fail (what "boot after the crash succeeded")
+      | `Needs_scavenge m ->
+        check bool (what ("boot names the entry: " ^ m)) true
+          (contains m key));
+      let r = Scavenge.run device in
+      check int (what "the scavenger refuses it") 1 r.Scavenge.conflicts;
+      let fs3 = boot_fs device in
+      check bool (what "the other file reads back") true
+        (Bytes.equal (content 700 2) (Fsd.read_all fs3 ~name:"size/g")))
+    [
+      ("a zero-length run", "bad run", fun first -> [ (first, 2); (first + 2, 0) ]);
+      ("overlapping runs", "overlapping runs", fun first -> [ (first, 1); (first, 1) ]);
+    ]
+
 let test_leader_detects_wild_write () =
   let device, fs = fresh_fs () in
   ignore (Fsd.create fs ~name:"target" (content 512 1));
@@ -879,6 +949,106 @@ let test_crash_hidden_commit_model () =
   check bool "minimised seed-40 script passes with commit-aware model" true ok;
   check bool "script still triggers a hidden commit" true (hidden > 0)
 
+(* Demon deadlines. Two copies of one volume run the same seeded script
+   of creates, deletes, forces and idle ticks, each op under
+   [Fsd.submit] as a server runs it. One copy runs [Fsd.run_due_demons]
+   after every step; the other, as the server does, only after an op or
+   a force, or once the clock reaches [Fsd.demons_due_at]. Every pass
+   the second copy skips would have done nothing, so both issue the same
+   device commands, take the same monitor samples, end on the same clock
+   and leave the same image. Idle stretches of short ticks, and ticks
+   that land exactly on the deadline, find passes the second copy must
+   not skip. The configurations cover VAM logging, an attached monitor
+   and a queued device; the tiny geometry's short log thirds keep the
+   home-write demon busy. *)
+let demon_deadline_run seed =
+  let rng = Rng.create seed in
+  let log_vam = Rng.chance rng 0.5 in
+  let queued = Rng.chance rng 0.5 in
+  let monitored = Rng.chance rng 0.5 in
+  let copy () =
+    let geom = Geometry.tiny_test in
+    let clock = Simclock.create () in
+    let device = Device.create ~clock geom in
+    let params =
+      {
+        (Params.for_geometry geom) with
+        Params.log_vam;
+        disk_qdepth = (if queued then 4 else 0);
+        disk_sched = Device.Sstf;
+      }
+    in
+    Fsd.format device params;
+    let fs, _ = Fsd.boot ~params device in
+    let monitor = if monitored then Some (Fsd.enable_monitor fs) else None in
+    let seen = ref [] in
+    Device.set_observer device
+      (Some (fun ~rw ~sector ~count -> seen := (rw, sector, count) :: !seen));
+    (clock, device, fs, monitor, seen)
+  in
+  let ((_, _, fs, _, _) as every) = copy () in
+  let ((gclock, _, gfs, _, _) as gated) = copy () in
+  let due = ref min_int in
+  let apply (clock, _, fs, _, _) = function
+    | `Create (name, data) -> (
+      try ignore (Fsd.submit fs (fun () -> Fsd.create fs ~name ~keep:2 data))
+      with Fs_error.Fs_error _ -> ())
+    | `Delete name -> (
+      try ignore (Fsd.submit fs (fun () -> Fsd.delete fs ~name)) with Fs_error.Fs_error _ -> ())
+    | `Force -> Fsd.force fs
+    | `Tick us -> Simclock.advance clock us
+  in
+  let step action =
+    apply every action;
+    Fsd.run_due_demons fs;
+    apply gated action;
+    let touched = match action with `Tick _ -> false | _ -> true in
+    if touched || Simclock.now gclock >= !due then begin
+      Fsd.run_due_demons gfs;
+      due := Fsd.demons_due_at gfs
+    end
+  in
+  for _ = 1 to 300 do
+    let name = Printf.sprintf "d/f%d" (Rng.int rng 200) in
+    match Rng.int rng 48 with
+    | n when n < 24 -> step (`Create (name, content (1 + Rng.int rng 500) (Rng.int rng 250)))
+    | n when n < 27 -> step (`Delete name)
+    | 27 -> step `Force
+    | n when n < 37 -> step (`Tick (Rng.int rng 20_000))
+    | n when n < 43 ->
+      (* To the deadline, or just short of it, when it is a time to
+         come. *)
+      let now = Simclock.now gclock and short = Rng.int rng 2 in
+      step (`Tick (if !due - short > now && !due - now <= 3_000_000 then !due - short - now else 0))
+    | _ ->
+      (* An idle stretch. *)
+      for _ = 1 to 1 + Rng.int rng 8 do
+        step (`Tick (Rng.int rng 10_000))
+      done
+  done;
+  let outcome (clock, device, _, monitor, seen) =
+    ignore (Device.busy_until device : int);
+    let path = Filename.temp_file "demons" ".img" in
+    let oc = open_out_bin path in
+    Device.dump device oc;
+    close_out oc;
+    let ic = open_in_bin path in
+    let image = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    let samples =
+      match monitor with
+      | Some m -> List.map (fun x -> x.Cedar_obs.Monitor.at_us) (Cedar_obs.Monitor.samples m)
+      | None -> []
+    in
+    (Simclock.now clock, List.rev !seen, samples, Digest.string image)
+  in
+  outcome every = outcome gated
+
+let prop_demon_deadlines =
+  QCheck.Test.make ~name:"demons gated on their deadline act as demons run every step"
+    ~count:40 (QCheck.int_bound 100_000) demon_deadline_run
+
 let suite =
   [
     ("create/read roundtrip", `Quick, test_create_read_roundtrip);
@@ -905,6 +1075,7 @@ let suite =
     ("boot page replica", `Quick, test_boot_page_replica);
     ("data damage isolated", `Quick, test_data_damage_isolated_to_file);
     ("leader detects wild write", `Quick, test_leader_detects_wild_write);
+    ("a bad run table is a decode error", `Quick, test_bad_run_table_is_a_decode_error);
     ("a size that does not fit its pages is refused", `Quick,
       test_size_not_fitting_pages_refused);
     ("damaged leader: piggybacked read", `Quick, test_damaged_leader_piggybacked);
@@ -922,4 +1093,5 @@ let suite =
     ("check catches a leaked run", `Quick, test_check_catches_leaked_run);
     QCheck_alcotest.to_alcotest prop_version_semantics;
     QCheck_alcotest.to_alcotest prop_crash_consistency;
+    QCheck_alcotest.to_alcotest prop_demon_deadlines;
   ]

@@ -662,6 +662,47 @@ let test_write_order () =
        { C.default_open with C.ol_rate_per_s = 12.0; ol_ops = 600 }
        ~clients:32)
 
+(* Ack order. Client [i] thinks [(n - i) * 100] ms before its one
+   create, so the sessions park in descending index order; the commit
+   interval outlasts the run, so only the shutdown drain forces. Each
+   volume's one batch still acks its clients in ascending index, the
+   volumes in index order, on one volume, on three and behind a request
+   queue. *)
+let test_ack_order_within_batch () =
+  let n = 16 in
+  let scripts =
+    Array.init n (fun i ->
+        [
+          C.Think ((n - i) * 100_000);
+          C.Op (C.Create { name = Printf.sprintf "c%02d/f" i; bytes = 100; fill = i });
+        ])
+  in
+  List.iter
+    (fun (what, params, volumes) ->
+      let params = { params with Params.commit_interval_us = 60_000_000 } in
+      let vset = fresh_set ~params volumes in
+      let acks = ref [] in
+      let config =
+        { S.default_config with S.on_ack = Some (fun ~client ~op:_ -> acks := client :: !acks) }
+      in
+      let r = S.serve_volumes ~config vset scripts in
+      let owner i = Cedar_volumes.Volume_set.route vset (Printf.sprintf "c%02d/f" i) in
+      let want =
+        List.concat_map
+          (fun v -> List.filter (fun i -> owner i = v) (List.init n Fun.id))
+          (List.init volumes Fun.id)
+      in
+      check int (what ^ ": the drain's forces are the only ones") r.S.server_forces
+        r.S.log_forces;
+      check int (what ^ ": one batch per volume") volumes r.S.batch_n;
+      check (Alcotest.list int) (what ^ ": acks in ascending index per volume") want
+        (List.rev !acks))
+    [
+      ("one volume", Params.for_geometry Geometry.small_test, 1);
+      ("three volumes", Params.for_geometry Geometry.small_test, 3);
+      ("queued volume", queued_params, 1);
+    ]
+
 let suite =
   [
     Alcotest.test_case "same-seed runs are byte-identical" `Quick test_determinism;
@@ -689,4 +730,6 @@ let suite =
       test_no_io_op_acked_at_execute_end;
     Alcotest.test_case "ledger exact on every timing" `Quick test_ledger;
     Alcotest.test_case "every force is a write barrier" `Quick test_write_order;
+    Alcotest.test_case "acks in ascending index within a batch" `Quick
+      test_ack_order_within_batch;
   ]

@@ -334,6 +334,31 @@ let test_stats_matches_list_model () =
   check int "n" 1000 (Stats.n s);
   check (Alcotest.float 0.) "total" (List.fold_left ( +. ) 0. (List.rev !model)) (Stats.total s)
 
+(* Law: every percentile equals the nearest-rank pick from the samples
+   sorted as a list with polymorphic [compare]. The samples mix
+   arbitrary floats, many ties, both zeros and the non-finite values. *)
+let prop_percentiles_vs_sorted_list =
+  let sample =
+    QCheck.oneof
+      [
+        QCheck.float;
+        QCheck.map float_of_int (QCheck.int_range (-3) 3);
+        QCheck.oneofl [ nan; infinity; neg_infinity; -0.0; 0.0 ];
+      ]
+  in
+  QCheck.Test.make ~name:"stats percentiles match a sorted-list reference" ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 200) sample) (list (float_bound_inclusive 1.0)))
+    (fun (values, ps) ->
+      let s = Stats.create () in
+      List.iter (Stats.add s) values;
+      let sorted = Array.of_list (List.sort compare values) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun p ->
+          let want = sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))) in
+          Float.equal want (Stats.percentile s p))
+        (0.0 :: 1.0 :: ps))
+
 let suite =
   [
     ("bytebuf roundtrip", `Quick, test_bytebuf_roundtrip);
@@ -357,4 +382,5 @@ let suite =
     ("stats", `Quick, test_stats);
     ("stats matches a list model", `Quick, test_stats_matches_list_model);
     ("percentile edges", `Quick, test_percentile_edges);
+    QCheck_alcotest.to_alcotest prop_percentiles_vs_sorted_list;
   ]
